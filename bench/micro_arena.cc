@@ -1,18 +1,17 @@
 // GMP allocation audit of the packed SMC exchange: how many heap allocations
-// the GMP layer performs per compared pair with the BigInt scratch arena off
-// (every intermediate is a fresh mpz) vs on (intermediates live in
-// preallocated BigIntArena slots). Counting happens through chained
-// mp_set_memory_functions wrappers, so only mpz limb traffic is measured —
-// exactly the traffic the arena exists to remove.
+// the GMP layer performs per compared pair, with every intermediate living
+// in the comparator's preallocated BigIntArena slots. Counting happens
+// through chained mp_set_memory_functions wrappers, so only mpz limb traffic
+// is measured — exactly the traffic the arena exists to remove.
 //
 //   micro_arena [--groups N] [--out file.json]
 //
-// A manually prewarmed, never-Start()ed RandomizerPool feeds both modes so
+// A manually prewarmed, never-Start()ed RandomizerPool feeds the run so
 // randomizer generation (an offline-phase cost) cannot pollute the per-pair
-// counts, and both modes run the identical pair stream with the identical
-// pinned seed — the bench aborts if their match labels ever diverge.
-// BENCH_hotpath.json's arena_alloc block records `reduction`
-// (no-arena allocs / arena allocs); bench_smoke.sh --check fails below 5x.
+// counts. After the counted window every pair is compared again through the
+// scalar exchange; the bench aborts if any label differs.
+// BENCH_hotpath.json's arena_alloc block records `allocs_per_pair_arena`;
+// bench_smoke.sh --check fails above 9.
 
 #include <gmp.h>
 
@@ -72,21 +71,16 @@ MatchRule TwoNumericRule() {
   return rule;
 }
 
-struct Run {
-  int64_t allocs_per_pair = 0;
-  std::vector<bool> labels;
-};
-
 /// Runs `groups` packed group comparisons (after one uncounted warmup group
 /// that grows the arena and any lazy pool state) and returns the mean GMP
-/// allocations per compared pair plus every match label.
-Run MeasureMode(bool use_arena, int groups) {
+/// allocations per compared pair. Exits when a packed label differs from
+/// the scalar exchange's on the same pair.
+int64_t Measure(int groups) {
   SmcConfig cfg;
   cfg.key_bits = 1024;
-  cfg.test_seed = 4242;  // pinned: both modes see the identical key + stream
+  cfg.test_seed = 4242;
   cfg.pack_pairs = kPairsPerGroup;
   cfg.pack_slot_bits = 64;
-  cfg.use_arena = use_arena;
   MatchRule rule = TwoNumericRule();
   SecureRecordComparator cmp(cfg, rule);
   if (!cmp.Init().ok()) std::abort();
@@ -96,7 +90,8 @@ Run MeasureMode(bool use_arena, int groups) {
   // encryption of the run, and never Start() the background filler, so no
   // randomizer is generated (or raced over) inside the measured window.
   // Per group: 1 packed alice ciphertext + 2*pairs per-slot ciphertexts +
-  // 1 packed bob ciphertext.
+  // 1 packed bob ciphertext. The scalar cross-check after the counted
+  // window may run the pool dry; its misses compute inline, uncounted.
   const int takes_per_group = 2 + 2 * kPairsPerGroup;
   crypto::RandomizerPool pool(cmp.public_key(), /*target_depth=*/8,
                               /*test_seed=*/99);
@@ -122,16 +117,32 @@ Run MeasureMode(bool use_arena, int groups) {
   fill(0);  // warmup: arena growth + first-touch happen here, uncounted
   if (!cmp.ComparePackedGroup(pairs).ok()) std::abort();
 
-  Run run;
+  std::vector<std::vector<bool>> packed(groups);
   g_allocs = 0;
   for (int g = 0; g < groups; ++g) {
     fill(g);
     auto labels = cmp.ComparePackedGroup(pairs);
     if (!labels.ok()) std::abort();
-    for (bool b : *labels) run.labels.push_back(b);
+    packed[g] = std::move(labels).value();
   }
-  run.allocs_per_pair = g_allocs / (static_cast<int64_t>(groups) * kPairsPerGroup);
-  return run;
+  const int64_t allocs_per_pair =
+      g_allocs / (static_cast<int64_t>(groups) * kPairsPerGroup);
+
+  // The arena is a pure allocation optimization over the packed exchange,
+  // which must label exactly like the scalar one: a divergence means the
+  // datapath changed semantics, which voids the measurement.
+  for (int g = 0; g < groups; ++g) {
+    fill(g);
+    for (int i = 0; i < kPairsPerGroup; ++i) {
+      auto m = cmp.Compare(as[i], bs[i]);
+      if (!m.ok()) std::abort();
+      if (*m != packed[g][i]) {
+        std::fprintf(stderr, "micro_arena: packed and scalar labels diverge\n");
+        std::exit(1);
+      }
+    }
+  }
+  return allocs_per_pair;
 }
 
 }  // namespace
@@ -157,33 +168,17 @@ int main(int argc, char** argv) {
   mp_get_memory_functions(&g_base_alloc, &g_base_realloc, &g_base_free);
   mp_set_memory_functions(CountingAlloc, CountingRealloc, CountingFree);
 
-  hprl::smc::Run base = hprl::smc::MeasureMode(/*use_arena=*/false, groups);
-  hprl::smc::Run arena = hprl::smc::MeasureMode(/*use_arena=*/true, groups);
+  const int64_t allocs_per_pair = hprl::smc::Measure(groups);
 
-  // The arena is a pure allocation optimization: any label divergence means
-  // the datapath changed semantics, which voids the measurement.
-  if (base.labels != arena.labels) {
-    std::fprintf(stderr,
-                 "micro_arena: arena-on and arena-off labels diverge\n");
-    return 1;
-  }
-
-  double reduction = arena.allocs_per_pair > 0
-                         ? static_cast<double>(base.allocs_per_pair) /
-                               static_cast<double>(arena.allocs_per_pair)
-                         : static_cast<double>(base.allocs_per_pair);
-  char json[512];
+  char json[256];
   std::snprintf(json, sizeof(json),
                 "{\n"
                 "  \"groups\": %d,\n"
                 "  \"pairs_per_group\": %d,\n"
-                "  \"allocs_per_pair_no_arena\": %lld,\n"
-                "  \"allocs_per_pair_arena\": %lld,\n"
-                "  \"reduction\": %.2f\n"
+                "  \"allocs_per_pair_arena\": %lld\n"
                 "}\n",
                 groups, hprl::smc::kPairsPerGroup,
-                static_cast<long long>(base.allocs_per_pair),
-                static_cast<long long>(arena.allocs_per_pair), reduction);
+                static_cast<long long>(allocs_per_pair));
   if (!out.empty()) {
     FILE* f = std::fopen(out.c_str(), "w");
     if (f == nullptr) {

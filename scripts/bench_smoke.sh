@@ -6,7 +6,8 @@
 #   - randomizer: fixed-base windowed table vs square-and-multiply PowMod
 #   - SMC stage: batched engine (threads + CRT + randomizer pool) vs the
 #     serial reference engine, on the timing-table workload
-#   - packed SMC: several pairs per ciphertext on top of the fast engine
+#   - packed SMC: several pairs per ciphertext vs the same fast engine
+#     running the scalar exchange
 #   - offline/online: warm persisted-material online stage vs the cold
 #     end-to-end stage (keygen + prewarm + compare) on the same workload
 #   - blocking: memoized SlackTable sweep vs the seed's direct sweep
@@ -17,15 +18,14 @@
 #     shard, under emulated per-pair latency (the overlap sharding buys)
 #   - async datapath: SocketBus bulk throughput vs raw loopback TCP moving
 #     the identical checksummed wire-v6 frames (overhead budget: 2x)
-#   - arena alloc: GMP allocations per packed-SMC pair, arena off vs on
-#     (reduction floor: 5x)
+#   - arena alloc: GMP allocations per packed-SMC pair (ceiling: 9)
 #
 #   scripts/bench_smoke.sh [build-dir]           # run + write BENCH_hotpath.json
 #   scripts/bench_smoke.sh --check [build-dir]   # run, compare against the
 #       committed BENCH_hotpath.json and fail if any recorded speedup drops
 #       below 80% of its committed value, if the async-datapath overhead
-#       ratio exceeds 2x, or if the arena allocation reduction falls below
-#       5x; the committed file is not rewritten
+#       ratio exceeds 2x, or if a packed pair costs more than 9 GMP
+#       allocations; the committed file is not rewritten
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -103,7 +103,7 @@ echo "== net_throughput: SocketBus vs raw TCP, identical framed traffic =="
 "./$BUILD/bench/net_throughput" --msgs 128 --reps 3 \
   --out "$TMP/net_throughput.json"
 
-echo "== micro_arena: GMP allocations per packed pair, arena off vs on =="
+echo "== micro_arena: GMP allocations per packed pair =="
 "./$BUILD/bench/micro_arena" --groups 10 --out "$TMP/arena.json"
 
 CHECK="$CHECK" python3 - "$TMP" <<'EOF'
@@ -159,15 +159,17 @@ report = {
         "fast_seconds": smc_fast,
         "speedup": smc_serial / smc_fast,
     },
-    # Packed plaintext path (8 pairs per ciphertext) on top of the fast
-    # engine, vs the serial scalar reference. fast_seconds is recorded next
-    # to it so the packing delta on the already-fast engine stays visible.
+    # Packed plaintext path (8 pairs per ciphertext) vs the same fast
+    # engine on the scalar exchange, so the speedup is what packing itself
+    # adds. Bob's fold exponentiates by the bare y_i (Alice pre-weights the
+    # cross terms into their slots); a slot weight back in his exponent
+    # would cost this ratio most of its value and fail --check.
     "packed_smc": {
         "serial_reference_seconds": smc_serial,
         "fast_seconds": smc_fast,
         "packed_seconds": smc_packed,
         "pack_pairs": 8,
-        "speedup": smc_serial / smc_packed,
+        "speedup": smc_fast / smc_packed,
     },
     # Fault-injection layer decorating the transport at all-zero rates,
     # measured as the per-comparison latency floor on the serial protocol:
@@ -271,15 +273,13 @@ report["async_datapath"] = {
     "raw_over_bus_ratio": netthru["raw_over_bus_ratio"],
 }
 
-# Arena allocation audit: GMP heap allocations per packed-SMC pair, scratch
-# arena off vs on, with bit-identical labels asserted by the bench itself.
-# Guarded below by its own floor (reduction >= 5.0), not the generic loop.
+# Arena allocation audit: GMP heap allocations per packed-SMC pair, with
+# packed labels checked against the scalar exchange by the bench itself.
+# Guarded below by its own ceiling (<= 9), not the generic loop.
 with open(os.path.join(tmp, "arena.json")) as f:
     arena = json.load(f)
 report["arena_alloc"] = {
-    "allocs_per_pair_no_arena": arena["allocs_per_pair_no_arena"],
     "allocs_per_pair_arena": arena["allocs_per_pair_arena"],
-    "reduction": arena["reduction"],
 }
 
 if check:
@@ -303,8 +303,8 @@ if check:
                 print(f"check OK {block}.{key}: {measured:.2f} "
                       f"(committed {committed_value:.2f})")
     # Absolute-threshold guards (not relative to the committed value):
-    # the async datapath must stay within its 2x overhead budget and the
-    # arena must keep at least its 5x allocation reduction.
+    # the async datapath must stay within its 2x overhead budget and a
+    # packed pair must cost at most 9 GMP allocations.
     ratio = report["async_datapath"]["raw_over_bus_ratio"]
     if ratio > 2.0:
         failures.append(
@@ -313,14 +313,14 @@ if check:
     else:
         print(f"check OK async_datapath.raw_over_bus_ratio: "
               f"{ratio:.2f} (budget 2.0)")
-    reduction = report["arena_alloc"]["reduction"]
-    if reduction < 5.0:
+    allocs = report["arena_alloc"]["allocs_per_pair_arena"]
+    if allocs > 9:
         failures.append(
-            f"arena_alloc.reduction: measured {reduction:.2f} "
-            f"< 5.0 floor")
+            f"arena_alloc.allocs_per_pair_arena: measured {allocs} "
+            f"> 9 ceiling")
     else:
-        print(f"check OK arena_alloc.reduction: {reduction:.2f} "
-              f"(floor 5.0)")
+        print(f"check OK arena_alloc.allocs_per_pair_arena: {allocs} "
+              f"(ceiling 9)")
     if failures:
         print("BENCH CHECK FAILED:", *failures, sep="\n  ")
         sys.exit(1)

@@ -268,7 +268,6 @@ Result<RunnerReport> RunLinkageFromFiles(const LinkageSpec& spec,
   bopts.config.material_dir = material_dir;
   bopts.config.offline_pairs = offline_pairs;
   bopts.config.pin_cores = options.pin_cores;
-  bopts.config.use_arena = options.use_arena;
   bopts.rule = plan->rule;
   bopts.smc_threads = smc_threads;
   bopts.transport = options.transport;

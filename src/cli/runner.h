@@ -57,9 +57,6 @@ struct RunnerOptions {
 
   /// Pin spawned SMC worker threads to cores (smc::SmcConfig::pin_cores).
   bool pin_cores = false;
-  /// Packed-exchange BigInt scratch arena (smc::SmcConfig::use_arena);
-  /// false is the per-op allocation baseline benches compare against.
-  bool use_arena = true;
 
   /// Non-empty: resumable allowance drain — the session checkpoints after
   /// every SMC batch and resumes from this path (core/checkpoint.h).

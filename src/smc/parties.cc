@@ -93,7 +93,8 @@ Result<BigInt> QueryingParty::ReceivePlain(MessageBus* bus, SmcCosts* costs) {
 
 Result<std::vector<bool>> QueryingParty::DecideAttrsPacked(
     MessageBus* bus, const std::vector<BigInt>& thresholds,
-    const crypto::PackingLayout& layout, SmcCosts* costs) {
+    const crypto::PackingLayout& layout, crypto::BigIntArena* arena,
+    SmcCosts* costs) {
   if (!params_.reveal_distances) {
     return Status::FailedPrecondition(
         "packed exchange requires reveal_distances");
@@ -110,35 +111,24 @@ Result<std::vector<bool>> QueryingParty::DecideAttrsPacked(
   auto plain = DecryptCt(*c);
   if (!plain.ok()) return plain.status();
   costs->decryptions += 1;
-  std::vector<bool> within;
-  within.reserve(thresholds.size());
-  if (arena_ != nullptr) {
-    std::vector<crypto::BigInt*> slots;
-    slots.reserve(thresholds.size());
-    for (size_t i = 0; i < thresholds.size(); ++i) {
-      slots.push_back(&arena_->Next());
-    }
-    BigInt& rest = arena_->Next();
-    Status st = crypto::UnpackSlotsInto(*plain, thresholds.size(), layout,
-                                        &rest, slots);
-    if (!st.ok()) {
-      return Status::IOError(std::string("packed plaintext failed unpack: ") +
-                             st.message());
-    }
-    for (size_t i = 0; i < thresholds.size(); ++i) {
-      within.push_back(*slots[i] <= thresholds[i]);
-    }
-    return within;
+  std::vector<crypto::BigInt*> slots;
+  slots.reserve(thresholds.size());
+  for (size_t i = 0; i < thresholds.size(); ++i) {
+    slots.push_back(&arena->Next());
   }
-  auto slots = crypto::UnpackSlots(*plain, thresholds.size(), layout);
-  if (!slots.ok()) {
+  BigInt& rest = arena->Next();
+  Status st =
+      crypto::UnpackSlotsInto(*plain, thresholds.size(), layout, &rest, slots);
+  if (!st.ok()) {
     // A residue past the last slot means the plaintext was damaged (or a
     // slot overflowed); hand it to the retry layer as transit damage.
     return Status::IOError(std::string("packed plaintext failed unpack: ") +
-                           slots.status().message());
+                           st.message());
   }
+  std::vector<bool> within;
+  within.reserve(thresholds.size());
   for (size_t i = 0; i < thresholds.size(); ++i) {
-    within.push_back((*slots)[i] <= thresholds[i]);
+    within.push_back(*slots[i] <= thresholds[i]);
   }
   return within;
 }
@@ -275,53 +265,37 @@ Status DataHolder::FoldAndForward(MessageBus* bus, const BigInt& y,
 Status DataHolder::SendAttrsPacked(MessageBus* bus, const std::string& peer,
                                    const std::vector<BigInt>& xs,
                                    const crypto::PackingLayout& layout,
+                                   crypto::BigIntArena* arena,
                                    SmcCosts* costs) {
   if (!have_key_) return Status::FailedPrecondition("no public key yet");
-  if (arena_ != nullptr) {
-    // Arena path: every BigInt below lives in preallocated arena storage;
-    // math, randomness order and wire bytes are identical to the value path.
-    std::vector<const BigInt*> x2;
-    x2.reserve(xs.size());
-    for (const BigInt& x : xs) {
-      BigInt& sq = arena_->Next();
-      mpz_mul(sq.raw(), x.raw(), x.raw());
-      x2.push_back(&sq);
-    }
-    BigInt& scratch = arena_->Next();
-    BigInt& packed = arena_->Next();
-    HPRL_RETURN_IF_ERROR(crypto::PackSlotsInto(x2, layout, &scratch, &packed));
-    BigInt& c_px2 = arena_->Next();
-    HPRL_RETURN_IF_ERROR(pub_.EncryptInto(packed, *rng_, &scratch, &c_px2));
-    costs->encryptions += 1;
-    std::vector<uint8_t> payload;
-    AppendBigInt(c_px2, &payload);
-    BigInt& m2x = arena_->Next();
-    BigInt& ct = arena_->Next();
-    for (const BigInt& x : xs) {
-      mpz_mul_si(m2x.raw(), x.raw(), -2);
-      HPRL_RETURN_IF_ERROR(
-          pub_.EncryptSignedInto(m2x, *rng_, &scratch, &ct));
-      costs->encryptions += 1;
-      AppendBigInt(ct, &payload);
-    }
-    bus->Send({name_, peer, "alice_pk", std::move(payload)});
-    return Status::OK();
-  }
-  std::vector<BigInt> x2;
+  // Every BigInt below lives in preallocated arena storage.
+  std::vector<const BigInt*> x2;
   x2.reserve(xs.size());
-  for (const BigInt& x : xs) x2.push_back(x * x);
-  auto packed = crypto::PackSlots(x2, layout);
-  if (!packed.ok()) return packed.status();
-  auto c_px2 = pub_.Encrypt(*packed, *rng_);
-  if (!c_px2.ok()) return c_px2.status();
+  for (const BigInt& x : xs) {
+    BigInt& sq = arena->Next();
+    mpz_mul(sq.raw(), x.raw(), x.raw());
+    x2.push_back(&sq);
+  }
+  BigInt& scratch = arena->Next();
+  BigInt& packed = arena->Next();
+  HPRL_RETURN_IF_ERROR(crypto::PackSlotsInto(x2, layout, &scratch, &packed));
+  BigInt& c_px2 = arena->Next();
+  HPRL_RETURN_IF_ERROR(pub_.EncryptInto(packed, *rng_, &scratch, &c_px2));
   costs->encryptions += 1;
   std::vector<uint8_t> payload;
-  AppendBigInt(*c_px2, &payload);
-  for (const BigInt& x : xs) {
-    auto c_m2x = pub_.EncryptSigned(BigInt(-2) * x, *rng_);
-    if (!c_m2x.ok()) return c_m2x.status();
+  AppendBigInt(c_px2, &payload);
+  // Cross terms leave pre-weighted: Enc(-2·x_i·W_i), W_i = 2^(slot_bits·i),
+  // so Bob's fold exponentiates by the bare y_i (|y_i| bits) instead of
+  // y_i·W_i (slot_bits·i + |y_i| bits). Same plaintext mod n either way.
+  BigInt& m2xw = arena->Next();
+  BigInt& ct = arena->Next();
+  for (size_t i = 0; i < xs.size(); ++i) {
+    mpz_mul_si(m2xw.raw(), xs[i].raw(), -2);
+    mpz_mul_2exp(m2xw.raw(), m2xw.raw(),
+                 static_cast<mp_bitcnt_t>(layout.slot_bits) * i);
+    HPRL_RETURN_IF_ERROR(pub_.EncryptSignedInto(m2xw, *rng_, &scratch, &ct));
     costs->encryptions += 1;
-    AppendBigInt(*c_m2x, &payload);
+    AppendBigInt(ct, &payload);
   }
   bus->Send({name_, peer, "alice_pk", std::move(payload)});
   return Status::OK();
@@ -330,84 +304,48 @@ Status DataHolder::SendAttrsPacked(MessageBus* bus, const std::string& peer,
 Status DataHolder::FoldAndForwardPacked(MessageBus* bus,
                                         const std::vector<BigInt>& ys,
                                         const crypto::PackingLayout& layout,
+                                        crypto::BigIntArena* arena,
                                         SmcCosts* costs) {
   if (!have_key_) return Status::FailedPrecondition("no public key yet");
   auto msg = bus->Expect(name_, "alice_pk");
   if (!msg.ok()) return msg.status();
+  // Ciphertexts deserialize straight into arena slots and the fold runs
+  // through the in-place homomorphic ops.
   size_t off = 0;
-  if (arena_ != nullptr) {
-    // Arena path: ciphertexts deserialize straight into arena slots
-    // (ConsumeBigIntInto) and the fold runs through the in-place
-    // homomorphic ops — the computed acc is bit-identical to the value path.
-    BigInt& c_px2 = arena_->Next();
-    HPRL_RETURN_IF_ERROR(ConsumeBigIntInto(msg->payload, &off, &c_px2));
-    HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, c_px2, "alice_pk[0]"));
-    std::vector<const BigInt*> c_m2x;
-    c_m2x.reserve(ys.size());
-    for (size_t i = 0; i < ys.size(); ++i) {
-      BigInt& c = arena_->Next();
-      HPRL_RETURN_IF_ERROR(ConsumeBigIntInto(msg->payload, &off, &c));
-      HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, c, "alice_pk[i]"));
-      c_m2x.push_back(&c);
-    }
-    std::vector<const BigInt*> y2;
-    y2.reserve(ys.size());
-    for (const BigInt& y : ys) {
-      BigInt& sq = arena_->Next();
-      mpz_mul(sq.raw(), y.raw(), y.raw());
-      y2.push_back(&sq);
-    }
-    BigInt& scratch = arena_->Next();
-    BigInt& packed_y2 = arena_->Next();
-    HPRL_RETURN_IF_ERROR(
-        crypto::PackSlotsInto(y2, layout, &scratch, &packed_y2));
-    BigInt& c_py2 = arena_->Next();
-    HPRL_RETURN_IF_ERROR(pub_.EncryptInto(packed_y2, *rng_, &scratch, &c_py2));
-    costs->encryptions += 1;
-    BigInt& acc = arena_->Next();
-    mpz_set(acc.raw(), c_px2.raw());
-    pub_.AddInto(&acc, c_py2);
-    costs->homomorphic_adds += 1;
-    BigInt& weight = arena_->Next();  // y_i · W_i = y_i << (slot_bits · i)
-    BigInt& term = arena_->Next();
-    for (size_t i = 0; i < ys.size(); ++i) {
-      mpz_mul_2exp(weight.raw(), ys[i].raw(),
-                   static_cast<mp_bitcnt_t>(layout.slot_bits) * i);
-      pub_.ScalarMulInto(*c_m2x[i], weight, &scratch, &term);
-      pub_.AddInto(&acc, term);
-    }
-    costs->homomorphic_adds += static_cast<int64_t>(ys.size());
-    costs->scalar_muls += static_cast<int64_t>(ys.size());
-    std::vector<uint8_t> payload;
-    AppendBigInt(acc, &payload);
-    bus->Send({name_, kQp, "bob_pk", std::move(payload)});
-    return Status::OK();
-  }
-  auto c_px2 = ConsumeBigInt(msg->payload, &off);
-  if (!c_px2.ok()) return c_px2.status();
-  HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, *c_px2, "alice_pk[0]"));
-  std::vector<BigInt> c_m2x;
-  c_m2x.reserve(ys.size());
+  BigInt& c_px2 = arena->Next();
+  HPRL_RETURN_IF_ERROR(ConsumeBigIntInto(msg->payload, &off, &c_px2));
+  HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, c_px2, "alice_pk[0]"));
+  std::vector<const BigInt*> c_m2xw;
+  c_m2xw.reserve(ys.size());
   for (size_t i = 0; i < ys.size(); ++i) {
-    auto c = ConsumeBigInt(msg->payload, &off);
-    if (!c.ok()) return c.status();
-    HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, *c, "alice_pk[i]"));
-    c_m2x.push_back(std::move(c).value());
+    BigInt& c = arena->Next();
+    HPRL_RETURN_IF_ERROR(ConsumeBigIntInto(msg->payload, &off, &c));
+    HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, c, "alice_pk[i]"));
+    c_m2xw.push_back(&c);
   }
-  std::vector<BigInt> y2;
+  std::vector<const BigInt*> y2;
   y2.reserve(ys.size());
-  for (const BigInt& y : ys) y2.push_back(y * y);
-  auto packed_y2 = crypto::PackSlots(y2, layout);
-  if (!packed_y2.ok()) return packed_y2.status();
-  auto c_py2 = pub_.Encrypt(*packed_y2, *rng_);
-  if (!c_py2.ok()) return c_py2.status();
+  for (const BigInt& y : ys) {
+    BigInt& sq = arena->Next();
+    mpz_mul(sq.raw(), y.raw(), y.raw());
+    y2.push_back(&sq);
+  }
+  BigInt& scratch = arena->Next();
+  BigInt& packed_y2 = arena->Next();
+  HPRL_RETURN_IF_ERROR(crypto::PackSlotsInto(y2, layout, &scratch, &packed_y2));
+  BigInt& c_py2 = arena->Next();
+  HPRL_RETURN_IF_ERROR(pub_.EncryptInto(packed_y2, *rng_, &scratch, &c_py2));
   costs->encryptions += 1;
-  // Σ_i Enc(d_i · W_i): the x² terms arrive pre-packed, the cross terms are
-  // steered into slot i by scaling Enc(-2x_i) with y_i · W_i.
-  BigInt acc = pub_.Add(*c_px2, *c_py2);
+  // Σ_i Enc(d_i · W_i): the x² terms arrive pre-packed and the cross terms
+  // pre-weighted, so Enc(-2x_i·W_i) ×h y_i lands in slot i.
+  BigInt& acc = arena->Next();
+  mpz_set(acc.raw(), c_px2.raw());
+  pub_.AddInto(&acc, c_py2);
   costs->homomorphic_adds += 1;
+  BigInt& term = arena->Next();
   for (size_t i = 0; i < ys.size(); ++i) {
-    acc = pub_.Add(acc, pub_.ScalarMul(c_m2x[i], ys[i] * layout.SlotWeight(i)));
+    pub_.ScalarMulInto(*c_m2xw[i], ys[i], &scratch, &term);
+    pub_.AddInto(&acc, term);
   }
   costs->homomorphic_adds += static_cast<int64_t>(ys.size());
   costs->scalar_muls += static_cast<int64_t>(ys.size());

@@ -65,10 +65,12 @@ class QueryingParty {
   /// slot i against thresholds[i]. A plaintext that fails to unpack (nonzero
   /// residue past the last slot) is reported as an IOError so the retry
   /// layer treats it like any other damaged payload. Distance-revealing
-  /// variant only (the packed plaintext is the distances).
+  /// variant only (the packed plaintext is the distances). Scratch values
+  /// live in `arena`, as in every packed method below.
   Result<std::vector<bool>> DecideAttrsPacked(
       MessageBus* bus, const std::vector<crypto::BigInt>& thresholds,
-      const crypto::PackingLayout& layout, SmcCosts* costs);
+      const crypto::PackingLayout& layout, crypto::BigIntArena* arena,
+      SmcCosts* costs);
 
   /// Broadcasts the final pair label to both holders (who consume it).
   Status AnnounceResult(MessageBus* bus, bool match);
@@ -81,12 +83,6 @@ class QueryingParty {
   /// counters). Call after PublishKey — key generation replaces the key
   /// objects and with them the attachment.
   void AttachMetrics(obs::MetricsRegistry* registry);
-
-  /// Routes the packed path's scratch values through `arena` (nullptr
-  /// detaches back to value semantics). The comparator that owns all three
-  /// parties shares ONE arena among them and resets it per packed exchange;
-  /// the arena must outlive the party's use of it.
-  void AttachArena(crypto::BigIntArena* arena) { arena_ = arena; }
 
  private:
   /// DecryptSigned through the CRT fast path or, when
@@ -101,7 +97,6 @@ class QueryingParty {
   std::unique_ptr<crypto::SecureRandom> rng_;
   crypto::PaillierPublicKey pub_;
   crypto::PaillierPrivateKey priv_;
-  crypto::BigIntArena* arena_ = nullptr;  // not owned; may be null
 };
 
 /// A data holder (Alice or Bob). Holds only the public key, its own
@@ -134,22 +129,27 @@ class DataHolder {
                         SmcCosts* costs);
 
   /// Packed Alice: one "alice_pk" message carrying Enc(Σ x_i²·W_i) — every
-  /// slot's x² packed into ONE plaintext — plus per-slot Enc(-2·x_i). Cuts
-  /// the 2k scalar encryptions of k SendAttr calls to k + 1. The caller has
-  /// already checked carry safety ((|x|+|y|)² fits a slot) for every slot.
+  /// slot's x² packed into ONE plaintext — plus per-slot cross terms
+  /// Enc(-2·x_i·W_i), already weighted into slot i (W_i = 2^(slot_bits·i)).
+  /// Cuts the 2k scalar encryptions of k SendAttr calls to k + 1. The caller
+  /// has already checked carry safety ((|x|+|y|)² fits a slot) for every
+  /// slot.
   Status SendAttrsPacked(MessageBus* bus, const std::string& peer,
                          const std::vector<crypto::BigInt>& xs,
-                         const crypto::PackingLayout& layout, SmcCosts* costs);
+                         const crypto::PackingLayout& layout,
+                         crypto::BigIntArena* arena, SmcCosts* costs);
 
-  /// Packed Bob: folds y_i into slot i through the slot weight —
-  ///   Enc(Σ d_i·W_i) = Enc(Σx_i²W_i) +h Σ_i (Enc(-2x_i) ×h y_i·W_i)
+  /// Packed Bob: folds y_i into slot i through Alice's pre-weighted term —
+  ///   Enc(Σ d_i·W_i) = Enc(Σx_i²W_i) +h Σ_i (Enc(-2x_i·W_i) ×h y_i)
   ///                    +h Enc(Σ y_i²W_i),  d_i = (x_i - y_i)²
   /// — and forwards ONE ciphertext to the querying party where the scalar
-  /// protocol sends k.
+  /// protocol sends k. The exponent is the bare y_i, |y_i| bits wide (not
+  /// slot_bits·i + |y_i|). Bob sees only ciphertexts and the querying party
+  /// the same packed plaintext, so leakage is that of the scalar protocol.
   Status FoldAndForwardPacked(MessageBus* bus,
                               const std::vector<crypto::BigInt>& ys,
                               const crypto::PackingLayout& layout,
-                              SmcCosts* costs);
+                              crypto::BigIntArena* arena, SmcCosts* costs);
 
   /// Consumes the querying party's result announcement.
   Result<bool> ReceiveResult(MessageBus* bus);
@@ -166,16 +166,12 @@ class DataHolder {
   /// ReceiveKey; the pool must outlive the holder.
   void AttachRandomizerPool(crypto::RandomizerPool* pool);
 
-  /// See QueryingParty::AttachArena.
-  void AttachArena(crypto::BigIntArena* arena) { arena_ = arena; }
-
  private:
   std::string name_;
   ProtocolParams params_;
   std::unique_ptr<crypto::SecureRandom> rng_;
   crypto::PaillierPublicKey pub_;
   bool have_key_ = false;
-  crypto::BigIntArena* arena_ = nullptr;  // not owned; may be null
 
   // (record id << 8 | attr) -> ciphertexts; see ProtocolParams.
   std::map<int64_t, std::pair<crypto::BigInt, crypto::BigInt>> send_cache_;

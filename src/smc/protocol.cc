@@ -57,21 +57,14 @@ SecureRecordComparator::SecureRecordComparator(SmcConfig config,
       rule_(std::move(rule)),
       codec_(config.fp_scale),
       bus_(MakeBus(config.fault_plan)),
+      // Widest intermediate an arena slot holds: the product of two mod-n²
+      // values inside an in-place multiply, i.e. ~4x the modulus bits.
+      arena_(static_cast<size_t>(config.key_bits) * 4 + 128),
       qp_(ToParams(config), Seed(config.test_seed, 0x9999)),
       alice_(std::string("alice"), ToParams(config),
              Seed(config.test_seed, 0xA11CE)),
       bob_(std::string("bob"), ToParams(config),
-           Seed(config.test_seed, 0xB0B)) {
-  if (config_.use_arena) {
-    // Widest intermediate an arena slot holds: the product of two mod-n²
-    // values inside an in-place multiply, i.e. ~4x the modulus bits.
-    arena_ = std::make_unique<crypto::BigIntArena>(
-        static_cast<size_t>(config_.key_bits) * 4 + 128);
-    qp_.AttachArena(arena_.get());
-    alice_.AttachArena(arena_.get());
-    bob_.AttachArena(arena_.get());
-  }
-}
+           Seed(config.test_seed, 0xB0B)) {}
 
 Status SecureRecordComparator::Init() {
   HPRL_RETURN_IF_ERROR(qp_.PublishKey(bus_.get(), &costs_));
@@ -107,7 +100,7 @@ void SecureRecordComparator::AttachMetrics(obs::MetricsRegistry* registry) {
   qp_.AttachMetrics(registry);
   alice_.AttachMetrics(registry);
   bob_.AttachMetrics(registry);
-  if (arena_ != nullptr) arena_->AttachMetrics(registry);
+  arena_.AttachMetrics(registry);
 }
 
 Result<BigInt> SecureRecordComparator::EncodeAttr(const Value& v,
@@ -323,13 +316,14 @@ Result<std::vector<bool>> SecureRecordComparator::ComparePackedGroup(
         RetryExchange(ctx_a, ctx_b, 0, [&]() -> Result<std::vector<bool>> {
           // Rewind the scratch arena per attempt: nothing allocated during a
           // previous (possibly faulted) attempt outlives the exchange.
-          if (arena_ != nullptr) arena_->Reset();
+          arena_.Reset();
           HPRL_RETURN_IF_ERROR(alice_.SendAttrsPacked(
-              bus_.get(), bob_.name(), xs, *layout, &costs_));
-          HPRL_RETURN_IF_ERROR(
-              bob_.FoldAndForwardPacked(bus_.get(), ys, *layout, &costs_));
+              bus_.get(), bob_.name(), xs, *layout, &arena_, &costs_));
+          HPRL_RETURN_IF_ERROR(bob_.FoldAndForwardPacked(bus_.get(), ys,
+                                                         *layout, &arena_,
+                                                         &costs_));
           return qp_.DecideAttrsPacked(bus_.get(), thresholds, *layout,
-                                       &costs_);
+                                       &arena_, &costs_);
         });
     if (!within.ok()) return within.status();
     // Conjunction per pair over its slot verdicts (exact distances, so the

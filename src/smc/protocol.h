@@ -109,13 +109,6 @@ struct SmcConfig {
   /// the background filler as the only producer.
   int offline_pairs = 0;
 
-  /// Routes the packed exchange's BigInt scratch through a per-comparator
-  /// bump arena (crypto/arena.h): slots are bulk-preallocated at the width
-  /// of the largest mod-n² intermediate and reused across groups, cutting
-  /// GMP heap allocations per packed pair by an order of magnitude. Pure
-  /// storage reorganization — links are bit-identical with it on or off.
-  bool use_arena = true;
-
   /// Pins each SPAWNED batch-engine worker thread to a core (round-robin
   /// over the machine). Worker 0 runs on the caller's thread and is never
   /// pinned — its affinity is not ours to change. With lazily grown arenas
@@ -179,8 +172,10 @@ class SecureRecordComparator {
 
   /// Runs the packed variant of the §V-A exchange on up to
   /// PackedGroupPairs() pairs at once: one "alice_pk" message (packed
-  /// Enc(Σx²·W) plus per-slot Enc(-2x)), one folded "bob_pk" ciphertext,
-  /// ONE decryption, then a single group result announcement. Pairs whose
+  /// Enc(Σx²·W) plus per-slot Enc(-2x_i·W_i), pre-weighted into slot i),
+  /// one "bob_pk" ciphertext folded with the bare y_i as exponents (|y_i|
+  /// bits, not slot_bits·i + |y_i|), ONE decryption, then a single group
+  /// result announcement. Leakage equals the scalar exchange's. Pairs whose
   /// values fail the per-slot carry-safety check are compared through the
   /// scalar path instead (same labels, see SmcConfig::pack_pairs). Returns
   /// per-pair match flags in input order. Transient transport faults heal
@@ -231,10 +226,12 @@ class SecureRecordComparator {
   obs::MetricsRegistry* metrics_ = nullptr;  // not owned; may be null
   crypto::RandomizerPool* pool_ = nullptr;   // not owned; may be null
 
-  // Shared scratch arena for the packed exchange (SmcConfig::use_arena);
-  // reset at the start of every packed attempt. Owned here, lent to the
-  // parties below, so declaration order keeps it alive past their use.
-  std::unique_ptr<crypto::BigIntArena> arena_;
+  // Shared scratch arena for the packed exchange (crypto/arena.h): slots are
+  // preallocated at the width of the largest mod-n² intermediate and reused
+  // across groups, so a packed pair costs a handful of GMP allocations.
+  // Reset at the start of every packed attempt and lent to the parties'
+  // packed methods.
+  crypto::BigIntArena arena_;
 
   // The three §V-A roles; each owns only its own secrets (see smc/parties.h).
   QueryingParty qp_;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "crypto/bigint.h"
@@ -536,6 +537,85 @@ TEST_F(PaillierTest, PackedFoldMatchesScalarSquaredDistances) {
     }
   }
 }
+
+// Alice pre-weights each cross term into its slot, Enc(-2x_i·W_i), so Bob
+// folds with the bare y_i as exponent. The packed plaintext must equal both
+// Σ(x_i - y_i)²·W_i and the slot-weighted-exponent form Enc(-2x_i) ×h
+// (y_i·W_i), kept here as the reference — for random signed values at every
+// slot index, and for the extremes (carry boundary, zero, negative
+// fixed-point encodings) rotated through every slot index.
+class PreWeightedFoldTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(PreWeightedFoldTest, MatchesSlotWeightedExponentAndSquaredDistances) {
+  const int key_bits = GetParam();
+  SecureRandom key_rng(static_cast<uint64_t>(key_bits) + 77);
+  auto kp = GeneratePaillierKeyPair(key_bits, key_rng);
+  ASSERT_TRUE(kp.ok()) << kp.status().ToString();
+  const PaillierPublicKey& pub = kp->pub;
+  const PaillierPrivateKey& priv = kp->priv;
+  auto layout = PackingLayout::Plan(pub.modulus_bits(), 64);
+  ASSERT_TRUE(layout.ok());
+  const size_t k = static_cast<size_t>(layout->num_slots);
+  ASSERT_EQ(k, static_cast<size_t>((key_bits - 2) / 64));  // 7 or 15 slots
+
+  const BigInt kMax((1LL << 31) - 1);  // |x|+|y| <= 2^32-1 keeps (x-y)² in-slot
+  const FixedPointCodec codec(1000);
+  const std::vector<std::pair<BigInt, BigInt>> extremes = {
+      {kMax, -kMax - BigInt(1)},
+      {-kMax - BigInt(1), kMax},
+      {BigInt(0), BigInt(0)},
+      {codec.Encode(-2.5), codec.Encode(1.5)},
+      {codec.Encode(-0.75), BigInt(0)},
+      {BigInt(0), codec.Encode(-3.25)},
+  };
+  SecureRandom rng(17), vals(static_cast<uint64_t>(key_bits));
+  for (size_t round = 0; round < k; ++round) {
+    std::vector<BigInt> xs(k), ys(k);
+    for (size_t i = 0; i < k; ++i) {
+      xs[i] = vals.NextBelow(kMax) - vals.NextBelow(kMax);
+      ys[i] = vals.NextBelow(kMax) - vals.NextBelow(kMax);
+    }
+    for (size_t e = 0; e < extremes.size(); ++e) {
+      const size_t slot = (round + e) % k;
+      xs[slot] = extremes[e].first;
+      ys[slot] = extremes[e].second;
+    }
+    std::vector<BigInt> x2(k), y2(k), d2(k);
+    for (size_t i = 0; i < k; ++i) {
+      x2[i] = xs[i] * xs[i];
+      y2[i] = ys[i] * ys[i];
+      d2[i] = (xs[i] - ys[i]) * (xs[i] - ys[i]);
+    }
+    auto px2 = PackSlots(x2, *layout);
+    auto py2 = PackSlots(y2, *layout);
+    auto expected = PackSlots(d2, *layout);
+    ASSERT_TRUE(px2.ok() && py2.ok() && expected.ok());
+    auto cx2 = pub.Encrypt(*px2, rng);
+    auto cy2 = pub.Encrypt(*py2, rng);
+    ASSERT_TRUE(cx2.ok() && cy2.ok());
+    BigInt pre_weighted = pub.Add(*cx2, *cy2);
+    BigInt reference = pre_weighted;
+    for (size_t i = 0; i < k; ++i) {
+      const BigInt w = layout->SlotWeight(i);
+      auto c_m2xw = pub.EncryptSigned(BigInt(-2) * xs[i] * w, rng);
+      auto c_m2x = pub.EncryptSigned(BigInt(-2) * xs[i], rng);
+      ASSERT_TRUE(c_m2xw.ok() && c_m2x.ok());
+      pre_weighted = pub.Add(pre_weighted, pub.ScalarMul(*c_m2xw, ys[i]));
+      reference = pub.Add(reference, pub.ScalarMul(*c_m2x, ys[i] * w));
+    }
+    auto got = priv.Decrypt(pre_weighted);
+    auto want = priv.Decrypt(reference);
+    ASSERT_TRUE(got.ok() && want.ok());
+    EXPECT_EQ(*got, *expected) << "round " << round;
+    EXPECT_EQ(*got, *want) << "round " << round;
+    auto slots = UnpackSlots(*got, k, *layout);
+    ASSERT_TRUE(slots.ok()) << slots.status().ToString();
+    EXPECT_EQ(*slots, d2) << "round " << round;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(KeyBits, PreWeightedFoldTest,
+                         ::testing::Values(512, 1024));
 
 TEST_F(RandomizerPoolTest, FixedBaseRandomizersAreValidUnits) {
   RandomizerPool fast(pub_, 4, 21);

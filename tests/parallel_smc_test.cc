@@ -227,6 +227,69 @@ TEST(PackedSmcTest, PackedLabelsBitIdenticalToScalar) {
   }
 }
 
+// Full packed groups whose slots carry negative numeric encodings and
+// category 0 on either side: with the cross terms pre-weighted by Alice,
+// Bob exponentiates by these raw (zero, negative) y_i, and every label must
+// still equal the scalar exchange and the plaintext rule at 1 and 4 threads.
+TEST(PackedSmcTest, NegativeAndZeroValuesMatchScalarAndPlaintext) {
+  MatchRule rule;
+  AttrRule cat;
+  cat.attr_index = 0;
+  cat.type = AttrType::kCategorical;
+  cat.theta = 0.5;
+  AttrRule num;
+  num.attr_index = 1;
+  num.type = AttrType::kNumeric;
+  num.theta = 0.1;
+  num.norm = 40;  // |x - y| <= 4 matches
+  rule.attrs = {cat, num};
+
+  const smc::SmcConfig cfg = PackedSmcConfig(4);
+  const int group = smc::SecureRecordComparator(cfg, rule).PackedGroupPairs();
+  ASSERT_EQ(group, 3);  // 7 slots, 2 active attributes per pair
+
+  const std::vector<double> nums = {-12.5, -3.0, 0.0, -0.25, 2.75, -7.0};
+  std::vector<Record> as, bs;
+  for (size_t i = 0; i < 4 * static_cast<size_t>(group); ++i) {
+    const int32_t ca = static_cast<int32_t>(i % 3 == 0 ? 0 : i % 2);
+    const int32_t cb = static_cast<int32_t>(i % 4 == 0 ? 0 : i % 2);
+    as.push_back({Value::Category(ca), Value::Numeric(nums[i % nums.size()])});
+    bs.push_back({Value::Category(cb),
+                  Value::Numeric(nums[(i + i / 2) % nums.size()] + 1.5)});
+  }
+  std::vector<RowPairRequest> batch;
+  for (size_t i = 0; i < as.size(); ++i) {
+    batch.push_back({static_cast<int64_t>(i), static_cast<int64_t>(i), &as[i],
+                     &bs[i]});
+  }
+  std::vector<uint8_t> oracle;
+  for (size_t i = 0; i < as.size(); ++i) {
+    oracle.push_back(RecordsMatch(as[i], bs[i], rule) ? 1 : 0);
+  }
+  ASSERT_NE(std::count(oracle.begin(), oracle.end(), 1), 0);
+  ASSERT_NE(std::count(oracle.begin(), oracle.end(), 0), 0);
+
+  smc::SmcConfig scalar_cfg = cfg;
+  scalar_cfg.pack_pairs = 0;
+  smc::BatchSmcEngine scalar(scalar_cfg, rule, 2);
+  ASSERT_TRUE(scalar.Init().ok());
+  auto scalar_labels = scalar.CompareBatch(batch);
+  ASSERT_TRUE(scalar_labels.ok()) << scalar_labels.status().ToString();
+  EXPECT_EQ(*scalar_labels, oracle);
+
+  for (int threads : {1, 4}) {
+    smc::BatchSmcEngine packed(cfg, rule, threads);
+    ASSERT_TRUE(packed.Init().ok());
+    auto labels = packed.CompareBatch(batch);
+    ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+    EXPECT_EQ(*labels, oracle) << "threads=" << threads;
+    EXPECT_EQ(*labels, *scalar_labels) << "threads=" << threads;
+    // Every pair rode a packed exchange; none fell back to the scalar one.
+    EXPECT_EQ(packed.costs().packed_pairs, static_cast<int64_t>(batch.size()))
+        << "threads=" << threads;
+  }
+}
+
 // Same fault schedule + same seed => the packed engine is deterministic
 // across thread counts (quarantine labels included).
 TEST(PackedSmcTest, PackedDeterministicUnderFaults) {

@@ -96,10 +96,6 @@ int main(int argc, char** argv) {
       "pin_cores", false,
       "pin spawned SMC worker threads to cores round-robin (NUMA-friendly "
       "scratch locality; links are identical either way)");
-  bool* no_arena = flags.AddBool(
-      "no_arena", false,
-      "disable the packed exchange's BigInt scratch arena (the per-op "
-      "allocation baseline for benches; links are identical either way)");
   int64_t* rpc_batch = flags.AddInt(
       "rpc_batch", 0,
       "tcp: pairs per ctl batch frame (1 = per-pair; 0 = use the spec's)");
@@ -278,7 +274,6 @@ int main(int argc, char** argv) {
   options.offline_pairs_override = static_cast<int>(*offline_pairs);
   options.offline_only = *offline;
   options.pin_cores = *pin_cores;
-  options.use_arena = !*no_arena;
   if (*shards < 0 || *net_emu_latency < 0) {
     std::fprintf(stderr,
                  "--shards and --net_emu_latency_micros must be >= 0\n");
