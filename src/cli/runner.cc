@@ -71,7 +71,7 @@ std::string RunnerReport::ToString() const {
         static_cast<long long>(result.quarantined_pairs));
   }
   if (result.resumed_pairs > 0) {
-    out += StrFormat("resume: %lld pairs restored from checkpoint\n",
+    out += StrFormat("resume: %lld pairs restored from journal\n",
                      static_cast<long long>(result.resumed_pairs));
   }
   if (result.true_matches >= 0) {
@@ -246,7 +246,6 @@ Result<RunnerReport> RunLinkageFromFiles(const LinkageSpec& spec,
       .WithConfig(hc)
       .WithMetrics(metrics)
       .WithEvaluation(options.evaluate);
-  if (!options.checkpoint.empty()) session.WithCheckpoint(options.checkpoint);
   if (!options.journal.empty()) {
     session.WithJournal(options.journal)
         .WithResume(options.resume)

@@ -58,15 +58,12 @@ struct RunnerOptions {
   /// Pin spawned SMC worker threads to cores (smc::SmcConfig::pin_cores).
   bool pin_cores = false;
 
-  /// Non-empty: resumable allowance drain — the session checkpoints after
-  /// every SMC batch and resumes from this path (core/checkpoint.h).
-  std::string checkpoint;
-
-  /// Non-empty: crash-consistent session journal (core/journal.h). The
-  /// session records per-shard batch dispositions after every SMC batch; a
-  /// relaunched coordinator given the same path runs at the journaled
-  /// session epoch + 1, fencing whatever ctl frames the crashed run left in
-  /// flight, and drains only the unfinished remainder.
+  /// Non-empty: resumable allowance drain through the crash-consistent
+  /// session journal (core/journal.h). The session records its progress and
+  /// per-shard batch dispositions after every SMC batch; a relaunched
+  /// coordinator given the same path runs at the journaled session epoch
+  /// + 1, fencing whatever ctl frames the crashed run left in flight, and
+  /// drains only the unfinished remainder.
   std::string journal;
   /// Strict resume from `journal`: a missing journal is a usage error and a
   /// corrupt or fingerprint-mismatched one an integrity error — the run

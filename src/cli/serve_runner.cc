@@ -1,10 +1,10 @@
 #include "cli/serve_runner.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "cli/plan.h"
+#include "common/hash.h"
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "core/journal.h"
@@ -26,43 +27,18 @@ namespace hprl::cli {
 
 namespace {
 
-/// SplitMix64 finalizer (same fold as the session journal's fingerprint).
-uint64_t MixFp(uint64_t h, uint64_t x) {
-  h ^= x + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-  h += 0x9E3779B97F4A7C15ull;
-  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
-  h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
-  return h ^ (h >> 31);
-}
-
-uint64_t DoubleBits(double d) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(d), "double is not 64-bit");
-  std::memcpy(&bits, &d, sizeof(bits));
-  return bits;
-}
-
-uint64_t Fnv1a(const std::string& bytes) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 /// Binds a serve journal to one (config, delta stream) pair: the stream's
 /// raw bytes plus every knob that influences admission or labeling. A
 /// journal never replays against a different stream or rule.
 uint64_t ServeFingerprint(const LinkageSpec& spec, const Plan& plan,
                           const std::string& delta_bytes, int gen_level,
                           int64_t allowance, int64_t max_queued) {
-  uint64_t h = Fnv1a(delta_bytes);
+  uint64_t h = Fnv1a64(delta_bytes);
   for (const AttrRule& rule : plan.rule.attrs) {
     h = MixFp(h, static_cast<uint64_t>(rule.attr_index));
     h = MixFp(h, static_cast<uint64_t>(rule.type));
-    h = MixFp(h, DoubleBits(rule.theta));
-    h = MixFp(h, DoubleBits(rule.norm));
+    h = MixFp(h, std::bit_cast<uint64_t>(rule.theta));
+    h = MixFp(h, std::bit_cast<uint64_t>(rule.norm));
   }
   h = MixFp(h, static_cast<uint64_t>(gen_level));
   h = MixFp(h, static_cast<uint64_t>(allowance));

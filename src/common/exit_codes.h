@@ -16,7 +16,7 @@ namespace hprl {
 ///   3  transport failure: unreachable or dead daemons, socket/frame I/O
 ///      (restarting against a healthy fleet can help)
 ///   4  integrity failure of persistent crypto/session artifacts: corrupt
-///      or fingerprint-mismatched material stores, checkpoints and session
+///      or fingerprint-mismatched material stores and session or serve
 ///      journals, fenced session epochs (the artifact must be removed or
 ///      the right one supplied; resuming as-is would be unsound)
 inline constexpr int kExitOk = 0;

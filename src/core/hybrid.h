@@ -34,8 +34,8 @@ struct HybridConfig {
   /// identical either way).
   int blocking_threads = 1;
 
-  /// Pairs per oracle batch in the allowance drain — also the checkpoint
-  /// granularity: a checkpointed session persists progress after every
+  /// Pairs per oracle batch in the allowance drain — also the journal
+  /// granularity: a journaled session persists progress after every
   /// completed batch, so a killed run resumes at the last multiple of this.
   /// Results are identical for every value (<= 0 falls back to 256).
   int64_t smc_batch_pairs = 256;

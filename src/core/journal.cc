@@ -1,313 +1,133 @@
 #include "core/journal.h"
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
+#include "common/durable_file.h"
 
 namespace hprl {
 
 namespace {
 
-constexpr char kMagic[8] = {'H', 'P', 'R', 'L', 'J', 'N', 'L', '1'};
-constexpr uint32_t kVersion = 1;
+constexpr DurableFormat kSessionJournal{"session journal", "HPRLJNL1", 2};
+constexpr DurableFormat kServeJournal{"serve journal", "HPRLSRV1", 2};
 
-// Frames larger than this are a corrupted length field, not a real journal
+// Counts larger than this are a corrupted length field, not a real journal
 // (the largest legitimate journal is the matched-pair list of one run).
 constexpr uint32_t kMaxEntries = 1u << 26;
 
-void PutU32(uint32_t v, std::string* out) {
-  for (int i = 3; i >= 0; --i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(uint64_t v, std::string* out) {
-  for (int i = 7; i >= 0; --i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutI64(int64_t v, std::string* out) {
-  PutU64(static_cast<uint64_t>(v), out);
-}
-
-bool GetU32(const std::string& buf, size_t* off, uint32_t* v) {
-  if (*off + 4 > buf.size()) return false;
-  *v = 0;
-  for (int i = 0; i < 4; ++i) {
-    *v = (*v << 8) | static_cast<uint8_t>(buf[(*off)++]);
+void PutPairs(const std::vector<std::pair<int64_t, int64_t>>& pairs,
+              ByteWriter& w) {
+  w.U32(static_cast<uint32_t>(pairs.size()));
+  for (const auto& [a, b] : pairs) {
+    w.I64(a);
+    w.I64(b);
   }
-  return true;
 }
 
-bool GetU64(const std::string& buf, size_t* off, uint64_t* v) {
-  if (*off + 8 > buf.size()) return false;
-  *v = 0;
-  for (int i = 0; i < 8; ++i) {
-    *v = (*v << 8) | static_cast<uint8_t>(buf[(*off)++]);
-  }
-  return true;
-}
-
-bool GetI64(const std::string& buf, size_t* off, int64_t* v) {
-  uint64_t u = 0;
-  if (!GetU64(buf, off, &u)) return false;
-  *v = static_cast<int64_t>(u);
-  return true;
-}
-
-/// 32-bit FNV-1a, the same checksum the wire frames and the material store
-/// use, forced non-zero so 0 can mean "unstamped".
-uint32_t Fnv1a(const std::string& bytes) {
-  uint32_t h = 2166136261u;
-  for (char c : bytes) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 16777619u;
-  }
-  return h == 0 ? 1u : h;
-}
-
-Status Corrupt(const std::string& path, const std::string& what) {
-  return Status::FailedPrecondition("session journal " + path + " is " +
-                                    what + "; refusing to resume from it");
-}
-
-void PutString(const std::string& s, std::string* out) {
-  PutU32(static_cast<uint32_t>(s.size()), out);
-  out->append(s);
-}
-
-bool GetString(const std::string& buf, size_t* off, std::string* s) {
+bool GetPairs(ByteReader& in, std::vector<std::pair<int64_t, int64_t>>* pairs) {
   uint32_t n = 0;
-  if (!GetU32(buf, off, &n) || n > kMaxEntries) return false;
-  if (*off + n > buf.size()) return false;
-  s->assign(buf, *off, n);
-  *off += n;
+  if (!in.Count(kMaxEntries, &n)) return false;
+  for (uint32_t i = 0; i < n; ++i) {
+    int64_t a = 0;
+    int64_t b = 0;
+    if (!in.I64(&a) || !in.I64(&b)) return false;
+    pairs->emplace_back(a, b);
+  }
   return true;
 }
 
 }  // namespace
 
 Status SaveSessionJournal(const std::string& path, const SessionJournal& j) {
-  std::string body(kMagic, sizeof(kMagic));
-  PutU32(kVersion, &body);
-  PutU64(j.fingerprint, &body);
-  PutU64(j.epoch, &body);
-  PutI64(j.pairs_done, &body);
-  PutI64(j.smc_matched, &body);
-  PutI64(j.quarantined, &body);
-  PutU32(static_cast<uint32_t>(j.shards.size()), &body);
-  for (const ShardDisposition& d : j.shards) {
-    PutU32(static_cast<uint32_t>(d.shard), &body);
-    PutI64(d.batches_done, &body);
-    PutI64(d.pairs_done, &body);
-  }
-  PutU32(static_cast<uint32_t>(j.matched_row_pairs.size()), &body);
-  for (const auto& [a, b] : j.matched_row_pairs) {
-    PutI64(a, &body);
-    PutI64(b, &body);
-  }
-  PutU32(Fnv1a(body), &body);
-
-  // Write-to-temp + rename: a kill mid-write leaves the previous journal
-  // intact instead of a truncated file.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::IOError("cannot write journal temp file: " + tmp);
-    }
-    out.write(body.data(), static_cast<std::streamsize>(body.size()));
-    if (!out.good()) {
-      return Status::IOError("short write on journal temp file: " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IOError("cannot rename journal into place: " + path);
-  }
-  return Status::OK();
+  return WriteDurableFile(path, kSessionJournal, [&](ByteWriter& w) {
+           w.U64(j.fingerprint);
+           w.U64(j.epoch);
+           w.I64(j.pairs_done);
+           w.I64(j.smc_matched);
+           w.I64(j.quarantined);
+           w.U32(static_cast<uint32_t>(j.shards.size()));
+           for (const ShardDisposition& d : j.shards) {
+             w.U32(static_cast<uint32_t>(d.shard));
+             w.I64(d.batches_done);
+             w.I64(d.pairs_done);
+           }
+           PutPairs(j.matched_row_pairs, w);
+         })
+      .status();
 }
 
 Result<SessionJournal> LoadSessionJournal(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("no session journal at " + path);
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string body = buf.str();
-
-  // The trailing checksum covers every preceding byte, so any truncation or
-  // bit flip anywhere in the file fails here before a single field is
-  // believed.
-  if (body.size() < sizeof(kMagic) + 4 /*version*/ + 4 /*crc*/) {
-    return Corrupt(path, "truncated");
-  }
-  const std::string payload = body.substr(0, body.size() - 4);
-  size_t crc_off = body.size() - 4;
-  uint32_t crc = 0;
-  if (!GetU32(body, &crc_off, &crc) || crc != Fnv1a(payload)) {
-    return Corrupt(path, "corrupt (checksum mismatch)");
-  }
-  if (body.compare(0, sizeof(kMagic), kMagic, sizeof(kMagic)) != 0) {
-    return Corrupt(path, "not a session journal (bad magic)");
-  }
-
-  size_t off = sizeof(kMagic);
-  uint32_t version = 0;
-  if (!GetU32(payload, &off, &version) || version != kVersion) {
-    return Corrupt(path, "an unknown journal version");
-  }
   SessionJournal j;
-  uint32_t n_shards = 0;
-  uint32_t n_matches = 0;
-  if (!GetU64(payload, &off, &j.fingerprint) ||
-      !GetU64(payload, &off, &j.epoch) ||
-      !GetI64(payload, &off, &j.pairs_done) ||
-      !GetI64(payload, &off, &j.smc_matched) ||
-      !GetI64(payload, &off, &j.quarantined) ||
-      !GetU32(payload, &off, &n_shards) || n_shards > kMaxEntries) {
-    return Corrupt(path, "truncated");
-  }
-  if (j.pairs_done < 0 || j.smc_matched < 0 || j.quarantined < 0 ||
-      j.smc_matched + j.quarantined > j.pairs_done) {
-    return Corrupt(path, "inconsistent (counts more outcomes than pairs)");
-  }
-  j.shards.reserve(n_shards);
-  for (uint32_t i = 0; i < n_shards; ++i) {
-    ShardDisposition d;
-    uint32_t shard = 0;
-    if (!GetU32(payload, &off, &shard) ||
-        !GetI64(payload, &off, &d.batches_done) ||
-        !GetI64(payload, &off, &d.pairs_done)) {
-      return Corrupt(path, "truncated");
-    }
-    d.shard = static_cast<int>(shard);
-    j.shards.push_back(d);
-  }
-  if (!GetU32(payload, &off, &n_matches) || n_matches > kMaxEntries) {
-    return Corrupt(path, "truncated");
-  }
-  j.matched_row_pairs.reserve(n_matches);
-  for (uint32_t i = 0; i < n_matches; ++i) {
-    int64_t a = 0;
-    int64_t b = 0;
-    if (!GetI64(payload, &off, &a) || !GetI64(payload, &off, &b)) {
-      return Corrupt(path, "truncated");
-    }
-    j.matched_row_pairs.emplace_back(a, b);
-  }
-  if (off != payload.size()) {
-    return Corrupt(path, "oversized (trailing bytes)");
-  }
+  auto read = ReadDurableFile(
+      path, kSessionJournal, [&](ByteReader& in) -> const char* {
+        uint32_t n_shards = 0;
+        if (!in.U64(&j.fingerprint) || !in.U64(&j.epoch) ||
+            !in.I64(&j.pairs_done) || !in.I64(&j.smc_matched) ||
+            !in.I64(&j.quarantined) || !in.Count(kMaxEntries, &n_shards)) {
+          return "truncated";
+        }
+        if (j.pairs_done < 0 || j.smc_matched < 0 || j.quarantined < 0 ||
+            j.smc_matched + j.quarantined > j.pairs_done) {
+          return "inconsistent (counts more outcomes than pairs)";
+        }
+        for (uint32_t i = 0; i < n_shards; ++i) {
+          ShardDisposition d;
+          uint32_t shard = 0;
+          if (!in.U32(&shard) || !in.I64(&d.batches_done) ||
+              !in.I64(&d.pairs_done)) {
+            return "truncated";
+          }
+          d.shard = static_cast<int>(shard);
+          j.shards.push_back(d);
+        }
+        if (!GetPairs(in, &j.matched_row_pairs)) return "truncated";
+        return nullptr;
+      });
+  if (!read.ok()) return read.status();
   return j;
 }
 
-namespace {
-constexpr char kServeMagic[8] = {'H', 'P', 'R', 'L', 'S', 'R', 'V', '1'};
-constexpr uint32_t kServeVersion = 1;
-}  // namespace
-
 Status SaveServeJournal(const std::string& path, const ServeJournal& j) {
-  std::string body(kServeMagic, sizeof(kServeMagic));
-  PutU32(kServeVersion, &body);
-  PutU64(j.fingerprint, &body);
-  PutU64(j.epoch, &body);
-  PutI64(j.settled_deltas, &body);
-  PutI64(j.quarantined, &body);
-  PutU32(static_cast<uint32_t>(j.tenants.size()), &body);
-  for (const ServeTenantState& t : j.tenants) {
-    PutString(t.name, &body);
-    PutI64(t.allowance_remaining, &body);
-    PutI64(t.smc_pairs_spent, &body);
-    PutU32(static_cast<uint32_t>(t.links.size()), &body);
-    for (const auto& [a, b] : t.links) {
-      PutI64(a, &body);
-      PutI64(b, &body);
-    }
-  }
-  PutU32(Fnv1a(body), &body);
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::IOError("cannot write journal temp file: " + tmp);
-    }
-    out.write(body.data(), static_cast<std::streamsize>(body.size()));
-    if (!out.good()) {
-      return Status::IOError("short write on journal temp file: " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IOError("cannot rename journal into place: " + path);
-  }
-  return Status::OK();
+  return WriteDurableFile(path, kServeJournal, [&](ByteWriter& w) {
+           w.U64(j.fingerprint);
+           w.U64(j.epoch);
+           w.I64(j.settled_deltas);
+           w.I64(j.quarantined);
+           w.U32(static_cast<uint32_t>(j.tenants.size()));
+           for (const ServeTenantState& t : j.tenants) {
+             w.Blob(t.name.data(), t.name.size());
+             w.I64(t.allowance_remaining);
+             w.I64(t.smc_pairs_spent);
+             PutPairs(t.links, w);
+           }
+         })
+      .status();
 }
 
 Result<ServeJournal> LoadServeJournal(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("no serve journal at " + path);
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string body = buf.str();
-
-  if (body.size() < sizeof(kServeMagic) + 4 /*version*/ + 4 /*crc*/) {
-    return Corrupt(path, "truncated");
-  }
-  const std::string payload = body.substr(0, body.size() - 4);
-  size_t crc_off = body.size() - 4;
-  uint32_t crc = 0;
-  if (!GetU32(body, &crc_off, &crc) || crc != Fnv1a(payload)) {
-    return Corrupt(path, "corrupt (checksum mismatch)");
-  }
-  if (body.compare(0, sizeof(kServeMagic), kServeMagic,
-                   sizeof(kServeMagic)) != 0) {
-    return Corrupt(path, "not a serve journal (bad magic)");
-  }
-
-  size_t off = sizeof(kServeMagic);
-  uint32_t version = 0;
-  if (!GetU32(payload, &off, &version) || version != kServeVersion) {
-    return Corrupt(path, "an unknown journal version");
-  }
   ServeJournal j;
-  uint32_t n_tenants = 0;
-  if (!GetU64(payload, &off, &j.fingerprint) ||
-      !GetU64(payload, &off, &j.epoch) ||
-      !GetI64(payload, &off, &j.settled_deltas) ||
-      !GetI64(payload, &off, &j.quarantined) ||
-      !GetU32(payload, &off, &n_tenants) || n_tenants > kMaxEntries) {
-    return Corrupt(path, "truncated");
-  }
-  if (j.settled_deltas < 0 || j.quarantined < 0) {
-    return Corrupt(path, "inconsistent (negative counts)");
-  }
-  j.tenants.reserve(n_tenants);
-  for (uint32_t i = 0; i < n_tenants; ++i) {
-    ServeTenantState t;
-    uint32_t n_links = 0;
-    if (!GetString(payload, &off, &t.name) ||
-        !GetI64(payload, &off, &t.allowance_remaining) ||
-        !GetI64(payload, &off, &t.smc_pairs_spent) ||
-        !GetU32(payload, &off, &n_links) || n_links > kMaxEntries) {
-      return Corrupt(path, "truncated");
-    }
-    if (t.smc_pairs_spent < 0) {
-      return Corrupt(path, "inconsistent (negative spend)");
-    }
-    t.links.reserve(n_links);
-    for (uint32_t k = 0; k < n_links; ++k) {
-      int64_t a = 0;
-      int64_t b = 0;
-      if (!GetI64(payload, &off, &a) || !GetI64(payload, &off, &b)) {
-        return Corrupt(path, "truncated");
-      }
-      t.links.emplace_back(a, b);
-    }
-    j.tenants.push_back(std::move(t));
-  }
-  if (off != payload.size()) {
-    return Corrupt(path, "oversized (trailing bytes)");
-  }
+  auto read = ReadDurableFile(
+      path, kServeJournal, [&](ByteReader& in) -> const char* {
+        uint32_t n_tenants = 0;
+        if (!in.U64(&j.fingerprint) || !in.U64(&j.epoch) ||
+            !in.I64(&j.settled_deltas) || !in.I64(&j.quarantined) ||
+            !in.Count(kMaxEntries, &n_tenants)) {
+          return "truncated";
+        }
+        if (j.settled_deltas < 0 || j.quarantined < 0) {
+          return "inconsistent (negative counts)";
+        }
+        for (uint32_t i = 0; i < n_tenants; ++i) {
+          ServeTenantState& t = j.tenants.emplace_back();
+          if (!in.String(kMaxEntries, &t.name) ||
+              !in.I64(&t.allowance_remaining) ||
+              !in.I64(&t.smc_pairs_spent)) {
+            return "truncated";
+          }
+          if (t.smc_pairs_spent < 0) return "inconsistent (negative spend)";
+          if (!GetPairs(in, &t.links)) return "truncated";
+        }
+        return nullptr;
+      });
+  if (!read.ok()) return read.status();
   return j;
 }
 

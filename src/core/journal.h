@@ -11,11 +11,10 @@
 
 namespace hprl {
 
-/// Coordinator-side write-ahead session journal — the distributed
-/// generalization of SmcCheckpoint (core/checkpoint.h). Written atomically
-/// after every flushed SMC batch, it records the drain's durable progress
-/// plus the two facts a relaunched coordinator needs that a plain
-/// checkpoint cannot carry:
+/// Coordinator-side write-ahead session journal, the one resume path of
+/// the allowance drain. Written atomically after every flushed SMC batch,
+/// it records the drain's durable progress plus two facts a relaunched
+/// coordinator needs:
 ///
 ///   - `epoch`: the session epoch the run executed under. A resume runs at
 ///     `epoch + 1`, which the daemons adopt on kConfigure and use to fence
@@ -25,11 +24,11 @@ namespace hprl {
 ///     pairs per comparator shard), so a crash leaves a record of where the
 ///     work actually ran.
 ///
-/// Like the material store's `HPRLMAT1` format the journal is a binary,
-/// FNV-1a-checksummed, fingerprint-bound artifact: any truncation or bit
-/// flip fails the load (reject-and-restart-clean — a wrong resume is never
-/// possible), and a journal whose fingerprint does not match the current
-/// run shape is refused rather than silently mixing two drains.
+/// The file is a durable-file envelope (common/durable_file.h, magic
+/// `HPRLJNL1`, version 2): any truncation or bit flip fails the load
+/// (reject-and-restart-clean — a wrong resume is never possible), and a
+/// journal whose fingerprint does not match the current run shape is
+/// refused rather than silently mixing two drains.
 struct SessionJournal {
   uint64_t fingerprint = 0;  ///< binds to one run shape (session.cc)
   uint64_t epoch = 1;        ///< session epoch the journaled run ran under
@@ -42,8 +41,7 @@ struct SessionJournal {
   std::vector<std::pair<int64_t, int64_t>> matched_row_pairs;
 };
 
-/// Atomically (write-to-temp + rename) persists `j` in the checksummed
-/// `HPRLJNL1` binary format.
+/// Atomically persists `j` as an `HPRLJNL1` durable file.
 Status SaveSessionJournal(const std::string& path, const SessionJournal& j);
 
 /// Loads and verifies a journal. NotFound when no file exists (a fresh
@@ -68,10 +66,10 @@ struct ServeTenantState {
 /// link sets (no SMC spend), re-deriving queue contents and allowance
 /// remainders deterministically, then continues live at `epoch + 1`.
 ///
-/// Same durability contract as SessionJournal: binary `HPRLSRV1`, FNV-1a
-/// checksum over the whole body, atomic tmp+rename, fingerprint-bound (the
-/// fingerprint folds the run config and the delta stream bytes, so a journal
-/// can never be replayed against a different stream).
+/// Same durability contract as SessionJournal: an `HPRLSRV1` durable file
+/// (version 2), fingerprint-bound (the fingerprint folds the run config and
+/// the delta stream bytes, so a journal can never be replayed against a
+/// different stream).
 struct ServeJournal {
   uint64_t fingerprint = 0;
   uint64_t epoch = 1;
@@ -80,7 +78,7 @@ struct ServeJournal {
   std::vector<ServeTenantState> tenants;  ///< name-sorted
 };
 
-/// Atomically persists `j` in the checksummed `HPRLSRV1` binary format.
+/// Atomically persists `j` as an `HPRLSRV1` durable file.
 Status SaveServeJournal(const std::string& path, const ServeJournal& j);
 
 /// Loads and verifies a serve journal. NotFound when no file exists;

@@ -1,11 +1,11 @@
 #include "core/session.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <numeric>
 
-#include "core/checkpoint.h"
+#include "common/hash.h"
 #include "core/journal.h"
 #include "linkage/ground_truth.h"
 #include "linkage/oracle.h"
@@ -14,29 +14,13 @@ namespace hprl {
 
 namespace {
 
-/// SplitMix64 finalizer, used to fold the run shape into a fingerprint.
-uint64_t MixFp(uint64_t h, uint64_t x) {
-  h ^= x + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-  h += 0x9E3779B97F4A7C15ull;
-  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
-  h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
-  return h ^ (h >> 31);
-}
-
-uint64_t DoubleBits(double d) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(d), "double is not 64-bit");
-  std::memcpy(&bits, &d, sizeof(bits));
-  return bits;
-}
-
-/// Binds a checkpoint to one run shape: the tables' sizes, the blocking
+/// Binds a journal to one run shape: the tables' sizes, the blocking
 /// outcome, the decision rule, and every knob that influences which pairs
 /// the drain visits in which order. Two runs that agree on all of these
 /// drain the identical pair sequence, so resuming one from the other's
-/// checkpoint is sound.
-uint64_t CheckpointFingerprint(const HybridConfig& config,
-                               const LinkageMetrics& m, size_t order_size) {
+/// journal is sound.
+uint64_t RunFingerprint(const HybridConfig& config, const LinkageMetrics& m,
+                        size_t order_size) {
   uint64_t h = 0x48505243ull;  // "HPRC"
   h = MixFp(h, static_cast<uint64_t>(m.rows_r));
   h = MixFp(h, static_cast<uint64_t>(m.rows_s));
@@ -49,12 +33,12 @@ uint64_t CheckpointFingerprint(const HybridConfig& config,
   h = MixFp(h, config.random_seed);
   h = MixFp(h, static_cast<uint64_t>(config.heuristic));
   h = MixFp(h, config.collect_matches ? 1 : 0);
-  h = MixFp(h, DoubleBits(config.smc_allowance_fraction));
+  h = MixFp(h, std::bit_cast<uint64_t>(config.smc_allowance_fraction));
   for (const AttrRule& rule : config.rule.attrs) {
     h = MixFp(h, static_cast<uint64_t>(rule.attr_index));
     h = MixFp(h, static_cast<uint64_t>(rule.type));
-    h = MixFp(h, DoubleBits(rule.theta));
-    h = MixFp(h, DoubleBits(rule.norm));
+    h = MixFp(h, std::bit_cast<uint64_t>(rule.theta));
+    h = MixFp(h, std::bit_cast<uint64_t>(rule.norm));
   }
   return h;
 }
@@ -166,26 +150,12 @@ Result<HybridResult> LinkageSession::Run() {
   // the selection work is skipped entirely.
   select_span.Stop();
 
-  // --- Resumable drain: restore progress from a matching checkpoint ---
-  const uint64_t fingerprint =
-      CheckpointFingerprint(config, out, order.size());
+  // --- Resumable drain: restore progress from a matching journal ---
+  const uint64_t fingerprint = RunFingerprint(config, out, order.size());
   // Index into out.matched_row_pairs where SMC-found links begin (blocking
-  // links were appended above); the checkpoint persists only the SMC part.
+  // links were appended above); the journal persists only the SMC part.
   const size_t smc_matches_begin = out.matched_row_pairs.size();
   int64_t resume_done = 0;
-  auto restore = [&](int64_t pairs_done, int64_t smc_matched,
-                     int64_t quarantined,
-                     const std::vector<std::pair<int64_t, int64_t>>& matched) {
-    resume_done = pairs_done;
-    out.smc_matched = smc_matched;
-    out.quarantined_pairs = quarantined;
-    out.resumed_pairs = pairs_done;
-    if (config.collect_matches) {
-      out.matched_row_pairs.insert(out.matched_row_pairs.end(),
-                                   matched.begin(), matched.end());
-    }
-    obs::Add(metrics_, "linkage.resumed_pairs", pairs_done);
-  };
   if (!journal_path_.empty()) {
     obs::ScopedSpan resume_span(metrics_, "resume", &run_span);
     auto j = LoadSessionJournal(journal_path_);
@@ -196,8 +166,16 @@ Result<HybridResult> LinkageSession::Run() {
             " belongs to a different run (fingerprint mismatch); "
             "delete it or point the session elsewhere");
       }
-      restore(j->pairs_done, j->smc_matched, j->quarantined,
-              j->matched_row_pairs);
+      resume_done = j->pairs_done;
+      out.smc_matched = j->smc_matched;
+      out.quarantined_pairs = j->quarantined;
+      out.resumed_pairs = j->pairs_done;
+      if (config.collect_matches) {
+        out.matched_row_pairs.insert(out.matched_row_pairs.end(),
+                                     j->matched_row_pairs.begin(),
+                                     j->matched_row_pairs.end());
+      }
+      obs::Add(metrics_, "linkage.resumed_pairs", j->pairs_done);
     } else if (j.status().code() == StatusCode::kNotFound) {
       if (resume_required_) {
         return Status::InvalidArgument(
@@ -210,21 +188,6 @@ Result<HybridResult> LinkageSession::Run() {
       // with journaling enabled just starts clean and overwrites it.
       if (resume_required_) return j.status();
       obs::Add(metrics_, "linkage.journal_rejected");
-    }
-  } else if (!checkpoint_path_.empty()) {
-    obs::ScopedSpan resume_span(metrics_, "resume", &run_span);
-    auto cp = LoadSmcCheckpoint(checkpoint_path_);
-    if (cp.ok()) {
-      if (cp->fingerprint != fingerprint) {
-        return Status::FailedPrecondition(
-            "checkpoint " + checkpoint_path_ +
-            " belongs to a different run (fingerprint mismatch); "
-            "delete it or point the session elsewhere");
-      }
-      restore(cp->pairs_done, cp->smc_matched, cp->quarantined,
-              cp->matched_row_pairs);
-    } else if (cp.status().code() != StatusCode::kNotFound) {
-      return cp.status();  // a corrupt checkpoint is an error, not a restart
     }
   }
 
@@ -260,20 +223,6 @@ Result<HybridResult> LinkageSession::Run() {
     pairs_done += static_cast<int64_t>(batch.size());
     batch.clear();
     ++batches_flushed;
-    if (!checkpoint_path_.empty()) {
-      SmcCheckpoint cp;
-      cp.fingerprint = fingerprint;
-      cp.pairs_done = pairs_done;
-      cp.smc_matched = out.smc_matched;
-      cp.quarantined = out.quarantined_pairs;
-      if (config.collect_matches) {
-        cp.matched_row_pairs.assign(
-            out.matched_row_pairs.begin() +
-                static_cast<int64_t>(smc_matches_begin),
-            out.matched_row_pairs.end());
-      }
-      HPRL_RETURN_IF_ERROR(SaveSmcCheckpoint(checkpoint_path_, cp));
-    }
     if (!journal_path_.empty()) {
       SessionJournal j;
       j.fingerprint = fingerprint;
@@ -312,7 +261,7 @@ Result<HybridResult> LinkageSession::Run() {
         --budget;
         ++emitted;
         if (emitted <= resume_done) {
-          continue;  // labeled by the checkpointed run; counts restored
+          continue;  // labeled by the journaled run; counts restored
         }
         batch.push_back({rows_r[a], rows_s[b], &r.row(rows_r[a]),
                          &s.row(rows_s[b])});
@@ -330,12 +279,9 @@ Result<HybridResult> LinkageSession::Run() {
   out.unprocessed_pairs = out.unknown_pairs - out.smc_processed;
   out.reported_matches += out.smc_matched;
   out.smc_seconds = smc_timer.ElapsedSeconds();
-  if (!checkpoint_path_.empty()) {
-    // The drain completed; the checkpoint has served its purpose, and a
-    // stale file must not leak into an unrelated future run.
-    std::remove(checkpoint_path_.c_str());
-  }
   if (!journal_path_.empty()) {
+    // The drain completed; the journal has served its purpose, and a stale
+    // file must not leak into an unrelated future run.
     std::remove(journal_path_.c_str());
   }
 

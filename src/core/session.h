@@ -72,18 +72,6 @@ class LinkageSession {
     return *this;
   }
 
-  /// Makes the allowance drain resumable: after every completed SMC batch
-  /// the session persists an SmcCheckpoint (core/checkpoint.h) at `path`,
-  /// and at startup a checkpoint matching this run's fingerprint restores
-  /// progress — the drain continues at the first unlabeled pair, and the
-  /// final HybridResult equals an uninterrupted run's (resumed_pairs records
-  /// how much was restored). A checkpoint from a different run is refused
-  /// (FailedPrecondition). Empty path (the default) disables checkpointing.
-  LinkageSession& WithCheckpoint(const std::string& path) {
-    checkpoint_path_ = path;
-    return *this;
-  }
-
   /// Aborts the drain with Unavailable after `max_batches` flushed SMC
   /// batches — a deterministic stand-in for killing the process, used by the
   /// resume tests. <= 0 (the default) never aborts.
@@ -92,15 +80,17 @@ class LinkageSession {
     return *this;
   }
 
-  /// Distributed generalization of WithCheckpoint: after every flushed SMC
-  /// batch the session persists a SessionJournal (core/journal.h) at `path`
-  /// — progress plus the session epoch and the oracle's per-shard batch
+  /// Makes the allowance drain resumable: after every flushed SMC batch the
+  /// session persists a SessionJournal (core/journal.h) at `path` —
+  /// progress plus the session epoch and the oracle's per-shard batch
   /// dispositions. At startup a journal matching this run's fingerprint
-  /// restores the drain exactly like a checkpoint; a corrupt journal is
+  /// restores progress: the drain continues at the first unlabeled pair,
+  /// and the final HybridResult equals an uninterrupted run's
+  /// (resumed_pairs records how much was restored). A journal from a
+  /// different run is refused (FailedPrecondition); a corrupt one is
   /// rejected (never partially resumed) and, unless WithResume(true), the
-  /// run simply restarts clean. Takes restore precedence over
-  /// WithCheckpoint when both are set. Empty path (the default) disables
-  /// journaling.
+  /// run simply restarts clean. A completed drain deletes its journal.
+  /// Empty path (the default) disables journaling.
   LinkageSession& WithJournal(const std::string& path) {
     journal_path_ = path;
     return *this;
@@ -137,7 +127,6 @@ class LinkageSession {
   MatchOracle* oracle_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   bool evaluate_ = false;
-  std::string checkpoint_path_;
   std::string journal_path_;
   bool resume_required_ = false;
   uint64_t session_epoch_ = 1;

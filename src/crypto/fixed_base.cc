@@ -2,25 +2,9 @@
 
 #include <cstring>
 
+#include "common/durable_file.h"
+
 namespace hprl::crypto {
-
-namespace {
-
-void PutU32(uint32_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 4; ++i) out->push_back((v >> (8 * i)) & 0xff);
-}
-
-bool TakeU32(const std::vector<uint8_t>& buf, size_t* off, uint32_t* v) {
-  if (*off + 4 > buf.size()) return false;
-  *v = 0;
-  for (int i = 0; i < 4; ++i) {
-    *v |= static_cast<uint32_t>(buf[*off + i]) << (8 * i);
-  }
-  *off += 4;
-  return true;
-}
-
-}  // namespace
 
 FixedBaseTable::FixedBaseTable(const BigInt& base, const BigInt& modulus,
                                int max_exp_bits, int window_bits)
@@ -82,19 +66,18 @@ Result<BigInt> FixedBaseTable::Pow(const BigInt& exp) const {
 }
 
 std::vector<uint8_t> FixedBaseTable::Serialize() const {
-  std::vector<uint8_t> out;
-  PutU32(static_cast<uint32_t>(window_bits_), &out);
-  PutU32(static_cast<uint32_t>(max_exp_bits_), &out);
-  PutU32(static_cast<uint32_t>(windows_.size()), &out);
+  ByteWriter out;
+  out.U32(static_cast<uint32_t>(window_bits_));
+  out.U32(static_cast<uint32_t>(max_exp_bits_));
+  out.U32(static_cast<uint32_t>(windows_.size()));
   for (const auto& row : windows_) {
-    PutU32(static_cast<uint32_t>(row.size()), &out);
+    out.U32(static_cast<uint32_t>(row.size()));
     for (const BigInt& entry : row) {
       std::vector<uint8_t> bytes = entry.ToBytes();
-      PutU32(static_cast<uint32_t>(bytes.size()), &out);
-      out.insert(out.end(), bytes.begin(), bytes.end());
+      out.Blob(bytes.data(), bytes.size());
     }
   }
-  return out;
+  return std::move(out).Take();
 }
 
 Result<FixedBaseTable> FixedBaseTable::Deserialize(
@@ -104,11 +87,10 @@ Result<FixedBaseTable> FixedBaseTable::Deserialize(
                                    what);
   };
   if (modulus.Sign() <= 0) return bad("modulus must be positive");
-  size_t off = 0;
+  ByteReader in(blob);
   uint32_t window_bits = 0, max_exp_bits = 0, num_windows = 0;
-  if (!TakeU32(blob, &off, &window_bits) ||
-      !TakeU32(blob, &off, &max_exp_bits) ||
-      !TakeU32(blob, &off, &num_windows)) {
+  if (!in.U32(&window_bits) || !in.U32(&max_exp_bits) ||
+      !in.U32(&num_windows)) {
     return bad("truncated header");
   }
   if (window_bits == 0 || window_bits > 16 || max_exp_bits == 0 ||
@@ -121,7 +103,8 @@ Result<FixedBaseTable> FixedBaseTable::Deserialize(
   if (num_windows != expect_windows) {
     return bad("window count disagrees with exponent width");
   }
-  const size_t entry_cap = modulus.ToBytes().size() + 8;
+  const uint32_t entry_cap =
+      static_cast<uint32_t>(modulus.ToBytes().size() + 8);
   FixedBaseTable table;
   table.modulus_ = modulus;
   table.window_bits_ = static_cast<int>(window_bits);
@@ -129,20 +112,14 @@ Result<FixedBaseTable> FixedBaseTable::Deserialize(
   table.windows_.reserve(num_windows);
   for (uint32_t i = 0; i < num_windows; ++i) {
     uint32_t row_len = 0;
-    if (!TakeU32(blob, &off, &row_len) || row_len != expect_row) {
+    if (!in.U32(&row_len) || row_len != expect_row) {
       return bad("bad row length");
     }
     std::vector<BigInt> row;
     row.reserve(row_len);
+    std::vector<uint8_t> bytes;
     for (uint32_t j = 0; j < row_len; ++j) {
-      uint32_t len = 0;
-      if (!TakeU32(blob, &off, &len) || len > entry_cap ||
-          off + len > blob.size()) {
-        return bad("truncated entry");
-      }
-      std::vector<uint8_t> bytes(blob.begin() + static_cast<long>(off),
-                                 blob.begin() + static_cast<long>(off + len));
-      off += len;
+      if (!in.Blob(entry_cap, &bytes)) return bad("truncated entry");
       BigInt entry = BigInt::FromBytes(bytes);
       if (entry.Sign() <= 0 || !(entry < modulus)) {
         return bad("entry outside [1, modulus)");
@@ -151,7 +128,7 @@ Result<FixedBaseTable> FixedBaseTable::Deserialize(
     }
     table.windows_.push_back(std::move(row));
   }
-  if (off != blob.size()) return bad("trailing bytes");
+  if (!in.done()) return bad("trailing bytes");
   return table;
 }
 

@@ -1,59 +1,22 @@
 #include "crypto/material.h"
 
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 
+#include "common/durable_file.h"
+#include "common/hash.h"
 #include "common/string_util.h"
 
 namespace hprl::crypto {
 
 namespace {
 
-constexpr char kMagic[8] = {'H', 'P', 'R', 'L', 'M', 'A', 'T', '1'};
-constexpr uint32_t kVersion = 1;
+// Version 1 must stay: the durable-file envelope is exactly this format's
+// layout, so material stores already on disk keep loading warm.
+constexpr DurableFormat kMaterial{"material", "HPRLMAT1", 1};
 // Structural caps: far above anything the engine generates, low enough that
 // a corrupted length field cannot drive allocation into gigabytes.
 constexpr uint32_t kMaxTableBlob = 1u << 28;
 constexpr uint32_t kMaxRandomizers = 1u << 22;
-
-uint64_t Fnv1a64(const uint8_t* data, size_t n) {
-  uint64_t h = 14695981039346656037ull;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-void PutU32(uint32_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 4; ++i) out->push_back((v >> (8 * i)) & 0xff);
-}
-
-void PutU64(uint64_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 8; ++i) out->push_back((v >> (8 * i)) & 0xff);
-}
-
-bool TakeU32(const std::vector<uint8_t>& buf, size_t* off, uint32_t* v) {
-  if (*off + 4 > buf.size()) return false;
-  *v = 0;
-  for (int i = 0; i < 4; ++i) {
-    *v |= static_cast<uint32_t>(buf[*off + i]) << (8 * i);
-  }
-  *off += 4;
-  return true;
-}
-
-bool TakeU64(const std::vector<uint8_t>& buf, size_t* off, uint64_t* v) {
-  if (*off + 8 > buf.size()) return false;
-  *v = 0;
-  for (int i = 0; i < 8; ++i) {
-    *v |= static_cast<uint64_t>(buf[*off + i]) << (8 * i);
-  }
-  *off += 8;
-  return true;
-}
 
 }  // namespace
 
@@ -74,91 +37,51 @@ Result<CryptoMaterial> MaterialStore::Load(uint64_t fingerprint,
                                            uint32_t modulus_bits,
                                            uint32_t slot_bits) {
   const std::string path = PathFor(fingerprint, modulus_bits, slot_bits);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    ++stats_.misses;
-    return Status::NotFound("no material at " + path);
-  }
-  std::vector<uint8_t> buf((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-  in.close();
-  // From here on every failure is a REJECTION: the file exists but cannot
-  // be trusted. The caller regenerates; nothing downstream ever sees a
-  // partially validated table or randomizer.
-  auto reject = [&](const char* why) {
-    ++stats_.rejected;
-    ++stats_.misses;
-    return Status::NotFound(StrFormat("material %s rejected: %s",
-                                      path.c_str(), why));
-  };
-  if (buf.size() < sizeof(kMagic) + 4 + 8 + 4 + 4 + 4 + 4 + 4 + 8) {
-    return reject("file shorter than the fixed header");
-  }
-  if (std::memcmp(buf.data(), kMagic, sizeof(kMagic)) != 0) {
-    return reject("bad magic");
-  }
-  uint64_t stored_sum = 0;
-  {
-    size_t tail = buf.size() - 8;
-    size_t off = tail;
-    TakeU64(buf, &off, &stored_sum);
-    if (Fnv1a64(buf.data(), tail) != stored_sum) {
-      return reject("checksum mismatch");
-    }
-    buf.resize(tail);
-  }
-  size_t off = sizeof(kMagic);
-  uint32_t version = 0;
-  uint64_t fp = 0;
   CryptoMaterial m;
-  if (!TakeU32(buf, &off, &version) || version != kVersion) {
-    return reject("unsupported version");
-  }
-  if (!TakeU64(buf, &off, &fp) || fp != fingerprint) {
-    return reject("keypair fingerprint mismatch");
-  }
-  if (!TakeU32(buf, &off, &m.modulus_bits) ||
-      m.modulus_bits != modulus_bits) {
-    return reject("modulus bits mismatch");
-  }
-  if (!TakeU32(buf, &off, &m.slot_bits) || m.slot_bits != slot_bits) {
-    return reject("slot layout mismatch");
-  }
-  if (!TakeU32(buf, &off, &m.short_exp_bits) || m.short_exp_bits == 0) {
-    return reject("bad exponent width");
-  }
-  uint32_t table_len = 0;
-  if (!TakeU32(buf, &off, &table_len) || table_len > kMaxTableBlob ||
-      off + table_len > buf.size()) {
-    return reject("truncated table blob");
-  }
-  m.table_blob.assign(buf.begin() + static_cast<long>(off),
-                      buf.begin() + static_cast<long>(off + table_len));
-  off += table_len;
-  uint32_t count = 0;
-  if (!TakeU32(buf, &off, &count) || count > kMaxRandomizers) {
-    return reject("bad randomizer count");
-  }
   // One randomizer lives in Z_{n^2}: at most 2 * modulus_bits bits.
-  const size_t entry_cap = static_cast<size_t>(modulus_bits) / 4 + 16;
-  m.randomizers.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t len = 0;
-    if (!TakeU32(buf, &off, &len) || len > entry_cap ||
-        off + len > buf.size()) {
-      return reject("truncated randomizer");
+  const uint32_t entry_cap = modulus_bits / 4 + 16;
+  auto read = ReadDurableFile(path, kMaterial, [&](ByteReader& in)
+                                                   -> const char* {
+    uint64_t fp = 0;
+    if (!in.U64(&fp) || fp != fingerprint) {
+      return "keypair fingerprint mismatch";
     }
-    std::vector<uint8_t> bytes(buf.begin() + static_cast<long>(off),
-                               buf.begin() + static_cast<long>(off + len));
-    off += len;
-    BigInt r = BigInt::FromBytes(bytes);
-    if (r.Sign() <= 0) return reject("non-positive randomizer");
-    m.randomizers.push_back(std::move(r));
+    if (!in.U32(&m.modulus_bits) || m.modulus_bits != modulus_bits) {
+      return "modulus bits mismatch";
+    }
+    if (!in.U32(&m.slot_bits) || m.slot_bits != slot_bits) {
+      return "slot layout mismatch";
+    }
+    if (!in.U32(&m.short_exp_bits) || m.short_exp_bits == 0) {
+      return "bad exponent width";
+    }
+    if (!in.Blob(kMaxTableBlob, &m.table_blob)) return "truncated table blob";
+    uint32_t count = 0;
+    if (!in.Count(kMaxRandomizers, &count)) return "bad randomizer count";
+    m.randomizers.reserve(count);
+    std::vector<uint8_t> bytes;
+    for (uint32_t i = 0; i < count; ++i) {
+      if (!in.Blob(entry_cap, &bytes)) return "truncated randomizer";
+      BigInt r = BigInt::FromBytes(bytes);
+      if (r.Sign() <= 0) return "non-positive randomizer";
+      m.randomizers.push_back(std::move(r));
+    }
+    return nullptr;
+  });
+  // Every failure but an absent file is a REJECTION: the file exists but
+  // cannot be trusted. The caller regenerates; nothing downstream ever sees
+  // a partially validated table or randomizer.
+  if (!read.ok()) {
+    ++stats_.misses;
+    if (read.status().code() != StatusCode::kNotFound) {
+      ++stats_.rejected;
+      return Status::NotFound(read.status().message());
+    }
+    return read.status();
   }
-  if (off != buf.size()) return reject("trailing bytes");
   m.fingerprint = fingerprint;
   ++stats_.hits;
-  stats_.bytes += static_cast<int64_t>(buf.size()) + 8;
+  stats_.bytes += static_cast<int64_t>(*read);
   return m;
 }
 
@@ -169,39 +92,22 @@ Status MaterialStore::Save(const CryptoMaterial& m) {
     return Status::IOError("cannot create material dir " + dir_ + ": " +
                            ec.message());
   }
-  std::vector<uint8_t> buf;
-  buf.insert(buf.end(), kMagic, kMagic + sizeof(kMagic));
-  PutU32(kVersion, &buf);
-  PutU64(m.fingerprint, &buf);
-  PutU32(m.modulus_bits, &buf);
-  PutU32(m.slot_bits, &buf);
-  PutU32(m.short_exp_bits, &buf);
-  PutU32(static_cast<uint32_t>(m.table_blob.size()), &buf);
-  buf.insert(buf.end(), m.table_blob.begin(), m.table_blob.end());
-  PutU32(static_cast<uint32_t>(m.randomizers.size()), &buf);
-  for (const BigInt& r : m.randomizers) {
-    std::vector<uint8_t> bytes = r.ToBytes();
-    PutU32(static_cast<uint32_t>(bytes.size()), &buf);
-    buf.insert(buf.end(), bytes.begin(), bytes.end());
-  }
-  PutU64(Fnv1a64(buf.data(), buf.size()), &buf);
-
   const std::string path = PathFor(m.fingerprint, m.modulus_bits,
                                    m.slot_bits);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IOError("cannot write " + tmp);
-    out.write(reinterpret_cast<const char*>(buf.data()),
-              static_cast<std::streamsize>(buf.size()));
-    out.flush();
-    if (!out) return Status::IOError("short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("cannot rename " + tmp + " into place");
-  }
-  stats_.bytes += static_cast<int64_t>(buf.size());
+  auto written = WriteDurableFile(path, kMaterial, [&](ByteWriter& w) {
+    w.U64(m.fingerprint);
+    w.U32(m.modulus_bits);
+    w.U32(m.slot_bits);
+    w.U32(m.short_exp_bits);
+    w.Blob(m.table_blob.data(), m.table_blob.size());
+    w.U32(static_cast<uint32_t>(m.randomizers.size()));
+    for (const BigInt& r : m.randomizers) {
+      std::vector<uint8_t> bytes = r.ToBytes();
+      w.Blob(bytes.data(), bytes.size());
+    }
+  });
+  if (!written.ok()) return written.status();
+  stats_.bytes += static_cast<int64_t>(*written);
   return Status::OK();
 }
 

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/hash.h"
+
 namespace hprl::net {
 
 /// Dial retry backoff policy (PR 8): bounded exponential growth with a
@@ -26,12 +28,9 @@ inline int BackoffWaitMs(const BackoffPolicy& policy, const std::string& local,
   const int64_t cap = std::max<int64_t>(base, policy.max_ms);
   for (int i = 0; i < attempt && base < cap; ++i) base *= 2;
   base = std::min(base, cap);
-  uint64_t h = 0xcbf29ce484222325ull ^ policy.seed;
-  auto fold = [&h](const std::string& s) {
-    for (char c : s) h = (h ^ static_cast<uint8_t>(c)) * 0x100000001b3ull;
-  };
-  fold(local);
-  fold(peer);
+  uint64_t h =
+      Fnv1a64(local.data(), local.size(), kFnv64OffsetBasis ^ policy.seed);
+  h = Fnv1a64(peer.data(), peer.size(), h);
   h ^= static_cast<uint64_t>(attempt);
   h ^= h >> 33;
   h *= 0xff51afd7ed558ccdull;

@@ -38,8 +38,8 @@ struct LinkageMetrics {
   /// faults; conservatively non-matches, reported separately from both
   /// smc_matched and the budget-starved unprocessed_pairs.
   int64_t quarantined_pairs = 0;
-  /// Pairs whose labels were restored from an SmcCheckpoint instead of being
-  /// recomputed (counted inside smc_processed).
+  /// Pairs whose labels were restored from a session journal instead of
+  /// being recomputed (counted inside smc_processed).
   int64_t resumed_pairs = 0;
 
   // Outcome.

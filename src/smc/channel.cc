@@ -1,14 +1,11 @@
 #include "smc/channel.h"
 
+#include "common/hash.h"
+
 namespace hprl::smc {
 
 uint32_t PayloadChecksum(const uint8_t* data, size_t n) {
-  uint32_t h = 2166136261u;  // FNV-1a
-  for (size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 16777619u;
-  }
-  return h == 0 ? 1 : h;
+  return Fnv1a32(data, n);
 }
 
 uint32_t PayloadChecksum(const std::vector<uint8_t>& payload) {

@@ -27,7 +27,8 @@ struct Message {
   uint32_t checksum = 0;  // FNV-1a of payload (never 0 once stamped); 0 = unset
 };
 
-/// FNV-1a over the payload, forced non-zero so 0 can mean "unstamped".
+/// Fnv1a32 (common/hash.h) over the payload: never 0, so 0 can mean
+/// "unstamped".
 uint32_t PayloadChecksum(const uint8_t* data, size_t n);
 uint32_t PayloadChecksum(const std::vector<uint8_t>& payload);
 

@@ -3,6 +3,8 @@
 #include <chrono>
 #include <thread>
 
+#include "common/hash.h"
+
 namespace hprl::smc {
 
 namespace {
@@ -25,7 +27,7 @@ double ToUnit(uint64_t h) {
 void FaultyBus::SetPairContext(int64_t a_id, int64_t b_id, int attempt) {
   armed_ = true;
   pair_key_ = static_cast<int64_t>(
-      Mix(static_cast<uint64_t>(a_id) * 0x100000001B3ull ^
+      Mix(static_cast<uint64_t>(a_id) * kFnv64Prime ^
           static_cast<uint64_t>(b_id)));
   attempt_ = attempt;
   step_ = 0;

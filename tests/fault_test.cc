@@ -2,8 +2,8 @@
 // fault schedule (drops, corruption, delays, crashes — smc/fault.h) must
 // leave the pipeline with 100% precision and bit-identical results across
 // thread counts; the zero-fault path must be byte-identical to a build
-// without the fault layer; and a killed, checkpointed drain must resume to
-// the same HybridResult as an uninterrupted run.
+// without the fault layer; and a killed, journaled drain must resume to the
+// same HybridResult as an uninterrupted run.
 //
 // HPRL_FAULT_SEED overrides the fault schedule seed (default 11) so the
 // verify script can sweep several schedules without recompiling.
@@ -12,7 +12,6 @@
 
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
 #include <string>
@@ -20,7 +19,6 @@
 #include <vector>
 
 #include "cli/spec.h"
-#include "core/checkpoint.h"
 #include "core/experiment.h"
 #include "core/session.h"
 #include "smc/fault.h"
@@ -83,7 +81,7 @@ struct PipelineOutcome {
 
 PipelineOutcome RunPipeline(const smc::FaultPlan& plan, int smc_threads,
                             int max_retries = 3,
-                            const std::string& checkpoint = "",
+                            const std::string& journal = "",
                             int64_t max_batches = 0,
                             Status* failure = nullptr) {
   const Workload& w = SmallWorkload();
@@ -97,14 +95,14 @@ PipelineOutcome RunPipeline(const smc::FaultPlan& plan, int smc_threads,
   hc.rule = w.rule;
   hc.smc_allowance_fraction = 1.0;
   hc.collect_matches = true;
-  hc.smc_batch_pairs = 16;  // several checkpointable batches per drain
+  hc.smc_batch_pairs = 16;  // several journaled batches per drain
   LinkageSession session;
   session.WithTables(w.data.split.d1, w.data.split.d2)
       .WithReleases(w.anon_r, w.anon_s)
       .WithConfig(hc)
       .WithOracle(oracle)
       .WithMetrics(&registry);
-  if (!checkpoint.empty()) session.WithCheckpoint(checkpoint);
+  if (!journal.empty()) session.WithJournal(journal);
   if (max_batches > 0) session.WithSmcBatchLimit(max_batches);
   auto out = session.Run();
   if (failure != nullptr) {
@@ -253,31 +251,36 @@ TEST(FaultMatrixTest, ZeroFaultPathIsByteIdenticalUnderTheFaultLayer) {
 
 // --- Kill-then-resume ---
 
-TEST(ResumeTest, KilledDrainResumesToTheUninterruptedResult) {
-  const std::string cp_path =
-      (std::filesystem::temp_directory_path() / "hprl_fault_test_resume.json")
+class ResumeTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ResumeTest, KilledDrainResumesToTheUninterruptedResult) {
+  const int smc_threads = GetParam();
+  const std::string journal =
+      (std::filesystem::temp_directory_path() /
+       ("hprl_fault_test_resume_" + std::to_string(smc_threads) + ".jnl"))
           .string();
-  std::filesystem::remove(cp_path);
+  std::filesystem::remove(journal);
 
   smc::FaultPlan plan;
   plan.seed = FaultSeed();
   plan.drop_rate = 0.10;
   plan.corrupt_rate = 0.05;
 
-  const PipelineOutcome uninterrupted = RunPipeline(plan, 2);
+  const PipelineOutcome uninterrupted = RunPipeline(plan, smc_threads);
 
   // "Kill" the run after two flushed batches: the session aborts with
-  // Unavailable, leaving the checkpoint of the completed prefix behind.
+  // Unavailable, leaving the journal of the completed prefix behind.
   Status killed;
-  RunPipeline(plan, 2, 3, cp_path, /*max_batches=*/2, &killed);
+  RunPipeline(plan, smc_threads, 3, journal, /*max_batches=*/2, &killed);
   ASSERT_EQ(killed.code(), StatusCode::kUnavailable) << killed.ToString();
-  ASSERT_TRUE(std::filesystem::exists(cp_path));
+  ASSERT_TRUE(std::filesystem::exists(journal));
 
   // Resume with a fresh process-equivalent (new oracle, same seeds): the
   // drain continues at the last completed batch and converges to the
   // uninterrupted result.
-  const PipelineOutcome resumed = RunPipeline(plan, 2, 3, cp_path);
-  EXPECT_GT(resumed.result.resumed_pairs, 0);
+  const PipelineOutcome resumed = RunPipeline(plan, smc_threads, 3, journal);
+  EXPECT_EQ(resumed.result.resumed_pairs, 2 * 16);
+  EXPECT_EQ(resumed.counters.at("linkage.resumed_pairs"), 2 * 16);
   EXPECT_EQ(resumed.result.matched_row_pairs,
             uninterrupted.result.matched_row_pairs);
   EXPECT_EQ(resumed.result.smc_matched, uninterrupted.result.smc_matched);
@@ -287,39 +290,10 @@ TEST(ResumeTest, KilledDrainResumesToTheUninterruptedResult) {
   EXPECT_EQ(resumed.result.unprocessed_pairs,
             uninterrupted.result.unprocessed_pairs);
   // A completed drain cleans up after itself.
-  EXPECT_FALSE(std::filesystem::exists(cp_path));
+  EXPECT_FALSE(std::filesystem::exists(journal));
 }
 
-TEST(ResumeTest, CheckpointRoundTripsThroughJson) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "hprl_fault_test_cp.json")
-          .string();
-  SmcCheckpoint cp;
-  cp.fingerprint = 0xFEDCBA9876543210ull;  // > 2^53: must survive JSON
-  cp.pairs_done = 1024;
-  cp.smc_matched = 17;
-  cp.quarantined = 3;
-  cp.matched_row_pairs = {{1, 2}, {30, 40}};
-  ASSERT_TRUE(SaveSmcCheckpoint(path, cp).ok());
-  auto back = LoadSmcCheckpoint(path);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->fingerprint, cp.fingerprint);
-  EXPECT_EQ(back->pairs_done, cp.pairs_done);
-  EXPECT_EQ(back->smc_matched, cp.smc_matched);
-  EXPECT_EQ(back->quarantined, cp.quarantined);
-  EXPECT_EQ(back->matched_row_pairs, cp.matched_row_pairs);
-  std::filesystem::remove(path);
-
-  EXPECT_EQ(LoadSmcCheckpoint(path).status().code(), StatusCode::kNotFound);
-
-  {
-    std::ofstream bad(path);
-    bad << "{\"schema\": \"not-a-checkpoint\"}";
-  }
-  EXPECT_EQ(LoadSmcCheckpoint(path).status().code(),
-            StatusCode::kInvalidArgument);
-  std::filesystem::remove(path);
-}
+INSTANTIATE_TEST_SUITE_P(SmcThreads, ResumeTest, ::testing::Values(1, 2));
 
 // --- Transport edge cases ---
 

@@ -1,23 +1,15 @@
-// Crash-consistency tests for the durable session artifacts: the binary
-// session journal (src/core/journal.h) and the JSON SMC checkpoint
-// (src/core/checkpoint.h).
-//
-// The invariant under test is "reject-and-restart-clean": a damaged file —
-// truncated at ANY length, or with ANY single bit flipped — must never
-// produce a wrong resume. For the checksummed journal that means every such
-// mutation fails the load outright; for the checkpoint a mutation either
-// fails the load or (if it survives parsing AND the canonical-body checksum)
-// restores exactly the values that were saved.
+// Round trips of the session journal (src/core/journal.h). Its damage
+// matrix — every truncation, every bit flip, a trailing byte, an old
+// version, a full disk — runs with the other durable formats in
+// tests/durable_file_test.cc.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "core/checkpoint.h"
 #include "core/journal.h"
 
 namespace hprl {
@@ -25,19 +17,6 @@ namespace {
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
-}
-
-std::string ReadAll(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.is_open()) << path;
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
-void WriteAll(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good()) << path;
 }
 
 SessionJournal MakeJournal() {
@@ -95,125 +74,6 @@ TEST(SessionJournalTest, EmptyJournalRoundTrips) {
   auto back = LoadSessionJournal(path);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_TRUE(SameJournal(*back, j));
-  std::remove(path.c_str());
-}
-
-TEST(SessionJournalTest, TruncationAtEveryLengthIsRejected) {
-  const std::string path = TempPath("journal_trunc.jnl");
-  ASSERT_TRUE(SaveSessionJournal(path, MakeJournal()).ok());
-  const std::string whole = ReadAll(path);
-  ASSERT_GT(whole.size(), 4u);
-  for (size_t n = 0; n < whole.size(); ++n) {
-    WriteAll(path, whole.substr(0, n));
-    auto load = LoadSessionJournal(path);
-    ASSERT_FALSE(load.ok()) << "truncated to " << n << " of " << whole.size()
-                            << " bytes was accepted";
-    EXPECT_EQ(load.status().code(), StatusCode::kFailedPrecondition)
-        << "at " << n << ": " << load.status().ToString();
-  }
-  std::remove(path.c_str());
-}
-
-TEST(SessionJournalTest, EverySingleBitFlipIsRejected) {
-  const std::string path = TempPath("journal_flip.jnl");
-  ASSERT_TRUE(SaveSessionJournal(path, MakeJournal()).ok());
-  const std::string whole = ReadAll(path);
-  // The trailing FNV-1a covers every preceding byte and the crc bytes
-  // themselves invalidate on flip, so NO single-bit damage may load.
-  for (size_t i = 0; i < whole.size(); ++i) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string damaged = whole;
-      damaged[i] = static_cast<char>(damaged[i] ^ (1 << bit));
-      WriteAll(path, damaged);
-      auto load = LoadSessionJournal(path);
-      ASSERT_FALSE(load.ok())
-          << "bit " << bit << " of byte " << i << " flipped and accepted";
-      EXPECT_EQ(load.status().code(), StatusCode::kFailedPrecondition);
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(SessionJournalTest, TrailingGarbageIsRejected) {
-  const std::string path = TempPath("journal_trailing.jnl");
-  ASSERT_TRUE(SaveSessionJournal(path, MakeJournal()).ok());
-  WriteAll(path, ReadAll(path) + std::string(1, '\0'));
-  auto load = LoadSessionJournal(path);
-  ASSERT_FALSE(load.ok());
-  EXPECT_EQ(load.status().code(), StatusCode::kFailedPrecondition);
-  std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-
-SmcCheckpoint MakeCheckpoint() {
-  SmcCheckpoint cp;
-  cp.fingerprint = 0x0123456789ABCDEFull;
-  cp.pairs_done = 800;
-  cp.smc_matched = 44;
-  cp.quarantined = 2;
-  cp.matched_row_pairs = {{1, 2}, {33, 7}, {5, 123456}};
-  return cp;
-}
-
-bool SameCheckpoint(const SmcCheckpoint& a, const SmcCheckpoint& b) {
-  return a.fingerprint == b.fingerprint && a.pairs_done == b.pairs_done &&
-         a.smc_matched == b.smc_matched && a.quarantined == b.quarantined &&
-         a.matched_row_pairs == b.matched_row_pairs;
-}
-
-TEST(CheckpointCorruptionTest, TruncationAtEveryLengthNeverResumesWrong) {
-  const std::string path = TempPath("ckpt_trunc.json");
-  const SmcCheckpoint cp = MakeCheckpoint();
-  ASSERT_TRUE(SaveSmcCheckpoint(path, cp).ok());
-  const std::string whole = ReadAll(path);
-  for (size_t n = 0; n < whole.size(); ++n) {
-    WriteAll(path, whole.substr(0, n));
-    auto load = LoadSmcCheckpoint(path);
-    // A prefix that still parses can only be trailing-whitespace loss; any
-    // cut into the document itself must fail, and nothing may resume wrong.
-    if (load.ok()) {
-      EXPECT_TRUE(SameCheckpoint(*load, cp))
-          << "truncated to " << n << " of " << whole.size()
-          << " bytes and resumed with different values";
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointCorruptionTest, EverySingleBitFlipFailsOrRestoresExactly) {
-  const std::string path = TempPath("ckpt_flip.json");
-  const SmcCheckpoint cp = MakeCheckpoint();
-  ASSERT_TRUE(SaveSmcCheckpoint(path, cp).ok());
-  const std::string whole = ReadAll(path);
-  for (size_t i = 0; i < whole.size(); ++i) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string damaged = whole;
-      damaged[i] = static_cast<char>(damaged[i] ^ (1 << bit));
-      WriteAll(path, damaged);
-      auto load = LoadSmcCheckpoint(path);
-      // The canonical-body checksum closes the "flip that still parses"
-      // hole: anything that loads must be byte-for-byte the saved state.
-      if (load.ok()) {
-        EXPECT_TRUE(SameCheckpoint(*load, cp))
-            << "bit " << bit << " of byte " << i
-            << " flipped and resumed with different values";
-      }
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointCorruptionTest, LegacyCheckpointWithoutCrcIsRejected) {
-  const std::string path = TempPath("ckpt_nocrc.json");
-  ASSERT_TRUE(SaveSmcCheckpoint(path, MakeCheckpoint()).ok());
-  std::string doc = ReadAll(path);
-  const size_t crc = doc.find(",\"crc\":");
-  ASSERT_NE(crc, std::string::npos);
-  const size_t end = doc.rfind('}');
-  ASSERT_NE(end, std::string::npos);
-  WriteAll(path, doc.substr(0, crc) + doc.substr(end));
-  EXPECT_FALSE(LoadSmcCheckpoint(path).ok());
   std::remove(path.c_str());
 }
 

@@ -8,7 +8,6 @@
 //             [--smc_seed N] [--material_dir DIR] [--offline_pairs N]
 //             [--offline]
 //             [--rpc_batch N] [--rpc_window N] [--shards N]
-//             [--checkpoint drain.json]
 //             [--journal session.jnl] [--resume]
 //             [--hb_interval_ms N] [--suspect_misses N] [--dead_misses N]
 //             [--fault_seed N] [--fault_drop R] [--fault_corrupt R]
@@ -39,7 +38,7 @@
 //
 // Exit codes (common/exit_codes.h): 0 success, 2 configuration/usage error,
 // 3 transport failure, 4 corrupt or mismatched persistent artifact
-// (material store / checkpoint / session journal), 1 anything else.
+// (material store / session or serve journal), 1 anything else.
 
 #include <cmath>
 #include <cstdio>
@@ -109,15 +108,12 @@ int main(int argc, char** argv) {
       "net_emu_latency_micros", 0,
       "tcp bench knob: per-pair daemon-side sleep, making the SMC stage "
       "latency-bound so shard scaling measures overlap (0 = off)");
-  std::string* checkpoint = flags.AddString(
-      "checkpoint", "",
-      "resumable SMC drain: persist progress here after every batch and "
-      "resume from it on restart");
   std::string* journal = flags.AddString(
       "journal", "",
-      "crash-consistent session journal: record per-shard batch "
+      "resumable SMC drain: record progress and per-shard batch "
       "dispositions here after every batch; a relaunched coordinator "
-      "resumes the drain from it at a fenced session epoch");
+      "resumes the drain from it at a fenced session epoch (a corrupt "
+      "journal means a clean restart unless --resume)");
   bool* resume = flags.AddBool(
       "resume", false,
       "require the --journal file to exist and verify; a missing or "
@@ -281,7 +277,6 @@ int main(int argc, char** argv) {
   }
   options.shards_override = static_cast<int>(*shards);
   options.net_emu_latency_micros = static_cast<uint32_t>(*net_emu_latency);
-  options.checkpoint = *checkpoint;
   options.journal = *journal;
   options.resume = *resume;
   options.hb_interval_override = static_cast<int>(*hb_interval_ms);
