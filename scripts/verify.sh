@@ -185,10 +185,12 @@ echo "== bench check: hot-path speedups vs committed BENCH_hotpath.json =="
 # 80% of its committed value (scripts/bench_smoke.sh --check).
 scripts/bench_smoke.sh --check
 
-echo "== ASan: fault injection + membership/scheduler + TCP + durable files =="
+echo "== ASan: fault injection + membership/scheduler + TCP + durable files + crypto =="
 cmake -B build-asan -S . -DHPRL_SANITIZE=address >/dev/null
 cmake --build build-asan -j --target fault_test membership_test net_test \
-  material_test journal_test durable_file_test framing_test arena_test
+  material_test journal_test durable_file_test framing_test arena_test \
+  crypto_test
+./build-asan/tests/crypto_test
 ./build-asan/tests/fault_test
 ./build-asan/tests/membership_test
 ./build-asan/tests/net_test
@@ -214,10 +216,11 @@ cmake --build build-tsan -j --target obs_test blocking_test session_test \
 ./build-tsan/tests/material_test
 ./build-tsan/tests/journal_test
 
-echo "== UBSan: wire/durable-file codecs + membership + fault schedules =="
+echo "== UBSan: wire/durable-file codecs + membership + fault schedules + crypto =="
 cmake -B build-ubsan -S . -DHPRL_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j --target fault_test membership_test \
-  journal_test durable_file_test net_test framing_test
+  journal_test durable_file_test net_test framing_test crypto_test
+./build-ubsan/tests/crypto_test
 ./build-ubsan/tests/fault_test
 ./build-ubsan/tests/membership_test
 ./build-ubsan/tests/journal_test

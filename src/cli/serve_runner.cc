@@ -382,9 +382,15 @@ Result<ServeReport> RunServeFromFiles(const LinkageSpec& spec,
     quarantined_total += r->quarantined;
     live_latencies.push_back(r->seconds);
     if (!options.journal.empty()) {
-      HPRL_RETURN_IF_ERROR(SaveServeJournal(
+      // Unclassified like a failed session-journal save: local storage,
+      // not transport.
+      Status saved = SaveServeJournal(
           options.journal,
-          MakeJournal(fingerprint, epoch, svc, quarantined_total)));
+          MakeJournal(fingerprint, epoch, svc, quarantined_total));
+      if (!saved.ok()) {
+        return Status::Internal("serve journal save failed: " +
+                                saved.message());
+      }
     }
     ++live_settled;
     if (options.crash_after > 0 && live_settled >= options.crash_after) {

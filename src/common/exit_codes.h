@@ -14,7 +14,9 @@ namespace hprl {
 ///   2  configuration / usage error: bad flags, malformed spec, missing
 ///      inputs (restarting without changing the invocation cannot help)
 ///   3  transport failure: unreachable or dead daemons, socket/frame I/O
-///      (restarting against a healthy fleet can help)
+///      (restarting against a healthy fleet can help). A journal that
+///      cannot be written (full disk) is local storage, not transport: the
+///      session and serve runners report it as Internal, so it exits 1.
 ///   4  integrity failure of persistent crypto/session artifacts: corrupt
 ///      or fingerprint-mismatched material stores and session or serve
 ///      journals, fenced session epochs (the artifact must be removed or

@@ -237,7 +237,13 @@ Result<HybridResult> LinkageSession::Run() {
                 static_cast<int64_t>(smc_matches_begin),
             out.matched_row_pairs.end());
       }
-      HPRL_RETURN_IF_ERROR(SaveSessionJournal(journal_path_, j));
+      // A journal that cannot be written (a full disk, say) is a local
+      // storage failure, not a transport one: report it unclassified.
+      Status saved = SaveSessionJournal(journal_path_, j);
+      if (!saved.ok()) {
+        return Status::Internal("session journal save failed: " +
+                                saved.message());
+      }
     }
     if (max_batches_ > 0 && batches_flushed >= max_batches_) {
       return Status::Unavailable(

@@ -1,8 +1,11 @@
 #include "crypto/paillier.h"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
+#include <vector>
 
+#include "common/logging.h"
 #include "crypto/fixed_base.h"
 #include "crypto/material.h"
 
@@ -254,13 +257,13 @@ Result<PaillierKeyPair> GeneratePaillierKeyPair(int modulus_bits,
 }
 
 RandomizerPool::RandomizerPool(const PaillierPublicKey& pub, int target_depth,
-                               uint64_t test_seed, bool use_fixed_base)
+                               uint64_t test_seed)
     : n_(pub.n()),
       n2_(pub.n_squared()),
       target_(std::max(1, target_depth)),
       rng_(test_seed != 0 ? std::make_unique<SecureRandom>(test_seed)
                           : std::make_unique<SecureRandom>()) {
-  if (!use_fixed_base || n_.Sign() <= 0) return;
+  HPRL_CHECK(n_.Sign() > 0);
   // Fix h_n = (h² mod n)^n mod n² once (h random coprime to n; the squaring
   // lands h² in the quadratic residues, the standard subgroup choice for
   // short-exponent randomizers) and later draw r^n = h_n^s with s of
@@ -272,7 +275,6 @@ RandomizerPool::RandomizerPool(const PaillierPublicKey& pub, int target_depth,
   BigInt hn = BigInt::PowMod((h * h) % n_, n_, n2_);
   short_exp_bits_ = std::max(128, static_cast<int>(n_.BitLength()) / 2);
   fixed_base_ = std::make_unique<FixedBaseTable>(hn, n2_, short_exp_bits_);
-  if (!fixed_base_->ready()) fixed_base_.reset();
 }
 
 RandomizerPool::~RandomizerPool() { Stop(); }
@@ -295,27 +297,23 @@ void RandomizerPool::Stop() {
   if (to_join.joinable()) to_join.join();
 }
 
+BigInt RandomizerPool::DrawExponent() {
+  BigInt s;
+  do {
+    s = rng_->NextBits(short_exp_bits_);
+  } while (s.IsZero());
+  return s;
+}
+
 BigInt RandomizerPool::ComputeOne() {
-  if (fixed_base_ != nullptr) {
-    BigInt s;
-    {
-      std::lock_guard<std::mutex> lk(rng_mu_);
-      do {
-        s = rng_->NextBits(short_exp_bits_);
-      } while (s.IsZero());
-    }
-    auto rn = fixed_base_->Pow(s);
-    if (rn.ok()) return std::move(rn).value();
-    // Unreachable for in-range s; fall through to the full-width path.
-  }
-  BigInt r;
+  BigInt s;
   {
     std::lock_guard<std::mutex> lk(rng_mu_);
-    do {
-      r = rng_->NextBelow(n_);
-    } while (r.IsZero() || BigInt::Gcd(r, n_) != BigInt(1));
+    s = DrawExponent();
   }
-  return BigInt::PowMod(r, n_, n2_);
+  auto rn = fixed_base_->Pow(s);
+  HPRL_CHECK(rn.ok());  // s is drawn in range, so the table always covers it
+  return std::move(rn).value();
 }
 
 void RandomizerPool::Prefill(int count) {
@@ -330,21 +328,55 @@ void RandomizerPool::Prefill(int count) {
   }
 }
 
-int RandomizerPool::Prewarm(int count) {
-  int generated = 0;
-  while (true) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (static_cast<int>(ready_.size()) >= count) return generated;
-    }
-    BigInt rn = ComputeOne();
+Result<int> RandomizerPool::Prewarm(int count, int threads) {
+  int need = 0;
+  {
     std::lock_guard<std::mutex> lk(mu_);
-    ready_.push_back(std::move(rn));
-    ++generated;
-    if (depth_gauge_ != nullptr) {
-      depth_gauge_->Set(static_cast<double>(ready_.size()));
-    }
+    need = count - static_cast<int>(ready_.size());
   }
+  if (need <= 0) return 0;
+
+  // 1. Every short exponent, serially, in the order one-at-a-time
+  //    generation draws them: the sequence and the RNG state the filler
+  //    continues from do not depend on `threads`.
+  std::vector<BigInt> values(static_cast<size_t>(need));
+  {
+    std::lock_guard<std::mutex> lk(rng_mu_);
+    for (BigInt& s : values) s = DrawExponent();
+  }
+
+  // 2. The exponentiations, each worker overwriting the exponents it claims
+  //    with their randomizers. The table is const, so workers share it.
+  const int workers = std::clamp(threads, 1, need);
+  std::atomic<size_t> cursor{0};
+  std::atomic<bool> failed{false};
+  auto drain = [&] {
+    for (size_t i = cursor++; i < values.size(); i = cursor++) {
+      auto rn = fixed_base_->Pow(values[i]);
+      if (!rn.ok()) {
+        failed = true;
+        return;
+      }
+      values[i] = std::move(rn).value();
+    }
+  };
+  {
+    std::vector<std::jthread> spawned;  // joined as the scope exits
+    spawned.reserve(static_cast<size_t>(workers - 1));
+    for (int w = 1; w < workers; ++w) spawned.emplace_back(drain);
+    drain();
+  }
+  // A fresh draw here would shift every later randomizer, so a failure is
+  // reported rather than papered over. In-range exponents never fail.
+  if (failed) return Status::Internal("prewarm exponentiation failed");
+
+  // 3. Into the pool in draw order.
+  std::lock_guard<std::mutex> lk(mu_);
+  for (BigInt& rn : values) ready_.push_back(std::move(rn));
+  if (depth_gauge_ != nullptr) {
+    depth_gauge_->Set(static_cast<double>(ready_.size()));
+  }
+  return need;
 }
 
 Status RandomizerPool::AdoptMaterial(const CryptoMaterial& m) {
@@ -383,7 +415,7 @@ CryptoMaterial RandomizerPool::ExportMaterial(uint32_t slot_bits) const {
   m.modulus_bits = static_cast<uint32_t>(n_.BitLength());
   m.slot_bits = slot_bits;
   m.short_exp_bits = static_cast<uint32_t>(short_exp_bits_);
-  if (fixed_base_ != nullptr) m.table_blob = fixed_base_->Serialize();
+  m.table_blob = fixed_base_->Serialize();
   std::lock_guard<std::mutex> lk(mu_);
   m.randomizers.assign(ready_.begin(), ready_.end());
   return m;

@@ -186,25 +186,24 @@ Result<PaillierKeyPair> GeneratePaillierKeyPair(int modulus_bits,
 /// queue pop on the latency path; when the pool runs dry the caller computes
 /// inline (correctness never depends on the filler keeping up).
 ///
-/// By default the pool generates randomizers through a fixed-base windowed
-/// table (built once per keypair, shared by every comparator worker that
-/// encrypts under this key): it fixes h_n = (h² mod n)^n mod n² for a random
+/// The pool generates randomizers through a fixed-base windowed table
+/// (built once per keypair, shared by every comparator worker that encrypts
+/// under this key): it fixes h_n = (h² mod n)^n mod n² for a random
 /// h ∈ Z*_n and draws r^n = h_n^s for a short random exponent s, so each
 /// randomizer costs ~⌈|s|/w⌉ modular multiplies instead of a full-width
-/// PowMod. Randomizers never touch plaintexts, so protocol outputs are
-/// unaffected by which generation path produced them.
+/// PowMod. Randomizers never touch plaintexts, so protocol outputs do not
+/// depend on them.
 ///
 /// Thread-safe: any number of encryptors may Take() concurrently with the
 /// filler. Each value is handed out exactly once, so pool-backed encryption
 /// is exactly as probabilistic as the inline path.
 class RandomizerPool {
  public:
-  /// `pub` is only read during construction (modulus copied out).
-  /// `test_seed` != 0 makes the pool deterministic for tests/benches.
-  /// `use_fixed_base` = false forces the full-width PowMod per randomizer
-  /// (the before/after baseline for benches).
+  /// `pub` must be an initialized key; it is only read during construction
+  /// (modulus copied out). `test_seed` != 0 makes the pool deterministic for
+  /// tests/benches.
   RandomizerPool(const PaillierPublicKey& pub, int target_depth,
-                 uint64_t test_seed = 0, bool use_fixed_base = true);
+                 uint64_t test_seed = 0);
   ~RandomizerPool();
 
   RandomizerPool(const RandomizerPool&) = delete;
@@ -226,7 +225,15 @@ class RandomizerPool {
   /// filler never tops past the target, so prewarmed surplus is consumed
   /// before any new randomizer is generated). Returns how many values this
   /// call generated.
-  int Prewarm(int count);
+  ///
+  /// The short exponents are drawn serially from the pool's RNG, in the
+  /// order one-at-a-time generation draws them; only the fixed-base
+  /// exponentiations run on up to `threads` workers (the calling thread is
+  /// one of them), and the results join the pool in draw order. The values,
+  /// the RNG state the filler continues from, and so the exported material
+  /// are the same at every thread count. A failed exponentiation, which
+  /// in-range exponents never cause, returns Internal and adds nothing.
+  Result<int> Prewarm(int count, int threads = 1);
 
   /// Installs persisted offline material (crypto/material.h): deserializes
   /// the fixed-base table against this pool's modulus and enqueues every
@@ -250,15 +257,13 @@ class RandomizerPool {
   int64_t adopted() const; ///< randomizers installed from the material store
   int short_exp_bits() const { return short_exp_bits_; }
 
-  /// True when randomizers come from the fixed-base table fast path.
-  bool uses_fixed_base() const { return fixed_base_ != nullptr; }
-
   /// Streams paillier.randomizer_pool_hits / _misses counters plus the
   /// paillier.randomizer_pool_depth and crypto.pool_hit_rate gauges into
   /// `registry`; nullptr detaches.
   void AttachMetrics(obs::MetricsRegistry* registry);
 
  private:
+  BigInt DrawExponent();  // caller holds rng_mu_
   BigInt ComputeOne();
   void FillLoop();
   void PublishHitRate();  // caller holds mu_
@@ -276,11 +281,12 @@ class RandomizerPool {
   bool stop_ = false;
   std::thread filler_;
 
-  std::mutex rng_mu_;  // the rng is shared by the filler and inline fallback
+  std::mutex rng_mu_;  // the rng is shared by the filler, Prewarm and Take
   std::unique_ptr<SecureRandom> rng_;
 
-  // Fixed-base randomizer generation (see class comment). Built once in the
-  // constructor, const afterwards; short_exp_bits_ is the width of s.
+  // Fixed-base randomizer generation (see class comment). Built in the
+  // constructor or replaced by AdoptMaterial before Start, const afterwards;
+  // short_exp_bits_ is the width of s.
   std::unique_ptr<FixedBaseTable> fixed_base_;
   int short_exp_bits_ = 0;
 

@@ -502,8 +502,8 @@ Status PartyService::HandleConfigure(const std::vector<uint8_t>& payload) {
   // version-2; the offline/online material knobs are version-4.
   auto emu_latency = ConsumeU32(payload, &off);
   emulated_latency_micros_ = emu_latency.ok() ? *emu_latency : 0;
-  auto offline_pairs = ConsumeU32(payload, &off);
-  offline_pairs_ = offline_pairs.ok() ? *offline_pairs : 0;
+  // offline_pairs: still on the wire, but kWarmup carries the exact count.
+  (void)ConsumeU32(payload, &off);
   auto material_dir = ConsumeString(payload, &off);
   material_dir_ = material_dir.ok() ? *material_dir : "";
 
@@ -594,8 +594,11 @@ Status PartyService::HandleWarmup(uint32_t randomizers, int64_t* generated) {
     return Status::FailedPrecondition("warmup before cfg");
   }
   if (pool_ == nullptr) return Status::OK();  // qp, or pool disabled
-  uint32_t want = randomizers > 0 ? randomizers : offline_pairs_ * 3;
-  *generated = pool_->Prewarm(static_cast<int>(want));
+  auto prewarmed =
+      pool_->Prewarm(static_cast<int>(randomizers),
+                     static_cast<int>(std::thread::hardware_concurrency()));
+  if (!prewarmed.ok()) return prewarmed.status();
+  *generated = *prewarmed;
   if (*generated > 0) material_dirty_ = true;
   PersistMaterial();
   return Status::OK();

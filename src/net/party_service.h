@@ -175,8 +175,8 @@ class PartyService {
   Status HandleKeygen();
   Status HandleRecvKey();
   /// Dedicated offline phase: top the randomizer pool up to `randomizers`
-  /// entries (0 falls back to the configured offline_pairs sizing) and
-  /// persist the result. No-op on qp, whose offline work is keygen itself.
+  /// entries on every core and persist the result. No-op on qp, whose
+  /// offline work is keygen itself.
   Status HandleWarmup(uint32_t randomizers, int64_t* generated);
   /// Runs this role's side of one pair attempt; fills `label` on qp.
   Status HandlePair(const PairCmd& cmd, uint8_t* label);
@@ -226,10 +226,8 @@ class PartyService {
   /// a network/compute latency window. 0 in production; the sharded bench
   /// uses it to make the SMC stage latency-bound (docs/CLUSTER.md).
   uint32_t emulated_latency_micros_ = 0;
-  /// kConfigure knobs (optional trailing fields; older coordinators omit
-  /// them): offline sizing fallback for kWarmup and the on-disk material
-  /// store directory. Empty dir disables the store entirely.
-  uint32_t offline_pairs_ = 0;
+  /// kConfigure knob (optional trailing field; older coordinators omit
+  /// it): the on-disk material store directory. Empty disables the store.
   std::string material_dir_;
   // Exactly one of these is live, by role.
   std::unique_ptr<smc::QueryingParty> qp_;

@@ -288,11 +288,9 @@ Status RemoteSmcOracle::SetupShards(const std::vector<int>& shard_ids) {
   // almost immediately. Generation scales with offline_pairs, so the
   // deadline is as generous as keygen's.
   if (opts_.config.offline_pairs > 0 && !opts_.config.material_dir.empty()) {
-    const int attrs =
-        std::max<int>(1, static_cast<int>(opts_.rule.attrs.size()));
-    const uint32_t randomizers =
-        static_cast<uint32_t>(opts_.config.offline_pairs) * 3u *
-        static_cast<uint32_t>(attrs);
+    const auto randomizers =
+        static_cast<uint32_t>(smc::OfflineRandomizerBudget(
+            opts_.config.offline_pairs, opts_.rule.attrs.size()));
     std::vector<uint8_t> warm;
     AppendU32(randomizers, &warm);
     for (int s : shard_ids) {

@@ -94,12 +94,12 @@ Status BatchSmcEngine::Init() {
       if (loaded.ok() && pool_->AdoptMaterial(*loaded).ok()) {
         material_warm_ = true;
       } else {
-        const int attrs = std::max<int>(1, static_cast<int>(
-                                               rule_.attrs.size()));
-        const int want = config_.offline_pairs > 0
-                             ? config_.offline_pairs * 3 * attrs
-                             : config_.randomizer_pool_depth;
-        pool_->Prewarm(want);
+        const int want =
+            config_.offline_pairs > 0
+                ? OfflineRandomizerBudget(config_.offline_pairs,
+                                          rule_.attrs.size())
+                : config_.randomizer_pool_depth;
+        HPRL_RETURN_IF_ERROR(pool_->Prewarm(want, threads_).status());
         // Best-effort: a read-only store degrades to always-cold, never to
         // a failed run.
         (void)material_store_->Save(pool_->ExportMaterial(slot));

@@ -46,9 +46,10 @@ class BatchSmcEngine {
   /// With SmcConfig::material_dir set this also runs the offline phase:
   /// persisted material for the keypair's fingerprint is loaded into the
   /// pool (warm run — the pool starts consume-only), or, on a miss,
-  /// offline_pairs' worth of randomizers are prewarmed and saved back so
-  /// the NEXT run is warm. Everything Init does is input-independent;
-  /// offline_seconds() reports its cost separately from the online stage.
+  /// offline_pairs' worth of randomizers are prewarmed on the engine's
+  /// worker count and saved back so the NEXT run is warm. Everything Init
+  /// does is input-independent; offline_seconds() reports its cost
+  /// separately from the online stage.
   Status Init();
 
   int threads() const { return threads_; }

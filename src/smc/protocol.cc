@@ -51,6 +51,10 @@ bool IsTransient(const Status& s) {
 
 }  // namespace
 
+int OfflineRandomizerBudget(int offline_pairs, size_t attrs) {
+  return offline_pairs * 3 * static_cast<int>(std::max<size_t>(1, attrs));
+}
+
 SecureRecordComparator::SecureRecordComparator(SmcConfig config,
                                                MatchRule rule)
     : config_(config),

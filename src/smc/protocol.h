@@ -105,8 +105,10 @@ struct SmcConfig {
   std::string material_dir;
 
   /// Record pairs the dedicated offline phase provisions randomizers for
-  /// (roughly 3 encryptions per pair per attribute are prewarmed). 0 keeps
-  /// the background filler as the only producer.
+  /// (OfflineRandomizerBudget: 3 per pair per attribute). The batch engine
+  /// prewarms them on its smc_threads workers, and each TCP data holder on
+  /// all of its cores; either way the material bytes do not depend on the
+  /// thread count. 0 keeps the background filler as the only producer.
   int offline_pairs = 0;
 
   /// Pins each SPAWNED batch-engine worker thread to a core (round-robin
@@ -116,6 +118,11 @@ struct SmcConfig {
   /// Best-effort: restricted cpusets leave threads unpinned. Off by default.
   bool pin_cores = false;
 };
+
+/// Randomizers the dedicated offline phase prewarms for `offline_pairs`
+/// record pairs over `attrs` attributes (at least one): the scalar
+/// exchange's draw count, 3 encryptions per pair per attribute.
+int OfflineRandomizerBudget(int offline_pairs, size_t attrs);
 
 /// Drives the paper's §V-A secure record comparison among the three party
 /// objects (smc/parties.h: data holders "alice" and "bob", querying party

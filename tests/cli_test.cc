@@ -421,6 +421,24 @@ TEST_F(RunnerTest, CompletedRunRemovesItsJournal) {
   EXPECT_FALSE(fs::exists(options.journal));
 }
 
+TEST_F(RunnerTest, FullDiskJournalSaveExitsUnclassified) {
+  // Writes to /dev/full fail at the flush, as on a full disk. That is local
+  // storage trouble: exit 3 would send a supervisor after a dead fleet.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  auto spec = LoadLinkageSpec((dir_ / "linkage.spec").string());
+  ASSERT_TRUE(spec.ok());
+  RunnerOptions options;
+  options.journal = (dir_ / "full.jnl").string();
+  fs::create_symlink("/dev/full", options.journal + ".tmp");
+  auto report = RunLinkageFromFiles(*spec, (dir_ / "r.csv").string(),
+                                    (dir_ / "s.csv").string(), options);
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.status().message().find("session journal save failed"),
+            std::string::npos)
+      << report.status().ToString();
+  EXPECT_EQ(ExitCodeForStatus(report.status()), kExitFailure);
+}
+
 TEST_F(RunnerTest, MembershipOverridesMustKeepDeadAfterSuspect) {
   auto spec = LoadLinkageSpec((dir_ / "linkage.spec").string());
   ASSERT_TRUE(spec.ok());

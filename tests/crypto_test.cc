@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "crypto/bigint.h"
 #include "crypto/fixed_base.h"
 #include "crypto/fixed_point.h"
+#include "crypto/material.h"
 #include "crypto/packing.h"
 #include "crypto/paillier.h"
 #include "crypto/secure_random.h"
@@ -618,17 +621,49 @@ INSTANTIATE_TEST_SUITE_P(KeyBits, PreWeightedFoldTest,
                          ::testing::Values(512, 1024));
 
 TEST_F(RandomizerPoolTest, FixedBaseRandomizersAreValidUnits) {
-  RandomizerPool fast(pub_, 4, 21);
-  RandomizerPool slow(pub_, 4, 21, /*use_fixed_base=*/false);
-  EXPECT_TRUE(fast.uses_fixed_base());
-  EXPECT_FALSE(slow.uses_fixed_base());
-  fast.Prefill(4);
-  slow.Prefill(4);
-  for (int i = 0; i < 4; ++i) {
+  RandomizerPool pool(pub_, 4, 21);
+  pool.Prefill(4);
+  for (int i = 0; i < 5; ++i) {
     // A valid randomizer is a unit r^n mod n²: it decrypts (as a ciphertext)
-    // to 0, whichever path produced it.
-    EXPECT_EQ(*priv_.Decrypt(fast.Take()), BigInt(0));
-    EXPECT_EQ(*priv_.Decrypt(slow.Take()), BigInt(0));
+    // to 0, whether prefilled or (the fifth) computed inline.
+    EXPECT_EQ(*priv_.Decrypt(pool.Take()), BigInt(0));
+  }
+  EXPECT_EQ(pool.misses(), 1);
+}
+
+uint64_t HashRandomizers(const std::vector<BigInt>& values) {
+  uint64_t h = kFnv64OffsetBasis;
+  for (const BigInt& v : values) {
+    const std::vector<uint8_t> bytes = v.ToBytes();
+    h = Fnv1a64(bytes.data(), bytes.size(), h);
+  }
+  return h;
+}
+
+TEST_F(RandomizerPoolTest, PrewarmIsThreadCountInvariant) {
+  // FNV-64 over the prewarmed randomizers and over the first inline draw
+  // after them, recorded from one-at-a-time generation at this key and pool
+  // seed. Parallel prewarm must reproduce both: same values in the same
+  // order, and the RNG left exactly where the serial loop leaves it.
+  constexpr int kCount = 24;
+  constexpr uint64_t kPrewarmGolden = 0x0692d70f53f3c032;
+  constexpr uint64_t kNextDrawGolden = 0xca1323c0d16c11be;
+  for (int threads : {1, 2, 4, kCount + 3}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    RandomizerPool pool(pub_, /*target_depth=*/1, /*test_seed=*/31);
+    auto generated = pool.Prewarm(kCount, threads);
+    ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+    EXPECT_EQ(*generated, kCount);
+    const CryptoMaterial m = pool.ExportMaterial(/*slot_bits=*/0);
+    ASSERT_EQ(m.randomizers.size(), static_cast<size_t>(kCount));
+    EXPECT_EQ(HashRandomizers(m.randomizers), kPrewarmGolden);
+    for (int i = 0; i < kCount; ++i) {
+      EXPECT_EQ(pool.Take(), m.randomizers[static_cast<size_t>(i)]) << i;
+    }
+    EXPECT_EQ(HashRandomizers({pool.Take()}), kNextDrawGolden);
+    EXPECT_EQ(pool.misses(), 1);
+    // A count the pool already meets draws nothing.
+    EXPECT_EQ(*pool.Prewarm(0, threads), 0);
   }
 }
 

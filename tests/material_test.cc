@@ -64,7 +64,8 @@ Fixture MakeFixture(uint64_t seed, int randomizers) {
   EXPECT_TRUE(kp.ok()) << kp.status().ToString();
   f.kp = *kp;
   RandomizerPool pool(f.kp.pub, /*target_depth=*/randomizers, seed);
-  EXPECT_GE(pool.Prewarm(randomizers), randomizers);
+  auto generated = pool.Prewarm(randomizers);
+  EXPECT_TRUE(generated.ok() && *generated == randomizers);
   f.material = pool.ExportMaterial(/*slot_bits=*/0);
   EXPECT_EQ(f.material.randomizers.size(),
             static_cast<size_t>(randomizers));
@@ -272,6 +273,26 @@ TEST(MaterialEngineTest, WarmAndRepairedRunsMatchColdBitForBit) {
   smc::BatchSmcEngine healed(MaterialSmcConfig(dir), w.rule, 2);
   ASSERT_TRUE(healed.Init().ok());
   EXPECT_TRUE(healed.material_warm());
+}
+
+TEST(MaterialEngineTest, ColdMaterialBytesDoNotDependOnThreadCount) {
+  // The cold prewarm runs on the engine's smc_threads workers, but the
+  // randomizers are drawn in one fixed order, so the saved file is the same
+  // byte for byte at any worker count.
+  const Workload& w = SmallWorkload();
+  std::vector<std::vector<uint8_t>> files;
+  for (int threads : {1, 4}) {
+    const std::string dir = MakeTempDir();
+    smc::BatchSmcEngine engine(MaterialSmcConfig(dir), w.rule, threads);
+    ASSERT_TRUE(engine.Init().ok());
+    EXPECT_FALSE(engine.material_warm());
+    const auto exported =
+        engine.randomizer_pool()->ExportMaterial(/*slot_bits=*/0);
+    files.push_back(ReadFileBytes(MaterialStore(dir).PathFor(
+        exported.fingerprint, exported.modulus_bits, /*slot_bits=*/0)));
+    ASSERT_FALSE(files.back().empty());
+  }
+  EXPECT_EQ(files[0], files[1]);
 }
 
 }  // namespace
