@@ -11,9 +11,7 @@
 // lands the same record on R and S, seeding guaranteed links), updates that
 // rewrite a live row with fresh values, and deletes. The second form
 // additionally drives the stream through the in-process serve runner and
-// prints the sustained pairs/sec and p99 delta-to-verdict latency — the
-// numbers scripts/serve_smoke.sh records in BENCH_hotpath.json's
-// `streaming` block.
+// prints the sustained pairs/sec and p99 delta-to-verdict latency.
 
 #include <cstdio>
 #include <fstream>

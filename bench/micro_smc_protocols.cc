@@ -38,7 +38,6 @@ void BM_SecureRecordCompare(benchmark::State& state) {
   SmcConfig cfg;
   cfg.key_bits = static_cast<int>(state.range(0));
   cfg.reveal_distances = state.range(1) != 0;
-  cfg.cache_ciphertexts = state.range(2) != 0;
   cfg.test_seed = 4321;
   SecureRecordComparator cmp(cfg, FiveAttrRule());
   if (!cmp.Init().ok()) std::abort();
@@ -47,8 +46,7 @@ void BM_SecureRecordCompare(benchmark::State& state) {
   int64_t bytes_before = cmp.bus().total_bytes();
   int64_t n = 0;
   for (auto _ : state) {
-    auto m = cfg.cache_ciphertexts ? cmp.CompareRows(1, 2, a, b)
-                                   : cmp.Compare(a, b);
+    auto m = cmp.Compare(a, b);
     if (!m.ok()) std::abort();
     benchmark::DoNotOptimize(m);
     ++n;
@@ -60,11 +58,10 @@ void BM_SecureRecordCompare(benchmark::State& state) {
       std::max<int64_t>(1, cmp.costs().invocations);
 }
 BENCHMARK(BM_SecureRecordCompare)
-    ->Args({512, 1, 0})
-    ->Args({512, 0, 0})
-    ->Args({1024, 1, 0})
-    ->Args({1024, 0, 0})
-    ->Args({1024, 1, 1})  // amortized: cached record ciphertexts
+    ->Args({512, 1})
+    ->Args({512, 0})
+    ->Args({1024, 1})
+    ->Args({1024, 0})
     ->Unit(benchmark::kMillisecond);
 
 void BM_SecureAttrDistance(benchmark::State& state) {

@@ -72,10 +72,10 @@ int main(int argc, char** argv) {
   }
 
   // --- batched SMC stage: reference serial engine vs fast engine ---
-  // Before: one worker, lambda/mu decryption, inline randomizers (the seed
-  // implementation). After: CRT decryption, a prefilled randomizer pool and
-  // --smc-threads workers sharing the published key. Same labels, ~the
-  // hotpath speedup recorded in BENCH_hotpath.json.
+  // Reference: one worker, inline randomizers. Fast: a prefilled randomizer
+  // pool and --smc-threads workers sharing the published key. Both decrypt
+  // through CRT. Same labels, ~the hotpath speedup recorded in
+  // BENCH_hotpath.json.
   double smc_serial_seconds = 0, smc_fast_seconds = 0, smc_packed_seconds = 0;
   double smc_setup_serial_seconds = 0, smc_setup_fast_seconds = 0;
   double material_cold_total = 0, material_warm_offline = 0,
@@ -118,7 +118,6 @@ int main(int argc, char** argv) {
     // is the offline phase: reported on its own line and series entry, never
     // folded into the per-stage online numbers below.
     smc::SmcConfig ref_cfg = smc_cfg;
-    ref_cfg.crt_decrypt = false;
     ref_cfg.randomizer_pool_depth = 0;
     smc::BatchSmcEngine ref_engine(ref_cfg, one_attr, 1);
     {
@@ -133,7 +132,6 @@ int main(int argc, char** argv) {
                 smc_serial_seconds);
 
     smc::SmcConfig fast_cfg = smc_cfg;
-    fast_cfg.crt_decrypt = true;
     fast_cfg.randomizer_pool_depth = static_cast<int>(3 * *smc_batch + 8);
     smc::BatchSmcEngine fast_engine(fast_cfg, one_attr,
                                     static_cast<int>(*smc_threads));
@@ -151,8 +149,8 @@ int main(int argc, char** argv) {
       bench::Die(Status::Internal("fast SMC engine labels diverge"));
     }
     std::printf(
-        "SMC stage, %lld threads + CRT + pool %*s %10.3f s   (%.2fx)\n",
-        static_cast<long long>(*smc_threads), 12, "", smc_fast_seconds,
+        "SMC stage, %lld threads + pool %*s %10.3f s   (%.2fx)\n",
+        static_cast<long long>(*smc_threads), 18, "", smc_fast_seconds,
         smc_serial_seconds / smc_fast_seconds);
 
     // Packed variant on top of the fast engine: several pairs share one
@@ -234,43 +232,6 @@ int main(int argc, char** argv) {
           material_warm_offline, 5, "", material_warm_online,
           material_cold_total / material_warm_online);
     }
-  }
-
-  // --- fault-injection layer overhead on the zero-fault path ---
-  // The layer costs a virtual dispatch plus a handful of rate checks per
-  // message, far below batch-level scheduling noise — so it is measured on
-  // the serial protocol as a per-comparison minimum over many calls (the
-  // floor of the latency distribution), plain bus vs FaultyBus decorating
-  // at all-zero rates. scripts/bench_smoke.sh records the fraction into
-  // BENCH_hotpath.json (target < 3%).
-  double smc_plain_call = 0, smc_fault_layer_call = 0;
-  {
-    const int overhead_reps = static_cast<int>(*reps < 12 ? 12 : *reps);
-    Record rec_a{Value::Numeric(35.0)};
-    Record rec_b{Value::Numeric(36.0)};
-    auto min_call = [&](smc::SecureRecordComparator& c) {
-      double best = 0;
-      for (int i = 0; i < overhead_reps; ++i) {
-        WallTimer t;
-        auto m = c.CompareRows(i, 0, rec_a, rec_b);
-        if (!m.ok()) bench::Die(m.status());
-        const double seconds = t.ElapsedSeconds();
-        if (i == 0 || seconds < best) best = seconds;
-      }
-      return best;
-    };
-    smc_plain_call = min_call(cmp);
-    smc::SmcConfig fault_cfg = smc_cfg;
-    fault_cfg.fault_plan.wrap_transport = true;
-    smc::SecureRecordComparator fault_cmp(fault_cfg, one_attr);
-    if (auto s = fault_cmp.Init(); !s.ok()) bench::Die(s);
-    smc_fault_layer_call = min_call(fault_cmp);
-    std::printf(
-        "secure compare, fault layer at zero rates %*s %8.4f s   "
-        "(%+.1f%% vs plain %.4f s)\n",
-        7, "", smc_fault_layer_call,
-        100.0 * (smc_fault_layer_call - smc_plain_call) / smc_plain_call,
-        smc_plain_call);
   }
 
   // --- anonymization incl. file I/O, per the paper's measurement ---
@@ -357,10 +318,6 @@ int main(int argc, char** argv) {
       stage.smc_seconds = material_warm_online;
       series.Add("material_warm_online", stage);
     }
-    stage.smc_seconds = smc_plain_call;
-    series.Add("smc_compare_plain", stage);
-    stage.smc_seconds = smc_fault_layer_call;
-    series.Add("smc_compare_fault_layer", stage);
   }
   series.WriteIfRequested(*common.metrics_out);
   return 0;

@@ -4,18 +4,17 @@
 # BENCH_hotpath.json at the repo root:
 #   - Paillier decryption: CRT fast path vs reference lambda/mu path
 #   - randomizer: fixed-base windowed table vs square-and-multiply PowMod
-#   - SMC stage: batched engine (threads + CRT + randomizer pool) vs the
-#     serial reference engine, on the timing-table workload
+#   - SMC stage: batched engine (threads + randomizer pool) vs the
+#     serial reference engine (1 worker, no pool), on the timing-table
+#     workload
 #   - packed SMC: several pairs per ciphertext vs the same fast engine
 #     running the scalar exchange
 #   - offline/online: warm persisted-material online stage vs the cold
 #     end-to-end stage (keygen + prewarm + compare) on the same workload
 #   - blocking: memoized SlackTable sweep vs the seed's direct sweep
-#   - tcp transport: measured wall clock and wire bytes of a real
-#     three-daemon loopback run vs the NetworkModel(LAN) projection
+#   - tcp transport: wire bytes of a real three-daemon loopback run vs the
+#     bytes the in-process bus accounts for the same traffic
 #   - pipelined rpc: ctl round trips at batch 32 vs one round trip per pair
-#   - sharded smc: the same linkage over a 4-shard comparator fleet vs one
-#     shard, under emulated per-pair latency (the overlap sharding buys)
 #   - async datapath: SocketBus bulk throughput vs raw loopback TCP moving
 #     the identical checksummed wire-v6 frames (overhead budget: 2x)
 #   - arena alloc: GMP allocations per packed-SMC pair (ceiling: 9)
@@ -58,9 +57,8 @@ echo "== micro_blocking: memoized sweep vs direct sweep (+ cutoff guard) =="
 "./$BUILD/bench/micro_blocking" --rows 4000 --k 8 --threads 4 \
   --metrics_out "$TMP/blocking.json"
 
-echo "== tcp transport: three-daemon loopback run, measured vs modeled =="
-# Wall-clock blocks run three times; the python below keeps the best rep
-# of each so a scheduler hiccup cannot fail --check spuriously.
+echo "== tcp transport: three-daemon loopback run, wire vs accounted bytes =="
+# Three reps; the python below records the one with the fastest SMC stage.
 "./$BUILD/tools/hprl_gen" --out "$TMP/tcpdata" --rows 300 --seed 7 >/dev/null
 sed -i 's/^keybits .*/keybits 256/; s/^allowance .*/allowance 0.01/' \
   "$TMP/tcpdata/linkage.spec"
@@ -78,26 +76,6 @@ echo "== pipelined rpc: ctl round trips, per-pair vs batch 32 =="
   --r "$TMP/tcpdata/r.csv" --s "$TMP/tcpdata/s.csv" --transport tcp \
   --rpc_batch 32 --rpc_window 4 --metrics_out "$TMP/tcp_batch32.json" \
   >/dev/null
-
-echo "== sharded smc: 4-shard comparator fleet vs 1 shard (emulated latency) =="
-# The daemons sleep 10 ms per pair (--net_emu_latency_micros), making the
-# stage latency-bound: the speedup measures the coordinator overlapping the
-# shards' latency windows — what sharding buys on a real network — not CPU
-# core multiplication (docs/CLUSTER.md). Labels must stay bit-identical.
-for rep in 1 2 3; do
-  "./$BUILD/tools/hprl_link" --spec "$TMP/tcpdata/linkage.spec" \
-    --r "$TMP/tcpdata/r.csv" --s "$TMP/tcpdata/s.csv" --transport tcp \
-    --shards 1 --net_emu_latency_micros 10000 \
-    --links "$TMP/links_shard1.csv" \
-    --metrics_out "$TMP/tcp_shard1_$rep.json" >/dev/null
-  "./$BUILD/tools/hprl_link" --spec "$TMP/tcpdata/linkage.spec" \
-    --r "$TMP/tcpdata/r.csv" --s "$TMP/tcpdata/s.csv" --transport tcp \
-    --shards 4 --net_emu_latency_micros 10000 \
-    --links "$TMP/links_shard4.csv" \
-    --metrics_out "$TMP/tcp_shard4_$rep.json" >/dev/null
-  diff "$TMP/links_shard1.csv" "$TMP/links_shard4.csv" \
-    || { echo "FAIL: 4-shard links differ from single-shard links"; exit 1; }
-done
 
 echo "== net_throughput: SocketBus vs raw TCP, identical framed traffic =="
 "./$BUILD/bench/net_throughput" --msgs 128 --reps 3 \
@@ -129,8 +107,6 @@ timing = series("timing.json")
 smc_serial = timing["smc_stage_serial_reference"]["smc_seconds"]
 smc_fast = timing["smc_stage_fast"]["smc_seconds"]
 smc_packed = timing["smc_stage_packed"]["smc_seconds"]
-smc_plain_call = timing["smc_compare_plain"]["smc_seconds"]
-smc_fault_call = timing["smc_compare_fault_layer"]["smc_seconds"]
 
 blocking = series("blocking.json")
 direct = blocking["direct_slack_decide"]["blocking_seconds"]
@@ -171,15 +147,6 @@ report = {
         "pack_pairs": 8,
         "speedup": smc_fast / smc_packed,
     },
-    # Fault-injection layer decorating the transport at all-zero rates,
-    # measured as the per-comparison latency floor on the serial protocol:
-    # the overhead_fraction target on the SMC stage is < 0.03.
-    "smc_stage_fault_overhead": {
-        "plain_compare_seconds": smc_plain_call,
-        "fault_layer_compare_seconds": smc_fault_call,
-        "overhead_fraction": (smc_fault_call - smc_plain_call)
-                             / smc_plain_call,
-    },
     "blocking_sweep": {
         "direct_seconds": direct,
         "memoized_seconds": memo,
@@ -201,11 +168,9 @@ report["offline_online"] = {
                 / timing["material_warm_online"]["smc_seconds"]),
 }
 
-# Real three-daemon loopback run vs the NetworkModel(LAN) projection. The
-# wire/accounted ratio is the acceptance criterion (within 5%); the
-# measured/estimated ratio quantifies how pessimistic the serialized-crypto
-# LAN model is against a loopback deployment. Wall-clock blocks are
-# best-of-3: each rep wrote its own report, keep the fastest stage.
+# Real three-daemon loopback run. The wire/accounted ratio is the acceptance
+# criterion (within 5%). Of the three reps, the one with the fastest SMC
+# stage is recorded.
 def best_gauges(pattern):
     reps = []
     for rep in (1, 2, 3):
@@ -216,13 +181,8 @@ def best_gauges(pattern):
 tcp_gauges = best_gauges("tcp_%d.json")
 wire = tcp_gauges["net.wire_bytes_sent"]
 accounted = tcp_gauges["net.bus_accounted_bytes"]
-measured_s = tcp_gauges["net.measured_smc_seconds"]
-estimated_s = tcp_gauges.get("net.estimated_smc_seconds")
 report["tcp_transport"] = {
-    "measured_smc_seconds": measured_s,
-    "estimated_smc_seconds_lan": estimated_s,
-    "measured_vs_estimated": (measured_s / estimated_s
-                              if estimated_s else None),
+    "measured_smc_seconds": tcp_gauges["net.measured_smc_seconds"],
     "wire_bytes_sent": wire,
     "bus_accounted_bytes": accounted,
     "wire_vs_accounted_ratio": wire / accounted,
@@ -242,21 +202,6 @@ report["pipelined_rpc"] = {
     "ctl_round_trips_per_pair_mode": per_pair,
     "ctl_round_trips_batch32": batch32,
     "round_trip_reduction": per_pair / batch32,
-}
-
-# Comparator fleet: the same linkage over 4 shard meshes vs 1, with the
-# daemons sleeping 10 ms per pair so the stage is latency-bound. The
-# speedup is the SMC-stage wall-clock ratio (acceptance: >= 2.5x at 4
-# shards), best-of-3 per side; links were diffed bit-identical by the
-# shell above on every rep.
-shard1_s = best_gauges("tcp_shard1_%d.json")["net.measured_smc_seconds"]
-shard4_s = best_gauges("tcp_shard4_%d.json")["net.measured_smc_seconds"]
-report["sharded_smc"] = {
-    "shards": 4,
-    "emulated_latency_micros": 10000,
-    "smc_seconds_1_shard": shard1_s,
-    "smc_seconds_4_shards": shard4_s,
-    "speedup": shard1_s / shard4_s,
 }
 
 # Async datapath: the epoll SocketBus pushing bulk messages vs a blocking
@@ -326,16 +271,8 @@ if check:
         sys.exit(1)
     print("bench check passed: no speedup below 80% of committed")
 else:
-    # Merge over the committed file: blocks this script does not produce
-    # (e.g. `streaming`, owned by scripts/serve_smoke.sh) are preserved.
-    try:
-        with open("BENCH_hotpath.json") as f:
-            merged = json.load(f)
-    except (FileNotFoundError, json.JSONDecodeError):
-        merged = {}
-    merged.update(report)
     with open("BENCH_hotpath.json", "w") as f:
-        json.dump(merged, f, indent=2)
+        json.dump(report, f, indent=2)
         f.write("\n")
     print(json.dumps(report, indent=2))
 EOF

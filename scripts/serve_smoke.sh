@@ -13,20 +13,17 @@
 #     fleet (wire v6 resident tables: delta pushes + sentinel pair frames)
 #     produces the same links again.
 #
-# It then records the sustained blocked-pairs/sec and the p99
-# delta-to-verdict latency of the uninterrupted run into the `streaming`
-# block of BENCH_hotpath.json:
+# Throughput and latency of the service are measured by perfbench's
+# serve-churn workload, not here; this script writes no file.
 #
-#   scripts/serve_smoke.sh [build-dir]           # run + merge the block
-#   scripts/serve_smoke.sh --check [build-dir]   # run, then fail if
-#       throughput drops below 80% of the committed value or p99 rises
-#       above 125%; the committed file is not rewritten
+#   scripts/serve_smoke.sh [--check] [build-dir]
+#
+# --check is accepted for symmetry with scripts/bench_smoke.sh; every run
+# asserts the three properties above.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CHECK=0
 if [[ "${1:-}" == "--check" ]]; then
-  CHECK=1
   shift
 fi
 BUILD="${1:-build}"
@@ -42,10 +39,10 @@ echo "== churn: seeded 1k-delta stream over the demo workspace =="
 "./$BUILD/bench/churn" --out "$TMP/deltas.csv" --deltas 1000 --tenants 2 \
   --seed 11
 
-echo "== uninterrupted run: the reference links + the bench numbers =="
+echo "== uninterrupted run: the reference links =="
 "./$BUILD/tools/hprl_link" --spec "$TMP/demo/linkage.spec" --serve \
   --deltas "$TMP/deltas.csv" --links "$TMP/links_ref.csv" \
-  --metrics_out "$TMP/run_ref.json" | tee "$TMP/ref.out"
+  | tee "$TMP/ref.out"
 grep '^HPRL_SERVE summary:' "$TMP/ref.out" > "$TMP/ref.summary"
 
 echo "== crash consistency: SIGKILL after 300 settled deltas, then --resume =="
@@ -73,11 +70,10 @@ sed -i 's/^keybits .*/keybits 256/' "$TMP/demo_tcp/linkage.spec"
 diff "$TMP/links_ref.csv" "$TMP/links_tcp.csv" \
   || { echo "FAIL: tcp-fleet links differ from the in-process run"; exit 1; }
 
-CHECK="$CHECK" python3 - "$TMP" <<'EOF'
-import json, os, re, sys
+python3 - "$TMP" <<'EOF'
+import os, re, sys
 
 tmp = sys.argv[1]
-check = os.environ.get("CHECK") == "1"
 
 def summary(path):
     line = open(os.path.join(tmp, path)).read()
@@ -109,43 +105,6 @@ assert resumed["epoch"] == 2, resumed
 print(f"serve accounting OK: {ref['links']} links, {ref['smc_pairs']} SMC "
       f"pairs, crash replay {resumed['replayed']}+{resumed['applied']} "
       f"lost nothing, fenced epoch {resumed['epoch']}")
-
-block = {
-    "deltas": ref["deltas"],
-    "links": ref["links"],
-    "smc_pairs": ref["smc_pairs"],
-    "sustained_pairs_per_sec": ref["pairs_per_sec"],
-    "p99_delta_seconds": ref["p99_delta_seconds"],
-}
-
-if check:
-    committed = json.load(open("BENCH_hotpath.json")).get("streaming")
-    assert committed, "no committed streaming block in BENCH_hotpath.json"
-    pps, c_pps = block["sustained_pairs_per_sec"], \
-        committed["sustained_pairs_per_sec"]
-    p99, c_p99 = block["p99_delta_seconds"], committed["p99_delta_seconds"]
-    failures = []
-    if pps < 0.8 * c_pps:
-        failures.append(f"pairs/sec {pps:.0f} < 80% of committed {c_pps:.0f}")
-    if p99 > 1.25 * c_p99:
-        failures.append(f"p99 {p99:.6f}s > 125% of committed {c_p99:.6f}s")
-    if failures:
-        print("STREAMING BENCH CHECK FAILED:", *failures, sep="\n  ")
-        sys.exit(1)
-    print(f"streaming check OK: {pps:.0f} pairs/s (committed {c_pps:.0f}), "
-          f"p99 {p99:.6f}s (committed {c_p99:.6f}s)")
-else:
-    # Merge, preserving every block this script does not produce.
-    doc = json.load(open("BENCH_hotpath.json"))
-    doc["streaming"] = block
-    with open("BENCH_hotpath.json", "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
-    print(json.dumps({"streaming": block}, indent=2))
 EOF
 
-if [[ "$CHECK" == "1" ]]; then
-  echo "== serve smoke OK (BENCH_hotpath.json unchanged) =="
-else
-  echo "== serve smoke OK: streaming block written to BENCH_hotpath.json =="
-fi
+echo "== serve smoke OK =="

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <optional>
 #include <thread>
 
 #include "anon/release_io.h"
@@ -17,7 +18,6 @@
 #include "net/backend.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
-#include "smc/network.h"
 
 namespace hprl::cli {
 
@@ -79,12 +79,11 @@ std::string RunnerReport::ToString() const {
                      100.0 * result.recall,
                      static_cast<long long>(result.true_matches));
   }
-  if (estimated_smc_seconds >= 0) {
+  if (tcp) {
     out += StrFormat(
-        "transport: tcp — SMC wall %.3fs measured vs %.3fs modeled (LAN); "
+        "transport: tcp — SMC wall %.3fs measured; "
         "%lld wire bytes sent vs %lld bus-accounted\n",
-        result.smc_seconds, estimated_smc_seconds,
-        static_cast<long long>(wire_bytes_sent),
+        result.smc_seconds, static_cast<long long>(wire_bytes_sent),
         static_cast<long long>(bus_accounted_bytes));
   }
   return out;
@@ -226,17 +225,18 @@ Result<RunnerReport> RunLinkageFromFiles(const LinkageSpec& spec,
   if (options.resume && options.journal.empty()) {
     return Status::InvalidArgument("--resume requires --journal=<path>");
   }
+  std::optional<Result<SessionJournal>> journal;
   if (!options.journal.empty()) {
-    auto journal = LoadSessionJournal(options.journal);
-    if (journal.ok()) {
-      session_epoch = journal->epoch + 1;
+    journal = LoadSessionJournal(options.journal);
+    if (journal->ok()) {
+      session_epoch = (*journal)->epoch + 1;
     } else if (options.resume) {
-      if (journal.status().code() == StatusCode::kNotFound) {
+      if (journal->status().code() == StatusCode::kNotFound) {
         return Status::InvalidArgument(
             "--resume requested but there is no session journal at " +
             options.journal);
       }
-      return journal.status();
+      return journal->status();
     }
   }
 
@@ -247,7 +247,7 @@ Result<RunnerReport> RunLinkageFromFiles(const LinkageSpec& spec,
       .WithMetrics(metrics)
       .WithEvaluation(options.evaluate);
   if (!options.journal.empty()) {
-    session.WithJournal(options.journal)
+    session.WithJournal(options.journal, std::move(journal))
         .WithResume(options.resume)
         .WithSessionEpoch(session_epoch);
   }
@@ -266,7 +266,6 @@ Result<RunnerReport> RunLinkageFromFiles(const LinkageSpec& spec,
   bopts.config.test_seed = smc_seed;
   bopts.config.material_dir = material_dir;
   bopts.config.offline_pairs = offline_pairs;
-  bopts.config.pin_cores = options.pin_cores;
   bopts.rule = plan->rule;
   bopts.smc_threads = smc_threads;
   bopts.transport = options.transport;
@@ -334,14 +333,7 @@ Result<RunnerReport> RunLinkageFromFiles(const LinkageSpec& spec,
       mesh_stats = be.mesh_stats();
       report.wire_bytes_sent = mesh_stats.wire_bytes_sent;
       report.bus_accounted_bytes = mesh_stats.bus_bytes;
-      if (shut.ok()) {
-        auto timings = smc::CryptoTimings::Measure(spec.key_bits);
-        if (timings.ok()) {
-          report.estimated_smc_seconds = smc::EstimateSeconds(
-              mesh_stats.costs, mesh_stats.bus_bytes, mesh_stats.bus_messages,
-              smc::NetworkModel::Lan(), *timings);
-        }
-      }
+      report.tcp = true;
     }
   }
   if (!result.ok()) return result.status();
@@ -353,10 +345,6 @@ Result<RunnerReport> RunLinkageFromFiles(const LinkageSpec& spec,
   if (use_tcp) {
     obs::SetGauge(metrics, "net.measured_smc_seconds",
                   report.result.smc_seconds);
-    if (report.estimated_smc_seconds >= 0) {
-      obs::SetGauge(metrics, "net.estimated_smc_seconds",
-                    report.estimated_smc_seconds);
-    }
     obs::SetGauge(metrics, "net.wire_bytes_sent",
                   static_cast<double>(report.wire_bytes_sent));
     obs::SetGauge(metrics, "net.bus_accounted_bytes",

@@ -55,9 +55,6 @@ struct RunnerOptions {
   /// material_dir; the linkage numbers in the report stay zero.
   bool offline_only = false;
 
-  /// Pin spawned SMC worker threads to cores (smc::SmcConfig::pin_cores).
-  bool pin_cores = false;
-
   /// Non-empty: resumable allowance drain through the crash-consistent
   /// session journal (core/journal.h). The session records its progress and
   /// per-shard batch dispositions after every SMC batch; a relaunched
@@ -135,9 +132,9 @@ struct RunnerReport {
   /// True when the run stopped after the offline phase (offline_only).
   bool offline_only = false;
 
-  /// --transport=tcp only: deployment ground truth vs the NetworkModel
-  /// projection. estimated_smc_seconds < 0 means "not a TCP run".
-  double estimated_smc_seconds = -1;    ///< EstimateSeconds under the LAN model
+  /// True for a completed --transport=tcp run; the byte totals below are
+  /// then the mesh's deployment ground truth.
+  bool tcp = false;
   int64_t wire_bytes_sent = 0;          ///< socket-measured, all four processes
   int64_t bus_accounted_bytes = 0;      ///< MessageBus accounting, same scope
 

@@ -158,7 +158,10 @@ Result<HybridResult> LinkageSession::Run() {
   int64_t resume_done = 0;
   if (!journal_path_.empty()) {
     obs::ScopedSpan resume_span(metrics_, "resume", &run_span);
-    auto j = LoadSessionJournal(journal_path_);
+    Result<SessionJournal> j = loaded_journal_.has_value()
+                                   ? std::move(*loaded_journal_)
+                                   : LoadSessionJournal(journal_path_);
+    loaded_journal_.reset();  // a later Run() reads the file as it is then
     if (j.ok()) {
       if (j->fingerprint != fingerprint) {
         return Status::FailedPrecondition(

@@ -1,9 +1,14 @@
 #ifndef HPRL_CORE_SESSION_H_
 #define HPRL_CORE_SESSION_H_
 
+#include <optional>
+#include <string>
+#include <utility>
+
 #include "anon/anonymizer.h"
 #include "common/result.h"
 #include "core/hybrid.h"
+#include "core/journal.h"
 #include "linkage/oracle.h"
 #include "obs/metrics.h"
 
@@ -91,8 +96,16 @@ class LinkageSession {
   /// rejected (never partially resumed) and, unless WithResume(true), the
   /// run simply restarts clean. A completed drain deletes its journal.
   /// Empty path (the default) disables journaling.
-  LinkageSession& WithJournal(const std::string& path) {
+  ///
+  /// `loaded`, when given, is the result of LoadSessionJournal(path) that
+  /// the caller already made (hprl_link reads the journal first to pick the
+  /// session epoch); the next Run() uses it instead of reading the file
+  /// again.
+  LinkageSession& WithJournal(
+      const std::string& path,
+      std::optional<Result<SessionJournal>> loaded = std::nullopt) {
     journal_path_ = path;
+    loaded_journal_ = std::move(loaded);
     return *this;
   }
 
@@ -128,6 +141,7 @@ class LinkageSession {
   obs::MetricsRegistry* metrics_ = nullptr;
   bool evaluate_ = false;
   std::string journal_path_;
+  std::optional<Result<SessionJournal>> loaded_journal_;
   bool resume_required_ = false;
   uint64_t session_epoch_ = 1;
   int64_t max_batches_ = 0;

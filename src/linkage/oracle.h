@@ -53,9 +53,9 @@ class MatchOracle {
   /// True when the pair satisfies the decision rule.
   virtual Result<bool> Compare(const Record& a, const Record& b) = 0;
 
-  /// Row-aware variant: `a_id`/`b_id` are stable row identities. Oracles
-  /// that amortize per-record work (ciphertext caching) override this; the
-  /// default ignores the ids.
+  /// Row-aware variant: `a_id`/`b_id` are stable row identities, which the
+  /// SMC oracles carry into their exchanges (the in-process comparator
+  /// seeds its fault schedule from them); the default ignores them.
   virtual Result<bool> CompareRows(int64_t a_id, int64_t b_id,
                                    const Record& a, const Record& b) {
     return Compare(a, b);

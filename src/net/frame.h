@@ -161,6 +161,10 @@ enum class CtlVerb : uint8_t {
 /// Number of verbs; ParseCtlResponse rejects verb bytes at or above this.
 inline constexpr uint8_t kCtlVerbCount = 14;
 
+/// kConfigure body flags byte. Bit 0 is the only defined flag; bits 1-2 are
+/// reserved (written as 0, ignored on receipt), bits 3-7 unused.
+inline constexpr uint8_t kCfgFlagRevealDistances = 1u << 0;
+
 /// Sentinel attribute count in kPair/kPairBatch entries: the pair's operands
 /// are not inline — resolve them from the resident table pushed by kDelta
 /// (wire v6; a miss is FailedPrecondition, the coordinator only emits the

@@ -25,10 +25,6 @@ constexpr uint64_t kQpSalt = 0x9999;
 constexpr uint64_t kAliceSalt = 0xA11CE;
 constexpr uint64_t kBobSalt = 0xB0B;
 
-constexpr uint8_t kFlagRevealDistances = 1u << 0;
-constexpr uint8_t kFlagCacheCiphertexts = 1u << 1;
-constexpr uint8_t kFlagCrtDecrypt = 1u << 2;
-
 }  // namespace
 
 void AppendPartyStats(const PartyStats& s, std::vector<uint8_t>* out) {
@@ -510,9 +506,7 @@ Status PartyService::HandleConfigure(const std::vector<uint8_t>& payload) {
   params_.key_bits = static_cast<int>(*key_bits);
   params_.fp_scale = *fp_scale;
   params_.blind_bits = static_cast<int>(*blind_bits);
-  params_.reveal_distances = (*flags & kFlagRevealDistances) != 0;
-  params_.cache_ciphertexts = (*flags & kFlagCacheCiphertexts) != 0;
-  params_.crt_decrypt = (*flags & kFlagCrtDecrypt) != 0;
+  params_.reveal_distances = (*flags & kCfgFlagRevealDistances) != 0;
   test_seed_ = *test_seed;
   pool_depth_ = *pool_depth;
   pool_.reset();  // a new configuration means a new key is coming
@@ -621,9 +615,9 @@ Status PartyService::ConsumeAttrs(const std::vector<uint8_t>& payload,
   attrs->reserve(attrs->size() + n);
   for (uint32_t i = 0; i < n; ++i) {
     PairAttr attr;
-    auto pos = ConsumeU32(payload, off);
-    if (!pos.ok()) return pos.status();
-    attr.pos = *pos;
+    // The attribute's rule position stays on the wire (v6 layout); the
+    // daemons have no use for it.
+    HPRL_RETURN_IF_ERROR(ConsumeU32(payload, off).status());
     if (is_alice) {
       auto x = ConsumeSignedBigInt(payload, off);
       if (!x.ok()) return x.status();
@@ -733,28 +727,20 @@ Status PartyService::HandlePair(const PairCmd& cmd, uint8_t* label) {
     std::this_thread::sleep_for(
         std::chrono::microseconds(emulated_latency_micros_));
   }
-  const bool cache =
-      params_.cache_ciphertexts && cmd.a_id >= 0 && cmd.b_id >= 0;
-
   if (opts_.role == opts_.endpoints.alice.name) {
     // Alice's whole side is pipelined: every alice_ct goes out back-to-back,
     // then she waits for the verdict.
     for (const PairAttr& attr : cmd.attrs) {
-      int64_t key =
-          cache ? (cmd.a_id << 8) | static_cast<int64_t>(attr.pos) : -1;
       HPRL_RETURN_IF_ERROR(holder_->SendAttr(
-          bus_.get(), opts_.endpoints.bob.name, attr.x, key, &costs_));
+          bus_.get(), opts_.endpoints.bob.name, attr.x, &costs_));
     }
     return holder_->ReceiveResult(bus_.get()).status();
   }
 
   if (opts_.role == opts_.endpoints.bob.name) {
     for (const PairAttr& attr : cmd.attrs) {
-      int64_t key =
-          cache ? (cmd.b_id << 8) | static_cast<int64_t>(attr.pos) : -1;
       HPRL_RETURN_IF_ERROR(holder_->FoldAndForward(bus_.get(), attr.y,
-                                                   attr.threshold, key,
-                                                   &costs_));
+                                                   attr.threshold, &costs_));
     }
     return holder_->ReceiveResult(bus_.get()).status();
   }

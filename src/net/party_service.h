@@ -148,7 +148,6 @@ class PartyService {
 
  private:
   struct PairAttr {
-    uint32_t pos = 0;         // attribute position (cache-key component)
     crypto::BigInt x;         // alice's encoded value
     crypto::BigInt y;         // bob's encoded value
     crypto::BigInt threshold; // bob + qp

@@ -33,10 +33,6 @@ Status ReplyStatus(const CtlResponse& r) {
   return Status(r.code, r.role + ": " + r.detail);
 }
 
-constexpr uint8_t kFlagRevealDistances = 1u << 0;
-constexpr uint8_t kFlagCacheCiphertexts = 1u << 1;
-constexpr uint8_t kFlagCrtDecrypt = 1u << 2;
-
 std::vector<MeshEndpoints> ResolveShards(const RemoteOracleOptions& opts) {
   if (!opts.shard_endpoints.empty()) return opts.shard_endpoints;
   return {opts.endpoints};
@@ -207,9 +203,7 @@ std::vector<uint8_t> RemoteSmcOracle::BuildConfigPayload() const {
   AppendI64(opts_.config.fp_scale, &cfg);
   AppendU32(static_cast<uint32_t>(opts_.config.blind_bits), &cfg);
   uint8_t flags = 0;
-  if (opts_.config.reveal_distances) flags |= kFlagRevealDistances;
-  if (opts_.config.cache_ciphertexts) flags |= kFlagCacheCiphertexts;
-  if (opts_.config.crt_decrypt) flags |= kFlagCrtDecrypt;
+  if (opts_.config.reveal_distances) flags |= kCfgFlagRevealDistances;
   AppendU8(flags, &cfg);
   AppendU64(opts_.config.test_seed, &cfg);
   // Holder daemons start filling their randomizer pools the moment the key

@@ -1,8 +1,5 @@
 #include "smc/batch_engine.h"
 
-#include <pthread.h>
-#include <sched.h>
-
 #include <algorithm>
 #include <atomic>
 #include <thread>
@@ -38,20 +35,6 @@ bool IsFaultClass(const Status& s) {
     default:
       return false;
   }
-}
-/// Pins the CALLING thread to a core chosen round-robin by worker index
-/// (SmcConfig::pin_cores). Only ever invoked from threads this engine
-/// spawned — worker 0 runs on the caller's thread, whose affinity is not
-/// ours to change. Best-effort: a restricted cpuset (containers, taskset)
-/// just leaves the thread unpinned; work-stealing still balances the batch.
-void MaybePinWorker(bool pin, size_t w) {
-  if (!pin) return;
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (cores == 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(w % cores), &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
 }
 
 }  // namespace
@@ -99,7 +82,9 @@ Status BatchSmcEngine::Init() {
                 ? OfflineRandomizerBudget(config_.offline_pairs,
                                           rule_.attrs.size())
                 : config_.randomizer_pool_depth;
-        HPRL_RETURN_IF_ERROR(pool_->Prewarm(want, threads_).status());
+        auto generated = pool_->Prewarm(want, threads_);
+        if (!generated.ok()) return generated.status();
+        offline_generated_ = *generated;
         // Best-effort: a read-only store degrades to always-cold, never to
         // a failed run.
         (void)material_store_->Save(pool_->ExportMaterial(slot));
@@ -139,6 +124,7 @@ void BatchSmcEngine::PublishMaterialMetrics() {
   obs::Add(metrics_, "crypto.material.misses", ms.misses);
   obs::Add(metrics_, "crypto.material.rejected", ms.rejected);
   obs::Add(metrics_, "crypto.material.bytes", ms.bytes);
+  obs::Add(metrics_, "crypto.material.generated", offline_generated_);
   material_metrics_published_ = true;
 }
 
@@ -244,10 +230,7 @@ Result<std::vector<uint8_t>> BatchSmcEngine::CompareBatch(
       std::vector<std::thread> pool;
       pool.reserve(active_groups - 1);
       for (size_t w = 1; w < active_groups; ++w) {
-        pool.emplace_back([&, w] {
-          MaybePinWorker(config_.pin_cores, w);
-          drain_groups(w);
-        });
+        pool.emplace_back([&, w] { drain_groups(w); });
       }
       drain_groups(0);
       for (auto& th : pool) th.join();
@@ -323,10 +306,7 @@ Result<std::vector<uint8_t>> BatchSmcEngine::CompareBatch(
     std::vector<std::thread> pool;
     pool.reserve(active - 1);
     for (size_t w = 1; w < active; ++w) {
-      pool.emplace_back([&, w] {
-        MaybePinWorker(config_.pin_cores, w);
-        drain(w);
-      });
+      pool.emplace_back([&, w] { drain(w); });
     }
     drain(0);
     for (auto& th : pool) th.join();

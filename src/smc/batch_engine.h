@@ -24,9 +24,7 @@ namespace hprl::smc {
 /// vector. Because results are position-addressed, the merged output is
 /// bit-identical for every thread count — determinism by construction, with
 /// no ordering pass. Budget accounting matches too: the aggregated costs()
-/// are sums over workers, independent of which worker ran which pair (with
-/// ciphertext caching off; caching makes encryption counts schedule-
-/// dependent, which is why the session never enables it across workers).
+/// are sums over workers, independent of which worker ran which pair.
 ///
 /// Security note: sharing the key pair changes nothing in the trust model —
 /// the workers are in-process replicas of the same three parties, exactly
@@ -134,6 +132,7 @@ class BatchSmcEngine {
   std::unique_ptr<crypto::MaterialStore> material_store_;
   double offline_seconds_ = 0;
   bool material_warm_ = false;
+  int64_t offline_generated_ = 0;  // randomizers Init's store miss prewarmed
   bool material_metrics_published_ = false;
   std::vector<std::unique_ptr<SecureRecordComparator>> workers_;
   mutable SmcCosts aggregated_;  // scratch for costs(); see .cc

@@ -28,13 +28,9 @@ struct FaultPlan {
   int delay_micros = 100;
   double crash_rate = 0;    ///< Expect: receiving party "dies" (Unavailable)
 
-  /// Decorate the transport even with all-zero rates — the bench hook that
-  /// measures the fault layer's zero-fault overhead (scripts/bench_smoke.sh).
-  bool wrap_transport = false;
-
   bool enabled() const {
-    return wrap_transport || drop_rate > 0 || corrupt_rate > 0 ||
-           delay_rate > 0 || crash_rate > 0;
+    return drop_rate > 0 || corrupt_rate > 0 || delay_rate > 0 ||
+           crash_rate > 0;
   }
 };
 

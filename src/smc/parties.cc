@@ -45,16 +45,6 @@ Status QueryingParty::PublishKeyPair(const crypto::PaillierKeyPair& kp,
   return Status::OK();
 }
 
-Result<BigInt> QueryingParty::DecryptSignedCt(const BigInt& c) const {
-  if (!params_.crt_decrypt) return priv_.DecryptSignedReference(c);
-  return priv_.DecryptSigned(c);
-}
-
-Result<BigInt> QueryingParty::DecryptCt(const BigInt& c) const {
-  if (!params_.crt_decrypt) return priv_.DecryptReference(c);
-  return priv_.Decrypt(c);
-}
-
 void QueryingParty::AttachMetrics(obs::MetricsRegistry* registry) {
   pub_.AttachMetrics(registry);
   priv_.AttachMetrics(registry);
@@ -69,7 +59,7 @@ Result<bool> QueryingParty::DecideAttr(MessageBus* bus,
   auto c = ConsumeBigInt(msg->payload, &off);
   if (!c.ok()) return c.status();
   HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, *c, "bob_ct"));
-  auto plain = DecryptSignedCt(*c);
+  auto plain = priv_.DecryptSigned(*c);
   if (!plain.ok()) return plain.status();
   costs->decryptions += 1;
   if (params_.reveal_distances) {
@@ -85,7 +75,7 @@ Result<BigInt> QueryingParty::ReceivePlain(MessageBus* bus, SmcCosts* costs) {
   auto c = ConsumeBigInt(msg->payload, &off);
   if (!c.ok()) return c.status();
   HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, *c, "bob_ct"));
-  auto plain = DecryptSignedCt(*c);
+  auto plain = priv_.DecryptSigned(*c);
   if (!plain.ok()) return plain.status();
   costs->decryptions += 1;
   return plain;
@@ -108,7 +98,7 @@ Result<std::vector<bool>> QueryingParty::DecideAttrsPacked(
   // ONE decryption covers every slot. The packed plaintext is Σ d_i·W_i with
   // d_i = (x_i - y_i)² >= 0, so the unsigned decode is exact even though the
   // homomorphic fold passed through negative slot contributions mod n.
-  auto plain = DecryptCt(*c);
+  auto plain = priv_.Decrypt(*c);
   if (!plain.ok()) return plain.status();
   costs->decryptions += 1;
   std::vector<crypto::BigInt*> slots;
@@ -179,27 +169,14 @@ void DataHolder::AttachRandomizerPool(crypto::RandomizerPool* pool) {
 }
 
 Status DataHolder::SendAttr(MessageBus* bus, const std::string& peer,
-                            const BigInt& x, int64_t cache_key,
-                            SmcCosts* costs) {
+                            const BigInt& x, SmcCosts* costs) {
   if (!have_key_) return Status::FailedPrecondition("no public key yet");
-  std::vector<uint8_t> payload;
-  if (params_.cache_ciphertexts && cache_key >= 0) {
-    auto it = send_cache_.find(cache_key);
-    if (it != send_cache_.end()) {
-      AppendBigInt(it->second.first, &payload);
-      AppendBigInt(it->second.second, &payload);
-      bus->Send({name_, peer, "alice_ct", std::move(payload)});
-      return Status::OK();
-    }
-  }
   auto c1 = pub_.EncryptSigned(x * x, *rng_);
   if (!c1.ok()) return c1.status();
   auto c2 = pub_.EncryptSigned(BigInt(-2) * x, *rng_);
   if (!c2.ok()) return c2.status();
   costs->encryptions += 2;
-  if (params_.cache_ciphertexts && cache_key >= 0) {
-    send_cache_.emplace(cache_key, std::make_pair(*c1, *c2));
-  }
+  std::vector<uint8_t> payload;
   AppendBigInt(*c1, &payload);
   AppendBigInt(*c2, &payload);
   bus->Send({name_, peer, "alice_ct", std::move(payload)});
@@ -207,8 +184,7 @@ Status DataHolder::SendAttr(MessageBus* bus, const std::string& peer,
 }
 
 Status DataHolder::FoldAndForward(MessageBus* bus, const BigInt& y,
-                                  const BigInt& threshold, int64_t cache_key,
-                                  SmcCosts* costs) {
+                                  const BigInt& threshold, SmcCosts* costs) {
   if (!have_key_) return Status::FailedPrecondition("no public key yet");
   auto msg = bus->Expect(name_, "alice_ct");
   if (!msg.ok()) return msg.status();
@@ -221,22 +197,10 @@ Status DataHolder::FoldAndForward(MessageBus* bus, const BigInt& y,
   HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, *c_m2x, "alice_ct[1]"));
 
   // Enc(d) = Enc(x²) +h (Enc(-2x) ×h y) +h Enc(y²), d = (x-y)².
-  BigInt c_y2;
-  auto cached = params_.cache_ciphertexts && cache_key >= 0
-                    ? fold_cache_.find(cache_key)
-                    : fold_cache_.end();
-  if (cached != fold_cache_.end()) {
-    c_y2 = cached->second;
-  } else {
-    auto fresh = pub_.EncryptSigned(y * y, *rng_);
-    if (!fresh.ok()) return fresh.status();
-    costs->encryptions += 1;
-    if (params_.cache_ciphertexts && cache_key >= 0) {
-      fold_cache_.emplace(cache_key, *fresh);
-    }
-    c_y2 = std::move(fresh).value();
-  }
-  BigInt c_d = pub_.Add(pub_.Add(*c_x2, pub_.ScalarMul(*c_m2x, y)), c_y2);
+  auto c_y2 = pub_.EncryptSigned(y * y, *rng_);
+  if (!c_y2.ok()) return c_y2.status();
+  costs->encryptions += 1;
+  BigInt c_d = pub_.Add(pub_.Add(*c_x2, pub_.ScalarMul(*c_m2x, y)), *c_y2);
   costs->homomorphic_adds += 2;
   costs->scalar_muls += 1;
 

@@ -1,10 +1,8 @@
 #ifndef HPRL_SMC_PARTIES_H_
 #define HPRL_SMC_PARTIES_H_
 
-#include <map>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -25,11 +23,6 @@ struct ProtocolParams {
   int64_t fp_scale = 1000;
   int blind_bits = 40;
   bool reveal_distances = true;
-  bool cache_ciphertexts = false;
-  /// When false the querying party decrypts through the reference lambda/mu
-  /// path even if the key carries CRT data — the honest "before" baseline
-  /// for benchmarking the CRT fast path.
-  bool crt_decrypt = true;
 };
 
 /// The querying party of §V-A: the only holder of the Paillier private key.
@@ -85,22 +78,14 @@ class QueryingParty {
   void AttachMetrics(obs::MetricsRegistry* registry);
 
  private:
-  /// DecryptSigned through the CRT fast path or, when
-  /// params_.crt_decrypt is false, the reference path.
-  Result<crypto::BigInt> DecryptSignedCt(const crypto::BigInt& c) const;
-
-  /// Unsigned decrypt with the same path selection (packed plaintexts are
-  /// non-negative by construction).
-  Result<crypto::BigInt> DecryptCt(const crypto::BigInt& c) const;
-
   ProtocolParams params_;
   std::unique_ptr<crypto::SecureRandom> rng_;
   crypto::PaillierPublicKey pub_;
   crypto::PaillierPrivateKey priv_;
 };
 
-/// A data holder (Alice or Bob). Holds only the public key, its own
-/// randomness and its ciphertext cache; its cleartext values are passed in
+/// A data holder (Alice or Bob). Holds only the public key and its own
+/// randomness; its cleartext values are passed in
 /// per call by its owner, never stored.
 class DataHolder {
  public:
@@ -117,16 +102,14 @@ class DataHolder {
   Status ReceiveKey(MessageBus* bus);
 
   /// Alice's role for one attribute: ship Enc(x²), Enc(-2x) to `peer`.
-  /// cache_key >= 0 reuses ciphertexts for that (record, attribute).
   Status SendAttr(MessageBus* bus, const std::string& peer,
-                  const crypto::BigInt& x, int64_t cache_key, SmcCosts* costs);
+                  const crypto::BigInt& x, SmcCosts* costs);
 
   /// Bob's role: fold its value into Alice's ciphertexts producing
   /// Enc((x-y)²), optionally blind against the threshold, and forward to the
   /// querying party.
   Status FoldAndForward(MessageBus* bus, const crypto::BigInt& y,
-                        const crypto::BigInt& threshold, int64_t cache_key,
-                        SmcCosts* costs);
+                        const crypto::BigInt& threshold, SmcCosts* costs);
 
   /// Packed Alice: one "alice_pk" message carrying Enc(Σ x_i²·W_i) — every
   /// slot's x² packed into ONE plaintext — plus per-slot cross terms
@@ -172,10 +155,6 @@ class DataHolder {
   std::unique_ptr<crypto::SecureRandom> rng_;
   crypto::PaillierPublicKey pub_;
   bool have_key_ = false;
-
-  // (record id << 8 | attr) -> ciphertexts; see ProtocolParams.
-  std::map<int64_t, std::pair<crypto::BigInt, crypto::BigInt>> send_cache_;
-  std::map<int64_t, crypto::BigInt> fold_cache_;
 };
 
 }  // namespace hprl::smc

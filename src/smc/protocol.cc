@@ -19,8 +19,6 @@ ProtocolParams ToParams(const SmcConfig& cfg) {
   p.fp_scale = cfg.fp_scale;
   p.blind_bits = cfg.blind_bits;
   p.reveal_distances = cfg.reveal_distances;
-  p.cache_ciphertexts = cfg.cache_ciphertexts;
-  p.crt_decrypt = cfg.crt_decrypt;
   return p;
 }
 
@@ -169,14 +167,12 @@ Result<bool> SecureRecordComparator::CompareRows(int64_t a_id, int64_t b_id,
   if (!initialized_) {
     return Status::FailedPrecondition("call Init() before Compare()");
   }
-  const bool cache = config_.cache_ciphertexts && a_id >= 0 && b_id >= 0;
   costs_.invocations += 1;
   WallTimer compare_timer;
   int64_t rounds = 0;
   int exchange_idx = 0;
   bool match = true;
-  for (size_t attr_pos = 0; attr_pos < rule_.attrs.size(); ++attr_pos) {
-    const AttrRule& rule = rule_.attrs[attr_pos];
+  for (const AttrRule& rule : rule_.attrs) {
     if (rule.type == AttrType::kCategorical && rule.theta >= 1.0) {
       continue;  // Hamming distance never exceeds 1: vacuous threshold
     }
@@ -186,16 +182,14 @@ Result<bool> SecureRecordComparator::CompareRows(int64_t a_id, int64_t b_id,
     if (!y.ok()) return y.status();
     BigInt threshold = AttrThreshold(rule);
 
-    int64_t a_key = cache ? (a_id << 8) | static_cast<int64_t>(attr_pos) : -1;
-    int64_t b_key = cache ? (b_id << 8) | static_cast<int64_t>(attr_pos) : -1;
     costs_.attr_comparisons += 1;
     rounds += 1;  // one alice -> bob -> qp round trip per attribute
     auto within =
         RetryExchange(a_id, b_id, exchange_idx++, [&]() -> Result<bool> {
           HPRL_RETURN_IF_ERROR(
-              alice_.SendAttr(bus_.get(), bob_.name(), *x, a_key, &costs_));
+              alice_.SendAttr(bus_.get(), bob_.name(), *x, &costs_));
           HPRL_RETURN_IF_ERROR(
-              bob_.FoldAndForward(bus_.get(), *y, threshold, b_key, &costs_));
+              bob_.FoldAndForward(bus_.get(), *y, threshold, &costs_));
           return qp_.DecideAttr(bus_.get(), threshold, &costs_);
         });
     if (!within.ok()) return within.status();
@@ -224,10 +218,7 @@ Result<bool> SecureRecordComparator::CompareRows(int64_t a_id, int64_t b_id,
 }
 
 int SecureRecordComparator::PackedGroupPairs() const {
-  if (config_.pack_pairs <= 0 || !config_.reveal_distances ||
-      config_.cache_ciphertexts) {
-    return 0;
-  }
+  if (config_.pack_pairs <= 0 || !config_.reveal_distances) return 0;
   auto layout =
       crypto::PackingLayout::Plan(config_.key_bits, config_.pack_slot_bits);
   if (!layout.ok()) return 0;
@@ -383,10 +374,9 @@ Result<double> SecureRecordComparator::SecureSquaredDistance(double x,
   }
   BigInt xi = codec_.Encode(x);
   BigInt yi = codec_.Encode(y);
+  HPRL_RETURN_IF_ERROR(alice_.SendAttr(bus_.get(), bob_.name(), xi, &costs_));
   HPRL_RETURN_IF_ERROR(
-      alice_.SendAttr(bus_.get(), bob_.name(), xi, -1, &costs_));
-  HPRL_RETURN_IF_ERROR(
-      bob_.FoldAndForward(bus_.get(), yi, BigInt(0), -1, &costs_));
+      bob_.FoldAndForward(bus_.get(), yi, BigInt(0), &costs_));
   auto plain = qp_.ReceivePlain(bus_.get(), &costs_);
   if (!plain.ok()) return plain.status();
   return codec_.DecodeSquared(*plain);

@@ -43,19 +43,6 @@ struct SmcConfig {
   /// Non-zero: deterministic randomness for reproducible tests/benches.
   uint64_t test_seed = 0;
 
-  /// Reuse each record's ciphertexts across the pairs it participates in
-  /// (via CompareRows): Alice's Enc(x²)/Enc(-2x) and Bob's Enc(y²) are
-  /// computed once per (record, attribute). Sound in the semi-honest model
-  /// — ciphertexts are rerandomized only on first creation, and reuse
-  /// reveals nothing beyond the group structure the querying party already
-  /// sees. Cuts per-pair encryptions from 3 per attribute to ~0 amortized.
-  bool cache_ciphertexts = false;
-
-  /// Decrypt through the CRT fast path (two half-width exponentiations).
-  /// false forces the reference lambda/mu path — the honest baseline for
-  /// before/after benchmarks.
-  bool crt_decrypt = true;
-
   /// Target depth of the precomputed-randomizer pool used by the batch
   /// engine (BatchSmcEngine); 0 disables the pool. Standalone comparators
   /// never pool (their encryptions stay inline), so this knob only matters
@@ -83,9 +70,8 @@ struct SmcConfig {
   /// engine group up to this many pairs into ONE packed exchange — all the
   /// pairs' per-attribute distances land in disjoint bit-slots of a single
   /// Paillier plaintext, so one Encrypt/Add/Decrypt replaces k of them.
-  /// Requires reveal_distances (the packed plaintext IS the distances) and
-  /// is ignored with ciphertext caching on (a packed exchange is unique to
-  /// its group). 0 (the default) keeps the scalar §V-A exchange everywhere.
+  /// Requires reveal_distances (the packed plaintext IS the distances).
+  /// 0 (the default) keeps the scalar §V-A exchange everywhere.
   /// Labels are bit-identical either way — both paths compute the exact
   /// (x-y)² per attribute.
   int pack_pairs = 0;
@@ -110,13 +96,6 @@ struct SmcConfig {
   /// all of its cores; either way the material bytes do not depend on the
   /// thread count. 0 keeps the background filler as the only producer.
   int offline_pairs = 0;
-
-  /// Pins each SPAWNED batch-engine worker thread to a core (round-robin
-  /// over the machine). Worker 0 runs on the caller's thread and is never
-  /// pinned — its affinity is not ours to change. With lazily grown arenas
-  /// the pin also gives each worker's scratch first-touch NUMA locality.
-  /// Best-effort: restricted cpusets leave threads unpinned. Off by default.
-  bool pin_cores = false;
 };
 
 /// Randomizers the dedicated offline phase prewarms for `offline_pairs`
@@ -163,16 +142,15 @@ class SecureRecordComparator {
   /// supported by the cryptographic step (paper future work).
   Result<bool> Compare(const Record& a, const Record& b);
 
-  /// Row-identified variant enabling ciphertext caching (see
-  /// SmcConfig::cache_ciphertexts). Without caching it is identical to
-  /// Compare.
+  /// Compare with the pair's row ids, which seed the fault schedule of
+  /// its exchanges (FaultPlan). Compare passes -1 for both.
   Result<bool> CompareRows(int64_t a_id, int64_t b_id, const Record& a,
                            const Record& b);
 
   /// Pairs one packed exchange can carry under this config and rule
   /// (active attributes per pair vs slots per plaintext); 0 when the packed
-  /// path is unavailable (packing off, blinded comparisons, ciphertext
-  /// caching, text attributes, or a modulus too small for one slot group).
+  /// path is unavailable (packing off, blinded comparisons, text
+  /// attributes, or a modulus too small for one slot group).
   /// Depends only on the config and rule, so every worker of a batch engine
   /// plans identical groups regardless of thread count.
   int PackedGroupPairs() const;

@@ -234,21 +234,6 @@ TEST(FaultMatrixTest, TransientFaultsHealToTheCleanResult) {
   EXPECT_GT(healed.counters.at("smc.faults_injected"), 0);
 }
 
-// The zero-fault path must be byte-identical with and without the fault
-// layer in the transport stack (wrap_transport decorates with all-zero
-// rates — the bench's overhead hook).
-TEST(FaultMatrixTest, ZeroFaultPathIsByteIdenticalUnderTheFaultLayer) {
-  const PipelineOutcome bare = RunPipeline(smc::FaultPlan{}, 2);
-  smc::FaultPlan wrapped;
-  wrapped.wrap_transport = true;
-  const PipelineOutcome decorated = RunPipeline(wrapped, 2);
-  ExpectIdenticalOutcome(bare, decorated);
-  EXPECT_EQ(decorated.result.quarantined_pairs, 0);
-  if (decorated.counters.count("smc.faults_injected")) {
-    EXPECT_EQ(decorated.counters.at("smc.faults_injected"), 0);
-  }
-}
-
 // --- Kill-then-resume ---
 
 class ResumeTest : public ::testing::TestWithParam<int> {};

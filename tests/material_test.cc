@@ -18,6 +18,7 @@
 #include "crypto/material.h"
 #include "crypto/paillier.h"
 #include "crypto/secure_random.h"
+#include "obs/metrics.h"
 #include "smc/batch_engine.h"
 #include "smc/protocol.h"
 
@@ -229,20 +230,27 @@ TEST(MaterialEngineTest, WarmAndRepairedRunsMatchColdBitForBit) {
   const auto batch = MakeBatch(w, 24);
 
   // Cold: empty store — miss, prewarm, save for the next run.
+  // Only a miss generates randomizers in the offline phase.
+  obs::MetricsRegistry cold_reg, warm_reg;
   smc::BatchSmcEngine cold(MaterialSmcConfig(dir), w.rule, 2);
+  cold.AttachMetrics(&cold_reg);
   ASSERT_TRUE(cold.Init().ok());
   EXPECT_FALSE(cold.material_warm());
   EXPECT_EQ(cold.material_stats().hits, 0);
   EXPECT_GE(cold.material_stats().misses, 1);
+  EXPECT_EQ(cold_reg.counter("crypto.material.generated")->value(),
+            smc::OfflineRandomizerBudget(8, w.rule.attrs.size()));
   auto cold_labels = cold.CompareBatch(batch);
   ASSERT_TRUE(cold_labels.ok());
 
   // Warm: the persisted material is adopted; labels must not change.
   smc::BatchSmcEngine warm(MaterialSmcConfig(dir), w.rule, 2);
+  warm.AttachMetrics(&warm_reg);
   ASSERT_TRUE(warm.Init().ok());
   EXPECT_TRUE(warm.material_warm());
   EXPECT_EQ(warm.material_stats().hits, 1);
   EXPECT_EQ(warm.material_stats().rejected, 0);
+  EXPECT_EQ(warm_reg.counter("crypto.material.generated")->value(), 0);
   auto warm_labels = warm.CompareBatch(batch);
   ASSERT_TRUE(warm_labels.ok());
   EXPECT_EQ(*warm_labels, *cold_labels);

@@ -1,8 +1,7 @@
 // Tests for the real network transport (src/net): wire framing edge cases,
-// the SocketBus over loopback TCP, the NetworkModel projection, and a
-// hermetic three-daemon mesh (PartyService on threads) driven end to end by
-// the RemoteSmcOracle — including the fault-retry and quarantine paths over
-// real sockets.
+// the SocketBus over loopback TCP, and a hermetic three-daemon mesh
+// (PartyService on threads) driven end to end by the RemoteSmcOracle —
+// including the fault-retry and quarantine paths over real sockets.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +20,6 @@
 #include "net/socket.h"
 #include "net/socket_bus.h"
 #include "smc/channel.h"
-#include "smc/network.h"
 #include "smc/protocol.h"
 
 namespace hprl {
@@ -299,57 +297,6 @@ TEST(ChannelAttributionTest, TagMismatchNamesLinkAndBothTags) {
   EXPECT_NE(text.find("bob->qp"), std::string::npos) << text;
   EXPECT_NE(text.find("result"), std::string::npos) << text;
   EXPECT_NE(text.find("bob_ct"), std::string::npos) << text;
-}
-
-// ----------------------------------------------------------- NetworkModel
-
-TEST(NetworkModelTest, EstimateSecondsMonotonic) {
-  smc::SmcCosts costs;
-  costs.encryptions = 100;
-  costs.decryptions = 50;
-  costs.homomorphic_adds = 200;
-  costs.scalar_muls = 100;
-
-  smc::CryptoTimings crypto;
-  crypto.key_bits = 1024;
-  crypto.encrypt_seconds = 1e-3;
-  crypto.decrypt_seconds = 1e-3;
-  crypto.hom_add_seconds = 1e-5;
-  crypto.scalar_mul_seconds = 1e-4;
-
-  const int64_t bytes = 1 << 20;
-  const int64_t messages = 1000;
-  smc::NetworkModel lan = smc::NetworkModel::Lan();
-  const double base = EstimateSeconds(costs, bytes, messages, lan, crypto);
-  ASSERT_GT(base, 0);
-
-  // More latency costs more.
-  smc::NetworkModel slow_latency = lan;
-  slow_latency.latency_seconds = lan.latency_seconds * 10;
-  EXPECT_GT(EstimateSeconds(costs, bytes, messages, slow_latency, crypto),
-            base);
-
-  // Less bandwidth costs more.
-  smc::NetworkModel thin_pipe = lan;
-  thin_pipe.bandwidth_bytes_per_second = lan.bandwidth_bytes_per_second / 100;
-  EXPECT_GT(EstimateSeconds(costs, bytes, messages, thin_pipe, crypto), base);
-
-  // More messages cost more (each pays a latency).
-  EXPECT_GT(EstimateSeconds(costs, bytes, messages * 10, lan, crypto), base);
-
-  // More traffic costs more.
-  EXPECT_GT(EstimateSeconds(costs, bytes * 100, messages, lan, crypto), base);
-
-  // WAN dominates LAN on the same workload.
-  EXPECT_GT(
-      EstimateSeconds(costs, bytes, messages, smc::NetworkModel::Wan(), crypto),
-      EstimateSeconds(costs, bytes, messages, lan, crypto));
-
-  // The in-process model charges no transport at all: pure crypto time.
-  const double local = EstimateSeconds(costs, bytes, messages,
-                                       smc::NetworkModel::Local(), crypto);
-  EXPECT_LT(local, base);
-  EXPECT_GT(local, 0);
 }
 
 // -------------------------------------------------------------- SocketBus

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "smc/channel.h"
-#include "smc/network.h"
 #include "smc/parties.h"
 #include "smc/protocol.h"
 #include "smc/smc_oracle.h"
@@ -214,51 +213,6 @@ TEST(SmcOracleTest, BehavesLikePlaintextOracleWithCosts) {
   EXPECT_GT(oracle.costs().encryptions, 0);
 }
 
-TEST(ProtocolCacheTest, CachedResultsMatchUncachedWithFewerEncryptions) {
-  MatchRule rule = MixedRule();
-  SmcConfig plain_cfg = FastConfig();
-  SmcConfig cached_cfg = FastConfig();
-  cached_cfg.cache_ciphertexts = true;
-  SecureRecordComparator plain(plain_cfg, rule);
-  SecureRecordComparator cached(cached_cfg, rule);
-  ASSERT_TRUE(plain.Init().ok());
-  ASSERT_TRUE(cached.Init().ok());
-
-  // One R record compared against many S records: Alice's ciphertexts are
-  // produced once, Bob's per S record once even when pairs repeat.
-  std::vector<Record> s_side = {Rec(1, 50), Rec(1, 55), Rec(2, 50),
-                                Rec(1, 70), Rec(1, 55)};
-  Record r = Rec(1, 52);
-  for (size_t j = 0; j < s_side.size(); ++j) {
-    auto expect = plain.CompareRows(0, static_cast<int64_t>(j), r, s_side[j]);
-    auto got = cached.CompareRows(0, static_cast<int64_t>(j), r, s_side[j]);
-    ASSERT_TRUE(expect.ok() && got.ok());
-    EXPECT_EQ(*got, *expect) << j;
-  }
-  // Repeat the whole sweep: the cached comparator encrypts nothing new.
-  int64_t enc_before = cached.costs().encryptions;
-  for (size_t j = 0; j < s_side.size(); ++j) {
-    ASSERT_TRUE(cached.CompareRows(0, static_cast<int64_t>(j), r, s_side[j])
-                    .ok());
-  }
-  EXPECT_EQ(cached.costs().encryptions, enc_before);
-  EXPECT_LT(cached.costs().encryptions, plain.costs().encryptions);
-  // Decryptions are per pair either way.
-  EXPECT_EQ(cached.costs().decryptions, 2 * plain.costs().decryptions);
-}
-
-TEST(ProtocolCacheTest, NegativeIdsBypassTheCache) {
-  MatchRule rule = MixedRule();
-  SmcConfig cfg = FastConfig();
-  cfg.cache_ciphertexts = true;
-  SecureRecordComparator cmp(cfg, rule);
-  ASSERT_TRUE(cmp.Init().ok());
-  ASSERT_TRUE(cmp.Compare(Rec(1, 50), Rec(1, 55)).ok());
-  int64_t enc1 = cmp.costs().encryptions;
-  ASSERT_TRUE(cmp.Compare(Rec(1, 50), Rec(1, 55)).ok());
-  EXPECT_EQ(cmp.costs().encryptions, 2 * enc1);  // nothing was cached
-}
-
 // ---------------------------------------------------------------- parties
 
 TEST(PartyTest, HolderRefusesToActWithoutKey) {
@@ -267,10 +221,10 @@ TEST(PartyTest, HolderRefusesToActWithoutKey) {
   DataHolder alice("alice", params, 5);
   MessageBus bus;
   SmcCosts costs;
-  EXPECT_EQ(alice.SendAttr(&bus, "bob", BigInt(7), -1, &costs).code(),
+  EXPECT_EQ(alice.SendAttr(&bus, "bob", BigInt(7), &costs).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(
-      alice.FoldAndForward(&bus, BigInt(7), BigInt(0), -1, &costs).code(),
+      alice.FoldAndForward(&bus, BigInt(7), BigInt(0), &costs).code(),
       StatusCode::kFailedPrecondition);
 }
 
@@ -288,13 +242,13 @@ TEST(PartyTest, ThreePartyHandshakeAndOneAttribute) {
 
   // alice x = 10, bob y = 13: (x-y)^2 = 9 is within threshold 9 but
   // outside threshold 8 (boundary semantics are <=).
-  ASSERT_TRUE(alice.SendAttr(&bus, "bob", BigInt(10), -1, &costs).ok());
-  ASSERT_TRUE(bob.FoldAndForward(&bus, BigInt(13), BigInt(9), -1, &costs).ok());
+  ASSERT_TRUE(alice.SendAttr(&bus, "bob", BigInt(10), &costs).ok());
+  ASSERT_TRUE(bob.FoldAndForward(&bus, BigInt(13), BigInt(9), &costs).ok());
   auto within = qp.DecideAttr(&bus, BigInt(9), &costs);
   ASSERT_TRUE(within.ok());
   EXPECT_TRUE(*within);
-  ASSERT_TRUE(alice.SendAttr(&bus, "bob", BigInt(10), -1, &costs).ok());
-  ASSERT_TRUE(bob.FoldAndForward(&bus, BigInt(13), BigInt(8), -1, &costs).ok());
+  ASSERT_TRUE(alice.SendAttr(&bus, "bob", BigInt(10), &costs).ok());
+  ASSERT_TRUE(bob.FoldAndForward(&bus, BigInt(13), BigInt(8), &costs).ok());
   auto outside = qp.DecideAttr(&bus, BigInt(8), &costs);
   ASSERT_TRUE(outside.ok());
   EXPECT_FALSE(*outside);
@@ -319,56 +273,6 @@ TEST(PartyTest, ResultAnnouncementRoundTrip) {
   EXPECT_TRUE(*rb);
   // No further announcement pending.
   EXPECT_FALSE(alice.ReceiveResult(&bus).ok());
-}
-
-// ---------------------------------------------------------------- network
-
-TEST(NetworkModelTest, MeasureProducesPositiveTimings) {
-  auto t = CryptoTimings::Measure(128, 2);
-  ASSERT_TRUE(t.ok()) << t.status().ToString();
-  EXPECT_GT(t->encrypt_seconds, 0);
-  EXPECT_GT(t->decrypt_seconds, 0);
-  EXPECT_GT(t->hom_add_seconds, 0);
-  EXPECT_GT(t->scalar_mul_seconds, 0);
-  // Exponentiation dominates multiplication by orders of magnitude.
-  EXPECT_GT(t->encrypt_seconds, 10 * t->hom_add_seconds);
-  EXPECT_FALSE(CryptoTimings::Measure(128, 0).ok());
-}
-
-TEST(NetworkModelTest, EstimateIsLinearInCounters) {
-  CryptoTimings t;
-  t.encrypt_seconds = 1e-3;
-  t.decrypt_seconds = 2e-3;
-  t.hom_add_seconds = 1e-6;
-  t.scalar_mul_seconds = 1e-5;
-  SmcCosts costs;
-  costs.encryptions = 1000;
-  costs.decryptions = 500;
-  costs.homomorphic_adds = 100;
-  costs.scalar_muls = 10;
-  NetworkModel local = NetworkModel::Local();
-  double base = EstimateSeconds(costs, 0, 0, local, t);
-  EXPECT_NEAR(base, 1.0 + 1.0 + 1e-4 + 1e-4, 1e-9);
-
-  // Doubling every counter doubles the compute estimate.
-  SmcCosts twice = costs;
-  twice += costs;
-  EXPECT_NEAR(EstimateSeconds(twice, 0, 0, local, t), 2 * base, 1e-9);
-
-  // WAN latency and bandwidth terms add as expected.
-  NetworkModel wan = NetworkModel::Wan();
-  double with_net = EstimateSeconds(costs, 1.25e6, 10, wan, t);
-  EXPECT_NEAR(with_net, base + 10 * wan.latency_seconds + 1.0, 1e-9);
-}
-
-TEST(NetworkModelTest, WanDominatesLanForSameRun) {
-  CryptoTimings t;
-  t.encrypt_seconds = 1e-3;
-  SmcCosts costs;
-  costs.encryptions = 10;
-  double lan = EstimateSeconds(costs, 100000, 20, NetworkModel::Lan(), t);
-  double wan = EstimateSeconds(costs, 100000, 20, NetworkModel::Wan(), t);
-  EXPECT_GT(wan, lan);
 }
 
 }  // namespace

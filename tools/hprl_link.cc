@@ -91,10 +91,6 @@ int main(int argc, char** argv) {
   bool* offline = flags.AddBool(
       "offline", false,
       "run only the offline phase: generate + persist material, then exit");
-  bool* pin_cores = flags.AddBool(
-      "pin_cores", false,
-      "pin spawned SMC worker threads to cores round-robin (NUMA-friendly "
-      "scratch locality; links are identical either way)");
   int64_t* rpc_batch = flags.AddInt(
       "rpc_batch", 0,
       "tcp: pairs per ctl batch frame (1 = per-pair; 0 = use the spec's)");
@@ -269,7 +265,6 @@ int main(int argc, char** argv) {
   options.material_dir_override = *material_dir;
   options.offline_pairs_override = static_cast<int>(*offline_pairs);
   options.offline_only = *offline;
-  options.pin_cores = *pin_cores;
   if (*shards < 0 || *net_emu_latency < 0) {
     std::fprintf(stderr,
                  "--shards and --net_emu_latency_micros must be >= 0\n");
