@@ -180,6 +180,33 @@ void BM_PaillierScalarMul(benchmark::State& state) {
 }
 BENCHMARK(BM_PaillierScalarMul)->Unit(benchmark::kMicrosecond);
 
+// The blinded comparison's fold, Enc(d) ×h (-rho) with a 41-bit rho:
+// ScalarMul inverts c and exponentiates by |k|. The reference raises c to
+// the full-width n - |k|, what ScalarMul computed before.
+void BM_PaillierScalarMulNegative41(benchmark::State& state) {
+  KeyFixture& f = Fixture(1024);
+  auto c = f.kp.pub.Encrypt(BigInt(333), f.rng);
+  if (!c.ok()) std::abort();
+  const BigInt scalar = -(f.rng.NextBits(40) + BigInt(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.kp.pub.ScalarMul(*c, scalar));
+  }
+}
+BENCHMARK(BM_PaillierScalarMulNegative41)->Unit(benchmark::kMicrosecond);
+
+void BM_PaillierScalarMulNegative41FullWidth(benchmark::State& state) {
+  KeyFixture& f = Fixture(1024);
+  auto c = f.kp.pub.Encrypt(BigInt(333), f.rng);
+  if (!c.ok()) std::abort();
+  const BigInt scalar = -(f.rng.NextBits(40) + BigInt(1));
+  const BigInt& n2 = f.kp.pub.n_squared();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BigInt::PowMod(*c, scalar % f.kp.pub.n(), n2));
+  }
+}
+BENCHMARK(BM_PaillierScalarMulNegative41FullWidth)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_PrimeGeneration(benchmark::State& state) {
   SecureRandom rng(5);
   for (auto _ : state) {

@@ -6,7 +6,7 @@
 #   - randomizer: fixed-base windowed table vs square-and-multiply PowMod
 #   - SMC stage: batched engine (threads + randomizer pool) vs the
 #     serial reference engine (1 worker, no pool), on the timing-table
-#     workload
+#     workload (median of five runs, as is packed SMC)
 #   - packed SMC: several pairs per ciphertext vs the same fast engine
 #     running the scalar exchange
 #   - offline/online: warm persisted-material online stage vs the cold
@@ -48,10 +48,14 @@ echo "== micro_crypto: CRT decrypt + fixed-base randomizer (1024 bit) =="
   --benchmark_format=json --benchmark_out="$TMP/crypto.json" \
   --benchmark_out_format=json
 
-echo "== timing_table: batched + packed SMC + cold/warm material stages =="
-"./$BUILD/bench/timing_table" --rows 400 --smc-reps 3 --smc-threads 4 \
-  --smc-batch 32 --smc-pack 8 --material-dir "$TMP/material" \
-  --metrics_out "$TMP/timing.json"
+echo "== timing_table x5: batched + packed SMC + cold/warm material stages =="
+# The SMC stages take tens of milliseconds, so one run's ratio swings by a
+# third on a shared host; smc_stage and packed_smc use the median of five.
+for rep in 1 2 3 4 5; do
+  "./$BUILD/bench/timing_table" --rows 400 --smc-reps 3 --smc-threads 4 \
+    --smc-batch 32 --smc-pack 8 --material-dir "$TMP/material_$rep" \
+    --metrics_out "$TMP/timing_$rep.json"
+done
 
 echo "== micro_blocking: memoized sweep vs direct sweep (+ cutoff guard) =="
 "./$BUILD/bench/micro_blocking" --rows 4000 --k 8 --threads 4 \
@@ -103,10 +107,23 @@ def series(path):
     with open(os.path.join(tmp, path)) as f:
         return {row["label"]: row for row in json.load(f)["series"]}
 
-timing = series("timing.json")
-smc_serial = timing["smc_stage_serial_reference"]["smc_seconds"]
-smc_fast = timing["smc_stage_fast"]["smc_seconds"]
-smc_packed = timing["smc_stage_packed"]["smc_seconds"]
+def median(xs):
+    xs = sorted(xs)
+    mid = len(xs) // 2
+    return xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2
+
+timing_reps = [series("timing_%d.json" % rep) for rep in range(1, 6)]
+timing = timing_reps[0]
+
+def stage_seconds(label):
+    return [t[label]["smc_seconds"] for t in timing_reps]
+
+serial_reps = stage_seconds("smc_stage_serial_reference")
+fast_reps = stage_seconds("smc_stage_fast")
+packed_reps = stage_seconds("smc_stage_packed")
+smc_serial = median(serial_reps)
+smc_fast = median(fast_reps)
+smc_packed = median(packed_reps)
 
 blocking = series("blocking.json")
 direct = blocking["direct_slack_decide"]["blocking_seconds"]
@@ -130,10 +147,11 @@ report = {
         "fixed_base_ms": fb_ms,
         "speedup": powmod_ms / fb_ms,
     },
+    # Median over the five runs of each run's ratio.
     "smc_stage": {
         "serial_reference_seconds": smc_serial,
         "fast_seconds": smc_fast,
-        "speedup": smc_serial / smc_fast,
+        "speedup": median([s / f for s, f in zip(serial_reps, fast_reps)]),
     },
     # Packed plaintext path (8 pairs per ciphertext) vs the same fast
     # engine on the scalar exchange, so the speedup is what packing itself
@@ -145,7 +163,7 @@ report = {
         "fast_seconds": smc_fast,
         "packed_seconds": smc_packed,
         "pack_pairs": 8,
-        "speedup": smc_fast / smc_packed,
+        "speedup": median([f / p for f, p in zip(fast_reps, packed_reps)]),
     },
     "blocking_sweep": {
         "direct_seconds": direct,

@@ -12,8 +12,9 @@
 # scenarios:
 #
 #   A. in-process coordinator crash: hprl_link (journaling on) is SIGKILLed
-#      mid-drain; the relaunch restores the session journal with --resume
-#      and drains only the remainder.
+#      mid-drain, a seeded delay after its first journal flush; the relaunch
+#      restores the session journal with --resume and drains only the
+#      remainder.
 #   B. fleet replica crash: one 2-shard-TCP replica takes a SIGSTOP/SIGCONT
 #      pulse (missed heartbeats), then its whole shard is SIGKILLed
 #      mid-drain and restarted with identical argv — the rejoin handshake
@@ -32,7 +33,7 @@ H=$((SEED))
 next() { H=$(( (H * 1103515245 + 12345) % 2147483648 )); }
 ms() { printf '%d.%03d' $(($1 / 1000)) $(($1 % 1000)); }
 
-next; A_KILL_MS=$((   2400 + H % 1000 )) # A: coordinator SIGKILL point
+next; A_KILL_MS=$((    100 + H % 400 ))  # A: SIGKILL delay after 1st flush
 next; STUN_MS=$((      400 + H % 400 ))  # B: SIGSTOP point
 next; STUN_LEN_MS=$((  300 + H % 300 ))  # B: pulse length
 next; STUN_ROLE=$((          H % 3   ))  # B: which shard-1 replica stalls
@@ -52,7 +53,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "== chaos seed $SEED: kills @${A_KILL_MS}/${KILL_MS}/${C_KILL_MS}ms," \
+echo "== chaos seed $SEED: kills @flush+${A_KILL_MS}/${KILL_MS}/${C_KILL_MS}ms," \
   "stun replica $STUN_ROLE @${STUN_MS}ms for ${STUN_LEN_MS}ms, ports $BASE+"
 
 # 450 rows -> a 900-pair SMC drain with several journal flushes behind any
@@ -89,28 +90,28 @@ EOF
 }
 
 # --- A: in-process coordinator SIGKILL + journal resume --------------------
-echo "-- A: coordinator SIGKILL at ${A_KILL_MS}ms, relaunch with --resume"
-# Delay-only fault injection stretches the drain (labels are untouched) so
-# the kill lands mid-SMC with the first journal flush (256 pairs, ~2s at
-# this delay) already behind it.
+echo "-- A: coordinator SIGKILL ${A_KILL_MS}ms after the first journal flush," \
+  "relaunch with --resume"
+# Delay-only fault injection stretches the drain (labels are untouched) to
+# a couple of seconds. The kill waits for the first journal flush (256 of
+# the 900 pairs) and lands a seeded delay after it, mid-drain, so the
+# relaunch always has a journal to resume from.
 A_ARGS=( --journal "$TMP/a.jnl" --links "$TMP/links_a.csv"
          --metrics_out "$TMP/run_a.json"
          --fault_seed "$SEED" --fault_delay 1 --fault_delay_micros 1500 )
 VICTIM=$(spawn "${LINK[@]}" "${A_ARGS[@]}")
+while [[ ! -f "$TMP/a.jnl" ]] && kill -0 "$VICTIM" 2>/dev/null; do
+  sleep 0.01
+done
 sleep "$(ms "$A_KILL_MS")"
-kill -9 "$VICTIM" 2>/dev/null || true
+kill -9 "$VICTIM" 2>/dev/null \
+  || { echo "FAIL(inproc-resume): run ended before the kill point"; exit 1; }
 sleep 0.2  # let the kernel reap before relaunching over the same journal
-RESUME=()
-# The journal only exists once the first batch flush committed; a kill that
-# landed before that point restarts clean, which must also converge.
-[[ -f "$TMP/a.jnl" ]] && RESUME=( --resume )
-"${LINK[@]}" "${A_ARGS[@]}" ${RESUME[@]+"${RESUME[@]}"} >/dev/null
+[[ -f "$TMP/a.jnl" ]] \
+  || { echo "FAIL(inproc-resume): no journal behind the kill"; exit 1; }
+"${LINK[@]}" "${A_ARGS[@]}" --resume >/dev/null
 assert_converged "$TMP/links_a.csv" "$TMP/run_a.json" "inproc-resume"
-if [[ ${#RESUME[@]} -gt 0 ]]; then
-  assert_resumed "$TMP/run_a.json" "inproc-resume"
-else
-  echo "   inproc-resume OK: killed pre-flush, clean restart converged"
-fi
+assert_resumed "$TMP/run_a.json" "inproc-resume"
 
 # --- B: fleet replica SIGSTOP pulse + whole-shard SIGKILL and rejoin -------
 echo "-- B: shard-1 SIGKILL at ${KILL_MS}ms, identical-argv restart" \

@@ -189,12 +189,15 @@ echo "== bench check: hot-path speedups vs committed BENCH_hotpath.json =="
 # 80% of its committed value (scripts/bench_smoke.sh --check).
 scripts/bench_smoke.sh --check
 
-echo "== ASan: fault injection + membership/scheduler + TCP + durable files + crypto =="
+echo "== ASan: fault injection + membership/scheduler + TCP + durable files + crypto + CSV ingest =="
 cmake -B build-asan -S . -DHPRL_SANITIZE=address >/dev/null
 cmake --build build-asan -j --target fault_test membership_test net_test \
   material_test journal_test durable_file_test framing_test arena_test \
-  crypto_test
+  crypto_test data_test misc_test cli_test
 ./build-asan/tests/crypto_test
+./build-asan/tests/data_test
+./build-asan/tests/misc_test
+./build-asan/tests/cli_test
 ./build-asan/tests/fault_test
 ./build-asan/tests/membership_test
 ./build-asan/tests/net_test
@@ -220,11 +223,15 @@ cmake --build build-tsan -j --target obs_test blocking_test session_test \
 ./build-tsan/tests/material_test
 ./build-tsan/tests/journal_test
 
-echo "== UBSan: wire/durable-file codecs + membership + fault schedules + crypto =="
+echo "== UBSan: wire/durable-file codecs + membership + fault schedules + crypto + CSV ingest =="
 cmake -B build-ubsan -S . -DHPRL_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j --target fault_test membership_test \
-  journal_test durable_file_test net_test framing_test crypto_test
+  journal_test durable_file_test net_test framing_test crypto_test \
+  data_test misc_test cli_test
 ./build-ubsan/tests/crypto_test
+./build-ubsan/tests/data_test
+./build-ubsan/tests/misc_test
+./build-ubsan/tests/cli_test
 ./build-ubsan/tests/fault_test
 ./build-ubsan/tests/membership_test
 ./build-ubsan/tests/journal_test

@@ -53,7 +53,15 @@ Result<Plan> BuildPlan(const LinkageSpec& spec, const RawCsv* raw_r,
       if (col < 0) {
         return Status::NotFound("column missing from CSV: " + name);
       }
-      for (const auto& row : raw->rows) domain->GetOrAdd(row[col]);
+      // First-seen order; each distinct value is looked up once.
+      std::vector<bool> seen(raw->rows.num_values());
+      for (const auto& row : raw->rows) {
+        const uint32_t id = row.id(col);
+        if (!seen[id]) {
+          seen[id] = true;
+          domain->GetOrAdd(raw->rows.value(id));
+        }
+      }
     }
     schema->AddCategorical(name, domain);
     return Status::OK();
@@ -91,25 +99,25 @@ Result<Plan> BuildPlan(const LinkageSpec& spec, const RawCsv* raw_r,
   return plan;
 }
 
-Result<Value> TypedField(const std::string& field, const Plan& plan,
-                         int attr_index, const std::string& where) {
-  const AttributeDef& attr = plan.schema->attribute(attr_index);
+namespace {
+
+// Types `field` for `attr`. A failure's message names the field and the
+// attribute; the caller prefixes where the field came from.
+Result<Value> TypeField(const std::string& field, const AttributeDef& attr) {
   switch (attr.type) {
     case AttrType::kNumeric: {
       auto v = ParseDouble(field);
       if (!v.ok()) {
-        return Status::InvalidArgument(
-            StrFormat("%s: bad numeric '%s' for %s", where.c_str(),
-                      field.c_str(), attr.name.c_str()));
+        return Status::InvalidArgument(StrFormat(
+            "bad numeric '%s' for %s", field.c_str(), attr.name.c_str()));
       }
       return Value::Numeric(*v);
     }
     case AttrType::kCategorical: {
       int32_t id = attr.domain->Find(field);
       if (id < 0) {
-        return Status::NotFound(
-            StrFormat("%s: '%s' is not a leaf of %s's hierarchy",
-                      where.c_str(), field.c_str(), attr.name.c_str()));
+        return Status::NotFound(StrFormat("'%s' is not a leaf of %s's hierarchy",
+                                          field.c_str(), attr.name.c_str()));
       }
       return Value::Category(id);
     }
@@ -119,26 +127,60 @@ Result<Value> TypedField(const std::string& field, const Plan& plan,
   return Status::Internal("unreachable attr type");
 }
 
+Status At(const std::string& where, const Status& error) {
+  return Status(error.code(), where + ": " + error.message());
+}
+
+}  // namespace
+
+Result<Value> TypedField(const std::string& field, const Plan& plan,
+                         int attr_index, const std::string& where) {
+  auto v = TypeField(field, plan.schema->attribute(attr_index));
+  if (!v.ok()) return At(where, v.status());
+  return v;
+}
+
+Result<Value> TypedCell(const std::string& field, const Plan& plan,
+                        int attr_index, const char* which, size_t row) {
+  auto v = TypeField(field, plan.schema->attribute(attr_index));
+  if (!v.ok()) return At(StrFormat("%s row %zu", which, row), v.status());
+  return v;
+}
+
 Result<Table> Typed(const RawCsv& raw, const Plan& plan,
                     const std::string& which) {
   const Schema& schema = *plan.schema;
-  std::vector<int> col(schema.num_attributes());
-  for (int i = 0; i < schema.num_attributes(); ++i) {
+  const int width = schema.num_attributes();
+  std::vector<int> col(width);
+  for (int i = 0; i < width; ++i) {
     col[i] = raw.FindColumn(schema.attribute(i).name);
     if (col[i] < 0) {
       return Status::NotFound(which + ": column missing from CSV: " +
                               schema.attribute(i).name);
     }
   }
+  // Each distinct (column, value) pair is typed once: slot[i][id] indexes
+  // the typed value of interned cell `id` in column i (-1: not yet typed).
+  // Rows are walked in row-major order, so the first failure returned is
+  // still the first failing cell.
+  std::vector<std::vector<int32_t>> slot(
+      width, std::vector<int32_t>(raw.rows.num_values(), -1));
+  std::vector<Value> typed;
   Table table(plan.schema);
   table.Reserve(static_cast<int64_t>(raw.rows.size()));
   for (size_t r = 0; r < raw.rows.size(); ++r) {
-    Record rec(schema.num_attributes());
-    for (int i = 0; i < schema.num_attributes(); ++i) {
-      auto v = TypedField(raw.rows[r][col[i]], plan, i,
-                          StrFormat("%s row %zu", which.c_str(), r + 1));
-      if (!v.ok()) return v.status();
-      rec[i] = std::move(v).value();
+    const RawCsv::Rows::Row row = raw.rows[r];
+    Record rec(width);
+    for (int i = 0; i < width; ++i) {
+      const uint32_t id = row.id(col[i]);
+      int32_t& s = slot[i][id];
+      if (s < 0) {
+        auto v = TypedCell(raw.rows.value(id), plan, i, which.c_str(), r + 1);
+        if (!v.ok()) return v.status();
+        s = static_cast<int32_t>(typed.size());
+        typed.push_back(std::move(v).value());
+      }
+      rec[i] = typed[s];
     }
     table.AppendUnchecked(std::move(rec));
   }

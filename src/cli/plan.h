@@ -37,11 +37,16 @@ Result<Plan> BuildPlan(const LinkageSpec& spec, const RawCsv* raw_r = nullptr,
 Result<Table> Typed(const RawCsv& raw, const Plan& plan,
                     const std::string& which);
 
-/// Types one raw CSV field for schema attribute `attr_index` (the shared
-/// cell-level piece of Typed; the serve runner types delta rows with it).
-/// `where` prefixes error messages (e.g. "delta line 12").
+/// Types one raw CSV field for schema attribute `attr_index`. `where`
+/// prefixes error messages (e.g. "delta line 12").
 Result<Value> TypedField(const std::string& field, const Plan& plan,
                          int attr_index, const std::string& where);
+
+/// TypedField for the field at 1-based `row` of input `which`: a failure's
+/// message is prefixed "<which> row <row>", formatted only on failure. Typed
+/// and the serve runner's delta parser type their cells with it.
+Result<Value> TypedCell(const std::string& field, const Plan& plan,
+                        int attr_index, const char* which, size_t row);
 
 }  // namespace hprl::cli
 

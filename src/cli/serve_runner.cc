@@ -103,8 +103,7 @@ Result<std::vector<serve::RecordDelta>> ParseDeltas(const RawCsv& raw,
     if (d.op == serve::DeltaOp::kUpsert) {
       Record rec(schema.num_attributes());
       for (int i = 0; i < schema.num_attributes(); ++i) {
-        auto v = TypedField(row[attr_col[i]], plan, i,
-                            StrFormat("delta row %zu", r + 1));
+        auto v = TypedCell(row[attr_col[i]], plan, i, "delta", r + 1);
         if (!v.ok()) return v.status();
         rec[i] = std::move(v).value();
       }

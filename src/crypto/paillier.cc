@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -63,9 +64,10 @@ BigInt PaillierPublicKey::Add(const BigInt& c1, const BigInt& c2) const {
 }
 
 BigInt PaillierPublicKey::ScalarMul(const BigInt& c, const BigInt& k) const {
-  if (scalar_muls_ != nullptr) scalar_muls_->Increment();
-  BigInt e = k % n_;  // negative scalars map to n - |k|
-  return BigInt::PowMod(c, e, n2_);
+  BigInt scratch;
+  BigInt out;
+  ScalarMulInto(c, k, &scratch, &out);
+  return out;
 }
 
 Status PaillierPublicKey::EncryptInto(const BigInt& m, SecureRandom& rng,
@@ -112,7 +114,20 @@ void PaillierPublicKey::AddInto(BigInt* acc, const BigInt& c) const {
 void PaillierPublicKey::ScalarMulInto(const BigInt& c, const BigInt& k,
                                       BigInt* scratch, BigInt* out) const {
   if (scalar_muls_ != nullptr) scalar_muls_->Increment();
-  mpz_mod(scratch->raw(), k.raw(), n_.raw());  // negative k maps to n - |k|
+  // A negative k is an exponent of |k|'s width on c's inverse, not the
+  // full-width n - |k|: Enc(m)^k = Enc(k·m mod n) either way. Every valid
+  // ciphertext is a unit mod n²; one that is not takes the n - |k| path.
+  if (k.Sign() < 0 && mpz_invert(scratch->raw(), c.raw(), n2_.raw()) != 0) {
+    if (mpz_sizeinbase(k.raw(), 2) <=
+        std::numeric_limits<unsigned long>::digits) {
+      // mpz_get_ui returns |k|.
+      mpz_powm_ui(out->raw(), scratch->raw(), mpz_get_ui(k.raw()), n2_.raw());
+    } else {
+      mpz_powm(out->raw(), c.raw(), k.raw(), n2_.raw());  // inverts c itself
+    }
+    return;
+  }
+  mpz_mod(scratch->raw(), k.raw(), n_.raw());
   mpz_powm(out->raw(), c.raw(), scratch->raw(), n2_.raw());
 }
 

@@ -2,6 +2,8 @@
 
 #include <fstream>
 #include <memory>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/string_util.h"
 
@@ -26,7 +28,7 @@ std::string QuoteField(const std::string& s) {
 
 }  // namespace
 
-Result<std::vector<std::string>> ParseCsvLine(const std::string& line) {
+Result<std::vector<std::string>> ParseCsvLine(std::string_view line) {
   std::vector<std::string> fields;
   std::string cur;
   bool in_quotes = false;
@@ -62,6 +64,88 @@ Result<std::vector<std::string>> ParseCsvLine(const std::string& line) {
   return fields;
 }
 
+namespace {
+
+// The one CSV tokenizer behind ReadCsv and ReadCsvRaw. It reads the file in
+// one go and walks it line by line with getline's rules: lines end at '\n',
+// a missing final newline still ends the last line, and a line of zero
+// bytes is skipped. Lines without '"' or '\r' are split at commas in
+// place; the rest go through ParseCsvLine.
+class CsvScanner {
+ public:
+  /// Reads `path` and parses its first line as the header.
+  static Result<CsvScanner> Open(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in.is_open()) return Status::IOError("cannot open for read: " + path);
+    CsvScanner sc;
+    // Size the buffer up front where the file has a length (a pipe has
+    // none), then read in chunks.
+    if (in.seekg(0, std::ios::end)) {
+      sc.buf_.reserve(static_cast<size_t>(in.tellg()));
+      in.seekg(0);
+    }
+    in.clear();
+    char chunk[1 << 16];
+    while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+      sc.buf_.append(chunk, static_cast<size_t>(in.gcount()));
+    }
+    if (sc.buf_.empty()) return Status::IOError("empty CSV: " + path);
+    auto header = ParseCsvLine(sc.NextLine());
+    if (!header.ok()) return header.status();
+    sc.header = std::move(header).value();
+    return sc;
+  }
+
+  /// Calls `on_row(line_no, fields)` for each non-blank line after the
+  /// header, stopping at the first error. `fields` is valid only during
+  /// the call.
+  template <typename OnRow>
+  Status ForEachRow(OnRow&& on_row) {
+    std::vector<std::string_view> fields;
+    std::vector<std::string> unquoted;
+    for (int64_t line_no = 2; pos_ < buf_.size(); ++line_no) {
+      std::string_view line = NextLine();
+      if (line.empty()) continue;
+      fields.clear();
+      if (line.find('"') == std::string_view::npos &&
+          line.find('\r') == std::string_view::npos) {
+        for (size_t at = 0;;) {
+          size_t comma = line.find(',', at);
+          if (comma == std::string_view::npos) {
+            fields.push_back(line.substr(at));
+            break;
+          }
+          fields.push_back(line.substr(at, comma - at));
+          at = comma + 1;
+        }
+      } else {
+        auto parsed = ParseCsvLine(line);
+        if (!parsed.ok()) return parsed.status();
+        unquoted = std::move(parsed).value();
+        fields.assign(unquoted.begin(), unquoted.end());
+      }
+      HPRL_RETURN_IF_ERROR(on_row(line_no, fields));
+    }
+    return Status::OK();
+  }
+
+  std::vector<std::string> header;
+
+ private:
+  std::string_view NextLine() {
+    size_t end = buf_.find('\n', pos_);
+    if (end == std::string::npos) end = buf_.size();
+    std::string_view line(buf_.data() + pos_, end - pos_);
+    pos_ = end + 1;
+    return line;
+  }
+
+  std::string buf_;
+  size_t pos_ = 0;
+};
+
+}  // namespace
+
 Status WriteCsv(const Table& table, const std::string& path) {
   std::ofstream out(path);
   if (!out.is_open()) return Status::IOError("cannot open for write: " + path);
@@ -84,22 +168,18 @@ Status WriteCsv(const Table& table, const std::string& path) {
 
 Result<Table> ReadCsv(const std::string& path, const SchemaPtr& schema,
                       bool strict_categories) {
-  std::ifstream in(path);
-  if (!in.is_open()) return Status::IOError("cannot open for read: " + path);
-
-  std::string line;
-  if (!std::getline(in, line)) return Status::IOError("empty CSV: " + path);
-  auto header = ParseCsvLine(line);
-  if (!header.ok()) return header.status();
-  if (static_cast<int>(header->size()) != schema->num_attributes()) {
+  auto scanner = CsvScanner::Open(path);
+  if (!scanner.ok()) return scanner.status();
+  const std::vector<std::string>& header = scanner->header;
+  if (static_cast<int>(header.size()) != schema->num_attributes()) {
     return Status::InvalidArgument(
-        StrFormat("CSV has %zu columns, schema expects %d", header->size(),
+        StrFormat("CSV has %zu columns, schema expects %d", header.size(),
                   schema->num_attributes()));
   }
   for (int i = 0; i < schema->num_attributes(); ++i) {
-    if ((*header)[i] != schema->attribute(i).name) {
+    if (header[i] != schema->attribute(i).name) {
       return Status::InvalidArgument("CSV header mismatch at column " +
-                                     (*header)[i]);
+                                     header[i]);
     }
   }
 
@@ -118,22 +198,18 @@ Result<Table> ReadCsv(const std::string& path, const SchemaPtr& schema,
   }
 
   std::vector<Record> rows;
-  int64_t line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    auto fields = ParseCsvLine(line);
-    if (!fields.ok()) return fields.status();
-    if (static_cast<int>(fields->size()) != schema->num_attributes()) {
+  auto on_row = [&](int64_t line_no,
+                    const std::vector<std::string_view>& fields) -> Status {
+    if (static_cast<int>(fields.size()) != schema->num_attributes()) {
       return Status::InvalidArgument(
           StrFormat("line %lld: %zu fields, expected %d",
-                    static_cast<long long>(line_no), fields->size(),
+                    static_cast<long long>(line_no), fields.size(),
                     schema->num_attributes()));
     }
     Record row(schema->num_attributes());
     for (int i = 0; i < schema->num_attributes(); ++i) {
       const AttributeDef& a = schema->attribute(i);
-      const std::string& f = (*fields)[i];
+      const std::string f(fields[i]);
       if (f == "?" || f.empty()) {
         row[i] = Value::Null();
         continue;
@@ -172,7 +248,9 @@ Result<Table> ReadCsv(const std::string& path, const SchemaPtr& schema,
       }
     }
     rows.push_back(std::move(row));
-  }
+    return Status::OK();
+  };
+  HPRL_RETURN_IF_ERROR(scanner->ForEachRow(on_row));
 
   SchemaPtr out_schema = schema;
   if (!strict_categories) {
@@ -207,28 +285,37 @@ int RawCsv::FindColumn(const std::string& name) const {
 }
 
 Result<RawCsv> ReadCsvRaw(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) return Status::IOError("cannot open for read: " + path);
-  std::string line;
-  if (!std::getline(in, line)) return Status::IOError("empty CSV: " + path);
-  auto header = ParseCsvLine(line);
-  if (!header.ok()) return header.status();
+  auto scanner = CsvScanner::Open(path);
+  if (!scanner.ok()) return scanner.status();
   RawCsv out;
-  out.header = std::move(header).value();
-  int64_t line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    auto fields = ParseCsvLine(line);
-    if (!fields.ok()) return fields.status();
-    if (fields->size() != out.header.size()) {
+  out.header = std::move(scanner->header);
+  RawCsv::Rows& rows = out.rows;
+  rows.width_ = out.header.size();
+  std::unordered_map<std::string_view, uint32_t> ids;
+  auto on_row = [&](int64_t line_no,
+                    const std::vector<std::string_view>& fields) -> Status {
+    if (fields.size() != rows.width_) {
       return Status::InvalidArgument(
           StrFormat("line %lld: %zu fields, header has %zu",
-                    static_cast<long long>(line_no), fields->size(),
-                    out.header.size()));
+                    static_cast<long long>(line_no), fields.size(),
+                    rows.width_));
     }
-    out.rows.push_back(std::move(fields).value());
-  }
+    for (std::string_view f : fields) {
+      auto it = ids.find(f);
+      if (it == ids.end()) {
+        if (rows.values_.size() == UINT32_MAX) {
+          return Status::OutOfRange("too many distinct CSV values: " + path);
+        }
+        const auto id = static_cast<uint32_t>(rows.values_.size());
+        // Key on the stored copy: `f` may view the scanner's scratch line.
+        it = ids.emplace(rows.values_.emplace_back(f), id).first;
+      }
+      rows.ids_.push_back(it->second);
+    }
+    ++rows.num_rows_;
+    return Status::OK();
+  };
+  HPRL_RETURN_IF_ERROR(scanner->ForEachRow(on_row));
   return out;
 }
 

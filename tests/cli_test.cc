@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 
 #include "adult/adult.h"
+#include "cli/plan.h"
 #include "cli/runner.h"
 #include "cli/spec.h"
 #include "common/exit_codes.h"
@@ -462,16 +464,23 @@ TEST_F(RunnerTest, MissingColumnIsReported) {
 }
 
 TEST_F(RunnerTest, UnknownCategoryIsReportedWithRowContext) {
-  // Corrupt one field of r.csv so it no longer matches the VGH leaves.
-  auto raw = ReadCsvRaw((dir_ / "r.csv").string());
-  ASSERT_TRUE(raw.ok());
-  int col = raw->FindColumn("education");
-  ASSERT_GE(col, 0);
-  raw->rows[5][col] = "PhD-in-something-else";
+  // Corrupt one field of r.csv's sixth data row (line 7) so it no longer
+  // matches the VGH leaves.
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(dir_ / "r.csv");
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_GT(lines.size(), 6u);
+  std::vector<std::string> header = Split(lines[0], ',');
+  auto col = std::find(header.begin(), header.end(), "education");
+  ASSERT_NE(col, header.end());
+  std::vector<std::string> fields = Split(lines[6], ',');
+  fields[col - header.begin()] = "PhD-in-something-else";
+  lines[6] = Join(fields, ",");
   {
     std::ofstream out(dir_ / "r.csv");
-    out << Join(raw->header, ",") << "\n";
-    for (const auto& row : raw->rows) out << Join(row, ",") << "\n";
+    for (const std::string& line : lines) out << line << "\n";
   }
   auto spec = LoadLinkageSpec((dir_ / "linkage.spec").string());
   ASSERT_TRUE(spec.ok());
@@ -479,6 +488,83 @@ TEST_F(RunnerTest, UnknownCategoryIsReportedWithRowContext) {
                                     (dir_ / "s.csv").string(), {});
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.status().message().find("row 6"), std::string::npos);
+}
+
+// Typed's error text, verbatim: the first failing cell in row-major order
+// (rows, then the spec's attribute order), located as "<which> row <n>".
+TEST_F(RunnerTest, TypedErrorTextIsStable) {
+  auto spec = LoadLinkageSpec((dir_ / "linkage.spec").string());
+  ASSERT_TRUE(spec.ok());
+  auto plan = BuildPlan(*spec);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto typed = [&](const std::string& body) {
+    const fs::path path = dir_ / "typed.csv";
+    {
+      std::ofstream out(path);
+      out << "income,marital-status,education,workclass,age\n" << body;
+    }
+    auto raw = ReadCsvRaw(path.string());
+    EXPECT_TRUE(raw.ok()) << raw.status().ToString();
+    return Typed(*raw, *plan, "S");
+  };
+  auto ok = typed("a,Never-married,Bachelors,Private,39\n");
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+
+  // Bachelors is cached as a valid education before it shows up, invalid,
+  // as a workclass.
+  auto bad_cat = typed(
+      "a,Never-married,Bachelors,Private,39\n"
+      "a,Never-married,Bachelors,Bachelors,39\n"
+      "a,Never-married,Bachelors,Private,forty\n");
+  ASSERT_FALSE(bad_cat.ok());
+  EXPECT_EQ(bad_cat.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(bad_cat.status().message(),
+            "S row 2: 'Bachelors' is not a leaf of workclass's hierarchy");
+
+  // Row 3 fails twice; age comes first in the spec.
+  auto bad_num = typed(
+      "a,Never-married,Bachelors,Private,39\n"
+      "a,Never-married,Bachelors,Private,39\n"
+      "a,Never-married,Bachelors,Bachelors,forty\n");
+  ASSERT_FALSE(bad_num.ok());
+  EXPECT_EQ(bad_num.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad_num.status().message(), "S row 3: bad numeric 'forty' for age");
+}
+
+// The class column's category ids are first-seen order over R, then S.
+TEST_F(RunnerTest, ClassIdsFollowFirstSeenOrderAcrossInputs) {
+  auto write = [&](const char* name, const std::string& body) {
+    std::ofstream out(dir_ / name);
+    out << "age,workclass,education,marital-status,income\n" << body;
+  };
+  write("cls_r.csv",
+        "39,Private,Bachelors,Never-married,>50K\n"
+        "40,Private,Bachelors,Never-married,<=50K\n"
+        "41,Private,Bachelors,Never-married,>50K\n");
+  write("cls_s.csv",
+        "39,Private,Bachelors,Never-married,unknown\n"
+        "40,Private,Bachelors,Never-married,<=50K\n");
+  auto spec = LoadLinkageSpec((dir_ / "linkage.spec").string());
+  ASSERT_TRUE(spec.ok());
+  auto raw_r = ReadCsvRaw((dir_ / "cls_r.csv").string());
+  auto raw_s = ReadCsvRaw((dir_ / "cls_s.csv").string());
+  ASSERT_TRUE(raw_r.ok() && raw_s.ok());
+  auto plan = BuildPlan(*spec, &*raw_r, &*raw_s);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const int cls = plan->schema->FindIndex("income");
+  ASSERT_GE(cls, 0);
+  EXPECT_EQ(plan->schema->attribute(cls).domain->labels(),
+            (std::vector<std::string>{">50K", "<=50K", "unknown"}));
+  auto r = Typed(*raw_r, *plan, "R");
+  auto s = Typed(*raw_s, *plan, "S");
+  ASSERT_TRUE(r.ok() && s.ok());
+  std::vector<int32_t> ids;
+  for (const Table* t : {&*r, &*s}) {
+    for (int64_t row = 0; row < t->num_rows(); ++row) {
+      ids.push_back(t->at(row, cls).category());
+    }
+  }
+  EXPECT_EQ(ids, (std::vector<int32_t>{0, 1, 0, 2, 1}));
 }
 
 }  // namespace

@@ -200,6 +200,43 @@ TEST_F(PaillierTest, NegativeScalarMul) {
   EXPECT_EQ(*d, BigInt(-120));
 }
 
+// A negative scalar exponentiates c's inverse by |k| instead of raising c to
+// n - |k|. The ciphertext differs; its plaintext must not.
+TEST_F(PaillierTest, SignedScalarMulMatchesTheFullWidthExponent) {
+  const BigInt& n = pub_.n();
+  std::vector<BigInt> ks = {BigInt(0),
+                            BigInt(1),
+                            BigInt(-1),
+                            n - BigInt(1),
+                            -(n - BigInt(1)),
+                            n,
+                            -n,
+                            n + BigInt(1),
+                            -(n + BigInt(1)),
+                            BigInt(int64_t{1} << 41),
+                            BigInt(-(int64_t{1} << 41))};
+  for (int i = 0; i < 40; ++i) {
+    BigInt k = rng_.NextBits(1 + i * kTestKeyBits / 40);
+    ks.push_back(i % 2 == 0 ? k : -k);
+  }
+  for (const BigInt& k : ks) {
+    auto c = pub_.EncryptSigned(rng_.NextBelow(n), rng_);
+    ASSERT_TRUE(c.ok());
+    BigInt full_width = BigInt::PowMod(*c, k % n, pub_.n_squared());
+    BigInt scratch, into;
+    pub_.ScalarMulInto(*c, k, &scratch, &into);
+    BigInt value = pub_.ScalarMul(*c, k);
+    EXPECT_EQ(into, value) << k.ToString();
+    auto got = priv_.Decrypt(value);
+    auto want = priv_.Decrypt(full_width);
+    ASSERT_TRUE(got.ok() && want.ok());
+    EXPECT_EQ(*got, *want) << k.ToString();
+  }
+  // A non-unit (no valid ciphertext is one) keeps the n - |k| exponent.
+  EXPECT_EQ(pub_.ScalarMul(n, BigInt(-3)),
+            BigInt::PowMod(n, n - BigInt(3), pub_.n_squared()));
+}
+
 TEST_F(PaillierTest, PaperSquaredDistanceIdentity) {
   // The §V-A computation: Enc(x²) +h (Enc(-2x) ×h y) +h Enc(y²) = Enc((x-y)²).
   int64_t x = 357, y = 123;

@@ -2,8 +2,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "data/csv.h"
 #include "data/partition.h"
 #include "data/schema.h"
@@ -161,6 +163,181 @@ TEST(CsvTest, HeaderMismatchFails) {
     fclose(f);
   }
   EXPECT_FALSE(ReadCsv(path, schema).ok());
+  std::remove(path.c_str());
+}
+
+// ------------------------------------------------- ReadCsvRaw differential
+
+// The line-at-a-time reader ReadCsvRaw replaced, kept as the oracle: getline
+// plus ParseCsvLine, blank lines skipped, every row as wide as the header.
+struct OracleCsv {
+  std::vector<std::string> header;
+  std::vector<std::vector<std::string>> rows;
+};
+
+Result<OracleCsv> ReadCsvByLines(const std::string& path) {
+  std::ifstream in(path);
+  if (!in.is_open()) return Status::IOError("cannot open for read: " + path);
+  std::string line;
+  if (!std::getline(in, line)) return Status::IOError("empty CSV: " + path);
+  auto header = ParseCsvLine(line);
+  if (!header.ok()) return header.status();
+  OracleCsv out;
+  out.header = std::move(header).value();
+  int64_t line_no = 1;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (line.empty()) continue;
+    auto fields = ParseCsvLine(line);
+    if (!fields.ok()) return fields.status();
+    if (fields->size() != out.header.size()) {
+      return Status::InvalidArgument(
+          StrFormat("line %lld: %zu fields, header has %zu",
+                    static_cast<long long>(line_no), fields->size(),
+                    out.header.size()));
+    }
+    out.rows.push_back(std::move(fields).value());
+  }
+  return out;
+}
+
+// Both readers agree: same header and rows, or the same error (code and
+// message, which carries the line number of a ragged row).
+void ExpectSameAsOracle(const std::string& text, const std::string& path) {
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  }
+  auto want = ReadCsvByLines(path);
+  auto got = ReadCsvRaw(path);
+  SCOPED_TRACE(::testing::PrintToString(text));
+  ASSERT_EQ(got.ok(), want.ok()) << (got.ok() ? want.status().ToString()
+                                              : got.status().ToString());
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code());
+    EXPECT_EQ(got.status().message(), want.status().message());
+    return;
+  }
+  EXPECT_EQ(got->header, want->header);
+  ASSERT_EQ(got->rows.size(), want->rows.size());
+  for (size_t r = 0; r < want->rows.size(); ++r) {
+    ASSERT_EQ(got->rows[r].size(), want->rows[r].size());
+    for (size_t c = 0; c < want->rows[r].size(); ++c) {
+      EXPECT_EQ(got->rows[r][c], want->rows[r][c]) << "row " << r << " col "
+                                                   << c;
+    }
+  }
+}
+
+TEST(CsvTest, RawReaderMatchesLineOracleOnDialectCorners) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "hprl_csv_corner.csv")
+          .string();
+  for (const char* text : {
+           "a,b\n1,2\n",                        // plain
+           "a,b\n\"x,y\",2\n",                   // comma inside quotes
+           "a,b\n\"say \"\"hi\"\"\",\"\"\"\"\n",  // doubled quotes
+           "a,b\r\n1,2\r\n3\r,4\n",               // \r anywhere
+           "a,b\n\"1\r\",2\n",                   // \r inside quotes
+           "a,b,c\n,,\n1,,\n",                    // empty fields
+           "a,b\n1,2,\n",                        // trailing comma
+           "a,b\n\"1,2\n",                       // unterminated quote
+           "a,b\n1,x\"y\n",                      // quote in unquoted field
+           "a,b\n\n1,2\n\n\n3,4\n",              // blank lines
+           "a,b\n1,2\n3,4",                      // no final newline
+           "a,b\n\r\n",                          // a lone \r is not blank
+           "a\n\r\n",                            // ... it is one empty field
+           "a,b\n",                              // header only
+           "a,b",                                // header only, no newline
+           "\n1\n",                              // empty header line
+           "",                                   // empty file
+           "\"a\"\"\",b\n1,2\n",                   // quoted header
+           "a,\"b\n1,2\n",                        // bad header
+           "a,b\n1,2\n3\n",                       // ragged row
+       }) {
+    ExpectSameAsOracle(text, path);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CsvTest, RawReaderMatchesLineOracleOnSeededFiles) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "hprl_csv_fuzz.csv").string();
+  Rng rng(20);
+  auto pick = [&](std::initializer_list<const char*> xs) {
+    return std::string(*(xs.begin() + rng.NextBounded(xs.size())));
+  };
+  for (int file = 0; file < 300; ++file) {
+    const size_t width = 1 + rng.NextBounded(4);
+    std::string text;
+    const size_t lines = rng.NextBounded(8);
+    for (size_t l = 0; l <= lines; ++l) {
+      if (l > 0 && rng.NextBernoulli(0.1)) {
+        text += rng.NextBernoulli(0.5) ? "\n" : "\r\n";  // blank-ish line
+        continue;
+      }
+      size_t fields = width;
+      if (rng.NextBernoulli(0.05)) fields += rng.NextBernoulli(0.5) ? 1 : -1;
+      for (size_t f = 0; f < fields; ++f) {
+        if (f > 0) text += ',';
+        std::string field = pick({"", "a", "bb", "x y", "7", "?", "a,b"});
+        if (field.find(',') != std::string::npos || rng.NextBernoulli(0.2)) {
+          // Quoted, sometimes with a doubled quote inside.
+          field = "\"" + field + (rng.NextBernoulli(0.3) ? "\"\"" : "") + "\"";
+        }
+        if (rng.NextBernoulli(0.03)) field += '"';   // stray quote
+        if (rng.NextBernoulli(0.05)) field = '\r' + field;
+        if (rng.NextBernoulli(0.05)) field += '\r';
+        text += field;
+      }
+      if (rng.NextBernoulli(0.1)) text += ',';  // trailing comma
+      if (l < lines || rng.NextBernoulli(0.7)) text += '\n';
+    }
+    ExpectSameAsOracle(text, path);
+    if (HasFatalFailure()) break;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CsvTest, RawReaderStoresEachDistinctValueOnce) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "hprl_csv_intern.csv")
+          .string();
+  {
+    std::ofstream out(path);
+    out << "a,b\nx,y\ny,x\nx,\"y\"\n";
+  }
+  auto raw = ReadCsvRaw(path);
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  EXPECT_EQ(raw->rows.num_values(), 2u);
+  EXPECT_EQ(raw->rows[0].id(0), raw->rows[1].id(1));
+  EXPECT_EQ(raw->rows[0].id(1), raw->rows[2].id(1));  // quoting is unwrapped
+  EXPECT_NE(raw->rows[0].id(0), raw->rows[0].id(1));
+  std::vector<std::string> firsts;
+  for (const auto& row : raw->rows) firsts.push_back(row[0]);
+  EXPECT_EQ(firsts, (std::vector<std::string>{"x", "y", "x"}));
+  std::remove(path.c_str());
+}
+
+TEST(CsvTest, TypedReaderReportsLineNumbersPastBlankLines) {
+  SchemaPtr schema = MakeTestSchema();
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "hprl_csv_typed.csv").string();
+  {
+    std::ofstream out(path);
+    out << "x,color,note\n1,red,\"a,b\"\n\n?,blue,c\r\n2,mauve,d\n";
+  }
+  auto strict = ReadCsv(path, schema);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.status().message(),
+            "line 5: unknown category 'mauve' for color");
+  auto lenient = ReadCsv(path, schema, /*strict_categories=*/false);
+  ASSERT_TRUE(lenient.ok()) << lenient.status().ToString();
+  ASSERT_EQ(lenient->num_rows(), 3);
+  EXPECT_EQ(lenient->at(0, 2).text(), "a,b");
+  EXPECT_TRUE(lenient->at(1, 0).is_null());
+  EXPECT_EQ(lenient->at(1, 2).text(), "c");
+  EXPECT_EQ(lenient->at(2, 1).category(), 3);
   std::remove(path.c_str());
 }
 

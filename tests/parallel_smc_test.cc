@@ -359,5 +359,53 @@ TEST(PackedSmcTest, BlindedConfigDisablesPacking) {
   EXPECT_EQ(*labels, *ref_labels);
 }
 
+// Blinded comparisons fold Enc(d) ×h (-rho): a negative scalar on every
+// pair, and a negative y wherever a numeric is negative. Labels must equal
+// the plaintext rule at 1 and 4 threads, on the Adult workload and on
+// signed numerics.
+TEST(BlindedSmcTest, BlindedLabelsMatchPlaintextAtOneAndFourThreads) {
+  MatchRule signed_rule;
+  AttrRule num;
+  num.attr_index = 0;
+  num.type = AttrType::kNumeric;
+  num.theta = 0.1;
+  num.norm = 40;  // |x - y| <= 4 matches
+  signed_rule.attrs = {num};
+  const std::vector<double> nums = {-12.5, -3.0, 0.0, -0.25, 2.75, -7.0};
+  std::vector<Record> as, bs;
+  for (size_t i = 0; i < 12; ++i) {
+    as.push_back({Value::Numeric(nums[i % nums.size()])});
+    bs.push_back({Value::Numeric(nums[(i + i / 2) % nums.size()] - 1.5)});
+  }
+  std::vector<RowPairRequest> signed_batch;
+  int matches = 0;
+  for (size_t i = 0; i < as.size(); ++i) {
+    signed_batch.push_back({static_cast<int64_t>(i), static_cast<int64_t>(i),
+                            &as[i], &bs[i]});
+    matches += RecordsMatch(as[i], bs[i], signed_rule) ? 1 : 0;
+  }
+  ASSERT_GT(matches, 0);  // both outcomes occur
+  ASSERT_LT(matches, static_cast<int>(as.size()));
+
+  const Workload& w = SmallWorkload();
+  const std::vector<std::pair<const MatchRule*, std::vector<RowPairRequest>>>
+      cases = {{&w.rule, MakeBatch(w, 40)}, {&signed_rule, signed_batch}};
+  smc::SmcConfig cfg = TestSmcConfig();
+  cfg.reveal_distances = false;
+  for (const auto& [rule, batch] : cases) {
+    std::vector<uint8_t> oracle;
+    for (const RowPairRequest& p : batch) {
+      oracle.push_back(RecordsMatch(*p.a, *p.b, *rule) ? 1 : 0);
+    }
+    for (int threads : {1, 4}) {
+      smc::BatchSmcEngine engine(cfg, *rule, threads);
+      ASSERT_TRUE(engine.Init().ok());
+      auto labels = engine.CompareBatch(batch);
+      ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+      EXPECT_EQ(*labels, oracle) << "threads=" << threads;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hprl
