@@ -1,5 +1,5 @@
 // Loopback bulk-transfer throughput of the epoll SocketBus vs a raw-TCP
-// baseline moving the IDENTICAL traffic: the same wire-v6 frames, FNV-1a
+// baseline moving the IDENTICAL traffic: the same wire frames, FNV-1a
 // stamped on send and verified on receive, pushed through blocking
 // FullWrite/FullRead on a bare socket pair. Framing and checksum integrity
 // are part of the Message contract on every transport, so the baseline pays
@@ -58,7 +58,7 @@ smc::Message BulkMessage(const Config& cfg, uint64_t seq) {
 }
 
 /// One rep of the baseline: a hand-rolled blocking loop carrying the same
-/// checksummed wire-v6 frames the bus would. The sender stamps each payload
+/// checksummed wire frames the bus would. The sender stamps each payload
 /// and FullWrites header + payload; the sink FullReads, decodes, verifies
 /// the checksum, and acks one byte so the measured window covers full
 /// delivery, not just a filled socket buffer.

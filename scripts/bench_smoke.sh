@@ -14,17 +14,23 @@
 #   - blocking: memoized SlackTable sweep vs the seed's direct sweep
 #   - tcp transport: wire bytes of a real three-daemon loopback run vs the
 #     bytes the in-process bus accounts for the same traffic
-#   - pipelined rpc: ctl round trips at batch 32 vs one round trip per pair
+#   - pipelined rpc: exact ctl round-trip counts of the same loopback run at
+#     rpc_batch 1 (one per SMC pair) and rpc_batch 32 (one per 32-pair
+#     frame), with zero retries in both
 #   - async datapath: SocketBus bulk throughput vs raw loopback TCP moving
-#     the identical checksummed wire-v6 frames (overhead budget: 2x)
+#     the identical checksummed wire frames (overhead budget: 2x)
 #   - arena alloc: GMP allocations per packed-SMC pair (ceiling: 9)
 #
 #   scripts/bench_smoke.sh [build-dir]           # run + write BENCH_hotpath.json
 #   scripts/bench_smoke.sh --check [build-dir]   # run, compare against the
 #       committed BENCH_hotpath.json and fail if any recorded speedup drops
 #       below 80% of its committed value, if the async-datapath overhead
-#       ratio exceeds 2x, or if a packed pair costs more than 9 GMP
-#       allocations; the committed file is not rewritten
+#       ratio exceeds 2x, if a packed pair costs more than 9 GMP
+#       allocations, or if a pipelined-rpc count differs from its committed
+#       value; the committed file is not rewritten
+#
+# Both modes fail when an rpc_batch 1 run's ctl round trips differ from its
+# SMC pair count or either rpc_batch run retried a pair.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -72,10 +78,10 @@ for rep in 1 2 3; do
     --metrics_out "$TMP/tcp_$rep.json" >/dev/null
 done
 
-echo "== pipelined rpc: ctl round trips, per-pair vs batch 32 =="
+echo "== pipelined rpc: ctl round trips at rpc_batch 1 and 32 =="
 "./$BUILD/tools/hprl_link" --spec "$TMP/tcpdata/linkage.spec" \
   --r "$TMP/tcpdata/r.csv" --s "$TMP/tcpdata/s.csv" --transport tcp \
-  --rpc_batch 1 --metrics_out "$TMP/tcp_perpair.json" >/dev/null
+  --rpc_batch 1 --metrics_out "$TMP/tcp_batch1.json" >/dev/null
 "./$BUILD/tools/hprl_link" --spec "$TMP/tcpdata/linkage.spec" \
   --r "$TMP/tcpdata/r.csv" --s "$TMP/tcpdata/s.csv" --transport tcp \
   --rpc_batch 32 --rpc_window 4 --metrics_out "$TMP/tcp_batch32.json" \
@@ -206,24 +212,40 @@ report["tcp_transport"] = {
     "wire_vs_accounted_ratio": wire / accounted,
 }
 
-# Windowed pipelined batch RPC: the same loopback linkage with one ctl round
-# trip per pair vs pairb frames of 32 pairs, 4 batches in flight. The
-# reduction is the acceptance criterion (>= 8x at batch 32).
-def ctl_trips(path):
+# Windowed pipelined batch RPC: the same loopback linkage at rpc_batch 1
+# (one pair per pairb frame) and rpc_batch 32 (4 frames in flight). These
+# are exact counts, not timings: rpc_batch 1 pays one ctl round trip per SMC
+# pair, rpc_batch 32 one per 32-pair frame, and a healthy loopback mesh
+# never retries. Gated below by exact equality, not the 80% floor.
+def rpc_run(path):
     with open(os.path.join(tmp, path)) as f:
         run = json.load(f)
-    return run["counters"]["net.ctl_round_trips"]
+    return (run["counters"]["net.ctl_round_trips"],
+            run["metrics"]["smc_processed"],
+            run["counters"].get("smc.retries", 0))
 
-per_pair = ctl_trips("tcp_perpair.json")
-batch32 = ctl_trips("tcp_batch32.json")
+trips1, pairs1, retries1 = rpc_run("tcp_batch1.json")
+trips32, pairs32, retries32 = rpc_run("tcp_batch32.json")
 report["pipelined_rpc"] = {
-    "ctl_round_trips_per_pair_mode": per_pair,
-    "ctl_round_trips_batch32": batch32,
-    "round_trip_reduction": per_pair / batch32,
+    "smc_pairs": pairs1,
+    "ctl_round_trips_rpc_batch1": trips1,
+    "ctl_round_trips_rpc_batch32": trips32,
+    "smc_retries_rpc_batch1": retries1,
+    "smc_retries_rpc_batch32": retries32,
 }
+rpc_failures = []
+if trips1 != pairs1:
+    rpc_failures.append(f"pipelined_rpc: rpc_batch 1 made {trips1} ctl round "
+                        f"trips for {pairs1} SMC pairs")
+if pairs32 != pairs1:
+    rpc_failures.append(f"pipelined_rpc: rpc_batch 32 ran {pairs32} SMC pairs, "
+                        f"rpc_batch 1 ran {pairs1}")
+if retries1 or retries32:
+    rpc_failures.append(f"pipelined_rpc: smc.retries {retries1} (rpc_batch 1) "
+                        f"/ {retries32} (rpc_batch 32), want 0")
 
 # Async datapath: the epoll SocketBus pushing bulk messages vs a blocking
-# raw-TCP loop carrying the identical checksummed wire-v6 frames. Lower is
+# raw-TCP loop carrying the identical checksummed wire frames. Lower is
 # better for the ratio; the key deliberately avoids the generic "speedup"
 # name so the 80%-floor loop below never touches it — it carries its own
 # guard (raw_over_bus_ratio <= 2.0).
@@ -248,12 +270,12 @@ report["arena_alloc"] = {
 if check:
     with open("BENCH_hotpath.json") as f:
         committed = json.load(f)
-    failures = []
+    failures = list(rpc_failures)
     for block, values in committed.items():
         if not isinstance(values, dict):
             continue
         for key, committed_value in values.items():
-            if key not in ("speedup", "round_trip_reduction"):
+            if key != "speedup":
                 continue
             measured = report.get(block, {}).get(key)
             if measured is None:
@@ -276,6 +298,16 @@ if check:
     else:
         print(f"check OK async_datapath.raw_over_bus_ratio: "
               f"{ratio:.2f} (budget 2.0)")
+    # Exact count gates: the same seeded run must make exactly the committed
+    # number of ctl round trips (400 SMC pairs -> 400 at rpc_batch 1, 13 at
+    # rpc_batch 32).
+    for key, measured in report["pipelined_rpc"].items():
+        want = committed.get("pipelined_rpc", {}).get(key)
+        if measured != want:
+            failures.append(f"pipelined_rpc.{key}: measured {measured}, "
+                            f"committed {want}")
+        else:
+            print(f"check OK pipelined_rpc.{key}: {measured} (exact)")
     allocs = report["arena_alloc"]["allocs_per_pair_arena"]
     if allocs > 9:
         failures.append(
@@ -288,6 +320,10 @@ if check:
         print("BENCH CHECK FAILED:", *failures, sep="\n  ")
         sys.exit(1)
     print("bench check passed: no speedup below 80% of committed")
+elif rpc_failures:
+    print("BENCH RUN FAILED (BENCH_hotpath.json not written):",
+          *rpc_failures, sep="\n  ")
+    sys.exit(1)
 else:
     with open("BENCH_hotpath.json", "w") as f:
         json.dump(report, f, indent=2)

@@ -40,7 +40,10 @@ next; STUN_ROLE=$((          H % 3   ))  # B: which shard-1 replica stalls
 next; KILL_MS=$((     1000 + H % 700 ))  # B: shard-1 SIGKILL point
 next; RESTART_MS=$((   300 + H % 500 ))  # B: restart delay after the kill
 next; C_KILL_MS=$((   1400 + H % 700 ))  # C: coordinator SIGKILL point
-next; BASE=$((       21000 + H % 18000 ))
+# Port blocks (BASE+1..13, then BASE+101..113) stay below 32768, the
+# kernel's default ephemeral range: a client socket lingering in TIME_WAIT on
+# an ephemeral port makes a daemon's bind of that port fail.
+next; BASE=$((       21000 + H % 11000 ))
 
 TMP="$(mktemp -d)"
 DAEMONS=()

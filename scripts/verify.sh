@@ -121,7 +121,9 @@ echo "== fleet failover smoke: one replica SIGKILLed mid-drain =="
 # Two manually started shard meshes; bob#1 is SIGKILLed while the drain is
 # in flight. The coordinator must rebalance its work onto shard 0 and still
 # produce bit-identical links with zero quarantined pairs.
-BASE=$((20000 + RANDOM % 20000))
+# Below 32768, the kernel's default ephemeral range, where a client socket
+# lingering in TIME_WAIT would make a daemon's bind fail.
+BASE=$((20000 + RANDOM % 12000))
 FLEET_PIDS=()
 BOB1_PID=""
 for s in 0 1; do
@@ -189,11 +191,12 @@ echo "== bench check: hot-path speedups vs committed BENCH_hotpath.json =="
 # 80% of its committed value (scripts/bench_smoke.sh --check).
 scripts/bench_smoke.sh --check
 
-echo "== ASan: fault injection + membership/scheduler + TCP + durable files + crypto + CSV ingest =="
+echo "== ASan: fault injection + batch SMC engine + membership/scheduler + TCP + durable files + crypto + CSV ingest =="
 cmake -B build-asan -S . -DHPRL_SANITIZE=address >/dev/null
 cmake --build build-asan -j --target fault_test membership_test net_test \
   material_test journal_test durable_file_test framing_test arena_test \
-  crypto_test data_test misc_test cli_test
+  crypto_test data_test misc_test cli_test parallel_smc_test
+./build-asan/tests/parallel_smc_test
 ./build-asan/tests/crypto_test
 ./build-asan/tests/data_test
 ./build-asan/tests/misc_test
@@ -223,11 +226,12 @@ cmake --build build-tsan -j --target obs_test blocking_test session_test \
 ./build-tsan/tests/material_test
 ./build-tsan/tests/journal_test
 
-echo "== UBSan: wire/durable-file codecs + membership + fault schedules + crypto + CSV ingest =="
+echo "== UBSan: wire/durable-file codecs + batch SMC engine + membership + fault schedules + crypto + CSV ingest =="
 cmake -B build-ubsan -S . -DHPRL_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j --target fault_test membership_test \
   journal_test durable_file_test net_test framing_test crypto_test \
-  data_test misc_test cli_test
+  data_test misc_test cli_test parallel_smc_test
+./build-ubsan/tests/parallel_smc_test
 ./build-ubsan/tests/crypto_test
 ./build-ubsan/tests/data_test
 ./build-ubsan/tests/misc_test

@@ -36,7 +36,7 @@ struct RunnerOptions {
   int smc_pack_slot_bits_override = -1;
 
   /// >= 1: overrides the spec's `rpc_batch` directive (pairs per TCP ctl
-  /// batch; 1 forces the per-pair round trip). < 1 keeps the spec's value.
+  /// batch frame; 1 ships one pair per frame). < 1 keeps the spec's value.
   int rpc_batch_override = 0;
   /// >= 1: overrides the spec's `rpc_window` directive. < 1 keeps the spec's.
   int rpc_window_override = 0;

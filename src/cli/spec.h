@@ -45,7 +45,7 @@ struct AttrSpec {
 ///   smc_seed 4242        # pinned keypair seed (0 = OS entropy, the default)
 ///   material_dir cache/  # persistent offline crypto material store
 ///   offline_pairs 500    # offline phase sizing, in expected record pairs
-///   rpc_batch 32         # TCP: pairs per ctl batch frame (1 = per-pair)
+///   rpc_batch 32         # TCP: pairs per ctl batch frame (1 = one pair each)
 ///   rpc_window 4         # TCP: batches kept in flight per shard
 ///   shards 4             # TCP: comparator shard meshes per fleet
 ///   hb_interval 250      # TCP: membership heartbeat cadence, milliseconds
@@ -100,7 +100,7 @@ struct LinkageSpec {
   int offline_pairs = 0;
 
   /// TCP transport: pairs per kPairBatch frame
-  /// (net::RemoteOracleOptions::rpc_batch_pairs); <= 1 disables batching.
+  /// (net::RemoteOracleOptions::rpc_batch_pairs); 1 ships one pair per frame.
   int rpc_batch = 32;
   /// TCP transport: batches in flight per shard
   /// (net::RemoteOracleOptions::rpc_window).

@@ -275,8 +275,6 @@ const char* CtlVerbTag(CtlVerb verb) {
       return "keygen";
     case CtlVerb::kRecvKey:
       return "recvkey";
-    case CtlVerb::kPair:
-      return "pair";
     case CtlVerb::kPairBatch:
       return "pairb";
     case CtlVerb::kPurge:
@@ -331,7 +329,6 @@ void AppendCtlResponse(const CtlResponse& r, std::vector<uint8_t>* out) {
   AppendU32(r.attempt, out);
   AppendU64(r.epoch, out);
   AppendU8(static_cast<uint8_t>(r.code), out);
-  AppendU8(r.label, out);
   AppendString(r.detail, out);
   out->insert(out->end(), r.extra.begin(), r.extra.end());
 }
@@ -359,8 +356,6 @@ Result<CtlResponse> ParseCtlResponse(const std::vector<uint8_t>& payload) {
     return Status::IOError("ctl reply carries unknown status code " +
                            std::to_string(int{*code}));
   }
-  auto label = ConsumeU8(payload, &off);
-  if (!label.ok()) return label.status();
   auto detail = ConsumeString(payload, &off);
   if (!detail.ok()) return detail.status();
   r.role = std::move(role).value();
@@ -369,7 +364,6 @@ Result<CtlResponse> ParseCtlResponse(const std::vector<uint8_t>& payload) {
   r.attempt = *attempt;
   r.epoch = *epoch;
   r.code = static_cast<StatusCode>(*code);
-  r.label = *label;
   r.detail = std::move(detail).value();
   r.extra.assign(payload.begin() + static_cast<long>(off), payload.end());
   return r;

@@ -32,10 +32,15 @@ namespace hprl::net {
 /// in-process transport.
 
 inline constexpr uint32_t kWireMagic = 0x4850524C;  // "HPRL"
-/// Version 6: resident tables for the streaming service — the kDelta verb
-/// pushes (or erases) one row's encoded attributes so daemons hold tables
-/// resident between requests, pair commands may then reference rows by id
-/// alone (a sentinel attribute count), and kDrain drops every resident row.
+/// Version 7: one pair transport — the per-pair "pair" verb is gone (a
+/// one-pair "pairb" frame does its job, so the verbs after it renumber),
+/// ctl acknowledgements lose their label byte (pair labels ride in the
+/// "pairb" slots), and "pairb" entries and "delta" bodies no longer carry
+/// each attribute's rule position. Version 6 added resident tables for the
+/// streaming service — the kDelta verb pushes (or erases) one row's encoded
+/// attributes so daemons hold tables resident between requests, pair
+/// commands may then reference rows by id alone (a sentinel attribute
+/// count), and kDrain drops every resident row.
 /// Version 5 added crash-consistent recovery: every ctl request and response
 /// carries a session-epoch fencing token (work verbs from a superseded
 /// epoch are rejected, never executed), and the kRejoin verb lets a
@@ -45,7 +50,7 @@ inline constexpr uint32_t kWireMagic = 0x4850524C;  // "HPRL"
 /// ctl verbs a typed enum with ":hb" heartbeat probes; version 2 added the
 /// batched pair command and the randomizer pool depth. Mixed-version
 /// meshes are rejected at the frame layer.
-inline constexpr uint16_t kWireVersion = 6;
+inline constexpr uint16_t kWireVersion = 7;
 
 /// Frames larger than this are rejected before any allocation — an oversized
 /// length prefix means a corrupted or hostile stream, not a big message
@@ -141,31 +146,30 @@ enum class CtlVerb : uint8_t {
   kConfigure = 0,   ///< protocol parameters ("cfg")
   kKeygen = 1,      ///< qp only: generate + publish key ("keygen")
   kRecvKey = 2,     ///< holders: consume the public key ("recvkey")
-  kPair = 3,        ///< run one pair attempt ("pair")
-  kPairBatch = 4,   ///< run a batch of pairs ("pairb")
-  kPurge = 5,       ///< inter-attempt flush barrier ("purge")
-  kStats = 6,       ///< report cost/traffic counters ("stats")
-  kShutdown = 7,    ///< leave the serve loop ("shutdown")
-  kInjectFail = 8,  ///< test hook: fail/crash upcoming pairs ("inject_fail")
-  kHeartbeat = 9,   ///< membership probe on the ":hb" sub-inbox ("hb")
-  kWarmup = 10,     ///< run the offline phase now: prewarm + persist
+  kPairBatch = 3,   ///< run a batch of pairs ("pairb")
+  kPurge = 4,       ///< inter-attempt flush barrier ("purge")
+  kStats = 5,       ///< report cost/traffic counters ("stats")
+  kShutdown = 6,    ///< leave the serve loop ("shutdown")
+  kInjectFail = 7,  ///< test hook: fail/crash upcoming pairs ("inject_fail")
+  kHeartbeat = 8,   ///< membership probe on the ":hb" sub-inbox ("hb")
+  kWarmup = 9,      ///< run the offline phase now: prewarm + persist
                     ///  randomizer material ("warmup")
-  kRejoin = 11,     ///< re-admit a restarted daemon: adopt the coordinator's
+  kRejoin = 10,     ///< re-admit a restarted daemon: adopt the coordinator's
                     ///  session epoch and bump past its last-seen
                     ///  incarnation ("rejoin")
-  kDelta = 12,      ///< push or erase one resident row's encoded attributes
+  kDelta = 11,      ///< push or erase one resident row's encoded attributes
                     ///  so pair commands can reference it by id ("delta")
-  kDrain = 13,      ///< drop every resident row ("drain")
+  kDrain = 12,      ///< drop every resident row ("drain")
 };
 
 /// Number of verbs; ParseCtlResponse rejects verb bytes at or above this.
-inline constexpr uint8_t kCtlVerbCount = 14;
+inline constexpr uint8_t kCtlVerbCount = 13;
 
 /// kConfigure body flags byte. Bit 0 is the only defined flag; bits 1-2 are
 /// reserved (written as 0, ignored on receipt), bits 3-7 unused.
 inline constexpr uint8_t kCfgFlagRevealDistances = 1u << 0;
 
-/// Sentinel attribute count in kPair/kPairBatch entries: the pair's operands
+/// Sentinel attribute count in a kPairBatch entry: the pair's operands
 /// are not inline — resolve them from the resident table pushed by kDelta
 /// (wire v6; a miss is FailedPrecondition, the coordinator only emits the
 /// sentinel for rows it successfully pushed).
@@ -206,7 +210,7 @@ smc::Message EncodeCtlRequest(const std::string& from, const std::string& role,
                               const CtlRequest& req);
 
 /// Every command's acknowledgement. `id` echoes the command's correlation
-/// id (pair index, batch id, barrier id, or heartbeat probe sequence);
+/// id (batch id, barrier id, delta row id, or heartbeat probe sequence);
 /// `extra` carries verb-specific data (kStats counters, kPairBatch slots,
 /// kConfigure/kHeartbeat the daemon's incarnation number).
 struct CtlResponse {
@@ -216,7 +220,6 @@ struct CtlResponse {
   uint32_t attempt = 0;
   uint64_t epoch = 0;  ///< the daemon's current session epoch
   StatusCode code = StatusCode::kOk;
-  uint8_t label = 0;  ///< kPair from qp: 1 = match
   std::string detail;
   std::vector<uint8_t> extra;
 };

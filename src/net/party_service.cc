@@ -162,6 +162,10 @@ Status PartyService::Start() {
     return Status::InvalidArgument("unknown party role: " + opts_.role);
   }
   if (opts_.metrics != nullptr) bus_->AttachMetrics(opts_.metrics);
+  // A daemon blocked in a protocol receive (up to receive_timeout_ms per
+  // expected message while a peer's fault heals) keeps answering probes,
+  // or the coordinator would read the wait as a hang and retire the shard.
+  bus_->SetWaitHook([this] { DrainHeartbeats(); }, kHeartbeatPollMs);
   return bus_->Start();
 }
 
@@ -180,7 +184,7 @@ void PartyService::DrainHeartbeats() {
     if (!seq.ok()) continue;  // malformed probe: as good as a lost one
     std::vector<uint8_t> extra;
     AppendU64(incarnation_, &extra);
-    Reply(CtlVerb::kHeartbeat, *seq, 0, Status::OK(), 0, std::move(extra));
+    Reply(CtlVerb::kHeartbeat, *seq, 0, Status::OK(), std::move(extra));
   }
 }
 
@@ -196,7 +200,6 @@ bool PartyService::EpochFenced(CtlVerb verb, uint64_t epoch) const {
       return false;  // management plane: observable across epochs
     case CtlVerb::kKeygen:
     case CtlVerb::kRecvKey:
-    case CtlVerb::kPair:
     case CtlVerb::kPairBatch:
     case CtlVerb::kPurge:
     case CtlVerb::kWarmup:
@@ -245,11 +248,11 @@ Status PartyService::Serve() {
             Status::FailedPrecondition(
                 "stale session epoch " + std::to_string(*epoch) + " fenced (" +
                 opts_.role + " is at " + std::to_string(epoch_) + ")"),
-            0, {});
+            {});
       continue;
     }
     if (*verb == CtlVerb::kShutdown) {
-      Reply(CtlVerb::kShutdown, 0, 0, Status::OK(), 0, {});
+      Reply(CtlVerb::kShutdown, 0, 0, Status::OK(), {});
       return Status::OK();
     }
     Status handled = Dispatch(*verb, *epoch, *msg);
@@ -277,14 +280,14 @@ Status PartyService::Dispatch(CtlVerb verb, uint64_t epoch,
       }
       std::vector<uint8_t> extra;
       AppendU64(incarnation_, &extra);
-      Reply(CtlVerb::kConfigure, 0, 0, st, 0, std::move(extra));
+      Reply(CtlVerb::kConfigure, 0, 0, st, std::move(extra));
       return st;
     }
     case CtlVerb::kRejoin: {
       size_t off = 0;
       auto last_seen = ConsumeU64(msg.payload, &off);
       if (!last_seen.ok()) {
-        Reply(CtlVerb::kRejoin, 0, 0, last_seen.status(), 0, {});
+        Reply(CtlVerb::kRejoin, 0, 0, last_seen.status(), {});
         return last_seen.status();
       }
       // Re-admission handshake: adopt the coordinator's epoch and present
@@ -296,46 +299,23 @@ Status PartyService::Dispatch(CtlVerb verb, uint64_t epoch,
       incarnation_ = std::max(incarnation_, *last_seen) + 1;
       std::vector<uint8_t> extra;
       AppendU64(incarnation_, &extra);
-      Reply(CtlVerb::kRejoin, 0, 0, Status::OK(), 0, std::move(extra));
+      Reply(CtlVerb::kRejoin, 0, 0, Status::OK(), std::move(extra));
       return Status::OK();
     }
     case CtlVerb::kKeygen: {
       Status st = HandleKeygen();
-      Reply(CtlVerb::kKeygen, 0, 0, st, 0, {});
+      Reply(CtlVerb::kKeygen, 0, 0, st, {});
       return st;
     }
     case CtlVerb::kRecvKey: {
       Status st = HandleRecvKey();
-      Reply(CtlVerb::kRecvKey, 0, 0, st, 0, {});
-      return st;
-    }
-    case CtlVerb::kPair: {
-      auto cmd = ParsePair(msg.payload);
-      if (!cmd.ok()) {
-        Reply(CtlVerb::kPair, 0, 0, cmd.status(), 0, {});
-        return cmd.status();
-      }
-      if (fail_next_pairs_ > 0) {
-        fail_next_pairs_ -= 1;
-        if (crash_on_fault_) {
-          // Simulated process death: the bus goes down mid-protocol and no
-          // reply is ever sent, exactly what a crashed daemon looks like.
-          bus_->Stop();
-          return Status::Unavailable("injected crash (test hook)");
-        }
-        Status injected = Status::IOError("injected pair fault (test hook)");
-        Reply(CtlVerb::kPair, cmd->pair_index, cmd->attempt, injected, 0, {});
-        return injected;
-      }
-      uint8_t label = 0;
-      Status st = HandlePair(*cmd, &label);
-      Reply(CtlVerb::kPair, cmd->pair_index, cmd->attempt, st, label, {});
+      Reply(CtlVerb::kRecvKey, 0, 0, st, {});
       return st;
     }
     case CtlVerb::kPairBatch: {
       auto cmd = ParsePairBatch(msg.payload);
       if (!cmd.ok()) {
-        Reply(CtlVerb::kPairBatch, 0, 0, cmd.status(), 0, {});
+        Reply(CtlVerb::kPairBatch, 0, 0, cmd.status(), {});
         return cmd.status();
       }
       std::vector<PairSlot> slots;
@@ -346,7 +326,7 @@ Status PartyService::Dispatch(CtlVerb verb, uint64_t epoch,
       // The batch-level code stays OK even when slots failed: per-pair
       // outcomes live in the slots, and the coordinator retries or
       // quarantines at that granularity.
-      Reply(CtlVerb::kPairBatch, cmd->batch_id, cmd->attempt, st, 0,
+      Reply(CtlVerb::kPairBatch, cmd->batch_id, cmd->attempt, st,
             std::move(extra));
       return st;
     }
@@ -354,28 +334,28 @@ Status PartyService::Dispatch(CtlVerb verb, uint64_t epoch,
       size_t off = 0;
       auto barrier_id = ConsumeU64(msg.payload, &off);
       if (!barrier_id.ok()) {
-        Reply(CtlVerb::kPurge, 0, 0, barrier_id.status(), 0, {});
+        Reply(CtlVerb::kPurge, 0, 0, barrier_id.status(), {});
         return barrier_id.status();
       }
       std::vector<std::string> peers = {opts_.endpoints.alice.name,
                                         opts_.endpoints.bob.name,
                                         opts_.endpoints.qp.name};
       Status st = bus_->Flush(peers, *barrier_id);
-      Reply(CtlVerb::kPurge, *barrier_id, 0, st, 0, {});
+      Reply(CtlVerb::kPurge, *barrier_id, 0, st, {});
       return st;
     }
     case CtlVerb::kWarmup: {
       size_t off = 0;
       auto count = ConsumeU32(msg.payload, &off);
       if (!count.ok()) {
-        Reply(CtlVerb::kWarmup, 0, 0, count.status(), 0, {});
+        Reply(CtlVerb::kWarmup, 0, 0, count.status(), {});
         return count.status();
       }
       int64_t generated = 0;
       Status st = HandleWarmup(*count, &generated);
       std::vector<uint8_t> extra;
       AppendI64(generated, &extra);
-      Reply(CtlVerb::kWarmup, 0, 0, st, 0, std::move(extra));
+      Reply(CtlVerb::kWarmup, 0, 0, st, std::move(extra));
       return st;
     }
     case CtlVerb::kStats: {
@@ -397,13 +377,13 @@ Status PartyService::Dispatch(CtlVerb verb, uint64_t epoch,
       stats.net = bus_->net_stats();
       std::vector<uint8_t> extra;
       AppendPartyStats(stats, &extra);
-      Reply(CtlVerb::kStats, 0, 0, Status::OK(), 0, std::move(extra));
+      Reply(CtlVerb::kStats, 0, 0, Status::OK(), std::move(extra));
       return Status::OK();
     }
     case CtlVerb::kShutdown: {
       // Serve() intercepts shutdown before dispatch; acknowledging here too
       // keeps the switch total.
-      Reply(CtlVerb::kShutdown, 0, 0, Status::OK(), 0, {});
+      Reply(CtlVerb::kShutdown, 0, 0, Status::OK(), {});
       return Status::OK();
     }
     case CtlVerb::kInjectFail: {
@@ -417,7 +397,7 @@ Status PartyService::Dispatch(CtlVerb verb, uint64_t epoch,
         auto crash = ConsumeU8(msg.payload, &off);
         crash_on_fault_ = crash.ok() && *crash != 0;
       }
-      Reply(CtlVerb::kInjectFail, 0, 0, st, 0, {});
+      Reply(CtlVerb::kInjectFail, 0, 0, st, {});
       return st;
     }
     case CtlVerb::kDelta: {
@@ -451,9 +431,9 @@ Status PartyService::Dispatch(CtlVerb verb, uint64_t epoch,
       std::vector<uint8_t> extra;
       AppendU64(static_cast<uint64_t>(resident_.size()), &extra);
       // The ack's correlation id is the row id, so the coordinator can
-      // match it the way pair acks match their pair index.
+      // match it the way batch acks match their batch id.
       Reply(CtlVerb::kDelta, row_id.ok() ? static_cast<uint64_t>(*row_id) : 0,
-            0, st, 0, std::move(extra));
+            0, st, std::move(extra));
       return st;
     }
     case CtlVerb::kDrain: {
@@ -461,7 +441,7 @@ Status PartyService::Dispatch(CtlVerb verb, uint64_t epoch,
       resident_.clear();
       std::vector<uint8_t> extra;
       AppendU64(dropped, &extra);
-      Reply(CtlVerb::kDrain, 0, 0, Status::OK(), 0, std::move(extra));
+      Reply(CtlVerb::kDrain, 0, 0, Status::OK(), std::move(extra));
       return Status::OK();
     }
     case CtlVerb::kHeartbeat: {
@@ -472,7 +452,7 @@ Status PartyService::Dispatch(CtlVerb verb, uint64_t epoch,
       auto seq = ConsumeU64(msg.payload, &off);
       std::vector<uint8_t> extra;
       AppendU64(incarnation_, &extra);
-      Reply(CtlVerb::kHeartbeat, seq.ok() ? *seq : 0, 0, Status::OK(), 0,
+      Reply(CtlVerb::kHeartbeat, seq.ok() ? *seq : 0, 0, Status::OK(),
             std::move(extra));
       return Status::OK();
     }
@@ -615,9 +595,6 @@ Status PartyService::ConsumeAttrs(const std::vector<uint8_t>& payload,
   attrs->reserve(attrs->size() + n);
   for (uint32_t i = 0; i < n; ++i) {
     PairAttr attr;
-    // The attribute's rule position stays on the wire (v6 layout); the
-    // daemons have no use for it.
-    HPRL_RETURN_IF_ERROR(ConsumeU32(payload, off).status());
     if (is_alice) {
       auto x = ConsumeSignedBigInt(payload, off);
       if (!x.ok()) return x.status();
@@ -639,32 +616,6 @@ Status PartyService::ConsumeAttrs(const std::vector<uint8_t>& payload,
   return Status::OK();
 }
 
-Result<PartyService::PairCmd> PartyService::ParsePair(
-    const std::vector<uint8_t>& payload) const {
-  PairCmd cmd;
-  size_t off = 0;
-  auto pair_index = ConsumeU64(payload, &off);
-  if (!pair_index.ok()) return pair_index.status();
-  auto attempt = ConsumeU32(payload, &off);
-  if (!attempt.ok()) return attempt.status();
-  auto a_id = ConsumeI64(payload, &off);
-  if (!a_id.ok()) return a_id.status();
-  auto b_id = ConsumeI64(payload, &off);
-  if (!b_id.ok()) return b_id.status();
-  auto n = ConsumeU32(payload, &off);
-  if (!n.ok()) return n.status();
-  cmd.pair_index = *pair_index;
-  cmd.attempt = *attempt;
-  cmd.a_id = *a_id;
-  cmd.b_id = *b_id;
-  if (*n == kResidentPairSentinel) {
-    HPRL_RETURN_IF_ERROR(ResolveResident(cmd.a_id, cmd.b_id, &cmd.attrs));
-  } else {
-    HPRL_RETURN_IF_ERROR(ConsumeAttrs(payload, &off, *n, &cmd.attrs));
-  }
-  return cmd;
-}
-
 Result<PartyService::BatchCmd> PartyService::ParsePairBatch(
     const std::vector<uint8_t>& payload) const {
   BatchCmd cmd;
@@ -680,7 +631,6 @@ Result<PartyService::BatchCmd> PartyService::ParsePairBatch(
   cmd.pairs.reserve(*npairs);
   for (uint32_t p = 0; p < *npairs; ++p) {
     PairCmd pair;
-    pair.attempt = *attempt;
     auto pair_index = ConsumeU64(payload, &off);
     if (!pair_index.ok()) return pair_index.status();
     auto a_id = ConsumeI64(payload, &off);
@@ -804,8 +754,7 @@ Status PartyService::HandlePairBatch(const BatchCmd& cmd,
 }
 
 void PartyService::Reply(CtlVerb verb, uint64_t id, uint32_t attempt,
-                         const Status& st, uint8_t label,
-                         std::vector<uint8_t> extra) {
+                         const Status& st, std::vector<uint8_t> extra) {
   CtlResponse r;
   r.role = opts_.role;
   r.verb = verb;
@@ -813,7 +762,6 @@ void PartyService::Reply(CtlVerb verb, uint64_t id, uint32_t attempt,
   r.attempt = attempt;
   r.epoch = epoch_;
   r.code = st.code();
-  r.label = label;
   r.detail = st.message();
   r.extra = std::move(extra);
   Message msg;

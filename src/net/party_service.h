@@ -40,6 +40,9 @@ inline constexpr char kCoordName[] = "coord";
 inline constexpr char kCtlSuffix[] = ":ctl";
 inline constexpr char kHbSuffix[] = ":hb";
 inline constexpr char kCtlReply[] = "ctl_re";  ///< every command's ack tag
+/// How often a daemon blocked in a receive answers queued heartbeat probes
+/// (well inside the coordinator's default 250 ms probe interval).
+inline constexpr int kHeartbeatPollMs = 20;
 
 /// Per-pair outcome inside a kPairBatch reply. The batch ack's `extra`
 /// carries one slot per dispatched pair (u32 count, then per slot u64
@@ -107,18 +110,20 @@ struct PartyServiceOptions {
 /// exist only inside this process; what crosses the wire is exactly what the
 /// in-process protocol puts on the bus, plus the ctl plane.
 ///
-/// Each kPair command carries every compared attribute of the pair, so
-/// the daemon runs its whole side without waiting on the coordinator:
-/// alice ships all alice_ct frames back-to-back, bob folds them as they
-/// arrive, qp decides each attribute and announces the conjunction. A
-/// transient fault anywhere surfaces as a failed reply; the coordinator
-/// purges the mesh with a kPurge barrier and re-dispatches the attempt,
-/// mirroring the in-process RetryExchange.
+/// Each kPairBatch entry carries every compared attribute of its pair (or
+/// references resident rows), so the daemon runs its whole side of every
+/// pair without waiting on the coordinator: alice ships all alice_ct frames
+/// back-to-back, bob folds them as they arrive, qp decides each attribute
+/// and announces the conjunction. A transient fault anywhere surfaces as a
+/// failed slot in the batch reply; the coordinator purges the mesh with a
+/// kPurge barrier and re-batches the failed pairs, mirroring the in-process
+/// RetryExchange.
 ///
 /// Membership: the daemon answers heartbeat probes on "<role>:hb" with its
-/// incarnation number (bumped on every kConfigure) both while idle in the
-/// serve loop and between the pairs of a long batch, so a busy shard never
-/// reads as a dead one.
+/// incarnation number (bumped on every kConfigure) while idle in the serve
+/// loop, between the pairs of a long batch, and every kHeartbeatPollMs
+/// while blocked in a protocol receive, so a busy shard never reads as a
+/// dead one.
 class PartyService {
  public:
   explicit PartyService(PartyServiceOptions opts);
@@ -154,7 +159,6 @@ class PartyService {
   };
   struct PairCmd {
     uint64_t pair_index = 0;
-    uint32_t attempt = 0;
     int64_t a_id = -1;
     int64_t b_id = -1;
     std::vector<PairAttr> attrs;
@@ -177,7 +181,7 @@ class PartyService {
   /// entries on every core and persist the result. No-op on qp, whose
   /// offline work is keygen itself.
   Status HandleWarmup(uint32_t randomizers, int64_t* generated);
-  /// Runs this role's side of one pair attempt; fills `label` on qp.
+  /// Runs this role's side of one pair; fills `label` on qp.
   Status HandlePair(const PairCmd& cmd, uint8_t* label);
   /// Runs the pairs of one batch attempt in dispatch order, one slot each.
   /// The first failing pair aborts the rest of the batch (remaining slots are
@@ -187,9 +191,9 @@ class PartyService {
   Status HandlePairBatch(const BatchCmd& cmd, std::vector<PairSlot>* slots);
   /// Answers every queued probe on "<role>:hb" without blocking.
   void DrainHeartbeats();
-  Result<PairCmd> ParsePair(const std::vector<uint8_t>& payload) const;
   Result<BatchCmd> ParsePairBatch(const std::vector<uint8_t>& payload) const;
-  /// Shared attribute-list tail of kPair and each kPairBatch entry.
+  /// Attribute list of a kPairBatch entry or a kDelta upsert: this role's
+  /// operands per attribute (alice x; bob y and threshold; qp threshold).
   Status ConsumeAttrs(const std::vector<uint8_t>& payload, size_t* off,
                       uint32_t n, std::vector<PairAttr>* attrs) const;
   /// Resolves a kResidentPairSentinel pair's operands from the resident
@@ -201,7 +205,7 @@ class PartyService {
   Status ResolveResident(int64_t a_id, int64_t b_id,
                          std::vector<PairAttr>* attrs) const;
   void Reply(CtlVerb verb, uint64_t id, uint32_t attempt, const Status& st,
-             uint8_t label, std::vector<uint8_t> extra);
+             std::vector<uint8_t> extra);
 
   PartyServiceOptions opts_;
   std::unique_ptr<SocketBus> bus_;

@@ -381,13 +381,11 @@ Result<bool> RemoteSmcOracle::Compare(const Record& a, const Record& b) {
 Result<std::vector<RemoteSmcOracle::EncodedAttr>> RemoteSmcOracle::EncodePair(
     const Record& a, const Record& b) const {
   std::vector<EncodedAttr> attrs;
-  for (size_t attr_pos = 0; attr_pos < opts_.rule.attrs.size(); ++attr_pos) {
-    const AttrRule& rule = opts_.rule.attrs[attr_pos];
+  for (const AttrRule& rule : opts_.rule.attrs) {
     if (rule.type == AttrType::kCategorical && rule.theta >= 1.0) {
       continue;  // Hamming distance never exceeds 1: vacuous threshold
     }
     EncodedAttr enc;
-    enc.pos = static_cast<uint32_t>(attr_pos);
     auto x = EncodeAttr(a[rule.attr_index], rule);
     if (!x.ok()) return x.status();
     auto y = EncodeAttr(b[rule.attr_index], rule);
@@ -403,13 +401,11 @@ Result<std::vector<RemoteSmcOracle::EncodedAttr>> RemoteSmcOracle::EncodePair(
 Result<std::vector<RemoteSmcOracle::EncodedAttr>>
 RemoteSmcOracle::EncodeResidentRow(int side, const Record& record) const {
   std::vector<EncodedAttr> attrs;
-  for (size_t attr_pos = 0; attr_pos < opts_.rule.attrs.size(); ++attr_pos) {
-    const AttrRule& rule = opts_.rule.attrs[attr_pos];
+  for (const AttrRule& rule : opts_.rule.attrs) {
     if (rule.type == AttrType::kCategorical && rule.theta >= 1.0) {
       continue;  // same vacuous-threshold skip as EncodePair
     }
     EncodedAttr enc;
-    enc.pos = static_cast<uint32_t>(attr_pos);
     auto v = EncodeAttr(record[rule.attr_index], rule);
     if (!v.ok()) return v.status();
     if (side == 0) {
@@ -423,11 +419,27 @@ RemoteSmcOracle::EncodeResidentRow(int side, const Record& record) const {
   return attrs;
 }
 
+void RemoteSmcOracle::AppendRoleAttrs(int shard, const std::string& role,
+                                      const std::vector<EncodedAttr>& attrs,
+                                      std::vector<uint8_t>* payload) const {
+  AppendU32(static_cast<uint32_t>(attrs.size()), payload);
+  for (const EncodedAttr& attr : attrs) {
+    if (role == shards_[shard].alice.name) {
+      AppendSignedBigInt(attr.x, payload);
+    } else if (role == shards_[shard].bob.name) {
+      AppendSignedBigInt(attr.y, payload);
+      AppendSignedBigInt(attr.threshold, payload);
+    } else {
+      AppendSignedBigInt(attr.threshold, payload);
+    }
+  }
+}
+
 Status RemoteSmcOracle::DeltaToShard(int shard, uint8_t op, int side,
                                      int64_t row_id,
                                      const std::vector<EncodedAttr>* attrs) {
   // Side 0 rows concern only alice (she holds x); side 1 rows concern bob
-  // (y + threshold) and qp (threshold) — the same role split as a kPair.
+  // (y + threshold) and qp (threshold) — the same role split as a pair.
   std::vector<std::string> roles;
   if (side == 0) {
     roles.push_back(shards_[shard].alice.name);
@@ -440,20 +452,7 @@ Status RemoteSmcOracle::DeltaToShard(int shard, uint8_t op, int side,
     AppendU8(op, &payload);
     AppendU8(static_cast<uint8_t>(side), &payload);
     AppendI64(row_id, &payload);
-    if (op == kDeltaOpUpsert) {
-      AppendU32(static_cast<uint32_t>(attrs->size()), &payload);
-      for (const EncodedAttr& attr : *attrs) {
-        AppendU32(attr.pos, &payload);
-        if (role == shards_[shard].alice.name) {
-          AppendSignedBigInt(attr.x, &payload);
-        } else if (role == shards_[shard].bob.name) {
-          AppendSignedBigInt(attr.y, &payload);
-          AppendSignedBigInt(attr.threshold, &payload);
-        } else {
-          AppendSignedBigInt(attr.threshold, &payload);
-        }
-      }
-    }
+    if (op == kDeltaOpUpsert) AppendRoleAttrs(shard, role, *attrs, &payload);
     SendCtl(shard, role, CtlVerb::kDelta, std::move(payload));
   }
   ctl_round_trips_ += 1;
@@ -541,139 +540,34 @@ Status RemoteSmcOracle::DrainResidentRows() {
 
 Result<bool> RemoteSmcOracle::CompareRows(int64_t a_id, int64_t b_id,
                                           const Record& a, const Record& b) {
-  if (!initialized_) {
-    return Status::FailedPrecondition("call Init() before Compare()");
+  auto labels = CompareBatch({{a_id, b_id, &a, &b}});
+  if (!labels.ok()) return labels.status();
+  if (labels->front() == kPairQuarantined) {
+    return Status::Unavailable(
+        "pair quarantined: its shard died with no other to take it, or its "
+        "retries ran out");
   }
-  invocations_ += 1;
-
-  // Encode once; re-dispatched attempts reuse the same values.
-  auto encoded = EncodePair(a, b);
-  if (!encoded.ok()) return encoded.status();
-  std::vector<EncodedAttr> attrs = std::move(encoded).value();
-
-  const uint64_t pair_index = next_pair_index_++;
-  // Worst case a daemon blocks receive_timeout per expected message before
-  // reporting the failure; give the slowest script room, plus crypto and
-  // emulated-latency time.
-  const int reply_deadline_ms =
-      opts_.receive_timeout_ms * (static_cast<int>(attrs.size()) + 2) + 2000 +
-      3 * static_cast<int>(opts_.emulated_latency_micros / 1000);
-
-  for (int attempt = 0;;) {
-    const int shard = FirstUsableShard();
-    if (shard < 0) {
-      return Status::Unavailable("no usable comparator shard");
-    }
-    for (const std::string& role : ShardRoles(shard)) {
-      std::vector<uint8_t> payload;
-      AppendU64(pair_index, &payload);
-      AppendU32(static_cast<uint32_t>(attempt), &payload);
-      AppendI64(a_id, &payload);
-      AppendI64(b_id, &payload);
-      AppendU32(static_cast<uint32_t>(attrs.size()), &payload);
-      for (const EncodedAttr& attr : attrs) {
-        AppendU32(attr.pos, &payload);
-        if (role == shards_[shard].alice.name) {
-          AppendSignedBigInt(attr.x, &payload);
-        } else if (role == shards_[shard].bob.name) {
-          AppendSignedBigInt(attr.y, &payload);
-          AppendSignedBigInt(attr.threshold, &payload);
-        } else {
-          AppendSignedBigInt(attr.threshold, &payload);
-        }
-      }
-      SendCtl(shard, role, CtlVerb::kPair, std::move(payload));
-    }
-    ctl_round_trips_ += 1;
-    if (metrics_ != nullptr) obs::Add(metrics_, "net.ctl_round_trips");
-
-    std::map<std::string, CtlResponse> replies;
-    Status collected = CollectReplies(shard, CtlVerb::kPair, pair_index,
-                                      static_cast<uint32_t>(attempt),
-                                      ShardRoles(shard), reply_deadline_ms,
-                                      &replies);
-    Status attempt_status = collected;
-    uint8_t label = 0;
-    if (collected.ok()) {
-      for (const auto& [role, reply] : replies) {
-        Status st = ReplyStatus(reply);
-        if (st.ok()) continue;
-        // A dead party outranks any transient co-failure.
-        if (!attempt_status.ok() &&
-            attempt_status.code() == StatusCode::kUnavailable) {
-          continue;
-        }
-        attempt_status = st;
-      }
-      label = replies[shards_[shard].qp.name].label;
-    }
-    if (attempt_status.ok()) {
-      shard_pairs_done_[shard] += 1;
-      return label == 1;
-    }
-    if (attempt_status.code() == StatusCode::kUnavailable) {
-      // The shard died under this pair. Retire it and, when another usable
-      // shard exists, rebalance the pair there — without burning retry
-      // budget, since the pair itself never failed.
-      for (const std::string& role : ShardRoles(shard)) {
-        membership_.OnLinkDown(ReplicaLabel(shard, role));
-      }
-      sched_.SetUsable(shard, false);
-      StreamMembershipMetrics();
-      if (FirstUsableShard() < 0) return attempt_status;
-      rebalanced_pairs_ += 1;
-      if (metrics_ != nullptr) {
-        obs::Add(metrics_, "net.membership.rebalanced_pairs");
-      }
-      continue;
-    }
-    if (!IsTransient(attempt_status.code()) ||
-        attempt >= opts_.config.max_retries) {
-      return attempt_status;
-    }
-    // Heal exactly like the in-process RetryExchange: flush the shard of
-    // half-delivered state, back off, replay the attempt.
-    attempt += 1;
-    retries_ += 1;
-    if (metrics_ != nullptr) obs::Add(metrics_, "smc.retries");
-    HPRL_RETURN_IF_ERROR(PurgeShard(shard));
-    if (opts_.config.retry_backoff_micros > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(
-          static_cast<int64_t>(opts_.config.retry_backoff_micros)
-          << (attempt - 1)));
-    }
-  }
-}
-
-Status RemoteSmcOracle::PurgeShard(int shard) {
-  const uint64_t barrier_id = ++next_barrier_id_;
-  std::vector<uint8_t> payload;
-  AppendU64(barrier_id, &payload);
-  for (const std::string& role : ShardRoles(shard)) {
-    SendCtl(shard, role, CtlVerb::kPurge, payload);
-  }
-  std::map<std::string, CtlResponse> acks;
-  Status collected =
-      CollectReplies(shard, CtlVerb::kPurge, barrier_id, 0, ShardRoles(shard),
-                     opts_.receive_timeout_ms * 3 + 2000, &acks);
-  if (!collected.ok()) {
-    return Status::Unavailable("purge barrier failed: " +
-                               collected.message());
-  }
-  for (const auto& [role, reply] : acks) {
-    if (reply.code != StatusCode::kOk) {
-      return Status::Unavailable("purge barrier failed on " + role + ": " +
-                                 reply.detail);
-    }
-  }
-  return Status::OK();
+  return labels->front() == kPairMatch;
 }
 
 Status RemoteSmcOracle::PurgeUsableShards() {
   for (int s = 0; s < num_shards(); ++s) {
     if (!sched_.usable(s)) continue;
-    Status purged = PurgeShard(s);
-    if (purged.ok()) continue;
+    const uint64_t barrier_id = ++next_barrier_id_;
+    std::vector<uint8_t> payload;
+    AppendU64(barrier_id, &payload);
+    for (const std::string& role : ShardRoles(s)) {
+      SendCtl(s, role, CtlVerb::kPurge, payload);
+    }
+    std::map<std::string, CtlResponse> acks;
+    bool flushed =
+        CollectReplies(s, CtlVerb::kPurge, barrier_id, 0, ShardRoles(s),
+                       opts_.receive_timeout_ms * 3 + 2000, &acks)
+            .ok();
+    for (const auto& [role, reply] : acks) {
+      flushed = flushed && reply.code == StatusCode::kOk;
+    }
+    if (flushed) continue;
     // A shard that cannot even flush is retired, not retried.
     for (const std::string& role : ShardRoles(s)) {
       membership_.OnLinkDown(ReplicaLabel(s, role));
@@ -729,37 +623,10 @@ Status RemoteSmcOracle::PumpReceive(int timeout_ms, int* shard,
 Result<std::vector<uint8_t>> RemoteSmcOracle::CompareBatch(
     const std::vector<RowPairRequest>& batch) {
   obs::ScopedSpan span(metrics_, "smc/transport");
-  std::vector<uint8_t> labels(batch.size(), kPairNonMatch);
-
-  if (opts_.rpc_batch_pairs <= 1) {
-    // Degenerate (pre-batching) mode: one kPair round trip per pair.
-    // Kept literal so batching can always be switched off for comparison —
-    // labels are bit-identical either way.
-    for (size_t i = 0; i < batch.size(); ++i) {
-      auto m = CompareRows(batch[i].a_id, batch[i].b_id, *batch[i].a,
-                           *batch[i].b);
-      if (m.ok()) {
-        labels[i] = *m ? kPairMatch : kPairNonMatch;
-        continue;
-      }
-      StatusCode code = m.status().code();
-      if (code == StatusCode::kUnavailable || IsTransient(code)) {
-        // Crash with no shard left to rebalance to, or a transient fault
-        // that survived every retry: the same taxonomy the in-process batch
-        // engine quarantines under.
-        labels[i] = kPairQuarantined;
-        pairs_quarantined_ += 1;
-        if (metrics_ != nullptr) obs::Add(metrics_, "smc.pairs_quarantined");
-        continue;
-      }
-      return m.status();  // semantic error: abort the batch
-    }
-    return labels;
-  }
-
   if (!initialized_) {
     return Status::FailedPrecondition("call Init() before Compare()");
   }
+  std::vector<uint8_t> labels(batch.size(), kPairNonMatch);
 
   // Pipelined batch RPC: encode everything up front, then stream the pairs
   // across the usable shards in kPairBatch frames with up to rpc_window
@@ -793,7 +660,7 @@ Result<std::vector<uint8_t>> RemoteSmcOracle::CompareBatch(
     HPRL_RETURN_IF_ERROR(RunBatchRound(&pending, &labels));
     if (pending.empty()) break;
     // Transient leftovers: heal the shards and re-batch them, mirroring the
-    // per-pair retry loop (purge barrier, backoff, replay).
+    // in-process RetryExchange (purge barrier, backoff, replay).
     retries_ += static_cast<int64_t>(pending.size());
     if (metrics_ != nullptr) {
       obs::Add(metrics_, "smc.retries",
@@ -819,7 +686,8 @@ Result<std::vector<uint8_t>> RemoteSmcOracle::CompareBatch(
 
 Status RemoteSmcOracle::RunBatchRound(std::vector<BatchPair>* pending,
                                       std::vector<uint8_t>* labels) {
-  const size_t batch_pairs = static_cast<size_t>(opts_.rpc_batch_pairs);
+  const size_t batch_pairs =
+      static_cast<size_t>(std::max(1, opts_.rpc_batch_pairs));
   const int window = std::max(1, opts_.rpc_window);
 
   struct Outstanding {
@@ -947,18 +815,7 @@ Status RemoteSmcOracle::RunBatchRound(std::vector<BatchPair>* pending,
           AppendU32(kResidentPairSentinel, &payload);
           continue;
         }
-        AppendU32(static_cast<uint32_t>(p.attrs.size()), &payload);
-        for (const EncodedAttr& attr : p.attrs) {
-          AppendU32(attr.pos, &payload);
-          if (role == shards_[shard].alice.name) {
-            AppendSignedBigInt(attr.x, &payload);
-          } else if (role == shards_[shard].bob.name) {
-            AppendSignedBigInt(attr.y, &payload);
-            AppendSignedBigInt(attr.threshold, &payload);
-          } else {
-            AppendSignedBigInt(attr.threshold, &payload);
-          }
-        }
+        AppendRoleAttrs(shard, role, p.attrs, &payload);
       }
       SendCtl(shard, role, CtlVerb::kPairBatch, std::move(payload));
     }
@@ -1035,8 +892,7 @@ Status RemoteSmcOracle::RunBatchRound(std::vector<BatchPair>* pending,
           }
         }
         if (st.ok()) continue;
-        // A dead party outranks any transient co-failure (same ranking as
-        // the per-pair path).
+        // A dead party outranks any transient co-failure.
         if (!pair_status.ok() &&
             pair_status.code() == StatusCode::kUnavailable) {
           continue;
@@ -1091,8 +947,8 @@ Status RemoteSmcOracle::RunBatchRound(std::vector<BatchPair>* pending,
   };
 
   // The cadence is wall-clock across rounds (next_hb_ is a member): a
-  // workload of short rounds — per-pair mode, or a caller polling with tiny
-  // batches while a crashed shard restarts — must still probe and offer
+  // workload of short rounds — one-pair batches, or a caller polling with
+  // tiny batches while a crashed shard restarts — must still probe and offer
   // rejoins every interval, not only during drains longer than one.
   auto maybe_probe = [&] {
     const auto now = std::chrono::steady_clock::now();

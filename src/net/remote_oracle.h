@@ -32,10 +32,9 @@ struct RemoteOracleOptions {
   int receive_timeout_ms = 4000;
 
   /// Pairs per kPairBatch frame. CompareBatch ships pairs to the daemons
-  /// in batches of this size, collapsing the per-pair ctl round trip to one
-  /// per batch (O(pairs) -> O(pairs / rpc_batch_pairs)). <= 1 disables
-  /// batching: CompareBatch degenerates to the per-pair kPair loop,
-  /// bit-identical to the pre-batching coordinator.
+  /// in batches of this size, one ctl round trip per batch
+  /// (O(pairs / rpc_batch_pairs)). <= 1 ships one pair per frame: one round
+  /// trip per pair, same labels.
   int rpc_batch_pairs = 32;
 
   /// Batches kept in flight per shard (the pipeline window). The coordinator
@@ -90,9 +89,10 @@ struct MeshStats {
 
 /// MatchOracle that runs the §V-A protocol across process boundaries: the
 /// three parties live in hprl_party daemons — N independent shard meshes of
-/// them in a fleet — and this coordinator ships each pair's encoded
-/// attribute values over the ctl plane, then waits for the per-pair
-/// acknowledgements (the querying party's carries the label).
+/// them in a fleet — and this coordinator ships the pairs' encoded
+/// attribute values over the ctl plane in kPairBatch frames, then waits for
+/// the batch acknowledgements (one slot per pair; the querying party's
+/// slots carry the labels). Compare and CompareRows are one-pair batches.
 ///
 /// Scheduling: CompareBatch feeds a work queue; batches go to the
 /// least-loaded usable shard, up to rpc_window in flight per shard. A shard
@@ -144,6 +144,9 @@ class RemoteSmcOracle : public MatchOracle {
   Status Shutdown(bool stop_daemons);
 
   Result<bool> Compare(const Record& a, const Record& b) override;
+  /// A one-pair CompareBatch. A pair the batch path quarantines (its shard
+  /// died with no other usable shard, or its retries ran out) returns
+  /// Unavailable instead of a label.
   Result<bool> CompareRows(int64_t a_id, int64_t b_id, const Record& a,
                            const Record& b) override;
   Result<std::vector<uint8_t>> CompareBatch(
@@ -155,11 +158,11 @@ class RemoteSmcOracle : public MatchOracle {
   /// bob and qp, each carrying exactly the fields that role would have
   /// received inline. CompareBatch then ships pairs whose BOTH rows are
   /// resident as id-only sentinel entries; labels are bit-identical to the
-  /// inline encoding because the daemons resolve the very bytes a kPair
-  /// would have carried. A shard that cannot take a delta is retired (the
-  /// resident invariant — every schedulable shard holds every resident row —
-  /// must hold); the rejoin handshake replays the full cache before the
-  /// shard is re-admitted. The per-pair CompareRows path stays inline-only.
+  /// inline encoding because the daemons resolve the very bytes an inline
+  /// entry would have carried. A shard that cannot take a delta is retired
+  /// (the resident invariant — every schedulable shard holds every resident
+  /// row — must hold); the rejoin handshake replays the full cache before
+  /// the shard is re-admitted.
   Status PushResidentRow(int side, int64_t row_id,
                          const Record& record) override;
   Status EraseResidentRow(int side, int64_t row_id) override;
@@ -189,9 +192,9 @@ class RemoteSmcOracle : public MatchOracle {
   /// Pairs re-dispatched onto another shard after theirs turned
   /// suspect/dead. Distinct from retries: the pair never failed.
   int64_t rebalanced_pairs() const { return rebalanced_pairs_; }
-  /// Pair/batch dispatches the coordinator has waited on — the latency unit
-  /// of the ctl plane. Per-pair mode pays one per pair attempt; batched mode
-  /// one per kPairBatch. Also streamed as the net.ctl_round_trips counter.
+  /// Ctl dispatches the coordinator has waited on — the latency unit of the
+  /// ctl plane: one per kPairBatch frame (retry batches included) and one
+  /// per kDelta. Also streamed as the net.ctl_round_trips counter.
   int64_t ctl_round_trips() const { return ctl_round_trips_; }
   /// Shard 0's coordinator bus (kept for single-shard callers).
   const SocketBus& bus() const { return *buses_[0]; }
@@ -206,7 +209,6 @@ class RemoteSmcOracle : public MatchOracle {
 
  private:
   struct EncodedAttr {
-    uint32_t pos = 0;
     crypto::BigInt x;
     crypto::BigInt y;
     crypto::BigInt threshold;
@@ -229,11 +231,17 @@ class RemoteSmcOracle : public MatchOracle {
       const;
   /// Encodes one side's row for the resident table: side 0 fills x only
   /// (alice's share), side 1 fills y and the threshold (bob's and qp's).
-  /// Same attr subset and pos values as EncodePair, so a sentinel pair
-  /// resolves to exactly the bytes the inline encoding would have carried.
+  /// Same attr subset as EncodePair, so a sentinel pair resolves to exactly
+  /// the bytes the inline encoding would have carried.
   Result<std::vector<EncodedAttr>> EncodeResidentRow(int side,
                                                      const Record& record)
       const;
+  /// Appends `role`'s operands of `attrs` (u32 count, then per attribute
+  /// alice x; bob y and threshold; qp threshold): the attribute list of a
+  /// kPairBatch entry and of a kDelta upsert.
+  void AppendRoleAttrs(int shard, const std::string& role,
+                       const std::vector<EncodedAttr>& attrs,
+                       std::vector<uint8_t>* payload) const;
   /// Sends one kDelta to `shard`'s role(s) for the row's side and waits for
   /// their acks. `attrs` is required for upserts, ignored for erases.
   Status DeltaToShard(int shard, uint8_t op, int side, int64_t row_id,
@@ -282,9 +290,8 @@ class RemoteSmcOracle : public MatchOracle {
   Status CollectReplies(int shard, CtlVerb verb, uint64_t id, uint32_t attempt,
                         const std::vector<std::string>& roles, int deadline_ms,
                         std::map<std::string, CtlResponse>* out);
-  /// Flushes one shard's mesh between attempts; Unavailable when it cannot.
-  Status PurgeShard(int shard);
-  /// Flushes every usable shard, retiring shards whose purge fails.
+  /// Flushes every usable shard's mesh between attempts (a kPurge barrier
+  /// per shard), retiring shards whose purge fails.
   /// Unavailable when no usable shard remains afterwards.
   Status PurgeUsableShards();
   /// Receives one ctl reply from any shard's bus within `timeout_ms`

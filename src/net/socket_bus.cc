@@ -708,9 +708,18 @@ Result<Message> SocketBus::Receive(const std::string& to) {
   return ReceiveTimeout(to, opts_.receive_timeout_ms);
 }
 
+void SocketBus::SetWaitHook(std::function<void()> hook, int interval_ms) {
+  wait_hook_ = std::move(hook);
+  wait_hook_interval_ms_ = std::max(1, interval_ms);
+}
+
 Result<Message> SocketBus::ReceiveTimeout(const std::string& to,
                                           int timeout_ms) {
   const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
+  const auto hook_interval = std::chrono::milliseconds(wait_hook_interval_ms_);
+  // Traffic for other inboxes wakes the wait too, so the hook keeps its
+  // own due time instead of restarting the interval on every wakeup.
+  auto hook_due = Clock::now() + hook_interval;
   std::unique_lock<std::mutex> lock(inbox_mu_);
   for (;;) {
     auto it = inboxes_.find(to);
@@ -719,11 +728,22 @@ Result<Message> SocketBus::ReceiveTimeout(const std::string& to,
       it->second.pop_front();
       return msg;
     }
-    if (inbox_cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
+    const bool hook = wait_hook_ && !in_wait_hook_;
+    const auto wake = hook ? std::min(deadline, hook_due) : deadline;
+    if (inbox_cv_.wait_until(lock, wake) == std::cv_status::no_timeout) {
+      continue;
+    }
+    if (Clock::now() >= deadline) {
       return Status::NotFound(StrFormat(
           "no message pending for %s (timed out after %dms)", to.c_str(),
           timeout_ms));
     }
+    lock.unlock();
+    in_wait_hook_ = true;
+    wait_hook_();
+    in_wait_hook_ = false;
+    lock.lock();
+    hook_due = Clock::now() + hook_interval;
   }
 }
 

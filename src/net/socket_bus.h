@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -134,6 +135,13 @@ class SocketBus : public smc::MessageBus {
   /// Receive with an explicit deadline (the coordinator waits longer for a
   /// pair acknowledgement than for an idle poll).
   Result<smc::Message> ReceiveTimeout(const std::string& to, int timeout_ms);
+
+  /// Runs `hook` on the owner thread every `interval_ms` that a receive
+  /// (Receive, Expect, Flush) spends blocked with nothing to deliver. The
+  /// party daemons answer heartbeat probes from it, so a daemon waiting out
+  /// a protocol receive timeout still reads as alive. The hook may Send and
+  /// make zero-timeout receives; it is never re-entered. Set before Start.
+  void SetWaitHook(std::function<void()> hook, int interval_ms);
 
   /// Link-flush barrier used between retry attempts: sends a flush marker
   /// (carrying `barrier_id`) to each named peer, then discards every inbound
@@ -272,6 +280,10 @@ class SocketBus : public smc::MessageBus {
 
   /// Last delivered seq per (from, to): Expect's staleness filter.
   std::map<std::pair<std::string, std::string>, uint64_t> seen_seq_;
+
+  std::function<void()> wait_hook_;  ///< owner thread only (SetWaitHook)
+  int wait_hook_interval_ms_ = 0;
+  bool in_wait_hook_ = false;
 
   /// Flush markers a concurrent Expect consumed before Flush began:
   /// sender -> barrier id of its latest marker. Owner-thread only.

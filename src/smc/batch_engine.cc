@@ -10,9 +10,9 @@
 namespace hprl::smc {
 
 namespace {
-/// Pairs handed to a worker per steal. Small enough to keep skewed batches
-/// balanced (a single Paillier comparison is milliseconds), large enough
-/// that the atomic cursor never contends.
+/// Scalar pairs per work unit (one steal). Small enough to keep skewed
+/// batches balanced (a single Paillier comparison is milliseconds), large
+/// enough that the atomic cursor never contends.
 constexpr size_t kStealChunk = 8;
 
 uint64_t WorkerSeed(uint64_t base, int worker) {
@@ -160,30 +160,31 @@ Result<std::vector<uint8_t>> BatchSmcEngine::CompareBatch(
   }
   WallTimer batch_timer;
   std::vector<uint8_t> labels(batch.size(), 0);
-  const size_t active = std::min(
-      static_cast<size_t>(threads_),
-      std::max<size_t>(1, (batch.size() + kStealChunk - 1) / kStealChunk));
 
-  auto quarantine = [&](std::vector<uint8_t>* out, size_t i) {
-    (*out)[i] = kPairQuarantined;
+  auto quarantine = [&](size_t i) {
+    labels[i] = kPairQuarantined;
     pairs_quarantined_.fetch_add(1, std::memory_order_relaxed);
     if (metrics_ != nullptr) obs::Add(metrics_, "smc.pairs_quarantined");
   };
 
-  // Packed fast path: workers drain fixed position-based GROUPS of pairs,
-  // each group one packed exchange. Grouping depends only on config + rule,
-  // so every thread count produces the same groups — and both paths compute
-  // exact distances, so the labels match the scalar path bit for bit.
+  // Work units are fixed position ranges: one packed group (one packed
+  // exchange) when the packed path is on, kStealChunk scalar pairs
+  // otherwise. Units depend only on config + rule, so every thread count
+  // produces the same units — and both paths compute exact distances, so
+  // the labels match the scalar path bit for bit.
   const size_t group_pairs =
       static_cast<size_t>(workers_.front()->PackedGroupPairs());
-  if (group_pairs >= 1) {
-    const size_t num_groups = (batch.size() + group_pairs - 1) / group_pairs;
-    const size_t active_groups =
-        std::min(static_cast<size_t>(threads_), std::max<size_t>(1, num_groups));
+  const size_t unit_pairs = group_pairs >= 1 ? group_pairs : kStealChunk;
+  const size_t num_units = (batch.size() + unit_pairs - 1) / unit_pairs;
+  const size_t active =
+      std::min(static_cast<size_t>(threads_), std::max<size_t>(1, num_units));
 
-    auto run_group = [&](size_t w, size_t g) -> Status {
-      const size_t begin = g * group_pairs;
-      const size_t end = std::min(begin + group_pairs, batch.size());
+  // Labels pairs [begin, end) on worker w. A fault-class failure
+  // quarantines and restarts the worker; the granularity is the whole group
+  // for packed (one packed exchange is indivisible) and one pair for scalar.
+  // No cached comparator pointer: a restart swaps the worker slot.
+  auto run_unit = [&](size_t w, size_t begin, size_t end) -> Status {
+    if (group_pairs >= 1) {
       std::vector<RowPairRequest> group(batch.begin() + begin,
                                         batch.begin() + end);
       auto matches = workers_[w]->ComparePackedGroup(group);
@@ -193,137 +194,63 @@ Result<std::vector<uint8_t>> BatchSmcEngine::CompareBatch(
         }
         return Status::OK();
       }
-      Status st = matches.status();
-      if (IsFaultClass(st)) {
-        // Quarantine granularity is the group here: one packed exchange is
-        // indivisible, so a crash mid-group takes its whole group out.
-        for (size_t i = begin; i < end; ++i) quarantine(&labels, i);
-        return RestartWorker(w);
-      }
-      return st;
-    };
-
-    if (active_groups <= 1) {
-      for (size_t g = 0; g < num_groups; ++g) {
-        HPRL_RETURN_IF_ERROR(run_group(0, g));
-      }
-    } else {
-      std::atomic<size_t> cursor{0};
-      std::atomic<bool> failed{false};
-      std::vector<Status> worker_status(active_groups, Status::OK());
-      std::vector<size_t> error_group(active_groups, num_groups);
-
-      auto drain_groups = [&](size_t w) {
-        while (!failed.load(std::memory_order_relaxed)) {
-          const size_t g = cursor.fetch_add(1, std::memory_order_relaxed);
-          if (g >= num_groups) break;
-          Status st = run_group(w, g);
-          if (!st.ok()) {
-            worker_status[w] = st;
-            error_group[w] = g;
-            failed.store(true, std::memory_order_relaxed);
-            return;
-          }
-        }
-      };
-
-      std::vector<std::thread> pool;
-      pool.reserve(active_groups - 1);
-      for (size_t w = 1; w < active_groups; ++w) {
-        pool.emplace_back([&, w] { drain_groups(w); });
-      }
-      drain_groups(0);
-      for (auto& th : pool) th.join();
-
-      if (failed.load()) {
-        size_t best = active_groups;
-        for (size_t w = 0; w < active_groups; ++w) {
-          if (!worker_status[w].ok() &&
-              (best == active_groups || error_group[w] < error_group[best])) {
-            best = w;
-          }
-        }
-        return worker_status[best];
-      }
+      if (!IsFaultClass(matches.status())) return matches.status();
+      for (size_t i = begin; i < end; ++i) quarantine(i);
+      return RestartWorker(w);
     }
-
-    if (metrics_ != nullptr) {
-      obs::Add(metrics_, "smc.batches");
-      obs::Observe(metrics_, "smc.batch_seconds",
-                   batch_timer.ElapsedSeconds());
-    }
-    return labels;
-  }
-
-  if (active <= 1) {
-    for (size_t i = 0; i < batch.size(); ++i) {
+    for (size_t i = begin; i < end; ++i) {
       const RowPairRequest& req = batch[i];
-      auto m = workers_.front()->CompareRows(req.a_id, req.b_id, *req.a,
-                                             *req.b);
-      if (!m.ok()) {
-        if (!IsFaultClass(m.status())) return m.status();
-        quarantine(&labels, i);
-        HPRL_RETURN_IF_ERROR(RestartWorker(0));
+      auto m = workers_[w]->CompareRows(req.a_id, req.b_id, *req.a, *req.b);
+      if (m.ok()) {
+        labels[i] = *m ? kPairMatch : kPairNonMatch;
         continue;
       }
-      labels[i] = *m ? kPairMatch : kPairNonMatch;
+      if (!IsFaultClass(m.status())) return m.status();
+      quarantine(i);
+      HPRL_RETURN_IF_ERROR(RestartWorker(w));  // next pair on a fresh stack
     }
-  } else {
-    std::atomic<size_t> cursor{0};
-    std::atomic<bool> failed{false};
-    std::vector<Status> worker_status(active, Status::OK());
-    std::vector<size_t> error_index(active, batch.size());
+    return Status::OK();
+  };
 
-    auto drain = [&](size_t w) {
-      while (!failed.load(std::memory_order_relaxed)) {
-        const size_t begin =
-            cursor.fetch_add(kStealChunk, std::memory_order_relaxed);
-        if (begin >= batch.size()) break;
-        const size_t end = std::min(begin + kStealChunk, batch.size());
-        for (size_t i = begin; i < end; ++i) {
-          const RowPairRequest& req = batch[i];
-          // No cached comparator pointer: a restart swaps the worker slot.
-          auto m = workers_[w]->CompareRows(req.a_id, req.b_id, *req.a,
-                                            *req.b);
-          if (m.ok()) {
-            labels[i] = *m ? kPairMatch : kPairNonMatch;
-            continue;
-          }
-          Status st = m.status();
-          if (IsFaultClass(st)) {
-            quarantine(&labels, i);
-            st = RestartWorker(w);
-            if (st.ok()) continue;  // healed: next pair on the fresh stack
-          }
-          worker_status[w] = st;
-          error_index[w] = i;
-          failed.store(true, std::memory_order_relaxed);
-          return;
-        }
+  // Work stealing over the units: an atomic cursor hands out the next unit,
+  // and a worker stops claiming once any unit failed. Every unit below a
+  // claimed one was claimed earlier and runs to completion, so the error of
+  // the smallest failing unit — the smallest failing index — is the same at
+  // every thread count. One active worker drains inline on this thread.
+  std::atomic<size_t> cursor{0};
+  std::atomic<bool> failed{false};
+  std::vector<Status> worker_status(active, Status::OK());
+  std::vector<size_t> error_unit(active, num_units);
+  auto drain = [&](size_t w) {
+    while (!failed.load(std::memory_order_relaxed)) {
+      const size_t u = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (u >= num_units) return;
+      const size_t begin = u * unit_pairs;
+      const size_t end = std::min(begin + unit_pairs, batch.size());
+      Status st = run_unit(w, begin, end);
+      if (!st.ok()) {
+        worker_status[w] = std::move(st);
+        error_unit[w] = u;
+        failed.store(true, std::memory_order_relaxed);
+        return;
       }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(active - 1);
-    for (size_t w = 1; w < active; ++w) {
-      pool.emplace_back([&, w] { drain(w); });
     }
-    drain(0);
-    for (auto& th : pool) th.join();
-
-    if (failed.load()) {
-      // Deterministic error reporting: the smallest-index failing pair wins.
-      size_t best = active;
-      for (size_t w = 0; w < active; ++w) {
-        if (!worker_status[w].ok() &&
-            (best == active || error_index[w] < error_index[best])) {
-          best = w;
-        }
-      }
-      return worker_status[best];
-    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(active - 1);
+  for (size_t w = 1; w < active; ++w) {
+    pool.emplace_back([&, w] { drain(w); });
   }
+  drain(0);
+  for (auto& th : pool) th.join();
 
+  if (failed.load()) {
+    size_t best = 0;
+    for (size_t w = 1; w < active; ++w) {
+      if (error_unit[w] < error_unit[best]) best = w;
+    }
+    return worker_status[best];
+  }
   if (metrics_ != nullptr) {
     obs::Add(metrics_, "smc.batches");
     obs::Observe(metrics_, "smc.batch_seconds", batch_timer.ElapsedSeconds());

@@ -18,10 +18,11 @@ namespace hprl::smc {
 /// ONE published Paillier key pair — generated once at Init, not once per
 /// worker — and one pool of precomputed encryption randomizers.
 ///
-/// CompareBatch distributes a batch of row pairs over the workers with
-/// chunked work-stealing (an atomic cursor over fixed-size chunks), and each
-/// worker writes the label of pair i into slot i of the shared result
-/// vector. Because results are position-addressed, the merged output is
+/// CompareBatch distributes a batch of row pairs over the workers with one
+/// work-stealing loop (an atomic cursor over fixed position ranges: one
+/// packed group each when packing is on, a chunk of scalar pairs
+/// otherwise; one active worker drains inline), and each worker writes the
+/// label of pair i into slot i of the shared result vector. Because results are position-addressed, the merged output is
 /// bit-identical for every thread count — determinism by construction, with
 /// no ordering pass. Budget accounting matches too: the aggregated costs()
 /// are sums over workers, independent of which worker ran which pair.
@@ -62,9 +63,10 @@ class BatchSmcEngine {
   /// Worker supervision: when a pair fails with a fault-class status — an
   /// injected crash (Unavailable), or a transient transport fault that
   /// survived the protocol's retries (NotFound / IOError / Internal) — the
-  /// pair is quarantined (labeled kPairQuarantined, counted in
-  /// pairs_quarantined()), the worker's comparator stack is rebuilt around
-  /// the shared key pair (worker_restarts()), and the batch continues.
+  /// pair, or with packing its whole group, is quarantined (labeled
+  /// kPairQuarantined, counted in pairs_quarantined()), the worker's
+  /// comparator stack is rebuilt around the shared key pair
+  /// (worker_restarts()), and the batch continues.
   /// Genuine semantic errors (InvalidArgument, Unimplemented, ...) still
   /// fail the whole batch with the error of the smallest-index failing pair.
   Result<std::vector<uint8_t>> CompareBatch(

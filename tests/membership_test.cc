@@ -376,7 +376,6 @@ TEST(CtlVerbTest, RequestAndResponseAreInverses) {
   resp.attempt = 7;
   resp.epoch = 42;
   resp.code = StatusCode::kNotFound;
-  resp.label = 2;
   resp.detail = "late";
   resp.extra = {9, 8, 7};
   std::vector<uint8_t> wire;
@@ -389,7 +388,6 @@ TEST(CtlVerbTest, RequestAndResponseAreInverses) {
   EXPECT_EQ(parsed->attempt, resp.attempt);
   EXPECT_EQ(parsed->epoch, resp.epoch);
   EXPECT_EQ(parsed->code, resp.code);
-  EXPECT_EQ(parsed->label, resp.label);
   EXPECT_EQ(parsed->detail, resp.detail);
   EXPECT_EQ(parsed->extra, resp.extra);
 

@@ -125,6 +125,22 @@ TEST(FrameTest, RejectsVersionMismatch) {
   EXPECT_NE(back.status().ToString().find("version"), std::string::npos);
 }
 
+// A wire v6 peer (per-pair "pair" verb, ack label byte, per-attribute rule
+// positions) is refused at the frame layer, never half-parsed.
+TEST(FrameTest, RejectsWireVersionSix) {
+  ASSERT_EQ(net::kWireVersion, 7);
+  Message msg = MakeMessage();
+  std::vector<uint8_t> wire = EncodeFrame(msg);
+  wire[4 + 4] = 0x00;
+  wire[4 + 5] = 0x06;
+  auto back = DecodeFrame(wire.data() + 4, wire.size() - 4);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kIOError);
+  EXPECT_NE(back.status().ToString().find("version"), std::string::npos);
+  auto view = net::DecodeFrameView(wire.data() + 4, wire.size() - 4);
+  EXPECT_FALSE(view.ok());
+}
+
 TEST(FrameTest, RejectsTruncationAtEveryLength) {
   Message msg = MakeMessage();
   std::vector<uint8_t> wire = EncodeFrame(msg);
@@ -835,6 +851,38 @@ TEST_F(MeshTest, InjectedFaultIsRetriedAndHeals) {
   EXPECT_TRUE(oracle->Shutdown(/*stop_daemons=*/true).ok());
 }
 
+// The same heal with the probe clock far faster than the daemons' receive
+// timeout: qp waits a full second for the faulted bob's ciphertext while
+// the coordinator would call it suspect after two missed 50 ms probes. A
+// daemon blocked in a protocol receive must keep answering probes, so the
+// pair heals by retry instead of being quarantined with its shard.
+TEST_F(MeshTest, DaemonWaitingOutAFaultKeepsAnsweringProbes) {
+  StartMesh(/*receive_timeout_ms=*/1000);
+  RemoteOracleOptions opts;
+  opts.config.key_bits = 256;
+  opts.config.test_seed = 4242;
+  opts.config.max_retries = 3;
+  opts.rule = MixedRule();
+  opts.endpoints = endpoints_;
+  opts.receive_timeout_ms = 1000;
+  opts.hb_interval_ms = 50;
+  RemoteSmcOracle oracle(opts);
+  ASSERT_TRUE(oracle.Init().ok());
+  ASSERT_TRUE(oracle.InjectFailures("bob", 1).ok());
+
+  const std::vector<std::pair<Record, Record>> one = {SixPairs()[0]};
+  auto labels = oracle.CompareBatch(PairBatch(one));
+  ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+  EXPECT_EQ(labels->front(), kPairMatch);
+  EXPECT_GE(oracle.retries(), 1);
+  EXPECT_EQ(oracle.pairs_quarantined(), 0);
+  for (const auto& t : oracle.membership().transitions()) {
+    EXPECT_NE(t.to, net::ReplicaState::kSuspect) << t.replica;
+    EXPECT_NE(t.to, net::ReplicaState::kDead) << t.replica;
+  }
+  EXPECT_TRUE(oracle.Shutdown(/*stop_daemons=*/true).ok());
+}
+
 TEST_F(MeshTest, DeadPartyQuarantinesPair) {
   StartMesh(/*receive_timeout_ms=*/300);
   auto oracle = MakeOracle(300);
@@ -865,10 +913,9 @@ TEST_F(MeshTest, DeadPartyQuarantinesPair) {
   (void)oracle->Shutdown(/*stop_daemons=*/true);
 }
 
-// rpc_batch = 1 is the degenerate pipelined mode: it must take the literal
-// per-pair round-trip path and produce exactly the plaintext-rule labels the
-// batched mode produces (EndToEndLabelsMatchInProcessProtocol pins the
-// batched mode to the same reference).
+// rpc_batch = 1 ships one pair per `pairb` frame: exactly the plaintext-rule
+// labels, and exactly one ctl round trip per pair (no retries on a healthy
+// mesh), which is the count scripts/bench_smoke.sh gates on.
 TEST_F(MeshTest, BatchSizeOneDegeneratesToPerPairRoundTrips) {
   StartMesh(/*receive_timeout_ms=*/2000);
   auto oracle = MakeOracle(2000, /*rpc_batch=*/1);
@@ -878,17 +925,46 @@ TEST_F(MeshTest, BatchSizeOneDegeneratesToPerPairRoundTrips) {
   const auto batch = PairBatch(pairs);
   auto labels = oracle->CompareBatch(batch);
   ASSERT_TRUE(labels.ok()) << labels.status().ToString();
-  ASSERT_EQ(labels->size(), pairs.size());
+  std::vector<uint8_t> want;
+  for (const auto& [a, b] : pairs) {
+    want.push_back(RecordsMatch(a, b, MixedRule()) ? kPairMatch
+                                                   : kPairNonMatch);
+  }
+  EXPECT_EQ(*labels, want);
+  EXPECT_EQ(oracle->ctl_round_trips(), static_cast<int64_t>(pairs.size()));
+  EXPECT_EQ(oracle->retries(), 0);
+  EXPECT_EQ(oracle->pairs_quarantined(), 0);
+  EXPECT_TRUE(oracle->Shutdown(/*stop_daemons=*/true).ok());
+}
+
+// The single-pair entry point labels exactly like the batch path, and a
+// pair whose shard lost a party reports Unavailable instead of a label.
+TEST_F(MeshTest, CompareRowsLabelsOnePairAndReportsDeadParty) {
+  StartMesh(/*receive_timeout_ms=*/300);
+  auto oracle = MakeOracle(300);
+  ASSERT_TRUE(oracle->Init().ok());
+
+  const auto pairs = SixPairs();
   for (size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ((*labels)[i],
-              RecordsMatch(pairs[i].first, pairs[i].second, MixedRule())
-                  ? kPairMatch
-                  : kPairNonMatch)
+    auto m = oracle->CompareRows(static_cast<int64_t>(i),
+                                 static_cast<int64_t>(100 + i),
+                                 pairs[i].first, pairs[i].second);
+    ASSERT_TRUE(m.ok()) << m.status().ToString();
+    EXPECT_EQ(*m, RecordsMatch(pairs[i].first, pairs[i].second, MixedRule()))
         << "pair " << i;
   }
-  // Per-pair mode pays one ctl round trip per pair ...
-  EXPECT_EQ(oracle->ctl_round_trips(), static_cast<int64_t>(pairs.size()));
-  EXPECT_TRUE(oracle->Shutdown(/*stop_daemons=*/true).ok());
+  EXPECT_EQ(oracle->invocations(), static_cast<int64_t>(pairs.size()));
+
+  KillService(1);  // bob
+  for (int i = 0; i < 200 && oracle->bus().PeerAlive("bob"); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_FALSE(oracle->bus().PeerAlive("bob"));
+  auto dead = oracle->CompareRows(0, 100, pairs[0].first, pairs[0].second);
+  ASSERT_FALSE(dead.ok());
+  EXPECT_EQ(dead.status().code(), StatusCode::kUnavailable)
+      << dead.status().ToString();
+  (void)oracle->Shutdown(/*stop_daemons=*/true);
 }
 
 TEST_F(MeshTest, BatchedModeCollapsesCtlRoundTrips) {

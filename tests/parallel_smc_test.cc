@@ -300,6 +300,11 @@ TEST(PackedSmcTest, PackedDeterministicUnderFaults) {
   cfg.fault_plan.seed = 47;
   cfg.fault_plan.drop_rate = 0.15;
   cfg.fault_plan.corrupt_rate = 0.10;
+  cfg.fault_plan.crash_rate = 0.05;
+  const size_t group =
+      static_cast<size_t>(smc::SecureRecordComparator(cfg, w.rule)
+                              .PackedGroupPairs());
+  ASSERT_GT(group, 1u);
 
   std::vector<std::vector<uint8_t>> by_threads;
   for (int threads : {1, 4}) {
@@ -307,9 +312,72 @@ TEST(PackedSmcTest, PackedDeterministicUnderFaults) {
     ASSERT_TRUE(engine.Init().ok());
     auto labels = engine.CompareBatch(batch);
     ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+    // A crash takes out its whole packed group, never part of one.
+    const int64_t quarantined =
+        std::count(labels->begin(), labels->end(), kPairQuarantined);
+    EXPECT_GT(quarantined, 0) << "threads=" << threads;
+    EXPECT_LT(quarantined, static_cast<int64_t>(batch.size()))
+        << "threads=" << threads;
+    EXPECT_EQ(engine.pairs_quarantined(), quarantined) << "threads=" << threads;
+    for (size_t begin = 0; begin < batch.size(); begin += group) {
+      const size_t end = std::min(begin + group, batch.size());
+      const auto first = (*labels)[begin] == kPairQuarantined;
+      for (size_t i = begin; i < end; ++i) {
+        EXPECT_EQ((*labels)[i] == kPairQuarantined, first)
+            << "threads=" << threads << " pair " << i;
+      }
+    }
     by_threads.push_back(std::move(labels).value());
   }
   EXPECT_EQ(by_threads[0], by_threads[1]);
+}
+
+// A semantic error (here: a text attribute reaching the SMC step, which
+// only happens for pairs whose leading categorical attribute matches) in
+// the middle of a batch fails the batch with the same status at every
+// thread count, for the scalar and the packed engine configuration. Text
+// attributes disable packing, so the packed configuration runs its pairs as
+// scalar units too: no input drives a packed exchange into a semantic error.
+TEST(BatchSmcEngineTest, MidBatchSemanticErrorIsThreadCountInvariant) {
+  MatchRule rule;
+  AttrRule cat;
+  cat.attr_index = 0;
+  cat.type = AttrType::kCategorical;
+  cat.theta = 0.5;
+  AttrRule text;
+  text.attr_index = 1;
+  text.type = AttrType::kText;
+  text.theta = 0.5;
+  rule.attrs = {cat, text};
+
+  // Only pairs 21 and 30 agree on the category, so only they reach the
+  // text attribute; every other pair is a non-match after one exchange.
+  std::vector<Record> as, bs;
+  for (int i = 0; i < 40; ++i) {
+    const bool agree = i == 21 || i == 30;
+    as.push_back({Value::Category(1), Value::Text("x")});
+    bs.push_back({Value::Category(agree ? 1 : 2), Value::Text("x")});
+  }
+  std::vector<RowPairRequest> batch;
+  for (size_t i = 0; i < as.size(); ++i) {
+    batch.push_back({static_cast<int64_t>(i), static_cast<int64_t>(i), &as[i],
+                     &bs[i]});
+  }
+
+  for (const smc::SmcConfig& cfg : {TestSmcConfig(), PackedSmcConfig(4)}) {
+    std::vector<std::string> by_threads;
+    for (int threads : {1, 4}) {
+      smc::BatchSmcEngine engine(cfg, rule, threads);
+      ASSERT_TRUE(engine.Init().ok());
+      auto labels = engine.CompareBatch(batch);
+      ASSERT_FALSE(labels.ok()) << "threads=" << threads;
+      EXPECT_EQ(labels.status().code(), StatusCode::kUnimplemented)
+          << labels.status().ToString();
+      EXPECT_EQ(engine.pairs_quarantined(), 0) << "threads=" << threads;
+      by_threads.push_back(labels.status().ToString());
+    }
+    EXPECT_EQ(by_threads[0], by_threads[1]) << "pack_pairs=" << cfg.pack_pairs;
+  }
 }
 
 // Slots too narrow for the scaled attribute values: every pair fails the

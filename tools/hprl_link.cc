@@ -93,7 +93,8 @@ int main(int argc, char** argv) {
       "run only the offline phase: generate + persist material, then exit");
   int64_t* rpc_batch = flags.AddInt(
       "rpc_batch", 0,
-      "tcp: pairs per ctl batch frame (1 = per-pair; 0 = use the spec's)");
+      "tcp: pairs per ctl batch frame (1 = one pair per frame; 0 = use the "
+      "spec's)");
   int64_t* rpc_window = flags.AddInt(
       "rpc_window", 0,
       "tcp: batches kept in flight per shard (0 = use the spec's)");
