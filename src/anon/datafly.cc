@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cstring>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -57,7 +58,7 @@ class DataflyAnonymizer : public Anonymizer {
     // Appends qid q's generalized key component for a row.
     auto component = [&](int q, int64_t row, std::string* key) {
       if (qd.type[q] == AttrType::kText) {
-        const std::string& s = qd.text[q][row];
+        std::string_view s = qd.text[q][row];
         size_t take = std::min<size_t>(s.size(), static_cast<size_t>(level[q]));
         AppendComponent('T', s.data(), take, key);
         return;
@@ -68,7 +69,8 @@ class DataflyAnonymizer : public Anonymizer {
         AppendComponent('V', &v, sizeof(v), key);
         return;
       }
-      int32_t node = qd.vgh[q]->AncestorAtLevel(qd.leaf_node[q][row], level[q]);
+      int32_t node =
+          qd.vgh[q]->AncestorAtLevel(qd.LeafNode(q, row), level[q]);
       AppendComponent('N', &node, sizeof(node), key);
     };
 
@@ -158,18 +160,18 @@ class DataflyAnonymizer : public Anonymizer {
       int64_t rep = rows.front();
       for (int q = 0; q < qd.num_qids; ++q) {
         if (qd.type[q] == AttrType::kText) {
-          const std::string& s = qd.text[q][rep];
+          std::string_view s = qd.text[q][rep];
           size_t take =
               std::min<size_t>(s.size(), static_cast<size_t>(level[q]));
-          g.seq.push_back(
-              GenValue::TextPrefix(s.substr(0, take), take == s.size()));
+          g.seq.push_back(GenValue::TextPrefix(std::string(s.substr(0, take)),
+                                               take == s.size()));
         } else if (qd.type[q] == AttrType::kNumeric &&
                    config_.numeric_exact_leaves &&
                    level[q] == max_level[q]) {
           g.seq.push_back(GenValue::NumericExact(qd.value[q][rep]));
         } else {
           g.seq.push_back(qd.vgh[q]->Gen(
-              qd.vgh[q]->AncestorAtLevel(qd.leaf_node[q][rep], level[q])));
+              qd.vgh[q]->AncestorAtLevel(qd.LeafNode(q, rep), level[q])));
         }
       }
       out.groups.push_back(std::move(g));

@@ -124,7 +124,7 @@ class IncognitoAnonymizer : public Anonymizer {
         key->append(reinterpret_cast<const char*>(&v), sizeof(v));
       } else {
         int32_t node =
-            qd.vgh[q]->AncestorAtLevel(qd.leaf_node[q][row], levels[q]);
+            qd.vgh[q]->AncestorAtLevel(qd.LeafNode(q, row), levels[q]);
         key->append(reinterpret_cast<const char*>(&node), sizeof(node));
       }
       key->push_back('\x1f');
@@ -173,7 +173,7 @@ class IncognitoAnonymizer : public Anonymizer {
           g.seq.push_back(GenValue::NumericExact(qd.value[q][rep]));
         } else {
           g.seq.push_back(qd.vgh[q]->Gen(
-              qd.vgh[q]->AncestorAtLevel(qd.leaf_node[q][rep], levels[q])));
+              qd.vgh[q]->AncestorAtLevel(qd.LeafNode(q, rep), levels[q])));
         }
       }
       g.rows = std::move(rows);

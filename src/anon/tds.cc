@@ -1,7 +1,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <unordered_map>
 
 #include "anon/anonymizer.h"
 #include "anon/qid_data.h"
@@ -24,6 +23,11 @@ struct TdsPart {
   std::vector<std::pair<double, double>> num_iv;  // numeric qids: [lo, hi)
   GenSequence seq;
 };
+
+/// A partition holding `rows` with a copy of `p`'s generalization state.
+TdsPart ChildOf(const TdsPart& p, std::vector<int64_t> rows) {
+  return TdsPart{std::move(rows), p.cat_node, p.num_iv, p.seq};
+}
 
 /// Identifies one cut element: a categorical node or a numeric interval of
 /// attribute `q`.
@@ -142,26 +146,22 @@ class TdsAnonymizer : public Anonymizer {
                            const std::vector<size_t>& part_ids,
                            const std::vector<TdsPart>& parts, const QidData& qd,
                            int32_t num_classes) const {
-    const Vgh& vgh = *qd.vgh[key.q];
-    const auto& children = vgh.node(key.node).children;
+    const Vgh::Node& n = qd.vgh[key.q]->node(key.node);
+    const std::vector<int32_t>& pos = qd.ChildPositions(key.q, key.node);
+    const std::vector<int32_t>& leaves = qd.leaf[key.q];
+    const size_t num_children = n.children.size();
     CandEval eval;
     eval.valid = true;
     for (size_t pi : part_ids) {
       const TdsPart& p = parts[pi];
-      std::vector<int64_t> child_size(children.size(), 0);
+      std::vector<int64_t> child_size(num_children, 0);
       std::vector<std::vector<int64_t>> child_class(
-          children.size(), std::vector<int64_t>(num_classes, 0));
+          num_children, std::vector<int64_t>(num_classes, 0));
       std::vector<int64_t> total_class(num_classes, 0);
       for (int64_t row : p.rows) {
-        int32_t li = qd.leaf[key.q][row];
-        for (size_t ci = 0; ci < children.size(); ++ci) {
-          const Vgh::Node& cn = vgh.node(children[ci]);
-          if (li >= cn.leaf_begin && li < cn.leaf_end) {
-            ++child_size[ci];
-            ++child_class[ci][qd.class_label[row]];
-            break;
-          }
-        }
+        const int32_t ci = pos[leaves[row] - n.leaf_begin];
+        ++child_size[ci];
+        ++child_class[ci][qd.class_label[row]];
         ++total_class[qd.class_label[row]];
       }
       for (int64_t cs : child_size) {
@@ -173,7 +173,7 @@ class TdsAnonymizer : public Anonymizer {
       double before =
           static_cast<double>(p.rows.size()) * ClassEntropy(total_class);
       double after = 0;
-      for (size_t ci = 0; ci < children.size(); ++ci) {
+      for (size_t ci = 0; ci < num_children; ++ci) {
         if (child_size[ci] == 0) continue;
         after += static_cast<double>(child_size[ci]) *
                  ClassEntropy(child_class[ci]);
@@ -268,26 +268,18 @@ class TdsAnonymizer : public Anonymizer {
     for (size_t pi : part_ids) {
       TdsPart& p = parts[pi];
       if (key.node >= 0) {
-        // Categorical: split by child.
-        std::unordered_map<int, std::vector<int64_t>> by_child;
-        for (int64_t row : p.rows) {
-          by_child[qd.ChildToward(key.q, key.node, row)].push_back(row);
+        // Categorical: split by child. The first child stays in place; the
+        // others are appended, each with a copy of p's pre-split state.
+        auto split = qd.SplitByChild(key.q, key.node, p.rows);
+        for (size_t i = 1; i < split.size(); ++i) {
+          auto& [child, rows] = split[i];
+          fresh.push_back(ChildOf(p, std::move(rows)));
+          fresh.back().cat_node[key.q] = child;
+          fresh.back().seq[key.q] = vgh.Gen(child);
         }
-        bool first = true;
-        TdsPart base = p;  // state snapshot before mutation
-        for (auto& [child, rows] : by_child) {
-          TdsPart* dst;
-          if (first) {
-            dst = &p;
-            first = false;
-          } else {
-            fresh.push_back(base);
-            dst = &fresh.back();
-          }
-          dst->rows = std::move(rows);
-          dst->cat_node[key.q] = child;
-          dst->seq[key.q] = vgh.Gen(child);
-        }
+        p.rows = std::move(split[0].second);
+        p.cat_node[key.q] = split[0].first;
+        p.seq[key.q] = vgh.Gen(split[0].first);
       } else {
         // Numeric: binary split at eval.split_point.
         std::vector<int64_t> left, right;
@@ -308,14 +300,12 @@ class TdsAnonymizer : public Anonymizer {
                                                    p.num_iv[key.q].second);
           continue;
         }
-        TdsPart base = p;
+        fresh.push_back(ChildOf(p, std::move(right)));
         p.rows = std::move(left);
         p.num_iv[key.q].second = eval.split_point;
         p.seq[key.q] = GenValue::NumericInterval(p.num_iv[key.q].first,
                                                  eval.split_point);
-        fresh.push_back(std::move(base));
         TdsPart& r = fresh.back();
-        r.rows = std::move(right);
         r.num_iv[key.q].first = eval.split_point;
         r.seq[key.q] = GenValue::NumericInterval(eval.split_point,
                                                  r.num_iv[key.q].second);

@@ -147,11 +147,21 @@ SocketBusOptions MeshBusOptions(const std::string& role,
   return opts;
 }
 
+namespace {
+
+SocketBusOptions PartyBusOptions(const PartyServiceOptions& opts) {
+  SocketBusOptions bus =
+      MeshBusOptions(opts.role, opts.endpoints, opts.connect_timeout_ms,
+                     opts.receive_timeout_ms);
+  bus.listen_fd = opts.listen_fd;
+  return bus;
+}
+
+}  // namespace
+
 PartyService::PartyService(PartyServiceOptions opts)
     : opts_(std::move(opts)),
-      bus_(std::make_unique<SocketBus>(
-          MeshBusOptions(opts_.role, opts_.endpoints, opts_.connect_timeout_ms,
-                         opts_.receive_timeout_ms))) {}
+      bus_(std::make_unique<SocketBus>(PartyBusOptions(opts_))) {}
 
 PartyService::~PartyService() { bus_->Stop(); }
 

@@ -101,6 +101,9 @@ struct PartyServiceOptions {
   int connect_timeout_ms = 10000;
   int receive_timeout_ms = 4000;
   obs::MetricsRegistry* metrics = nullptr;  ///< not owned; may be null
+  /// A socket already listening on this role's endpoint port, adopted
+  /// instead of binding it (-1 = bind); see SocketBusOptions::listen_fd.
+  int listen_fd = -1;
 };
 
 /// One party daemon: hosts the real party object (QueryingParty or

@@ -72,7 +72,8 @@ void TuneSocket(int fd) {
 
 }  // namespace
 
-SocketBus::SocketBus(SocketBusOptions opts) : opts_(std::move(opts)) {}
+SocketBus::SocketBus(SocketBusOptions opts)
+    : opts_(std::move(opts)), listener_(opts_.listen_fd) {}
 
 SocketBus::~SocketBus() { Stop(); }
 
@@ -100,9 +101,11 @@ Status SocketBus::Start() {
   }
 
   if (opts_.listen) {
-    auto listener = TcpListen(opts_.listen_port);
-    if (!listener.ok()) return listener.status();
-    listener_ = std::move(listener).value();
+    if (!listener_.valid()) {
+      auto listener = TcpListen(opts_.listen_port);
+      if (!listener.ok()) return listener.status();
+      listener_ = std::move(listener).value();
+    }
     auto port = LocalPort(listener_);
     if (!port.ok()) return port.status();
     bound_port_.store(*port);

@@ -36,6 +36,11 @@ struct SocketBusOptions {
   /// Open a listening socket (daemons listen; the coordinator only dials).
   bool listen = false;
   uint16_t listen_port = 0;  ///< 0 = kernel-assigned; see listen_port()
+  /// An already-listening socket to use instead of binding listen_port
+  /// (-1 = bind). The bus owns it from construction. A caller that
+  /// reserves ports for a whole mesh hands each listener over this way, so
+  /// no other socket can take a published port before its daemon starts.
+  int listen_fd = -1;
 
   /// Peers this process dials at Start() (retried until the connect
   /// deadline, so parties may come up in any order).

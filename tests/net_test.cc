@@ -655,34 +655,42 @@ Record Rec(int32_t cat, double num) {
   return {Value::Category(cat), Value::Numeric(num)};
 }
 
+/// Opens a listener on a kernel-assigned port for each of alice, bob and qp
+/// and fills `mesh` with their endpoints. The listeners stay open in
+/// `holds` until handed to the daemons (PartyServiceOptions::listen_fd).
+void ReserveMesh(Fd (&holds)[3], MeshEndpoints* mesh) {
+  uint16_t ports[3];
+  for (int i = 0; i < 3; ++i) {
+    auto listener = net::TcpListen(0);
+    ASSERT_TRUE(listener.ok());
+    auto port = net::LocalPort(*listener);
+    ASSERT_TRUE(port.ok());
+    ports[i] = *port;
+    holds[i] = std::move(*listener);
+  }
+  mesh->alice = {"alice", "127.0.0.1", ports[0]};
+  mesh->bob = {"bob", "127.0.0.1", ports[1]};
+  mesh->qp = {"qp", "127.0.0.1", ports[2]};
+}
+
 /// Three PartyService daemons on threads plus a RemoteSmcOracle coordinator
 /// in the test thread — the full TCP deployment, hermetically in one
 /// process.
 class MeshTest : public ::testing::Test {
  protected:
   void StartMesh(int receive_timeout_ms) {
-    // Three kernel-assigned ports, all held while read.
+    // Three kernel-assigned ports. Each listener stays open and passes to
+    // its daemon, so no other socket can take a port once it is published.
     Fd holds[3];
-    uint16_t ports[3];
+    ASSERT_NO_FATAL_FAILURE(ReserveMesh(holds, &endpoints_));
+    const char* roles[3] = {"alice", "bob", "qp"};
     for (int i = 0; i < 3; ++i) {
-      auto listener = net::TcpListen(0);
-      ASSERT_TRUE(listener.ok());
-      auto port = net::LocalPort(*listener);
-      ASSERT_TRUE(port.ok());
-      ports[i] = *port;
-      holds[i] = std::move(*listener);
-    }
-    for (int i = 0; i < 3; ++i) holds[i].Close();
-    endpoints_.alice = {"alice", "127.0.0.1", ports[0]};
-    endpoints_.bob = {"bob", "127.0.0.1", ports[1]};
-    endpoints_.qp = {"qp", "127.0.0.1", ports[2]};
-
-    for (const char* role : {"alice", "bob", "qp"}) {
       PartyServiceOptions opts;
-      opts.role = role;
+      opts.role = roles[i];
       opts.endpoints = endpoints_;
       opts.connect_timeout_ms = 10000;
       opts.receive_timeout_ms = receive_timeout_ms;
+      opts.listen_fd = holds[i].release();
       services_.push_back(std::make_unique<PartyService>(opts));
     }
     for (size_t i = 0; i < services_.size(); ++i) {
@@ -1145,28 +1153,18 @@ class FleetTest : public ::testing::Test {
   void StartFleet(int receive_timeout_ms) {
     for (int shard = 0; shard < kShards; ++shard) {
       Fd holds[3];
-      uint16_t ports[3];
-      for (int i = 0; i < 3; ++i) {
-        auto listener = net::TcpListen(0);
-        ASSERT_TRUE(listener.ok());
-        auto port = net::LocalPort(*listener);
-        ASSERT_TRUE(port.ok());
-        ports[i] = *port;
-        holds[i] = std::move(*listener);
-      }
-      for (int i = 0; i < 3; ++i) holds[i].Close();
       MeshEndpoints mesh;
-      mesh.alice = {"alice", "127.0.0.1", ports[0]};
-      mesh.bob = {"bob", "127.0.0.1", ports[1]};
-      mesh.qp = {"qp", "127.0.0.1", ports[2]};
+      ASSERT_NO_FATAL_FAILURE(ReserveMesh(holds, &mesh));
       shard_endpoints_.push_back(mesh);
 
-      for (const char* role : {"alice", "bob", "qp"}) {
+      const char* roles[3] = {"alice", "bob", "qp"};
+      for (int i = 0; i < 3; ++i) {
         PartyServiceOptions opts;
-        opts.role = role;
+        opts.role = roles[i];
         opts.endpoints = mesh;
         opts.connect_timeout_ms = 10000;
         opts.receive_timeout_ms = receive_timeout_ms;
+        opts.listen_fd = holds[i].release();
         services_.push_back(std::make_unique<PartyService>(opts));
       }
     }
