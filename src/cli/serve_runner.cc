@@ -412,9 +412,6 @@ Result<ServeReport> RunServeFromFiles(const LinkageSpec& spec,
     report.links += static_cast<int64_t>(t.links.size());
   }
 
-  // Drop the daemons' resident tables before the shutdown stats sweep; in
-  //-process oracles treat this as a no-op.
-  HPRL_RETURN_IF_ERROR(be.oracle().DrainResidentRows());
   if (use_tcp) {
     be.AttachMetrics(metrics);
     HPRL_RETURN_IF_ERROR(be.Shutdown(/*stop_daemons=*/true));

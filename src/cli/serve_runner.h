@@ -38,8 +38,8 @@ struct ServeRunnerOptions {
   int64_t crash_after = 0;
 
   /// SMC deployment, same semantics as RunnerOptions: "" / "inproc" runs the
-  /// oracle in-process, "tcp" spawns or joins an hprl_party fleet (the
-  /// resident-table kDelta path; requires keybits > 0 in the spec).
+  /// oracle in-process, "tcp" spawns or joins an hprl_party fleet (rows
+  /// stay resident on the daemons; requires keybits > 0 in the spec).
   std::string transport;
   std::string tcp_endpoints;
   std::string party_binary = "hprl_party";

@@ -96,14 +96,14 @@ class MatchOracle {
   }
 
   // -------------------------------------------------------------------------
-  // Resident rows (streaming service). A long-lived caller may announce rows
-  // once so distributed oracles can hold the encoded form resident at the
-  // comparator parties and later reference pairs by (side, row_id) alone —
-  // the wire v6 `delta`/`drain` plane (docs/SERVICE.md). side 0 is R, 1 is S.
-  // In-process oracles get the full records with every CompareBatch call
-  // anyway, so the defaults are no-ops.
+  // Resident rows (streaming service). Distributed oracles keep the rows
+  // CompareBatch hands them resident at the comparator parties and reference
+  // pairs by (side, row_id) alone (docs/SERVICE.md); a caller only reports
+  // erased rows so those tables stay bounded. side 0 is R, 1 is S. No oracle
+  // needs announcements or a drain any more: PushResidentRow and
+  // DrainResidentRows are no-ops everywhere.
 
-  /// Announces (or replaces) a resident row. The record is copied.
+  /// Announces (or replaces) a resident row.
   virtual Status PushResidentRow(int side, int64_t row_id,
                                  const Record& record) {
     (void)side, (void)row_id, (void)record;

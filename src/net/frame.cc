@@ -291,10 +291,6 @@ const char* CtlVerbTag(CtlVerb verb) {
       return "warmup";
     case CtlVerb::kRejoin:
       return "rejoin";
-    case CtlVerb::kDelta:
-      return "delta";
-    case CtlVerb::kDrain:
-      return "drain";
   }
   return "unknown";  // unreachable: the switch above is exhaustive
 }
@@ -326,7 +322,6 @@ void AppendCtlResponse(const CtlResponse& r, std::vector<uint8_t>* out) {
   AppendString(r.role, out);
   AppendU8(static_cast<uint8_t>(r.verb), out);
   AppendU64(r.id, out);
-  AppendU32(r.attempt, out);
   AppendU64(r.epoch, out);
   AppendU8(static_cast<uint8_t>(r.code), out);
   AppendString(r.detail, out);
@@ -346,8 +341,6 @@ Result<CtlResponse> ParseCtlResponse(const std::vector<uint8_t>& payload) {
   }
   auto id = ConsumeU64(payload, &off);
   if (!id.ok()) return id.status();
-  auto attempt = ConsumeU32(payload, &off);
-  if (!attempt.ok()) return attempt.status();
   auto epoch = ConsumeU64(payload, &off);
   if (!epoch.ok()) return epoch.status();
   auto code = ConsumeU8(payload, &off);
@@ -361,12 +354,115 @@ Result<CtlResponse> ParseCtlResponse(const std::vector<uint8_t>& payload) {
   r.role = std::move(role).value();
   r.verb = static_cast<CtlVerb>(*verb);
   r.id = *id;
-  r.attempt = *attempt;
   r.epoch = *epoch;
   r.code = static_cast<StatusCode>(*code);
   r.detail = std::move(detail).value();
   r.extra.assign(payload.begin() + static_cast<long>(off), payload.end());
   return r;
+}
+
+// ------------------------------------------------------------ kPairBatch body
+
+namespace {
+
+/// The fewest bytes an entry can take: what a declared count is checked
+/// against before anything is allocated.
+constexpr size_t kMinSignedBigInt = 1 + 4;  // sign byte + zero-length magnitude
+constexpr size_t kMinRowEntry = 1 + 8 + 1;  // side, row_id, op (a forget)
+constexpr size_t kPairEntryBytes = 8 + 8 + 8;
+
+Status CheckCount(uint32_t count, size_t min_entry, size_t off, size_t size,
+                  const char* what) {
+  if (static_cast<uint64_t>(count) * min_entry <= size - off) {
+    return Status::OK();
+  }
+  return Status::IOError(StrFormat("pairb declares %u %s in %zu bytes",
+                                   unsigned{count}, what, size - off));
+}
+
+}  // namespace
+
+void AppendPairBatchBody(const PairBatchBody& body, OperandRole role,
+                         std::vector<uint8_t>* out) {
+  AppendU64(body.batch_id, out);
+  AppendU32(static_cast<uint32_t>(body.rows.size()), out);
+  for (const RowEntry& row : body.rows) {
+    AppendU8(row.side, out);
+    AppendI64(row.row_id, out);
+    AppendU8(static_cast<uint8_t>(row.op), out);
+    if (row.op != RowOp::kUpsert) continue;
+    AppendU32(static_cast<uint32_t>(row.attrs.size()), out);
+    for (const OperandAttr& attr : row.attrs) {
+      if (role == OperandRole::kAlice) {
+        AppendSignedBigInt(attr.x, out);
+        continue;
+      }
+      if (role == OperandRole::kBob) AppendSignedBigInt(attr.y, out);
+      AppendSignedBigInt(attr.threshold, out);
+    }
+  }
+  AppendU32(static_cast<uint32_t>(body.pairs.size()), out);
+  for (const PairEntry& pair : body.pairs) {
+    AppendU64(pair.pair_index, out);
+    AppendI64(pair.a_id, out);
+    AppendI64(pair.b_id, out);
+  }
+}
+
+Result<PairBatchBody> ParsePairBatchBody(const std::vector<uint8_t>& payload,
+                                         OperandRole role) {
+  PairBatchBody body;
+  size_t off = 0;
+  HPRL_ASSIGN_OR_RETURN(body.batch_id, ConsumeU64(payload, &off));
+  uint32_t nrows = 0;
+  HPRL_ASSIGN_OR_RETURN(nrows, ConsumeU32(payload, &off));
+  HPRL_RETURN_IF_ERROR(
+      CheckCount(nrows, kMinRowEntry, off, payload.size(), "rows"));
+  body.rows.resize(nrows);
+  for (RowEntry& row : body.rows) {
+    HPRL_ASSIGN_OR_RETURN(row.side, ConsumeU8(payload, &off));
+    if (row.side > 1) return Status::IOError("pairb row side must be 0 or 1");
+    HPRL_ASSIGN_OR_RETURN(row.row_id, ConsumeI64(payload, &off));
+    uint8_t op = 0;
+    HPRL_ASSIGN_OR_RETURN(op, ConsumeU8(payload, &off));
+    if (op != static_cast<uint8_t>(RowOp::kUpsert) &&
+        op != static_cast<uint8_t>(RowOp::kForget)) {
+      return Status::IOError("pairb row carries unknown op " +
+                             std::to_string(int{op}));
+    }
+    row.op = static_cast<RowOp>(op);
+    if (row.op != RowOp::kUpsert) continue;
+    uint32_t nattrs = 0;
+    HPRL_ASSIGN_OR_RETURN(nattrs, ConsumeU32(payload, &off));
+    const size_t fields = role == OperandRole::kBob ? 2 : 1;  // y, threshold
+    HPRL_RETURN_IF_ERROR(CheckCount(nattrs, fields * kMinSignedBigInt, off,
+                                    payload.size(), "attributes"));
+    row.attrs.resize(nattrs);
+    for (OperandAttr& attr : row.attrs) {
+      if (role == OperandRole::kAlice) {
+        HPRL_ASSIGN_OR_RETURN(attr.x, ConsumeSignedBigInt(payload, &off));
+        continue;
+      }
+      if (role == OperandRole::kBob) {
+        HPRL_ASSIGN_OR_RETURN(attr.y, ConsumeSignedBigInt(payload, &off));
+      }
+      HPRL_ASSIGN_OR_RETURN(attr.threshold, ConsumeSignedBigInt(payload, &off));
+    }
+  }
+  uint32_t npairs = 0;
+  HPRL_ASSIGN_OR_RETURN(npairs, ConsumeU32(payload, &off));
+  HPRL_RETURN_IF_ERROR(
+      CheckCount(npairs, kPairEntryBytes, off, payload.size(), "pairs"));
+  body.pairs.resize(npairs);
+  for (PairEntry& pair : body.pairs) {
+    HPRL_ASSIGN_OR_RETURN(pair.pair_index, ConsumeU64(payload, &off));
+    HPRL_ASSIGN_OR_RETURN(pair.a_id, ConsumeI64(payload, &off));
+    HPRL_ASSIGN_OR_RETURN(pair.b_id, ConsumeI64(payload, &off));
+  }
+  if (off != payload.size()) {
+    return Status::IOError("pairb body carries trailing bytes");
+  }
+  return body;
 }
 
 }  // namespace hprl::net

@@ -32,15 +32,16 @@ namespace hprl::net {
 /// in-process transport.
 
 inline constexpr uint32_t kWireMagic = 0x4850524C;  // "HPRL"
+/// Version 8: one operand path — "pairb" carries the rows its daemon does
+/// not hold yet ahead of id-only pair entries; "delta", "drain", inline
+/// operands and the always-zero attempt field (in "pairb" and acks) go.
 /// Version 7: one pair transport — the per-pair "pair" verb is gone (a
 /// one-pair "pairb" frame does its job, so the verbs after it renumber),
 /// ctl acknowledgements lose their label byte (pair labels ride in the
 /// "pairb" slots), and "pairb" entries and "delta" bodies no longer carry
 /// each attribute's rule position. Version 6 added resident tables for the
-/// streaming service — the kDelta verb pushes (or erases) one row's encoded
-/// attributes so daemons hold tables resident between requests, pair
-/// commands may then reference rows by id alone (a sentinel attribute
-/// count), and kDrain drops every resident row.
+/// streaming service (a "delta" verb per row, "drain", and id-only pair
+/// entries behind a sentinel attribute count).
 /// Version 5 added crash-consistent recovery: every ctl request and response
 /// carries a session-epoch fencing token (work verbs from a superseded
 /// epoch are rejected, never executed), and the kRejoin verb lets a
@@ -50,7 +51,7 @@ inline constexpr uint32_t kWireMagic = 0x4850524C;  // "HPRL"
 /// ctl verbs a typed enum with ":hb" heartbeat probes; version 2 added the
 /// batched pair command and the randomizer pool depth. Mixed-version
 /// meshes are rejected at the frame layer.
-inline constexpr uint16_t kWireVersion = 7;
+inline constexpr uint16_t kWireVersion = 8;
 
 /// Frames larger than this are rejected before any allocation — an oversized
 /// length prefix means a corrupted or hostile stream, not a big message
@@ -157,27 +158,14 @@ enum class CtlVerb : uint8_t {
   kRejoin = 10,     ///< re-admit a restarted daemon: adopt the coordinator's
                     ///  session epoch and bump past its last-seen
                     ///  incarnation ("rejoin")
-  kDelta = 11,      ///< push or erase one resident row's encoded attributes
-                    ///  so pair commands can reference it by id ("delta")
-  kDrain = 12,      ///< drop every resident row ("drain")
 };
 
 /// Number of verbs; ParseCtlResponse rejects verb bytes at or above this.
-inline constexpr uint8_t kCtlVerbCount = 13;
+inline constexpr uint8_t kCtlVerbCount = 11;
 
 /// kConfigure body flags byte. Bit 0 is the only defined flag; bits 1-2 are
 /// reserved (written as 0, ignored on receipt), bits 3-7 unused.
 inline constexpr uint8_t kCfgFlagRevealDistances = 1u << 0;
-
-/// Sentinel attribute count in a kPairBatch entry: the pair's operands
-/// are not inline — resolve them from the resident table pushed by kDelta
-/// (wire v6; a miss is FailedPrecondition, the coordinator only emits the
-/// sentinel for rows it successfully pushed).
-inline constexpr uint32_t kResidentPairSentinel = 0xFFFFFFFFu;
-
-/// kDelta body op byte: upsert (attrs follow) or erase (row id only).
-inline constexpr uint8_t kDeltaOpUpsert = 1;
-inline constexpr uint8_t kDeltaOpErase = 2;
 
 /// The verb's wire tag. Exhaustive switch: a new enum value that is not
 /// given a tag here fails to compile.
@@ -210,14 +198,13 @@ smc::Message EncodeCtlRequest(const std::string& from, const std::string& role,
                               const CtlRequest& req);
 
 /// Every command's acknowledgement. `id` echoes the command's correlation
-/// id (batch id, barrier id, delta row id, or heartbeat probe sequence);
-/// `extra` carries verb-specific data (kStats counters, kPairBatch slots,
+/// id (batch id, barrier id, or heartbeat probe sequence); `extra` carries
+/// verb-specific data (kStats counters, kPairBatch slots,
 /// kConfigure/kHeartbeat the daemon's incarnation number).
 struct CtlResponse {
   std::string role;  ///< replying replica's mesh name (e.g. "alice#1")
   CtlVerb verb = CtlVerb::kConfigure;
   uint64_t id = 0;
-  uint32_t attempt = 0;
   uint64_t epoch = 0;  ///< the daemon's current session epoch
   StatusCode code = StatusCode::kOk;
   std::string detail;
@@ -226,6 +213,71 @@ struct CtlResponse {
 
 void AppendCtlResponse(const CtlResponse& r, std::vector<uint8_t>* out);
 Result<CtlResponse> ParseCtlResponse(const std::vector<uint8_t>& payload);
+
+// ---------------------------------------------------------------------------
+// kPairBatch body (wire v8): a row rides the first batch that needs it on
+// a daemon, and pair entries reference rows by id alone.
+//
+//   u64  batch_id
+//   u32  row count, then per row:
+//          u8 side (0 = R, 1 = S), i64 row_id, u8 op (RowOp),
+//          upsert only: u32 attribute count, then per attribute the
+//          receiving role's operands (OperandAttr, signed BigInts)
+//   u32  pair count, then per pair: u64 pair_index, i64 a_id, i64 b_id
+//
+// Side-0 rows go to alice, side-1 rows to bob and qp: alice resolves a
+// pair's operands from its R row, bob and qp from its S row.
+
+/// Which operands a party receives per compared attribute.
+enum class OperandRole : uint8_t {
+  kAlice,  ///< x (her R value)
+  kBob,    ///< y (his S value), then the threshold
+  kQp,     ///< the threshold
+};
+
+/// One compared attribute's encoded operands. A role's rows carry only the
+/// fields OperandRole names for it; the others stay zero.
+struct OperandAttr {
+  crypto::BigInt x;
+  crypto::BigInt y;
+  crypto::BigInt threshold;
+
+  friend bool operator==(const OperandAttr& a, const OperandAttr& b) {
+    return a.x == b.x && a.y == b.y && a.threshold == b.threshold;
+  }
+};
+
+enum class RowOp : uint8_t {
+  kUpsert = 1,  ///< (re)place the row's operands
+  kForget = 2,  ///< drop the row (absent is not an error)
+};
+
+struct RowEntry {
+  uint8_t side = 0;
+  int64_t row_id = -1;
+  RowOp op = RowOp::kUpsert;
+  std::vector<OperandAttr> attrs;  ///< upsert only
+};
+
+struct PairEntry {
+  uint64_t pair_index = 0;  ///< echoed in the pair's reply slot
+  int64_t a_id = -1;        ///< R row
+  int64_t b_id = -1;        ///< S row
+};
+
+struct PairBatchBody {
+  uint64_t batch_id = 0;
+  std::vector<RowEntry> rows;  ///< applied in order, before any pair runs
+  std::vector<PairEntry> pairs;
+};
+
+void AppendPairBatchBody(const PairBatchBody& body, OperandRole role,
+                         std::vector<uint8_t>* out);
+/// Parses `role`'s body. Declared counts are checked against the bytes left
+/// before anything is allocated; truncation, an unknown op or side, and
+/// trailing bytes are errors.
+Result<PairBatchBody> ParsePairBatchBody(const std::vector<uint8_t>& payload,
+                                         OperandRole role);
 
 }  // namespace hprl::net
 

@@ -194,7 +194,7 @@ void PartyService::DrainHeartbeats() {
     if (!seq.ok()) continue;  // malformed probe: as good as a lost one
     std::vector<uint8_t> extra;
     AppendU64(incarnation_, &extra);
-    Reply(CtlVerb::kHeartbeat, *seq, 0, Status::OK(), std::move(extra));
+    Reply(CtlVerb::kHeartbeat, *seq, Status::OK(), std::move(extra));
   }
 }
 
@@ -213,14 +213,12 @@ bool PartyService::EpochFenced(CtlVerb verb, uint64_t epoch) const {
     case CtlVerb::kPairBatch:
     case CtlVerb::kPurge:
     case CtlVerb::kWarmup:
-    case CtlVerb::kDelta:
-    case CtlVerb::kDrain:
       // Work verbs execute only under the exact configured epoch: a frame
       // the crashed coordinator left in flight (lower epoch) must never run
       // a pair, and a future-epoch frame reached a daemon that missed the
-      // reconfiguration and has no matching protocol state. Resident-table
-      // mutations are work too: a stale delta must not resurrect a row the
-      // new session's coordinator never pushed.
+      // reconfiguration and has no matching protocol state. A fenced
+      // "pairb" applies none of its rows either: a stale frame must not
+      // resurrect a row the new session never sent.
       return epoch != epoch_;
   }
   return true;  // unreachable: the switch above is exhaustive
@@ -254,7 +252,7 @@ Status PartyService::Serve() {
       // adopted) session epoch gets a refusal the coordinator can tell
       // apart from a transient fault.
       fenced_requests_ += 1;
-      Reply(*verb, 0, 0,
+      Reply(*verb, 0,
             Status::FailedPrecondition(
                 "stale session epoch " + std::to_string(*epoch) + " fenced (" +
                 opts_.role + " is at " + std::to_string(epoch_) + ")"),
@@ -262,7 +260,7 @@ Status PartyService::Serve() {
       continue;
     }
     if (*verb == CtlVerb::kShutdown) {
-      Reply(CtlVerb::kShutdown, 0, 0, Status::OK(), {});
+      Reply(CtlVerb::kShutdown, 0, Status::OK(), {});
       return Status::OK();
     }
     Status handled = Dispatch(*verb, *epoch, *msg);
@@ -285,19 +283,20 @@ Status PartyService::Dispatch(CtlVerb verb, uint64_t epoch,
       if (st.ok()) {
         epoch_ = epoch;  // a successful cfg adopts the epoch
         // A new session's resident table starts empty; the coordinator
-        // replays its pushes after cfg (rejoin) or as deltas arrive (serve).
+        // forgets what this daemon held and re-sends rows as batches need
+        // them.
         resident_.clear();
       }
       std::vector<uint8_t> extra;
       AppendU64(incarnation_, &extra);
-      Reply(CtlVerb::kConfigure, 0, 0, st, std::move(extra));
+      Reply(CtlVerb::kConfigure, 0, st, std::move(extra));
       return st;
     }
     case CtlVerb::kRejoin: {
       size_t off = 0;
       auto last_seen = ConsumeU64(msg.payload, &off);
       if (!last_seen.ok()) {
-        Reply(CtlVerb::kRejoin, 0, 0, last_seen.status(), {});
+        Reply(CtlVerb::kRejoin, 0, last_seen.status(), {});
         return last_seen.status();
       }
       // Re-admission handshake: adopt the coordinator's epoch and present
@@ -309,63 +308,62 @@ Status PartyService::Dispatch(CtlVerb verb, uint64_t epoch,
       incarnation_ = std::max(incarnation_, *last_seen) + 1;
       std::vector<uint8_t> extra;
       AppendU64(incarnation_, &extra);
-      Reply(CtlVerb::kRejoin, 0, 0, Status::OK(), std::move(extra));
+      Reply(CtlVerb::kRejoin, 0, Status::OK(), std::move(extra));
       return Status::OK();
     }
     case CtlVerb::kKeygen: {
       Status st = HandleKeygen();
-      Reply(CtlVerb::kKeygen, 0, 0, st, {});
+      Reply(CtlVerb::kKeygen, 0, st, {});
       return st;
     }
     case CtlVerb::kRecvKey: {
       Status st = HandleRecvKey();
-      Reply(CtlVerb::kRecvKey, 0, 0, st, {});
+      Reply(CtlVerb::kRecvKey, 0, st, {});
       return st;
     }
     case CtlVerb::kPairBatch: {
-      auto cmd = ParsePairBatch(msg.payload);
-      if (!cmd.ok()) {
-        Reply(CtlVerb::kPairBatch, 0, 0, cmd.status(), {});
-        return cmd.status();
+      auto batch = ParsePairBatchBody(msg.payload, operand_role());
+      if (!batch.ok()) {
+        Reply(CtlVerb::kPairBatch, 0, batch.status(), {});
+        return batch.status();
       }
       std::vector<PairSlot> slots;
-      Status st = HandlePairBatch(*cmd, &slots);
+      Status st = HandlePairBatch(*batch, &slots);
       if (st.code() == StatusCode::kUnavailable) return st;  // bus is gone
       std::vector<uint8_t> extra;
       AppendPairSlots(slots, &extra);
       // The batch-level code stays OK even when slots failed: per-pair
       // outcomes live in the slots, and the coordinator retries or
       // quarantines at that granularity.
-      Reply(CtlVerb::kPairBatch, cmd->batch_id, cmd->attempt, st,
-            std::move(extra));
+      Reply(CtlVerb::kPairBatch, batch->batch_id, st, std::move(extra));
       return st;
     }
     case CtlVerb::kPurge: {
       size_t off = 0;
       auto barrier_id = ConsumeU64(msg.payload, &off);
       if (!barrier_id.ok()) {
-        Reply(CtlVerb::kPurge, 0, 0, barrier_id.status(), {});
+        Reply(CtlVerb::kPurge, 0, barrier_id.status(), {});
         return barrier_id.status();
       }
       std::vector<std::string> peers = {opts_.endpoints.alice.name,
                                         opts_.endpoints.bob.name,
                                         opts_.endpoints.qp.name};
       Status st = bus_->Flush(peers, *barrier_id);
-      Reply(CtlVerb::kPurge, *barrier_id, 0, st, {});
+      Reply(CtlVerb::kPurge, *barrier_id, st, {});
       return st;
     }
     case CtlVerb::kWarmup: {
       size_t off = 0;
       auto count = ConsumeU32(msg.payload, &off);
       if (!count.ok()) {
-        Reply(CtlVerb::kWarmup, 0, 0, count.status(), {});
+        Reply(CtlVerb::kWarmup, 0, count.status(), {});
         return count.status();
       }
       int64_t generated = 0;
       Status st = HandleWarmup(*count, &generated);
       std::vector<uint8_t> extra;
       AppendI64(generated, &extra);
-      Reply(CtlVerb::kWarmup, 0, 0, st, std::move(extra));
+      Reply(CtlVerb::kWarmup, 0, st, std::move(extra));
       return st;
     }
     case CtlVerb::kStats: {
@@ -387,13 +385,13 @@ Status PartyService::Dispatch(CtlVerb verb, uint64_t epoch,
       stats.net = bus_->net_stats();
       std::vector<uint8_t> extra;
       AppendPartyStats(stats, &extra);
-      Reply(CtlVerb::kStats, 0, 0, Status::OK(), std::move(extra));
+      Reply(CtlVerb::kStats, 0, Status::OK(), std::move(extra));
       return Status::OK();
     }
     case CtlVerb::kShutdown: {
       // Serve() intercepts shutdown before dispatch; acknowledging here too
       // keeps the switch total.
-      Reply(CtlVerb::kShutdown, 0, 0, Status::OK(), {});
+      Reply(CtlVerb::kShutdown, 0, Status::OK(), {});
       return Status::OK();
     }
     case CtlVerb::kInjectFail: {
@@ -407,52 +405,8 @@ Status PartyService::Dispatch(CtlVerb verb, uint64_t epoch,
         auto crash = ConsumeU8(msg.payload, &off);
         crash_on_fault_ = crash.ok() && *crash != 0;
       }
-      Reply(CtlVerb::kInjectFail, 0, 0, st, {});
+      Reply(CtlVerb::kInjectFail, 0, st, {});
       return st;
-    }
-    case CtlVerb::kDelta: {
-      size_t off = 0;
-      auto op = ConsumeU8(msg.payload, &off);
-      auto side = op.ok() ? ConsumeU8(msg.payload, &off) : op;
-      auto row_id = side.ok() ? ConsumeI64(msg.payload, &off)
-                              : Result<int64_t>(side.status());
-      Status st = row_id.ok() ? Status::OK() : row_id.status();
-      if (st.ok() && !configured_) {
-        st = Status::FailedPrecondition("delta before cfg");
-      }
-      if (st.ok() && *side > 1) {
-        st = Status::InvalidArgument("delta side must be 0 (R) or 1 (S)");
-      }
-      if (st.ok()) {
-        if (*op == kDeltaOpUpsert) {
-          auto n = ConsumeU32(msg.payload, &off);
-          st = n.ok() ? Status::OK() : n.status();
-          if (st.ok()) {
-            std::vector<PairAttr> attrs;
-            st = ConsumeAttrs(msg.payload, &off, *n, &attrs);
-            if (st.ok()) resident_[{*side, *row_id}] = std::move(attrs);
-          }
-        } else if (*op == kDeltaOpErase) {
-          resident_.erase({*side, *row_id});
-        } else {
-          st = Status::InvalidArgument("unknown delta op byte");
-        }
-      }
-      std::vector<uint8_t> extra;
-      AppendU64(static_cast<uint64_t>(resident_.size()), &extra);
-      // The ack's correlation id is the row id, so the coordinator can
-      // match it the way batch acks match their batch id.
-      Reply(CtlVerb::kDelta, row_id.ok() ? static_cast<uint64_t>(*row_id) : 0,
-            0, st, std::move(extra));
-      return st;
-    }
-    case CtlVerb::kDrain: {
-      uint64_t dropped = static_cast<uint64_t>(resident_.size());
-      resident_.clear();
-      std::vector<uint8_t> extra;
-      AppendU64(dropped, &extra);
-      Reply(CtlVerb::kDrain, 0, 0, Status::OK(), std::move(extra));
-      return Status::OK();
     }
     case CtlVerb::kHeartbeat: {
       // Probes normally arrive on ":hb" and are answered by
@@ -462,7 +416,7 @@ Status PartyService::Dispatch(CtlVerb verb, uint64_t epoch,
       auto seq = ConsumeU64(msg.payload, &off);
       std::vector<uint8_t> extra;
       AppendU64(incarnation_, &extra);
-      Reply(CtlVerb::kHeartbeat, seq.ok() ? *seq : 0, 0, Status::OK(),
+      Reply(CtlVerb::kHeartbeat, seq.ok() ? *seq : 0, Status::OK(),
             std::move(extra));
       return Status::OK();
     }
@@ -597,91 +551,14 @@ void PartyService::PersistMaterial() {
   }
 }
 
-Status PartyService::ConsumeAttrs(const std::vector<uint8_t>& payload,
-                                  size_t* off, uint32_t n,
-                                  std::vector<PairAttr>* attrs) const {
-  const bool is_alice = opts_.role == opts_.endpoints.alice.name;
-  const bool is_bob = opts_.role == opts_.endpoints.bob.name;
-  attrs->reserve(attrs->size() + n);
-  for (uint32_t i = 0; i < n; ++i) {
-    PairAttr attr;
-    if (is_alice) {
-      auto x = ConsumeSignedBigInt(payload, off);
-      if (!x.ok()) return x.status();
-      attr.x = std::move(x).value();
-    } else if (is_bob) {
-      auto y = ConsumeSignedBigInt(payload, off);
-      if (!y.ok()) return y.status();
-      attr.y = std::move(y).value();
-      auto threshold = ConsumeSignedBigInt(payload, off);
-      if (!threshold.ok()) return threshold.status();
-      attr.threshold = std::move(threshold).value();
-    } else {  // qp
-      auto threshold = ConsumeSignedBigInt(payload, off);
-      if (!threshold.ok()) return threshold.status();
-      attr.threshold = std::move(threshold).value();
-    }
-    attrs->push_back(std::move(attr));
-  }
-  return Status::OK();
+OperandRole PartyService::operand_role() const {
+  if (opts_.role == opts_.endpoints.alice.name) return OperandRole::kAlice;
+  if (opts_.role == opts_.endpoints.bob.name) return OperandRole::kBob;
+  return OperandRole::kQp;
 }
 
-Result<PartyService::BatchCmd> PartyService::ParsePairBatch(
-    const std::vector<uint8_t>& payload) const {
-  BatchCmd cmd;
-  size_t off = 0;
-  auto batch_id = ConsumeU64(payload, &off);
-  if (!batch_id.ok()) return batch_id.status();
-  auto attempt = ConsumeU32(payload, &off);
-  if (!attempt.ok()) return attempt.status();
-  auto npairs = ConsumeU32(payload, &off);
-  if (!npairs.ok()) return npairs.status();
-  cmd.batch_id = *batch_id;
-  cmd.attempt = *attempt;
-  cmd.pairs.reserve(*npairs);
-  for (uint32_t p = 0; p < *npairs; ++p) {
-    PairCmd pair;
-    auto pair_index = ConsumeU64(payload, &off);
-    if (!pair_index.ok()) return pair_index.status();
-    auto a_id = ConsumeI64(payload, &off);
-    if (!a_id.ok()) return a_id.status();
-    auto b_id = ConsumeI64(payload, &off);
-    if (!b_id.ok()) return b_id.status();
-    auto n = ConsumeU32(payload, &off);
-    if (!n.ok()) return n.status();
-    pair.pair_index = *pair_index;
-    pair.a_id = *a_id;
-    pair.b_id = *b_id;
-    if (*n == kResidentPairSentinel) {
-      HPRL_RETURN_IF_ERROR(ResolveResident(pair.a_id, pair.b_id, &pair.attrs));
-    } else {
-      HPRL_RETURN_IF_ERROR(ConsumeAttrs(payload, &off, *n, &pair.attrs));
-    }
-    cmd.pairs.push_back(std::move(pair));
-  }
-  return cmd;
-}
-
-Status PartyService::ResolveResident(int64_t a_id, int64_t b_id,
-                                     std::vector<PairAttr>* attrs) const {
-  const bool is_alice = opts_.role == opts_.endpoints.alice.name;
-  const uint8_t side = is_alice ? 0 : 1;
-  const int64_t row = is_alice ? a_id : b_id;
-  auto it = resident_.find({side, row});
-  if (it == resident_.end()) {
-    return Status::FailedPrecondition(
-        "resident row (side " + std::to_string(side) + ", id " +
-        std::to_string(row) + ") missing on " + opts_.role +
-        "; the table was never pushed or was lost with a restart");
-  }
-  *attrs = it->second;
-  return Status::OK();
-}
-
-Status PartyService::HandlePair(const PairCmd& cmd, uint8_t* label) {
-  if (!configured_) {
-    return Status::FailedPrecondition("pair before cfg");
-  }
+Status PartyService::HandlePair(const std::vector<OperandAttr>& attrs,
+                                uint8_t* label) {
   costs_.invocations += 1;
   if (emulated_latency_micros_ > 0) {
     std::this_thread::sleep_for(
@@ -690,7 +567,7 @@ Status PartyService::HandlePair(const PairCmd& cmd, uint8_t* label) {
   if (opts_.role == opts_.endpoints.alice.name) {
     // Alice's whole side is pipelined: every alice_ct goes out back-to-back,
     // then she waits for the verdict.
-    for (const PairAttr& attr : cmd.attrs) {
+    for (const OperandAttr& attr : attrs) {
       HPRL_RETURN_IF_ERROR(holder_->SendAttr(
           bus_.get(), opts_.endpoints.bob.name, attr.x, &costs_));
     }
@@ -698,7 +575,7 @@ Status PartyService::HandlePair(const PairCmd& cmd, uint8_t* label) {
   }
 
   if (opts_.role == opts_.endpoints.bob.name) {
-    for (const PairAttr& attr : cmd.attrs) {
+    for (const OperandAttr& attr : attrs) {
       HPRL_RETURN_IF_ERROR(holder_->FoldAndForward(bus_.get(), attr.y,
                                                    attr.threshold, &costs_));
     }
@@ -709,9 +586,9 @@ Status PartyService::HandlePair(const PairCmd& cmd, uint8_t* label) {
   // so there is nothing to save by short-circuiting), announce the
   // conjunction. Labels are identical to the in-process comparator's: each
   // decision is an exact decryption-and-compare.
-  costs_.attr_comparisons += static_cast<int64_t>(cmd.attrs.size());
+  costs_.attr_comparisons += static_cast<int64_t>(attrs.size());
   bool match = true;
-  for (const PairAttr& attr : cmd.attrs) {
+  for (const OperandAttr& attr : attrs) {
     auto within = qp_->DecideAttr(bus_.get(), attr.threshold, &costs_);
     if (!within.ok()) return within.status();
     if (!*within) match = false;
@@ -721,14 +598,23 @@ Status PartyService::HandlePair(const PairCmd& cmd, uint8_t* label) {
   return Status::OK();
 }
 
-Status PartyService::HandlePairBatch(const BatchCmd& cmd,
+Status PartyService::HandlePairBatch(const PairBatchBody& batch,
                                      std::vector<PairSlot>* slots) {
   if (!configured_) {
     return Status::FailedPrecondition("pair batch before cfg");
   }
-  slots->reserve(cmd.pairs.size());
+  for (const RowEntry& row : batch.rows) {
+    if (row.op == RowOp::kUpsert) {
+      resident_[{row.side, row.row_id}] = row.attrs;
+    } else {
+      resident_.erase({row.side, row.row_id});
+    }
+  }
+  // Alice resolves a pair from its R row, bob and qp from its S row.
+  const uint8_t side = operand_role() == OperandRole::kAlice ? 0 : 1;
+  slots->reserve(batch.pairs.size());
   bool aborted = false;
-  for (const PairCmd& pair : cmd.pairs) {
+  for (const PairEntry& pair : batch.pairs) {
     // A long batch must not starve the membership plane: answer any queued
     // probes between pairs so a busy shard never reads as a dead one.
     DrainHeartbeats();
@@ -752,8 +638,17 @@ Status PartyService::HandlePairBatch(const BatchCmd& cmd,
       aborted = true;
       continue;
     }
+    auto row = resident_.find({side, side == 0 ? pair.a_id : pair.b_id});
+    if (row == resident_.end()) {
+      // Lost daemon state the coordinator did not know about; the slot
+      // fails transiently and the retry re-sends the row.
+      slot.code = StatusCode::kNotFound;
+      slots->push_back(slot);
+      aborted = true;
+      continue;
+    }
     uint8_t label = 0;
-    Status st = HandlePair(pair, &label);
+    Status st = HandlePair(row->second, &label);
     if (st.code() == StatusCode::kUnavailable) return st;  // bus is gone
     slot.code = st.code();
     slot.label = label;
@@ -763,13 +658,12 @@ Status PartyService::HandlePairBatch(const BatchCmd& cmd,
   return Status::OK();
 }
 
-void PartyService::Reply(CtlVerb verb, uint64_t id, uint32_t attempt,
-                         const Status& st, std::vector<uint8_t> extra) {
+void PartyService::Reply(CtlVerb verb, uint64_t id, const Status& st,
+                         std::vector<uint8_t> extra) {
   CtlResponse r;
   r.role = opts_.role;
   r.verb = verb;
   r.id = id;
-  r.attempt = attempt;
   r.epoch = epoch_;
   r.code = st.code();
   r.detail = st.message();

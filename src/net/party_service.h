@@ -113,9 +113,10 @@ struct PartyServiceOptions {
 /// exist only inside this process; what crosses the wire is exactly what the
 /// in-process protocol puts on the bus, plus the ctl plane.
 ///
-/// Each kPairBatch entry carries every compared attribute of its pair (or
-/// references resident rows), so the daemon runs its whole side of every
-/// pair without waiting on the coordinator: alice ships all alice_ct frames
+/// A kPairBatch frame first applies its rows section to the daemon's
+/// resident table, then names each pair by row ids alone; every operand
+/// resolves locally, so the daemon runs its whole side of every pair
+/// without waiting on the coordinator: alice ships all alice_ct frames
 /// back-to-back, bob folds them as they arrive, qp decides each attribute
 /// and announces the conjunction. A transient fault anywhere surfaces as a
 /// failed slot in the batch reply; the coordinator purges the mesh with a
@@ -153,25 +154,10 @@ class PartyService {
   uint64_t incarnation() const { return incarnation_; }
   uint64_t epoch() const { return epoch_; }
   int64_t fenced_requests() const { return fenced_requests_; }
+  /// Rows in this daemon's resident table.
+  size_t resident_rows() const { return resident_.size(); }
 
  private:
-  struct PairAttr {
-    crypto::BigInt x;         // alice's encoded value
-    crypto::BigInt y;         // bob's encoded value
-    crypto::BigInt threshold; // bob + qp
-  };
-  struct PairCmd {
-    uint64_t pair_index = 0;
-    int64_t a_id = -1;
-    int64_t b_id = -1;
-    std::vector<PairAttr> attrs;
-  };
-  struct BatchCmd {
-    uint64_t batch_id = 0;
-    uint32_t attempt = 0;
-    std::vector<PairCmd> pairs;
-  };
-
   Status Dispatch(CtlVerb verb, uint64_t epoch, const smc::Message& msg);
   /// Whether `verb` at request-header `epoch` must be refused unexecuted.
   /// Work verbs run only under the exact adopted epoch; kConfigure/kRejoin
@@ -184,30 +170,23 @@ class PartyService {
   /// entries on every core and persist the result. No-op on qp, whose
   /// offline work is keygen itself.
   Status HandleWarmup(uint32_t randomizers, int64_t* generated);
-  /// Runs this role's side of one pair; fills `label` on qp.
-  Status HandlePair(const PairCmd& cmd, uint8_t* label);
-  /// Runs the pairs of one batch attempt in dispatch order, one slot each.
-  /// The first failing pair aborts the rest of the batch (remaining slots are
-  /// marked skipped) — the three daemons run their batch sides positionally,
-  /// so pressing on after a desynchronizing fault would misalign every later
-  /// pair. Returns Unavailable only when the transport itself died.
-  Status HandlePairBatch(const BatchCmd& cmd, std::vector<PairSlot>* slots);
+  /// Runs this role's side of one pair over its resolved operands; fills
+  /// `label` on qp. Only HandlePairBatch calls it, after the cfg check.
+  Status HandlePair(const std::vector<OperandAttr>& attrs, uint8_t* label);
+  /// Applies the batch's rows section, then runs its pairs in dispatch
+  /// order, one slot each. The first failing pair aborts the rest of the
+  /// batch (remaining slots are marked skipped) — the three daemons run
+  /// their batch sides positionally, so pressing on after a desynchronizing
+  /// fault would misalign every later pair. A pair whose row this daemon
+  /// does not hold fails its slot with NotFound, a transient fault: the
+  /// coordinator re-sends the row with the retry. Returns Unavailable only
+  /// when the transport itself died.
+  Status HandlePairBatch(const PairBatchBody& batch,
+                         std::vector<PairSlot>* slots);
   /// Answers every queued probe on "<role>:hb" without blocking.
   void DrainHeartbeats();
-  Result<BatchCmd> ParsePairBatch(const std::vector<uint8_t>& payload) const;
-  /// Attribute list of a kPairBatch entry or a kDelta upsert: this role's
-  /// operands per attribute (alice x; bob y and threshold; qp threshold).
-  Status ConsumeAttrs(const std::vector<uint8_t>& payload, size_t* off,
-                      uint32_t n, std::vector<PairAttr>* attrs) const;
-  /// Resolves a kResidentPairSentinel pair's operands from the resident
-  /// table (wire v6): alice keys on the pair's R row, bob and qp on its S
-  /// row — exactly the rows whose role-dependent encodings kDelta pushed.
-  /// A miss is FailedPrecondition: the coordinator only emits the sentinel
-  /// for rows it successfully pushed, so a miss means lost daemon state
-  /// (e.g. a restart), which the rejoin replay repairs.
-  Status ResolveResident(int64_t a_id, int64_t b_id,
-                         std::vector<PairAttr>* attrs) const;
-  void Reply(CtlVerb verb, uint64_t id, uint32_t attempt, const Status& st,
+  OperandRole operand_role() const;
+  void Reply(CtlVerb verb, uint64_t id, const Status& st,
              std::vector<uint8_t> extra);
 
   PartyServiceOptions opts_;
@@ -252,12 +231,10 @@ class PartyService {
   uint32_t fail_next_pairs_ = 0;  // kInjectFail
   bool crash_on_fault_ = false;   // kInjectFail crash flag: die, don't fail
 
-  /// Resident rows pushed by kDelta, keyed by (side, row id) — side 0 is the
-  /// R table, 1 is S. Each entry holds this role's encoded attribute list in
-  /// the same PairAttr form an inline pair command would carry, so a
-  /// sentinel pair costs one map lookup instead of a re-shipped payload.
-  /// Cleared by kConfigure (new session) and kDrain.
-  std::map<std::pair<uint8_t, int64_t>, std::vector<PairAttr>> resident_;
+  /// Resident rows from kPairBatch rows sections, keyed by (side, row id) —
+  /// side 0 is the R table, 1 is S — holding this role's operands per
+  /// compared attribute. Cleared by kConfigure (new session).
+  std::map<std::pair<uint8_t, int64_t>, std::vector<OperandAttr>> resident_;
 };
 
 }  // namespace hprl::net

@@ -54,6 +54,13 @@ RemoteSmcOracle::RemoteSmcOracle(RemoteOracleOptions opts)
   }
   shard_batches_done_.assign(shards_.size(), 0);
   shard_pairs_done_.assign(shards_.size(), 0);
+  held_.resize(shards_.size());
+  forgets_.resize(shards_.size());
+  for (const AttrRule& rule : opts_.rule.attrs) {
+    if (rule.type != AttrType::kCategorical || rule.theta < 1.0) {
+      compared_attrs_ += 1;
+    }
+  }
 }
 
 std::vector<ShardDisposition> RemoteSmcOracle::ShardDispositions() const {
@@ -136,15 +143,11 @@ void RemoteSmcOracle::HandleRejoinAck(int shard, const CtlResponse& r) {
   // The restarted daemon adopted the epoch but lost all protocol state, so
   // the whole shard replays the setup handshake (deterministic seed-derived
   // keys make this safe mid-run; the daemon re-warms from its role-scoped
-  // material store during recvkey). Only then is the shard schedulable.
-  Status replayed = SetupShards({shard});
-  // The handshake rebuilt keys but the resident table started empty
-  // (kConfigure clears it); the shard is schedulable only once it holds
-  // every row the coordinator considers resident, or a sentinel pair
-  // rebalanced onto it would miss.
-  if (replayed.ok()) replayed = ReplayResidents(shard);
-  if (!replayed.ok()) {
-    // Died again under the replay: back to dead, a later rejoin retries.
+  // material store during recvkey). Its resident tables restart empty and
+  // so does what the coordinator believes it holds: the batches it takes
+  // next carry their rows, so it is schedulable as soon as setup is done.
+  if (!SetupShards({shard}).ok()) {
+    // Died again under the handshake: back to dead, a later rejoin retries.
     for (const std::string& role : ShardRoles(shard)) {
       membership_.OnLinkDown(ReplicaLabel(shard, role));
     }
@@ -154,7 +157,7 @@ void RemoteSmcOracle::HandleRejoinAck(int shard, const CtlResponse& r) {
 }
 
 Status RemoteSmcOracle::CollectReplies(
-    int shard, CtlVerb verb, uint64_t id, uint32_t attempt,
+    int shard, CtlVerb verb, uint64_t id,
     const std::vector<std::string>& roles, int deadline_ms,
     std::map<std::string, CtlResponse>* out) {
   const auto deadline = std::chrono::steady_clock::now() +
@@ -176,11 +179,9 @@ Status RemoteSmcOracle::CollectReplies(
       HandleHbAck(shard, *reply);
       continue;
     }
-    // Replies from superseded attempts (a daemon answering late, after the
-    // coordinator already moved on) are filtered here, not errors.
-    if (reply->verb != verb || reply->id != id || reply->attempt != attempt) {
-      continue;
-    }
+    // Late replies (a daemon answering after the coordinator already moved
+    // on) are filtered here, not errors.
+    if (reply->verb != verb || reply->id != id) continue;
     (*out)[reply->role] = std::move(reply).value();
   }
   if (out->size() == roles.size()) return Status::OK();
@@ -223,6 +224,10 @@ std::vector<uint8_t> RemoteSmcOracle::BuildConfigPayload() const {
 
 Status RemoteSmcOracle::SetupShards(const std::vector<int>& shard_ids) {
   const std::vector<uint8_t> cfg = BuildConfigPayload();
+  for (int s : shard_ids) {
+    held_[s].clear();
+    forgets_[s].clear();
+  }
 
   // Fan each phase out to every shard before collecting any acks, so the
   // shards run their setup (keygen above all) concurrently.
@@ -233,7 +238,7 @@ Status RemoteSmcOracle::SetupShards(const std::vector<int>& shard_ids) {
   }
   for (int s : shard_ids) {
     std::map<std::string, CtlResponse> acks;
-    HPRL_RETURN_IF_ERROR(CollectReplies(s, CtlVerb::kConfigure, 0, 0,
+    HPRL_RETURN_IF_ERROR(CollectReplies(s, CtlVerb::kConfigure, 0,
                                         ShardRoles(s),
                                         opts_.receive_timeout_ms * 2, &acks));
     for (const auto& [role, reply] : acks) {
@@ -255,7 +260,7 @@ Status RemoteSmcOracle::SetupShards(const std::vector<int>& shard_ids) {
   }
   for (int s : shard_ids) {
     std::map<std::string, CtlResponse> acks;
-    HPRL_RETURN_IF_ERROR(CollectReplies(s, CtlVerb::kKeygen, 0, 0,
+    HPRL_RETURN_IF_ERROR(CollectReplies(s, CtlVerb::kKeygen, 0,
                                         {shards_[s].qp.name}, 120000, &acks));
     HPRL_RETURN_IF_ERROR(ReplyStatus(acks.begin()->second));
   }
@@ -267,7 +272,7 @@ Status RemoteSmcOracle::SetupShards(const std::vector<int>& shard_ids) {
   for (int s : shard_ids) {
     std::map<std::string, CtlResponse> acks;
     HPRL_RETURN_IF_ERROR(CollectReplies(
-        s, CtlVerb::kRecvKey, 0, 0,
+        s, CtlVerb::kRecvKey, 0,
         {shards_[s].alice.name, shards_[s].bob.name},
         opts_.receive_timeout_ms * 2, &acks));
     for (const auto& [role, reply] : acks) {
@@ -294,7 +299,7 @@ Status RemoteSmcOracle::SetupShards(const std::vector<int>& shard_ids) {
     for (int s : shard_ids) {
       std::map<std::string, CtlResponse> acks;
       HPRL_RETURN_IF_ERROR(CollectReplies(
-          s, CtlVerb::kWarmup, 0, 0,
+          s, CtlVerb::kWarmup, 0,
           {shards_[s].alice.name, shards_[s].bob.name}, 120000, &acks));
       for (const auto& [role, reply] : acks) {
         HPRL_RETURN_IF_ERROR(ReplyStatus(reply));
@@ -378,34 +383,15 @@ Result<bool> RemoteSmcOracle::Compare(const Record& a, const Record& b) {
   return CompareRows(-1, -1, a, b);
 }
 
-Result<std::vector<RemoteSmcOracle::EncodedAttr>> RemoteSmcOracle::EncodePair(
-    const Record& a, const Record& b) const {
-  std::vector<EncodedAttr> attrs;
+Result<std::vector<OperandAttr>> RemoteSmcOracle::EncodeRow(
+    int side, const Record& record) const {
+  std::vector<OperandAttr> attrs;
+  attrs.reserve(compared_attrs_);
   for (const AttrRule& rule : opts_.rule.attrs) {
     if (rule.type == AttrType::kCategorical && rule.theta >= 1.0) {
       continue;  // Hamming distance never exceeds 1: vacuous threshold
     }
-    EncodedAttr enc;
-    auto x = EncodeAttr(a[rule.attr_index], rule);
-    if (!x.ok()) return x.status();
-    auto y = EncodeAttr(b[rule.attr_index], rule);
-    if (!y.ok()) return y.status();
-    enc.x = std::move(x).value();
-    enc.y = std::move(y).value();
-    enc.threshold = AttrThreshold(rule);
-    attrs.push_back(std::move(enc));
-  }
-  return attrs;
-}
-
-Result<std::vector<RemoteSmcOracle::EncodedAttr>>
-RemoteSmcOracle::EncodeResidentRow(int side, const Record& record) const {
-  std::vector<EncodedAttr> attrs;
-  for (const AttrRule& rule : opts_.rule.attrs) {
-    if (rule.type == AttrType::kCategorical && rule.theta >= 1.0) {
-      continue;  // same vacuous-threshold skip as EncodePair
-    }
-    EncodedAttr enc;
+    OperandAttr enc;
     auto v = EncodeAttr(record[rule.attr_index], rule);
     if (!v.ok()) return v.status();
     if (side == 0) {
@@ -419,121 +405,33 @@ RemoteSmcOracle::EncodeResidentRow(int side, const Record& record) const {
   return attrs;
 }
 
-void RemoteSmcOracle::AppendRoleAttrs(int shard, const std::string& role,
-                                      const std::vector<EncodedAttr>& attrs,
-                                      std::vector<uint8_t>* payload) const {
-  AppendU32(static_cast<uint32_t>(attrs.size()), payload);
-  for (const EncodedAttr& attr : attrs) {
-    if (role == shards_[shard].alice.name) {
-      AppendSignedBigInt(attr.x, payload);
-    } else if (role == shards_[shard].bob.name) {
-      AppendSignedBigInt(attr.y, payload);
-      AppendSignedBigInt(attr.threshold, payload);
-    } else {
-      AppendSignedBigInt(attr.threshold, payload);
-    }
+Status RemoteSmcOracle::StageRow(int side, int64_t row_id,
+                                 const Record& record,
+                                 std::map<RowKey, const Record*>* staged) {
+  const RowKey key{side, row_id};
+  auto [seen, first] = staged->try_emplace(key, &record);
+  if (!first && seen->second == &record) return Status::OK();
+  auto enc = EncodeRow(side, record);
+  if (!enc.ok()) return enc.status();
+  auto [cached, inserted] = rows_.try_emplace(key);
+  if (!inserted && cached->second == *enc) return Status::OK();
+  if (!first) {
+    return Status::InvalidArgument(
+        "two different records under row (side " + std::to_string(side) +
+        ", id " + std::to_string(row_id) + ") in one batch");
   }
-}
-
-Status RemoteSmcOracle::DeltaToShard(int shard, uint8_t op, int side,
-                                     int64_t row_id,
-                                     const std::vector<EncodedAttr>* attrs) {
-  // Side 0 rows concern only alice (she holds x); side 1 rows concern bob
-  // (y + threshold) and qp (threshold) — the same role split as a pair.
-  std::vector<std::string> roles;
-  if (side == 0) {
-    roles.push_back(shards_[shard].alice.name);
-  } else {
-    roles.push_back(shards_[shard].bob.name);
-    roles.push_back(shards_[shard].qp.name);
-  }
-  for (const std::string& role : roles) {
-    std::vector<uint8_t> payload;
-    AppendU8(op, &payload);
-    AppendU8(static_cast<uint8_t>(side), &payload);
-    AppendI64(row_id, &payload);
-    if (op == kDeltaOpUpsert) AppendRoleAttrs(shard, role, *attrs, &payload);
-    SendCtl(shard, role, CtlVerb::kDelta, std::move(payload));
-  }
-  ctl_round_trips_ += 1;
-  if (metrics_ != nullptr) obs::Add(metrics_, "net.ctl_round_trips");
-  std::map<std::string, CtlResponse> acks;
-  HPRL_RETURN_IF_ERROR(CollectReplies(
-      shard, CtlVerb::kDelta, static_cast<uint64_t>(row_id), 0, roles,
-      opts_.receive_timeout_ms * 2 + 2000, &acks));
-  for (const auto& [role, reply] : acks) {
-    HPRL_RETURN_IF_ERROR(ReplyStatus(reply));
-  }
+  // New, or new values under a reused id (a serve update; Compare() always
+  // uses id -1): no shard holds this encoding yet.
+  cached->second = std::move(enc).value();
+  for (std::set<RowKey>& held : held_) held.erase(key);
   return Status::OK();
-}
-
-Status RemoteSmcOracle::BroadcastDelta(uint8_t op, int side, int64_t row_id,
-                                       const std::vector<EncodedAttr>* attrs) {
-  for (int s = 0; s < num_shards(); ++s) {
-    if (!sched_.usable(s)) continue;
-    Status st = DeltaToShard(s, op, side, row_id, attrs);
-    if (st.ok()) continue;
-    if (st.code() == StatusCode::kUnavailable || IsTransient(st.code())) {
-      // The shard no longer upholds the resident invariant; retire it. The
-      // rejoin handshake replays the whole cache before re-admission, so
-      // this heals without the caller noticing.
-      for (const std::string& role : ShardRoles(s)) {
-        membership_.OnLinkDown(ReplicaLabel(s, role));
-      }
-      sched_.SetUsable(s, false);
-      StreamMembershipMetrics();
-      continue;
-    }
-    return st;  // semantic: the delta itself is wrong, no shard would differ
-  }
-  return Status::OK();
-}
-
-Status RemoteSmcOracle::ReplayResidents(int shard) {
-  for (const auto& [key, attrs] : resident_) {
-    HPRL_RETURN_IF_ERROR(
-        DeltaToShard(shard, kDeltaOpUpsert, key.first, key.second, &attrs));
-  }
-  return Status::OK();
-}
-
-Status RemoteSmcOracle::PushResidentRow(int side, int64_t row_id,
-                                        const Record& record) {
-  if (!initialized_) {
-    return Status::FailedPrecondition("call Init() before PushResidentRow()");
-  }
-  if (side != 0 && side != 1) {
-    return Status::InvalidArgument("resident side must be 0 (R) or 1 (S)");
-  }
-  auto attrs = EncodeResidentRow(side, record);
-  if (!attrs.ok()) return attrs.status();
-  auto [it, inserted] =
-      resident_.insert_or_assign(std::make_pair(side, row_id),
-                                 std::move(attrs).value());
-  return BroadcastDelta(kDeltaOpUpsert, side, row_id, &it->second);
 }
 
 Status RemoteSmcOracle::EraseResidentRow(int side, int64_t row_id) {
-  if (!initialized_) {
-    return Status::FailedPrecondition("call Init() before EraseResidentRow()");
-  }
-  resident_.erase({side, row_id});
-  return BroadcastDelta(kDeltaOpErase, side, row_id, nullptr);
-}
-
-Status RemoteSmcOracle::DrainResidentRows() {
-  resident_.clear();
-  if (!initialized_) return Status::OK();
-  // Best effort: a daemon that cannot drain is about to be shut down or
-  // reconfigured anyway, and kConfigure clears the table regardless.
-  for (int s = 0; s < num_shards(); ++s) {
-    if (!sched_.usable(s)) continue;
-    for (const std::string& role : ShardRoles(s)) {
-      SendCtl(s, role, CtlVerb::kDrain, {});
-    }
-    std::map<std::string, CtlResponse> acks;
-    (void)CollectReplies(s, CtlVerb::kDrain, 0, 0, ShardRoles(s),
-                         opts_.receive_timeout_ms * 2, &acks);
+  const RowKey key{side, row_id};
+  rows_.erase(key);
+  for (size_t s = 0; s < held_.size(); ++s) {
+    if (held_[s].erase(key) > 0) forgets_[s].push_back(key);
   }
   return Status::OK();
 }
@@ -561,7 +459,7 @@ Status RemoteSmcOracle::PurgeUsableShards() {
     }
     std::map<std::string, CtlResponse> acks;
     bool flushed =
-        CollectReplies(s, CtlVerb::kPurge, barrier_id, 0, ShardRoles(s),
+        CollectReplies(s, CtlVerb::kPurge, barrier_id, ShardRoles(s),
                        opts_.receive_timeout_ms * 3 + 2000, &acks)
             .ok();
     for (const auto& [role, reply] : acks) {
@@ -628,32 +526,23 @@ Result<std::vector<uint8_t>> RemoteSmcOracle::CompareBatch(
   }
   std::vector<uint8_t> labels(batch.size(), kPairNonMatch);
 
-  // Pipelined batch RPC: encode everything up front, then stream the pairs
+  // Pipelined batch RPC: stage every row up front, then stream the pairs
   // across the usable shards in kPairBatch frames with up to rpc_window
   // batches in flight per shard. Each round re-batches only the transiently
   // failed pairs.
+  std::map<RowKey, const Record*> staged;
   std::vector<BatchPair> pending;
   pending.reserve(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     invocations_ += 1;
+    // Semantic: an unencodable value aborts the batch.
+    HPRL_RETURN_IF_ERROR(StageRow(0, batch[i].a_id, *batch[i].a, &staged));
+    HPRL_RETURN_IF_ERROR(StageRow(1, batch[i].b_id, *batch[i].b, &staged));
     BatchPair p;
     p.batch_pos = i;
     p.a_id = batch[i].a_id;
     p.b_id = batch[i].b_id;
-    // Pairs whose BOTH rows are resident on the daemons ship as id-only
-    // sentinels; everything else carries the inline encoding (a non-serve
-    // run has an empty resident cache, so this is the only path it takes).
-    auto ra = resident_.find({0, batch[i].a_id});
-    auto rb = resident_.find({1, batch[i].b_id});
-    if (ra != resident_.end() && rb != resident_.end()) {
-      p.resident = true;
-      p.resident_attrs = ra->second.size();
-    } else {
-      auto attrs = EncodePair(*batch[i].a, *batch[i].b);
-      if (!attrs.ok()) return attrs.status();  // semantic: abort the batch
-      p.attrs = std::move(attrs).value();
-    }
-    pending.push_back(std::move(p));
+    pending.push_back(p);
   }
 
   for (int round = 0; !pending.empty(); ++round) {
@@ -795,37 +684,43 @@ Status RemoteSmcOracle::RunBatchRound(std::vector<BatchPair>* pending,
       o.pairs.push_back(std::move(work.front()));
       work.pop_front();
     }
-    size_t max_attrs = 0;
-    for (const std::string& role : ShardRoles(shard)) {
-      std::vector<uint8_t> payload;
-      AppendU64(o.batch_id, &payload);
-      AppendU32(0, &payload);  // attempt: batch ids are already unique
-      AppendU32(static_cast<uint32_t>(o.pairs.size()), &payload);
-      for (const BatchPair& p : o.pairs) {
-        max_attrs = std::max(max_attrs,
-                             p.resident ? p.resident_attrs : p.attrs.size());
-        AppendU64(p.pair_index, &payload);
-        AppendI64(p.a_id, &payload);
-        AppendI64(p.b_id, &payload);
-        if (p.resident) {
-          // Operands live on the daemons: every usable shard holds every
-          // resident row (pushes retire shards that miss one, rejoin
-          // replays the cache), so the sentinel is safe wherever the batch
-          // lands — including after a rebalance.
-          AppendU32(kResidentPairSentinel, &payload);
-          continue;
-        }
-        AppendRoleAttrs(shard, role, p.attrs, &payload);
-      }
-      SendCtl(shard, role, CtlVerb::kPairBatch, std::move(payload));
+    // Rows section: the shard's queued forgets, then every row of this
+    // batch it does not hold yet. [0] goes to alice (R rows), [1] to bob
+    // and qp (S rows); both carry the same id-only pair entries.
+    PairBatchBody bodies[2];
+    for (const RowKey& key : forgets_[shard]) {
+      bodies[key.first].rows.push_back(
+          {static_cast<uint8_t>(key.first), key.second, RowOp::kForget, {}});
     }
+    forgets_[shard].clear();
+    for (const BatchPair& p : o.pairs) {
+      for (const RowKey& key : {RowKey{0, p.a_id}, RowKey{1, p.b_id}}) {
+        if (!held_[shard].insert(key).second) continue;
+        bodies[key.first].rows.push_back({static_cast<uint8_t>(key.first),
+                                          key.second, RowOp::kUpsert,
+                                          rows_.at(key)});
+      }
+      bodies[0].pairs.push_back({p.pair_index, p.a_id, p.b_id});
+    }
+    bodies[0].batch_id = bodies[1].batch_id = o.batch_id;
+    bodies[1].pairs = bodies[0].pairs;
+    auto send = [&](const std::string& role, OperandRole operand,
+                    const PairBatchBody& body) {
+      std::vector<uint8_t> payload;
+      AppendPairBatchBody(body, operand, &payload);
+      SendCtl(shard, role, CtlVerb::kPairBatch, std::move(payload));
+    };
+    send(shards_[shard].alice.name, OperandRole::kAlice, bodies[0]);
+    send(shards_[shard].bob.name, OperandRole::kBob, bodies[1]);
+    send(shards_[shard].qp.name, OperandRole::kQp, bodies[1]);
     ctl_round_trips_ += 1;
     if (metrics_ != nullptr) obs::Add(metrics_, "net.ctl_round_trips");
     // One daemon-side timeout per expected message plus per-pair crypto and
     // emulated-latency time; a faulting daemon skips its remaining pairs,
     // so at most one timeout cascades into the deadline.
     const int deadline_ms =
-        opts_.receive_timeout_ms * (static_cast<int>(max_attrs) + 3) + 2000 +
+        opts_.receive_timeout_ms * (static_cast<int>(compared_attrs_) + 3) +
+        2000 +
         static_cast<int>(o.pairs.size()) *
             (20 + 2 * static_cast<int>(opts_.emulated_latency_micros / 1000));
     o.deadline = std::chrono::steady_clock::now() +
@@ -844,6 +739,7 @@ Status RemoteSmcOracle::RunBatchRound(std::vector<BatchPair>* pending,
     std::map<std::string, std::vector<PairSlot>> slots;
     std::map<std::string, Status> role_status;
     bool shard_down = false;
+    bool clean = true;  // every reply and every slot OK
     for (const std::string& role : ShardRoles(o.shard)) {
       auto it = o.replies.find(role);
       if (it == o.replies.end()) {
@@ -907,6 +803,7 @@ Status RemoteSmcOracle::RunBatchRound(std::vector<BatchPair>* pending,
         shard_pairs_done_[o.shard] += 1;
         continue;
       }
+      clean = false;
       if (pair_status.code() == StatusCode::kUnavailable) {
         // The shard died under this pair; whether it can move depends on
         // whether any other shard is still standing. retire_shard() below
@@ -935,6 +832,11 @@ Status RemoteSmcOracle::RunBatchRound(std::vector<BatchPair>* pending,
       }
     }
 
+    // A missing reply or a failure may mean the shard lacks rows the
+    // coordinator believes it holds (a frame that never landed, a daemon
+    // that restarted): forget them all, and the next frame re-sends.
+    // Upserts are idempotent, so this costs bytes, never labels.
+    if (!clean) held_[o.shard].clear();
     if (shard_down) {
       for (const std::string& role : ShardRoles(o.shard)) {
         const std::string label = ReplicaLabel(o.shard, role);
@@ -1079,7 +981,7 @@ Result<MeshStats> RemoteSmcOracle::CollectStats() {
     std::map<std::string, CtlResponse> acks;
     // Best effort here too: a replica that died since the last sweep simply
     // stays missing from the aggregate.
-    (void)CollectReplies(s, CtlVerb::kStats, 0, 0, reachable,
+    (void)CollectReplies(s, CtlVerb::kStats, 0, reachable,
                          opts_.receive_timeout_ms * 2, &acks);
     for (const auto& [role, reply] : acks) {
       if (reply.code != StatusCode::kOk) continue;
@@ -1169,7 +1071,7 @@ Status RemoteSmcOracle::Shutdown(bool stop_daemons) {
       if (reachable.empty()) continue;
       std::map<std::string, CtlResponse> acks;
       // Best effort: a daemon that already died cannot ack.
-      (void)CollectReplies(s, CtlVerb::kShutdown, 0, 0, reachable,
+      (void)CollectReplies(s, CtlVerb::kShutdown, 0, reachable,
                            opts_.receive_timeout_ms, &acks);
     }
   }
@@ -1189,7 +1091,7 @@ Status RemoteSmcOracle::InjectFailures(const std::string& replica,
       AppendU8(crash ? 1 : 0, &payload);
       SendCtl(s, role, CtlVerb::kInjectFail, std::move(payload));
       std::map<std::string, CtlResponse> acks;
-      HPRL_RETURN_IF_ERROR(CollectReplies(s, CtlVerb::kInjectFail, 0, 0,
+      HPRL_RETURN_IF_ERROR(CollectReplies(s, CtlVerb::kInjectFail, 0,
                                           {role},
                                           opts_.receive_timeout_ms * 2,
                                           &acks));

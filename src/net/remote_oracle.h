@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "crypto/fixed_point.h"
@@ -89,10 +91,19 @@ struct MeshStats {
 
 /// MatchOracle that runs the §V-A protocol across process boundaries: the
 /// three parties live in hprl_party daemons — N independent shard meshes of
-/// them in a fleet — and this coordinator ships the pairs' encoded
-/// attribute values over the ctl plane in kPairBatch frames, then waits for
-/// the batch acknowledgements (one slot per pair; the querying party's
-/// slots carry the labels). Compare and CompareRows are one-pair batches.
+/// them in a fleet — and this coordinator ships pairs over the ctl plane in
+/// kPairBatch frames, then waits for the batch acknowledgements (one slot
+/// per pair; the querying party's slots carry the labels). Compare and
+/// CompareRows are one-pair batches.
+///
+/// Operands (wire v8): every pair operand is a row resident on the daemons.
+/// A frame to shard s carries, ahead of its id-only pairs, the rows of the
+/// batch s does not hold yet plus the forgets EraseResidentRow queued, so a
+/// row crosses the wire once per shard — again only when its values change
+/// or s may have lost it. A batch that does not settle cleanly, and the
+/// setup handshake (init and rejoin), clear what s is believed to hold, and
+/// the next frame re-sends; upserts are idempotent, so a rejoined shard
+/// takes work without any replay.
 ///
 /// Scheduling: CompareBatch feeds a work queue; batches go to the
 /// least-loaded usable shard, up to rpc_window in flight per shard. A shard
@@ -119,12 +130,12 @@ struct MeshStats {
 /// that shard's mesh with a kPurge barrier, and the attempt is re-dispatched
 /// up to config.max_retries times.
 ///
-/// Deployment note (documented limitation): the coordinator ships the
-/// encoded cleartext values to the daemons, which models the paper's
-/// deployment only when the coordinator is co-located with the respective
-/// data holders. Loading holder-side tables directly into the daemons is
-/// future work; the wire protocol between the parties is already the real
-/// one.
+/// Deployment note (documented limitation): the coordinator encodes both
+/// holders' cleartext rows and ships them to the daemons, which models the
+/// paper's deployment only when the coordinator is co-located with the
+/// respective data holders. Loading holder-side tables directly into the
+/// daemons is future work; the wire protocol between the parties is
+/// already the real one.
 ///
 /// Prefer obtaining one of these through net::SmcBackend (net/backend.h)
 /// rather than constructing it directly: the backend owns transport
@@ -152,25 +163,10 @@ class RemoteSmcOracle : public MatchOracle {
   Result<std::vector<uint8_t>> CompareBatch(
       const std::vector<RowPairRequest>& batch) override;
 
-  /// Resident tables (wire v6, the streaming service's hot path). Pushing a
-  /// row encodes it once, caches the encoding, and broadcasts a kDelta to
-  /// every usable shard — side 0 rows to the alice replica, side 1 rows to
-  /// bob and qp, each carrying exactly the fields that role would have
-  /// received inline. CompareBatch then ships pairs whose BOTH rows are
-  /// resident as id-only sentinel entries; labels are bit-identical to the
-  /// inline encoding because the daemons resolve the very bytes an inline
-  /// entry would have carried. A shard that cannot take a delta is retired
-  /// (the resident invariant — every schedulable shard holds every resident
-  /// row — must hold); the rejoin handshake replays the full cache before
-  /// the shard is re-admitted.
-  Status PushResidentRow(int side, int64_t row_id,
-                         const Record& record) override;
+  /// Drops the row from the coordinator's cache and queues a forget for
+  /// every shard holding it, sent with that shard's next batch: a long serve
+  /// session's daemon tables stay bounded by its live rows.
   Status EraseResidentRow(int side, int64_t row_id) override;
-  /// Broadcasts kDrain (best effort) and forgets the local cache.
-  Status DrainResidentRows() override;
-  int64_t resident_rows() const {
-    return static_cast<int64_t>(resident_.size());
-  }
   int64_t invocations() const override { return invocations_; }
   /// Settled work per shard (session-journal bookkeeping): batches settled
   /// and pairs definitively labeled on each comparator shard so far.
@@ -193,8 +189,8 @@ class RemoteSmcOracle : public MatchOracle {
   /// suspect/dead. Distinct from retries: the pair never failed.
   int64_t rebalanced_pairs() const { return rebalanced_pairs_; }
   /// Ctl dispatches the coordinator has waited on — the latency unit of the
-  /// ctl plane: one per kPairBatch frame (retry batches included) and one
-  /// per kDelta. Also streamed as the net.ctl_round_trips counter.
+  /// ctl plane: one per kPairBatch frame, retry batches included. Also
+  /// streamed as the net.ctl_round_trips counter.
   int64_t ctl_round_trips() const { return ctl_round_trips_; }
   /// Shard 0's coordinator bus (kept for single-shard callers).
   const SocketBus& bus() const { return *buses_[0]; }
@@ -208,50 +204,29 @@ class RemoteSmcOracle : public MatchOracle {
                         bool crash = false);
 
  private:
-  struct EncodedAttr {
-    crypto::BigInt x;
-    crypto::BigInt y;
-    crypto::BigInt threshold;
-  };
+  /// (side, row id): side 0 is R, 1 is S.
+  using RowKey = std::pair<int, int64_t>;
   /// One pair of the pipelined batch path, carried across retry rounds.
   struct BatchPair {
     size_t batch_pos = 0;       ///< index into CompareBatch's input/labels
     uint64_t pair_index = 0;    ///< wire id, fresh per dispatch
     int64_t a_id = -1;
     int64_t b_id = -1;
-    std::vector<EncodedAttr> attrs;  ///< empty when `resident`
-    bool resident = false;      ///< ship the sentinel, not inline attrs
-    size_t resident_attrs = 0;  ///< daemon-side attr count (deadline math)
     int attempts = 0;           ///< failed transient rounds so far
   };
 
   Result<crypto::BigInt> EncodeAttr(const Value& v, const AttrRule& rule) const;
   crypto::BigInt AttrThreshold(const AttrRule& rule) const;
-  Result<std::vector<EncodedAttr>> EncodePair(const Record& a, const Record& b)
-      const;
-  /// Encodes one side's row for the resident table: side 0 fills x only
-  /// (alice's share), side 1 fills y and the threshold (bob's and qp's).
-  /// Same attr subset as EncodePair, so a sentinel pair resolves to exactly
-  /// the bytes the inline encoding would have carried.
-  Result<std::vector<EncodedAttr>> EncodeResidentRow(int side,
-                                                     const Record& record)
-      const;
-  /// Appends `role`'s operands of `attrs` (u32 count, then per attribute
-  /// alice x; bob y and threshold; qp threshold): the attribute list of a
-  /// kPairBatch entry and of a kDelta upsert.
-  void AppendRoleAttrs(int shard, const std::string& role,
-                       const std::vector<EncodedAttr>& attrs,
-                       std::vector<uint8_t>* payload) const;
-  /// Sends one kDelta to `shard`'s role(s) for the row's side and waits for
-  /// their acks. `attrs` is required for upserts, ignored for erases.
-  Status DeltaToShard(int shard, uint8_t op, int side, int64_t row_id,
-                      const std::vector<EncodedAttr>* attrs);
-  /// Applies one delta on every usable shard; a shard that cannot take it is
-  /// retired (rejoin replays the cache later). Semantic errors propagate.
-  Status BroadcastDelta(uint8_t op, int side, int64_t row_id,
-                        const std::vector<EncodedAttr>* attrs);
-  /// Replays the whole resident cache onto one (freshly re-setup) shard.
-  Status ReplayResidents(int shard);
+  /// Encodes one side's row over the compared attributes: side 0 fills x
+  /// (alice's operand), side 1 fills y and the threshold (bob's and qp's).
+  Result<std::vector<OperandAttr>> EncodeRow(int side,
+                                             const Record& record) const;
+  /// Brings the cached encoding of one batch row up to date: a new or
+  /// changed encoding replaces the cached one and leaves every shard's
+  /// held set. `staged` maps the rows this batch already saw to their
+  /// records; a second, different record under one key is InvalidArgument.
+  Status StageRow(int side, int64_t row_id, const Record& record,
+                  std::map<RowKey, const Record*>* staged);
 
   /// One pipelined dispatch round over `pending`: schedules the pairs across
   /// the usable shards in kPairBatch frames, pumps heartbeats and
@@ -274,7 +249,8 @@ class RemoteSmcOracle : public MatchOracle {
   /// phase so the shards work concurrently: cfg to every replica, keygen on
   /// the qps, recvkey on the holders, then the offline warmup when material
   /// is configured. Init() runs it over every shard; the rejoin path replays
-  /// it on a single recovered shard.
+  /// it on a single recovered shard. cfg empties a daemon's resident table,
+  /// so the shards' held and forget sets start empty too.
   Status SetupShards(const std::vector<int>& shard_ids);
   /// Records a heartbeat ack in the membership table.
   void HandleHbAck(int shard, const CtlResponse& r);
@@ -282,12 +258,12 @@ class RemoteSmcOracle : public MatchOracle {
   /// new incarnation is strictly higher, then — once the whole shard is
   /// back — replays the setup handshake and re-admits it to the scheduler.
   void HandleRejoinAck(int shard, const CtlResponse& r);
-  /// Waits on `shard`'s bus for a CtlResponse per role matching (verb, id,
-  /// attempt). OK once all arrived (their codes may still be errors);
+  /// Waits on `shard`'s bus for a CtlResponse per role matching (verb, id).
+  /// OK once all arrived (their codes may still be errors);
   /// NotFound on deadline with every missing link alive, Unavailable
   /// otherwise. Heartbeat acks consumed along the way still reach the
   /// membership table.
-  Status CollectReplies(int shard, CtlVerb verb, uint64_t id, uint32_t attempt,
+  Status CollectReplies(int shard, CtlVerb verb, uint64_t id,
                         const std::vector<std::string>& roles, int deadline_ms,
                         std::map<std::string, CtlResponse>* out);
   /// Flushes every usable shard's mesh between attempts (a kPurge barrier
@@ -333,9 +309,14 @@ class RemoteSmcOracle : public MatchOracle {
   uint64_t next_pair_index_ = 0;
   uint64_t next_batch_id_ = 0;
   uint64_t next_barrier_id_ = 0;
-  /// Resident-table cache keyed by (side, row id): the encodings every
-  /// usable shard currently holds, and the source the rejoin path replays.
-  std::map<std::pair<int, int64_t>, std::vector<EncodedAttr>> resident_;
+  /// Compared attributes per pair (the rule's non-vacuous attributes).
+  size_t compared_attrs_ = 0;
+  /// Row encodings by (side, row id), as last shipped to any shard.
+  std::map<RowKey, std::vector<OperandAttr>> rows_;
+  /// Per shard: the rows it holds as far as the coordinator knows, and the
+  /// forgets to send with its next batch.
+  std::vector<std::set<RowKey>> held_;
+  std::vector<std::vector<RowKey>> forgets_;
   MeshStats mesh_stats_;
 };
 

@@ -134,10 +134,7 @@ Result<ApplyResult> LinkageService::CommitUpsert(
   out.links_removed += DropLinksTouching(t, delta.side, delta.row_id);
 
   t.blocker.Insert(delta.side, delta.row_id, seq);
-  int side = static_cast<int>(delta.side);
-  t.records[{side, delta.row_id}] = delta.record;
-  HPRL_RETURN_IF_ERROR(oracle_->PushResidentRow(
-      side, GlobalId(t.index, delta.row_id), delta.record));
+  t.records[{static_cast<int>(delta.side), delta.row_id}] = delta.record;
 
   std::vector<AffectedPair> unknowns;
   for (const AffectedPair& p : pairs) {

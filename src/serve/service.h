@@ -90,9 +90,9 @@ struct ServiceOptions {
 /// by looking them up in the journaled link set instead of invoking the
 /// oracle — allowance spend is recomputed identically (it depends only on
 /// the deterministic U count), so replaying the settled prefix of the delta
-/// stream reproduces the pre-crash state exactly. Resident-row announcements
-/// still flow to the oracle during replay so live deltas after EndReplay can
-/// pair against replayed rows.
+/// stream reproduces the pre-crash state exactly. Replayed rows need no
+/// announcement to the oracle: every CompareBatch after EndReplay hands it
+/// the records it pairs.
 ///
 /// Not thread-safe; callers serialize Apply (the CLI driver is a single
 /// reader loop).

@@ -3,6 +3,8 @@
 // the owning DecodeFrame on every randomized message and on truncation at
 // every prefix length, the scatter-gather header must reproduce EncodeFrame's
 // bytes exactly, and pooled read buffers must recycle instead of reallocate.
+// Also the "pairb" body codec: round trips per role, truncation at every
+// length, and hostile counts refused before allocation.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "crypto/bigint.h"
 #include "net/buffer_pool.h"
 #include "net/frame.h"
 #include "obs/metrics.h"
@@ -25,6 +28,11 @@ using net::DecodeFrameView;
 using net::EncodeFrame;
 using net::EncodeFrameHeader;
 using net::FrameSize;
+using net::OperandAttr;
+using net::OperandRole;
+using net::PairBatchBody;
+using net::RowEntry;
+using net::RowOp;
 using smc::Message;
 
 // ------------------------------------------------------------- FrameView
@@ -136,6 +144,151 @@ TEST(FrameViewTest, HeaderPlusPayloadEqualsEncodeFrame) {
     gathered.insert(gathered.end(), msg.payload.begin(), msg.payload.end());
     EXPECT_EQ(gathered, whole);
     EXPECT_EQ(whole.size(), FrameSize(msg));
+  }
+}
+
+// ------------------------------------------------------- pairb body codec
+
+constexpr OperandRole kRoles[] = {OperandRole::kAlice, OperandRole::kBob,
+                                  OperandRole::kQp};
+
+OperandAttr Attr(int64_t x, int64_t y, int64_t threshold) {
+  OperandAttr a;
+  a.x = crypto::BigInt(x);
+  a.y = crypto::BigInt(y);
+  a.threshold = crypto::BigInt(threshold);
+  return a;
+}
+
+/// What `role` receives of `attr`: the fields it does not get stay zero.
+OperandAttr Projected(const OperandAttr& attr, OperandRole role) {
+  OperandAttr out;
+  if (role == OperandRole::kAlice) out.x = attr.x;
+  if (role == OperandRole::kBob) out.y = attr.y;
+  if (role != OperandRole::kAlice) out.threshold = attr.threshold;
+  return out;
+}
+
+/// Upserts (negative, zero and multi-limb operands), forgets and pairs.
+PairBatchBody SampleBody() {
+  PairBatchBody body;
+  body.batch_id = 0x0102030405060708ull;
+  body.rows.push_back({0, 17, RowOp::kUpsert,
+                       {Attr(-42000, 0, 0), Attr(0, 0, 0)}});
+  body.rows.push_back({1, -1, RowOp::kForget, {}});
+  body.rows.push_back(
+      {1, int64_t{1} << 40, RowOp::kUpsert,
+       {Attr(0, -7, 99), Attr(0, int64_t{1} << 62, (int64_t{1} << 40) + 3)}});
+  body.rows.push_back({0, 5, RowOp::kUpsert, {}});
+  body.pairs.push_back({0, 17, int64_t{1} << 40});
+  body.pairs.push_back({~uint64_t{0}, -1, 0});
+  return body;
+}
+
+void ExpectBodyFor(const PairBatchBody& got, const PairBatchBody& sent,
+                   OperandRole role) {
+  EXPECT_EQ(got.batch_id, sent.batch_id);
+  ASSERT_EQ(got.rows.size(), sent.rows.size());
+  for (size_t i = 0; i < sent.rows.size(); ++i) {
+    EXPECT_EQ(got.rows[i].side, sent.rows[i].side) << "row " << i;
+    EXPECT_EQ(got.rows[i].row_id, sent.rows[i].row_id) << "row " << i;
+    EXPECT_EQ(got.rows[i].op, sent.rows[i].op) << "row " << i;
+    ASSERT_EQ(got.rows[i].attrs.size(), sent.rows[i].attrs.size());
+    for (size_t a = 0; a < sent.rows[i].attrs.size(); ++a) {
+      EXPECT_TRUE(got.rows[i].attrs[a] ==
+                  Projected(sent.rows[i].attrs[a], role))
+          << "row " << i << " attr " << a;
+    }
+  }
+  ASSERT_EQ(got.pairs.size(), sent.pairs.size());
+  for (size_t i = 0; i < sent.pairs.size(); ++i) {
+    EXPECT_EQ(got.pairs[i].pair_index, sent.pairs[i].pair_index);
+    EXPECT_EQ(got.pairs[i].a_id, sent.pairs[i].a_id);
+    EXPECT_EQ(got.pairs[i].b_id, sent.pairs[i].b_id);
+  }
+}
+
+TEST(PairBatchBodyTest, RoundTripsForEveryRole) {
+  PairBatchBody empty;  // zero rows: every row already held
+  empty.batch_id = 9;
+  empty.pairs.push_back({3, 4, 5});
+  for (OperandRole role : kRoles) {
+    for (const PairBatchBody& sent : {SampleBody(), empty}) {
+      std::vector<uint8_t> wire;
+      net::AppendPairBatchBody(sent, role, &wire);
+      auto got = net::ParsePairBatchBody(wire, role);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectBodyFor(*got, sent, role);
+    }
+  }
+}
+
+TEST(PairBatchBodyTest, RejectsTruncationAtEveryLength) {
+  for (OperandRole role : kRoles) {
+    std::vector<uint8_t> wire;
+    net::AppendPairBatchBody(SampleBody(), role, &wire);
+    for (size_t n = 0; n < wire.size(); ++n) {
+      std::vector<uint8_t> cut(wire.begin(), wire.begin() + n);
+      EXPECT_FALSE(net::ParsePairBatchBody(cut, role).ok()) << "n=" << n;
+    }
+    std::vector<uint8_t> longer = wire;
+    longer.push_back(0);
+    EXPECT_FALSE(net::ParsePairBatchBody(longer, role).ok())
+        << "trailing byte accepted";
+  }
+}
+
+// A hostile count must be refused by arithmetic on the bytes left, not by a
+// failed allocation: 2^32 - 1 rows, attributes or pairs in a few bytes.
+TEST(PairBatchBodyTest, RejectsCountsLargerThanTheBodyBeforeAllocating) {
+  auto expect_refused = [](const std::vector<uint8_t>& wire,
+                           OperandRole role) {
+    auto got = net::ParsePairBatchBody(wire, role);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kIOError);
+    EXPECT_NE(got.status().message().find("declares"), std::string::npos)
+        << got.status().ToString();
+  };
+  for (OperandRole role : kRoles) {
+    std::vector<uint8_t> rows;
+    net::AppendU64(1, &rows);
+    net::AppendU32(0xFFFFFFFFu, &rows);  // row count
+    rows.resize(rows.size() + 64, 0);
+    expect_refused(rows, role);
+
+    std::vector<uint8_t> attrs;
+    net::AppendU64(1, &attrs);
+    net::AppendU32(1, &attrs);
+    net::AppendU8(1, &attrs);  // side
+    net::AppendI64(3, &attrs);
+    net::AppendU8(static_cast<uint8_t>(RowOp::kUpsert), &attrs);
+    net::AppendU32(0xFFFFFFFFu, &attrs);  // attribute count
+    attrs.resize(attrs.size() + 64, 0);
+    expect_refused(attrs, role);
+
+    std::vector<uint8_t> pairs;
+    net::AppendU64(1, &pairs);
+    net::AppendU32(0, &pairs);           // no rows
+    net::AppendU32(0xFFFFFFFFu, &pairs);  // pair count
+    pairs.resize(pairs.size() + 64, 0);
+    expect_refused(pairs, role);
+  }
+}
+
+TEST(PairBatchBodyTest, RejectsUnknownSideAndOp) {
+  for (const auto& [side, op] : {std::pair<uint8_t, uint8_t>{2, 1},
+                                 std::pair<uint8_t, uint8_t>{0, 0},
+                                 std::pair<uint8_t, uint8_t>{0, 3}}) {
+    std::vector<uint8_t> wire;
+    net::AppendU64(1, &wire);
+    net::AppendU32(1, &wire);
+    net::AppendU8(side, &wire);
+    net::AppendI64(3, &wire);
+    net::AppendU8(op, &wire);
+    net::AppendU32(0, &wire);  // would be the attribute or pair count
+    net::AppendU32(0, &wire);
+    EXPECT_FALSE(net::ParsePairBatchBody(wire, OperandRole::kBob).ok())
+        << "side " << int{side} << " op " << int{op};
   }
 }
 

@@ -373,7 +373,6 @@ TEST(CtlVerbTest, RequestAndResponseAreInverses) {
   resp.role = "bob";
   resp.verb = CtlVerb::kPairBatch;
   resp.id = 0x1122334455667788ull;
-  resp.attempt = 7;
   resp.epoch = 42;
   resp.code = StatusCode::kNotFound;
   resp.detail = "late";
@@ -385,7 +384,6 @@ TEST(CtlVerbTest, RequestAndResponseAreInverses) {
   EXPECT_EQ(parsed->role, resp.role);
   EXPECT_EQ(parsed->verb, resp.verb);
   EXPECT_EQ(parsed->id, resp.id);
-  EXPECT_EQ(parsed->attempt, resp.attempt);
   EXPECT_EQ(parsed->epoch, resp.epoch);
   EXPECT_EQ(parsed->code, resp.code);
   EXPECT_EQ(parsed->detail, resp.detail);

@@ -14,11 +14,14 @@
 #include <thread>
 #include <vector>
 
+#include "adult/adult.h"
+#include "common/random.h"
 #include "net/frame.h"
 #include "net/party_service.h"
 #include "net/remote_oracle.h"
 #include "net/socket.h"
 #include "net/socket_bus.h"
+#include "serve/service.h"
 #include "smc/channel.h"
 #include "smc/protocol.h"
 
@@ -125,14 +128,15 @@ TEST(FrameTest, RejectsVersionMismatch) {
   EXPECT_NE(back.status().ToString().find("version"), std::string::npos);
 }
 
-// A wire v6 peer (per-pair "pair" verb, ack label byte, per-attribute rule
-// positions) is refused at the frame layer, never half-parsed.
-TEST(FrameTest, RejectsWireVersionSix) {
-  ASSERT_EQ(net::kWireVersion, 7);
+// A wire v7 peer (inline pair operands, "delta"/"drain" verbs, the attempt
+// field in "pairb" and in every ack) is refused at the frame layer, never
+// half-parsed.
+TEST(FrameTest, RejectsWireVersionSeven) {
+  ASSERT_EQ(net::kWireVersion, 8);
   Message msg = MakeMessage();
   std::vector<uint8_t> wire = EncodeFrame(msg);
   wire[4 + 4] = 0x00;
-  wire[4 + 5] = 0x06;
+  wire[4 + 5] = 0x07;
   auto back = DecodeFrame(wire.data() + 4, wire.size() - 4);
   ASSERT_FALSE(back.ok());
   EXPECT_EQ(back.status().code(), StatusCode::kIOError);
@@ -707,12 +711,13 @@ class MeshTest : public ::testing::Test {
 
   std::unique_ptr<RemoteSmcOracle> MakeOracle(int receive_timeout_ms,
                                               int rpc_batch = 0,
-                                              int rpc_window = 0) {
+                                              int rpc_window = 0,
+                                              MatchRule rule = MixedRule()) {
     RemoteOracleOptions opts;
     opts.config.key_bits = 256;  // small key: fast tests
     opts.config.test_seed = 4242;
     opts.config.max_retries = 3;
-    opts.rule = MixedRule();
+    opts.rule = std::move(rule);
     opts.endpoints = endpoints_;
     opts.connect_timeout_ms = 10000;
     opts.receive_timeout_ms = receive_timeout_ms;
@@ -770,6 +775,118 @@ std::vector<RowPairRequest> PairBatch(
     batch.push_back(req);
   }
   return batch;
+}
+
+/// A seeded single-tenant churn stream for the streaming service over the
+/// synthetic Adult table: inserts, updates (a live row id with new values)
+/// and erases, the mix scripts/serve_smoke.sh drives through the CLI. Rows
+/// are drawn from a small pool of source records, so R and S share records
+/// and links form; generalizing two VGH levels up leaves most straddling
+/// pairs to SMC.
+struct ServeStream {
+  adult::AdultHierarchies h = adult::BuildAdultHierarchies();
+  Table source = adult::GenerateAdult(200, 21, h);
+  serve::ServiceOptions opts;
+  std::vector<serve::RecordDelta> deltas;
+  int updates = 0;
+  int erases = 0;
+  std::vector<serve::RecordDelta> erase_all;  ///< erases every live row
+};
+
+std::unique_ptr<ServeStream> MakeServeStream(int steps, uint64_t seed) {
+  auto st = std::make_unique<ServeStream>();
+  std::vector<VghPtr> all;
+  for (const auto& n : adult::AdultQidNames()) all.push_back(st->h.ByName(n));
+  auto rule = MakeUniformRule(st->source.schema(), adult::AdultQidNames(), all,
+                              /*num_qids=*/5, /*theta=*/0.05);
+  EXPECT_TRUE(rule.ok()) << rule.status().ToString();
+  st->opts.rule = std::move(rule).value();
+  st->opts.hierarchies.assign(all.begin(), all.begin() + 5);
+  st->opts.gen_level = 2;
+  st->opts.smc_batch_pairs = 8;
+
+  constexpr uint64_t kPool = 12;
+  const std::string tenant = "t";
+  Rng rng(seed);
+  std::map<int64_t, bool> live[2];  // row ids per side
+  int64_t next_id[2] = {0, 0};
+  for (int step = 0; step < steps; ++step) {
+    const int side = static_cast<int>(rng.NextBounded(2));
+    serve::RecordDelta d;
+    d.side = side == 0 ? serve::Side::kR : serve::Side::kS;
+    d.tenant = tenant;
+    const double roll = rng.NextDouble();
+    auto pick_live = [&] {
+      auto it = live[side].begin();
+      std::advance(it, rng.NextBounded(live[side].size()));
+      return it->first;
+    };
+    if (roll < 0.15 && !live[side].empty()) {
+      d.op = serve::DeltaOp::kErase;
+      d.row_id = pick_live();
+      live[side].erase(d.row_id);
+      st->erases += 1;
+    } else {
+      d.op = serve::DeltaOp::kUpsert;
+      if (roll < 0.35 && !live[side].empty()) {
+        d.row_id = pick_live();
+        st->updates += 1;
+      } else {
+        d.row_id = next_id[side]++;
+      }
+      d.record = st->source.row(rng.NextBounded(kPool));
+      live[side][d.row_id] = true;
+    }
+    st->deltas.push_back(std::move(d));
+  }
+  for (int side = 0; side < 2; ++side) {
+    for (const auto& [row_id, unused] : live[side]) {
+      serve::RecordDelta d;
+      d.op = serve::DeltaOp::kErase;
+      d.side = side == 0 ? serve::Side::kR : serve::Side::kS;
+      d.tenant = tenant;
+      d.row_id = row_id;
+      st->erase_all.push_back(std::move(d));
+    }
+  }
+  return st;
+}
+
+/// Applies deltas [begin, end) to both services, asserting every delta is
+/// applied; returns the pairs the oracle-backed service sent to SMC and adds
+/// what it quarantined to `*quarantined`.
+int64_t ApplyBoth(const ServeStream& st, size_t begin, size_t end,
+                  serve::LinkageService* svc, serve::LinkageService* ref,
+                  int64_t* quarantined) {
+  int64_t smc_pairs = 0;
+  for (size_t i = begin; i < end; ++i) {
+    auto got = svc->Apply(st.deltas[i]);
+    EXPECT_TRUE(got.ok()) << "delta " << i << ": " << got.status().ToString();
+    auto want = ref->Apply(st.deltas[i]);
+    EXPECT_TRUE(want.ok()) << want.status().ToString();
+    if (!got.ok() || !want.ok()) return smc_pairs;
+    EXPECT_EQ(got->status, serve::DeltaStatus::kApplied) << "delta " << i;
+    EXPECT_EQ(got->links_added, want->links_added) << "delta " << i;
+    EXPECT_EQ(got->links_removed, want->links_removed) << "delta " << i;
+    smc_pairs += got->smc_pairs;
+    *quarantined += got->quarantined;
+  }
+  return smc_pairs;
+}
+
+void ExpectSameLinks(const serve::LinkageService& svc,
+                     const serve::LinkageService& ref) {
+  const auto got = svc.Snapshot();
+  const auto want = ref.Snapshot();
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_FALSE(want.empty());
+  EXPECT_FALSE(want[0].links.empty()) << "vacuous stream: no links formed";
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].name, want[i].name);
+    EXPECT_EQ(got[i].links, want[i].links) << "tenant " << got[i].name;
+    EXPECT_EQ(got[i].live_rows_r, want[i].live_rows_r);
+    EXPECT_EQ(got[i].live_rows_s, want[i].live_rows_s);
+  }
 }
 
 TEST_F(MeshTest, EndToEndLabelsMatchInProcessProtocol) {
@@ -1053,6 +1170,140 @@ TEST_F(MeshTest, MidBatchCrashQuarantinesWithoutFalseLabels) {
   (void)oracle->Shutdown(/*stop_daemons=*/true);
 }
 
+// The streaming service over a one-shard TCP mesh: a seeded stream of
+// inserts, updates (same row id, new values) and erases settles exactly the
+// links the in-the-clear service settles, delta by delta, with nothing
+// quarantined. Updates are the case that must re-ship a row's operands.
+TEST_F(MeshTest, ServeStreamLinksMatchPlaintextService) {
+  StartMesh(/*receive_timeout_ms=*/2000);
+  auto stream = MakeServeStream(/*steps=*/60, /*seed=*/7);
+  ASSERT_GT(stream->updates, 0);
+  ASSERT_GT(stream->erases, 0);
+  auto oracle = MakeOracle(2000, 0, 0, stream->opts.rule);
+  ASSERT_TRUE(oracle->Init().ok());
+
+  CountingPlaintextOracle plain(stream->opts.rule);
+  serve::LinkageService svc(stream->opts, oracle.get());
+  serve::LinkageService ref(stream->opts, &plain);
+  int64_t quarantined = 0;
+  const int64_t smc_pairs = ApplyBoth(*stream, 0, stream->deltas.size(), &svc,
+                                      &ref, &quarantined);
+  EXPECT_GT(smc_pairs, 0);
+  EXPECT_EQ(quarantined, 0);
+  EXPECT_EQ(oracle->pairs_quarantined(), 0);
+  EXPECT_EQ(oracle->retries(), 0);
+  EXPECT_EQ(oracle->invocations(), plain.invocations());
+  ExpectSameLinks(svc, ref);
+  EXPECT_TRUE(oracle->Shutdown(/*stop_daemons=*/true).ok());
+}
+
+// Erased rows leave the daemons' tables, so a long serve session's tables
+// stay bounded by its live rows: after the stream erases every live row,
+// the forgets riding the next batch leave each daemon holding only that
+// batch's row.
+TEST_F(MeshTest, ErasedServeRowsLeaveTheDaemonTables) {
+  StartMesh(/*receive_timeout_ms=*/2000);
+  auto stream = MakeServeStream(/*steps=*/60, /*seed=*/7);
+  auto oracle = MakeOracle(2000, 0, 0, stream->opts.rule);
+  ASSERT_TRUE(oracle->Init().ok());
+  serve::LinkageService svc(stream->opts, oracle.get());
+  for (const auto* deltas : {&stream->deltas, &stream->erase_all}) {
+    for (const serve::RecordDelta& d : *deltas) {
+      ASSERT_TRUE(svc.Apply(d).ok());
+    }
+  }
+  const Record& a = stream->source.row(0);
+  const Record& b = stream->source.row(1);
+  auto probe = oracle->CompareBatch({{7, 107, &a, &b}});
+  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+  for (const auto& service : services_) {
+    EXPECT_EQ(service->resident_rows(), 1u);
+  }
+  EXPECT_TRUE(oracle->Shutdown(/*stop_daemons=*/true).ok());
+}
+
+// Every operand is a resident row, so one batch cannot name two different
+// records under one (side, row id); a later batch may carry new values
+// under the same id (a serve update), and the row is shipped again.
+TEST_F(MeshTest, OneBatchRejectsTwoRecordsUnderOneRowId) {
+  StartMesh(/*receive_timeout_ms=*/2000);
+  auto oracle = MakeOracle(2000);
+  ASSERT_TRUE(oracle->Init().ok());
+  const Record a = Rec(3, 50), b = Rec(3, 55), b_copy = Rec(3, 55);
+  const Record b_moved = Rec(3, 70);  // |50 - 70| > 10: no longer a match
+
+  auto same = oracle->CompareBatch({{0, 100, &a, &b}, {1, 100, &a, &b_copy}});
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  EXPECT_EQ(*same, (std::vector<uint8_t>{kPairMatch, kPairMatch}));
+
+  auto clash =
+      oracle->CompareBatch({{0, 100, &a, &b}, {1, 100, &a, &b_moved}});
+  ASSERT_FALSE(clash.ok());
+  EXPECT_EQ(clash.status().code(), StatusCode::kInvalidArgument)
+      << clash.status().ToString();
+
+  auto updated = oracle->CompareBatch({{0, 100, &a, &b_moved}});
+  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+  EXPECT_EQ(updated->front(), kPairNonMatch);
+  EXPECT_EQ(oracle->pairs_quarantined(), 0);
+  EXPECT_TRUE(oracle->Shutdown(/*stop_daemons=*/true).ok());
+}
+
+// A daemon asked to run a pair whose row it does not hold fails that slot
+// with NotFound, a transient code the coordinator's retry heals by
+// re-sending the row, instead of aborting the session.
+TEST_F(MeshTest, PairOnUnknownRowFailsItsSlotTransiently) {
+  StartMesh(/*receive_timeout_ms=*/2000);
+  auto oracle = MakeOracle(2000);
+  ASSERT_TRUE(oracle->Init().ok());
+  ASSERT_TRUE(oracle->Shutdown(/*stop_daemons=*/false).ok());
+  oracle.reset();
+
+  // A raw coordinator bus at the adopted epoch sends a batch with no rows.
+  SocketBusOptions bopts;
+  bopts.local_name = "coord";
+  bopts.dial = {endpoints_.alice, endpoints_.bob, endpoints_.qp};
+  bopts.connect_timeout_ms = 5000;
+  bopts.receive_timeout_ms = 2000;
+  SocketBus raw(bopts);
+  ASSERT_TRUE(raw.Start().ok());
+  net::PairBatchBody body;
+  body.batch_id = 77;
+  body.pairs.push_back({5, 1, 2});
+  for (const auto& [role, operand] :
+       {std::pair<const char*, net::OperandRole>{"alice",
+                                                 net::OperandRole::kAlice},
+        {"bob", net::OperandRole::kBob},
+        {"qp", net::OperandRole::kQp}}) {
+    net::CtlRequest req;
+    req.verb = net::CtlVerb::kPairBatch;
+    req.epoch = 1;
+    net::AppendPairBatchBody(body, operand, &req.body);
+    raw.Send(net::EncodeCtlRequest("coord", role, req));
+  }
+  std::map<std::string, net::CtlResponse> replies;
+  while (replies.size() < 3) {
+    auto msg = raw.ReceiveTimeout("coord", 2000);
+    ASSERT_TRUE(msg.ok()) << msg.status().ToString();
+    if (msg->tag != net::kCtlReply) continue;
+    auto r = net::ParseCtlResponse(msg->payload);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    if (r->verb != net::CtlVerb::kPairBatch) continue;  // e.g. a late stats
+    replies[r->role] = *r;
+  }
+  for (const auto& [role, r] : replies) {
+    EXPECT_EQ(r.id, 77u) << role;
+    EXPECT_EQ(r.code, StatusCode::kOk) << role << ": " << r.detail;
+    size_t off = 0;
+    auto slots = net::ParsePairSlots(r.extra, &off);
+    ASSERT_TRUE(slots.ok()) << slots.status().ToString();
+    ASSERT_EQ(slots->size(), 1u) << role;
+    EXPECT_EQ(slots->front().pair_index, 5u) << role;
+    EXPECT_EQ(slots->front().code, StatusCode::kNotFound) << role;
+  }
+  raw.Stop();
+}
+
 // A relaunched coordinator resumes at a strictly higher session epoch: the
 // daemons adopt it on the resume configure, the resumed session's own work
 // runs untouched, and a work frame the crashed predecessor left in flight —
@@ -1180,14 +1431,14 @@ class FleetTest : public ::testing::Test {
     }
   }
 
-  std::unique_ptr<RemoteSmcOracle> MakeFleetOracle(int receive_timeout_ms,
-                                                   int rpc_batch,
-                                                   int rpc_window) {
+  std::unique_ptr<RemoteSmcOracle> MakeFleetOracle(
+      int receive_timeout_ms, int rpc_batch, int rpc_window,
+      MatchRule rule = MixedRule()) {
     RemoteOracleOptions opts;
     opts.config.key_bits = 256;  // small key: fast tests
     opts.config.test_seed = 4242;
     opts.config.max_retries = 3;
-    opts.rule = MixedRule();
+    opts.rule = std::move(rule);
     opts.shard_endpoints = shard_endpoints_;
     opts.connect_timeout_ms = 10000;
     opts.receive_timeout_ms = receive_timeout_ms;
@@ -1201,6 +1452,63 @@ class FleetTest : public ::testing::Test {
   /// error (killing one cuts its two siblings off mid-protocol).
   void AllowShardCrash(int shard) {
     for (int i = 0; i < 3; ++i) may_crash_[3 * shard + i] = true;
+  }
+
+  /// Kills every replica of `shard`: stops the loops, then destroys the
+  /// buses, so the coordinator sees the links drop like a SIGKILLed process.
+  void KillShard(int shard) {
+    for (int r = 0; r < 3; ++r) {
+      const size_t i = 3 * static_cast<size_t>(shard) + r;
+      services_[i]->RequestStop();
+      threads_[i].join();
+      services_[i].reset();
+    }
+  }
+
+  /// Restarts `shard`'s three replicas on their old addresses, state wiped.
+  void RestartShard(int shard, int receive_timeout_ms) {
+    const char* roles[3] = {"alice", "bob", "qp"};
+    for (int r = 0; r < 3; ++r) {
+      const size_t i = 3 * static_cast<size_t>(shard) + r;
+      PartyServiceOptions popts;
+      popts.role = roles[r];
+      popts.endpoints = shard_endpoints_[shard];
+      popts.connect_timeout_ms = 10000;
+      popts.receive_timeout_ms = receive_timeout_ms;
+      services_[i] = std::make_unique<PartyService>(popts);
+      threads_.emplace_back([this, i, s = services_[i].get()] {
+        Status started = s->Start();
+        ASSERT_TRUE(started.ok()) << started.ToString();
+        Status served = s->Serve();
+        EXPECT_TRUE(served.ok() || may_crash_[i].load()) << served.ToString();
+      });
+    }
+  }
+
+  /// Rejoin offers ride the heartbeat cadence inside batch rounds, so feed
+  /// `oracle` the one-pair batch (a, b) under ids outside every test
+  /// stream's range until every replica of `shard` is alive again.
+  void PollUntilRejoined(RemoteSmcOracle* oracle, int shard, const Record& a,
+                         const Record& b, const MatchRule& rule) {
+    const std::string suffix = "#" + std::to_string(shard);
+    auto alive = [&] {
+      return oracle->membership().alive("alice" + suffix) &&
+             oracle->membership().alive("bob" + suffix) &&
+             oracle->membership().alive("qp" + suffix);
+    };
+    std::vector<RowPairRequest> poll(1);
+    poll[0].a_id = 7;
+    poll[0].b_id = 107;
+    poll[0].a = &a;
+    poll[0].b = &b;
+    const bool want = RecordsMatch(a, b, rule);
+    for (int round = 0; round < 200 && !alive(); ++round) {
+      auto one = oracle->CompareBatch(poll);
+      ASSERT_TRUE(one.ok()) << one.status().ToString();
+      EXPECT_EQ((*one)[0], want ? kPairMatch : kPairNonMatch);
+      std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    }
+    ASSERT_TRUE(alive()) << "shard " << shard << " never rejoined";
   }
 
   void TearDown() override {
@@ -1303,14 +1611,7 @@ TEST_F(FleetTest, RestartedShardRejoinsAndReceivesWork) {
   auto oracle = MakeFleetOracle(300, /*rpc_batch=*/2, /*rpc_window=*/2);
   ASSERT_TRUE(oracle->Init().ok());
 
-  // Kill every replica of shard 1 (stop the loops, then destroy the buses:
-  // the coordinator sees the links drop, like a SIGKILLed process).
-  for (int r = 0; r < 3; ++r) {
-    const size_t i = 3 + r;
-    services_[i]->RequestStop();
-    threads_[i].join();
-    services_[i].reset();
-  }
+  KillShard(1);
   const uint64_t inc_before = oracle->membership().incarnation("bob#1");
 
   // The next batch runs entirely on the survivor; shard 1 is declared dead.
@@ -1328,44 +1629,9 @@ TEST_F(FleetTest, RestartedShardRejoinsAndReceivesWork) {
   EXPECT_EQ(oracle->pairs_quarantined(), 0);
   ASSERT_EQ(oracle->membership().state("bob#1"), net::ReplicaState::kDead);
 
-  // Restart the three replicas on their old addresses, state wiped.
-  const char* roles[3] = {"alice", "bob", "qp"};
-  for (int r = 0; r < 3; ++r) {
-    const size_t i = 3 + r;
-    PartyServiceOptions popts;
-    popts.role = roles[r];
-    popts.endpoints = shard_endpoints_[1];
-    popts.connect_timeout_ms = 10000;
-    popts.receive_timeout_ms = 300;
-    services_[i] = std::make_unique<PartyService>(popts);
-    threads_.emplace_back([this, i, s = services_[i].get()] {
-      Status started = s->Start();
-      ASSERT_TRUE(started.ok()) << started.ToString();
-      Status served = s->Serve();
-      EXPECT_TRUE(served.ok() || may_crash_[i].load()) << served.ToString();
-    });
-  }
-
-  // Rejoin offers ride the heartbeat cadence inside batch rounds, so keep
-  // feeding single-pair batches until the whole shard is alive again.
-  auto shard1_alive = [&] {
-    return oracle->membership().alive("alice#1") &&
-           oracle->membership().alive("bob#1") &&
-           oracle->membership().alive("qp#1");
-  };
-  Record a = Rec(3, 50), b = Rec(3, 55);
-  std::vector<RowPairRequest> poll(1);
-  poll[0].a_id = 7;
-  poll[0].b_id = 107;
-  poll[0].a = &a;
-  poll[0].b = &b;
-  for (int round = 0; round < 200 && !shard1_alive(); ++round) {
-    auto one = oracle->CompareBatch(poll);
-    ASSERT_TRUE(one.ok()) << one.status().ToString();
-    EXPECT_EQ((*one)[0], kPairMatch);
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-  }
-  ASSERT_TRUE(shard1_alive()) << "shard 1 never rejoined";
+  RestartShard(1, /*receive_timeout_ms=*/300);
+  ASSERT_NO_FATAL_FAILURE(
+      PollUntilRejoined(oracle.get(), 1, Rec(3, 50), Rec(3, 55), MixedRule()));
 
   // The resurrection went through the gated handshake: strictly higher
   // incarnation, and the transition log shows the dead -> alive edge.
@@ -1398,6 +1664,48 @@ TEST_F(FleetTest, RestartedShardRejoinsAndReceivesWork) {
   ASSERT_GT(mesh->per_party.count("bob#1"), 0u);
   EXPECT_GT(mesh->per_party.at("bob#1").costs.invocations, 0);
 
+  EXPECT_TRUE(oracle->Shutdown(/*stop_daemons=*/true).ok());
+}
+
+// The streaming service over a 2-shard fleet through a whole-shard death:
+// shard 1 is killed mid-stream, the stream keeps running on shard 0, the
+// restarted shard rejoins with empty tables and then takes work again —
+// rows updated or erased while it was down included. Every link equals the
+// in-the-clear service's, and nothing is quarantined.
+TEST_F(FleetTest, ServeStreamSurvivesShardRestartAndRejoin) {
+  StartFleet(/*receive_timeout_ms=*/300);
+  auto stream = MakeServeStream(/*steps=*/90, /*seed=*/7);
+  auto oracle = MakeFleetOracle(300, /*rpc_batch=*/2, /*rpc_window=*/2,
+                                stream->opts.rule);
+  ASSERT_TRUE(oracle->Init().ok());
+
+  CountingPlaintextOracle plain(stream->opts.rule);
+  serve::LinkageService svc(stream->opts, oracle.get());
+  serve::LinkageService ref(stream->opts, &plain);
+  const size_t n = stream->deltas.size();
+  int64_t quarantined = 0;
+  ApplyBoth(*stream, 0, n / 3, &svc, &ref, &quarantined);
+
+  KillShard(1);
+  ApplyBoth(*stream, n / 3, 2 * n / 3, &svc, &ref, &quarantined);
+  ASSERT_EQ(oracle->membership().state("bob#1"), net::ReplicaState::kDead);
+
+  RestartShard(1, /*receive_timeout_ms=*/300);
+  ASSERT_NO_FATAL_FAILURE(PollUntilRejoined(oracle.get(), 1,
+                                            stream->source.row(0),
+                                            stream->source.row(1),
+                                            stream->opts.rule));
+  const int64_t shard1_before = oracle->ShardDispositions()[1].pairs_done;
+  const int64_t smc_pairs =
+      ApplyBoth(*stream, 2 * n / 3, n, &svc, &ref, &quarantined);
+  EXPECT_GT(smc_pairs, 0);
+  EXPECT_GT(oracle->ShardDispositions()[1].pairs_done, shard1_before)
+      << "the rejoined shard took no work";
+
+  EXPECT_EQ(quarantined, 0);
+  EXPECT_EQ(oracle->pairs_quarantined(), 0);
+  EXPECT_EQ(oracle->retries(), 0);  // the rejoined shard missed no row
+  ExpectSameLinks(svc, ref);
   EXPECT_TRUE(oracle->Shutdown(/*stop_daemons=*/true).ok());
 }
 

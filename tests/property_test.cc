@@ -291,10 +291,18 @@ TEST_P(RandomPipelineTest, InvariantsHoldOnRandomWorlds) {
   int any = b.AddRoot("ANY");
   int branches = static_cast<int>(rng.NextInt(2, 4));
   for (int bi = 0; bi < branches; ++bi) {
-    int mid = b.AddChild(any, "b" + std::to_string(bi));
+    // Names are appended, not built as "b" + std::string&&, which trips
+    // GCC 12's -Wrestrict false positive.
+    std::string branch = "b";
+    branch += std::to_string(bi);
+    int mid = b.AddChild(any, branch);
     int leaves = static_cast<int>(rng.NextInt(2, 4));
     for (int li = 0; li < leaves; ++li) {
-      b.AddChild(mid, "l" + std::to_string(bi) + "_" + std::to_string(li));
+      std::string leaf = "l";
+      leaf += std::to_string(bi);
+      leaf += "_";
+      leaf += std::to_string(li);
+      b.AddChild(mid, leaf);
     }
   }
   auto vgh_or = b.Build();

@@ -122,7 +122,11 @@ TEST_P(TextAnonTest, MaxEntropyPrefixReleaseIsConsistentAndKAnonymous) {
 INSTANTIATE_TEST_SUITE_P(Ks, TextAnonTest,
                          ::testing::Values<int64_t>(1, 2, 8, 32, 128),
                          [](const ::testing::TestParamInfo<int64_t>& info) {
-                           return "k" + std::to_string(info.param);
+                           // Appending, not "k" + std::string&&, which
+                           // trips GCC 12's -Wrestrict false positive.
+                           std::string name = "k";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 TEST(TextAnonDataflyTest, PrefixLevelsAreKAnonymousWithBoundedSuppression) {
