@@ -88,13 +88,17 @@ for rep in 1 2 3; do
 done
 
 echo "== pipelined rpc: ctl round trips at rpc_batch 1 and 32 =="
-"./$BUILD/tools/hprl_link" --spec "$TMP/tcpdata/linkage.spec" \
-  --r "$TMP/tcpdata/r.csv" --s "$TMP/tcpdata/s.csv" --transport tcp \
-  --rpc_batch 1 --metrics_out "$TMP/tcp_batch1.json" >/dev/null
-"./$BUILD/tools/hprl_link" --spec "$TMP/tcpdata/linkage.spec" \
-  --r "$TMP/tcpdata/r.csv" --s "$TMP/tcpdata/s.csv" --transport tcp \
-  --rpc_batch 32 --rpc_window 4 --metrics_out "$TMP/tcp_batch32.json" \
-  >/dev/null
+# Variant specs: the base spec plus appended directives, which replace its
+# values (a later directive wins).
+{ cat "$TMP/tcpdata/linkage.spec"; echo "rpc_batch 1"; } \
+  > "$TMP/tcpdata/batch1.spec"
+{ cat "$TMP/tcpdata/linkage.spec"; echo "rpc_batch 32"; echo "rpc_window 4"; } \
+  > "$TMP/tcpdata/batch32.spec"
+for batch in 1 32; do
+  "./$BUILD/tools/hprl_link" --spec "$TMP/tcpdata/batch$batch.spec" \
+    --r "$TMP/tcpdata/r.csv" --s "$TMP/tcpdata/s.csv" --transport tcp \
+    --metrics_out "$TMP/tcp_batch$batch.json" >/dev/null
+done
 
 echo "== net_throughput: SocketBus vs raw TCP, identical framed traffic =="
 "./$BUILD/bench/net_throughput" --msgs 128 --reps 3 \

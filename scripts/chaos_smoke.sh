@@ -65,11 +65,17 @@ echo "== chaos seed $SEED: kills @flush+${A_KILL_MS}/${KILL_MS}/${C_KILL_MS}ms,"
 "./$BUILD/tools/hprl_gen" --out "$TMP" --rows 450 --seed 5 >/dev/null
 sed -i 's/^keybits .*/keybits 256/; s/^allowance .*/allowance 0.01/' \
   "$TMP/linkage.spec"
-LINK=( "./$BUILD/tools/hprl_link" --spec "$TMP/linkage.spec"
-       --r "$TMP/r.csv" --s "$TMP/s.csv" )
+LINK=( "./$BUILD/tools/hprl_link" --r "$TMP/r.csv" --s "$TMP/s.csv" )
+# Scenario settings live in variant specs: the base spec plus appended
+# directives, which replace its values (a later directive wins). Delay-only
+# faults for A; a 100 ms heartbeat cadence for the fleets of B and C.
+{ cat "$TMP/linkage.spec"; echo "fault seed $SEED"; echo "fault delay 1 1500"
+} > "$TMP/delay.spec"
+{ cat "$TMP/linkage.spec"; echo "hb_interval 100"; } > "$TMP/hb.spec"
 
 # The uninterrupted baseline every chaos scenario must converge to.
-"${LINK[@]}" --links "$TMP/links_base.csv" >/dev/null
+"${LINK[@]}" --spec "$TMP/linkage.spec" --links "$TMP/links_base.csv" \
+  >/dev/null
 
 assert_converged() {  # <links> <metrics.json> <label>
   diff "$TMP/links_base.csv" "$1" >/dev/null \
@@ -99,9 +105,8 @@ echo "-- A: coordinator SIGKILL ${A_KILL_MS}ms after the first journal flush," \
 # a couple of seconds. The kill waits for the first journal flush (256 of
 # the 900 pairs) and lands a seeded delay after it, mid-drain, so the
 # relaunch always has a journal to resume from.
-A_ARGS=( --journal "$TMP/a.jnl" --links "$TMP/links_a.csv"
-         --metrics_out "$TMP/run_a.json"
-         --fault_seed "$SEED" --fault_delay 1 --fault_delay_micros 1500 )
+A_ARGS=( --spec "$TMP/delay.spec" --journal "$TMP/a.jnl"
+         --links "$TMP/links_a.csv" --metrics_out "$TMP/run_a.json" )
 VICTIM=$(spawn "${LINK[@]}" "${A_ARGS[@]}")
 while [[ ! -f "$TMP/a.jnl" ]] && kill -0 "$VICTIM" 2>/dev/null; do
   sleep 0.01
@@ -135,8 +140,8 @@ done
 sleep 0.5
 PARTIES="127.0.0.1:$((BASE + 1)),127.0.0.1:$((BASE + 2)),127.0.0.1:$((BASE + 3))"
 PARTIES="$PARTIES;127.0.0.1:$((BASE + 11)),127.0.0.1:$((BASE + 12)),127.0.0.1:$((BASE + 13))"
-"${LINK[@]}" --transport tcp --parties "$PARTIES" \
-  --net_emu_latency_micros 10000 --hb_interval_ms 100 \
+"${LINK[@]}" --spec "$TMP/hb.spec" --transport tcp --parties "$PARTIES" \
+  --net_emu_latency_micros 10000 \
   --links "$TMP/links_b.csv" --metrics_out "$TMP/run_b.json" >/dev/null &
 COORD=$!
 # Heartbeat chaos first: one shard-1 replica stalls under SIGSTOP long
@@ -181,8 +186,8 @@ for s in 0 1; do
   done
 done
 sleep 0.5
-C_ARGS=( --transport tcp --parties "$PARTIES" --net_emu_latency_micros 5000
-         --hb_interval_ms 100 --journal "$TMP/c.jnl"
+C_ARGS=( --spec "$TMP/hb.spec" --transport tcp --parties "$PARTIES"
+         --net_emu_latency_micros 5000 --journal "$TMP/c.jnl"
          --links "$TMP/links_c.csv" --metrics_out "$TMP/run_c.json" )
 VICTIM=$(spawn "${LINK[@]}" "${C_ARGS[@]}")
 sleep "$(ms "$C_KILL_MS")"

@@ -66,11 +66,18 @@ echo "== offline/online smoke: cold-then-warm material, bit-identical links =="
 # them all: the crypto.material.generated counter); the same
 # warm store must also reproduce the links over TCP and a 2-shard fleet
 # (the daemons keep their own stores, so their first run is their cold).
+# Variant specs are the base spec plus appended directives, which replace
+# its values (a later directive wins).
 MAT_DIR="$TCP_TMP/material"
+material_spec() {  # <material dir> [extra directive]
+  cat "$TCP_TMP/linkage.spec"
+  printf 'smc_seed 4242\nmaterial_dir %s\noffline_pairs 64\n' "$1"
+  [[ -z "${2:-}" ]] || echo "$2"
+}
+material_spec "$MAT_DIR" > "$TCP_TMP/material.spec"
 for phase in cold warm; do
-  ./build/tools/hprl_link --spec "$TCP_TMP/linkage.spec" \
+  ./build/tools/hprl_link --spec "$TCP_TMP/material.spec" \
     --r "$TCP_TMP/r.csv" --s "$TCP_TMP/s.csv" \
-    --smc_seed 4242 --material_dir "$MAT_DIR" --offline_pairs 64 \
     --links "$TCP_TMP/links_${phase}.csv" \
     --metrics_out "$TCP_TMP/run_${phase}.json" >/dev/null
 done
@@ -92,15 +99,14 @@ print(f"material OK: warm adopted ({hits} hit), offline randomizers "
       f"generated {cg} -> {wg}")
 EOF
 for variant in tcp2 fleet2; do
-  extra=()
-  [[ "$variant" == fleet2 ]] && extra=(--shards 2)
-  ./build/tools/hprl_link --spec "$TCP_TMP/linkage.spec" \
-    --r "$TCP_TMP/r.csv" --s "$TCP_TMP/s.csv" --transport tcp "${extra[@]}" \
-    --smc_seed 4242 --material_dir "$MAT_DIR/$variant" --offline_pairs 64 \
+  extra=""
+  [[ "$variant" == fleet2 ]] && extra="shards 2"
+  material_spec "$MAT_DIR/$variant" "$extra" > "$TCP_TMP/$variant.spec"
+  ./build/tools/hprl_link --spec "$TCP_TMP/$variant.spec" \
+    --r "$TCP_TMP/r.csv" --s "$TCP_TMP/s.csv" --transport tcp \
     --links "$TCP_TMP/links_mat_$variant.csv" >/dev/null
-  ./build/tools/hprl_link --spec "$TCP_TMP/linkage.spec" \
-    --r "$TCP_TMP/r.csv" --s "$TCP_TMP/s.csv" --transport tcp "${extra[@]}" \
-    --smc_seed 4242 --material_dir "$MAT_DIR/$variant" --offline_pairs 64 \
+  ./build/tools/hprl_link --spec "$TCP_TMP/$variant.spec" \
+    --r "$TCP_TMP/r.csv" --s "$TCP_TMP/s.csv" --transport tcp \
     --links "$TCP_TMP/links_mat_${variant}_warm.csv" >/dev/null
   diff "$TCP_TMP/links_cold.csv" "$TCP_TMP/links_mat_${variant}_warm.csv" \
     || { echo "FAIL: warm $variant links differ from cold inproc"; exit 1; }
@@ -110,8 +116,9 @@ echo "material OK: warm tcp + warm 2-shard fleet links bit-identical"
 echo "== comparator fleet smoke: 2 shards (7 processes), bit-identical links =="
 # Sharding is a throughput measure only: a 2-shard fleet run must reproduce
 # the in-process links bit for bit at the pinned seed (docs/CLUSTER.md).
-./build/tools/hprl_link --spec "$TCP_TMP/linkage.spec" \
-  --r "$TCP_TMP/r.csv" --s "$TCP_TMP/s.csv" --transport tcp --shards 2 \
+{ cat "$TCP_TMP/linkage.spec"; echo "shards 2"; } > "$TCP_TMP/fleet.spec"
+./build/tools/hprl_link --spec "$TCP_TMP/fleet.spec" \
+  --r "$TCP_TMP/r.csv" --s "$TCP_TMP/s.csv" --transport tcp \
   --links "$TCP_TMP/links_fleet.csv" >/dev/null
 diff "$TCP_TMP/links_inproc.csv" "$TCP_TMP/links_fleet.csv" \
   || { echo "FAIL: 2-shard fleet links differ from in-process links"; exit 1; }

@@ -35,7 +35,49 @@ Status WriteLinksCsv(const std::string& path, const Table& r, const Table& s,
   return Status::OK();
 }
 
+int ResolveThreads(int spec_threads) {
+  // hardware_concurrency is 0 on exotic platforms, hence the clamp.
+  if (spec_threads > 0) return spec_threads;
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
 }  // namespace
+
+net::BackendOptions BackendFromSpec(const LinkageSpec& spec,
+                                    const MatchRule& rule,
+                                    const DeploymentOptions& deployment) {
+  net::BackendOptions b;
+  b.config.key_bits = spec.key_bits;
+  b.config.max_retries = spec.smc_retries;
+  b.config.pack_pairs = spec.smc_pack;
+  b.config.pack_slot_bits = spec.smc_pack_slot_bits;
+  // The material store only ever hits at a pinned smc_seed (unseeded runs
+  // draw fresh keypairs from OS entropy, so their fingerprints never repeat).
+  b.config.test_seed = spec.smc_seed;
+  b.config.material_dir = spec.material_dir;
+  b.config.offline_pairs = spec.offline_pairs;
+  b.config.fault_plan.seed = spec.fault_seed;
+  b.config.fault_plan.drop_rate = spec.fault_drop;
+  b.config.fault_plan.corrupt_rate = spec.fault_corrupt;
+  b.config.fault_plan.delay_rate = spec.fault_delay;
+  b.config.fault_plan.delay_micros = spec.fault_delay_micros;
+  b.config.fault_plan.crash_rate = spec.fault_crash;
+  b.rule = rule;
+  b.smc_threads = ResolveThreads(spec.smc_threads);
+  b.shards = spec.shards;
+  b.rpc_batch_pairs = spec.rpc_batch;
+  b.rpc_window = spec.rpc_window;
+  b.hb_interval_ms = spec.hb_interval_ms;
+  b.membership.suspect_after_misses = spec.suspect_misses;
+  b.membership.dead_after_misses = spec.dead_misses;
+  b.transport = deployment.transport;
+  b.tcp_endpoints = deployment.tcp_endpoints;
+  b.party_binary = deployment.party_binary;
+  b.connect_timeout_ms = deployment.net_connect_timeout_ms;
+  b.receive_timeout_ms = deployment.net_receive_timeout_ms;
+  b.emulated_latency_micros = deployment.net_emu_latency_micros;
+  return b;
+}
 
 std::string RunnerReport::ToString() const {
   std::string out;
@@ -127,94 +169,16 @@ Result<RunnerReport> RunLinkageFromFiles(const LinkageSpec& spec,
   anon_span.Stop();
   double anon_seconds = anon_timer.ElapsedSeconds();
 
-  // Thread resolution: CLI override > spec directive > the machine
-  // (hardware_concurrency; 0 on exotic platforms, hence the clamp).
-  const int hw_threads = std::max(1, static_cast<int>(
-                                         std::thread::hardware_concurrency()));
-  auto resolve = [hw_threads](int override_v, int spec_v) {
-    if (override_v > 0) return override_v;
-    return spec_v > 0 ? spec_v : hw_threads;
-  };
-
   HybridConfig hc;
   hc.rule = plan->rule;
   hc.smc_allowance_fraction = spec.allowance;
   hc.heuristic = spec.heuristic;
   hc.collect_matches = !options.links_out.empty();
-  hc.blocking_threads = resolve(options.threads_override, spec.threads);
-  const int smc_threads =
-      resolve(options.smc_threads_override, spec.smc_threads);
+  hc.blocking_threads = ResolveThreads(spec.threads);
 
-  // Datapath knobs: CLI overrides beat the spec's directives.
-  const int smc_pack = options.smc_pack_override >= 0
-                           ? options.smc_pack_override
-                           : spec.smc_pack;
-  const int smc_pack_slot_bits = options.smc_pack_slot_bits_override >= 8
-                                     ? options.smc_pack_slot_bits_override
-                                     : spec.smc_pack_slot_bits;
-  const int rpc_batch = options.rpc_batch_override >= 1
-                            ? options.rpc_batch_override
-                            : spec.rpc_batch;
-  const int rpc_window = options.rpc_window_override >= 1
-                             ? options.rpc_window_override
-                             : spec.rpc_window;
-
-  // Offline/online phase split knobs. The material store only ever hits at
-  // a pinned smc_seed (unseeded runs draw fresh keypairs from OS entropy,
-  // so their fingerprints never repeat).
-  const uint64_t smc_seed =
-      options.smc_seed_override >= 0
-          ? static_cast<uint64_t>(options.smc_seed_override)
-          : spec.smc_seed;
-  const std::string material_dir = !options.material_dir_override.empty()
-                                       ? options.material_dir_override
-                                       : spec.material_dir;
-  const int offline_pairs = options.offline_pairs_override >= 0
-                                ? options.offline_pairs_override
-                                : spec.offline_pairs;
-  if (options.offline_only && material_dir.empty()) {
+  if (options.offline_only && spec.material_dir.empty()) {
     return Status::InvalidArgument(
-        "--offline requires a material_dir (spec directive or flag)");
-  }
-
-  // Fault plan: CLI overrides (>= 0 rates, > 0 seed/latency) beat the
-  // spec's `fault` directives.
-  smc::FaultPlan fault_plan;
-  fault_plan.seed = options.fault_seed_override > 0
-                        ? static_cast<uint64_t>(options.fault_seed_override)
-                        : spec.fault_seed;
-  auto pick_rate = [](double override_v, double spec_v) {
-    return override_v >= 0 ? override_v : spec_v;
-  };
-  fault_plan.drop_rate = pick_rate(options.fault_drop_override,
-                                   spec.fault_drop);
-  fault_plan.corrupt_rate = pick_rate(options.fault_corrupt_override,
-                                      spec.fault_corrupt);
-  fault_plan.delay_rate = pick_rate(options.fault_delay_override,
-                                    spec.fault_delay);
-  fault_plan.crash_rate = pick_rate(options.fault_crash_override,
-                                    spec.fault_crash);
-  fault_plan.delay_micros =
-      options.fault_delay_micros_override >= 0
-          ? static_cast<int>(options.fault_delay_micros_override)
-          : spec.fault_delay_micros;
-
-  // Failure-detector knobs: CLI overrides beat the spec's directives. The
-  // cross-threshold constraint is re-checked because overrides can break an
-  // ordering that each source satisfied on its own.
-  const int hb_interval_ms = options.hb_interval_override > 0
-                                 ? options.hb_interval_override
-                                 : spec.hb_interval_ms;
-  const int suspect_misses = options.suspect_misses_override > 0
-                                 ? options.suspect_misses_override
-                                 : spec.suspect_misses;
-  const int dead_misses = options.dead_misses_override > 0
-                              ? options.dead_misses_override
-                              : spec.dead_misses;
-  if (dead_misses <= suspect_misses) {
-    return Status::InvalidArgument(StrFormat(
-        "dead_misses (%d) must exceed suspect_misses (%d)", dead_misses,
-        suspect_misses));
+        "--offline requires a material_dir spec directive");
   }
 
   // Session journal / resume. A coordinator that finds a loadable journal
@@ -255,34 +219,10 @@ Result<RunnerReport> RunLinkageFromFiles(const LinkageSpec& spec,
   // Oracle acquisition goes through the one backend factory: it validates
   // the deployment (transport/keybits/fault/shard compatibility), spawns or
   // joins daemon fleets, and hands back the MatchOracle to run against.
-  const int shards = options.shards_override > 0 ? options.shards_override
-                                                 : spec.shards;
-  net::BackendOptions bopts;
-  bopts.config.key_bits = spec.key_bits;
-  bopts.config.max_retries = spec.smc_retries;
-  bopts.config.fault_plan = fault_plan;
-  bopts.config.pack_pairs = smc_pack;
-  bopts.config.pack_slot_bits = smc_pack_slot_bits;
-  bopts.config.test_seed = smc_seed;
-  bopts.config.material_dir = material_dir;
-  bopts.config.offline_pairs = offline_pairs;
-  bopts.rule = plan->rule;
-  bopts.smc_threads = smc_threads;
-  bopts.transport = options.transport;
-  bopts.tcp_endpoints = options.tcp_endpoints;
-  bopts.party_binary = options.party_binary;
-  bopts.shards = shards;
-  bopts.rpc_batch_pairs = rpc_batch;
-  bopts.rpc_window = rpc_window;
-  bopts.hb_interval_ms = hb_interval_ms;
-  bopts.membership.suspect_after_misses = suspect_misses;
-  bopts.membership.dead_after_misses = dead_misses;
+  net::BackendOptions bopts =
+      BackendFromSpec(spec, plan->rule, options.deployment);
   bopts.session_epoch = session_epoch;
-  bopts.connect_timeout_ms = options.net_connect_timeout_ms;
-  bopts.receive_timeout_ms = options.net_receive_timeout_ms;
-  bopts.emulated_latency_micros = options.net_emu_latency_micros;
-
-  auto backend = net::SmcBackend::Create(std::move(bopts));
+  auto backend = net::SmcBackend::Create(bopts);
   if (!backend.ok()) return backend.status();
   net::SmcBackend& be = **backend;
   be.AttachMetrics(metrics);
@@ -307,11 +247,11 @@ Result<RunnerReport> RunLinkageFromFiles(const LinkageSpec& spec,
       run.tool = "hprl_link";
       run.AddConfig("mode", "offline");
       run.AddConfig("key_bits", StrFormat("%d", spec.key_bits));
-      run.AddConfig("material_dir", material_dir);
-      run.AddConfig("offline_pairs", StrFormat("%d", offline_pairs));
+      run.AddConfig("material_dir", spec.material_dir);
+      run.AddConfig("offline_pairs", StrFormat("%d", spec.offline_pairs));
       run.AddConfig("smc_seed", StrFormat("%llu",
                                           static_cast<unsigned long long>(
-                                              smc_seed)));
+                                              spec.smc_seed)));
       run.metrics = report.result;
       run.registry = metrics;
       HPRL_RETURN_IF_ERROR(obs::WriteRunReport(run, options.metrics_out));
@@ -360,27 +300,27 @@ Result<RunnerReport> RunLinkageFromFiles(const LinkageSpec& spec,
     run.AddConfig("anonymizer", spec.anonymizer);
     run.AddConfig("key_bits", StrFormat("%d", spec.key_bits));
     run.AddConfig("threads", StrFormat("%d", hc.blocking_threads));
-    run.AddConfig("smc_threads", StrFormat("%d", smc_threads));
-    run.AddConfig("smc_pack", StrFormat("%d", smc_pack));
-    if (smc_seed != 0) {
+    run.AddConfig("smc_threads", StrFormat("%d", bopts.smc_threads));
+    run.AddConfig("smc_pack", StrFormat("%d", spec.smc_pack));
+    if (spec.smc_seed != 0) {
       run.AddConfig("smc_seed",
                     StrFormat("%llu",
-                              static_cast<unsigned long long>(smc_seed)));
+                              static_cast<unsigned long long>(spec.smc_seed)));
     }
-    if (!material_dir.empty()) {
-      run.AddConfig("material_dir", material_dir);
-      run.AddConfig("offline_pairs", StrFormat("%d", offline_pairs));
+    if (!spec.material_dir.empty()) {
+      run.AddConfig("material_dir", spec.material_dir);
+      run.AddConfig("offline_pairs", StrFormat("%d", spec.offline_pairs));
     }
     run.AddConfig("oracle", report.oracle);
     run.AddConfig("transport", use_tcp ? "tcp" : "inproc");
     if (use_tcp) {
       run.AddConfig("parties", parties_desc);
-      run.AddConfig("rpc_batch", StrFormat("%d", rpc_batch));
-      run.AddConfig("rpc_window", StrFormat("%d", rpc_window));
-      run.AddConfig("shards", StrFormat("%d", shards));
-      run.AddConfig("hb_interval_ms", StrFormat("%d", hb_interval_ms));
-      run.AddConfig("membership_misses",
-                    StrFormat("%d/%d", suspect_misses, dead_misses));
+      run.AddConfig("rpc_batch", StrFormat("%d", spec.rpc_batch));
+      run.AddConfig("rpc_window", StrFormat("%d", spec.rpc_window));
+      run.AddConfig("shards", StrFormat("%d", spec.shards));
+      run.AddConfig("hb_interval_ms", StrFormat("%d", spec.hb_interval_ms));
+      run.AddConfig("membership_misses", StrFormat("%d/%d", spec.suspect_misses,
+                                                   spec.dead_misses));
     }
     if (!options.journal.empty()) {
       run.AddConfig("journal", options.journal);
@@ -388,6 +328,7 @@ Result<RunnerReport> RunLinkageFromFiles(const LinkageSpec& spec,
                     StrFormat("%llu",
                               static_cast<unsigned long long>(session_epoch)));
     }
+    const smc::FaultPlan& fault_plan = bopts.config.fault_plan;
     if (fault_plan.enabled()) {
       run.AddConfig("fault_seed",
                     StrFormat("%llu", static_cast<unsigned long long>(

@@ -1,17 +1,60 @@
 #ifndef HPRL_CLI_RUNNER_H_
 #define HPRL_CLI_RUNNER_H_
 
+#include <cstdint>
 #include <string>
 
 #include "cli/spec.h"
 #include "common/result.h"
 #include "core/hybrid.h"
+#include "net/backend.h"
 
 namespace hprl::obs {
 class MetricsRegistry;
 }  // namespace hprl::obs
 
 namespace hprl::cli {
+
+/// Where the SMC step runs. Everything else about a run — protocol, datapath,
+/// membership and fault settings — comes from the spec; these fields belong
+/// to one deployment of it and are shared by the batch and serve runners.
+struct DeploymentOptions {
+  /// "" or "inproc": the SMC step runs in-process (the default). "tcp": the
+  /// three parties run as hprl_party daemons and the SMC step goes over real
+  /// sockets (requires keybits > 0 and no fault directives: injected faults
+  /// are simulated, TCP faults are real).
+  std::string transport;
+
+  /// tcp only. Listen endpoints of already-running daemons, per shard a
+  /// "host:port,host:port,host:port" triple in alice,bob,qp order, ';'
+  /// between shards; empty = spawn local hprl_party processes on
+  /// kernel-assigned loopback ports and tear them down after the run.
+  std::string tcp_endpoints;
+
+  /// Path of the hprl_party binary for spawn mode (resolved via PATH when
+  /// not absolute).
+  std::string party_binary = "hprl_party";
+
+  /// tcp bench knob: per-pair daemon-side sleep in microseconds, making the
+  /// SMC stage latency-bound so shard scaling measures overlap
+  /// (docs/CLUSTER.md). 0 (the default) in production.
+  uint32_t net_emu_latency_micros = 0;
+
+  /// tcp: deadline for establishing the mesh, and the blocking-receive
+  /// bound on every protocol link (a daemon that stays silent longer
+  /// surfaces as a retryable timeout to the coordinator).
+  int net_connect_timeout_ms = 10000;
+  int net_receive_timeout_ms = 4000;
+};
+
+/// The one mapping from a spec to the SMC backend's settings: the protocol
+/// config (key size, retries, packing, seed, material store, fault plan),
+/// the worker comparators (`smc_threads`, `auto` resolved against the
+/// machine's hardware concurrency), the TCP datapath and membership knobs,
+/// and `deployment`. The caller sets only the session epoch.
+net::BackendOptions BackendFromSpec(const LinkageSpec& spec,
+                                    const MatchRule& rule,
+                                    const DeploymentOptions& deployment = {});
 
 /// What the tool should do besides printing the report.
 struct RunnerOptions {
@@ -22,34 +65,6 @@ struct RunnerOptions {
   bool publish_releases = true;  ///< strip row ids from written releases
   bool evaluate = false;      ///< compute ground-truth recall (needs cleartext)
 
-  /// > 0: overrides the spec's `threads` directive for the blocking step.
-  int threads_override = 0;
-
-  /// > 0: overrides the spec's `smc_threads` directive (worker comparators
-  /// of the batched SMC oracle).
-  int smc_threads_override = 0;
-
-  /// >= 0: overrides the spec's `smc_pack` directive (pairs per packed SMC
-  /// exchange; 0 forces the scalar exchange). < 0 keeps the spec's value.
-  int smc_pack_override = -1;
-  /// >= 8: overrides the spec's packed slot width. < 0 keeps the spec's.
-  int smc_pack_slot_bits_override = -1;
-
-  /// >= 1: overrides the spec's `rpc_batch` directive (pairs per TCP ctl
-  /// batch frame; 1 ships one pair per frame). < 1 keeps the spec's value.
-  int rpc_batch_override = 0;
-  /// >= 1: overrides the spec's `rpc_window` directive. < 1 keeps the spec's.
-  int rpc_window_override = 0;
-
-  /// >= 0: overrides the spec's `smc_seed` directive (pinned keypair seed;
-  /// 0 = OS entropy). < 0 keeps the spec's value.
-  int64_t smc_seed_override = -1;
-  /// Non-empty: overrides the spec's `material_dir` directive (persistent
-  /// offline crypto material store).
-  std::string material_dir_override;
-  /// >= 0: overrides the spec's `offline_pairs` directive. < 0 keeps the
-  /// spec's value.
-  int offline_pairs_override = -1;
   /// Run only the offline phase — key setup, material generation, persist —
   /// then exit without touching the input records' pairs. Requires a
   /// material_dir; the linkage numbers in the report stay zero.
@@ -67,55 +82,7 @@ struct RunnerOptions {
   /// never silently starts over. Requires `journal`.
   bool resume = false;
 
-  /// > 0: overrides the spec's `hb_interval` directive (TCP membership
-  /// heartbeat cadence, milliseconds).
-  int hb_interval_override = 0;
-  /// > 0: override the spec's `suspect_misses` / `dead_misses` directives
-  /// (consecutive missed heartbeats before suspect / dead; dead must stay
-  /// above suspect after both overrides apply).
-  int suspect_misses_override = 0;
-  int dead_misses_override = 0;
-
-  /// >= 0: override the spec's fault-injection rates (< 0 keeps the spec's
-  /// value). > 0 for the seed / delay overrides.
-  double fault_drop_override = -1;
-  double fault_corrupt_override = -1;
-  double fault_delay_override = -1;
-  double fault_crash_override = -1;
-  int64_t fault_seed_override = 0;
-  int64_t fault_delay_micros_override = -1;
-
-  /// "" or "inproc": the SMC step runs in-process (the default). "tcp": the
-  /// three parties run as hprl_party daemons and the SMC step goes over real
-  /// sockets (requires keybits > 0; incompatible with fault injection, whose
-  /// faults are simulated — TCP faults are real).
-  std::string transport;
-
-  /// --transport=tcp only. Comma-separated listen endpoints of the three
-  /// daemons in alice,bob,qp order ("host:port,host:port,host:port") when
-  /// joining an already-running mesh; empty = spawn three local hprl_party
-  /// processes on kernel-assigned loopback ports and tear them down after
-  /// the run.
-  std::string tcp_endpoints;
-
-  /// Path of the hprl_party binary for spawn mode (resolved via PATH when
-  /// not absolute).
-  std::string party_binary = "hprl_party";
-
-  /// > 0: overrides the spec's `shards` directive — comparator shard meshes
-  /// per fleet (docs/CLUSTER.md). Requires --transport=tcp when > 1.
-  int shards_override = 0;
-
-  /// --transport=tcp bench knob: per-pair daemon-side sleep in microseconds,
-  /// making the SMC stage latency-bound so shard scaling measures overlap
-  /// (docs/CLUSTER.md). 0 (the default) in production.
-  uint32_t net_emu_latency_micros = 0;
-
-  /// --transport=tcp: deadline for establishing the mesh, and the blocking-
-  /// receive bound on every protocol link (a daemon that stays silent longer
-  /// surfaces as a retryable timeout to the coordinator).
-  int net_connect_timeout_ms = 10000;
-  int net_receive_timeout_ms = 4000;
+  DeploymentOptions deployment;
 
   /// Optional external registry (not owned; may be null). When null and
   /// metrics_out is set, the runner uses a private registry for the report.

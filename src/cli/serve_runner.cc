@@ -8,7 +8,6 @@
 #include <fstream>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -31,8 +30,7 @@ namespace {
 /// raw bytes plus every knob that influences admission or labeling. A
 /// journal never replays against a different stream or rule.
 uint64_t ServeFingerprint(const LinkageSpec& spec, const Plan& plan,
-                          const std::string& delta_bytes, int gen_level,
-                          int64_t allowance, int64_t max_queued) {
+                          const std::string& delta_bytes) {
   uint64_t h = Fnv1a64(delta_bytes);
   for (const AttrRule& rule : plan.rule.attrs) {
     h = MixFp(h, static_cast<uint64_t>(rule.attr_index));
@@ -40,9 +38,9 @@ uint64_t ServeFingerprint(const LinkageSpec& spec, const Plan& plan,
     h = MixFp(h, std::bit_cast<uint64_t>(rule.theta));
     h = MixFp(h, std::bit_cast<uint64_t>(rule.norm));
   }
-  h = MixFp(h, static_cast<uint64_t>(gen_level));
-  h = MixFp(h, static_cast<uint64_t>(allowance));
-  h = MixFp(h, static_cast<uint64_t>(max_queued));
+  h = MixFp(h, static_cast<uint64_t>(spec.serve_gen_level));
+  h = MixFp(h, static_cast<uint64_t>(spec.serve_allowance));
+  h = MixFp(h, static_cast<uint64_t>(spec.serve_queue));
   h = MixFp(h, static_cast<uint64_t>(spec.key_bits));
   h = MixFp(h, spec.smc_seed);
   return h;
@@ -230,17 +228,7 @@ Result<ServeReport> RunServeFromFiles(const LinkageSpec& spec,
   auto deltas = ParseDeltas(*raw, *plan);
   if (!deltas.ok()) return deltas.status();
 
-  const int64_t allowance = options.tenant_allowance_override >= 0
-                                ? options.tenant_allowance_override
-                                : spec.serve_allowance;
-  const int64_t max_queued = options.max_queued_override >= 0
-                                 ? options.max_queued_override
-                                 : spec.serve_queue;
-  const int gen_level = options.gen_level_override >= 0
-                            ? options.gen_level_override
-                            : spec.serve_gen_level;
-  const uint64_t fingerprint = ServeFingerprint(
-      spec, *plan, delta_bytes, gen_level, allowance, max_queued);
+  const uint64_t fingerprint = ServeFingerprint(spec, *plan, delta_bytes);
 
   // Journal: the resume position and the replay oracle. Same strictness
   // rules as the batch runner's session journal.
@@ -282,35 +270,9 @@ Result<ServeReport> RunServeFromFiles(const LinkageSpec& spec,
   obs::MetricsRegistry* metrics =
       options.metrics != nullptr ? options.metrics : &local_registry;
 
-  const int hw_threads = std::max(
-      1, static_cast<int>(std::thread::hardware_concurrency()));
-  net::BackendOptions bopts;
-  bopts.config.key_bits = spec.key_bits;
-  bopts.config.max_retries = spec.smc_retries;
-  bopts.config.pack_pairs = spec.smc_pack;
-  bopts.config.pack_slot_bits = spec.smc_pack_slot_bits;
-  bopts.config.test_seed = spec.smc_seed;
-  bopts.config.material_dir = spec.material_dir;
-  bopts.config.offline_pairs = spec.offline_pairs;
-  bopts.rule = plan->rule;
-  bopts.smc_threads = options.smc_threads_override > 0
-                          ? options.smc_threads_override
-                          : (spec.smc_threads > 0 ? spec.smc_threads
-                                                  : hw_threads);
-  bopts.transport = options.transport;
-  bopts.tcp_endpoints = options.tcp_endpoints;
-  bopts.party_binary = options.party_binary;
-  bopts.shards = options.shards_override > 0 ? options.shards_override
-                                             : spec.shards;
-  bopts.rpc_batch_pairs = spec.rpc_batch;
-  bopts.rpc_window = spec.rpc_window;
-  bopts.hb_interval_ms = spec.hb_interval_ms;
-  bopts.membership.suspect_after_misses = spec.suspect_misses;
-  bopts.membership.dead_after_misses = spec.dead_misses;
+  net::BackendOptions bopts =
+      BackendFromSpec(spec, plan->rule, options.deployment);
   bopts.session_epoch = epoch;
-  bopts.connect_timeout_ms = options.net_connect_timeout_ms;
-  bopts.receive_timeout_ms = options.net_receive_timeout_ms;
-
   auto backend = net::SmcBackend::Create(std::move(bopts));
   if (!backend.ok()) return backend.status();
   net::SmcBackend& be = **backend;
@@ -326,9 +288,9 @@ Result<ServeReport> RunServeFromFiles(const LinkageSpec& spec,
   serve::ServiceOptions sopts;
   sopts.rule = plan->rule;
   sopts.hierarchies = plan->hierarchies;
-  sopts.gen_level = gen_level;
-  sopts.tenant_allowance = allowance;
-  sopts.max_queued = max_queued;
+  sopts.gen_level = spec.serve_gen_level;
+  sopts.tenant_allowance = spec.serve_allowance;
+  sopts.max_queued = spec.serve_queue;
   sopts.smc_batch_pairs = spec.rpc_batch;
   serve::LinkageService svc(sopts, &be.oracle(), metrics);
 
@@ -426,10 +388,11 @@ Result<ServeReport> RunServeFromFiles(const LinkageSpec& spec,
     run.AddConfig("mode", "serve");
     run.AddConfig("deltas", deltas_path);
     run.AddConfig("serve_allowance",
-                  StrFormat("%lld", static_cast<long long>(allowance)));
+                  StrFormat("%lld",
+                            static_cast<long long>(spec.serve_allowance)));
     run.AddConfig("serve_queue",
-                  StrFormat("%lld", static_cast<long long>(max_queued)));
-    run.AddConfig("serve_gen_level", StrFormat("%d", gen_level));
+                  StrFormat("%lld", static_cast<long long>(spec.serve_queue)));
+    run.AddConfig("serve_gen_level", StrFormat("%d", spec.serve_gen_level));
     run.AddConfig("key_bits", StrFormat("%d", spec.key_bits));
     run.AddConfig("oracle", report.oracle);
     run.AddConfig("transport", use_tcp ? "tcp" : "inproc");

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "cli/runner.h"
 #include "cli/spec.h"
 #include "common/result.h"
 
@@ -27,26 +28,14 @@ struct ServeRunnerOptions {
   /// runner's --resume.
   bool resume = false;
 
-  /// Overrides of the spec's serve_* directives (< 0 keeps the spec's).
-  int64_t tenant_allowance_override = -1;
-  int64_t max_queued_override = -1;
-  int gen_level_override = -1;
-
   /// Crash-injection test hook: after this many newly settled (non-replayed)
   /// deltas the process raises SIGKILL — after the journal write, so the
   /// resumed run must reproduce the pre-crash state exactly. 0 = off.
   int64_t crash_after = 0;
 
-  /// SMC deployment, same semantics as RunnerOptions: "" / "inproc" runs the
-  /// oracle in-process, "tcp" spawns or joins an hprl_party fleet (rows
-  /// stay resident on the daemons; requires keybits > 0 in the spec).
-  std::string transport;
-  std::string tcp_endpoints;
-  std::string party_binary = "hprl_party";
-  int shards_override = 0;
-  int smc_threads_override = 0;
-  int net_connect_timeout_ms = 10000;
-  int net_receive_timeout_ms = 4000;
+  /// Where the SMC step runs, as for the batch runner: rows stay resident
+  /// on the daemons of a tcp fleet (requires keybits > 0 in the spec).
+  DeploymentOptions deployment;
 
   /// Optional external registry (not owned; may be null). When null and
   /// metrics_out is set, a private registry backs the report.
@@ -77,7 +66,8 @@ struct ServeReport {
 
 /// Runs the streaming incremental linkage service over a delta file: every
 /// line is one record mutation, applied in order through serve::LinkageService
-/// with the spec's rule/hierarchies and the backend the options select.
+/// with the spec's rule, hierarchies, serve_* admission settings and SMC
+/// backend (BackendFromSpec), deployed where the options say.
 /// Format (header locates columns by name, like the batch CSVs):
 ///
 ///   op,tenant,side,row_id,<qid attr columns in any order>

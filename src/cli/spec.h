@@ -62,6 +62,17 @@ struct AttrSpec {
 ///
 /// Attribute order in the spec is the CSV column-matching order (columns are
 /// located by header name, so the CSV may contain extra columns).
+///
+/// A later directive replaces an earlier one: a repeated scalar directive
+/// takes its last value, a directive naming only some of its fields
+/// (`smc_pack N` without slot bits, `fault delay R` without microseconds)
+/// leaves the others as they were, `attr` lines append, and cross-directive
+/// checks (dead_misses > suspect_misses) judge the final values. A variant
+/// run is the base spec with directives appended.
+///
+/// The spec is the only source of these settings: `hprl_link` has flags for
+/// files, modes and the deployment only, and both runners map the spec to
+/// the SMC backend through cli::BackendFromSpec.
 struct LinkageSpec {
   std::vector<AttrSpec> attrs;
   std::string class_attr;      // empty = none
@@ -72,8 +83,8 @@ struct LinkageSpec {
   SelectionHeuristic heuristic = SelectionHeuristic::kMinAvgFirst;
   std::string anonymizer = "MaxEntropy";
   int key_bits = 0;
-  /// Blocking-step worker threads; 0 (or the literal `auto`) defers to the
-  /// runner, which uses std::thread::hardware_concurrency().
+  /// Blocking-step worker threads; 0 (or the literal `auto`) resolves to
+  /// std::thread::hardware_concurrency().
   int threads = 0;
   /// SMC worker comparators for the batched oracle; 0 / `auto` as above.
   int smc_threads = 0;

@@ -214,11 +214,11 @@ Result<std::unique_ptr<SmcBackend>> SmcBackend::Create(BackendOptions opts) {
     }
   }
   if (opts.shards < 1) {
-    return Status::InvalidArgument("--shards must be >= 1");
+    return Status::InvalidArgument("shards must be >= 1");
   }
   if (opts.shards > 1 && !use_tcp) {
     return Status::InvalidArgument(
-        "--shards > 1 is a property of the TCP comparator fleet; it "
+        "shards > 1 is a property of the TCP comparator fleet; it "
         "requires --transport=tcp");
   }
 
@@ -229,7 +229,7 @@ Result<std::unique_ptr<SmcBackend>> SmcBackend::Create(BackendOptions opts) {
     if (opts.shards > 1 &&
         parsed->size() != static_cast<size_t>(opts.shards)) {
       return Status::InvalidArgument(StrFormat(
-          "--shards %d disagrees with --parties, which lists %zu shard "
+          "shards %d disagrees with --parties, which lists %zu shard "
           "mesh(es)",
           opts.shards, parsed->size()));
     }

@@ -17,8 +17,8 @@ class SmcMatchOracle;
 
 namespace hprl::net {
 
-/// Everything that picks and parameterizes a match oracle, gathered from the
-/// spec file and the CLI. The backend owns the decision tree the callers
+/// Everything that picks and parameterizes a match oracle: the spec file's
+/// settings (cli::BackendFromSpec) plus where this deployment runs. The backend owns the decision tree the callers
 /// used to hand-roll: plaintext vs in-process SMC vs TCP fleet, spawn vs
 /// join, one shard vs many.
 struct BackendOptions {

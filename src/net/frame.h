@@ -32,6 +32,10 @@ namespace hprl::net {
 /// in-process transport.
 
 inline constexpr uint32_t kWireMagic = 0x4850524C;  // "HPRL"
+/// Version 9: the "cfg" body carries only what the daemon reads — the
+/// unused offline_pairs field goes, and emu_latency and material_dir are
+/// required with no trailing bytes; the "inject_fail" crash byte is
+/// required too.
 /// Version 8: one operand path — "pairb" carries the rows its daemon does
 /// not hold yet ahead of id-only pair entries; "delta", "drain", inline
 /// operands and the always-zero attempt field (in "pairb" and acks) go.
@@ -51,7 +55,7 @@ inline constexpr uint32_t kWireMagic = 0x4850524C;  // "HPRL"
 /// ctl verbs a typed enum with ":hb" heartbeat probes; version 2 added the
 /// batched pair command and the randomizer pool depth. Mixed-version
 /// meshes are rejected at the frame layer.
-inline constexpr uint16_t kWireVersion = 8;
+inline constexpr uint16_t kWireVersion = 9;
 
 /// Frames larger than this are rejected before any allocation — an oversized
 /// length prefix means a corrupted or hostile stream, not a big message

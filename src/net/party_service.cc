@@ -395,15 +395,15 @@ Status PartyService::Dispatch(CtlVerb verb, uint64_t epoch,
       return Status::OK();
     }
     case CtlVerb::kInjectFail: {
+      // u32 count, then a crash byte: non-zero turns the injected fault into
+      // a simulated crash instead of a clean error.
       size_t off = 0;
       auto count = ConsumeU32(msg.payload, &off);
-      Status st = count.ok() ? Status::OK() : count.status();
-      if (count.ok()) {
+      auto crash = ConsumeU8(msg.payload, &off);
+      Status st = !count.ok() ? count.status() : crash.status();
+      if (st.ok()) {
         fail_next_pairs_ = *count;
-        // Optional trailing flag (older coordinators omit it): non-zero turns
-        // the injected fault into a simulated crash instead of a clean error.
-        auto crash = ConsumeU8(msg.payload, &off);
-        crash_on_fault_ = crash.ok() && *crash != 0;
+        crash_on_fault_ = *crash != 0;
       }
       Reply(CtlVerb::kInjectFail, 0, st, {});
       return st;
@@ -438,15 +438,16 @@ Status PartyService::HandleConfigure(const std::vector<uint8_t>& payload) {
   if (!test_seed.ok()) return test_seed.status();
   auto pool_depth = ConsumeU32(payload, &off);
   if (!pool_depth.ok()) return pool_depth.status();
-  // Optional trailing knobs (older coordinators omit them). emu_latency is
-  // version-2; the offline/online material knobs are version-4.
   auto emu_latency = ConsumeU32(payload, &off);
-  emulated_latency_micros_ = emu_latency.ok() ? *emu_latency : 0;
-  // offline_pairs: still on the wire, but kWarmup carries the exact count.
-  (void)ConsumeU32(payload, &off);
+  if (!emu_latency.ok()) return emu_latency.status();
   auto material_dir = ConsumeString(payload, &off);
-  material_dir_ = material_dir.ok() ? *material_dir : "";
+  if (!material_dir.ok()) return material_dir.status();
+  if (off != payload.size()) {
+    return Status::InvalidArgument("cfg: trailing bytes after material_dir");
+  }
 
+  emulated_latency_micros_ = *emu_latency;
+  material_dir_ = *material_dir;
   params_.key_bits = static_cast<int>(*key_bits);
   params_.fp_scale = *fp_scale;
   params_.blind_bits = static_cast<int>(*blind_bits);

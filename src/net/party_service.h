@@ -211,8 +211,8 @@ class PartyService {
   /// a network/compute latency window. 0 in production; the sharded bench
   /// uses it to make the SMC stage latency-bound (docs/CLUSTER.md).
   uint32_t emulated_latency_micros_ = 0;
-  /// kConfigure knob (optional trailing field; older coordinators omit
-  /// it): the on-disk material store directory. Empty disables the store.
+  /// kConfigure knob: the on-disk material store directory. Empty disables
+  /// the store.
   std::string material_dir_;
   // Exactly one of these is live, by role.
   std::unique_ptr<smc::QueryingParty> qp_;

@@ -213,11 +213,8 @@ std::vector<uint8_t> RemoteSmcOracle::BuildConfigPayload() const {
                 std::max(0, opts_.config.randomizer_pool_depth)),
             &cfg);
   AppendU32(opts_.emulated_latency_micros, &cfg);
-  // Version-4 material knobs: the daemons load persisted randomizer
-  // material keyed by their (identically derived) keypair and run a
-  // dedicated offline phase on kWarmup below.
-  AppendU32(static_cast<uint32_t>(std::max(0, opts_.config.offline_pairs)),
-            &cfg);
+  // The daemons load persisted randomizer material keyed by their
+  // (identically derived) keypair; kWarmup below sizes their offline phase.
   AppendString(opts_.config.material_dir, &cfg);
   return cfg;
 }

@@ -4,10 +4,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "adult/adult.h"
 #include "cli/plan.h"
 #include "cli/runner.h"
+#include "cli/serve_runner.h"
 #include "cli/spec.h"
 #include "common/exit_codes.h"
 #include "data/csv.h"
@@ -155,6 +157,34 @@ TEST(SpecParserTest, RejectsBadMembershipDirectives) {
           .ok());
 }
 
+// Variant specs are built by appending directives to a base spec, which
+// relies on this rule: a repeated scalar directive takes its last value, a
+// directive that names only some of its fields leaves the others alone,
+// cross-directive checks judge the final values, and attr lines append.
+TEST(SpecParserTest, LaterDirectiveReplacesAnEarlierOne) {
+  auto spec = ParseLinkageSpec(
+      "attr x text\n"
+      "shards 1\nsmc_seed 4242\nfault delay 0.5 50\nhb_interval 250\n"
+      "smc_pack 8 48\nsuspect_misses 2\ndead_misses 4\n"
+      "attr y text\n"
+      "shards 2\nsmc_seed 7\nfault delay 1\nhb_interval 100\n"
+      "smc_pack 4\nsuspect_misses 5\ndead_misses 9\n",
+      ".");
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  EXPECT_EQ(spec->shards, 2);
+  EXPECT_EQ(spec->smc_seed, 7u);
+  EXPECT_DOUBLE_EQ(spec->fault_delay, 1.0);
+  EXPECT_EQ(spec->fault_delay_micros, 50);  // not named again: kept
+  EXPECT_EQ(spec->hb_interval_ms, 100);
+  EXPECT_EQ(spec->smc_pack, 4);
+  EXPECT_EQ(spec->smc_pack_slot_bits, 48);  // not named again: kept
+  EXPECT_EQ(spec->suspect_misses, 5);
+  EXPECT_EQ(spec->dead_misses, 9);
+  ASSERT_EQ(spec->attrs.size(), 2u);
+  EXPECT_EQ(spec->attrs[0].name, "x");
+  EXPECT_EQ(spec->attrs[1].name, "y");
+}
+
 // ---------------------------------------------------------------- exit codes
 
 TEST(ExitCodeTest, TaxonomyMapsStatusFamilies) {
@@ -267,15 +297,15 @@ TEST_F(RunnerTest, ThreadsOverrideMatchesSequentialRun) {
   auto spec = LoadLinkageSpec((dir_ / "linkage.spec").string());
   ASSERT_TRUE(spec.ok());
 
-  RunnerOptions sequential;
+  RunnerOptions options;
+  spec->threads = 1;
   auto base = RunLinkageFromFiles(*spec, (dir_ / "r.csv").string(),
-                                  (dir_ / "s.csv").string(), sequential);
+                                  (dir_ / "s.csv").string(), options);
   ASSERT_TRUE(base.ok()) << base.status().ToString();
 
-  RunnerOptions threaded;
-  threaded.threads_override = 4;
+  spec->threads = 4;
   auto out = RunLinkageFromFiles(*spec, (dir_ / "r.csv").string(),
-                                 (dir_ / "s.csv").string(), threaded);
+                                 (dir_ / "s.csv").string(), options);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
 
   // The blocking decision rule is deterministic: worker count must not
@@ -441,19 +471,6 @@ TEST_F(RunnerTest, FullDiskJournalSaveExitsUnclassified) {
   EXPECT_EQ(ExitCodeForStatus(report.status()), kExitFailure);
 }
 
-TEST_F(RunnerTest, MembershipOverridesMustKeepDeadAfterSuspect) {
-  auto spec = LoadLinkageSpec((dir_ / "linkage.spec").string());
-  ASSERT_TRUE(spec.ok());
-  RunnerOptions options;
-  options.suspect_misses_override = 5;
-  options.dead_misses_override = 5;
-  auto report = RunLinkageFromFiles(*spec, (dir_ / "r.csv").string(),
-                                    (dir_ / "s.csv").string(), options);
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(report.status().message().find("dead_misses"), std::string::npos);
-}
-
 TEST_F(RunnerTest, MissingColumnIsReported) {
   auto spec = LoadLinkageSpec((dir_ / "linkage.spec").string());
   ASSERT_TRUE(spec.ok());
@@ -565,6 +582,95 @@ TEST_F(RunnerTest, ClassIdsFollowFirstSeenOrderAcrossInputs) {
     }
   }
   EXPECT_EQ(ids, (std::vector<int32_t>{0, 1, 0, 2, 1}));
+}
+
+// ---------------------------------------------------------------- serve
+
+/// RunServeFromFiles over a delta stream built from the fixture's tables:
+/// tenant "acme" inserts its first rows of R, then its first rows of S.
+class ServeRunnerTest : public RunnerTest {
+ protected:
+  void SetUp() override {
+    RunnerTest::SetUp();
+    std::ofstream out(dir_ / "deltas.csv");
+    bool header = true;
+    for (const char* side : {"r", "s"}) {
+      std::ifstream in(dir_ / (std::string(side) + ".csv"));
+      std::string line;
+      std::getline(in, line);
+      if (header) out << "op,tenant,side,row_id," << line << '\n';
+      header = false;
+      for (int row = 0; row < kRowsPerSide && std::getline(in, line); ++row) {
+        out << "insert,acme," << side << ',' << row << ',' << line << '\n';
+      }
+    }
+  }
+
+  /// The fixture's spec plus `extra` directives, the way a variant spec is
+  /// written: appended lines replace the base file's values.
+  LinkageSpec SpecWith(const std::string& extra) {
+    std::ifstream base(dir_ / "linkage.spec");
+    std::ostringstream text;
+    text << base.rdbuf() << extra;
+    std::ofstream(dir_ / "variant.spec") << text.str();
+    auto spec = LoadLinkageSpec((dir_ / "variant.spec").string());
+    EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+    return spec.ok() ? *spec : LinkageSpec{};
+  }
+
+  static constexpr int kRowsPerSide = 40;
+};
+
+TEST_F(ServeRunnerTest, DelayOnlyFaultPlanKeepsTheLinks) {
+  const std::string smc = "keybits 256\nsmc_seed 4242\n";
+  ServeRunnerOptions clean;
+  clean.links_out = (dir_ / "links_clean.csv").string();
+  auto base = RunServeFromFiles(SpecWith(smc),
+                                (dir_ / "deltas.csv").string(), clean);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  ASSERT_GT(base->smc_pairs, 0);
+  ASSERT_GT(base->links, 0);
+
+  obs::MetricsRegistry registry;
+  ServeRunnerOptions faulty;
+  faulty.links_out = (dir_ / "links_faulty.csv").string();
+  faulty.metrics = &registry;
+  auto out = RunServeFromFiles(
+      SpecWith(smc + "fault seed 7\nfault delay 1 10\n"),
+      (dir_ / "deltas.csv").string(), faulty);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+
+  // The spec's fault plan reaches the serve backend: every protocol step
+  // is delayed, and a delay changes no label.
+  EXPECT_GT(registry.counter("smc.faults_delayed")->value(), 0);
+  EXPECT_EQ(out->smc_pairs, base->smc_pairs);
+  EXPECT_EQ(out->links, base->links);
+  EXPECT_EQ(out->quarantined, 0);
+  auto read = [](const fs::path& p) {
+    std::ifstream in(p);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+  };
+  EXPECT_EQ(read(faulty.links_out), read(clean.links_out));
+}
+
+TEST_F(ServeRunnerTest, ZeroAllowanceWithoutAQueueRejectsEverySmcDelta) {
+  const std::string deltas = (dir_ / "deltas.csv").string();
+  auto base = RunServeFromFiles(SpecWith(""), deltas, ServeRunnerOptions{});
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  ASSERT_GT(base->smc_pairs, 0);
+
+  auto out = RunServeFromFiles(SpecWith("serve_allowance 0\nserve_queue 0\n"),
+                               deltas, ServeRunnerOptions{});
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  // R inserts meet an empty S side and need no SMC, so they apply; an S
+  // insert that leaves unknown pairs finds no allowance and no queue.
+  EXPECT_EQ(out->smc_pairs, 0);
+  EXPECT_EQ(out->queued, 0);
+  EXPECT_GT(out->rejected, 0);
+  EXPECT_EQ(out->applied + out->rejected, out->deltas);
+  EXPECT_LT(out->links, base->links);
 }
 
 }  // namespace

@@ -128,15 +128,15 @@ TEST(FrameTest, RejectsVersionMismatch) {
   EXPECT_NE(back.status().ToString().find("version"), std::string::npos);
 }
 
-// A wire v7 peer (inline pair operands, "delta"/"drain" verbs, the attempt
-// field in "pairb" and in every ack) is refused at the frame layer, never
-// half-parsed.
-TEST(FrameTest, RejectsWireVersionSeven) {
-  ASSERT_EQ(net::kWireVersion, 8);
+// A wire v8 peer (a "cfg" body with offline_pairs and optional trailing
+// fields, an optional "inject_fail" crash byte) is refused at the frame
+// layer, never half-parsed.
+TEST(FrameTest, RejectsWireVersionEight) {
+  ASSERT_EQ(net::kWireVersion, 9);
   Message msg = MakeMessage();
   std::vector<uint8_t> wire = EncodeFrame(msg);
   wire[4 + 4] = 0x00;
-  wire[4 + 5] = 0x07;
+  wire[4 + 5] = 0x08;
   auto back = DecodeFrame(wire.data() + 4, wire.size() - 4);
   ASSERT_FALSE(back.ok());
   EXPECT_EQ(back.status().code(), StatusCode::kIOError);
@@ -1390,6 +1390,82 @@ TEST_F(MeshTest, RelaunchedCoordinatorFencesPredecessorsFrames) {
     EXPECT_EQ(s->epoch(), 2u);
   }
   zombie.Stop();
+}
+
+// Wire v9 "cfg" and "inject_fail" bodies are exact: a field missing or a
+// byte past the last one fails the verb instead of falling back to a
+// default, and a failed cfg leaves the daemon unconfigured.
+TEST_F(MeshTest, ConfigureAndInjectRejectInexactBodies) {
+  StartMesh(/*receive_timeout_ms=*/2000);
+  SocketBusOptions bopts;
+  bopts.local_name = "coord";
+  bopts.dial = {endpoints_.alice, endpoints_.bob, endpoints_.qp};
+  bopts.connect_timeout_ms = 5000;
+  bopts.receive_timeout_ms = 2000;
+  SocketBus coord(bopts);
+  ASSERT_TRUE(coord.Start().ok());
+
+  // Sends `body` as `verb` to every party and returns each reply's code.
+  auto ask = [&](net::CtlVerb verb, const std::vector<uint8_t>& body) {
+    for (const char* role : {"alice", "bob", "qp"}) {
+      net::CtlRequest req;
+      req.verb = verb;
+      req.epoch = 1;
+      req.body = body;
+      coord.Send(net::EncodeCtlRequest("coord", role, req));
+    }
+    std::map<std::string, StatusCode> codes;
+    while (codes.size() < 3) {
+      auto msg = coord.ReceiveTimeout("coord", 2000);
+      EXPECT_TRUE(msg.ok()) << msg.status().ToString();
+      if (!msg.ok()) break;
+      if (msg->tag != net::kCtlReply) continue;
+      auto r = net::ParseCtlResponse(msg->payload);
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      if (!r.ok()) break;
+      EXPECT_EQ(r->verb, verb);
+      codes[r->role] = r->code;
+    }
+    return codes;
+  };
+  auto all_are = [](const std::map<std::string, StatusCode>& codes,
+                    bool ok) {
+    if (codes.size() != 3) return false;
+    for (const auto& [role, code] : codes) {
+      if ((code == StatusCode::kOk) != ok) return false;
+    }
+    return true;
+  };
+
+  smc::SmcConfig defaults;
+  std::vector<uint8_t> cfg;
+  net::AppendU32(256, &cfg);  // key_bits
+  net::AppendI64(defaults.fp_scale, &cfg);
+  net::AppendU32(static_cast<uint32_t>(defaults.blind_bits), &cfg);
+  net::AppendU8(0, &cfg);     // flags
+  net::AppendU64(4242, &cfg);  // test_seed
+  net::AppendU32(0, &cfg);    // randomizer pool depth
+  net::AppendU32(0, &cfg);    // emu_latency
+  std::vector<uint8_t> trailing = cfg;
+  net::AppendString("", &trailing);  // material_dir
+  const std::vector<uint8_t> exact = trailing;
+  net::AppendU8(0, &trailing);
+
+  EXPECT_TRUE(all_are(ask(net::CtlVerb::kConfigure, cfg), false))
+      << "cfg without material_dir was accepted";
+  EXPECT_TRUE(all_are(ask(net::CtlVerb::kConfigure, trailing), false))
+      << "cfg with a trailing byte was accepted";
+  for (auto& service : services_) EXPECT_EQ(service->epoch(), 0u);
+  EXPECT_TRUE(all_are(ask(net::CtlVerb::kConfigure, exact), true));
+  for (auto& service : services_) EXPECT_EQ(service->epoch(), 1u);
+
+  std::vector<uint8_t> inject;
+  net::AppendU32(0, &inject);  // fail no pairs
+  EXPECT_TRUE(all_are(ask(net::CtlVerb::kInjectFail, inject), false))
+      << "inject_fail without its crash byte was accepted";
+  net::AppendU8(0, &inject);
+  EXPECT_TRUE(all_are(ask(net::CtlVerb::kInjectFail, inject), true));
+  coord.Stop();
 }
 
 // ------------------------------------------------------- comparator fleet
