@@ -65,8 +65,11 @@ class MetricsSeries {
  public:
   explicit MetricsSeries(std::string tool) : tool_(std::move(tool)) {}
 
-  void Add(std::string label, const LinkageMetrics& metrics) {
-    rows_.emplace_back(std::move(label), metrics);
+  /// `counts` are exact integer tallies of the row (crypto operations, say),
+  /// written as a "counts" object when there are any.
+  void Add(std::string label, const LinkageMetrics& metrics,
+           std::vector<std::pair<std::string, int64_t>> counts = {}) {
+    rows_.push_back({std::move(label), metrics, std::move(counts)});
   }
 
   /// No-op when `path` is empty; dies on I/O errors like the rest of the
@@ -82,11 +85,20 @@ class MetricsSeries {
     w.String(tool_);
     w.Key("series");
     w.BeginArray();
-    for (const auto& [label, m] : rows_) {
+    for (const Row& row : rows_) {
       w.BeginObject();
       w.Key("label");
-      w.String(label);
-      obs::WriteLinkageMetricsFields(&w, m);
+      w.String(row.label);
+      obs::WriteLinkageMetricsFields(&w, row.metrics);
+      if (!row.counts.empty()) {
+        w.Key("counts");
+        w.BeginObject();
+        for (const auto& [name, value] : row.counts) {
+          w.Key(name);
+          w.Int(value);
+        }
+        w.EndObject();
+      }
       w.EndObject();
     }
     w.EndArray();
@@ -99,8 +111,13 @@ class MetricsSeries {
   }
 
  private:
+  struct Row {
+    std::string label;
+    LinkageMetrics metrics;
+    std::vector<std::pair<std::string, int64_t>> counts;
+  };
   std::string tool_;
-  std::vector<std::pair<std::string, LinkageMetrics>> rows_;
+  std::vector<Row> rows_;
 };
 
 /// The three heuristics plotted in the paper's recall figures.

@@ -127,7 +127,10 @@ int main(int argc, char** argv) {
   int64_t source_next = 0;
   int64_t tenant_rr = 0;
   while (emitted < *n_deltas) {
-    std::string tenant = "t" + std::to_string(tenant_rr % *tenants);
+    // Appended, not built as "t" + std::string&&, which trips GCC 12's
+    // -Wrestrict false positive.
+    std::string tenant = "t";
+    tenant += std::to_string(tenant_rr % *tenants);
     ++tenant_rr;
     const double roll = rng.NextDouble();
     if (roll < *update_frac && !live.empty()) {

@@ -13,8 +13,8 @@
 #include "common/timer.h"
 #include "core/blocking.h"
 #include "data/csv.h"
-#include "smc/batch_engine.h"
 #include "smc/protocol.h"
+#include "smc/smc_oracle.h"
 
 using namespace hprl;
 
@@ -80,6 +80,11 @@ int main(int argc, char** argv) {
   double smc_setup_serial_seconds = 0, smc_setup_fast_seconds = 0;
   double material_cold_total = 0, material_warm_offline = 0,
          material_warm_online = 0;
+  // Crypto work of one CompareBatch per stage. These are exact counts, not
+  // timings: bench_smoke.sh gates them by equality, so a change in the work
+  // itself shows even where a timed ratio's noise would hide it.
+  using StageCounts = std::vector<std::pair<std::string, int64_t>>;
+  StageCounts serial_counts, fast_counts, packed_counts;
   {
     std::vector<Record> recs_a, recs_s;
     for (int64_t i = 0; i < *smc_batch; ++i) {
@@ -94,8 +99,9 @@ int main(int argc, char** argv) {
     // Engine stages are timed best-of-3: at smoke sizes the fast and packed
     // stages run in single-digit milliseconds, where one scheduler hiccup
     // would swing the recorded ratio (and trip bench_smoke.sh --check).
-    auto time_stage = [&](smc::BatchSmcEngine& engine, int pool_depth,
-                          double* best_seconds) {
+    auto time_stage = [&](smc::SmcMatchOracle& engine, int pool_depth,
+                          double* best_seconds, StageCounts* counts) {
+      const smc::SmcCosts before = engine.costs();
       auto run_once = [&] {
         // The pool fill models idle-time precomputation: excluded from the
         // measured stage, like key generation.
@@ -110,6 +116,12 @@ int main(int argc, char** argv) {
         return std::move(labels).value();
       };
       auto labels = run_once();
+      const smc::SmcCosts& after = engine.costs();
+      *counts = {{"encryptions", after.encryptions - before.encryptions},
+                 {"decryptions", after.decryptions - before.decryptions},
+                 {"homomorphic_adds",
+                  after.homomorphic_adds - before.homomorphic_adds},
+                 {"scalar_muls", after.scalar_muls - before.scalar_muls}};
       for (int rep = 1; rep < 5; ++rep) run_once();
       return labels;
     };
@@ -119,7 +131,7 @@ int main(int argc, char** argv) {
     // folded into the per-stage online numbers below.
     smc::SmcConfig ref_cfg = smc_cfg;
     ref_cfg.randomizer_pool_depth = 0;
-    smc::BatchSmcEngine ref_engine(ref_cfg, one_attr, 1);
+    smc::SmcMatchOracle ref_engine(ref_cfg, one_attr, 1);
     {
       WallTimer t;
       if (auto s = ref_engine.Init(); !s.ok()) bench::Die(s);
@@ -127,13 +139,14 @@ int main(int argc, char** argv) {
     }
     std::printf("%-52s %10.3f s\n", "SMC setup (keygen), serial engine",
                 smc_setup_serial_seconds);
-    auto ref_labels = time_stage(ref_engine, 0, &smc_serial_seconds);
+    auto ref_labels =
+        time_stage(ref_engine, 0, &smc_serial_seconds, &serial_counts);
     std::printf("%-52s %10.3f s\n", "SMC stage, serial reference engine",
                 smc_serial_seconds);
 
     smc::SmcConfig fast_cfg = smc_cfg;
     fast_cfg.randomizer_pool_depth = static_cast<int>(3 * *smc_batch + 8);
-    smc::BatchSmcEngine fast_engine(fast_cfg, one_attr,
+    smc::SmcMatchOracle fast_engine(fast_cfg, one_attr,
                                     static_cast<int>(*smc_threads));
     {
       WallTimer t;
@@ -144,7 +157,7 @@ int main(int argc, char** argv) {
                 smc_setup_fast_seconds);
     auto fast_labels =
         time_stage(fast_engine, fast_cfg.randomizer_pool_depth,
-                   &smc_fast_seconds);
+                   &smc_fast_seconds, &fast_counts);
     if (fast_labels != ref_labels) {
       bench::Die(Status::Internal("fast SMC engine labels diverge"));
     }
@@ -160,12 +173,12 @@ int main(int argc, char** argv) {
     if (*smc_pack > 0) {
       smc::SmcConfig packed_cfg = fast_cfg;
       packed_cfg.pack_pairs = static_cast<int>(*smc_pack);
-      smc::BatchSmcEngine packed_engine(packed_cfg, one_attr,
+      smc::SmcMatchOracle packed_engine(packed_cfg, one_attr,
                                         static_cast<int>(*smc_threads));
       if (auto s = packed_engine.Init(); !s.ok()) bench::Die(s);
       auto packed_labels =
           time_stage(packed_engine, packed_cfg.randomizer_pool_depth,
-                     &smc_packed_seconds);
+                     &smc_packed_seconds, &packed_counts);
       if (packed_labels != ref_labels) {
         bench::Die(Status::Internal("packed SMC engine labels diverge"));
       }
@@ -192,7 +205,7 @@ int main(int argc, char** argv) {
       smc::SmcConfig mat_cfg = fast_cfg;
       mat_cfg.material_dir = *material_dir;
       mat_cfg.offline_pairs = static_cast<int>(*smc_batch);
-      smc::BatchSmcEngine cold_engine(mat_cfg, one_attr,
+      smc::SmcMatchOracle cold_engine(mat_cfg, one_attr,
                                       static_cast<int>(*smc_threads));
       {
         WallTimer t;
@@ -204,7 +217,7 @@ int main(int argc, char** argv) {
           bench::Die(Status::Internal("cold material-run labels diverge"));
         }
       }
-      smc::BatchSmcEngine warm_engine(mat_cfg, one_attr,
+      smc::SmcMatchOracle warm_engine(mat_cfg, one_attr,
                                       static_cast<int>(*smc_threads));
       {
         WallTimer t;
@@ -299,12 +312,12 @@ int main(int argc, char** argv) {
   {
     LinkageMetrics stage;
     stage.smc_seconds = smc_serial_seconds;
-    series.Add("smc_stage_serial_reference", stage);
+    series.Add("smc_stage_serial_reference", stage, serial_counts);
     stage.smc_seconds = smc_fast_seconds;
-    series.Add("smc_stage_fast", stage);
+    series.Add("smc_stage_fast", stage, fast_counts);
     if (smc_packed_seconds > 0) {
       stage.smc_seconds = smc_packed_seconds;
-      series.Add("smc_stage_packed", stage);
+      series.Add("smc_stage_packed", stage, packed_counts);
     }
     stage.smc_seconds = smc_setup_serial_seconds;
     series.Add("smc_stage_setup_serial", stage);

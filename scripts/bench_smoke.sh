@@ -6,7 +6,8 @@
 #   - randomizer: fixed-base windowed table vs square-and-multiply PowMod
 #   - SMC stage: batched engine (threads + randomizer pool) vs the
 #     serial reference engine (1 worker, no pool), on the timing-table
-#     workload
+#     workload, plus the exact crypto operation counts of one batch in the
+#     serial, fast and packed stages
 #   (each timed speedup, these three, packed SMC and blocking, is the median
 #   of five runs' ratios)
 #   - packed SMC: several pairs per ciphertext vs the same fast engine
@@ -28,11 +29,13 @@
 #       committed BENCH_hotpath.json and fail if any recorded speedup drops
 #       below 80% of its committed value, if the async-datapath overhead
 #       ratio exceeds 2x, if a packed pair costs more than 9 GMP
-#       allocations, or if a pipelined-rpc count differs from its committed
-#       value; the committed file is not rewritten
+#       allocations, or if a pipelined-rpc count or an SMC stage's crypto
+#       operation count differs from its committed value; the committed
+#       file is not rewritten
 #
 # Both modes fail when an rpc_batch 1 run's ctl round trips differ from its
-# SMC pair count or either rpc_batch run retried a pair.
+# SMC pair count, either rpc_batch run retried a pair, or the five
+# timing_table runs disagree on an SMC stage's crypto operation counts.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -149,6 +152,17 @@ def stage_seconds(label):
 serial_reps = stage_seconds("smc_stage_serial_reference")
 fast_reps = stage_seconds("smc_stage_fast")
 packed_reps = stage_seconds("smc_stage_packed")
+# Crypto work of one CompareBatch per stage (encryptions, decryptions,
+# homomorphic adds, scalar muls): exact counts, identical in every run.
+count_failures = []
+
+def stage_counts(label):
+    counts = [t[label]["counts"] for t in timing_reps]
+    if any(c != counts[0] for c in counts):
+        count_failures.append(f"{label}: crypto counts differ across runs: "
+                              f"{counts}")
+    return counts[0]
+
 smc_serial = median(serial_reps)
 smc_fast = median(fast_reps)
 smc_packed = median(packed_reps)
@@ -183,6 +197,8 @@ report = {
         "serial_reference_seconds": smc_serial,
         "fast_seconds": smc_fast,
         "speedup": median([s / f for s, f in zip(serial_reps, fast_reps)]),
+        "serial_counts": stage_counts("smc_stage_serial_reference"),
+        "fast_counts": stage_counts("smc_stage_fast"),
     },
     # Packed plaintext path (8 pairs per ciphertext) vs the same fast
     # engine on the scalar exchange, so the speedup is what packing itself
@@ -195,6 +211,7 @@ report = {
         "packed_seconds": smc_packed,
         "pack_pairs": 8,
         "speedup": median([f / p for f, p in zip(fast_reps, packed_reps)]),
+        "packed_counts": stage_counts("smc_stage_packed"),
     },
     "blocking_sweep": {
         "direct_seconds": median(direct_reps),
@@ -296,7 +313,7 @@ report["arena_alloc"] = {
 if check:
     with open("BENCH_hotpath.json") as f:
         committed = json.load(f)
-    failures = list(rpc_failures)
+    failures = rpc_failures + count_failures
     for block, values in committed.items():
         if not isinstance(values, dict):
             continue
@@ -334,6 +351,19 @@ if check:
                             f"committed {want}")
         else:
             print(f"check OK pipelined_rpc.{key}: {measured} (exact)")
+    # Exact crypto work per SMC stage batch. The timed smc_stage and
+    # packed_smc ratios above stay; these counts see a change in the work
+    # itself, which a ratio's run-to-run noise can hide.
+    for block, key in (("smc_stage", "serial_counts"),
+                       ("smc_stage", "fast_counts"),
+                       ("packed_smc", "packed_counts")):
+        measured = report[block][key]
+        want = committed.get(block, {}).get(key)
+        if measured != want:
+            failures.append(f"{block}.{key}: measured {measured}, "
+                            f"committed {want}")
+        else:
+            print(f"check OK {block}.{key}: {measured} (exact)")
     allocs = report["arena_alloc"]["allocs_per_pair_arena"]
     if allocs > 9:
         failures.append(
@@ -346,9 +376,9 @@ if check:
         print("BENCH CHECK FAILED:", *failures, sep="\n  ")
         sys.exit(1)
     print("bench check passed: no speedup below 80% of committed")
-elif rpc_failures:
+elif rpc_failures or count_failures:
     print("BENCH RUN FAILED (BENCH_hotpath.json not written):",
-          *rpc_failures, sep="\n  ")
+          *(rpc_failures + count_failures), sep="\n  ")
     sys.exit(1)
 else:
     with open("BENCH_hotpath.json", "w") as f:

@@ -43,6 +43,15 @@ uint64_t ServeFingerprint(const LinkageSpec& spec, const Plan& plan,
   h = MixFp(h, static_cast<uint64_t>(spec.serve_queue));
   h = MixFp(h, static_cast<uint64_t>(spec.key_bits));
   h = MixFp(h, spec.smc_seed);
+  // A plan that drops, corrupts or crashes decides which pairs are
+  // quarantined. Delay changes no label, and a fault-free spec mixes in
+  // nothing, so its fingerprint (and its existing journals) stay valid.
+  if (spec.fault_drop > 0 || spec.fault_corrupt > 0 || spec.fault_crash > 0) {
+    h = MixFp(h, spec.fault_seed);
+    h = MixFp(h, std::bit_cast<uint64_t>(spec.fault_drop));
+    h = MixFp(h, std::bit_cast<uint64_t>(spec.fault_corrupt));
+    h = MixFp(h, std::bit_cast<uint64_t>(spec.fault_crash));
+  }
   return h;
 }
 

@@ -42,44 +42,51 @@ struct ShardDisposition {
   int64_t pairs_done = 0;    ///< pairs definitively labeled on this shard
 };
 
-/// Labels one record pair exactly. In production this is the SMC protocol
-/// (smc::SmcMatchOracle); the figure harnesses use CountingPlaintextOracle,
-/// which produces identical labels (SMC is exact) while counting invocations
-/// — the paper's §VI cost model.
+/// Labels record pairs exactly. In production this is the SMC protocol
+/// (smc::SmcMatchOracle in process, net::RemoteSmcOracle over TCP); the
+/// figure harnesses use CountingPlaintextOracle, which produces identical
+/// labels (SMC is exact) while counting invocations — the paper's §VI cost
+/// model.
+///
+/// CompareBatch is the one entry point an oracle implements. Compare and
+/// CompareRows are one-pair batches; they stay virtual only so a forwarding
+/// wrapper (perfbench's tracing oracle) can pass them through.
 class MatchOracle {
  public:
   virtual ~MatchOracle() = default;
 
-  /// True when the pair satisfies the decision rule.
-  virtual Result<bool> Compare(const Record& a, const Record& b) = 0;
+  /// Labels a batch of row pairs. Slot i of the returned vector is the label
+  /// of batch[i] (kPairMatch / kPairNonMatch / kPairQuarantined), so results
+  /// are position-addressed and the outcome is independent of any internal
+  /// evaluation order — parallel oracles (smc::SmcMatchOracle with
+  /// smc_threads > 1) produce the same vector as a serial one. `a_id`/`b_id`
+  /// are stable row identities, which the SMC oracles carry into their
+  /// exchanges (fault schedules, resident rows). On error the whole batch
+  /// fails; partial work is discarded but still accounted in invocations().
+  virtual Result<std::vector<uint8_t>> CompareBatch(
+      const std::vector<RowPairRequest>& batch) = 0;
 
-  /// Row-aware variant: `a_id`/`b_id` are stable row identities, which the
-  /// SMC oracles carry into their exchanges (the in-process comparator
-  /// seeds its fault schedule from them); the default ignores them.
+  /// A one-pair CompareBatch: true when the pair satisfies the decision
+  /// rule. A pair the batch quarantines (a persistent transport fault)
+  /// returns Unavailable instead of a label.
   virtual Result<bool> CompareRows(int64_t a_id, int64_t b_id,
                                    const Record& a, const Record& b) {
-    return Compare(a, b);
-  }
-
-  /// Labels a batch of row pairs. Slot i of the returned vector is the label
-  /// of batch[i] (1 = match), so results are position-addressed and the
-  /// outcome is independent of any internal evaluation order — parallel
-  /// oracles (smc::SmcMatchOracle with smc_threads > 1) produce the same
-  /// vector as this serial default. On error the whole batch fails; partial
-  /// work is discarded but still accounted in invocations().
-  virtual Result<std::vector<uint8_t>> CompareBatch(
-      const std::vector<RowPairRequest>& batch) {
-    std::vector<uint8_t> labels(batch.size(), 0);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      auto m = CompareRows(batch[i].a_id, batch[i].b_id, *batch[i].a,
-                           *batch[i].b);
-      if (!m.ok()) return m.status();
-      labels[i] = *m ? 1 : 0;
+    auto labels = CompareBatch({{a_id, b_id, &a, &b}});
+    if (!labels.ok()) return labels.status();
+    if (labels->front() == kPairQuarantined) {
+      return Status::Unavailable(
+          "pair quarantined: a party died with no other to take the pair, "
+          "or its retries ran out");
     }
-    return labels;
+    return labels->front() == kPairMatch;
   }
 
-  /// Number of Compare calls so far (the paper's SMC cost unit).
+  /// CompareRows without row identities.
+  virtual Result<bool> Compare(const Record& a, const Record& b) {
+    return CompareRows(-1, -1, a, b);
+  }
+
+  /// Pairs labeled so far (the paper's SMC cost unit).
   virtual int64_t invocations() const = 0;
 
   /// Per-shard completed-work dispositions (session journal bookkeeping).
@@ -125,9 +132,15 @@ class CountingPlaintextOracle : public MatchOracle {
  public:
   explicit CountingPlaintextOracle(MatchRule rule) : rule_(std::move(rule)) {}
 
-  Result<bool> Compare(const Record& a, const Record& b) override {
-    ++invocations_;
-    return RecordsMatch(a, b, rule_);
+  Result<std::vector<uint8_t>> CompareBatch(
+      const std::vector<RowPairRequest>& batch) override {
+    std::vector<uint8_t> labels(batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      labels[i] = RecordsMatch(*batch[i].a, *batch[i].b, rule_) ? kPairMatch
+                                                                : kPairNonMatch;
+    }
+    invocations_ += static_cast<int64_t>(batch.size());
+    return labels;
   }
 
   int64_t invocations() const override { return invocations_; }

@@ -27,7 +27,7 @@ struct BackendOptions {
   smc::SmcConfig config;
   MatchRule rule;
 
-  /// In-process batched engine: worker comparator threads.
+  /// In-process SmcMatchOracle: worker comparator threads.
   int smc_threads = 1;
 
   /// "" or "inproc": the SMC step runs in-process. "tcp": hprl_party
@@ -93,7 +93,7 @@ class SmcBackend {
   SmcBackend& operator=(const SmcBackend&) = delete;
 
   /// Stands the oracle up: spawns/connects daemons and runs the key
-  /// handshake (TCP), or initializes the in-process engine.
+  /// handshake (TCP), or initializes the in-process oracle.
   Status Init();
 
   /// Tears the deployment down. On TCP this collects final daemon stats

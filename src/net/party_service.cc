@@ -370,7 +370,7 @@ Status PartyService::Dispatch(CtlVerb verb, uint64_t epoch,
       PartyStats stats;
       stats.costs = costs_;
       if (pool_ != nullptr) {
-        // Offline attribution mirrors BatchSmcEngine: every pool hit was an
+        // Offline attribution mirrors SmcMatchOracle: every pool hit was an
         // encryption paid for off the critical path; FIFO draw order means
         // adopted (disk-loaded) randomizers are consumed first.
         stats.costs.offline_randomizers = pool_->hits();

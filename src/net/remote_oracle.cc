@@ -2,31 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <deque>
-#include <thread>
 #include <utility>
 
 namespace hprl::net {
 
-using crypto::BigInt;
 using smc::Message;
 
 namespace {
-
-/// Same transient/fatal split as the in-process retry layer
-/// (smc/protocol.cc): timeouts, corruption and desyncs heal; Unavailable
-/// (a dead link or daemon) rebalances or quarantines.
-bool IsTransient(StatusCode code) {
-  switch (code) {
-    case StatusCode::kNotFound:
-    case StatusCode::kIOError:
-    case StatusCode::kInternal:
-      return true;
-    default:
-      return false;
-  }
-}
 
 Status ReplyStatus(const CtlResponse& r) {
   if (r.code == StatusCode::kOk) return Status::OK();
@@ -42,7 +25,7 @@ std::vector<MeshEndpoints> ResolveShards(const RemoteOracleOptions& opts) {
 
 RemoteSmcOracle::RemoteSmcOracle(RemoteOracleOptions opts)
     : opts_(std::move(opts)),
-      codec_(opts_.config.fp_scale),
+      operands_(opts_.rule, opts_.config.fp_scale),
       shards_(ResolveShards(opts_)),
       membership_(opts_.membership),
       sched_(static_cast<int>(ResolveShards(opts_).size())) {
@@ -55,12 +38,8 @@ RemoteSmcOracle::RemoteSmcOracle(RemoteOracleOptions opts)
   shard_batches_done_.assign(shards_.size(), 0);
   shard_pairs_done_.assign(shards_.size(), 0);
   held_.resize(shards_.size());
+  landed_.resize(shards_.size());
   forgets_.resize(shards_.size());
-  for (const AttrRule& rule : opts_.rule.attrs) {
-    if (rule.type != AttrType::kCategorical || rule.theta < 1.0) {
-      compared_attrs_ += 1;
-    }
-  }
 }
 
 std::vector<ShardDisposition> RemoteSmcOracle::ShardDispositions() const {
@@ -223,6 +202,7 @@ Status RemoteSmcOracle::SetupShards(const std::vector<int>& shard_ids) {
   const std::vector<uint8_t> cfg = BuildConfigPayload();
   for (int s : shard_ids) {
     held_[s].clear();
+    landed_[s].clear();
     forgets_[s].clear();
   }
 
@@ -356,48 +336,18 @@ void RemoteSmcOracle::StreamMembershipMetrics() {
   }
 }
 
-Result<BigInt> RemoteSmcOracle::EncodeAttr(const Value& v,
-                                           const AttrRule& rule) const {
-  switch (rule.type) {
-    case AttrType::kCategorical:
-      return BigInt(v.category());
-    case AttrType::kNumeric:
-      return codec_.Encode(v.num());
-    case AttrType::kText:
-      return Status::Unimplemented(
-          "text attributes in the SMC step are future work (paper §VIII)");
-  }
-  return Status::Internal("unreachable");
-}
-
-BigInt RemoteSmcOracle::AttrThreshold(const AttrRule& rule) const {
-  if (rule.type == AttrType::kCategorical) return BigInt(0);
-  double t = rule.theta * rule.norm * static_cast<double>(codec_.scale());
-  return BigInt(static_cast<int64_t>(std::floor(t * t + 1e-9)));
-}
-
-Result<bool> RemoteSmcOracle::Compare(const Record& a, const Record& b) {
-  return CompareRows(-1, -1, a, b);
-}
-
 Result<std::vector<OperandAttr>> RemoteSmcOracle::EncodeRow(
     int side, const Record& record) const {
-  std::vector<OperandAttr> attrs;
-  attrs.reserve(compared_attrs_);
-  for (const AttrRule& rule : opts_.rule.attrs) {
-    if (rule.type == AttrType::kCategorical && rule.theta >= 1.0) {
-      continue;  // Hamming distance never exceeds 1: vacuous threshold
-    }
-    OperandAttr enc;
-    auto v = EncodeAttr(record[rule.attr_index], rule);
+  std::vector<OperandAttr> attrs(operands_.size());
+  for (size_t i = 0; i < attrs.size(); ++i) {
+    auto v = operands_.Encode(i, record);
     if (!v.ok()) return v.status();
     if (side == 0) {
-      enc.x = std::move(v).value();
+      attrs[i].x = std::move(v).value();
     } else {
-      enc.y = std::move(v).value();
-      enc.threshold = AttrThreshold(rule);
+      attrs[i].y = std::move(v).value();
+      attrs[i].threshold = operands_.threshold(i);
     }
-    attrs.push_back(std::move(enc));
   }
   return attrs;
 }
@@ -418,7 +368,8 @@ Status RemoteSmcOracle::StageRow(int side, int64_t row_id,
         ", id " + std::to_string(row_id) + ") in one batch");
   }
   // New, or new values under a reused id (a serve update; Compare() always
-  // uses id -1): no shard holds this encoding yet.
+  // uses id -1): no shard holds this encoding yet, though the old one may
+  // still sit where it landed.
   cached->second = std::move(enc).value();
   for (std::set<RowKey>& held : held_) held.erase(key);
   return Status::OK();
@@ -428,21 +379,10 @@ Status RemoteSmcOracle::EraseResidentRow(int side, int64_t row_id) {
   const RowKey key{side, row_id};
   rows_.erase(key);
   for (size_t s = 0; s < held_.size(); ++s) {
-    if (held_[s].erase(key) > 0) forgets_[s].push_back(key);
+    held_[s].erase(key);
+    if (landed_[s].erase(key) > 0) forgets_[s].push_back(key);
   }
   return Status::OK();
-}
-
-Result<bool> RemoteSmcOracle::CompareRows(int64_t a_id, int64_t b_id,
-                                          const Record& a, const Record& b) {
-  auto labels = CompareBatch({{a_id, b_id, &a, &b}});
-  if (!labels.ok()) return labels.status();
-  if (labels->front() == kPairQuarantined) {
-    return Status::Unavailable(
-        "pair quarantined: its shard died with no other to take it, or its "
-        "retries ran out");
-  }
-  return labels->front() == kPairMatch;
 }
 
 Status RemoteSmcOracle::PurgeUsableShards() {
@@ -542,11 +482,11 @@ Result<std::vector<uint8_t>> RemoteSmcOracle::CompareBatch(
     pending.push_back(p);
   }
 
-  for (int round = 0; !pending.empty(); ++round) {
+  while (!pending.empty()) {
     HPRL_RETURN_IF_ERROR(RunBatchRound(&pending, &labels));
     if (pending.empty()) break;
     // Transient leftovers: heal the shards and re-batch them, mirroring the
-    // in-process RetryExchange (purge barrier, backoff, replay).
+    // in-process RetryExchange (purge barrier, replay).
     retries_ += static_cast<int64_t>(pending.size());
     if (metrics_ != nullptr) {
       obs::Add(metrics_, "smc.retries",
@@ -561,10 +501,6 @@ Result<std::vector<uint8_t>> RemoteSmcOracle::CompareBatch(
         if (metrics_ != nullptr) obs::Add(metrics_, "smc.pairs_quarantined");
       }
       break;
-    }
-    if (opts_.config.retry_backoff_micros > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(
-          static_cast<int64_t>(opts_.config.retry_backoff_micros) << round));
     }
   }
   return labels;
@@ -693,6 +629,7 @@ Status RemoteSmcOracle::RunBatchRound(std::vector<BatchPair>* pending,
     for (const BatchPair& p : o.pairs) {
       for (const RowKey& key : {RowKey{0, p.a_id}, RowKey{1, p.b_id}}) {
         if (!held_[shard].insert(key).second) continue;
+        landed_[shard].insert(key);
         bodies[key.first].rows.push_back({static_cast<uint8_t>(key.first),
                                           key.second, RowOp::kUpsert,
                                           rows_.at(key)});
@@ -716,7 +653,7 @@ Status RemoteSmcOracle::RunBatchRound(std::vector<BatchPair>* pending,
     // emulated-latency time; a faulting daemon skips its remaining pairs,
     // so at most one timeout cascades into the deadline.
     const int deadline_ms =
-        opts_.receive_timeout_ms * (static_cast<int>(compared_attrs_) + 3) +
+        opts_.receive_timeout_ms * (static_cast<int>(operands_.size()) + 3) +
         2000 +
         static_cast<int>(o.pairs.size()) *
             (20 + 2 * static_cast<int>(opts_.emulated_latency_micros / 1000));
@@ -816,7 +753,7 @@ Status RemoteSmcOracle::RunBatchRound(std::vector<BatchPair>* pending,
         }
         continue;
       }
-      if (!IsTransient(pair_status.code())) {
+      if (!smc::IsTransientFault(pair_status)) {
         // Semantic error: remember the first one; the compare aborts.
         if (semantic.ok()) semantic = pair_status;
         continue;
@@ -832,7 +769,8 @@ Status RemoteSmcOracle::RunBatchRound(std::vector<BatchPair>* pending,
     // A missing reply or a failure may mean the shard lacks rows the
     // coordinator believes it holds (a frame that never landed, a daemon
     // that restarted): forget them all, and the next frame re-sends.
-    // Upserts are idempotent, so this costs bytes, never labels.
+    // Upserts are idempotent, so this costs bytes, never labels. landed_
+    // keeps them: they may be there, so an erase still forgets them.
     if (!clean) held_[o.shard].clear();
     if (shard_down) {
       for (const std::string& role : ShardRoles(o.shard)) {

@@ -10,11 +10,11 @@
 #include <utility>
 #include <vector>
 
-#include "crypto/fixed_point.h"
 #include "linkage/oracle.h"
 #include "net/membership.h"
 #include "net/party_service.h"
 #include "net/socket_bus.h"
+#include "smc/operands.h"
 #include "smc/protocol.h"
 
 namespace hprl::net {
@@ -94,7 +94,8 @@ struct MeshStats {
 /// them in a fleet — and this coordinator ships pairs over the ctl plane in
 /// kPairBatch frames, then waits for the batch acknowledgements (one slot
 /// per pair; the querying party's slots carry the labels). Compare and
-/// CompareRows are one-pair batches.
+/// CompareRows are MatchOracle's one-pair batches. Rows are encoded
+/// through smc::RuleOperands, as the in-process comparator encodes them.
 ///
 /// Operands (wire v8): every pair operand is a row resident on the daemons.
 /// A frame to shard s carries, ahead of its id-only pairs, the rows of the
@@ -103,7 +104,8 @@ struct MeshStats {
 /// or s may have lost it. A batch that does not settle cleanly, and the
 /// setup handshake (init and rejoin), clear what s is believed to hold, and
 /// the next frame re-sends; upserts are idempotent, so a rejoined shard
-/// takes work without any replay.
+/// takes work without any replay. An erased row is forgotten on every
+/// shard it may have landed on since the last setup, held or not.
 ///
 /// Scheduling: CompareBatch feeds a work queue; batches go to the
 /// least-loaded usable shard, up to rpc_window in flight per shard. A shard
@@ -125,10 +127,10 @@ struct MeshStats {
 /// the keys are seed-derived) and re-admits the shard to the scheduler.
 ///
 /// Fault handling within a shard mirrors the in-process stack (protocol.cc
-/// RetryExchange + batch_engine.cc supervision), but over real sockets: a
-/// transient fault on any hop fails the attempt, the coordinator flushes
-/// that shard's mesh with a kPurge barrier, and the attempt is re-dispatched
-/// up to config.max_retries times.
+/// RetryExchange + smc_oracle.cc supervision, one fault taxonomy in
+/// smc/fault.h), but over real sockets: a transient fault on any hop fails
+/// the attempt, the coordinator flushes that shard's mesh with a kPurge
+/// barrier, and the attempt is re-dispatched up to config.max_retries times.
 ///
 /// Deployment note (documented limitation): the coordinator encodes both
 /// holders' cleartext rows and ships them to the daemons, which models the
@@ -154,18 +156,12 @@ class RemoteSmcOracle : public MatchOracle {
   /// kShutdown to every replica. Safe to call more than once.
   Status Shutdown(bool stop_daemons);
 
-  Result<bool> Compare(const Record& a, const Record& b) override;
-  /// A one-pair CompareBatch. A pair the batch path quarantines (its shard
-  /// died with no other usable shard, or its retries ran out) returns
-  /// Unavailable instead of a label.
-  Result<bool> CompareRows(int64_t a_id, int64_t b_id, const Record& a,
-                           const Record& b) override;
   Result<std::vector<uint8_t>> CompareBatch(
       const std::vector<RowPairRequest>& batch) override;
 
   /// Drops the row from the coordinator's cache and queues a forget for
-  /// every shard holding it, sent with that shard's next batch: a long serve
-  /// session's daemon tables stay bounded by its live rows.
+  /// every shard it may have landed on, sent with that shard's next batch: a
+  /// long serve session's daemon tables stay bounded by its live rows.
   Status EraseResidentRow(int side, int64_t row_id) override;
   int64_t invocations() const override { return invocations_; }
   /// Settled work per shard (session-journal bookkeeping): batches settled
@@ -215,8 +211,6 @@ class RemoteSmcOracle : public MatchOracle {
     int attempts = 0;           ///< failed transient rounds so far
   };
 
-  Result<crypto::BigInt> EncodeAttr(const Value& v, const AttrRule& rule) const;
-  crypto::BigInt AttrThreshold(const AttrRule& rule) const;
   /// Encodes one side's row over the compared attributes: side 0 fills x
   /// (alice's operand), side 1 fills y and the threshold (bob's and qp's).
   Result<std::vector<OperandAttr>> EncodeRow(int side,
@@ -276,7 +270,7 @@ class RemoteSmcOracle : public MatchOracle {
   void StreamMembershipMetrics();
 
   RemoteOracleOptions opts_;
-  crypto::FixedPointCodec codec_;
+  smc::RuleOperands operands_;
   std::vector<MeshEndpoints> shards_;
   std::vector<std::unique_ptr<SocketBus>> buses_;  ///< one per shard
   MembershipTable membership_;
@@ -309,13 +303,14 @@ class RemoteSmcOracle : public MatchOracle {
   uint64_t next_pair_index_ = 0;
   uint64_t next_batch_id_ = 0;
   uint64_t next_barrier_id_ = 0;
-  /// Compared attributes per pair (the rule's non-vacuous attributes).
-  size_t compared_attrs_ = 0;
   /// Row encodings by (side, row id), as last shipped to any shard.
   std::map<RowKey, std::vector<OperandAttr>> rows_;
-  /// Per shard: the rows it holds as far as the coordinator knows, and the
+  /// Per shard: the rows it holds at their cached encoding as far as the
+  /// coordinator knows; the rows any frame since its last setup carried,
+  /// which it may hold at some encoding (a superset of held_); and the
   /// forgets to send with its next batch.
   std::vector<std::set<RowKey>> held_;
+  std::vector<std::set<RowKey>> landed_;
   std::vector<std::vector<RowKey>> forgets_;
   MeshStats mesh_stats_;
 };

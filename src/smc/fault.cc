@@ -24,6 +24,16 @@ double ToUnit(uint64_t h) {
 
 }  // namespace
 
+bool IsTransientFault(const Status& s) {
+  return s.code() == StatusCode::kNotFound ||
+         s.code() == StatusCode::kIOError ||
+         s.code() == StatusCode::kInternal;
+}
+
+bool IsFaultClass(const Status& s) {
+  return IsTransientFault(s) || s.code() == StatusCode::kUnavailable;
+}
+
 void FaultyBus::SetPairContext(int64_t a_id, int64_t b_id, int attempt) {
   armed_ = true;
   pair_key_ = static_cast<int64_t>(

@@ -34,6 +34,18 @@ struct FaultPlan {
   }
 };
 
+/// The one transient/fatal split of the SMC layer, shared by the in-process
+/// retry and supervision (smc/protocol.cc, smc/smc_oracle.cc) and the TCP
+/// coordinator (net/remote_oracle.cc). Transient: a dropped message or a
+/// timeout (NotFound), a damaged payload (IOError) or a desynchronized link
+/// (Internal); a retry heals it. Everything else is not retried.
+bool IsTransientFault(const Status& s);
+
+/// Transient, or a crashed party or dead link (Unavailable): a pair that
+/// still fails this way after its retries is quarantined, never labeled.
+/// Anything else is a semantic error that fails the whole batch.
+bool IsFaultClass(const Status& s);
+
 /// MessageBus decorated with FaultPlan-scheduled faults. Each comparator
 /// worker owns one FaultyBus; the comparator announces the current record
 /// pair and retry attempt through SetPairContext, and every subsequent

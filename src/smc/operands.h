@@ -1,0 +1,51 @@
+#ifndef HPRL_SMC_OPERANDS_H_
+#define HPRL_SMC_OPERANDS_H_
+
+#include <cstdint>
+#include <vector>
+
+#include "common/result.h"
+#include "crypto/bigint.h"
+#include "crypto/fixed_point.h"
+#include "linkage/match_rule.h"
+
+namespace hprl::smc {
+
+/// How a match rule turns a record pair into §V-A protocol operands: the
+/// attributes the protocol compares, each one's threshold, and the integer
+/// a holder encrypts for a record's value. The in-process comparator and
+/// the TCP coordinator both encode through this one type.
+///
+/// A categorical attribute with θ ≥ 1 is vacuous (a Hamming distance never
+/// exceeds 1) and is not compared. A categorical value encodes as its
+/// category id (threshold 0: within iff equal); a numeric value as
+/// round(v · fp_scale), with threshold ⌊(θ · norm · fp_scale)²⌋ on the
+/// squared difference.
+class RuleOperands {
+ public:
+  RuleOperands(const MatchRule& rule, int64_t fp_scale);
+
+  /// Number of compared attributes.
+  size_t size() const { return attrs_.size(); }
+
+  /// True when a compared attribute is text, which the cryptographic step
+  /// does not support: Encode fails on it.
+  bool has_text() const;
+
+  /// The scaled threshold of compared attribute `i`: the attribute is
+  /// within iff (x - y)² <= threshold(i).
+  const crypto::BigInt& threshold(size_t i) const { return thresholds_[i]; }
+
+  /// One side's operand for compared attribute `i` of `record`.
+  /// Unimplemented for a text attribute.
+  Result<crypto::BigInt> Encode(size_t i, const Record& record) const;
+
+ private:
+  std::vector<AttrRule> attrs_;
+  std::vector<crypto::BigInt> thresholds_;
+  crypto::FixedPointCodec codec_;
+};
+
+}  // namespace hprl::smc
+
+#endif  // HPRL_SMC_OPERANDS_H_

@@ -37,7 +37,7 @@ class QueryingParty {
   Status PublishKey(MessageBus* bus, SmcCosts* costs);
 
   /// Installs an externally generated key pair and broadcasts its public
-  /// key — the batch engine's workers all publish the SAME key pair so the
+  /// key — SmcMatchOracle's workers all publish the SAME key pair so the
   /// expensive generation happens once, not once per worker.
   Status PublishKeyPair(const crypto::PaillierKeyPair& kp, MessageBus* bus,
                         SmcCosts* costs);

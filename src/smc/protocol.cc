@@ -1,9 +1,6 @@
 #include "smc/protocol.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <thread>
 
 #include "common/timer.h"
 
@@ -31,22 +28,6 @@ std::unique_ptr<MessageBus> MakeBus(const FaultPlan& plan) {
   return std::make_unique<MessageBus>();
 }
 
-/// Faults the protocol heals in place: a dropped message (NotFound at the
-/// receiver), a damaged payload (IOError from checksum / ciphertext-range
-/// validation), or a desynchronized link (Internal from tag / sequence
-/// checks). Everything else — semantic errors, and Unavailable crashes —
-/// propagates to the caller.
-bool IsTransient(const Status& s) {
-  switch (s.code()) {
-    case StatusCode::kNotFound:
-    case StatusCode::kIOError:
-    case StatusCode::kInternal:
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
 int OfflineRandomizerBudget(int offline_pairs, size_t attrs) {
@@ -54,9 +35,9 @@ int OfflineRandomizerBudget(int offline_pairs, size_t attrs) {
 }
 
 SecureRecordComparator::SecureRecordComparator(SmcConfig config,
-                                               MatchRule rule)
+                                               const MatchRule& rule)
     : config_(config),
-      rule_(std::move(rule)),
+      operands_(rule, config.fp_scale),
       codec_(config.fp_scale),
       bus_(MakeBus(config.fault_plan)),
       // Widest intermediate an arena slot holds: the product of two mod-n²
@@ -105,31 +86,6 @@ void SecureRecordComparator::AttachMetrics(obs::MetricsRegistry* registry) {
   arena_.AttachMetrics(registry);
 }
 
-Result<BigInt> SecureRecordComparator::EncodeAttr(const Value& v,
-                                                  const AttrRule& rule) const {
-  switch (rule.type) {
-    case AttrType::kCategorical:
-      return BigInt(v.category());
-    case AttrType::kNumeric:
-      return codec_.Encode(v.num());
-    case AttrType::kText:
-      return Status::Unimplemented(
-          "text attributes in the SMC step are future work (paper §VIII)");
-  }
-  return Status::Internal("unreachable");
-}
-
-BigInt SecureRecordComparator::AttrThreshold(const AttrRule& rule) const {
-  if (rule.type == AttrType::kCategorical) {
-    // Hamming: within threshold iff equal (θ < 1), i.e. (x-y)^2 <= 0.
-    return BigInt(0);
-  }
-  // Numeric: |x - y| <= θ * norm, so on scaled integers
-  // (X - Y)^2 <= (θ * norm * scale)^2.
-  double t = rule.theta * rule.norm * static_cast<double>(codec_.scale());
-  return BigInt(static_cast<int64_t>(std::floor(t * t + 1e-9)));
-}
-
 template <typename Exchange>
 auto SecureRecordComparator::RetryExchange(int64_t a_id, int64_t b_id,
                                            int exchange_idx,
@@ -141,18 +97,15 @@ auto SecureRecordComparator::RetryExchange(int64_t a_id, int64_t b_id,
     // low bits the retry attempt.
     bus_->SetPairContext(a_id, b_id, (exchange_idx << 8) | attempt);
     auto r = exchange();
-    if (r.ok() || !IsTransient(r.status()) || attempt >= config_.max_retries) {
+    if (r.ok() || !IsTransientFault(r.status()) ||
+        attempt >= config_.max_retries) {
       return r;
     }
-    // Heal: discard whatever half-delivered state the fault left behind,
-    // optionally back off, and replay the exchange from its first message.
+    // Heal: discard whatever half-delivered state the fault left behind and
+    // replay the exchange from its first message.
     bus_->PurgeAll();
     costs_.retries += 1;
     if (metrics_ != nullptr) obs::Add(metrics_, "smc.retries");
-    if (config_.retry_backoff_micros > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(
-          static_cast<int64_t>(config_.retry_backoff_micros) << attempt));
-    }
   }
 }
 
@@ -172,15 +125,12 @@ Result<bool> SecureRecordComparator::CompareRows(int64_t a_id, int64_t b_id,
   int64_t rounds = 0;
   int exchange_idx = 0;
   bool match = true;
-  for (const AttrRule& rule : rule_.attrs) {
-    if (rule.type == AttrType::kCategorical && rule.theta >= 1.0) {
-      continue;  // Hamming distance never exceeds 1: vacuous threshold
-    }
-    auto x = EncodeAttr(a[rule.attr_index], rule);
+  for (size_t i = 0; i < operands_.size(); ++i) {
+    auto x = operands_.Encode(i, a);
     if (!x.ok()) return x.status();
-    auto y = EncodeAttr(b[rule.attr_index], rule);
+    auto y = operands_.Encode(i, b);
     if (!y.ok()) return y.status();
-    BigInt threshold = AttrThreshold(rule);
+    const BigInt& threshold = operands_.threshold(i);
 
     costs_.attr_comparisons += 1;
     rounds += 1;  // one alice -> bob -> qp round trip per attribute
@@ -219,17 +169,12 @@ Result<bool> SecureRecordComparator::CompareRows(int64_t a_id, int64_t b_id,
 
 int SecureRecordComparator::PackedGroupPairs() const {
   if (config_.pack_pairs <= 0 || !config_.reveal_distances) return 0;
+  if (operands_.size() == 0 || operands_.has_text()) return 0;
   auto layout =
       crypto::PackingLayout::Plan(config_.key_bits, config_.pack_slot_bits);
   if (!layout.ok()) return 0;
-  int active = 0;
-  for (const AttrRule& rule : rule_.attrs) {
-    if (rule.type == AttrType::kText) return 0;
-    if (rule.type == AttrType::kCategorical && rule.theta >= 1.0) continue;
-    ++active;
-  }
-  if (active == 0) return 0;
-  const int per_plaintext = layout->num_slots / active;
+  const int per_plaintext =
+      layout->num_slots / static_cast<int>(operands_.size());
   if (per_plaintext < 1) return 0;
   return std::min(config_.pack_pairs, per_plaintext);
 }
@@ -266,11 +211,10 @@ Result<std::vector<bool>> SecureRecordComparator::ComparePackedGroup(
   for (size_t p = 0; p < pairs.size(); ++p) {
     std::vector<crypto::BigInt> pxs, pys, pthr;
     bool packable = true;
-    for (const AttrRule& rule : rule_.attrs) {
-      if (rule.type == AttrType::kCategorical && rule.theta >= 1.0) continue;
-      auto x = EncodeAttr((*pairs[p].a)[rule.attr_index], rule);
+    for (size_t i = 0; i < operands_.size(); ++i) {
+      auto x = operands_.Encode(i, *pairs[p].a);
       if (!x.ok()) return x.status();
-      auto y = EncodeAttr((*pairs[p].b)[rule.attr_index], rule);
+      auto y = operands_.Encode(i, *pairs[p].b);
       if (!y.ok()) return y.status();
       // Carry safety: |x - y|² <= (|x| + |y|)² must stay inside one slot.
       // sq = (|x| + |y|)² is never negative, so SlotHolds reduces to the
@@ -285,7 +229,7 @@ Result<std::vector<bool>> SecureRecordComparator::ComparePackedGroup(
       }
       pxs.push_back(std::move(x).value());
       pys.push_back(std::move(y).value());
-      pthr.push_back(AttrThreshold(rule));
+      pthr.push_back(operands_.threshold(i));
     }
     if (!packable) {
       fallback_idx.push_back(p);

@@ -16,6 +16,7 @@
 #include "smc/channel.h"
 #include "smc/costs.h"
 #include "smc/fault.h"
+#include "smc/operands.h"
 #include "smc/parties.h"
 
 namespace hprl::smc {
@@ -43,10 +44,10 @@ struct SmcConfig {
   /// Non-zero: deterministic randomness for reproducible tests/benches.
   uint64_t test_seed = 0;
 
-  /// Target depth of the precomputed-randomizer pool used by the batch
-  /// engine (BatchSmcEngine); 0 disables the pool. Standalone comparators
-  /// never pool (their encryptions stay inline), so this knob only matters
-  /// when comparing through SmcMatchOracle / BatchSmcEngine.
+  /// Target depth of the precomputed-randomizer pool SmcMatchOracle shares
+  /// across its workers; 0 disables the pool. Standalone comparators never
+  /// pool (their encryptions stay inline), so this knob only matters when
+  /// comparing through SmcMatchOracle.
   int randomizer_pool_depth = 64;
 
   /// Deterministic fault-injection schedule for the transport (smc/fault.h).
@@ -58,17 +59,13 @@ struct SmcConfig {
   /// How many times one per-attribute exchange (or the result announcement)
   /// is retried after a transient transport fault — a dropped message,
   /// a corrupted payload, or a desync — before the pair is given up
-  /// (and, under BatchSmcEngine, quarantined). 0 disables retries.
+  /// (and, under SmcMatchOracle, quarantined). Retries run at once. 0
+  /// disables retries.
   int max_retries = 3;
 
-  /// Base of the exponential retry backoff: attempt k sleeps
-  /// retry_backoff_micros << (k-1). 0 (the default) retries immediately —
-  /// right for the in-process bus, where a retry cannot race the fault away.
-  int retry_backoff_micros = 0;
-
-  /// Plaintext packing (the packed SMC fast path): > 0 lets the batch
-  /// engine group up to this many pairs into ONE packed exchange — all the
-  /// pairs' per-attribute distances land in disjoint bit-slots of a single
+  /// Plaintext packing (the packed SMC fast path): > 0 lets SmcMatchOracle
+  /// group up to this many pairs into ONE packed exchange — all the pairs'
+  /// per-attribute distances land in disjoint bit-slots of a single
   /// Paillier plaintext, so one Encrypt/Add/Decrypt replaces k of them.
   /// Requires reveal_distances (the packed plaintext IS the distances).
   /// 0 (the default) keeps the scalar §V-A exchange everywhere.
@@ -82,7 +79,7 @@ struct SmcConfig {
   int pack_slot_bits = 64;
 
   /// Non-empty: persistent offline-material store directory
-  /// (crypto/material.h). The batch engine (and, over TCP, every daemon)
+  /// (crypto/material.h). SmcMatchOracle (and, over TCP, every daemon)
   /// loads fixed-base tables + pre-encrypted randomizers keyed by keypair
   /// fingerprint from here at Init and saves freshly generated material
   /// back, so warm runs skip the offline phase entirely. Corrupt or
@@ -91,7 +88,7 @@ struct SmcConfig {
   std::string material_dir;
 
   /// Record pairs the dedicated offline phase provisions randomizers for
-  /// (OfflineRandomizerBudget: 3 per pair per attribute). The batch engine
+  /// (OfflineRandomizerBudget: 3 per pair per attribute). SmcMatchOracle
   /// prewarms them on its smc_threads workers, and each TCP data holder on
   /// all of its cores; either way the material bytes do not depend on the
   /// thread count. 0 keeps the background filler as the only producer.
@@ -121,14 +118,14 @@ int OfflineRandomizerBudget(int offline_pairs, size_t attrs);
 /// sent back to both data holders.
 class SecureRecordComparator {
  public:
-  SecureRecordComparator(SmcConfig config, MatchRule rule);
+  SecureRecordComparator(SmcConfig config, const MatchRule& rule);
 
   /// Generates the querying party's key pair and publishes the public key.
   Status Init();
 
   /// Init with an externally generated key pair: the querying party installs
   /// `kp` instead of generating its own. Lets N worker comparators share one
-  /// published key (batch engine) and lets benches exclude key generation.
+  /// published key (SmcMatchOracle) and lets benches exclude key generation.
   Status InitWithKeyPair(const crypto::PaillierKeyPair& kp);
 
   /// Routes the data holders' encryptions through a pool of precomputed
@@ -151,8 +148,8 @@ class SecureRecordComparator {
   /// (active attributes per pair vs slots per plaintext); 0 when the packed
   /// path is unavailable (packing off, blinded comparisons, text
   /// attributes, or a modulus too small for one slot group).
-  /// Depends only on the config and rule, so every worker of a batch engine
-  /// plans identical groups regardless of thread count.
+  /// Depends only on the config and rule, so every worker of an
+  /// SmcMatchOracle plans identical groups regardless of thread count.
   int PackedGroupPairs() const;
 
   /// Runs the packed variant of the §V-A exchange on up to
@@ -188,22 +185,17 @@ class SecureRecordComparator {
   void AttachMetrics(obs::MetricsRegistry* registry);
 
  private:
-  /// Scaled integer encoding of attribute `rule` for value `v`.
-  Result<crypto::BigInt> EncodeAttr(const Value& v, const AttrRule& rule) const;
-  /// Scaled integer threshold for attribute `rule` (compare vs (x-y)^2).
-  crypto::BigInt AttrThreshold(const AttrRule& rule) const;
-
   /// Retries `exchange` after transient transport faults (see
   /// SmcConfig::max_retries), purging the bus and re-announcing the pair
   /// context between attempts. Crashes (Unavailable) are not retried here —
-  /// a dead party is the batch engine's supervision problem, not a
-  /// transit glitch.
+  /// a dead party is SmcMatchOracle's supervision problem, not a transit
+  /// glitch.
   template <typename Exchange>
   auto RetryExchange(int64_t a_id, int64_t b_id, int exchange_idx,
                      Exchange&& exchange) -> decltype(exchange());
 
   SmcConfig config_;
-  MatchRule rule_;
+  RuleOperands operands_;
   crypto::FixedPointCodec codec_;
   std::unique_ptr<MessageBus> bus_;  // FaultyBus when fault_plan is enabled
   SmcCosts costs_;

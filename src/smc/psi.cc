@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <string>
 
 #include "crypto/commutative.h"
 
@@ -111,12 +112,15 @@ Result<PsiResult> RunPsiLinkage(const Table& a, const Table& b,
   auto double_b = Unpack(qp_b->payload);
   if (!double_b.ok()) return double_b.status();
 
-  std::map<std::vector<uint8_t>, std::vector<int64_t>> index;
+  // Keyed by the values' hex digits (canonical, so equal iff the values
+  // are); a byte-vector key trips GCC 12's -Wstringop-overread false
+  // positive in its three-way compare.
+  std::map<std::string, std::vector<int64_t>> index;
   for (size_t i = 0; i < double_a->size(); ++i) {
-    index[(*double_a)[i].ToBytes()].push_back(static_cast<int64_t>(i));
+    index[(*double_a)[i].ToString(16)].push_back(static_cast<int64_t>(i));
   }
   for (size_t j = 0; j < double_b->size(); ++j) {
-    auto it = index.find((*double_b)[j].ToBytes());
+    auto it = index.find((*double_b)[j].ToString(16));
     if (it == index.end()) continue;
     for (int64_t i : it->second) {
       result.links.emplace_back(i, static_cast<int64_t>(j));

@@ -1,75 +1,140 @@
 #ifndef HPRL_SMC_SMC_ORACLE_H_
 #define HPRL_SMC_SMC_ORACLE_H_
 
-#include <utility>
+#include <atomic>
+#include <memory>
+#include <mutex>
+#include <vector>
 
+#include "common/result.h"
+#include "crypto/material.h"
 #include "linkage/oracle.h"
-#include "smc/batch_engine.h"
+#include "smc/protocol.h"
 
 namespace hprl::smc {
 
-/// MatchOracle backed by the real three-party Paillier protocol. Every
-/// Compare runs the full §V-A exchange. Backed by BatchSmcEngine: the key
-/// pair is generated once at Init and shared by `threads` worker comparator
-/// stacks, so CompareBatch drains a batch in parallel while single
-/// comparisons run on worker 0. Results and cost accounting are identical
-/// for every thread count (see BatchSmcEngine).
+/// MatchOracle backed by the real three-party Paillier protocol, run
+/// in-process by N worker comparator stacks (each a full qp/alice/bob trio
+/// with its own bus) that share ONE published Paillier key pair — generated
+/// once at Init, not once per worker — and one pool of precomputed
+/// encryption randomizers.
+///
+/// CompareBatch is the only entry point (Compare and CompareRows are the
+/// MatchOracle one-pair batches). It distributes a batch of row pairs over
+/// the workers with one work-stealing loop (an atomic cursor over fixed
+/// position ranges: one packed group each when packing is on, a chunk of
+/// scalar pairs otherwise; one active worker drains inline), and each worker
+/// writes the label of pair i into slot i of the shared result vector.
+/// Because results are position-addressed, the merged output is
+/// bit-identical for every thread count — determinism by construction, with
+/// no ordering pass. Budget accounting matches too: the aggregated costs()
+/// are sums over workers, independent of which worker ran which pair.
+///
+/// Security note: sharing the key pair changes nothing in the trust model —
+/// the workers are in-process replicas of the same three parties, exactly
+/// as if one querying party answered N interleaved conversations.
 class SmcMatchOracle : public MatchOracle {
  public:
-  SmcMatchOracle(SmcConfig config, MatchRule rule, int threads = 1)
-      : engine_(config, std::move(rule), threads) {}
+  /// `threads` <= 1 runs every batch inline on the calling thread.
+  SmcMatchOracle(SmcConfig config, MatchRule rule, int threads = 1);
+  ~SmcMatchOracle() override;
 
-  Status Init() { return engine_.Init(); }
+  SmcMatchOracle(const SmcMatchOracle&) = delete;
+  SmcMatchOracle& operator=(const SmcMatchOracle&) = delete;
 
-  Result<bool> Compare(const Record& a, const Record& b) override {
-    return engine_.CompareRows(-1, -1, a, b);
-  }
+  /// Generates the shared key pair, spins up the randomizer pool (when
+  /// SmcConfig::randomizer_pool_depth > 0) and initializes the workers.
+  ///
+  /// With SmcConfig::material_dir set this also runs the offline phase:
+  /// persisted material for the keypair's fingerprint is loaded into the
+  /// pool (warm run — the pool starts consume-only), or, on a miss,
+  /// offline_pairs' worth of randomizers are prewarmed on the oracle's
+  /// worker count and saved back so the NEXT run is warm. Everything Init
+  /// does is input-independent.
+  Status Init();
 
-  Result<bool> CompareRows(int64_t a_id, int64_t b_id, const Record& a,
-                           const Record& b) override {
-    return engine_.CompareRows(a_id, b_id, a, b);
-  }
-
+  /// Labels batch[i] into slot i of the result (kPairMatch / kPairNonMatch /
+  /// kPairQuarantined); see class comment for the determinism argument.
+  ///
+  /// Worker supervision: when a pair fails with a fault-class status
+  /// (smc/fault.h IsFaultClass) — an injected crash, or a transient
+  /// transport fault that survived the protocol's retries — the pair, or
+  /// with packing its whole group, is quarantined (labeled
+  /// kPairQuarantined, counted in pairs_quarantined()), the worker's
+  /// comparator stack is rebuilt around the shared key pair
+  /// (worker_restarts()), and the batch continues.
+  /// Genuine semantic errors (InvalidArgument, Unimplemented, ...) still
+  /// fail the whole batch with the error of the smallest-index failing pair.
   Result<std::vector<uint8_t>> CompareBatch(
-      const std::vector<RowPairRequest>& batch) override {
-    return engine_.CompareBatch(batch);
+      const std::vector<RowPairRequest>& batch) override;
+
+  int64_t invocations() const override { return costs().invocations; }
+
+  /// Streams every worker's protocol stack (message bus, party keys'
+  /// paillier.* counters, per-compare latencies), the pool gauges and the
+  /// oracle's smc.batches / smc.batch_seconds into `registry`.
+  void AttachMetrics(obs::MetricsRegistry* registry) override;
+
+  /// Aggregated protocol costs across all workers (order-independent sums),
+  /// including the costs retired by workers that were since restarted.
+  const SmcCosts& costs() const;
+
+  /// Pairs labeled kPairQuarantined across all batches so far.
+  int64_t pairs_quarantined() const {
+    return pairs_quarantined_.load(std::memory_order_relaxed);
   }
 
-  int64_t invocations() const override { return engine_.costs().invocations; }
-
-  /// Wires the registry through the whole protocol stack: every worker's
-  /// message bus and party keys (paillier.* counters), per-compare
-  /// latencies, batch latencies and the randomizer-pool gauges.
-  void AttachMetrics(obs::MetricsRegistry* registry) override {
-    engine_.AttachMetrics(registry);
+  /// Worker comparator stacks rebuilt after a fault-class failure.
+  int64_t worker_restarts() const {
+    return worker_restarts_.load(std::memory_order_relaxed);
   }
 
-  int threads() const { return engine_.threads(); }
+  /// Worker 0's message bus (per-worker traffic; tests and demos).
+  const MessageBus& bus() const { return workers_.front()->bus(); }
 
-  /// Aggregated costs across the engine's workers.
-  const SmcCosts& costs() const { return engine_.costs(); }
+  /// The shared randomizer pool; nullptr when disabled. Benches use this to
+  /// Prefill before timing.
+  crypto::RandomizerPool* randomizer_pool() { return pool_.get(); }
 
-  /// Degradation accounting under fault injection (see BatchSmcEngine).
-  int64_t pairs_quarantined() const { return engine_.pairs_quarantined(); }
-  int64_t worker_restarts() const { return engine_.worker_restarts(); }
-
-  /// Worker 0's message bus (per-worker traffic).
-  const MessageBus& bus() const { return engine_.bus(); }
-
-  /// The engine's shared randomizer pool; nullptr when disabled.
-  crypto::RandomizerPool* randomizer_pool() {
-    return engine_.randomizer_pool();
-  }
-
-  /// Offline-phase cost + material-store accounting (see BatchSmcEngine).
-  double offline_seconds() const { return engine_.offline_seconds(); }
+  /// Material-store accounting for this oracle's Init (all zeros when no
+  /// material_dir was configured).
   crypto::MaterialStats material_stats() const {
-    return engine_.material_stats();
+    return material_store_ != nullptr ? material_store_->stats()
+                                      : crypto::MaterialStats{};
   }
-  bool material_warm() const { return engine_.material_warm(); }
+
+  /// True when Init adopted persisted material (warm start).
+  bool material_warm() const { return material_warm_; }
 
  private:
-  BatchSmcEngine engine_;
+  /// Rebuilds worker `w`'s comparator stack (same shared key, same derived
+  /// seed), retiring its accumulated costs first so costs() keeps counting
+  /// the work the dead stack already did. Called from the worker's own
+  /// thread — each worker slot is owned exclusively by one thread per batch.
+  Status RestartWorker(size_t w);
+
+  /// Streams the material store's counters into `metrics_` exactly once —
+  /// at Init when the registry is already attached, else at the first
+  /// attach after Init (LinkageSession attaches at Run).
+  void PublishMaterialMetrics();
+
+  SmcConfig config_;
+  MatchRule rule_;
+  int threads_;
+  bool initialized_ = false;
+  crypto::PaillierKeyPair keypair_;
+  std::unique_ptr<crypto::RandomizerPool> pool_;
+  std::unique_ptr<crypto::MaterialStore> material_store_;
+  bool material_warm_ = false;
+  int64_t offline_generated_ = 0;  // randomizers Init's store miss prewarmed
+  bool material_metrics_published_ = false;
+  std::vector<std::unique_ptr<SecureRecordComparator>> workers_;
+  mutable SmcCosts aggregated_;  // scratch for costs(); see .cc
+  mutable std::mutex retired_mu_;
+  SmcCosts retired_;  // costs of restarted workers' previous stacks
+  std::atomic<int64_t> pairs_quarantined_{0};
+  std::atomic<int64_t> worker_restarts_{0};
+  obs::MetricsRegistry* metrics_ = nullptr;  // not owned; may be null
 };
 
 }  // namespace hprl::smc

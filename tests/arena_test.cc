@@ -14,8 +14,8 @@
 #include "crypto/bigint.h"
 #include "crypto/paillier.h"
 #include "obs/metrics.h"
-#include "smc/batch_engine.h"
 #include "smc/protocol.h"
+#include "smc/smc_oracle.h"
 
 namespace hprl {
 namespace {
@@ -187,7 +187,7 @@ TEST(ArenaPackedSmcTest, PackedLabelsBitIdenticalToScalar) {
     cfg.test_seed = 4242;
     cfg.pack_pairs = pack_pairs;
     cfg.pack_slot_bits = 64;
-    smc::BatchSmcEngine engine(cfg, rule, 2);
+    smc::SmcMatchOracle engine(cfg, rule, 2);
     ASSERT_TRUE(engine.Init().ok());
     auto labels = engine.CompareBatch(batch);
     ASSERT_TRUE(labels.ok()) << labels.status().ToString();

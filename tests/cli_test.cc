@@ -655,6 +655,33 @@ TEST_F(ServeRunnerTest, DelayOnlyFaultPlanKeepsTheLinks) {
   EXPECT_EQ(read(faulty.links_out), read(clean.links_out));
 }
 
+// A fault plan that drops, corrupts or crashes decides which pairs are
+// quarantined, so a serve journal binds the plan it was written under: it
+// is refused under another plan and resumes under the same one.
+TEST_F(ServeRunnerTest, JournalRefusesAnotherFaultPlan) {
+  const std::string smc = "keybits 256\nsmc_seed 4242\nfault seed 3\n";
+  const std::string deltas = (dir_ / "deltas.csv").string();
+  ServeRunnerOptions opts;
+  opts.journal = (dir_ / "serve.journal").string();
+  auto first =
+      RunServeFromFiles(SpecWith(smc + "fault drop 0.05\n"), deltas, opts);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_GT(first->smc_pairs, 0);
+
+  auto other =
+      RunServeFromFiles(SpecWith(smc + "fault drop 0.1\n"), deltas, opts);
+  ASSERT_FALSE(other.ok());
+  EXPECT_EQ(other.status().code(), StatusCode::kFailedPrecondition)
+      << other.status().ToString();
+
+  opts.resume = true;
+  auto same =
+      RunServeFromFiles(SpecWith(smc + "fault drop 0.05\n"), deltas, opts);
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  EXPECT_EQ(same->replayed_deltas, first->deltas);
+  EXPECT_EQ(same->links, first->links);
+}
+
 TEST_F(ServeRunnerTest, ZeroAllowanceWithoutAQueueRejectsEverySmcDelta) {
   const std::string deltas = (dir_ / "deltas.csv").string();
   auto base = RunServeFromFiles(SpecWith(""), deltas, ServeRunnerOptions{});

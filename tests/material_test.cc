@@ -19,8 +19,8 @@
 #include "crypto/paillier.h"
 #include "crypto/secure_random.h"
 #include "obs/metrics.h"
-#include "smc/batch_engine.h"
 #include "smc/protocol.h"
+#include "smc/smc_oracle.h"
 
 namespace hprl::crypto {
 namespace {
@@ -232,7 +232,7 @@ TEST(MaterialEngineTest, WarmAndRepairedRunsMatchColdBitForBit) {
   // Cold: empty store — miss, prewarm, save for the next run.
   // Only a miss generates randomizers in the offline phase.
   obs::MetricsRegistry cold_reg, warm_reg;
-  smc::BatchSmcEngine cold(MaterialSmcConfig(dir), w.rule, 2);
+  smc::SmcMatchOracle cold(MaterialSmcConfig(dir), w.rule, 2);
   cold.AttachMetrics(&cold_reg);
   ASSERT_TRUE(cold.Init().ok());
   EXPECT_FALSE(cold.material_warm());
@@ -244,7 +244,7 @@ TEST(MaterialEngineTest, WarmAndRepairedRunsMatchColdBitForBit) {
   ASSERT_TRUE(cold_labels.ok());
 
   // Warm: the persisted material is adopted; labels must not change.
-  smc::BatchSmcEngine warm(MaterialSmcConfig(dir), w.rule, 2);
+  smc::SmcMatchOracle warm(MaterialSmcConfig(dir), w.rule, 2);
   warm.AttachMetrics(&warm_reg);
   ASSERT_TRUE(warm.Init().ok());
   EXPECT_TRUE(warm.material_warm());
@@ -269,7 +269,7 @@ TEST(MaterialEngineTest, WarmAndRepairedRunsMatchColdBitForBit) {
   bytes[bytes.size() / 2] ^= 0x04;
   WriteFileBytes(path, bytes);
 
-  smc::BatchSmcEngine repaired(MaterialSmcConfig(dir), w.rule, 2);
+  smc::SmcMatchOracle repaired(MaterialSmcConfig(dir), w.rule, 2);
   ASSERT_TRUE(repaired.Init().ok());
   EXPECT_FALSE(repaired.material_warm());
   EXPECT_EQ(repaired.material_stats().rejected, 1);
@@ -278,7 +278,7 @@ TEST(MaterialEngineTest, WarmAndRepairedRunsMatchColdBitForBit) {
   EXPECT_EQ(*repaired_labels, *cold_labels);
 
   // ... and the rewrite healed the store: a fourth engine is warm again.
-  smc::BatchSmcEngine healed(MaterialSmcConfig(dir), w.rule, 2);
+  smc::SmcMatchOracle healed(MaterialSmcConfig(dir), w.rule, 2);
   ASSERT_TRUE(healed.Init().ok());
   EXPECT_TRUE(healed.material_warm());
 }
@@ -291,7 +291,7 @@ TEST(MaterialEngineTest, ColdMaterialBytesDoNotDependOnThreadCount) {
   std::vector<std::vector<uint8_t>> files;
   for (int threads : {1, 4}) {
     const std::string dir = MakeTempDir();
-    smc::BatchSmcEngine engine(MaterialSmcConfig(dir), w.rule, threads);
+    smc::SmcMatchOracle engine(MaterialSmcConfig(dir), w.rule, threads);
     ASSERT_TRUE(engine.Init().ok());
     EXPECT_FALSE(engine.material_warm());
     const auto exported =

@@ -1222,6 +1222,37 @@ TEST_F(MeshTest, ErasedServeRowsLeaveTheDaemonTables) {
   EXPECT_TRUE(oracle->Shutdown(/*stop_daemons=*/true).ok());
 }
 
+// A batch that does not settle cleanly leaves the coordinator unsure which
+// rows its shard holds, but its rows did land there. Erasing them must still
+// forget them on the daemons: here bob faults on every attempt until the
+// batch is quarantined, and after its rows are erased each daemon holds only
+// the next batch's row.
+TEST_F(MeshTest, ErasedRowsOfAQuarantinedBatchLeaveTheDaemonTables) {
+  StartMesh(/*receive_timeout_ms=*/300);
+  auto oracle = MakeOracle(300);
+  ASSERT_TRUE(oracle->Init().ok());
+  // max_retries 3: the first attempt and three retries all fail.
+  ASSERT_TRUE(oracle->InjectFailures("bob", 4).ok());
+
+  const auto pairs = SixPairs();
+  auto labels = oracle->CompareBatch(PairBatch(pairs));
+  ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+  ASSERT_EQ(oracle->pairs_quarantined(), static_cast<int64_t>(pairs.size()));
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const auto id = static_cast<int64_t>(i);
+    ASSERT_TRUE(oracle->EraseResidentRow(0, id).ok());
+    ASSERT_TRUE(oracle->EraseResidentRow(1, 100 + id).ok());
+  }
+  const Record a = Rec(3, 50), b = Rec(3, 55);
+  auto probe = oracle->CompareBatch({{7, 107, &a, &b}});
+  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+  EXPECT_EQ(probe->front(), kPairMatch);
+  for (const auto& service : services_) {
+    EXPECT_EQ(service->resident_rows(), 1u);
+  }
+  EXPECT_TRUE(oracle->Shutdown(/*stop_daemons=*/true).ok());
+}
+
 // Every operand is a resident row, so one batch cannot name two different
 // records under one (side, row id); a later batch may carry new values
 // under the same id (a serve update), and the row is shipped again.

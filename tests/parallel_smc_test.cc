@@ -13,7 +13,6 @@
 
 #include "core/experiment.h"
 #include "core/session.h"
-#include "smc/batch_engine.h"
 #include "smc/protocol.h"
 #include "smc/smc_oracle.h"
 
@@ -69,14 +68,14 @@ std::vector<RowPairRequest> MakeBatch(const Workload& w, size_t limit) {
   return batch;
 }
 
-TEST(BatchSmcEngineTest, BatchLabelsIdenticalAcrossThreadCounts) {
+TEST(SmcMatchOracleTest, BatchLabelsIdenticalAcrossThreadCounts) {
   const Workload& w = SmallWorkload();
   const auto batch = MakeBatch(w, 40);
 
   std::vector<std::vector<uint8_t>> labels_by_threads;
   std::vector<smc::SmcCosts> costs_by_threads;
   for (int threads : {1, 4}) {
-    smc::BatchSmcEngine engine(TestSmcConfig(), w.rule, threads);
+    smc::SmcMatchOracle engine(TestSmcConfig(), w.rule, threads);
     ASSERT_TRUE(engine.Init().ok());
     auto labels = engine.CompareBatch(batch);
     ASSERT_TRUE(labels.ok()) << labels.status().ToString();
@@ -96,16 +95,16 @@ TEST(BatchSmcEngineTest, BatchLabelsIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(BatchSmcEngineTest, BatchAgreesWithSerialCompareRows) {
+TEST(SmcMatchOracleTest, BatchAgreesWithSerialCompareRows) {
   const Workload& w = SmallWorkload();
   const auto batch = MakeBatch(w, 20);
 
-  smc::BatchSmcEngine engine(TestSmcConfig(), w.rule, 3);
+  smc::SmcMatchOracle engine(TestSmcConfig(), w.rule, 3);
   ASSERT_TRUE(engine.Init().ok());
   auto labels = engine.CompareBatch(batch);
   ASSERT_TRUE(labels.ok());
 
-  smc::BatchSmcEngine serial(TestSmcConfig(), w.rule, 1);
+  smc::SmcMatchOracle serial(TestSmcConfig(), w.rule, 1);
   ASSERT_TRUE(serial.Init().ok());
   for (size_t i = 0; i < batch.size(); ++i) {
     auto m = serial.CompareRows(batch[i].a_id, batch[i].b_id, *batch[i].a,
@@ -208,14 +207,14 @@ TEST(PackedSmcTest, PackedLabelsBitIdenticalToScalar) {
   const Workload& w = SmallWorkload();
   const auto batch = MakeBatch(w, 40);
 
-  smc::BatchSmcEngine scalar(TestSmcConfig(), w.rule, 2);
+  smc::SmcMatchOracle scalar(TestSmcConfig(), w.rule, 2);
   ASSERT_TRUE(scalar.Init().ok());
   auto scalar_labels = scalar.CompareBatch(batch);
   ASSERT_TRUE(scalar_labels.ok());
   EXPECT_EQ(scalar.costs().packed_exchanges, 0);
 
   for (int threads : {1, 4}) {
-    smc::BatchSmcEngine packed(PackedSmcConfig(4), w.rule, threads);
+    smc::SmcMatchOracle packed(PackedSmcConfig(4), w.rule, threads);
     ASSERT_TRUE(packed.Init().ok());
     auto labels = packed.CompareBatch(batch);
     ASSERT_TRUE(labels.ok()) << labels.status().ToString();
@@ -271,14 +270,14 @@ TEST(PackedSmcTest, NegativeAndZeroValuesMatchScalarAndPlaintext) {
 
   smc::SmcConfig scalar_cfg = cfg;
   scalar_cfg.pack_pairs = 0;
-  smc::BatchSmcEngine scalar(scalar_cfg, rule, 2);
+  smc::SmcMatchOracle scalar(scalar_cfg, rule, 2);
   ASSERT_TRUE(scalar.Init().ok());
   auto scalar_labels = scalar.CompareBatch(batch);
   ASSERT_TRUE(scalar_labels.ok()) << scalar_labels.status().ToString();
   EXPECT_EQ(*scalar_labels, oracle);
 
   for (int threads : {1, 4}) {
-    smc::BatchSmcEngine packed(cfg, rule, threads);
+    smc::SmcMatchOracle packed(cfg, rule, threads);
     ASSERT_TRUE(packed.Init().ok());
     auto labels = packed.CompareBatch(batch);
     ASSERT_TRUE(labels.ok()) << labels.status().ToString();
@@ -308,7 +307,7 @@ TEST(PackedSmcTest, PackedDeterministicUnderFaults) {
 
   std::vector<std::vector<uint8_t>> by_threads;
   for (int threads : {1, 4}) {
-    smc::BatchSmcEngine engine(cfg, w.rule, threads);
+    smc::SmcMatchOracle engine(cfg, w.rule, threads);
     ASSERT_TRUE(engine.Init().ok());
     auto labels = engine.CompareBatch(batch);
     ASSERT_TRUE(labels.ok()) << labels.status().ToString();
@@ -338,7 +337,7 @@ TEST(PackedSmcTest, PackedDeterministicUnderFaults) {
 // thread count, for the scalar and the packed engine configuration. Text
 // attributes disable packing, so the packed configuration runs its pairs as
 // scalar units too: no input drives a packed exchange into a semantic error.
-TEST(BatchSmcEngineTest, MidBatchSemanticErrorIsThreadCountInvariant) {
+TEST(SmcMatchOracleTest, MidBatchSemanticErrorIsThreadCountInvariant) {
   MatchRule rule;
   AttrRule cat;
   cat.attr_index = 0;
@@ -367,7 +366,7 @@ TEST(BatchSmcEngineTest, MidBatchSemanticErrorIsThreadCountInvariant) {
   for (const smc::SmcConfig& cfg : {TestSmcConfig(), PackedSmcConfig(4)}) {
     std::vector<std::string> by_threads;
     for (int threads : {1, 4}) {
-      smc::BatchSmcEngine engine(cfg, rule, threads);
+      smc::SmcMatchOracle engine(cfg, rule, threads);
       ASSERT_TRUE(engine.Init().ok());
       auto labels = engine.CompareBatch(batch);
       ASSERT_FALSE(labels.ok()) << "threads=" << threads;
@@ -387,14 +386,14 @@ TEST(PackedSmcTest, NarrowSlotsFallBackToScalarPerPair) {
   const Workload& w = SmallWorkload();
   const auto batch = MakeBatch(w, 20);
 
-  smc::BatchSmcEngine scalar(TestSmcConfig(), w.rule, 2);
+  smc::SmcMatchOracle scalar(TestSmcConfig(), w.rule, 2);
   ASSERT_TRUE(scalar.Init().ok());
   auto scalar_labels = scalar.CompareBatch(batch);
   ASSERT_TRUE(scalar_labels.ok());
 
   // fp_scale = 1000 makes every numeric encoding ≥ 10⁴ in magnitude, so an
   // 8-bit slot can never hold its squared sum.
-  smc::BatchSmcEngine narrow(PackedSmcConfig(4, /*slot_bits=*/8), w.rule, 2);
+  smc::SmcMatchOracle narrow(PackedSmcConfig(4, /*slot_bits=*/8), w.rule, 2);
   ASSERT_TRUE(narrow.Init().ok());
   auto labels = narrow.CompareBatch(batch);
   ASSERT_TRUE(labels.ok()) << labels.status().ToString();
@@ -412,7 +411,7 @@ TEST(PackedSmcTest, BlindedConfigDisablesPacking) {
   EXPECT_EQ(comparator.PackedGroupPairs(), 0);
 
   const auto batch = MakeBatch(w, 12);
-  smc::BatchSmcEngine engine(cfg, w.rule, 2);
+  smc::SmcMatchOracle engine(cfg, w.rule, 2);
   ASSERT_TRUE(engine.Init().ok());
   auto labels = engine.CompareBatch(batch);
   ASSERT_TRUE(labels.ok());
@@ -420,7 +419,7 @@ TEST(PackedSmcTest, BlindedConfigDisablesPacking) {
 
   smc::SmcConfig blinded_scalar = TestSmcConfig();
   blinded_scalar.reveal_distances = false;
-  smc::BatchSmcEngine reference(blinded_scalar, w.rule, 2);
+  smc::SmcMatchOracle reference(blinded_scalar, w.rule, 2);
   ASSERT_TRUE(reference.Init().ok());
   auto ref_labels = reference.CompareBatch(batch);
   ASSERT_TRUE(ref_labels.ok());
@@ -466,7 +465,7 @@ TEST(BlindedSmcTest, BlindedLabelsMatchPlaintextAtOneAndFourThreads) {
       oracle.push_back(RecordsMatch(*p.a, *p.b, *rule) ? 1 : 0);
     }
     for (int threads : {1, 4}) {
-      smc::BatchSmcEngine engine(cfg, *rule, threads);
+      smc::SmcMatchOracle engine(cfg, *rule, threads);
       ASSERT_TRUE(engine.Init().ok());
       auto labels = engine.CompareBatch(batch);
       ASSERT_TRUE(labels.ok()) << labels.status().ToString();
@@ -474,6 +473,121 @@ TEST(BlindedSmcTest, BlindedLabelsMatchPlaintextAtOneAndFourThreads) {
     }
   }
 }
+
+// --------------------------------------------- one oracle contract
+
+/// A random world for the entry-point equivalence below: one to three
+/// attributes (categorical with θ sometimes ≥ 1, i.e. vacuous; numeric with
+/// signed values), and pairs drawn close enough that both labels occur.
+struct EntryWorld {
+  MatchRule rule;
+  std::vector<Record> as, bs;
+};
+
+EntryWorld MakeEntryWorld(uint64_t seed) {
+  Rng rng(seed);
+  EntryWorld w;
+  const int attrs = static_cast<int>(rng.NextInt(1, 3));
+  for (int i = 0; i < attrs; ++i) {
+    AttrRule a;
+    a.attr_index = i;
+    if (rng.NextBernoulli(0.5)) {
+      a.type = AttrType::kCategorical;
+      a.theta = rng.NextDouble(0.1, 1.3);
+    } else {
+      a.type = AttrType::kNumeric;
+      a.theta = rng.NextDouble(0.02, 0.3);
+      a.norm = rng.NextDouble(10, 100);
+    }
+    w.rule.attrs.push_back(a);
+  }
+  for (int p = 0; p < 14; ++p) {
+    Record a, b;
+    for (const AttrRule& r : w.rule.attrs) {
+      if (r.type == AttrType::kCategorical) {
+        const auto c = static_cast<int32_t>(rng.NextBounded(2));
+        a.push_back(Value::Category(c));
+        b.push_back(Value::Category(
+            rng.NextBernoulli(0.7) ? c : static_cast<int32_t>(rng.NextBounded(3))));
+      } else {
+        const double x = rng.NextDouble(-r.norm / 4, r.norm / 4);
+        const double reach = r.theta * r.norm;
+        a.push_back(Value::Numeric(x));
+        b.push_back(Value::Numeric(x + rng.NextDouble(-1.6 * reach, 1.6 * reach)));
+      }
+    }
+    w.as.push_back(std::move(a));
+    w.bs.push_back(std::move(b));
+  }
+  return w;
+}
+
+/// Labels every pair through each of the three MatchOracle entry points, in
+/// that order; slot e of the result holds entry point e's labels.
+std::vector<std::vector<uint8_t>> LabelsByEntryPoint(MatchOracle& oracle,
+                                                     const EntryWorld& w) {
+  std::vector<std::vector<uint8_t>> out(3);
+  std::vector<RowPairRequest> batch;
+  for (size_t i = 0; i < w.as.size(); ++i) {
+    auto c = oracle.Compare(w.as[i], w.bs[i]);
+    EXPECT_TRUE(c.ok()) << c.status().ToString();
+    out[0].push_back(c.ok() && *c ? kPairMatch : kPairNonMatch);
+    const auto id = static_cast<int64_t>(i);
+    auto r = oracle.CompareRows(id, 100 + id, w.as[i], w.bs[i]);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    out[1].push_back(r.ok() && *r ? kPairMatch : kPairNonMatch);
+    batch.push_back({id, 100 + id, &w.as[i], &w.bs[i]});
+  }
+  auto labels = oracle.CompareBatch(batch);
+  EXPECT_TRUE(labels.ok()) << labels.status().ToString();
+  if (labels.ok()) out[2] = std::move(labels).value();
+  return out;
+}
+
+class OracleEntryPointTest : public ::testing::TestWithParam<uint64_t> {};
+
+// Compare, CompareRows and CompareBatch are one contract: on random worlds
+// each gives the plaintext rule's labels, on the plaintext oracle and on
+// the SMC oracle, scalar and packed, at 1 and 4 threads. Every entry point
+// counts one invocation per pair.
+TEST_P(OracleEntryPointTest, EveryEntryPointLabelsLikeThePlaintextRule) {
+  const EntryWorld w = MakeEntryWorld(GetParam());
+  std::vector<uint8_t> truth;
+  for (size_t i = 0; i < w.as.size(); ++i) {
+    truth.push_back(RecordsMatch(w.as[i], w.bs[i], w.rule) ? kPairMatch
+                                                           : kPairNonMatch);
+  }
+  const auto pairs = static_cast<int64_t>(w.as.size());
+  ASSERT_NE(std::count(truth.begin(), truth.end(), kPairMatch), 0);
+  ASSERT_NE(std::count(truth.begin(), truth.end(), kPairNonMatch), 0);
+
+  CountingPlaintextOracle plain(w.rule);
+  for (const auto& labels : LabelsByEntryPoint(plain, w)) {
+    EXPECT_EQ(labels, truth);
+  }
+  EXPECT_EQ(plain.invocations(), 3 * pairs);
+
+  for (const smc::SmcConfig& cfg : {TestSmcConfig(), PackedSmcConfig(4)}) {
+    for (int threads : {1, 4}) {
+      smc::SmcMatchOracle oracle(cfg, w.rule, threads);
+      ASSERT_TRUE(oracle.Init().ok());
+      const auto by_entry = LabelsByEntryPoint(oracle, w);
+      for (size_t e = 0; e < by_entry.size(); ++e) {
+        EXPECT_EQ(by_entry[e], truth) << "pack_pairs=" << cfg.pack_pairs
+                                      << " threads=" << threads
+                                      << " entry=" << e;
+      }
+      EXPECT_EQ(oracle.invocations(), 3 * pairs);
+      EXPECT_EQ(oracle.pairs_quarantined(), 0);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OracleEntryPointTest,
+                         ::testing::Range<uint64_t>(1, 7),
+                         [](const ::testing::TestParamInfo<uint64_t>& info) {
+                           return "seed" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace hprl
