@@ -80,6 +80,9 @@ Result<Plan> BuildPlan(const LinkageSpec& spec, const RawCsv* raw_r,
     if (r.type == AttrType::kNumeric) {
       r.norm = plan.hierarchies[i]->RootRange();
     }
+    if (plan.hierarchies[i] != nullptr) {
+      DeclareDomain(*plan.hierarchies[i], &r);
+    }
     plan.rule.attrs.push_back(std::move(r));
   }
 

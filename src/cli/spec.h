@@ -41,7 +41,8 @@ struct AttrSpec {
 ///   anonymizer MaxEntropy
 ///   keybits 0            # 0 = exact plaintext oracle; >0 = Paillier bits
 ///   smc_retries 3        # transient-fault retries per protocol exchange
-///   smc_pack 8 64        # pairs per packed SMC exchange, then slot bits
+///   smc_pack 8 64        # pairs per packed SMC unit, then slot bits (the
+///                        # default; smc_pack 0 selects scalar units)
 ///   smc_seed 4242        # pinned keypair seed (0 = OS entropy, the default)
 ///   material_dir cache/  # persistent offline crypto material store
 ///   offline_pairs 500    # offline phase sizing, in expected record pairs
@@ -92,9 +93,11 @@ struct LinkageSpec {
   /// Transient-fault retries per protocol exchange (smc::SmcConfig).
   int smc_retries = 3;
 
-  /// Plaintext packing: pairs per packed SMC exchange
-  /// (smc::SmcConfig::pack_pairs); 0 keeps the scalar exchange.
-  int smc_pack = 0;
+  /// Plaintext packing: pairs per packed SMC unit
+  /// (smc::SmcConfig::pack_pairs); 0 selects scalar units. Packing is on by
+  /// default: a rule whose declared domains fit the slots packs, any other
+  /// runs scalar units (smc::PackedGroupPairs), with identical labels.
+  int smc_pack = 8;
   /// Bit width of one packed slot (smc::SmcConfig::pack_slot_bits).
   int smc_pack_slot_bits = 64;
 

@@ -26,62 +26,6 @@ BigInt PackingLayout::SlotWeight(size_t slot) const {
   return w;
 }
 
-bool PackingLayout::SlotHolds(const BigInt& v) const {
-  return v.Sign() >= 0 &&
-         static_cast<int>(v.BitLength()) <= slot_bits && v < SlotWeight(1);
-}
-
-Result<BigInt> PackSlots(const std::vector<BigInt>& values,
-                         const PackingLayout& layout) {
-  if (layout.slot_bits <= 0 || layout.num_slots <= 0) {
-    return Status::FailedPrecondition("packing layout not planned");
-  }
-  if (values.size() > static_cast<size_t>(layout.num_slots)) {
-    return Status::InvalidArgument("more values than packing slots");
-  }
-  BigInt packed;
-  for (size_t i = 0; i < values.size(); ++i) {
-    const BigInt& v = values[i];
-    if (!layout.SlotHolds(v)) {
-      return Status::InvalidArgument("value does not fit its packing slot");
-    }
-    BigInt shifted;
-    mpz_mul_2exp(shifted.raw(), v.raw(),
-                 static_cast<mp_bitcnt_t>(layout.slot_bits) * i);
-    packed = packed + shifted;
-  }
-  return packed;
-}
-
-Result<std::vector<BigInt>> UnpackSlots(const BigInt& packed, size_t count,
-                                        const PackingLayout& layout) {
-  if (layout.slot_bits <= 0 || layout.num_slots <= 0) {
-    return Status::FailedPrecondition("packing layout not planned");
-  }
-  if (packed.Sign() < 0) {
-    return Status::InvalidArgument("packed value must be non-negative");
-  }
-  if (count > static_cast<size_t>(layout.num_slots)) {
-    return Status::InvalidArgument("more slots requested than the layout has");
-  }
-  std::vector<BigInt> values;
-  values.reserve(count);
-  BigInt rest = packed;
-  for (size_t i = 0; i < count; ++i) {
-    BigInt slot;
-    mpz_fdiv_r_2exp(slot.raw(), rest.raw(),
-                    static_cast<mp_bitcnt_t>(layout.slot_bits));
-    mpz_fdiv_q_2exp(rest.raw(), rest.raw(),
-                    static_cast<mp_bitcnt_t>(layout.slot_bits));
-    values.push_back(std::move(slot));
-  }
-  if (!rest.IsZero()) {
-    return Status::InvalidArgument(
-        "packed plaintext has residue past the requested slots");
-  }
-  return values;
-}
-
 Status PackSlotsInto(const std::vector<const BigInt*>& values,
                      const PackingLayout& layout, BigInt* scratch,
                      BigInt* out) {
@@ -94,8 +38,8 @@ Status PackSlotsInto(const std::vector<const BigInt*>& values,
   mpz_set_ui(out->raw(), 0);
   for (size_t i = 0; i < values.size(); ++i) {
     const BigInt& v = *values[i];
-    // Alloc-free SlotHolds: for v >= 0, BitLength(v) <= slot_bits is exactly
-    // v < 2^slot_bits (and mpz_sizeinbase(0, 2) == 1 <= slot_bits).
+    // For v >= 0, BitLength(v) <= slot_bits is exactly v < 2^slot_bits (and
+    // mpz_sizeinbase(0, 2) == 1 <= slot_bits), with no allocation.
     if (v.Sign() < 0 ||
         static_cast<int>(v.BitLength()) > layout.slot_bits) {
       return Status::InvalidArgument("value does not fit its packing slot");

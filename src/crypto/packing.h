@@ -17,8 +17,8 @@ namespace hprl::crypto {
 /// addition adds the slots independently (no carries cross a slot boundary)
 /// and one Encrypt/Add/Decrypt does the work of num_slots scalar ones.
 /// Callers are responsible for the carry-safety analysis; the SMC layer
-/// checks (|x| + |y|)² < 2^slot_bits per packed distance slot before taking
-/// the packed path.
+/// packs a rule only when every squared distance its declared domains
+/// allow fits a slot (smc::PackedGroupPairs).
 struct PackingLayout {
   int slot_bits = 0;
   int num_slots = 0;
@@ -31,36 +31,24 @@ struct PackingLayout {
 
   /// 2^{slot_bits · slot} — the weight of slot `slot` in the packed value.
   BigInt SlotWeight(size_t slot) const;
-
-  /// True when v can occupy one slot: 0 <= v < 2^slot_bits.
-  bool SlotHolds(const BigInt& v) const;
 };
 
-/// Packs slot values into one plaintext. Fails (InvalidArgument) when there
-/// are more values than slots or any value is negative or >= 2^slot_bits —
-/// the slot-overflow rejection the protocol relies on to never silently
-/// corrupt a neighbouring slot.
-Result<BigInt> PackSlots(const std::vector<BigInt>& values,
-                         const PackingLayout& layout);
-
-/// Recovers the first `count` slot values from a packed plaintext. Exact
-/// inverse of PackSlots for carry-safe inputs. Fails when packed is negative,
-/// count exceeds the layout, or a nonzero residue remains past `count` slots
-/// (evidence of slot overflow or a corrupted plaintext).
-Result<std::vector<BigInt>> UnpackSlots(const BigInt& packed, size_t count,
-                                        const PackingLayout& layout);
-
-/// Arena variant of PackSlots: same validation, same result, but the packed
-/// value lands in *out and the only transient lives in *scratch — no BigInt
-/// is constructed. *out and *scratch must be distinct from each other and
-/// from every input.
+/// Packs slot values into *out, slot i at weight 2^{slot_bits · i}; the only
+/// transient lives in *scratch — no BigInt is constructed. Fails
+/// (InvalidArgument) when there are more values than slots or any value is
+/// negative or >= 2^slot_bits — the slot-overflow rejection the protocol
+/// relies on to never silently corrupt a neighbouring slot. *out and
+/// *scratch must be distinct from each other and from every input.
 Status PackSlotsInto(const std::vector<const BigInt*>& values,
                      const PackingLayout& layout, BigInt* scratch,
                      BigInt* out);
 
-/// Arena variant of UnpackSlots: slot i is written through (*slots)[i]
-/// (which must hold `count` distinct destinations) and *rest carries the
-/// running quotient. Same validation and failure modes as UnpackSlots.
+/// Recovers the first `count` slot values of a packed plaintext, the exact
+/// inverse of PackSlotsInto: slot i is written through (*slots)[i] (which
+/// must hold `count` distinct destinations) and *rest carries the running
+/// quotient. Fails when packed is negative, count exceeds the layout, or a
+/// nonzero residue remains past `count` slots (evidence of slot overflow or
+/// a corrupted plaintext).
 Status UnpackSlotsInto(const BigInt& packed, size_t count,
                        const PackingLayout& layout, BigInt* rest,
                        const std::vector<BigInt*>& slots);

@@ -88,6 +88,11 @@ class Vgh {
   /// root().hi - root().lo (e.g. 98 for WorkHrs [1-99)).
   double RootRange() const { return nodes_[kRoot].hi - nodes_[kRoot].lo; }
 
+  /// Numeric root bounds: every value of the attribute lies in
+  /// [RootLo(), RootHi()).
+  double RootLo() const { return nodes_[kRoot].lo; }
+  double RootHi() const { return nodes_[kRoot].hi; }
+
  private:
   friend class VghBuilder;
   Vgh() = default;

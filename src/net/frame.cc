@@ -1,6 +1,7 @@
 #include "net/frame.h"
 
 #include "common/string_util.h"
+#include "crypto/packing.h"
 
 namespace hprl::net {
 
@@ -361,7 +362,7 @@ Result<CtlResponse> ParseCtlResponse(const std::vector<uint8_t>& payload) {
   return r;
 }
 
-// ------------------------------------------------------------ kPairBatch body
+// ------------------------------------------------------ cfg and pairb bodies
 
 namespace {
 
@@ -372,18 +373,74 @@ constexpr size_t kMinRowEntry = 1 + 8 + 1;  // side, row_id, op (a forget)
 constexpr size_t kPairEntryBytes = 8 + 8 + 8;
 
 Status CheckCount(uint32_t count, size_t min_entry, size_t off, size_t size,
-                  const char* what) {
+                  const char* body, const char* what) {
   if (static_cast<uint64_t>(count) * min_entry <= size - off) {
     return Status::OK();
   }
-  return Status::IOError(StrFormat("pairb declares %u %s in %zu bytes",
+  return Status::IOError(StrFormat("%s declares %u %s in %zu bytes", body,
                                    unsigned{count}, what, size - off));
 }
 
 }  // namespace
 
-void AppendPairBatchBody(const PairBatchBody& body, OperandRole role,
-                         std::vector<uint8_t>* out) {
+void AppendConfigBody(const ConfigBody& body, std::vector<uint8_t>* out) {
+  AppendU32(body.key_bits, out);
+  AppendI64(body.fp_scale, out);
+  AppendU32(body.blind_bits, out);
+  AppendU8(body.flags, out);
+  AppendU64(body.test_seed, out);
+  AppendU32(body.pool_depth, out);
+  AppendU32(body.emulated_latency_micros, out);
+  AppendString(body.material_dir, out);
+  AppendU32(body.pack_pairs, out);
+  AppendU32(body.slot_bits, out);
+  AppendU32(static_cast<uint32_t>(body.thresholds.size()), out);
+  for (const crypto::BigInt& t : body.thresholds) AppendSignedBigInt(t, out);
+}
+
+Result<ConfigBody> ParseConfigBody(const std::vector<uint8_t>& payload) {
+  ConfigBody body;
+  size_t off = 0;
+  HPRL_ASSIGN_OR_RETURN(body.key_bits, ConsumeU32(payload, &off));
+  HPRL_ASSIGN_OR_RETURN(body.fp_scale, ConsumeI64(payload, &off));
+  HPRL_ASSIGN_OR_RETURN(body.blind_bits, ConsumeU32(payload, &off));
+  HPRL_ASSIGN_OR_RETURN(body.flags, ConsumeU8(payload, &off));
+  HPRL_ASSIGN_OR_RETURN(body.test_seed, ConsumeU64(payload, &off));
+  HPRL_ASSIGN_OR_RETURN(body.pool_depth, ConsumeU32(payload, &off));
+  HPRL_ASSIGN_OR_RETURN(body.emulated_latency_micros,
+                        ConsumeU32(payload, &off));
+  HPRL_ASSIGN_OR_RETURN(body.material_dir, ConsumeString(payload, &off));
+  HPRL_ASSIGN_OR_RETURN(body.pack_pairs, ConsumeU32(payload, &off));
+  HPRL_ASSIGN_OR_RETURN(body.slot_bits, ConsumeU32(payload, &off));
+  uint32_t attrs = 0;
+  HPRL_ASSIGN_OR_RETURN(attrs, ConsumeU32(payload, &off));
+  HPRL_RETURN_IF_ERROR(CheckCount(attrs, kMinSignedBigInt, off,
+                                  payload.size(), "cfg", "thresholds"));
+  body.thresholds.resize(attrs);
+  for (crypto::BigInt& t : body.thresholds) {
+    HPRL_ASSIGN_OR_RETURN(t, ConsumeSignedBigInt(payload, &off));
+  }
+  if (off != payload.size()) {
+    return Status::InvalidArgument("cfg: trailing bytes after thresholds");
+  }
+  if (body.pack_pairs > 0) {
+    auto layout = crypto::PackingLayout::Plan(static_cast<int>(body.key_bits),
+                                              static_cast<int>(body.slot_bits));
+    if ((body.flags & kCfgFlagRevealDistances) == 0 || attrs == 0 ||
+        !layout.ok() ||
+        static_cast<uint64_t>(body.pack_pairs) * attrs >
+            static_cast<uint64_t>(layout->num_slots)) {
+      return Status::InvalidArgument(StrFormat(
+          "cfg: a unit of %u pairs over %u attributes does not fit %u-bit "
+          "slots of a %u-bit key",
+          unsigned{body.pack_pairs}, unsigned{attrs},
+          unsigned{body.slot_bits}, unsigned{body.key_bits}));
+    }
+  }
+  return body;
+}
+
+void AppendPairBatchBody(const PairBatchBody& body, std::vector<uint8_t>* out) {
   AppendU64(body.batch_id, out);
   AppendU32(static_cast<uint32_t>(body.rows.size()), out);
   for (const RowEntry& row : body.rows) {
@@ -391,15 +448,8 @@ void AppendPairBatchBody(const PairBatchBody& body, OperandRole role,
     AppendI64(row.row_id, out);
     AppendU8(static_cast<uint8_t>(row.op), out);
     if (row.op != RowOp::kUpsert) continue;
-    AppendU32(static_cast<uint32_t>(row.attrs.size()), out);
-    for (const OperandAttr& attr : row.attrs) {
-      if (role == OperandRole::kAlice) {
-        AppendSignedBigInt(attr.x, out);
-        continue;
-      }
-      if (role == OperandRole::kBob) AppendSignedBigInt(attr.y, out);
-      AppendSignedBigInt(attr.threshold, out);
-    }
+    AppendU32(static_cast<uint32_t>(row.values.size()), out);
+    for (const crypto::BigInt& v : row.values) AppendSignedBigInt(v, out);
   }
   AppendU32(static_cast<uint32_t>(body.pairs.size()), out);
   for (const PairEntry& pair : body.pairs) {
@@ -409,15 +459,14 @@ void AppendPairBatchBody(const PairBatchBody& body, OperandRole role,
   }
 }
 
-Result<PairBatchBody> ParsePairBatchBody(const std::vector<uint8_t>& payload,
-                                         OperandRole role) {
+Result<PairBatchBody> ParsePairBatchBody(const std::vector<uint8_t>& payload) {
   PairBatchBody body;
   size_t off = 0;
   HPRL_ASSIGN_OR_RETURN(body.batch_id, ConsumeU64(payload, &off));
   uint32_t nrows = 0;
   HPRL_ASSIGN_OR_RETURN(nrows, ConsumeU32(payload, &off));
   HPRL_RETURN_IF_ERROR(
-      CheckCount(nrows, kMinRowEntry, off, payload.size(), "rows"));
+      CheckCount(nrows, kMinRowEntry, off, payload.size(), "pairb", "rows"));
   body.rows.resize(nrows);
   for (RowEntry& row : body.rows) {
     HPRL_ASSIGN_OR_RETURN(row.side, ConsumeU8(payload, &off));
@@ -432,27 +481,19 @@ Result<PairBatchBody> ParsePairBatchBody(const std::vector<uint8_t>& payload,
     }
     row.op = static_cast<RowOp>(op);
     if (row.op != RowOp::kUpsert) continue;
-    uint32_t nattrs = 0;
-    HPRL_ASSIGN_OR_RETURN(nattrs, ConsumeU32(payload, &off));
-    const size_t fields = role == OperandRole::kBob ? 2 : 1;  // y, threshold
-    HPRL_RETURN_IF_ERROR(CheckCount(nattrs, fields * kMinSignedBigInt, off,
-                                    payload.size(), "attributes"));
-    row.attrs.resize(nattrs);
-    for (OperandAttr& attr : row.attrs) {
-      if (role == OperandRole::kAlice) {
-        HPRL_ASSIGN_OR_RETURN(attr.x, ConsumeSignedBigInt(payload, &off));
-        continue;
-      }
-      if (role == OperandRole::kBob) {
-        HPRL_ASSIGN_OR_RETURN(attr.y, ConsumeSignedBigInt(payload, &off));
-      }
-      HPRL_ASSIGN_OR_RETURN(attr.threshold, ConsumeSignedBigInt(payload, &off));
+    uint32_t nvalues = 0;
+    HPRL_ASSIGN_OR_RETURN(nvalues, ConsumeU32(payload, &off));
+    HPRL_RETURN_IF_ERROR(CheckCount(nvalues, kMinSignedBigInt, off,
+                                    payload.size(), "pairb", "values"));
+    row.values.resize(nvalues);
+    for (crypto::BigInt& v : row.values) {
+      HPRL_ASSIGN_OR_RETURN(v, ConsumeSignedBigInt(payload, &off));
     }
   }
   uint32_t npairs = 0;
   HPRL_ASSIGN_OR_RETURN(npairs, ConsumeU32(payload, &off));
-  HPRL_RETURN_IF_ERROR(
-      CheckCount(npairs, kPairEntryBytes, off, payload.size(), "pairs"));
+  HPRL_RETURN_IF_ERROR(CheckCount(npairs, kPairEntryBytes, off, payload.size(),
+                                  "pairb", "pairs"));
   body.pairs.resize(npairs);
   for (PairEntry& pair : body.pairs) {
     HPRL_ASSIGN_OR_RETURN(pair.pair_index, ConsumeU64(payload, &off));

@@ -32,30 +32,13 @@ namespace hprl::net {
 /// in-process transport.
 
 inline constexpr uint32_t kWireMagic = 0x4850524C;  // "HPRL"
-/// Version 9: the "cfg" body carries only what the daemon reads — the
-/// unused offline_pairs field goes, and emu_latency and material_dir are
-/// required with no trailing bytes; the "inject_fail" crash byte is
-/// required too.
-/// Version 8: one operand path — "pairb" carries the rows its daemon does
-/// not hold yet ahead of id-only pair entries; "delta", "drain", inline
-/// operands and the always-zero attempt field (in "pairb" and acks) go.
-/// Version 7: one pair transport — the per-pair "pair" verb is gone (a
-/// one-pair "pairb" frame does its job, so the verbs after it renumber),
-/// ctl acknowledgements lose their label byte (pair labels ride in the
-/// "pairb" slots), and "pairb" entries and "delta" bodies no longer carry
-/// each attribute's rule position. Version 6 added resident tables for the
-/// streaming service (a "delta" verb per row, "drain", and id-only pair
-/// entries behind a sentinel attribute count).
-/// Version 5 added crash-consistent recovery: every ctl request and response
-/// carries a session-epoch fencing token (work verbs from a superseded
-/// epoch are rejected, never executed), and the kRejoin verb lets a
-/// restarted daemon re-enter the fleet with a strictly-higher incarnation.
-/// Version 4 added the offline/online phase split (kWarmup, material
-/// knobs in kConfigure, material counters in party stats); version 3 made
-/// ctl verbs a typed enum with ":hb" heartbeat probes; version 2 added the
-/// batched pair command and the randomizer pool depth. Mixed-version
-/// meshes are rejected at the frame layer.
-inline constexpr uint16_t kWireVersion = 9;
+/// Version 10: one exchange step for both transports — the "cfg" body
+/// carries the unit size, the slot bits and the rule's thresholds, "pairb"
+/// rows carry only the receiving holder's own encodings, and qp gets
+/// id-only frames. Mixed-version meshes are rejected at the frame layer;
+/// docs/PROTOCOL.md ("Wire format") records what every earlier version
+/// changed.
+inline constexpr uint16_t kWireVersion = 10;
 
 /// Frames larger than this are rejected before any allocation — an oversized
 /// length prefix means a corrupted or hostile stream, not a big message
@@ -219,40 +202,60 @@ void AppendCtlResponse(const CtlResponse& r, std::vector<uint8_t>* out);
 Result<CtlResponse> ParseCtlResponse(const std::vector<uint8_t>& payload);
 
 // ---------------------------------------------------------------------------
-// kPairBatch body (wire v8): a row rides the first batch that needs it on
-// a daemon, and pair entries reference rows by id alone.
+// kConfigure body (wire v10): the protocol parameters, the daemon's knobs,
+// and the public plan every daemon needs to run its role's unit step
+// without seeing a row it does not hold.
+//
+//   u32  key_bits
+//   i64  fp_scale
+//   u32  blind_bits
+//   u8   flags (kCfgFlagRevealDistances)
+//   u64  test_seed
+//   u32  randomizer pool depth (0 disables the pool)
+//   u32  emulated per-pair latency, microseconds
+//   str  material_dir ("" disables the material store)
+//   u32  pack_pairs: pairs per unit, 0 = scalar units of one pair
+//        (smc::PackedGroupPairs)
+//   u32  slot_bits of a packed unit's layout
+//   u32  compared-attribute count, then per attribute its scaled threshold
+//        (signed BigInt)
+
+struct ConfigBody {
+  uint32_t key_bits = 0;
+  int64_t fp_scale = 0;
+  uint32_t blind_bits = 0;
+  uint8_t flags = 0;
+  uint64_t test_seed = 0;
+  uint32_t pool_depth = 0;
+  uint32_t emulated_latency_micros = 0;
+  std::string material_dir;
+  uint32_t pack_pairs = 0;
+  uint32_t slot_bits = 0;
+  std::vector<crypto::BigInt> thresholds;
+};
+
+void AppendConfigBody(const ConfigBody& body, std::vector<uint8_t>* out);
+/// Parses an exact body: a truncated field or a byte past the last one
+/// fails, and so does a unit that could not be laid out — pack_pairs > 0
+/// with distances hidden, no attribute, or more slots than the key's
+/// layout at slot_bits holds.
+Result<ConfigBody> ParseConfigBody(const std::vector<uint8_t>& payload);
+
+// ---------------------------------------------------------------------------
+// kPairBatch body (wire v10): a row rides the first batch that needs it on
+// a holder daemon, and pair entries reference rows by id alone.
 //
 //   u64  batch_id
 //   u32  row count, then per row:
 //          u8 side (0 = R, 1 = S), i64 row_id, u8 op (RowOp),
-//          upsert only: u32 attribute count, then per attribute the
-//          receiving role's operands (OperandAttr, signed BigInts)
+//          upsert only: u32 value count, then the receiving holder's own
+//          encoding per compared attribute (signed BigInts)
 //   u32  pair count, then per pair: u64 pair_index, i64 a_id, i64 b_id
 //
-// Side-0 rows go to alice, side-1 rows to bob and qp: alice resolves a
-// pair's operands from its R row, bob and qp from its S row.
-
-/// Which operands a party receives per compared attribute.
-enum class OperandRole : uint8_t {
-  kAlice,  ///< x (her R value)
-  kBob,    ///< y (his S value), then the threshold
-  kQp,     ///< the threshold
-};
-
-/// One compared attribute's encoded operands. A role's rows carry only the
-/// fields OperandRole names for it; the others stay zero.
-struct OperandAttr {
-  crypto::BigInt x;
-  crypto::BigInt y;
-  crypto::BigInt threshold;
-
-  friend bool operator==(const OperandAttr& a, const OperandAttr& b) {
-    return a.x == b.x && a.y == b.y && a.threshold == b.threshold;
-  }
-};
+// Side-0 rows go to alice, side-1 rows to bob; qp's frames carry no rows.
 
 enum class RowOp : uint8_t {
-  kUpsert = 1,  ///< (re)place the row's operands
+  kUpsert = 1,  ///< (re)place the row's encodings
   kForget = 2,  ///< drop the row (absent is not an error)
 };
 
@@ -260,7 +263,7 @@ struct RowEntry {
   uint8_t side = 0;
   int64_t row_id = -1;
   RowOp op = RowOp::kUpsert;
-  std::vector<OperandAttr> attrs;  ///< upsert only
+  std::vector<crypto::BigInt> values;  ///< upsert only
 };
 
 struct PairEntry {
@@ -275,13 +278,11 @@ struct PairBatchBody {
   std::vector<PairEntry> pairs;
 };
 
-void AppendPairBatchBody(const PairBatchBody& body, OperandRole role,
-                         std::vector<uint8_t>* out);
-/// Parses `role`'s body. Declared counts are checked against the bytes left
+void AppendPairBatchBody(const PairBatchBody& body, std::vector<uint8_t>* out);
+/// Parses a body. Declared counts are checked against the bytes left
 /// before anything is allocated; truncation, an unknown op or side, and
 /// trailing bytes are errors.
-Result<PairBatchBody> ParsePairBatchBody(const std::vector<uint8_t>& payload,
-                                         OperandRole role);
+Result<PairBatchBody> ParsePairBatchBody(const std::vector<uint8_t>& payload);
 
 }  // namespace hprl::net
 

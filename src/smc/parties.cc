@@ -50,90 +50,84 @@ void QueryingParty::AttachMetrics(obs::MetricsRegistry* registry) {
   priv_.AttachMetrics(registry);
 }
 
-Result<bool> QueryingParty::DecideAttr(MessageBus* bus,
-                                       const BigInt& threshold,
-                                       SmcCosts* costs) {
-  auto msg = bus->Expect(kQp, "bob_ct");
+Result<BigInt> QueryingParty::ReceiveDecrypted(MessageBus* bus,
+                                               const char* tag,
+                                               bool is_signed,
+                                               SmcCosts* costs) {
+  auto msg = bus->Expect(kQp, tag);
   if (!msg.ok()) return msg.status();
   size_t off = 0;
   auto c = ConsumeBigInt(msg->payload, &off);
   if (!c.ok()) return c.status();
-  HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, *c, "bob_ct"));
-  auto plain = priv_.DecryptSigned(*c);
-  if (!plain.ok()) return plain.status();
-  costs->decryptions += 1;
-  if (params_.reveal_distances) {
-    return *plain <= threshold;
-  }
-  return plain->Sign() >= 0;
-}
-
-Result<BigInt> QueryingParty::ReceivePlain(MessageBus* bus, SmcCosts* costs) {
-  auto msg = bus->Expect(kQp, "bob_ct");
-  if (!msg.ok()) return msg.status();
-  size_t off = 0;
-  auto c = ConsumeBigInt(msg->payload, &off);
-  if (!c.ok()) return c.status();
-  HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, *c, "bob_ct"));
-  auto plain = priv_.DecryptSigned(*c);
+  HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, *c, tag));
+  auto plain = is_signed ? priv_.DecryptSigned(*c) : priv_.Decrypt(*c);
   if (!plain.ok()) return plain.status();
   costs->decryptions += 1;
   return plain;
 }
 
-Result<std::vector<bool>> QueryingParty::DecideAttrsPacked(
-    MessageBus* bus, const std::vector<BigInt>& thresholds,
-    const crypto::PackingLayout& layout, crypto::BigIntArena* arena,
-    SmcCosts* costs) {
-  if (!params_.reveal_distances) {
-    return Status::FailedPrecondition(
-        "packed exchange requires reveal_distances");
-  }
-  auto msg = bus->Expect(kQp, "bob_pk");
-  if (!msg.ok()) return msg.status();
-  size_t off = 0;
-  auto c = ConsumeBigInt(msg->payload, &off);
-  if (!c.ok()) return c.status();
-  HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, *c, "bob_pk"));
-  // ONE decryption covers every slot. The packed plaintext is Σ d_i·W_i with
-  // d_i = (x_i - y_i)² >= 0, so the unsigned decode is exact even though the
-  // homomorphic fold passed through negative slot contributions mod n.
-  auto plain = priv_.Decrypt(*c);
-  if (!plain.ok()) return plain.status();
-  costs->decryptions += 1;
-  std::vector<crypto::BigInt*> slots;
-  slots.reserve(thresholds.size());
-  for (size_t i = 0; i < thresholds.size(); ++i) {
-    slots.push_back(&arena->Next());
-  }
-  BigInt& rest = arena->Next();
-  Status st =
-      crypto::UnpackSlotsInto(*plain, thresholds.size(), layout, &rest, slots);
-  if (!st.ok()) {
-    // A residue past the last slot means the plaintext was damaged (or a
-    // slot overflowed); hand it to the retry layer as transit damage.
-    return Status::IOError(std::string("packed plaintext failed unpack: ") +
-                           st.message());
-  }
+Result<BigInt> QueryingParty::ReceivePlain(MessageBus* bus, SmcCosts* costs) {
+  return ReceiveDecrypted(bus, "bob_ct", /*is_signed=*/true, costs);
+}
+
+Result<std::vector<uint8_t>> QueryingParty::DecideUnit(
+    MessageBus* bus, const std::vector<BigInt>& thresholds, size_t pairs,
+    const UnitShape& shape, crypto::BigIntArena* arena, SmcCosts* costs) {
+  const size_t attrs = thresholds.size();
+  const size_t slots = pairs * attrs;
   std::vector<bool> within;
-  within.reserve(thresholds.size());
-  for (size_t i = 0; i < thresholds.size(); ++i) {
-    within.push_back(*slots[i] <= thresholds[i]);
+  within.reserve(slots);
+  if (shape.packed) {
+    if (!params_.reveal_distances) {
+      return Status::FailedPrecondition(
+          "packed exchange requires reveal_distances");
+    }
+    // ONE decryption covers every slot. The packed plaintext is Σ d_i·W_i
+    // with d_i = (x_i - y_i)² >= 0, so the unsigned decode is exact even
+    // though the homomorphic fold passed through negative slot
+    // contributions mod n.
+    auto plain = ReceiveDecrypted(bus, "bob_pk", /*is_signed=*/false, costs);
+    if (!plain.ok()) return plain.status();
+    std::vector<BigInt*> distances;
+    distances.reserve(slots);
+    for (size_t i = 0; i < slots; ++i) distances.push_back(&arena->Next());
+    BigInt& rest = arena->Next();
+    Status st =
+        crypto::UnpackSlotsInto(*plain, slots, shape.layout, &rest, distances);
+    if (!st.ok()) {
+      // A residue past the last slot means the plaintext was damaged (or a
+      // slot overflowed); hand it to the retry layer as transit damage.
+      return Status::IOError(std::string("packed plaintext failed unpack: ") +
+                             st.message());
+    }
+    for (size_t i = 0; i < slots; ++i) {
+      within.push_back(*distances[i] <= thresholds[i % attrs]);
+    }
+    costs->packed_exchanges += 1;
+    costs->packed_pairs += static_cast<int64_t>(pairs);
+  } else {
+    for (size_t i = 0; i < slots; ++i) {
+      auto plain = ReceiveDecrypted(bus, "bob_ct", /*is_signed=*/true, costs);
+      if (!plain.ok()) return plain.status();
+      // Blinded, the plaintext's sign is the outcome: d <= T <=> >= 0.
+      within.push_back(params_.reveal_distances
+                           ? *plain <= thresholds[i % attrs]
+                           : plain->Sign() >= 0);
+    }
   }
-  return within;
+  costs->attr_comparisons += static_cast<int64_t>(slots);
+  // Exact distances, so each pair's conjunction is the plaintext rule's.
+  std::vector<uint8_t> labels(pairs, 1);
+  for (size_t i = 0; i < slots; ++i) {
+    if (!within[i]) labels[i / attrs] = 0;
+  }
+  return labels;
 }
 
-// Results travel on a dedicated ":res" sub-inbox so a pipelined next pair's
+// Results travel on a dedicated ":res" sub-inbox so a pipelined next unit's
 // "alice_ct" (addressed to the main inbox) can never interleave with a
-// still-in-flight result announcement. With per-pair lockstep the main inbox
-// was safe; the batched RPC path overlaps pairs, so the split is load-bearing.
-Status QueryingParty::AnnounceResult(MessageBus* bus, bool match) {
-  std::vector<uint8_t> result = {static_cast<uint8_t>(match ? 1 : 0)};
-  bus->Send({kQp, "alice:res", "result", result});
-  bus->Send({kQp, "bob:res", "result", std::move(result)});
-  return Status::OK();
-}
-
+// still-in-flight result announcement: the batched RPC path overlaps units,
+// so the split is load-bearing.
 Status QueryingParty::AnnounceResults(MessageBus* bus,
                                       const std::vector<uint8_t>& labels) {
   std::vector<uint8_t> payload = labels;
@@ -168,24 +162,122 @@ void DataHolder::AttachRandomizerPool(crypto::RandomizerPool* pool) {
   pub_.AttachRandomizerPool(pool);
 }
 
-Status DataHolder::SendAttr(MessageBus* bus, const std::string& peer,
-                            const BigInt& x, SmcCosts* costs) {
+Status DataHolder::SendUnit(MessageBus* bus, const std::string& peer,
+                            const std::vector<BigInt>& xs,
+                            const UnitShape& shape, crypto::BigIntArena* arena,
+                            SmcCosts* costs) {
   if (!have_key_) return Status::FailedPrecondition("no public key yet");
-  auto c1 = pub_.EncryptSigned(x * x, *rng_);
-  if (!c1.ok()) return c1.status();
-  auto c2 = pub_.EncryptSigned(BigInt(-2) * x, *rng_);
-  if (!c2.ok()) return c2.status();
-  costs->encryptions += 2;
+  if (!shape.packed) {
+    for (const BigInt& x : xs) {
+      auto c1 = pub_.EncryptSigned(x * x, *rng_);
+      if (!c1.ok()) return c1.status();
+      auto c2 = pub_.EncryptSigned(BigInt(-2) * x, *rng_);
+      if (!c2.ok()) return c2.status();
+      costs->encryptions += 2;
+      std::vector<uint8_t> payload;
+      AppendBigInt(*c1, &payload);
+      AppendBigInt(*c2, &payload);
+      bus->Send({name_, peer, "alice_ct", std::move(payload)});
+    }
+    return Status::OK();
+  }
+  // Every BigInt below lives in preallocated arena storage.
+  std::vector<const BigInt*> x2;
+  x2.reserve(xs.size());
+  for (const BigInt& x : xs) {
+    BigInt& sq = arena->Next();
+    mpz_mul(sq.raw(), x.raw(), x.raw());
+    x2.push_back(&sq);
+  }
+  BigInt& scratch = arena->Next();
+  BigInt& packed = arena->Next();
+  HPRL_RETURN_IF_ERROR(
+      crypto::PackSlotsInto(x2, shape.layout, &scratch, &packed));
+  BigInt& c_px2 = arena->Next();
+  HPRL_RETURN_IF_ERROR(pub_.EncryptInto(packed, *rng_, &scratch, &c_px2));
+  costs->encryptions += 1;
   std::vector<uint8_t> payload;
-  AppendBigInt(*c1, &payload);
-  AppendBigInt(*c2, &payload);
-  bus->Send({name_, peer, "alice_ct", std::move(payload)});
+  AppendBigInt(c_px2, &payload);
+  // Cross terms leave pre-weighted: Enc(-2·x_i·W_i), W_i = 2^(slot_bits·i),
+  // so Bob's fold exponentiates by the bare y_i (|y_i| bits) instead of
+  // y_i·W_i (slot_bits·i + |y_i| bits). Same plaintext mod n either way.
+  BigInt& m2xw = arena->Next();
+  BigInt& ct = arena->Next();
+  for (size_t i = 0; i < xs.size(); ++i) {
+    mpz_mul_si(m2xw.raw(), xs[i].raw(), -2);
+    mpz_mul_2exp(m2xw.raw(), m2xw.raw(),
+                 static_cast<mp_bitcnt_t>(shape.layout.slot_bits) * i);
+    HPRL_RETURN_IF_ERROR(pub_.EncryptSignedInto(m2xw, *rng_, &scratch, &ct));
+    costs->encryptions += 1;
+    AppendBigInt(ct, &payload);
+  }
+  bus->Send({name_, peer, "alice_pk", std::move(payload)});
   return Status::OK();
 }
 
-Status DataHolder::FoldAndForward(MessageBus* bus, const BigInt& y,
-                                  const BigInt& threshold, SmcCosts* costs) {
+Status DataHolder::FoldUnit(MessageBus* bus, const std::vector<BigInt>& ys,
+                            const std::vector<BigInt>& thresholds,
+                            const UnitShape& shape, crypto::BigIntArena* arena,
+                            SmcCosts* costs) {
   if (!have_key_) return Status::FailedPrecondition("no public key yet");
+  if (!shape.packed) {
+    for (size_t i = 0; i < ys.size(); ++i) {
+      HPRL_RETURN_IF_ERROR(
+          FoldOne(bus, ys[i], thresholds[i % thresholds.size()], costs));
+    }
+    return Status::OK();
+  }
+  auto msg = bus->Expect(name_, "alice_pk");
+  if (!msg.ok()) return msg.status();
+  // Ciphertexts deserialize straight into arena slots and the fold runs
+  // through the in-place homomorphic ops.
+  size_t off = 0;
+  BigInt& c_px2 = arena->Next();
+  HPRL_RETURN_IF_ERROR(ConsumeBigIntInto(msg->payload, &off, &c_px2));
+  HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, c_px2, "alice_pk[0]"));
+  std::vector<const BigInt*> c_m2xw;
+  c_m2xw.reserve(ys.size());
+  for (size_t i = 0; i < ys.size(); ++i) {
+    BigInt& c = arena->Next();
+    HPRL_RETURN_IF_ERROR(ConsumeBigIntInto(msg->payload, &off, &c));
+    HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, c, "alice_pk[i]"));
+    c_m2xw.push_back(&c);
+  }
+  std::vector<const BigInt*> y2;
+  y2.reserve(ys.size());
+  for (const BigInt& y : ys) {
+    BigInt& sq = arena->Next();
+    mpz_mul(sq.raw(), y.raw(), y.raw());
+    y2.push_back(&sq);
+  }
+  BigInt& scratch = arena->Next();
+  BigInt& packed_y2 = arena->Next();
+  HPRL_RETURN_IF_ERROR(
+      crypto::PackSlotsInto(y2, shape.layout, &scratch, &packed_y2));
+  BigInt& c_py2 = arena->Next();
+  HPRL_RETURN_IF_ERROR(pub_.EncryptInto(packed_y2, *rng_, &scratch, &c_py2));
+  costs->encryptions += 1;
+  // Σ_i Enc(d_i · W_i): the x² terms arrive pre-packed and the cross terms
+  // pre-weighted, so Enc(-2x_i·W_i) ×h y_i lands in slot i.
+  BigInt& acc = arena->Next();
+  mpz_set(acc.raw(), c_px2.raw());
+  pub_.AddInto(&acc, c_py2);
+  costs->homomorphic_adds += 1;
+  BigInt& term = arena->Next();
+  for (size_t i = 0; i < ys.size(); ++i) {
+    pub_.ScalarMulInto(*c_m2xw[i], ys[i], &scratch, &term);
+    pub_.AddInto(&acc, term);
+  }
+  costs->homomorphic_adds += static_cast<int64_t>(ys.size());
+  costs->scalar_muls += static_cast<int64_t>(ys.size());
+  std::vector<uint8_t> payload;
+  AppendBigInt(acc, &payload);
+  bus->Send({name_, kQp, "bob_pk", std::move(payload)});
+  return Status::OK();
+}
+
+Status DataHolder::FoldOne(MessageBus* bus, const BigInt& y,
+                           const BigInt& threshold, SmcCosts* costs) {
   auto msg = bus->Expect(name_, "alice_ct");
   if (!msg.ok()) return msg.status();
   size_t off = 0;
@@ -224,108 +316,6 @@ Status DataHolder::FoldAndForward(MessageBus* bus, const BigInt& y,
   AppendBigInt(out, &payload);
   bus->Send({name_, kQp, "bob_ct", std::move(payload)});
   return Status::OK();
-}
-
-Status DataHolder::SendAttrsPacked(MessageBus* bus, const std::string& peer,
-                                   const std::vector<BigInt>& xs,
-                                   const crypto::PackingLayout& layout,
-                                   crypto::BigIntArena* arena,
-                                   SmcCosts* costs) {
-  if (!have_key_) return Status::FailedPrecondition("no public key yet");
-  // Every BigInt below lives in preallocated arena storage.
-  std::vector<const BigInt*> x2;
-  x2.reserve(xs.size());
-  for (const BigInt& x : xs) {
-    BigInt& sq = arena->Next();
-    mpz_mul(sq.raw(), x.raw(), x.raw());
-    x2.push_back(&sq);
-  }
-  BigInt& scratch = arena->Next();
-  BigInt& packed = arena->Next();
-  HPRL_RETURN_IF_ERROR(crypto::PackSlotsInto(x2, layout, &scratch, &packed));
-  BigInt& c_px2 = arena->Next();
-  HPRL_RETURN_IF_ERROR(pub_.EncryptInto(packed, *rng_, &scratch, &c_px2));
-  costs->encryptions += 1;
-  std::vector<uint8_t> payload;
-  AppendBigInt(c_px2, &payload);
-  // Cross terms leave pre-weighted: Enc(-2·x_i·W_i), W_i = 2^(slot_bits·i),
-  // so Bob's fold exponentiates by the bare y_i (|y_i| bits) instead of
-  // y_i·W_i (slot_bits·i + |y_i| bits). Same plaintext mod n either way.
-  BigInt& m2xw = arena->Next();
-  BigInt& ct = arena->Next();
-  for (size_t i = 0; i < xs.size(); ++i) {
-    mpz_mul_si(m2xw.raw(), xs[i].raw(), -2);
-    mpz_mul_2exp(m2xw.raw(), m2xw.raw(),
-                 static_cast<mp_bitcnt_t>(layout.slot_bits) * i);
-    HPRL_RETURN_IF_ERROR(pub_.EncryptSignedInto(m2xw, *rng_, &scratch, &ct));
-    costs->encryptions += 1;
-    AppendBigInt(ct, &payload);
-  }
-  bus->Send({name_, peer, "alice_pk", std::move(payload)});
-  return Status::OK();
-}
-
-Status DataHolder::FoldAndForwardPacked(MessageBus* bus,
-                                        const std::vector<BigInt>& ys,
-                                        const crypto::PackingLayout& layout,
-                                        crypto::BigIntArena* arena,
-                                        SmcCosts* costs) {
-  if (!have_key_) return Status::FailedPrecondition("no public key yet");
-  auto msg = bus->Expect(name_, "alice_pk");
-  if (!msg.ok()) return msg.status();
-  // Ciphertexts deserialize straight into arena slots and the fold runs
-  // through the in-place homomorphic ops.
-  size_t off = 0;
-  BigInt& c_px2 = arena->Next();
-  HPRL_RETURN_IF_ERROR(ConsumeBigIntInto(msg->payload, &off, &c_px2));
-  HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, c_px2, "alice_pk[0]"));
-  std::vector<const BigInt*> c_m2xw;
-  c_m2xw.reserve(ys.size());
-  for (size_t i = 0; i < ys.size(); ++i) {
-    BigInt& c = arena->Next();
-    HPRL_RETURN_IF_ERROR(ConsumeBigIntInto(msg->payload, &off, &c));
-    HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, c, "alice_pk[i]"));
-    c_m2xw.push_back(&c);
-  }
-  std::vector<const BigInt*> y2;
-  y2.reserve(ys.size());
-  for (const BigInt& y : ys) {
-    BigInt& sq = arena->Next();
-    mpz_mul(sq.raw(), y.raw(), y.raw());
-    y2.push_back(&sq);
-  }
-  BigInt& scratch = arena->Next();
-  BigInt& packed_y2 = arena->Next();
-  HPRL_RETURN_IF_ERROR(crypto::PackSlotsInto(y2, layout, &scratch, &packed_y2));
-  BigInt& c_py2 = arena->Next();
-  HPRL_RETURN_IF_ERROR(pub_.EncryptInto(packed_y2, *rng_, &scratch, &c_py2));
-  costs->encryptions += 1;
-  // Σ_i Enc(d_i · W_i): the x² terms arrive pre-packed and the cross terms
-  // pre-weighted, so Enc(-2x_i·W_i) ×h y_i lands in slot i.
-  BigInt& acc = arena->Next();
-  mpz_set(acc.raw(), c_px2.raw());
-  pub_.AddInto(&acc, c_py2);
-  costs->homomorphic_adds += 1;
-  BigInt& term = arena->Next();
-  for (size_t i = 0; i < ys.size(); ++i) {
-    pub_.ScalarMulInto(*c_m2xw[i], ys[i], &scratch, &term);
-    pub_.AddInto(&acc, term);
-  }
-  costs->homomorphic_adds += static_cast<int64_t>(ys.size());
-  costs->scalar_muls += static_cast<int64_t>(ys.size());
-  std::vector<uint8_t> payload;
-  AppendBigInt(acc, &payload);
-  bus->Send({name_, kQp, "bob_pk", std::move(payload)});
-  return Status::OK();
-}
-
-Result<bool> DataHolder::ReceiveResult(MessageBus* bus) {
-  auto msg = bus->Expect(name_ + ":res", "result");
-  if (!msg.ok()) return msg.status();
-  if (msg->payload.size() != 1) {
-    return Status::Internal("malformed result message");
-  }
-  return msg->payload[0] != 0;
 }
 
 Result<std::vector<uint8_t>> DataHolder::ReceiveResults(MessageBus* bus,

@@ -25,10 +25,23 @@ struct ProtocolParams {
   bool reveal_distances = true;
 };
 
+/// One unit of the §V-A exchange: a packed group of pairs whose distances
+/// share one plaintext laid out by `layout`, or, when the rule cannot pack,
+/// one pair with a ciphertext per compared attribute. Each role runs its
+/// side of a unit through one step — DataHolder::SendUnit (alice),
+/// DataHolder::FoldUnit (bob), QueryingParty::DecideUnit then
+/// AnnounceResults (qp), DataHolder::ReceiveResults (both holders) — over
+/// whatever bus carries it: the in-process channel or a daemon's SocketBus.
+/// Operand and threshold vectors are pair-major, attribute-minor.
+struct UnitShape {
+  bool packed = false;
+  crypto::PackingLayout layout;  ///< packed units only
+};
+
 /// The querying party of §V-A: the only holder of the Paillier private key.
-/// It publishes the public key, and per compared attribute receives Bob's
-/// ciphertext and decides whether the (possibly blinded) distance is within
-/// the threshold.
+/// It publishes the public key, and per unit receives Bob's ciphertexts and
+/// decides whether each (possibly blinded) distance is within its
+/// threshold.
 class QueryingParty {
  public:
   QueryingParty(const ProtocolParams& params, uint64_t test_seed);
@@ -44,32 +57,27 @@ class QueryingParty {
 
   const crypto::PaillierPublicKey& public_key() const { return pub_; }
 
-  /// Consumes one "bob_ct" message; true when the attribute is within its
-  /// threshold. `threshold` is the scaled integer bound on (x-y)^2.
-  Result<bool> DecideAttr(MessageBus* bus, const crypto::BigInt& threshold,
-                          SmcCosts* costs);
-
   /// Consumes one "bob_ct" message and returns the decrypted signed
   /// plaintext (distance-revealing variant only; test/benchmark hook).
   Result<crypto::BigInt> ReceivePlain(MessageBus* bus, SmcCosts* costs);
 
-  /// Packed variant: consumes one "bob_pk" ciphertext carrying every slot
-  /// distance of the packed exchange, decrypts ONCE, unpacks, and compares
-  /// slot i against thresholds[i]. A plaintext that fails to unpack (nonzero
-  /// residue past the last slot) is reported as an IOError so the retry
-  /// layer treats it like any other damaged payload. Distance-revealing
-  /// variant only (the packed plaintext is the distances). Scratch values
-  /// live in `arena`, as in every packed method below.
-  Result<std::vector<bool>> DecideAttrsPacked(
+  /// qp's step of one unit of `pairs` pairs: decides every compared
+  /// attribute of every pair against `thresholds` (one per attribute, the
+  /// scaled integer bound on (x-y)²) and returns each pair's conjunction,
+  /// 1 = match. A packed unit is one "bob_pk" ciphertext carrying every
+  /// slot distance: ONE decryption, then an exact unpack (a nonzero residue
+  /// past the last slot is reported as an IOError, so the retry layer
+  /// treats it like any other damaged payload); packing requires revealed
+  /// distances (the packed plaintext is the distances). A scalar unit is
+  /// one "bob_ct" per attribute, each decrypted (or, blinded, sign-tested).
+  /// Counts the unit's attribute comparisons and, packed, its exchange and
+  /// pairs. Scratch values live in `arena`, as in every unit step.
+  Result<std::vector<uint8_t>> DecideUnit(
       MessageBus* bus, const std::vector<crypto::BigInt>& thresholds,
-      const crypto::PackingLayout& layout, crypto::BigIntArena* arena,
+      size_t pairs, const UnitShape& shape, crypto::BigIntArena* arena,
       SmcCosts* costs);
 
-  /// Broadcasts the final pair label to both holders (who consume it).
-  Status AnnounceResult(MessageBus* bus, bool match);
-
-  /// Packed variant: one "results" message carrying the labels of every
-  /// pair in the packed group.
+  /// Announces a unit's labels to both holders in one "results" message.
   Status AnnounceResults(MessageBus* bus, const std::vector<uint8_t>& labels);
 
   /// Attaches the party's Paillier keys to `registry` (paillier.* op
@@ -78,6 +86,11 @@ class QueryingParty {
   void AttachMetrics(obs::MetricsRegistry* registry);
 
  private:
+  /// Consumes one `tag` message holding one ciphertext, validates and
+  /// decrypts it (signed: into (-n/2, n/2]).
+  Result<crypto::BigInt> ReceiveDecrypted(MessageBus* bus, const char* tag,
+                                          bool is_signed, SmcCosts* costs);
+
   ProtocolParams params_;
   std::unique_ptr<crypto::SecureRandom> rng_;
   crypto::PaillierPublicKey pub_;
@@ -101,43 +114,34 @@ class DataHolder {
   /// Consumes the published public key from the bus.
   Status ReceiveKey(MessageBus* bus);
 
-  /// Alice's role for one attribute: ship Enc(x²), Enc(-2x) to `peer`.
-  Status SendAttr(MessageBus* bus, const std::string& peer,
-                  const crypto::BigInt& x, SmcCosts* costs);
-
-  /// Bob's role: fold its value into Alice's ciphertexts producing
-  /// Enc((x-y)²), optionally blind against the threshold, and forward to the
-  /// querying party.
-  Status FoldAndForward(MessageBus* bus, const crypto::BigInt& y,
-                        const crypto::BigInt& threshold, SmcCosts* costs);
-
-  /// Packed Alice: one "alice_pk" message carrying Enc(Σ x_i²·W_i) — every
+  /// Alice's step of one unit: ships her operands `xs` (pair-major) to
+  /// `peer`. Scalar: one "alice_ct" per attribute, Enc(x²) and Enc(-2x).
+  /// Packed: one "alice_pk" message carrying Enc(Σ x_i²·W_i) — every
   /// slot's x² packed into ONE plaintext — plus per-slot cross terms
-  /// Enc(-2·x_i·W_i), already weighted into slot i (W_i = 2^(slot_bits·i)).
-  /// Cuts the 2k scalar encryptions of k SendAttr calls to k + 1. The caller
-  /// has already checked carry safety ((|x|+|y|)² fits a slot) for every
-  /// slot.
-  Status SendAttrsPacked(MessageBus* bus, const std::string& peer,
-                         const std::vector<crypto::BigInt>& xs,
-                         const crypto::PackingLayout& layout,
-                         crypto::BigIntArena* arena, SmcCosts* costs);
+  /// Enc(-2·x_i·W_i), already weighted into slot i (W_i =
+  /// 2^(slot_bits·i)): k + 1 encryptions where k scalar rounds take 2k.
+  /// The plan already checked carry safety: every squared distance the
+  /// rule's declared domains allow fits a slot (smc::PackedGroupPairs).
+  Status SendUnit(MessageBus* bus, const std::string& peer,
+                  const std::vector<crypto::BigInt>& xs, const UnitShape& shape,
+                  crypto::BigIntArena* arena, SmcCosts* costs);
 
-  /// Packed Bob: folds y_i into slot i through Alice's pre-weighted term —
+  /// Bob's step of one unit: folds his operands `ys` (pair-major) into
+  /// Alice's ciphertexts and forwards the result to the querying party.
+  /// Scalar, per attribute: Enc(d) = Enc(x²) +h (Enc(-2x) ×h y) +h Enc(y²),
+  /// d = (x-y)², optionally blinded against its threshold (one of
+  /// `thresholds`, one per attribute), as one "bob_ct". Packed:
   ///   Enc(Σ d_i·W_i) = Enc(Σx_i²W_i) +h Σ_i (Enc(-2x_i·W_i) ×h y_i)
-  ///                    +h Enc(Σ y_i²W_i),  d_i = (x_i - y_i)²
-  /// — and forwards ONE ciphertext to the querying party where the scalar
-  /// protocol sends k. The exponent is the bare y_i, |y_i| bits wide (not
-  /// slot_bits·i + |y_i|). Bob sees only ciphertexts and the querying party
-  /// the same packed plaintext, so leakage is that of the scalar protocol.
-  Status FoldAndForwardPacked(MessageBus* bus,
-                              const std::vector<crypto::BigInt>& ys,
-                              const crypto::PackingLayout& layout,
-                              crypto::BigIntArena* arena, SmcCosts* costs);
+  ///                    +h Enc(Σ y_i²W_i)
+  /// as ONE "bob_pk" ciphertext. The exponent is the bare y_i, |y_i| bits
+  /// wide (not slot_bits·i + |y_i|). Bob sees only ciphertexts and the
+  /// querying party the same distances either way.
+  Status FoldUnit(MessageBus* bus, const std::vector<crypto::BigInt>& ys,
+                  const std::vector<crypto::BigInt>& thresholds,
+                  const UnitShape& shape, crypto::BigIntArena* arena,
+                  SmcCosts* costs);
 
-  /// Consumes the querying party's result announcement.
-  Result<bool> ReceiveResult(MessageBus* bus);
-
-  /// Packed variant: consumes the group announcement of `count` labels.
+  /// Consumes the announcement of a unit's `count` labels.
   Result<std::vector<uint8_t>> ReceiveResults(MessageBus* bus, size_t count);
 
   /// Attaches the holder's public-key copy to `registry` (paillier.* op
@@ -150,6 +154,11 @@ class DataHolder {
   void AttachRandomizerPool(crypto::RandomizerPool* pool);
 
  private:
+  /// FoldUnit's scalar round: consumes one "alice_ct" and forwards one
+  /// "bob_ct".
+  Status FoldOne(MessageBus* bus, const crypto::BigInt& y,
+                 const crypto::BigInt& threshold, SmcCosts* costs);
+
   std::string name_;
   ProtocolParams params_;
   std::unique_ptr<crypto::SecureRandom> rng_;

@@ -10,11 +10,6 @@
 namespace hprl::smc {
 
 namespace {
-/// Scalar pairs per work unit (one steal). Small enough to keep skewed
-/// batches balanced (a single Paillier comparison is milliseconds), large
-/// enough that the atomic cursor never contends.
-constexpr size_t kStealChunk = 8;
-
 uint64_t WorkerSeed(uint64_t base, int worker) {
   // 0 stays 0 (OS entropy); otherwise decorrelate the workers' blinding and
   // encryption randomness without touching the shared key.
@@ -141,49 +136,33 @@ Result<std::vector<uint8_t>> SmcMatchOracle::CompareBatch(
     if (metrics_ != nullptr) obs::Add(metrics_, "smc.pairs_quarantined");
   };
 
-  // Work units are fixed position ranges: one packed group (one packed
-  // exchange) when the packed path is on, kStealChunk scalar pairs
-  // otherwise. Units depend only on config + rule, so every thread count
-  // produces the same units — and both paths compute exact distances, so
-  // the labels match the scalar path bit for bit.
-  const size_t group_pairs =
-      static_cast<size_t>(workers_.front()->PackedGroupPairs());
-  const size_t unit_pairs = group_pairs >= 1 ? group_pairs : kStealChunk;
+  // Work units are fixed position ranges of unit_pairs() pairs: one packed
+  // group when the rule packs, one pair otherwise. Units depend only on
+  // config + rule, so every thread count produces the same units — and
+  // every unit computes exact distances, so the labels never depend on the
+  // unit size either.
+  const auto unit_pairs = static_cast<size_t>(workers_.front()->unit_pairs());
   const size_t num_units = (batch.size() + unit_pairs - 1) / unit_pairs;
   const size_t active =
       std::min(static_cast<size_t>(threads_), std::max<size_t>(1, num_units));
 
-  // Labels pairs [begin, end) on worker w. A fault-class failure
-  // quarantines and restarts the worker; the granularity is the whole group
-  // for packed (one packed exchange is indivisible) and one pair for scalar.
-  // No cached comparator pointer: a restart swaps the worker slot.
+  // Labels pairs [begin, end) — one unit — on worker w. A fault-class
+  // failure quarantines the whole unit (one exchange is indivisible) and
+  // restarts the worker. No cached comparator pointer: a restart swaps the
+  // worker slot.
   auto run_unit = [&](size_t w, size_t begin, size_t end) -> Status {
-    if (group_pairs >= 1) {
-      std::vector<RowPairRequest> group(batch.begin() + begin,
-                                        batch.begin() + end);
-      auto matches = workers_[w]->ComparePackedGroup(group);
-      if (matches.ok()) {
-        for (size_t i = begin; i < end; ++i) {
-          labels[i] = (*matches)[i - begin] ? kPairMatch : kPairNonMatch;
-        }
-        return Status::OK();
+    std::vector<RowPairRequest> unit(batch.begin() + begin,
+                                     batch.begin() + end);
+    auto matches = workers_[w]->CompareUnit(unit);
+    if (matches.ok()) {
+      for (size_t i = begin; i < end; ++i) {
+        labels[i] = (*matches)[i - begin] ? kPairMatch : kPairNonMatch;
       }
-      if (!IsFaultClass(matches.status())) return matches.status();
-      for (size_t i = begin; i < end; ++i) quarantine(i);
-      return RestartWorker(w);
+      return Status::OK();
     }
-    for (size_t i = begin; i < end; ++i) {
-      const RowPairRequest& req = batch[i];
-      auto m = workers_[w]->CompareRows(req.a_id, req.b_id, *req.a, *req.b);
-      if (m.ok()) {
-        labels[i] = *m ? kPairMatch : kPairNonMatch;
-        continue;
-      }
-      if (!IsFaultClass(m.status())) return m.status();
-      quarantine(i);
-      HPRL_RETURN_IF_ERROR(RestartWorker(w));  // next pair on a fresh stack
-    }
-    return Status::OK();
+    if (!IsFaultClass(matches.status())) return matches.status();
+    for (size_t i = begin; i < end; ++i) quarantine(i);
+    return RestartWorker(w);
   };
 
   // Work stealing over the units: an atomic cursor hands out the next unit,

@@ -22,8 +22,9 @@ namespace hprl::smc {
 /// CompareBatch is the only entry point (Compare and CompareRows are the
 /// MatchOracle one-pair batches). It distributes a batch of row pairs over
 /// the workers with one work-stealing loop (an atomic cursor over fixed
-/// position ranges: one packed group each when packing is on, a chunk of
-/// scalar pairs otherwise; one active worker drains inline), and each worker
+/// position ranges, one unit of the exchange each: a packed group when the
+/// rule packs, one pair otherwise; one active worker drains inline), and
+/// each worker
 /// writes the label of pair i into slot i of the shared result vector.
 /// Because results are position-addressed, the merged output is
 /// bit-identical for every thread count — determinism by construction, with
@@ -58,8 +59,8 @@ class SmcMatchOracle : public MatchOracle {
   ///
   /// Worker supervision: when a pair fails with a fault-class status
   /// (smc/fault.h IsFaultClass) — an injected crash, or a transient
-  /// transport fault that survived the protocol's retries — the pair, or
-  /// with packing its whole group, is quarantined (labeled
+  /// transport fault that survived the protocol's retries — the pair's
+  /// whole unit is quarantined (labeled
   /// kPairQuarantined, counted in pairs_quarantined()), the worker's
   /// comparator stack is rebuilt around the shared key pair
   /// (worker_restarts()), and the batch continues.

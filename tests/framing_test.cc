@@ -3,8 +3,9 @@
 // the owning DecodeFrame on every randomized message and on truncation at
 // every prefix length, the scatter-gather header must reproduce EncodeFrame's
 // bytes exactly, and pooled read buffers must recycle instead of reallocate.
-// Also the "pairb" body codec: round trips per role, truncation at every
-// length, and hostile counts refused before allocation.
+// Also the "pairb" and "cfg" body codecs: round trips, truncation at every
+// length, trailing bytes, hostile counts refused before allocation, and a
+// unit size its layout cannot hold.
 
 #include <gtest/gtest.h>
 
@@ -28,8 +29,7 @@ using net::DecodeFrameView;
 using net::EncodeFrame;
 using net::EncodeFrameHeader;
 using net::FrameSize;
-using net::OperandAttr;
-using net::OperandRole;
+using net::ConfigBody;
 using net::PairBatchBody;
 using net::RowEntry;
 using net::RowOp;
@@ -149,56 +149,30 @@ TEST(FrameViewTest, HeaderPlusPayloadEqualsEncodeFrame) {
 
 // ------------------------------------------------------- pairb body codec
 
-constexpr OperandRole kRoles[] = {OperandRole::kAlice, OperandRole::kBob,
-                                  OperandRole::kQp};
+crypto::BigInt Big(int64_t v) { return crypto::BigInt(v); }
 
-OperandAttr Attr(int64_t x, int64_t y, int64_t threshold) {
-  OperandAttr a;
-  a.x = crypto::BigInt(x);
-  a.y = crypto::BigInt(y);
-  a.threshold = crypto::BigInt(threshold);
-  return a;
-}
-
-/// What `role` receives of `attr`: the fields it does not get stay zero.
-OperandAttr Projected(const OperandAttr& attr, OperandRole role) {
-  OperandAttr out;
-  if (role == OperandRole::kAlice) out.x = attr.x;
-  if (role == OperandRole::kBob) out.y = attr.y;
-  if (role != OperandRole::kAlice) out.threshold = attr.threshold;
-  return out;
-}
-
-/// Upserts (negative, zero and multi-limb operands), forgets and pairs.
+/// Upserts (negative, zero and multi-limb encodings), forgets and pairs.
 PairBatchBody SampleBody() {
   PairBatchBody body;
   body.batch_id = 0x0102030405060708ull;
-  body.rows.push_back({0, 17, RowOp::kUpsert,
-                       {Attr(-42000, 0, 0), Attr(0, 0, 0)}});
+  body.rows.push_back({0, 17, RowOp::kUpsert, {Big(-42000), Big(0)}});
   body.rows.push_back({1, -1, RowOp::kForget, {}});
-  body.rows.push_back(
-      {1, int64_t{1} << 40, RowOp::kUpsert,
-       {Attr(0, -7, 99), Attr(0, int64_t{1} << 62, (int64_t{1} << 40) + 3)}});
+  body.rows.push_back({1, int64_t{1} << 40, RowOp::kUpsert,
+                       {Big(-7), Big(int64_t{1} << 62) * Big(99)}});
   body.rows.push_back({0, 5, RowOp::kUpsert, {}});
   body.pairs.push_back({0, 17, int64_t{1} << 40});
   body.pairs.push_back({~uint64_t{0}, -1, 0});
   return body;
 }
 
-void ExpectBodyFor(const PairBatchBody& got, const PairBatchBody& sent,
-                   OperandRole role) {
+void ExpectSameBody(const PairBatchBody& got, const PairBatchBody& sent) {
   EXPECT_EQ(got.batch_id, sent.batch_id);
   ASSERT_EQ(got.rows.size(), sent.rows.size());
   for (size_t i = 0; i < sent.rows.size(); ++i) {
     EXPECT_EQ(got.rows[i].side, sent.rows[i].side) << "row " << i;
     EXPECT_EQ(got.rows[i].row_id, sent.rows[i].row_id) << "row " << i;
     EXPECT_EQ(got.rows[i].op, sent.rows[i].op) << "row " << i;
-    ASSERT_EQ(got.rows[i].attrs.size(), sent.rows[i].attrs.size());
-    for (size_t a = 0; a < sent.rows[i].attrs.size(); ++a) {
-      EXPECT_TRUE(got.rows[i].attrs[a] ==
-                  Projected(sent.rows[i].attrs[a], role))
-          << "row " << i << " attr " << a;
-    }
+    EXPECT_EQ(got.rows[i].values, sent.rows[i].values) << "row " << i;
   }
   ASSERT_EQ(got.pairs.size(), sent.pairs.size());
   for (size_t i = 0; i < sent.pairs.size(); ++i) {
@@ -208,71 +182,64 @@ void ExpectBodyFor(const PairBatchBody& got, const PairBatchBody& sent,
   }
 }
 
-TEST(PairBatchBodyTest, RoundTripsForEveryRole) {
-  PairBatchBody empty;  // zero rows: every row already held
+TEST(PairBatchBodyTest, RoundTrips) {
+  PairBatchBody empty;  // zero rows: every row already held, or qp's frame
   empty.batch_id = 9;
   empty.pairs.push_back({3, 4, 5});
-  for (OperandRole role : kRoles) {
-    for (const PairBatchBody& sent : {SampleBody(), empty}) {
-      std::vector<uint8_t> wire;
-      net::AppendPairBatchBody(sent, role, &wire);
-      auto got = net::ParsePairBatchBody(wire, role);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ExpectBodyFor(*got, sent, role);
-    }
+  for (const PairBatchBody& sent : {SampleBody(), empty}) {
+    std::vector<uint8_t> wire;
+    net::AppendPairBatchBody(sent, &wire);
+    auto got = net::ParsePairBatchBody(wire);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectSameBody(*got, sent);
   }
 }
 
 TEST(PairBatchBodyTest, RejectsTruncationAtEveryLength) {
-  for (OperandRole role : kRoles) {
-    std::vector<uint8_t> wire;
-    net::AppendPairBatchBody(SampleBody(), role, &wire);
-    for (size_t n = 0; n < wire.size(); ++n) {
-      std::vector<uint8_t> cut(wire.begin(), wire.begin() + n);
-      EXPECT_FALSE(net::ParsePairBatchBody(cut, role).ok()) << "n=" << n;
-    }
-    std::vector<uint8_t> longer = wire;
-    longer.push_back(0);
-    EXPECT_FALSE(net::ParsePairBatchBody(longer, role).ok())
-        << "trailing byte accepted";
+  std::vector<uint8_t> wire;
+  net::AppendPairBatchBody(SampleBody(), &wire);
+  for (size_t n = 0; n < wire.size(); ++n) {
+    std::vector<uint8_t> cut(wire.begin(), wire.begin() + n);
+    EXPECT_FALSE(net::ParsePairBatchBody(cut).ok()) << "n=" << n;
   }
+  std::vector<uint8_t> longer = wire;
+  longer.push_back(0);
+  EXPECT_FALSE(net::ParsePairBatchBody(longer).ok())
+      << "trailing byte accepted";
 }
 
 // A hostile count must be refused by arithmetic on the bytes left, not by a
-// failed allocation: 2^32 - 1 rows, attributes or pairs in a few bytes.
+// failed allocation: 2^32 - 1 rows, values or pairs in a few bytes.
 TEST(PairBatchBodyTest, RejectsCountsLargerThanTheBodyBeforeAllocating) {
-  auto expect_refused = [](const std::vector<uint8_t>& wire,
-                           OperandRole role) {
-    auto got = net::ParsePairBatchBody(wire, role);
+  auto expect_refused = [](const std::vector<uint8_t>& wire) {
+    auto got = net::ParsePairBatchBody(wire);
     ASSERT_FALSE(got.ok());
     EXPECT_EQ(got.status().code(), StatusCode::kIOError);
     EXPECT_NE(got.status().message().find("declares"), std::string::npos)
         << got.status().ToString();
   };
-  for (OperandRole role : kRoles) {
-    std::vector<uint8_t> rows;
-    net::AppendU64(1, &rows);
-    net::AppendU32(0xFFFFFFFFu, &rows);  // row count
-    rows.resize(rows.size() + 64, 0);
-    expect_refused(rows, role);
+  std::vector<uint8_t> rows;
+  net::AppendU64(1, &rows);
+  net::AppendU32(0xFFFFFFFFu, &rows);  // row count
+  rows.resize(rows.size() + 64, 0);
+  expect_refused(rows);
 
-    std::vector<uint8_t> attrs;
-    net::AppendU64(1, &attrs);
-    net::AppendU32(1, &attrs);
-    net::AppendU8(1, &attrs);  // side
-    net::AppendI64(3, &attrs);
-    net::AppendU8(static_cast<uint8_t>(RowOp::kUpsert), &attrs);
-    net::AppendU32(0xFFFFFFFFu, &attrs);  // attribute count
-    attrs.resize(attrs.size() + 64, 0);
-    expect_refused(attrs, role);
+  std::vector<uint8_t> values;
+  net::AppendU64(1, &values);
+  net::AppendU32(1, &values);
+  net::AppendU8(1, &values);  // side
+  net::AppendI64(3, &values);
+  net::AppendU8(static_cast<uint8_t>(RowOp::kUpsert), &values);
+  net::AppendU32(0xFFFFFFFFu, &values);  // value count
+  values.resize(values.size() + 64, 0);
+  expect_refused(values);
 
-    std::vector<uint8_t> pairs;
-    net::AppendU64(1, &pairs);
-    net::AppendU32(0, &pairs);           // no rows
-    net::AppendU32(0xFFFFFFFFu, &pairs);  // pair count
-    pairs.resize(pairs.size() + 64, 0);
-    expect_refused(pairs, role);
-  }
+  std::vector<uint8_t> pairs;
+  net::AppendU64(1, &pairs);
+  net::AppendU32(0, &pairs);           // no rows
+  net::AppendU32(0xFFFFFFFFu, &pairs);  // pair count
+  pairs.resize(pairs.size() + 64, 0);
+  expect_refused(pairs);
 }
 
 TEST(PairBatchBodyTest, RejectsUnknownSideAndOp) {
@@ -285,11 +252,98 @@ TEST(PairBatchBodyTest, RejectsUnknownSideAndOp) {
     net::AppendU8(side, &wire);
     net::AppendI64(3, &wire);
     net::AppendU8(op, &wire);
-    net::AppendU32(0, &wire);  // would be the attribute or pair count
+    net::AppendU32(0, &wire);  // would be the value or pair count
     net::AppendU32(0, &wire);
-    EXPECT_FALSE(net::ParsePairBatchBody(wire, OperandRole::kBob).ok())
+    EXPECT_FALSE(net::ParsePairBatchBody(wire).ok())
         << "side " << int{side} << " op " << int{op};
   }
+}
+
+// --------------------------------------------------------- cfg body codec
+
+/// A packed session: 2 attributes, 3 pairs per unit in the 6 slots a
+/// 256-bit key holds at 40 bits; negative and multi-limb thresholds.
+ConfigBody SampleConfig() {
+  ConfigBody body;
+  body.key_bits = 256;
+  body.fp_scale = 1000;
+  body.blind_bits = 40;
+  body.flags = net::kCfgFlagRevealDistances;
+  body.test_seed = 0x0A0B0C0D0E0F1011ull;
+  body.pool_depth = 64;
+  body.emulated_latency_micros = 7;
+  body.material_dir = "cache/material";
+  body.pack_pairs = 3;
+  body.slot_bits = 40;
+  body.thresholds = {Big(0), Big(int64_t{1} << 62) * Big(-5)};
+  return body;
+}
+
+void ExpectSameConfig(const ConfigBody& got, const ConfigBody& sent) {
+  EXPECT_EQ(got.key_bits, sent.key_bits);
+  EXPECT_EQ(got.fp_scale, sent.fp_scale);
+  EXPECT_EQ(got.blind_bits, sent.blind_bits);
+  EXPECT_EQ(got.flags, sent.flags);
+  EXPECT_EQ(got.test_seed, sent.test_seed);
+  EXPECT_EQ(got.pool_depth, sent.pool_depth);
+  EXPECT_EQ(got.emulated_latency_micros, sent.emulated_latency_micros);
+  EXPECT_EQ(got.material_dir, sent.material_dir);
+  EXPECT_EQ(got.pack_pairs, sent.pack_pairs);
+  EXPECT_EQ(got.slot_bits, sent.slot_bits);
+  EXPECT_EQ(got.thresholds, sent.thresholds);
+}
+
+TEST(ConfigBodyTest, RoundTrips) {
+  ConfigBody scalar = SampleConfig();  // scalar units: any width goes
+  scalar.pack_pairs = 0;
+  scalar.flags = 0;
+  scalar.thresholds.push_back(Big(3));
+  for (const ConfigBody& sent : {SampleConfig(), scalar}) {
+    std::vector<uint8_t> wire;
+    net::AppendConfigBody(sent, &wire);
+    auto got = net::ParseConfigBody(wire);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectSameConfig(*got, sent);
+  }
+}
+
+TEST(ConfigBodyTest, RejectsTruncationAtEveryLengthAndTrailingBytes) {
+  std::vector<uint8_t> wire;
+  net::AppendConfigBody(SampleConfig(), &wire);
+  for (size_t n = 0; n < wire.size(); ++n) {
+    std::vector<uint8_t> cut(wire.begin(), wire.begin() + n);
+    EXPECT_FALSE(net::ParseConfigBody(cut).ok()) << "n=" << n;
+  }
+  std::vector<uint8_t> longer = wire;
+  longer.push_back(0);
+  EXPECT_FALSE(net::ParseConfigBody(longer).ok()) << "trailing byte accepted";
+}
+
+// Every daemon splits a frame into units of the cfg's size, so a size its
+// layout cannot hold — more pairs than slots per attribute, or a packed
+// unit with distances hidden or no slot layout at all — is refused.
+TEST(ConfigBodyTest, RejectsAUnitLargerThanTheLayoutHolds) {
+  auto refused = [](const ConfigBody& body) {
+    std::vector<uint8_t> wire;
+    net::AppendConfigBody(body, &wire);
+    auto got = net::ParseConfigBody(wire);
+    return !got.ok() && got.status().code() == StatusCode::kInvalidArgument;
+  };
+  ConfigBody body = SampleConfig();
+  body.pack_pairs = 4;  // 8 slots wanted, 6 held
+  EXPECT_TRUE(refused(body));
+  body = SampleConfig();
+  body.slot_bits = 64;  // 3 slots: not even 2 pairs
+  EXPECT_TRUE(refused(body));
+  body = SampleConfig();
+  body.flags = 0;  // blinded: the packed plaintext would be the distances
+  EXPECT_TRUE(refused(body));
+  body = SampleConfig();
+  body.slot_bits = 4;  // no layout
+  EXPECT_TRUE(refused(body));
+  body = SampleConfig();
+  body.thresholds.clear();
+  EXPECT_TRUE(refused(body));
 }
 
 // ------------------------------------------------------------ BufferPool
