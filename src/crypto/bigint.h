@@ -57,7 +57,6 @@ class BigInt {
   size_t BitLength() const { return mpz_sizeinbase(z_, 2); }
   int Sign() const { return mpz_sgn(z_); }
   bool IsZero() const { return mpz_sgn(z_) == 0; }
-  bool IsOdd() const { return mpz_odd_p(z_) != 0; }
 
   // Arithmetic (value semantics).
   friend BigInt operator+(const BigInt& a, const BigInt& b) {

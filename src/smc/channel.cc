@@ -89,12 +89,6 @@ Result<Message> MessageBus::Expect(const std::string& to,
 
 void MessageBus::PurgeAll() { inboxes_.clear(); }
 
-void MessageBus::ResetStats() {
-  links_.clear();
-  total_bytes_ = 0;
-  total_messages_ = 0;
-}
-
 void AppendBigInt(const crypto::BigInt& x, std::vector<uint8_t>* out) {
   // Export the limbs straight into the destination: same bytes as the old
   // ToBytes() hop (big-endian magnitude, zero encodes as length 0) without

@@ -83,8 +83,6 @@ class MessageBus {
   int64_t total_bytes() const { return total_bytes_; }
   int64_t total_messages() const { return total_messages_; }
 
-  void ResetStats();
-
   /// Streams smc.bytes_sent / smc.messages into `registry` on every Send
   /// (nullptr detaches). The per-link LinkStats accounting is unaffected.
   virtual void AttachMetrics(obs::MetricsRegistry* registry);
