@@ -104,6 +104,12 @@ int main(int argc, char** argv) {
     auto time_stage = [&](smc::SmcMatchOracle& engine, int pool_depth,
                           double* best_seconds, StageCounts* counts) {
       const smc::SmcCosts before = engine.costs();
+      // Randomizer draws (pool hits + misses): exactly the stage's
+      // smc::RandomizerDraws, so a change in the offline sizing's arithmetic
+      // shows here too. Only the pooled stages draw.
+      const crypto::RandomizerPool* pool = engine.randomizer_pool();
+      auto draws = [pool] { return pool->hits() + pool->misses(); };
+      const int64_t draws_before = pool != nullptr ? draws() : 0;
       auto run_once = [&] {
         // The pool fill models idle-time precomputation: excluded from the
         // measured stage, like key generation.
@@ -124,6 +130,9 @@ int main(int argc, char** argv) {
                  {"homomorphic_adds",
                   after.homomorphic_adds - before.homomorphic_adds},
                  {"scalar_muls", after.scalar_muls - before.scalar_muls}};
+      if (pool != nullptr) {
+        counts->push_back({"randomizer_draws", draws() - draws_before});
+      }
       for (int rep = 1; rep < 5; ++rep) run_once();
       return labels;
     };

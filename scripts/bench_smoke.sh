@@ -7,7 +7,8 @@
 #   - SMC stage: batched engine (threads + randomizer pool) vs the
 #     serial reference engine (1 worker, no pool), on the timing-table
 #     workload, plus the exact crypto operation counts of one batch in the
-#     serial, fast and packed stages
+#     serial, fast and packed stages, and the pooled stages' exact
+#     randomizer draws (pool hits + misses)
 #   (each timed speedup, these three, packed SMC and blocking, is the median
 #   of five runs' ratios)
 #   - packed SMC: several pairs per ciphertext vs the same fast engine
@@ -30,8 +31,8 @@
 #       below 80% of its committed value, if the async-datapath overhead
 #       ratio exceeds 2x, if a packed pair costs more than 9 GMP
 #       allocations, or if a pipelined-rpc count or an SMC stage's crypto
-#       operation count differs from its committed value; the committed
-#       file is not rewritten
+#       operation or randomizer draw count differs from its committed
+#       value; the committed file is not rewritten
 #
 # Both modes fail when an rpc_batch 1 run's ctl round trips differ from its
 # SMC pair count, either rpc_batch run retried a pair, or the five
@@ -153,7 +154,8 @@ serial_reps = stage_seconds("smc_stage_serial_reference")
 fast_reps = stage_seconds("smc_stage_fast")
 packed_reps = stage_seconds("smc_stage_packed")
 # Crypto work of one CompareBatch per stage (encryptions, decryptions,
-# homomorphic adds, scalar muls): exact counts, identical in every run.
+# homomorphic adds, scalar muls, and for the pooled stages randomizer draws):
+# exact counts, identical in every run.
 count_failures = []
 
 def stage_counts(label):
@@ -351,9 +353,10 @@ if check:
                             f"committed {want}")
         else:
             print(f"check OK pipelined_rpc.{key}: {measured} (exact)")
-    # Exact crypto work per SMC stage batch. The timed smc_stage and
-    # packed_smc ratios above stay; these counts see a change in the work
-    # itself, which a ratio's run-to-run noise can hide.
+    # Exact crypto work per SMC stage batch, randomizer draws included (the
+    # offline phase's sizing, smc::RandomizerDraws, is this count). The
+    # timed smc_stage and packed_smc ratios above stay; these counts see a
+    # change in the work itself, which a ratio's run-to-run noise can hide.
     for block, key in (("smc_stage", "serial_counts"),
                        ("smc_stage", "fast_counts"),
                        ("packed_smc", "packed_counts")):

@@ -110,7 +110,9 @@ struct LinkageSpec {
   /// spec file's directory. Empty disables the store.
   std::string material_dir;
   /// Offline phase sizing in expected record pairs
-  /// (smc::SmcConfig::offline_pairs); 0 sizes by the pool depth.
+  /// (smc::SmcConfig::offline_pairs): the holders prewarm exactly the
+  /// randomizers that many pairs draw (smc::RandomizerDraws), with or
+  /// without a material store; 0 prewarms nothing.
   int offline_pairs = 0;
 
   /// TCP transport: pairs per kPairBatch frame

@@ -1,7 +1,11 @@
 #include "crypto/paillier.h"
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -348,6 +352,7 @@ Result<int> RandomizerPool::Prewarm(int count, int threads) {
   {
     std::lock_guard<std::mutex> lk(mu_);
     need = count - static_cast<int>(ready_.size());
+    if (need <= 0) target_ = std::max(target_, count);
   }
   if (need <= 0) return 0;
 
@@ -385,9 +390,11 @@ Result<int> RandomizerPool::Prewarm(int count, int threads) {
   // reported rather than papered over. In-range exponents never fail.
   if (failed) return Status::Internal("prewarm exponentiation failed");
 
-  // 3. Into the pool in draw order.
+  // 3. Into the pool in draw order. Only now does the target rise: a filler
+  //    already running must not race this call toward the same level.
   std::lock_guard<std::mutex> lk(mu_);
   for (BigInt& rn : values) ready_.push_back(std::move(rn));
+  target_ = std::max(target_, count);
   if (depth_gauge_ != nullptr) {
     depth_gauge_->Set(static_cast<double>(ready_.size()));
   }
@@ -418,6 +425,7 @@ Status RandomizerPool::AdoptMaterial(const CryptoMaterial& m) {
   }
   for (const BigInt& r : m.randomizers) ready_.push_back(r);
   adopted_ += static_cast<int64_t>(m.randomizers.size());
+  target_ = std::max(target_, static_cast<int>(ready_.size()));
   if (depth_gauge_ != nullptr) {
     depth_gauge_->Set(static_cast<double>(ready_.size()));
   }
@@ -468,11 +476,29 @@ void RandomizerPool::PublishHitRate() {
 }
 
 void RandomizerPool::FillLoop() {
+  // Refill only on cores nothing else wants: the encryptors, and every other
+  // thread of the process, always run first. Best effort — lowering one's
+  // own priority needs no privilege, and a refused request only costs the
+  // filler its politeness.
+  sched_param idle{};
+  (void)pthread_setschedparam(pthread_self(), SCHED_IDLE, &idle);
+  // An idle core still shares the host's memory and, on a VM, its physical
+  // CPUs with the encryptors, so the filler also refills behind a burst of
+  // takes rather than during it: after a take it waits until the pool has
+  // gone kQuietPeriod without one.
+  constexpr auto kQuietPeriod = std::chrono::milliseconds(1);
   std::unique_lock<std::mutex> lk(mu_);
+  int64_t seen_takes = hits_ + misses_;
   while (true) {
     need_fill_.wait(lk, [this] {
       return stop_ || static_cast<int>(ready_.size()) < target_;
     });
+    while (!stop_ && hits_ + misses_ != seen_takes) {
+      seen_takes = hits_ + misses_;
+      need_fill_.wait_for(lk, kQuietPeriod, [&] {
+        return stop_ || hits_ + misses_ != seen_takes;
+      });
+    }
     if (stop_) return;
     lk.unlock();
     BigInt rn = ComputeOne();

@@ -182,9 +182,14 @@ Result<PaillierKeyPair> GeneratePaillierKeyPair(int modulus_bits,
 
 /// Pool of precomputed Paillier randomizers r^n mod n² — the expensive
 /// full-width exponentiation of every encryption. A background filler thread
-/// keeps `target_depth` values ready so Encrypt / Rerandomize only pay a
+/// keeps the pool at its fill target so Encrypt / Rerandomize only pay a
 /// queue pop on the latency path; when the pool runs dry the caller computes
-/// inline (correctness never depends on the filler keeping up).
+/// inline (correctness never depends on the filler keeping up). The target
+/// starts at `target_depth` and rises to the level the offline phase leaves
+/// (Prewarm, AdoptMaterial). The filler runs at SCHED_IDLE priority, so it
+/// refills only on otherwise idle cores, and it refills behind a burst of
+/// takes rather than during it (once the pool has gone a millisecond
+/// without one), so it never competes with the encryptors.
 ///
 /// The pool generates randomizers through a fixed-base windowed table
 /// (built once per keypair, shared by every comparator worker that encrypts
@@ -215,16 +220,15 @@ class RandomizerPool {
   /// Stops and joins the filler (idempotent; also run by the destructor).
   void Stop();
 
-  /// Synchronously computes up to `count` values (clamped to the target
-  /// depth) — benches use this to take the fill off the measured path the
+  /// Synchronously computes up to `count` values (clamped to the fill
+  /// target) — benches use this to take the fill off the measured path the
   /// way a deployment's idle periods would.
   void Prefill(int count);
 
   /// The dedicated offline phase: synchronously fills the pool to at least
-  /// `count` ready values, PAST the fill target when asked (the background
-  /// filler never tops past the target, so prewarmed surplus is consumed
-  /// before any new randomizer is generated). Returns how many values this
-  /// call generated.
+  /// `count` ready values and raises the fill target to `count`, so the
+  /// filler later restores that level, and never goes past it. Returns how
+  /// many values this call generated.
   ///
   /// The short exponents are drawn serially from the pool's RNG, in the
   /// order one-at-a-time generation draws them; only the fixed-base
@@ -237,8 +241,8 @@ class RandomizerPool {
 
   /// Installs persisted offline material (crypto/material.h): deserializes
   /// the fixed-base table against this pool's modulus and enqueues every
-  /// stored randomizer. Must run before Start. Loaded values land above the
-  /// fill target, so the pool runs consume-only until they are spent.
+  /// stored randomizer. Must run before Start. The fill target rises to the
+  /// resulting depth, so the filler restores the adopted level.
   /// Structural problems return InvalidArgument and leave the pool exactly
   /// as constructed — the caller treats that as a cache miss.
   Status AdoptMaterial(const CryptoMaterial& m);
@@ -270,9 +274,10 @@ class RandomizerPool {
 
   const BigInt n_;
   const BigInt n2_;
-  const int target_;
 
-  mutable std::mutex mu_;  // guards ready_, hits_, misses_, stop_, metric ptrs
+  mutable std::mutex mu_;  // guards target_, ready_, hits_, misses_, stop_,
+                           // metric ptrs
+  int target_;             // the filler's fill level
   std::condition_variable need_fill_;
   std::deque<BigInt> ready_;
   int64_t hits_ = 0;

@@ -60,23 +60,23 @@ std::vector<std::string> Split(const std::string& text, char sep) {
   return parts;
 }
 
-/// `count` kernel-assigned ports, all held open while being read so the
-/// same port cannot be handed out twice. The daemons rebind them right
-/// after (SO_REUSEADDR makes the close-then-bind handoff safe).
-Result<std::vector<uint16_t>> ProbeFreePorts(int count) {
-  std::vector<uint16_t> ports;
-  std::vector<Fd> holds;
-  ports.reserve(static_cast<size_t>(count));
-  holds.reserve(static_cast<size_t>(count));
+/// `count` listeners on kernel-assigned ports. Each stays open until its
+/// daemon inherits it (hprl_party --listen_fd), so no other socket can take
+/// a port between the probe and the daemon's start. Close-on-exec, so a
+/// child inherits only the one listener it is handed.
+Result<std::vector<Fd>> ListenOnFreePorts(int count) {
+  std::vector<Fd> listeners;
+  listeners.reserve(static_cast<size_t>(count));
   for (int i = 0; i < count; ++i) {
     auto listener = TcpListen(0);
     if (!listener.ok()) return listener.status();
-    auto port = LocalPort(*listener);
-    if (!port.ok()) return port.status();
-    ports.push_back(*port);
-    holds.push_back(std::move(*listener));
+    if (::fcntl(listener->get(), F_SETFD, FD_CLOEXEC) != 0) {
+      return Status::IOError(std::string("fcntl(FD_CLOEXEC): ") +
+                             std::strerror(errno));
+    }
+    listeners.push_back(std::move(*listener));
   }
-  return ports;
+  return listeners;
 }
 
 }  // namespace
@@ -113,8 +113,11 @@ struct SmcBackend::Daemons {
 
   ~Daemons() { Terminate(); }
 
+  /// `listeners` holds each daemon's listening socket in shard-major
+  /// alice, bob, qp order; each child keeps its own open across exec.
   Status Spawn(const BackendOptions& opts,
-               const std::vector<MeshEndpoints>& shards) {
+               const std::vector<MeshEndpoints>& shards,
+               const std::vector<Fd>& listeners) {
     static const char* kRoles[3] = {"alice", "bob", "qp"};
     for (size_t shard = 0; shard < shards.size(); ++shard) {
       const MeshEndpoints& mesh = shards[shard];
@@ -125,6 +128,7 @@ struct SmcBackend::Daemons {
                            unsigned{addrs[i]->port});
       }
       for (int i = 0; i < 3; ++i) {
+        const int listen_fd = listeners[3 * shard + i].get();
         std::vector<std::string> args = {
             opts.party_binary, "--role",
             kRoles[i],         "--alice",
@@ -133,7 +137,8 @@ struct SmcBackend::Daemons {
             eps[2],            "--connect_timeout_ms",
             StrFormat("%d", opts.connect_timeout_ms),
             "--receive_timeout_ms",
-            StrFormat("%d", opts.receive_timeout_ms)};
+            StrFormat("%d", opts.receive_timeout_ms),
+            "--listen_fd",     StrFormat("%d", listen_fd)};
         if (shards.size() > 1) {
           args.push_back("--shard");
           args.push_back(StrFormat("%zu", shard));
@@ -156,6 +161,7 @@ struct SmcBackend::Daemons {
             ::dup2(devnull, STDOUT_FILENO);
             ::close(devnull);
           }
+          ::fcntl(listen_fd, F_SETFD, 0);  // this daemon's listener only
           ::execvp(argv[0], argv.data());
           std::fprintf(stderr, "hprl: cannot exec %s: %s\n",
                        opts.party_binary.c_str(), std::strerror(errno));
@@ -270,25 +276,29 @@ Status SmcBackend::Init() {
 
   if (shard_endpoints_.empty()) {
     // Spawn mode: one complete loopback mesh per shard.
-    auto ports = ProbeFreePorts(3 * opts_.shards);
-    if (!ports.ok()) return ports.status();
+    auto listeners = ListenOnFreePorts(3 * opts_.shards);
+    if (!listeners.ok()) return listeners.status();
     static const char* kNames[3] = {"alice", "bob", "qp"};
     parties_desc_.clear();
     for (int s = 0; s < opts_.shards; ++s) {
       MeshEndpoints mesh;
       PeerAddress* slots[3] = {&mesh.alice, &mesh.bob, &mesh.qp};
       for (int i = 0; i < 3; ++i) {
-        const uint16_t port = (*ports)[static_cast<size_t>(3 * s + i)];
-        *slots[i] = {kNames[i], "127.0.0.1", port};
+        auto port = LocalPort((*listeners)[static_cast<size_t>(3 * s + i)]);
+        if (!port.ok()) return port.status();
+        *slots[i] = {kNames[i], "127.0.0.1", *port};
         parties_desc_ += StrFormat("%s127.0.0.1:%u", i == 0 ? "" : ",",
-                                   unsigned{port});
+                                   unsigned{*port});
       }
       if (s + 1 < opts_.shards) parties_desc_ += ";";
       shard_endpoints_.push_back(std::move(mesh));
     }
     parties_desc_ += " (spawned)";
     daemons_ = std::make_unique<Daemons>();
-    HPRL_RETURN_IF_ERROR(daemons_->Spawn(opts_, shard_endpoints_));
+    // The coordinator's copies of the listeners close as `listeners` goes
+    // out of scope; each daemon holds its own.
+    HPRL_RETURN_IF_ERROR(
+        daemons_->Spawn(opts_, shard_endpoints_, *listeners));
   }
 
   RemoteOracleOptions ropts;

@@ -491,9 +491,9 @@ Status PartyService::HandleRecvKey() {
   HPRL_RETURN_IF_ERROR(holder_->ReceiveKey(bus_.get()));
   if (opts_.metrics != nullptr) holder_->AttachMetrics(opts_.metrics);
   if (pool_depth_ > 0) {
-    // Pre-warm during the rest of the coordinator's setup: the pool's
-    // background thread starts filling now, so the first pairs draw
-    // precomputed randomizers instead of paying full exponentiations.
+    // The pool's filler starts after kWarmup's offline phase, as in
+    // SmcMatchOracle::Init, so the prewarmed randomizers — and the material
+    // persisted from them — never depend on how far the filler got first.
     uint64_t salt =
         opts_.role == opts_.endpoints.alice.name ? kAliceSalt : kBobSalt;
     pool_ = std::make_unique<crypto::RandomizerPool>(
@@ -520,7 +520,6 @@ Status PartyService::HandleRecvKey() {
         material_dirty_ = true;
       }
     }
-    pool_->Start();
     if (opts_.metrics != nullptr) pool_->AttachMetrics(opts_.metrics);
     holder_->AttachRandomizerPool(pool_.get());
   }
@@ -540,6 +539,7 @@ Status PartyService::HandleWarmup(uint32_t randomizers, int64_t* generated) {
   *generated = *prewarmed;
   if (*generated > 0) material_dirty_ = true;
   PersistMaterial();
+  pool_->Start();
   return Status::OK();
 }
 

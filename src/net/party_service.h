@@ -174,8 +174,9 @@ class PartyService {
   Status HandleKeygen();
   Status HandleRecvKey();
   /// Dedicated offline phase: top the randomizer pool up to `randomizers`
-  /// entries on every core and persist the result. No-op on qp, whose
-  /// offline work is keygen itself.
+  /// entries (this role's smc::RandomizerDraws) on every core, persist the
+  /// result, then start the pool's filler, which holds that level. No-op on
+  /// qp, whose offline work is keygen itself.
   Status HandleWarmup(uint32_t randomizers, int64_t* generated);
   /// Runs this role's step (smc/parties.h) on the unit of pairs
   /// [begin, end); fills the unit's labels on qp. Only HandlePairBatch

@@ -185,8 +185,8 @@ std::vector<uint8_t> RemoteSmcOracle::BuildConfigPayload() const {
   body.blind_bits = static_cast<uint32_t>(opts_.config.blind_bits);
   if (opts_.config.reveal_distances) body.flags |= kCfgFlagRevealDistances;
   body.test_seed = opts_.config.test_seed;
-  // Holder daemons start filling their randomizer pools the moment the key
-  // arrives, so the pool pre-warms during the rest of this handshake.
+  // Holder daemons build their randomizer pools when the key arrives and
+  // start the filler once kWarmup's offline phase is done.
   body.pool_depth =
       static_cast<uint32_t>(std::max(0, opts_.config.randomizer_pool_depth));
   body.emulated_latency_micros = opts_.emulated_latency_micros;
@@ -262,30 +262,29 @@ Status RemoteSmcOracle::SetupShards(const std::vector<int>& shard_ids) {
     }
   }
 
-  // Dedicated offline phase: with a cold material store the holders
-  // generate their randomizer budget now — before the first pair, off the
-  // online critical path — and persist it for the next run. With a warm
-  // store the daemons adopted the material during recvkey and this returns
-  // almost immediately. Generation scales with offline_pairs, so the
+  // Dedicated offline phase, before the first pair and off the online
+  // critical path: each holder prewarms exactly the randomizers its role
+  // draws for offline_pairs pairs (smc::RandomizerDraws), less what it
+  // adopted from its material store during recvkey, persists them, and only
+  // then starts its pool's filler. With offline_pairs 0 the verb only
+  // starts the filler. Generation scales with offline_pairs, so the
   // deadline is as generous as keygen's.
-  if (opts_.config.offline_pairs > 0 && !opts_.config.material_dir.empty()) {
-    const auto randomizers =
-        static_cast<uint32_t>(smc::OfflineRandomizerBudget(
-            opts_.config.offline_pairs, opts_.rule.attrs.size()));
-    std::vector<uint8_t> warm;
-    AppendU32(randomizers, &warm);
-    for (int s : shard_ids) {
-      SendCtl(s, shards_[s].alice.name, CtlVerb::kWarmup, warm);
-      SendCtl(s, shards_[s].bob.name, CtlVerb::kWarmup, warm);
-    }
-    for (int s : shard_ids) {
-      std::map<std::string, CtlResponse> acks;
-      HPRL_RETURN_IF_ERROR(CollectReplies(
-          s, CtlVerb::kWarmup, 0,
-          {shards_[s].alice.name, shards_[s].bob.name}, 120000, &acks));
-      for (const auto& [role, reply] : acks) {
-        HPRL_RETURN_IF_ERROR(ReplyStatus(reply));
-      }
+  const smc::RoleDraws draws = smc::RandomizerDraws(
+      opts_.config, operands_, opts_.config.offline_pairs);
+  std::vector<uint8_t> warm_alice, warm_bob;
+  AppendU32(static_cast<uint32_t>(draws.alice), &warm_alice);
+  AppendU32(static_cast<uint32_t>(draws.bob), &warm_bob);
+  for (int s : shard_ids) {
+    SendCtl(s, shards_[s].alice.name, CtlVerb::kWarmup, warm_alice);
+    SendCtl(s, shards_[s].bob.name, CtlVerb::kWarmup, warm_bob);
+  }
+  for (int s : shard_ids) {
+    std::map<std::string, CtlResponse> acks;
+    HPRL_RETURN_IF_ERROR(CollectReplies(
+        s, CtlVerb::kWarmup, 0, {shards_[s].alice.name, shards_[s].bob.name},
+        120000, &acks));
+    for (const auto& [role, reply] : acks) {
+      HPRL_RETURN_IF_ERROR(ReplyStatus(reply));
     }
   }
   return Status::OK();

@@ -30,10 +30,6 @@ std::unique_ptr<MessageBus> MakeBus(const FaultPlan& plan) {
 
 }  // namespace
 
-int OfflineRandomizerBudget(int offline_pairs, size_t attrs) {
-  return offline_pairs * 3 * static_cast<int>(std::max<size_t>(1, attrs));
-}
-
 int PackedGroupPairs(const SmcConfig& config, const RuleOperands& operands) {
   if (config.pack_pairs <= 0 || !config.reveal_distances) return 0;
   if (operands.size() == 0 || operands.has_text()) return 0;
@@ -44,6 +40,17 @@ int PackedGroupPairs(const SmcConfig& config, const RuleOperands& operands) {
   const int per_plaintext =
       layout->num_slots / static_cast<int>(operands.size());
   return std::min(config.pack_pairs, per_plaintext);
+}
+
+RoleDraws RandomizerDraws(const SmcConfig& config,
+                          const RuleOperands& operands, int64_t pairs) {
+  const auto k = static_cast<int64_t>(operands.size());
+  const int64_t group = PackedGroupPairs(config, operands);
+  if (group > 0) {
+    const int64_t units = (pairs + group - 1) / group;
+    return {pairs * k + units, units};
+  }
+  return {2 * k * pairs, (config.reveal_distances ? 1 : 2) * k * pairs};
 }
 
 SecureRecordComparator::SecureRecordComparator(SmcConfig config,

@@ -86,18 +86,15 @@ struct SmcConfig {
   /// a pinned test_seed (production keys never repeat).
   std::string material_dir;
 
-  /// Record pairs the dedicated offline phase provisions randomizers for
-  /// (OfflineRandomizerBudget: 3 per pair per attribute). SmcMatchOracle
-  /// prewarms them on its smc_threads workers, and each TCP data holder on
-  /// all of its cores; either way the material bytes do not depend on the
-  /// thread count. 0 keeps the background filler as the only producer.
+  /// Record pairs the dedicated offline phase provisions randomizers for:
+  /// exactly the draws of that many pairs (RandomizerDraws). SmcMatchOracle
+  /// prewarms them on its smc_threads workers, and each TCP data holder its
+  /// own role's count on all of its cores; either way the material bytes do
+  /// not depend on the thread count, and the pool's idle-priority filler
+  /// then holds that level. 0 keeps the background filler as the only
+  /// producer.
   int offline_pairs = 0;
 };
-
-/// Randomizers the dedicated offline phase prewarms for `offline_pairs`
-/// record pairs over `attrs` attributes (at least one): the scalar
-/// exchange's draw count, 3 encryptions per pair per attribute.
-int OfflineRandomizerBudget(int offline_pairs, size_t attrs);
 
 /// Pairs one packed unit of the exchange carries under `config` and the
 /// rule behind `operands`: min(pack_pairs, slots per plaintext / compared
@@ -108,6 +105,28 @@ int OfflineRandomizerBudget(int offline_pairs, size_t attrs);
 /// A function of public plan-time values only, so the in-process oracle,
 /// the TCP coordinator and every daemon derive the same units.
 int PackedGroupPairs(const SmcConfig& config, const RuleOperands& operands);
+
+/// Randomizers each data holder draws from its pool, one per Paillier
+/// encryption.
+struct RoleDraws {
+  int64_t alice = 0;
+  int64_t bob = 0;
+  int64_t total() const { return alice + bob; }
+};
+
+/// The exact draws of `pairs` record pairs cut into whole units under
+/// `config` and the rule behind `operands`. With g = PackedGroupPairs and k
+/// = operands.size():
+///   - packed units: alice pairs·k + ⌈pairs/g⌉ (one cross term per slot
+///     plus Enc(Σx²W) per unit), bob ⌈pairs/g⌉ (Enc(Σy²W) per unit);
+///   - scalar units revealing distances: alice 2k per pair (Enc(x²),
+///     Enc(-2x)), bob k (Enc(y²));
+///   - blinded units: alice 2k per pair, bob 2k (Enc(y²) and the blinding
+///     ciphertext).
+/// A batch of n pairs is ⌈n/g⌉ units, so this is exact per batch; the
+/// offline phase prewarms it for SmcConfig::offline_pairs.
+RoleDraws RandomizerDraws(const SmcConfig& config,
+                          const RuleOperands& operands, int64_t pairs);
 
 /// Drives the paper's §V-A secure record comparison among the three party
 /// objects (smc/parties.h: data holders "alice" and "bob", querying party

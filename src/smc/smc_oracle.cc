@@ -36,37 +36,38 @@ Status SmcMatchOracle::Init() {
     pool_ = std::make_unique<crypto::RandomizerPool>(
         keypair_.pub, config_.randomizer_pool_depth,
         WorkerSeed(config_.test_seed, 0xF11));
-    // Offline phase against the persistent material store: adopt persisted
-    // tables + randomizers when a verified file exists for this keypair,
-    // otherwise prewarm offline_pairs' worth and save it for the next run.
-    // All of this happens before Start so the background filler never races
-    // the adoption, and before any worker exists so no online op can
-    // interleave.
+    // Offline phase, before Start so the background filler never races it
+    // and before any worker exists so no online op can interleave: adopt
+    // persisted material when the store holds a verified file for this
+    // keypair, then prewarm whatever offline_pairs record pairs draw beyond
+    // it (RandomizerDraws; both holders share this pool) and save the
+    // result for the next run. The filler then holds that level.
+    const uint32_t slot = static_cast<uint32_t>(
+        config_.pack_pairs > 0 ? config_.pack_slot_bits : 0);
     if (!config_.material_dir.empty()) {
       material_store_ =
           std::make_unique<crypto::MaterialStore>(config_.material_dir);
-      const uint32_t slot = static_cast<uint32_t>(
-          config_.pack_pairs > 0 ? config_.pack_slot_bits : 0);
       // Keyed by the ACTUAL modulus bit length, matching ExportMaterial —
       // n = p·q can come up one bit short of config key_bits.
       auto loaded = material_store_->Load(
           crypto::KeyFingerprint(keypair_.pub.n()),
           static_cast<uint32_t>(keypair_.pub.n().BitLength()), slot);
-      if (loaded.ok() && pool_->AdoptMaterial(*loaded).ok()) {
-        material_warm_ = true;
-      } else {
-        const int want =
-            config_.offline_pairs > 0
-                ? OfflineRandomizerBudget(config_.offline_pairs,
-                                          rule_.attrs.size())
-                : config_.randomizer_pool_depth;
-        auto generated = pool_->Prewarm(want, threads_);
-        if (!generated.ok()) return generated.status();
-        offline_generated_ = *generated;
-        // Best-effort: a read-only store degrades to always-cold, never to
-        // a failed run.
-        (void)material_store_->Save(pool_->ExportMaterial(slot));
-      }
+      material_warm_ = loaded.ok() && pool_->AdoptMaterial(*loaded).ok();
+    }
+    if (config_.offline_pairs > 0) {
+      const RoleDraws draws =
+          RandomizerDraws(config_, RuleOperands(rule_, config_.fp_scale),
+                          config_.offline_pairs);
+      auto generated =
+          pool_->Prewarm(static_cast<int>(draws.total()), threads_);
+      if (!generated.ok()) return generated.status();
+      offline_generated_ = *generated;
+    }
+    if (material_store_ != nullptr &&
+        (!material_warm_ || offline_generated_ > 0)) {
+      // Best-effort: a read-only store degrades to always-cold, never to a
+      // failed run.
+      (void)material_store_->Save(pool_->ExportMaterial(slot));
     }
     pool_->Start();
   }

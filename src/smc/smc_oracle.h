@@ -46,12 +46,14 @@ class SmcMatchOracle : public MatchOracle {
   /// Generates the shared key pair, spins up the randomizer pool (when
   /// SmcConfig::randomizer_pool_depth > 0) and initializes the workers.
   ///
-  /// With SmcConfig::material_dir set this also runs the offline phase:
-  /// persisted material for the keypair's fingerprint is loaded into the
-  /// pool (warm run — the pool starts consume-only), or, on a miss,
-  /// offline_pairs' worth of randomizers are prewarmed on the oracle's
-  /// worker count and saved back so the NEXT run is warm. Everything Init
-  /// does is input-independent.
+  /// With a pool this also runs the offline phase. With
+  /// SmcConfig::material_dir set, persisted material for the keypair's
+  /// fingerprint is loaded into the pool first (a warm run). With
+  /// offline_pairs > 0, the randomizers that many pairs draw
+  /// (RandomizerDraws) and the pool does not hold yet are prewarmed on the
+  /// oracle's worker count; a store then saves any new material so the NEXT
+  /// run is warm. The pool's filler holds the resulting level. Everything
+  /// Init does is input-independent.
   Status Init();
 
   /// Labels batch[i] into slot i of the result (kPairMatch / kPairNonMatch /
@@ -127,7 +129,7 @@ class SmcMatchOracle : public MatchOracle {
   std::unique_ptr<crypto::RandomizerPool> pool_;
   std::unique_ptr<crypto::MaterialStore> material_store_;
   bool material_warm_ = false;
-  int64_t offline_generated_ = 0;  // randomizers Init's store miss prewarmed
+  int64_t offline_generated_ = 0;  // randomizers Init's offline phase made
   bool material_metrics_published_ = false;
   std::vector<std::unique_ptr<SecureRecordComparator>> workers_;
   mutable SmcCosts aggregated_;  // scratch for costs(); see .cc

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -720,6 +722,43 @@ TEST_F(RandomizerPoolTest, PrewarmIsThreadCountInvariant) {
     EXPECT_EQ(pool.misses(), 1);
     // A count the pool already meets draws nothing.
     EXPECT_EQ(*pool.Prewarm(0, threads), 0);
+  }
+}
+
+TEST_F(RandomizerPoolTest, FillerRestoresTheOfflineLevelAndNeverPassesIt) {
+  // The offline phase leaves the pool above its configured depth, by
+  // Prewarm or by adopting persisted material; once k draws have stopped,
+  // the filler must bring it back to exactly that level, never higher.
+  constexpr int kDepth = 4;
+  constexpr int kLevel = 40;
+  constexpr int kDraws = 25;
+  RandomizerPool source(pub_, kDepth, 41);
+  ASSERT_TRUE(source.Prewarm(kLevel).ok());
+  const CryptoMaterial material = source.ExportMaterial(/*slot_bits=*/0);
+  for (const bool adopt : {false, true}) {
+    SCOPED_TRACE(adopt ? "adopted material" : "prewarmed");
+    RandomizerPool pool(pub_, kDepth, 43);
+    if (adopt) {
+      ASSERT_TRUE(pool.AdoptMaterial(material).ok());
+    } else {
+      ASSERT_TRUE(pool.Prewarm(kLevel).ok());
+    }
+    ASSERT_EQ(pool.depth(), kLevel);
+    pool.Start();
+    for (int i = 0; i < kDraws; ++i) pool.Take();
+    EXPECT_EQ(pool.misses(), 0);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    int depth = pool.depth();
+    while (depth < kLevel && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      depth = pool.depth();
+    }
+    EXPECT_EQ(depth, kLevel);
+    // Settled: the filler idles at the level instead of topping past it.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(pool.depth(), kLevel);
+    pool.Stop();
   }
 }
 

@@ -238,8 +238,11 @@ TEST(MaterialEngineTest, WarmAndRepairedRunsMatchColdBitForBit) {
   EXPECT_FALSE(cold.material_warm());
   EXPECT_EQ(cold.material_stats().hits, 0);
   EXPECT_GE(cold.material_stats().misses, 1);
+  const smc::SmcConfig cfg = MaterialSmcConfig(dir);
   EXPECT_EQ(cold_reg.counter("crypto.material.generated")->value(),
-            smc::OfflineRandomizerBudget(8, w.rule.attrs.size()));
+            smc::RandomizerDraws(cfg, smc::RuleOperands(w.rule, cfg.fp_scale),
+                                 cfg.offline_pairs)
+                .total());
   auto cold_labels = cold.CompareBatch(batch);
   ASSERT_TRUE(cold_labels.ok());
 

@@ -8,6 +8,8 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -16,6 +18,7 @@
 
 #include "adult/adult.h"
 #include "common/random.h"
+#include "crypto/material.h"
 #include "net/frame.h"
 #include "net/party_service.h"
 #include "net/remote_oracle.h"
@@ -975,6 +978,70 @@ TEST_F(MeshTest, EndToEndLabelsMatchInProcessProtocol) {
   EXPECT_LT(drift, 0.05);
 
   EXPECT_TRUE(oracle->Shutdown(/*stop_daemons=*/true).ok());
+}
+
+// The offline phase over TCP: each holder daemon prewarms exactly its own
+// role's draws (smc::RandomizerDraws), persists that bank, and serves the
+// run's pairs from it without a single pool miss.
+TEST_F(MeshTest, HoldersPrewarmTheirOwnRolesDrawsAndNeverMiss) {
+  StartMesh(/*receive_timeout_ms=*/2000);
+  std::string tmpl = ::testing::TempDir() + "hprl_mesh_material_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
+  const std::string dir = tmpl;
+  std::vector<std::pair<Record, Record>> pairs = SixPairs();
+  for (const auto& p : SixPairs()) pairs.push_back(p);  // four 3-pair units
+  RemoteOracleOptions opts;
+  opts.config = FixtureConfig();
+  opts.config.offline_pairs = static_cast<int>(pairs.size());
+  opts.config.material_dir = dir;
+  opts.rule = MixedRule();
+  opts.endpoints = endpoints_;
+  opts.receive_timeout_ms = 2000;
+  const smc::RoleDraws draws = smc::RandomizerDraws(
+      opts.config, smc::RuleOperands(opts.rule, opts.config.fp_scale),
+      opts.config.offline_pairs);
+  ASSERT_EQ(draws.alice, 12 * 2 + 4);
+  ASSERT_EQ(draws.bob, 4);
+  auto oracle = std::make_unique<RemoteSmcOracle>(opts);
+  ASSERT_TRUE(oracle->Init().ok());
+
+  // Each daemon's persisted bank is exactly its role's count. The daemons'
+  // key comes from the pinned seed, as the in-process comparator's does.
+  smc::SmcConfig key_cfg;
+  key_cfg.key_bits = 256;
+  key_cfg.test_seed = 4242;
+  smc::SecureRecordComparator keyed(key_cfg, MixedRule());
+  ASSERT_TRUE(keyed.Init().ok());
+  const crypto::BigInt& n = keyed.public_key().n();
+  const std::pair<std::string, int64_t> roles[] = {{"alice", draws.alice},
+                                                   {"bob", draws.bob}};
+  for (const auto& [role, want] : roles) {
+    crypto::MaterialStore store(dir + "/" + role);
+    auto bank = store.Load(crypto::KeyFingerprint(n),
+                           static_cast<uint32_t>(n.BitLength()), 0);
+    ASSERT_TRUE(bank.ok()) << role << ": " << bank.status().ToString();
+    EXPECT_EQ(static_cast<int64_t>(bank->randomizers.size()), want) << role;
+  }
+
+  auto labels = oracle->CompareBatch(PairBatch(pairs));
+  ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ((*labels)[i],
+              RecordsMatch(pairs[i].first, pairs[i].second, MixedRule())
+                  ? kPairMatch
+                  : kPairNonMatch)
+        << "pair " << i;
+  }
+  auto mesh = oracle->CollectStats();
+  ASSERT_TRUE(mesh.ok()) << mesh.status().ToString();
+  for (const auto& [role, want] : roles) {
+    const net::PartyStats& party = mesh->per_party.at(role);
+    EXPECT_EQ(party.costs.encryptions, want) << role;
+    // Every draw was a pool hit: no miss paid an exponentiation inline.
+    EXPECT_EQ(party.costs.offline_randomizers, want) << role;
+  }
+  EXPECT_TRUE(oracle->Shutdown(/*stop_daemons=*/true).ok());
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(MeshTest, InjectedFaultIsRetriedAndHeals) {

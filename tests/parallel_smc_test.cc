@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "core/experiment.h"
 #include "core/session.h"
 #include "smc/protocol.h"
@@ -600,6 +601,90 @@ TEST_P(OracleEntryPointTest, EveryEntryPointLabelsLikeThePlaintextRule) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OracleEntryPointTest,
+                         ::testing::Range<uint64_t>(1, 7),
+                         [](const ::testing::TestParamInfo<uint64_t>& info) {
+                           return "seed" + std::to_string(info.param);
+                         });
+
+// The offline phase prewarms whenever offline_pairs is set: the material
+// store only loads and persists. Without one, the pool holds exactly the
+// randomizers that many pairs draw once Init returns.
+TEST(OfflineBudgetTest, PrewarmsWithoutAMaterialStore) {
+  const Workload& w = SmallWorkload();
+  smc::SmcConfig cfg = PackedSmcConfig(4);
+  cfg.offline_pairs = 100;
+  ASSERT_TRUE(cfg.material_dir.empty());
+  const smc::RoleDraws draws = smc::RandomizerDraws(
+      cfg, smc::RuleOperands(w.rule, cfg.fp_scale), cfg.offline_pairs);
+  ASSERT_GT(draws.total(), cfg.randomizer_pool_depth);
+  smc::SmcMatchOracle oracle(cfg, w.rule, 2);
+  ASSERT_TRUE(oracle.Init().ok());
+  EXPECT_EQ(oracle.randomizer_pool()->depth(), draws.total());
+  EXPECT_EQ(oracle.randomizer_pool()->hits(), 0);
+}
+
+// The three exchange modes' per-role counts, spelled out once by hand:
+// three compared attributes, two pairs per packed unit.
+TEST(OfflineBudgetTest, PerRoleCountsFollowTheExchange) {
+  const Workload& w = SmallWorkload();
+  const smc::RuleOperands operands(w.rule, 1000);
+  ASSERT_EQ(operands.size(), 3u);
+  smc::SmcConfig packed = PackedSmcConfig(4);
+  ASSERT_EQ(smc::PackedGroupPairs(packed, operands), 2);
+  smc::SmcConfig scalar = TestSmcConfig();
+  smc::SmcConfig blinded = TestSmcConfig();
+  blinded.reveal_distances = false;
+  const smc::RoleDraws p = smc::RandomizerDraws(packed, operands, 7);
+  EXPECT_EQ(p.alice, 7 * 3 + 4);  // a cross term per slot + Σx² per unit
+  EXPECT_EQ(p.bob, 4);            // Σy² per unit
+  const smc::RoleDraws s = smc::RandomizerDraws(scalar, operands, 7);
+  EXPECT_EQ(s.alice, 7 * 6);  // x² and -2x per attribute
+  EXPECT_EQ(s.bob, 7 * 3);    // y² per attribute
+  const smc::RoleDraws b = smc::RandomizerDraws(blinded, operands, 7);
+  EXPECT_EQ(b.alice, 7 * 6);
+  EXPECT_EQ(b.bob, 7 * 6);  // y² and the blinding ciphertext
+}
+
+class ExactDrawsTest : public ::testing::TestWithParam<uint64_t> {};
+
+// Property: fault-free, a batch of any size draws exactly RandomizerDraws
+// from the pool in every exchange mode and at every thread count, so a pool
+// prewarmed with exactly that count never misses.
+TEST_P(ExactDrawsTest, PoolDrawsEqualTheExactCount) {
+  const Workload& w = SmallWorkload();
+  Rng rng(GetParam());
+  smc::SmcConfig blinded = TestSmcConfig();
+  blinded.reveal_distances = false;
+  const std::pair<const char*, smc::SmcConfig> modes[] = {
+      {"packed", PackedSmcConfig(4)},
+      {"scalar", TestSmcConfig()},
+      {"blinded", blinded}};
+  for (const auto& [mode, base] : modes) {
+    const auto pairs = rng.NextInt(1, 300);
+    const auto batch = MakeBatch(w, static_cast<size_t>(pairs));
+    ASSERT_EQ(batch.size(), static_cast<size_t>(pairs));
+    smc::SmcConfig cfg = base;
+    cfg.offline_pairs = static_cast<int>(pairs);
+    const int64_t want =
+        smc::RandomizerDraws(cfg, smc::RuleOperands(w.rule, cfg.fp_scale),
+                             pairs)
+            .total();
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(mode) + " pairs=" + std::to_string(pairs) +
+                   " threads=" + std::to_string(threads));
+      smc::SmcMatchOracle oracle(cfg, w.rule, threads);
+      ASSERT_TRUE(oracle.Init().ok());
+      auto labels = oracle.CompareBatch(batch);
+      ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+      const crypto::RandomizerPool* pool = oracle.randomizer_pool();
+      EXPECT_EQ(pool->hits() + pool->misses(), want);
+      EXPECT_EQ(pool->misses(), 0);
+      EXPECT_EQ(oracle.costs().encryptions, want);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ExactDrawsTest,
                          ::testing::Range<uint64_t>(1, 7),
                          [](const ::testing::TestParamInfo<uint64_t>& info) {
                            return "seed" + std::to_string(info.param);

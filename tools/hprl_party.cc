@@ -3,6 +3,7 @@
 //   hprl_party --role alice --alice 127.0.0.1:7101 --bob 127.0.0.1:7102
 //              --qp 127.0.0.1:7103 [--shard N] [--connect_timeout_ms N]
 //              [--receive_timeout_ms N] [--metrics_out party.json]
+//              [--listen_fd N]
 //
 // The daemon hosts the real party object (the querying party's private key
 // never leaves its process), joins the TCP mesh with the other two parties,
@@ -13,7 +14,10 @@
 //
 // Each party's address flag names where THAT party listens; every daemon
 // gets all three so it can dial its lower-ranked peers (bob dials alice,
-// qp dials alice and bob).
+// qp dials alice and bob). A supervisor that reserved the daemon's port
+// passes the still-open listener with --listen_fd instead of letting the
+// daemon bind it, so no other socket can take the port in between
+// (hprl_link's spawned fleets do this).
 //
 // SIGTERM/SIGINT request a graceful drain: the serve loop exits at its next
 // poll, freshly generated offline material is persisted to the material
@@ -27,6 +31,7 @@
 
 #include <csignal>
 #include <cstdio>
+#include <limits>
 
 #include "common/exit_codes.h"
 #include "common/flags.h"
@@ -93,6 +98,10 @@ int main(int argc, char** argv) {
       "blocking-receive bound; expiry surfaces as a retryable NotFound");
   std::string* metrics_out = flags.AddString(
       "metrics_out", "", "write this party's JSON run report here on exit");
+  int64_t* listen_fd = flags.AddInt(
+      "listen_fd", -1,
+      "an inherited socket already listening on this role's port, used "
+      "instead of binding it (-1 = bind the endpoint's port)");
 
   Status st = flags.Parse(argc, argv);
   if (st.code() == StatusCode::kNotFound) return 0;  // --help
@@ -108,6 +117,10 @@ int main(int argc, char** argv) {
   }
   if (*connect_timeout_ms <= 0 || *receive_timeout_ms <= 0) {
     std::fprintf(stderr, "timeouts must be positive\n");
+    return 2;
+  }
+  if (*listen_fd < -1 || *listen_fd > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "--listen_fd must be a descriptor or -1\n");
     return 2;
   }
 
@@ -133,6 +146,7 @@ int main(int argc, char** argv) {
   }
   opts.connect_timeout_ms = static_cast<int>(*connect_timeout_ms);
   opts.receive_timeout_ms = static_cast<int>(*receive_timeout_ms);
+  opts.listen_fd = static_cast<int>(*listen_fd);
 
   obs::MetricsRegistry registry;
   if (!metrics_out->empty()) opts.metrics = &registry;
