@@ -51,11 +51,12 @@ void CountingFree(void* p, size_t n) { g_base_free(p, n); }
 namespace hprl::smc {
 namespace {
 
-// 1024-bit modulus, 64-bit slots → 15 slots per plaintext → 7 two-attribute
-// pairs per packed group (PackingLayout::Plan reserves 2 sign-safety bits).
-// Slots must be 64-bit: the squared distances the declared domain allows on
-// fp-scaled numerics (fp_scale=1000) overflow 32-bit slots, and the rule
-// would run scalar units, which the arena does not touch.
+// 7 two-attribute pairs per packed group. Each age attribute's declared
+// domain takes a 36-bit slot at fp_scale=1000, so a 1024-bit plaintext
+// would hold 14 pairs (PackingLayout::Plan reserves 2 sign-safety bits); the
+// cap holds the group at 7. The slot cap must admit 36 bits: under a
+// narrower one the rule would run scalar units, which the arena does not
+// touch.
 constexpr int kPairsPerGroup = 7;
 
 MatchRule TwoNumericRule() {

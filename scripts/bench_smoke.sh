@@ -344,8 +344,8 @@ if check:
         print(f"check OK async_datapath.raw_over_bus_ratio: "
               f"{ratio:.2f} (budget 2.0)")
     # Exact count gates: the same seeded run must make exactly the committed
-    # number of ctl round trips (400 SMC pairs -> 400 at rpc_batch 1, 13 at
-    # rpc_batch 32).
+    # number of ctl round trips (400 SMC pairs -> 400 at rpc_batch 1, 14 at
+    # rpc_batch 32: frames are cut at whole 3-pair units, 30 pairs each).
     for key, measured in report["pipelined_rpc"].items():
         want = committed.get("pipelined_rpc", {}).get(key)
         if measured != want:

@@ -393,7 +393,8 @@ void AppendConfigBody(const ConfigBody& body, std::vector<uint8_t>* out) {
   AppendU32(body.emulated_latency_micros, out);
   AppendString(body.material_dir, out);
   AppendU32(body.pack_pairs, out);
-  AppendU32(body.slot_bits, out);
+  AppendU32(static_cast<uint32_t>(body.slot_widths.size()), out);
+  for (int w : body.slot_widths) AppendU32(static_cast<uint32_t>(w), out);
   AppendU32(static_cast<uint32_t>(body.thresholds.size()), out);
   for (const crypto::BigInt& t : body.thresholds) AppendSignedBigInt(t, out);
 }
@@ -411,7 +412,20 @@ Result<ConfigBody> ParseConfigBody(const std::vector<uint8_t>& payload) {
                         ConsumeU32(payload, &off));
   HPRL_ASSIGN_OR_RETURN(body.material_dir, ConsumeString(payload, &off));
   HPRL_ASSIGN_OR_RETURN(body.pack_pairs, ConsumeU32(payload, &off));
-  HPRL_ASSIGN_OR_RETURN(body.slot_bits, ConsumeU32(payload, &off));
+  uint32_t widths = 0;
+  HPRL_ASSIGN_OR_RETURN(widths, ConsumeU32(payload, &off));
+  HPRL_RETURN_IF_ERROR(
+      CheckCount(widths, 4, off, payload.size(), "cfg", "slot widths"));
+  for (uint32_t i = 0; i < widths; ++i) {
+    uint32_t w = 0;
+    HPRL_ASSIGN_OR_RETURN(w, ConsumeU32(payload, &off));
+    // A width past the key never fits (the layout check below rejects a
+    // zero width).
+    if (w > body.key_bits) {
+      return Status::InvalidArgument("cfg: slot width wider than the key");
+    }
+    body.slot_widths.push_back(static_cast<int>(w));
+  }
   uint32_t attrs = 0;
   HPRL_ASSIGN_OR_RETURN(attrs, ConsumeU32(payload, &off));
   HPRL_RETURN_IF_ERROR(CheckCount(attrs, kMinSignedBigInt, off,
@@ -423,19 +437,29 @@ Result<ConfigBody> ParseConfigBody(const std::vector<uint8_t>& payload) {
   if (off != payload.size()) {
     return Status::InvalidArgument("cfg: trailing bytes after thresholds");
   }
-  if (body.pack_pairs > 0) {
-    auto layout = crypto::PackingLayout::Plan(static_cast<int>(body.key_bits),
-                                              static_cast<int>(body.slot_bits));
-    if ((body.flags & kCfgFlagRevealDistances) == 0 || attrs == 0 ||
-        !layout.ok() ||
-        static_cast<uint64_t>(body.pack_pairs) * attrs >
-            static_cast<uint64_t>(layout->num_slots)) {
-      return Status::InvalidArgument(StrFormat(
-          "cfg: a unit of %u pairs over %u attributes does not fit %u-bit "
-          "slots of a %u-bit key",
-          unsigned{body.pack_pairs}, unsigned{attrs},
-          unsigned{body.slot_bits}, unsigned{body.key_bits}));
+  if (body.pack_pairs == 0) {
+    if (widths != 0) {
+      return Status::InvalidArgument("cfg: scalar units carry no slot widths");
     }
+    return body;
+  }
+  if ((body.flags & kCfgFlagRevealDistances) == 0 || attrs == 0 ||
+      widths != attrs) {
+    return Status::InvalidArgument(StrFormat(
+        "cfg: packed units need revealed distances and one slot width per "
+        "attribute (%u widths, %u attributes)",
+        unsigned{widths}, unsigned{attrs}));
+  }
+  auto layout = crypto::PackingLayout::Plan(static_cast<int>(body.key_bits),
+                                            body.slot_widths);
+  if (!layout.ok() ||
+      body.pack_pairs > static_cast<uint32_t>(layout->groups())) {
+    int64_t pair_bits = 0;
+    for (int w : body.slot_widths) pair_bits += w;
+    return Status::InvalidArgument(StrFormat(
+        "cfg: a unit of %u pairs of %lld bits does not fit a %u-bit key",
+        unsigned{body.pack_pairs}, static_cast<long long>(pair_bits),
+        unsigned{body.key_bits}));
   }
   return body;
 }

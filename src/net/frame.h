@@ -32,13 +32,13 @@ namespace hprl::net {
 /// in-process transport.
 
 inline constexpr uint32_t kWireMagic = 0x4850524C;  // "HPRL"
-/// Version 10: one exchange step for both transports — the "cfg" body
-/// carries the unit size, the slot bits and the rule's thresholds, "pairb"
-/// rows carry only the receiving holder's own encodings, and qp gets
-/// id-only frames. Mixed-version meshes are rejected at the frame layer;
+/// Version 11: the "cfg" body carries the unit size, each compared
+/// attribute's packed slot width and the rule's thresholds, "pairb" rows
+/// carry only the receiving holder's own encodings, and qp gets id-only
+/// frames. Mixed-version meshes are rejected at the frame layer;
 /// docs/PROTOCOL.md ("Wire format") records what every earlier version
 /// changed.
-inline constexpr uint16_t kWireVersion = 10;
+inline constexpr uint16_t kWireVersion = 11;
 
 /// Frames larger than this are rejected before any allocation — an oversized
 /// length prefix means a corrupted or hostile stream, not a big message
@@ -202,7 +202,7 @@ void AppendCtlResponse(const CtlResponse& r, std::vector<uint8_t>* out);
 Result<CtlResponse> ParseCtlResponse(const std::vector<uint8_t>& payload);
 
 // ---------------------------------------------------------------------------
-// kConfigure body (wire v10): the protocol parameters, the daemon's knobs,
+// kConfigure body (wire v11): the protocol parameters, the daemon's knobs,
 // and the public plan every daemon needs to run its role's unit step
 // without seeing a row it does not hold.
 //
@@ -216,7 +216,9 @@ Result<CtlResponse> ParseCtlResponse(const std::vector<uint8_t>& payload);
 //   str  material_dir ("" disables the material store)
 //   u32  pack_pairs: pairs per unit, 0 = scalar units of one pair
 //        (smc::PackedGroupPairs)
-//   u32  slot_bits of a packed unit's layout
+//   u32  slot-width count: one per compared attribute when pack_pairs > 0,
+//        else 0; then per attribute the bits of its packed slot
+//        (smc::RuleOperands::slot_widths)
 //   u32  compared-attribute count, then per attribute its scaled threshold
 //        (signed BigInt)
 
@@ -230,19 +232,20 @@ struct ConfigBody {
   uint32_t emulated_latency_micros = 0;
   std::string material_dir;
   uint32_t pack_pairs = 0;
-  uint32_t slot_bits = 0;
+  std::vector<int> slot_widths;
   std::vector<crypto::BigInt> thresholds;
 };
 
 void AppendConfigBody(const ConfigBody& body, std::vector<uint8_t>* out);
 /// Parses an exact body: a truncated field or a byte past the last one
 /// fails, and so does a unit that could not be laid out — pack_pairs > 0
-/// with distances hidden, no attribute, or more slots than the key's
-/// layout at slot_bits holds.
+/// with distances hidden, no attribute, a slot width missing or zero, or
+/// pack_pairs·Σwidths > key_bits − 2; or a scalar plan (pack_pairs 0) that
+/// carries widths.
 Result<ConfigBody> ParseConfigBody(const std::vector<uint8_t>& payload);
 
 // ---------------------------------------------------------------------------
-// kPairBatch body (wire v10): a row rides the first batch that needs it on
+// kPairBatch body (wire v11): a row rides the first batch that needs it on
 // a holder daemon, and pair entries reference rows by id alone.
 //
 //   u64  batch_id

@@ -447,8 +447,7 @@ Status PartyService::HandleConfigure(const std::vector<uint8_t>& payload) {
     shape_.packed = true;
     // ParseConfigBody already planned this layout successfully.
     shape_.layout =
-        crypto::PackingLayout::Plan(params_.key_bits,
-                                    static_cast<int>(cfg->slot_bits))
+        crypto::PackingLayout::Plan(params_.key_bits, cfg->slot_widths)
             .value();
   }
   // Sized like the in-process comparator's: the widest mod-n² intermediate.

@@ -196,7 +196,7 @@ std::vector<uint8_t> RemoteSmcOracle::BuildConfigPayload() const {
   // The public plan: the same units and thresholds the in-process oracle
   // derives, so every daemon splits a frame exactly like its peers.
   body.pack_pairs = static_cast<uint32_t>(group_pairs_);
-  body.slot_bits = static_cast<uint32_t>(opts_.config.pack_slot_bits);
+  if (group_pairs_ > 0) body.slot_widths = operands_.slot_widths();
   body.thresholds = operands_.thresholds();
   std::vector<uint8_t> cfg;
   AppendConfigBody(body, &cfg);

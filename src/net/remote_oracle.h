@@ -98,11 +98,11 @@ struct MeshStats {
 /// CompareRows are MatchOracle's one-pair batches. Rows are encoded
 /// through smc::RuleOperands, as the in-process comparator encodes them.
 ///
-/// One exchange step (wire v10): kConfigure hands every daemon the public
-/// plan — smc::PackedGroupPairs' unit size, the slot bits and the rule's
-/// thresholds — so each daemon splits a frame's pairs into the units the
-/// in-process oracle would form and runs its role's unit step on them:
-/// packed units when the rule's declared domains fit the slots, scalar
+/// One exchange step (wire v11): kConfigure hands every daemon the public
+/// plan — smc::PackedGroupPairs' unit size, each attribute's slot width and
+/// the rule's thresholds — so each daemon splits a frame's pairs into the
+/// units the in-process oracle would form and lays them out the same way:
+/// packed units when the rule's declared domains fit the slot cap, scalar
 /// units of one pair otherwise. Labels never depend on the units.
 ///
 /// Operands: every pair operand is a row resident on its holder daemon

@@ -14,7 +14,9 @@ RuleOperands::RuleOperands(const MatchRule& rule, int64_t fp_scale)
     if (attr.type == AttrType::kCategorical && attr.theta >= 1.0) continue;
     attrs_.push_back(attr);
     every_domain = every_domain && attr.has_domain();
-    if (every_domain) {
+    if (!every_domain) {
+      slot_widths_.clear();
+    } else {
       // Encodings lie in [Enc(lo), Enc(hi)], so no |x| exceeds the larger
       // end's magnitude M and no |x - y| exceeds 2·M.
       const bool num = attr.type == AttrType::kNumeric;
@@ -26,7 +28,8 @@ RuleOperands::RuleOperands(const MatchRule& rule, int64_t fp_scale)
                                     attr.domain_hi));
       mpz_abs(lo.raw(), lo.raw());
       mpz_abs(hi.raw(), hi.raw());
-      spans_.push_back(std::max(lo, hi) * crypto::BigInt(2));
+      const crypto::BigInt span = std::max(lo, hi) * crypto::BigInt(2);
+      slot_widths_.push_back(static_cast<int>((span * span).BitLength()));
     }
     if (attr.type == AttrType::kCategorical) {
       thresholds_.emplace_back(int64_t{0});
@@ -35,14 +38,6 @@ RuleOperands::RuleOperands(const MatchRule& rule, int64_t fp_scale)
     const double t = attr.theta * attr.norm * static_cast<double>(fp_scale);
     thresholds_.emplace_back(static_cast<int64_t>(std::floor(t * t + 1e-9)));
   }
-}
-
-bool RuleOperands::DomainsFit(int slot_bits) const {
-  if (spans_.size() != attrs_.size()) return false;
-  for (const crypto::BigInt& span : spans_) {
-    if (static_cast<int>((span * span).BitLength()) > slot_bits) return false;
-  }
-  return true;
 }
 
 bool RuleOperands::has_text() const {

@@ -23,8 +23,8 @@ namespace hprl::smc {
 /// squared difference.
 ///
 /// An attribute that declares its domain (AttrRule::has_domain()) bounds its
-/// encodings: Encode refuses a value outside the domain, and
-/// DomainsFit tells whether every squared distance fits a packing slot.
+/// encodings: Encode refuses a value outside the domain, and slot_widths()
+/// sizes a packing slot that holds every squared distance it allows.
 class RuleOperands {
  public:
   RuleOperands(const MatchRule& rule, int64_t fp_scale);
@@ -40,11 +40,13 @@ class RuleOperands {
   /// i is within iff (x - y)² <= thresholds()[i].
   const std::vector<crypto::BigInt>& thresholds() const { return thresholds_; }
 
-  /// True when every compared attribute declares its domain and each
-  /// squared distance fits a slot of `slot_bits` bits: (2·M_i)² < 2^slot_bits,
-  /// M_i the largest encoded magnitude attribute i's domain allows. Only
-  /// then can distances share a plaintext without a carry crossing slots.
-  bool DomainsFit(int slot_bits) const;
+  /// Per compared attribute, the bits of its packing slot:
+  /// BitLength((2·M_i)²), M_i the largest encoded magnitude attribute i's
+  /// declared domain allows, so every squared distance fits its slot and
+  /// distances share a plaintext without a carry crossing slots. Empty when
+  /// some compared attribute declares no domain. Public: the widths come
+  /// from the spec's VGHs, never from the values compared.
+  const std::vector<int>& slot_widths() const { return slot_widths_; }
 
   /// One side's operand for compared attribute `i` of `record`.
   /// InvalidArgument for a value outside the attribute's declared domain;
@@ -54,8 +56,7 @@ class RuleOperands {
  private:
   std::vector<AttrRule> attrs_;
   std::vector<crypto::BigInt> thresholds_;
-  /// 2·M_i per attribute; empty when some attribute declares no domain.
-  std::vector<crypto::BigInt> spans_;
+  std::vector<int> slot_widths_;
   crypto::FixedPointCodec codec_;
 };
 

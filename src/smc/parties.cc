@@ -198,15 +198,14 @@ Status DataHolder::SendUnit(MessageBus* bus, const std::string& peer,
   costs->encryptions += 1;
   std::vector<uint8_t> payload;
   AppendBigInt(c_px2, &payload);
-  // Cross terms leave pre-weighted: Enc(-2·x_i·W_i), W_i = 2^(slot_bits·i),
-  // so Bob's fold exponentiates by the bare y_i (|y_i| bits) instead of
-  // y_i·W_i (slot_bits·i + |y_i| bits). Same plaintext mod n either way.
+  // Cross terms leave pre-weighted: Enc(-2·x_i·W_i), W_i = 2^offset(i), so
+  // Bob's fold exponentiates by the bare y_i (|y_i| bits) instead of y_i·W_i
+  // (offset(i) + |y_i| bits). Same plaintext mod n either way.
   BigInt& m2xw = arena->Next();
   BigInt& ct = arena->Next();
   for (size_t i = 0; i < xs.size(); ++i) {
     mpz_mul_si(m2xw.raw(), xs[i].raw(), -2);
-    mpz_mul_2exp(m2xw.raw(), m2xw.raw(),
-                 static_cast<mp_bitcnt_t>(shape.layout.slot_bits) * i);
+    mpz_mul_2exp(m2xw.raw(), m2xw.raw(), shape.layout.SlotOffset(i));
     HPRL_RETURN_IF_ERROR(pub_.EncryptSignedInto(m2xw, *rng_, &scratch, &ct));
     costs->encryptions += 1;
     AppendBigInt(ct, &payload);

@@ -119,9 +119,10 @@ class DataHolder {
   /// Packed: one "alice_pk" message carrying Enc(Σ x_i²·W_i) — every
   /// slot's x² packed into ONE plaintext — plus per-slot cross terms
   /// Enc(-2·x_i·W_i), already weighted into slot i (W_i =
-  /// 2^(slot_bits·i)): k + 1 encryptions where k scalar rounds take 2k.
-  /// The plan already checked carry safety: every squared distance the
-  /// rule's declared domains allow fits a slot (smc::PackedGroupPairs).
+  /// 2^offset(i), PackingLayout::SlotOffset): k + 1 encryptions where k
+  /// scalar rounds take 2k. The plan already checked carry safety: every
+  /// squared distance an attribute's declared domain allows fits its slot
+  /// (smc::PackedGroupPairs).
   Status SendUnit(MessageBus* bus, const std::string& peer,
                   const std::vector<crypto::BigInt>& xs, const UnitShape& shape,
                   crypto::BigIntArena* arena, SmcCosts* costs);
@@ -134,7 +135,7 @@ class DataHolder {
   ///   Enc(Σ d_i·W_i) = Enc(Σx_i²W_i) +h Σ_i (Enc(-2x_i·W_i) ×h y_i)
   ///                    +h Enc(Σ y_i²W_i)
   /// as ONE "bob_pk" ciphertext. The exponent is the bare y_i, |y_i| bits
-  /// wide (not slot_bits·i + |y_i|). Bob sees only ciphertexts and the
+  /// wide (not offset(i) + |y_i|). Bob sees only ciphertexts and the
   /// querying party the same distances either way.
   Status FoldUnit(MessageBus* bus, const std::vector<crypto::BigInt>& ys,
                   const std::vector<crypto::BigInt>& thresholds,

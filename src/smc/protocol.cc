@@ -32,14 +32,16 @@ std::unique_ptr<MessageBus> MakeBus(const FaultPlan& plan) {
 
 int PackedGroupPairs(const SmcConfig& config, const RuleOperands& operands) {
   if (config.pack_pairs <= 0 || !config.reveal_distances) return 0;
-  if (operands.size() == 0 || operands.has_text()) return 0;
-  if (!operands.DomainsFit(config.pack_slot_bits)) return 0;
-  auto layout =
-      crypto::PackingLayout::Plan(config.key_bits, config.pack_slot_bits);
+  if (operands.has_text()) return 0;
+  // Empty: no compared attribute, or one without a declared domain.
+  const std::vector<int>& widths = operands.slot_widths();
+  if (widths.empty()) return 0;
+  for (int w : widths) {
+    if (w > config.pack_slot_bits) return 0;
+  }
+  auto layout = crypto::PackingLayout::Plan(config.key_bits, widths);
   if (!layout.ok()) return 0;
-  const int per_plaintext =
-      layout->num_slots / static_cast<int>(operands.size());
-  return std::min(config.pack_pairs, per_plaintext);
+  return std::min(config.pack_pairs, layout->groups());
 }
 
 RoleDraws RandomizerDraws(const SmcConfig& config,
@@ -71,7 +73,7 @@ SecureRecordComparator::SecureRecordComparator(SmcConfig config,
   if (group_pairs_ > 0) {
     shape_.packed = true;
     shape_.layout =
-        crypto::PackingLayout::Plan(config.key_bits, config.pack_slot_bits)
+        crypto::PackingLayout::Plan(config.key_bits, operands_.slot_widths())
             .value();
   }
   const size_t rounds = shape_.packed ? 1 : operands_.size();

@@ -67,14 +67,16 @@ struct SmcConfig {
   /// Plaintext packing (the packed SMC fast path): > 0 lets one unit of the
   /// exchange carry up to this many pairs — all the pairs' per-attribute
   /// distances land in disjoint bit-slots of a single Paillier plaintext,
-  /// so one Encrypt/Add/Decrypt replaces k of them. Whether a rule packs is
-  /// decided once, from its declared domains (PackedGroupPairs). 0 (the
-  /// default) keeps scalar units everywhere. Labels are bit-identical
-  /// either way — both compute the exact (x-y)² per attribute.
+  /// so one Encrypt/Add/Decrypt replaces k of them. Whether a rule packs,
+  /// and each attribute's slot width, are decided once, from its declared
+  /// domains (PackedGroupPairs). 0 (the default) keeps scalar units
+  /// everywhere. Labels are bit-identical either way — both compute the
+  /// exact (x-y)² per attribute.
   int pack_pairs = 0;
 
-  /// Bit width of one packed slot. A rule packs only when every squared
-  /// distance its declared domains allow fits one slot.
+  /// The widest slot one attribute may take, in bits. Each attribute's slot
+  /// is as wide as its declared domain needs (RuleOperands::slot_widths);
+  /// a rule with a wider attribute runs scalar units.
   int pack_slot_bits = 64;
 
   /// Non-empty: persistent offline-material store directory
@@ -97,13 +99,14 @@ struct SmcConfig {
 };
 
 /// Pairs one packed unit of the exchange carries under `config` and the
-/// rule behind `operands`: min(pack_pairs, slots per plaintext / compared
-/// attributes). 0 — scalar units, one pair each — unless packing is on,
-/// distances are revealed (the packed plaintext is the distances), no
-/// compared attribute is text, and every compared attribute declares a
-/// domain whose squared distances fit a slot (RuleOperands::DomainsFit).
-/// A function of public plan-time values only, so the in-process oracle,
-/// the TCP coordinator and every daemon derive the same units.
+/// rule behind `operands`: min(pack_pairs, ⌊(key_bits − 2) / Σw_i⌋), w_i
+/// attribute i's slot width (RuleOperands::slot_widths). 0 — scalar units,
+/// one pair each — unless packing is on, distances are revealed (the
+/// packed plaintext is the distances), no compared attribute is text, and
+/// every compared attribute declares a domain whose slot is at most
+/// pack_slot_bits wide. A function of public plan-time values only, so the
+/// in-process oracle, the TCP coordinator and every daemon derive the same
+/// units.
 int PackedGroupPairs(const SmcConfig& config, const RuleOperands& operands);
 
 /// Randomizers each data holder draws from its pool, one per Paillier

@@ -183,7 +183,7 @@ TEST(ArenaPackedSmcTest, PackedLabelsBitIdenticalToScalar) {
   for (int i = 0; i < 24; ++i) batch.push_back({i, i, &as[i], &bs[i]});
 
   std::vector<std::vector<uint8_t>> labels_by_mode;
-  for (int pack_pairs : {0, 3}) {  // 512-bit key, 64-bit slots -> 3 pairs
+  for (int pack_pairs : {0, 3}) {  // 512-bit key: units capped at 3 pairs
     smc::SmcConfig cfg;
     cfg.key_bits = 512;
     cfg.test_seed = 4242;

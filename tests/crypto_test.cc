@@ -509,66 +509,149 @@ Result<std::vector<BigInt>> UnpackSlots(const BigInt& packed, size_t count,
   return values;
 }
 
-TEST(PackingTest, PlanComputesSlotCount) {
-  auto layout = PackingLayout::Plan(/*modulus_bits=*/256, /*slot_bits=*/64);
-  ASSERT_TRUE(layout.ok());
-  EXPECT_EQ(layout->slot_bits, 64);
-  EXPECT_EQ(layout->num_slots, 3);  // (256 - 2) / 64
-  EXPECT_FALSE(PackingLayout::Plan(256, 7).ok());    // below the minimum width
-  EXPECT_FALSE(PackingLayout::Plan(32, 64).ok());    // no full slot fits
+// 2^bits, the first value too wide for a slot of `bits` bits.
+BigInt Pow2(uint64_t bits) {
+  BigInt v;
+  mpz_setbit(v.raw(), bits);
+  return v;
+}
+
+// The widths a §VI pair's compared attributes take (age, then four
+// categoricals): 73 bits per pair.
+const std::vector<int> kSectionSixWidths = {36, 11, 10, 8, 8};
+
+TEST(PackingTest, PlanLaysOutPerSlotWidths) {
+  auto layout = PackingLayout::Plan(/*modulus_bits=*/256, kSectionSixWidths);
+  ASSERT_TRUE(layout.ok()) << layout.status().ToString();
+  EXPECT_EQ(layout->groups(), 3);  // (256 - 2) / 73
+  EXPECT_EQ(layout->num_slots(), 15u);
+  EXPECT_EQ(layout->SlotOffset(0), 0u);
+  EXPECT_EQ(layout->SlotOffset(1), 36u);
+  EXPECT_EQ(layout->SlotOffset(4), 65u);
+  EXPECT_EQ(layout->SlotOffset(5), 73u);   // the second group's first slot
+  EXPECT_EQ(layout->SlotOffset(14), 211u);
+  EXPECT_EQ(layout->SlotWidth(7), 10);
+  EXPECT_EQ(PackingLayout::Plan(1024, kSectionSixWidths)->groups(), 14);
+  EXPECT_EQ(PackingLayout::Plan(256, {64})->groups(), 3);
+  EXPECT_FALSE(PackingLayout::Plan(256, {}).ok());         // no slot
+  EXPECT_FALSE(PackingLayout::Plan(256, {8, 0}).ok());     // a zero width
+  EXPECT_FALSE(PackingLayout::Plan(256, {-3}).ok());
+  EXPECT_FALSE(PackingLayout::Plan(32, {64}).ok());        // no group fits
+  EXPECT_FALSE(PackingLayout::Plan(74, kSectionSixWidths).ok());
+  EXPECT_EQ(PackingLayout::Plan(75, kSectionSixWidths)->groups(), 1);  // fits
+  EXPECT_EQ(PackingLayout{}.num_slots(), 0u);              // unplanned
 }
 
 TEST(PackingTest, PackUnpackRoundTrip) {
-  auto layout = PackingLayout::Plan(256, 64);
+  auto layout = PackingLayout::Plan(256, kSectionSixWidths);
   ASSERT_TRUE(layout.ok());
-  std::vector<BigInt> values = {BigInt(0), BigInt(123456789),
-                                layout->SlotWeight(1) - BigInt(1)};
+  std::vector<BigInt> values = {BigInt(0),           Pow2(11) - BigInt(1),
+                                BigInt(513),         BigInt(0),
+                                Pow2(8) - BigInt(1), Pow2(36) - BigInt(1)};
   auto packed = PackSlots(values, *layout);
   ASSERT_TRUE(packed.ok()) << packed.status().ToString();
   auto back = UnpackSlots(*packed, values.size(), *layout);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(*back, values);
   // Unpacking fewer slots than were packed leaves a nonzero residue.
-  EXPECT_FALSE(UnpackSlots(*packed, 2, *layout).ok());
+  EXPECT_FALSE(UnpackSlots(*packed, 5, *layout).ok());
+  EXPECT_FALSE(UnpackSlots(*packed, 1, PackingLayout{}).ok());
 }
 
 TEST(PackingTest, RejectsOverflowNegativeAndTooMany) {
-  auto layout = PackingLayout::Plan(256, 64);
+  auto layout = PackingLayout::Plan(256, kSectionSixWidths);
   ASSERT_TRUE(layout.ok());
-  const BigInt slot_cap = layout->SlotWeight(1);  // 2^64
-  EXPECT_TRUE(PackSlots({slot_cap - BigInt(1)}, *layout).ok());
-  EXPECT_FALSE(PackSlots({slot_cap}, *layout).ok());
+  EXPECT_TRUE(PackSlots({Pow2(36) - BigInt(1)}, *layout).ok());
+  EXPECT_FALSE(PackSlots({Pow2(36)}, *layout).ok());
+  // Slot 1 is 11 bits wide: a value that fits slot 0 does not fit it.
+  EXPECT_FALSE(PackSlots({BigInt(0), Pow2(11)}, *layout).ok());
   EXPECT_FALSE(PackSlots({BigInt(-1)}, *layout).ok());
-  EXPECT_FALSE(PackSlots({BigInt(1), BigInt(2), BigInt(3), BigInt(4)},
-                         *layout).ok());
+  EXPECT_FALSE(PackSlots(std::vector<BigInt>(16, BigInt(1)), *layout).ok());
+  EXPECT_FALSE(PackSlots({BigInt(1)}, PackingLayout{}).ok());
   EXPECT_FALSE(UnpackSlots(BigInt(-5), 1, *layout).ok());
-  EXPECT_FALSE(UnpackSlots(BigInt(7), 4, *layout).ok());
+  EXPECT_FALSE(UnpackSlots(BigInt(7), 16, *layout).ok());
+}
+
+// Property: random widths of 1–64 bits, on a modulus either random or
+// exactly filled by whole groups, pack and unpack exactly with every slot at
+// 0, at its top value 2^w − 1 or random in between; a value one bit too
+// wide for its slot is rejected wherever it sits.
+TEST(PackingTest, RandomWidthsRoundTripAndRejectOneBitTooWide) {
+  SecureRandom rng(2024);
+  auto below = [&](uint64_t n) {
+    return static_cast<uint64_t>(mpz_get_ui(rng.NextBelow(
+        BigInt(static_cast<int64_t>(n))).raw()));
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<int> widths(1 + below(6));
+    int group_bits = 0;
+    for (int& w : widths) {
+      w = static_cast<int>(1 + below(64));
+      group_bits += w;
+    }
+    const int groups = static_cast<int>(1 + below(5));
+    // Even trials leave exactly no spare bit; odd ones up to a group's worth.
+    const int modulus_bits =
+        groups * group_bits + 2 +
+        (trial % 2 == 0 ? 0 : static_cast<int>(below(group_bits)));
+    auto layout = PackingLayout::Plan(modulus_bits, widths);
+    ASSERT_TRUE(layout.ok()) << layout.status().ToString();
+    ASSERT_EQ(layout->groups(), groups) << "trial " << trial;
+    const size_t slots = layout->num_slots();
+    std::vector<BigInt> values(slots);
+    for (size_t s = 0; s < slots; ++s) {
+      const int w = layout->SlotWidth(s);
+      switch ((s + static_cast<size_t>(trial)) % 3) {
+        case 0: values[s] = BigInt(0); break;
+        case 1: values[s] = Pow2(static_cast<uint64_t>(w)) - BigInt(1); break;
+        default: values[s] = rng.NextBits(w); break;
+      }
+    }
+    auto packed = PackSlots(values, *layout);
+    ASSERT_TRUE(packed.ok()) << packed.status().ToString();
+    EXPECT_LE(packed->BitLength(), static_cast<size_t>(modulus_bits - 2));
+    auto back = UnpackSlots(*packed, slots, *layout);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(*back, values) << "trial " << trial;
+    const size_t s = below(slots);
+    std::vector<BigInt> wide = values;
+    wide[s] = Pow2(static_cast<uint64_t>(layout->SlotWidth(s)));
+    EXPECT_EQ(PackSlots(wide, *layout).status().code(),
+              StatusCode::kInvalidArgument)
+        << "trial " << trial << " slot " << s;
+  }
+}
+
+// The largest M with (2·M)² < 2^bits: a slot of `bits` bits holds (x - y)²
+// for every |x|, |y| <= M.
+BigInt SlotBound(int bits) {
+  BigInt m = Pow2(static_cast<uint64_t>(bits)) - BigInt(1);
+  mpz_sqrt(m.raw(), m.raw());
+  mpz_fdiv_q_2exp(m.raw(), m.raw(), 1);
+  return m;
 }
 
 TEST_F(PaillierTest, PackedFoldMatchesScalarSquaredDistances) {
-  // Satellite property test: pack the x² vector, fold in Enc(-2x_i)·(y_i·W_i)
-  // and the packed y² vector homomorphically, decrypt ONCE, unpack — every
-  // slot must equal the scalar (x_i - y_i)², including at the fixed-point
-  // extremes where |x| + |y| squared fills the 64-bit slot exactly.
-  auto layout = PackingLayout::Plan(pub_.modulus_bits(), 64);
+  // Pack the x² vector, fold in Enc(-2x_i)·(y_i·W_i) and the packed y²
+  // vector homomorphically, decrypt ONCE, unpack — every slot must equal the
+  // scalar (x_i - y_i)², including at the extremes where (2·M_i)² nearly
+  // fills slot i.
+  auto layout = PackingLayout::Plan(pub_.modulus_bits(), kSectionSixWidths);
   ASSERT_TRUE(layout.ok());
-  const size_t k = static_cast<size_t>(layout->num_slots);
-  ASSERT_GE(k, 3u);
+  const size_t k = layout->num_slots();
+  ASSERT_EQ(k, 15u);
   SecureRandom vals(31);
-  const BigInt kMax((1LL << 31) - 1);  // |x|+|y| <= 2^32-1 keeps (x-y)² in-slot
   for (int round = 0; round < 6; ++round) {
     std::vector<BigInt> xs(k), ys(k);
-    if (round == 0) {
-      // Extremes: the carry-safety boundary, zero, and negative encodings
-      // (FixedPointCodec turns -2.5 into -2500 — signed values flow through
-      // Enc(-2x) and y·W as-is).
-      xs = {kMax, BigInt(0), FixedPointCodec(1000).Encode(-2.5)};
-      ys = {-kMax - BigInt(1), BigInt(0), FixedPointCodec(1000).Encode(1.5)};
-      for (size_t i = 3; i < k; ++i) xs[i] = ys[i] = BigInt(0);
-    } else {
-      for (size_t i = 0; i < k; ++i) {
-        xs[i] = vals.NextBelow(kMax) - vals.NextBelow(kMax);
-        ys[i] = vals.NextBelow(kMax) - vals.NextBelow(kMax);
+    for (size_t i = 0; i < k; ++i) {
+      const BigInt m = SlotBound(layout->SlotWidth(i));
+      if (round == 0) {
+        // Extremes: the carry-safety boundary, alternating signs.
+        xs[i] = i % 2 == 0 ? m : -m;
+        ys[i] = -xs[i];
+      } else {
+        xs[i] = vals.NextBelow(m + BigInt(1)) - vals.NextBelow(m + BigInt(1));
+        ys[i] = vals.NextBelow(m + BigInt(1)) - vals.NextBelow(m + BigInt(1));
       }
     }
     std::vector<BigInt> x2(k), y2(k);
@@ -586,7 +669,8 @@ TEST_F(PaillierTest, PackedFoldMatchesScalarSquaredDistances) {
     for (size_t i = 0; i < k; ++i) {
       auto cm2x = pub_.EncryptSigned(BigInt(-2) * xs[i], rng_);
       ASSERT_TRUE(cm2x.ok());
-      acc = pub_.Add(acc, pub_.ScalarMul(*cm2x, ys[i] * layout->SlotWeight(i)));
+      acc = pub_.Add(acc,
+                     pub_.ScalarMul(*cm2x, ys[i] * Pow2(layout->SlotOffset(i))));
     }
     auto packed = priv_.Decrypt(acc);
     ASSERT_TRUE(packed.ok()) << packed.status().ToString();
@@ -599,12 +683,13 @@ TEST_F(PaillierTest, PackedFoldMatchesScalarSquaredDistances) {
   }
 }
 
-// Alice pre-weights each cross term into its slot, Enc(-2x_i·W_i), so Bob
-// folds with the bare y_i as exponent. The packed plaintext must equal both
-// Σ(x_i - y_i)²·W_i and the slot-weighted-exponent form Enc(-2x_i) ×h
-// (y_i·W_i), kept here as the reference — for random signed values at every
-// slot index, and for the extremes (carry boundary, zero, negative
-// fixed-point encodings) rotated through every slot index.
+// Alice pre-weights each cross term into its slot, Enc(-2x_i·W_i) with W_i =
+// 2^offset(i), so Bob folds with the bare y_i as exponent. The packed
+// plaintext must equal both Σ(x_i - y_i)²·W_i and the slot-weighted-exponent
+// form Enc(-2x_i) ×h (y_i·W_i), kept here as the reference — over the §VI
+// per-attribute widths filled to the key's capacity, for random signed
+// values within each slot's bound and for the extremes (carry boundary,
+// zero, one side at the bound) rotated through every slot index.
 class PreWeightedFoldTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PreWeightedFoldTest, MatchesSlotWeightedExponentAndSquaredDistances) {
@@ -614,38 +699,36 @@ TEST_P(PreWeightedFoldTest, MatchesSlotWeightedExponentAndSquaredDistances) {
   ASSERT_TRUE(kp.ok()) << kp.status().ToString();
   const PaillierPublicKey& pub = kp->pub;
   const PaillierPrivateKey& priv = kp->priv;
-  auto layout = PackingLayout::Plan(pub.modulus_bits(), 64);
+  auto layout = PackingLayout::Plan(pub.modulus_bits(), kSectionSixWidths);
   ASSERT_TRUE(layout.ok());
-  const size_t k = static_cast<size_t>(layout->num_slots);
-  ASSERT_EQ(k, static_cast<size_t>((key_bits - 2) / 64));  // 7 or 15 slots
+  const size_t k = layout->num_slots();
+  // 6 pairs at 512 bits; 13 or 14 at 1024, as n has 1023 or 1024 bits.
+  ASSERT_EQ(k, 5u * static_cast<size_t>((pub.modulus_bits() - 2) / 73));
+  ASSERT_GE(k, 30u);
 
-  const BigInt kMax((1LL << 31) - 1);  // |x|+|y| <= 2^32-1 keeps (x-y)² in-slot
-  const FixedPointCodec codec(1000);
-  const std::vector<std::pair<BigInt, BigInt>> extremes = {
-      {kMax, -kMax - BigInt(1)},
-      {-kMax - BigInt(1), kMax},
-      {BigInt(0), BigInt(0)},
-      {codec.Encode(-2.5), codec.Encode(1.5)},
-      {codec.Encode(-0.75), BigInt(0)},
-      {BigInt(0), codec.Encode(-3.25)},
-  };
+  // Each extreme scales slot i's bound M_i: x = a·M_i, y = b·M_i.
+  const std::vector<std::pair<int, int>> extremes = {
+      {1, -1}, {-1, 1}, {0, 0}, {1, 0}, {0, -1}, {1, 1}};
+  const size_t kinds = extremes.size() + 1;  // the last kind is random
   SecureRandom rng(17), vals(static_cast<uint64_t>(key_bits));
-  for (size_t round = 0; round < k; ++round) {
-    std::vector<BigInt> xs(k), ys(k);
+  for (size_t round = 0; round < kinds; ++round) {
+    std::vector<BigInt> xs(k), ys(k), d2(k);
     for (size_t i = 0; i < k; ++i) {
-      xs[i] = vals.NextBelow(kMax) - vals.NextBelow(kMax);
-      ys[i] = vals.NextBelow(kMax) - vals.NextBelow(kMax);
+      const BigInt m = SlotBound(layout->SlotWidth(i));
+      const size_t kind = (i + round) % kinds;
+      if (kind < extremes.size()) {
+        xs[i] = m * BigInt(extremes[kind].first);
+        ys[i] = m * BigInt(extremes[kind].second);
+      } else {
+        xs[i] = vals.NextBelow(m + BigInt(1)) - vals.NextBelow(m + BigInt(1));
+        ys[i] = vals.NextBelow(m + BigInt(1)) - vals.NextBelow(m + BigInt(1));
+      }
+      d2[i] = (xs[i] - ys[i]) * (xs[i] - ys[i]);
     }
-    for (size_t e = 0; e < extremes.size(); ++e) {
-      const size_t slot = (round + e) % k;
-      xs[slot] = extremes[e].first;
-      ys[slot] = extremes[e].second;
-    }
-    std::vector<BigInt> x2(k), y2(k), d2(k);
+    std::vector<BigInt> x2(k), y2(k);
     for (size_t i = 0; i < k; ++i) {
       x2[i] = xs[i] * xs[i];
       y2[i] = ys[i] * ys[i];
-      d2[i] = (xs[i] - ys[i]) * (xs[i] - ys[i]);
     }
     auto px2 = PackSlots(x2, *layout);
     auto py2 = PackSlots(y2, *layout);
@@ -657,7 +740,7 @@ TEST_P(PreWeightedFoldTest, MatchesSlotWeightedExponentAndSquaredDistances) {
     BigInt pre_weighted = pub.Add(*cx2, *cy2);
     BigInt reference = pre_weighted;
     for (size_t i = 0; i < k; ++i) {
-      const BigInt w = layout->SlotWeight(i);
+      const BigInt w = Pow2(layout->SlotOffset(i));
       auto c_m2xw = pub.EncryptSigned(BigInt(-2) * xs[i] * w, rng);
       auto c_m2x = pub.EncryptSigned(BigInt(-2) * xs[i], rng);
       ASSERT_TRUE(c_m2xw.ok() && c_m2x.ok());

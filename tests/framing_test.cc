@@ -261,8 +261,9 @@ TEST(PairBatchBodyTest, RejectsUnknownSideAndOp) {
 
 // --------------------------------------------------------- cfg body codec
 
-/// A packed session: 2 attributes, 3 pairs per unit in the 6 slots a
-/// 256-bit key holds at 40 bits; negative and multi-limb thresholds.
+/// A packed session: 2 attributes in slots of 40 and 44 bits, 3 pairs
+/// (252 bits) per unit of a 256-bit key; negative and multi-limb
+/// thresholds.
 ConfigBody SampleConfig() {
   ConfigBody body;
   body.key_bits = 256;
@@ -274,7 +275,7 @@ ConfigBody SampleConfig() {
   body.emulated_latency_micros = 7;
   body.material_dir = "cache/material";
   body.pack_pairs = 3;
-  body.slot_bits = 40;
+  body.slot_widths = {40, 44};
   body.thresholds = {Big(0), Big(int64_t{1} << 62) * Big(-5)};
   return body;
 }
@@ -289,13 +290,14 @@ void ExpectSameConfig(const ConfigBody& got, const ConfigBody& sent) {
   EXPECT_EQ(got.emulated_latency_micros, sent.emulated_latency_micros);
   EXPECT_EQ(got.material_dir, sent.material_dir);
   EXPECT_EQ(got.pack_pairs, sent.pack_pairs);
-  EXPECT_EQ(got.slot_bits, sent.slot_bits);
+  EXPECT_EQ(got.slot_widths, sent.slot_widths);
   EXPECT_EQ(got.thresholds, sent.thresholds);
 }
 
 TEST(ConfigBodyTest, RoundTrips) {
-  ConfigBody scalar = SampleConfig();  // scalar units: any width goes
+  ConfigBody scalar = SampleConfig();  // scalar units carry no widths
   scalar.pack_pairs = 0;
+  scalar.slot_widths.clear();
   scalar.flags = 0;
   scalar.thresholds.push_back(Big(3));
   for (const ConfigBody& sent : {SampleConfig(), scalar}) {
@@ -319,9 +321,10 @@ TEST(ConfigBodyTest, RejectsTruncationAtEveryLengthAndTrailingBytes) {
   EXPECT_FALSE(net::ParseConfigBody(longer).ok()) << "trailing byte accepted";
 }
 
-// Every daemon splits a frame into units of the cfg's size, so a size its
-// layout cannot hold — more pairs than slots per attribute, or a packed
-// unit with distances hidden or no slot layout at all — is refused.
+// Every daemon splits a frame into units of the cfg's size and lays each
+// out by its slot widths, so a plan the key cannot hold — pairs·Σwidths
+// past key_bits − 2, a zero or missing width, widths on a scalar plan, or a
+// packed unit with distances hidden — is refused.
 TEST(ConfigBodyTest, RejectsAUnitLargerThanTheLayoutHolds) {
   auto refused = [](const ConfigBody& body) {
     std::vector<uint8_t> wire;
@@ -330,16 +333,26 @@ TEST(ConfigBodyTest, RejectsAUnitLargerThanTheLayoutHolds) {
     return !got.ok() && got.status().code() == StatusCode::kInvalidArgument;
   };
   ConfigBody body = SampleConfig();
-  body.pack_pairs = 4;  // 8 slots wanted, 6 held
+  EXPECT_FALSE(refused(body));
+  body.pack_pairs = 4;  // 336 bits wanted, 254 usable
   EXPECT_TRUE(refused(body));
   body = SampleConfig();
-  body.slot_bits = 64;  // 3 slots: not even 2 pairs
+  body.slot_widths = {40, 87};  // 3 pairs of 127 bits: 381
+  EXPECT_TRUE(refused(body));
+  body.pack_pairs = 2;  // 254 bits: fills the key exactly
+  EXPECT_FALSE(refused(body));
+  body = SampleConfig();
+  body.slot_widths = {40, 0};  // a zero width
+  EXPECT_TRUE(refused(body));
+  body.slot_widths = {40, 257};  // a width past the key
+  EXPECT_TRUE(refused(body));
+  body.slot_widths = {40};  // a width missing
+  EXPECT_TRUE(refused(body));
+  body = SampleConfig();
+  body.pack_pairs = 0;  // scalar units: widths would be dead weight
   EXPECT_TRUE(refused(body));
   body = SampleConfig();
   body.flags = 0;  // blinded: the packed plaintext would be the distances
-  EXPECT_TRUE(refused(body));
-  body = SampleConfig();
-  body.slot_bits = 4;  // no layout
   EXPECT_TRUE(refused(body));
   body = SampleConfig();
   body.thresholds.clear();

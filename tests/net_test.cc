@@ -132,15 +132,15 @@ TEST(FrameTest, RejectsVersionMismatch) {
   EXPECT_NE(back.status().ToString().find("version"), std::string::npos);
 }
 
-// A wire v9 peer (a "cfg" body without the unit size and thresholds,
-// "pairb" rows carrying thresholds, qp holding rows) is refused at the
-// frame layer, never half-parsed.
-TEST(FrameTest, RejectsWireVersionNine) {
-  ASSERT_EQ(net::kWireVersion, 10);
+// A wire v10 peer (a "cfg" body with one slot width for every attribute
+// instead of a width per attribute) is refused at the frame layer, never
+// half-parsed.
+TEST(FrameTest, RejectsWireVersionTen) {
+  ASSERT_EQ(net::kWireVersion, 11);
   Message msg = MakeMessage();
   std::vector<uint8_t> wire = EncodeFrame(msg);
   wire[4 + 4] = 0x00;
-  wire[4 + 5] = 0x09;
+  wire[4 + 5] = 0x0A;
   auto back = DecodeFrame(wire.data() + 4, wire.size() - 4);
   ASSERT_FALSE(back.ok());
   EXPECT_EQ(back.status().code(), StatusCode::kIOError);
@@ -664,9 +664,9 @@ MatchRule MixedRule() {
 }
 
 /// The mesh and fleet fixtures' config: a small key for fast tests, and
-/// packing, so the daemons run packed units (three two-attribute pairs in
-/// the six 40-bit slots of a 256-bit key; a rule that cannot pack, like the
-/// serve streams' five-attribute rule, runs one pair per unit).
+/// packing, so the daemons run packed units (MixedRule's pair takes 9 + 36
+/// bits, so five pairs fill a 256-bit key; a rule that cannot pack, like
+/// the serve streams' five-attribute rule, runs one pair per unit).
 smc::SmcConfig FixtureConfig() {
   smc::SmcConfig cfg;
   cfg.key_bits = 256;
@@ -989,7 +989,7 @@ TEST_F(MeshTest, HoldersPrewarmTheirOwnRolesDrawsAndNeverMiss) {
   ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
   const std::string dir = tmpl;
   std::vector<std::pair<Record, Record>> pairs = SixPairs();
-  for (const auto& p : SixPairs()) pairs.push_back(p);  // four 3-pair units
+  for (const auto& p : SixPairs()) pairs.push_back(p);  // units of 5, 5, 2
   RemoteOracleOptions opts;
   opts.config = FixtureConfig();
   opts.config.offline_pairs = static_cast<int>(pairs.size());
@@ -1000,8 +1000,8 @@ TEST_F(MeshTest, HoldersPrewarmTheirOwnRolesDrawsAndNeverMiss) {
   const smc::RoleDraws draws = smc::RandomizerDraws(
       opts.config, smc::RuleOperands(opts.rule, opts.config.fp_scale),
       opts.config.offline_pairs);
-  ASSERT_EQ(draws.alice, 12 * 2 + 4);
-  ASSERT_EQ(draws.bob, 4);
+  ASSERT_EQ(draws.alice, 12 * 2 + 3);
+  ASSERT_EQ(draws.bob, 3);
   auto oracle = std::make_unique<RemoteSmcOracle>(opts);
   ASSERT_TRUE(oracle->Init().ok());
 
@@ -1537,7 +1537,7 @@ TEST_F(MeshTest, RelaunchedCoordinatorFencesPredecessorsFrames) {
   zombie.Stop();
 }
 
-// Wire v10 "cfg" and "inject_fail" bodies are exact: a field missing or a
+// Wire v11 "cfg" and "inject_fail" bodies are exact: a field missing or a
 // byte past the last one fails the verb instead of falling back to a
 // default, and a failed cfg leaves the daemon unconfigured.
 TEST_F(MeshTest, ConfigureAndInjectRejectInexactBodies) {
@@ -1589,8 +1589,8 @@ TEST_F(MeshTest, ConfigureAndInjectRejectInexactBodies) {
   body.blind_bits = static_cast<uint32_t>(defaults.blind_bits);
   body.flags = net::kCfgFlagRevealDistances;
   body.test_seed = 4242;
-  body.pack_pairs = 3;  // 6 slots of 40 bits: 3 two-attribute pairs
-  body.slot_bits = 40;
+  body.pack_pairs = 3;  // 3 pairs of 80 bits in a 256-bit key
+  body.slot_widths = {40, 40};
   body.thresholds = {crypto::BigInt(0), crypto::BigInt(100000000)};
   std::vector<uint8_t> exact;
   net::AppendConfigBody(body, &exact);
@@ -2021,9 +2021,9 @@ ConformanceWorld RandomWorld(uint64_t seed, int num_pairs) {
   return w;
 }
 
-/// The packed configuration of the conformance worlds: 40-bit slots hold
-/// every drawn domain's largest squared distance, and a 256-bit key fits
-/// six of them, so a unit carries two to six pairs.
+/// The packed configuration of the conformance worlds: every drawn
+/// domain's slot fits the 40-bit cap, and a 256-bit key holds at least two
+/// pairs of them, so a unit carries two to eight pairs.
 smc::SmcConfig ConformanceConfig(bool packed) {
   smc::SmcConfig cfg;
   cfg.key_bits = 256;

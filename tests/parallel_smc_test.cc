@@ -193,8 +193,9 @@ TEST(ParallelSmcPipelineTest, SerialAndParallelRunsAreIdentical) {
 
 smc::SmcConfig PackedSmcConfig(int pack_pairs, int slot_bits = 64) {
   smc::SmcConfig cfg = TestSmcConfig();
-  // A 512-bit modulus gives the packed layout 7 slots, so groups hold more
-  // than one pair and the amortization assertions below have teeth.
+  // A 512-bit modulus holds more pairs than the cap of the tests below, so
+  // groups hold more than one pair and the amortization assertions below
+  // have teeth.
   cfg.key_bits = 512;
   cfg.pack_pairs = pack_pairs;
   cfg.pack_slot_bits = slot_bits;
@@ -250,7 +251,7 @@ TEST(PackedSmcTest, NegativeAndZeroValuesMatchScalarAndPlaintext) {
   const smc::SmcConfig cfg = PackedSmcConfig(4);
   const int group =
       smc::PackedGroupPairs(cfg, smc::RuleOperands(rule, cfg.fp_scale));
-  ASSERT_EQ(group, 3);  // 7 slots, 2 active attributes per pair
+  ASSERT_EQ(group, 4);  // the cap: 5 + 31 bits a pair, 14 pairs would fit
 
   const std::vector<double> nums = {-12.5, -3.0, 0.0, -0.25, 2.75, -7.0};
   std::vector<Record> as, bs;
@@ -388,9 +389,9 @@ TEST(SmcMatchOracleTest, MidBatchSemanticErrorIsThreadCountInvariant) {
             1);
 }
 
-// Slots too narrow for the attributes' declared domains: the rule cannot
-// pack, so the packed configuration runs scalar units, with the exact
-// labels.
+// A slot cap narrower than an attribute's declared domain needs: the rule
+// cannot pack, so the packed configuration runs scalar units, with the
+// exact labels.
 TEST(PackedSmcTest, NarrowSlotsRunScalarUnits) {
   const Workload& w = SmallWorkload();
   const auto batch = MakeBatch(w, 20);
@@ -401,7 +402,7 @@ TEST(PackedSmcTest, NarrowSlotsRunScalarUnits) {
   ASSERT_TRUE(scalar_labels.ok());
 
   // fp_scale = 1000 puts the age domain's encodings near 10⁵ in magnitude,
-  // so an 8-bit slot can never hold a squared distance.
+  // so its squared distances need far more than the 8-bit cap.
   const smc::SmcConfig narrow_cfg = PackedSmcConfig(4, /*slot_bits=*/8);
   EXPECT_EQ(smc::PackedGroupPairs(narrow_cfg,
                                   smc::RuleOperands(w.rule, 1000)),
@@ -624,19 +625,19 @@ TEST(OfflineBudgetTest, PrewarmsWithoutAMaterialStore) {
 }
 
 // The three exchange modes' per-role counts, spelled out once by hand:
-// three compared attributes, two pairs per packed unit.
+// three compared attributes, four pairs per packed unit.
 TEST(OfflineBudgetTest, PerRoleCountsFollowTheExchange) {
   const Workload& w = SmallWorkload();
   const smc::RuleOperands operands(w.rule, 1000);
   ASSERT_EQ(operands.size(), 3u);
   smc::SmcConfig packed = PackedSmcConfig(4);
-  ASSERT_EQ(smc::PackedGroupPairs(packed, operands), 2);
+  ASSERT_EQ(smc::PackedGroupPairs(packed, operands), 4);
   smc::SmcConfig scalar = TestSmcConfig();
   smc::SmcConfig blinded = TestSmcConfig();
   blinded.reveal_distances = false;
   const smc::RoleDraws p = smc::RandomizerDraws(packed, operands, 7);
-  EXPECT_EQ(p.alice, 7 * 3 + 4);  // a cross term per slot + Σx² per unit
-  EXPECT_EQ(p.bob, 4);            // Σy² per unit
+  EXPECT_EQ(p.alice, 7 * 3 + 2);  // a cross term per slot + Σx² per unit
+  EXPECT_EQ(p.bob, 2);            // Σy² per unit
   const smc::RoleDraws s = smc::RandomizerDraws(scalar, operands, 7);
   EXPECT_EQ(s.alice, 7 * 6);  // x² and -2x per attribute
   EXPECT_EQ(s.bob, 7 * 3);    // y² per attribute

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "crypto/secure_random.h"
 #include "smc/channel.h"
 #include "smc/parties.h"
 #include "smc/protocol.h"
@@ -159,27 +160,173 @@ TEST(ProtocolCostTest, CountsOperationsAndBytes) {
   EXPECT_EQ(cmp.costs().decryptions, 4);
 }
 
-// Packability is a plan-time property of the config and the rule's declared
-// domains, never of the values compared.
+// Packability and each attribute's slot width are plan-time properties of
+// the config and the rule's declared domains, never of the values compared.
 TEST(ProtocolTest, PackedGroupPairsComesFromDeclaredDomains) {
   SmcConfig cfg = FastConfig();
   cfg.pack_pairs = 8;
-  cfg.pack_slot_bits = 40;  // 256-bit key: 6 slots, 3 two-attribute pairs
   MatchRule rule = MixedRule();
   EXPECT_EQ(PackedGroupPairs(cfg, RuleOperands(rule, cfg.fp_scale)), 0)
       << "a rule without declared domains never packs";
-  rule.attrs[0].domain_hi = 16;  // categories [0, 16)
-  rule.attrs[1].domain_lo = -50;  // [-50, 150): |2·150000|² < 2^37
+  EXPECT_TRUE(RuleOperands(rule, cfg.fp_scale).slot_widths().empty());
+  rule.attrs[0].domain_hi = 16;  // categories [0, 16): (2·16)² needs 11 bits
+  rule.attrs[1].domain_lo = -50;  // [-50, 150): (2·150000)² needs 37 bits
   rule.attrs[1].domain_hi = 150;
-  EXPECT_EQ(PackedGroupPairs(cfg, RuleOperands(rule, cfg.fp_scale)), 3);
+  EXPECT_EQ(RuleOperands(rule, cfg.fp_scale).slot_widths(),
+            (std::vector<int>{11, 37}));
+  // 256-bit key: ⌊254 / 48⌋ pairs.
+  EXPECT_EQ(PackedGroupPairs(cfg, RuleOperands(rule, cfg.fp_scale)), 5);
   cfg.pack_pairs = 2;
   EXPECT_EQ(PackedGroupPairs(cfg, RuleOperands(rule, cfg.fp_scale)), 2);
   cfg.pack_pairs = 8;
-  cfg.pack_slot_bits = 36;  // (2·150000)² needs 37 bits
+  cfg.pack_slot_bits = 36;  // the numeric slot is wider than the cap
   EXPECT_EQ(PackedGroupPairs(cfg, RuleOperands(rule, cfg.fp_scale)), 0);
-  cfg.pack_slot_bits = 40;
+  cfg.pack_slot_bits = 37;
+  EXPECT_EQ(PackedGroupPairs(cfg, RuleOperands(rule, cfg.fp_scale)), 5);
   cfg.reveal_distances = false;
   EXPECT_EQ(PackedGroupPairs(cfg, RuleOperands(rule, cfg.fp_scale)), 0);
+}
+
+/// The paper's §VI rule shape: age on its VGH root range [16, 112) and four
+/// categoricals of 16, 14, 7 and 7 leaves, all at θ = 0.05.
+MatchRule SectionSixRule() {
+  MatchRule rule;
+  AttrRule age;
+  age.attr_index = 0;
+  age.type = AttrType::kNumeric;
+  age.theta = 0.05;
+  age.norm = 96;
+  age.domain_lo = 16;
+  age.domain_hi = 112;
+  rule.attrs.push_back(age);
+  const int leaves[] = {16, 14, 7, 7};
+  for (int i = 0; i < 4; ++i) {
+    AttrRule cat;
+    cat.attr_index = i + 1;
+    cat.type = AttrType::kCategorical;
+    cat.theta = 0.05;
+    cat.domain_hi = leaves[i];
+    rule.attrs.push_back(cat);
+  }
+  return rule;
+}
+
+Record SectionSixRec(double age, int32_t a, int32_t b, int32_t c, int32_t d) {
+  return {Value::Numeric(age), Value::Category(a), Value::Category(b),
+          Value::Category(c), Value::Category(d)};
+}
+
+// A §VI pair takes 36 + 11 + 10 + 8 + 8 = 73 bits: 14 fit a Paillier-1024
+// plaintext, so the default cap of 8 pairs binds, and 3 fit at 256 bits.
+// A slot cap below age's 36 bits runs scalar units.
+TEST(ProtocolTest, SectionSixRulePacksEightPairsAt1024BitsAndThreeAt256) {
+  const MatchRule rule = SectionSixRule();
+  SmcConfig cfg = FastConfig();
+  cfg.pack_pairs = 8;
+  const RuleOperands operands(rule, cfg.fp_scale);
+  EXPECT_EQ(operands.slot_widths(), (std::vector<int>{36, 11, 10, 8, 8}));
+  EXPECT_EQ(PackedGroupPairs(cfg, operands), 3);
+  cfg.key_bits = 1024;
+  EXPECT_EQ(PackedGroupPairs(cfg, operands), 8);
+  cfg.pack_pairs = 64;
+  EXPECT_EQ(PackedGroupPairs(cfg, operands), 14);
+  cfg.pack_pairs = 8;
+  cfg.pack_slot_bits = 35;
+  EXPECT_EQ(PackedGroupPairs(cfg, operands), 0);
+  cfg.pack_slot_bits = 36;
+  EXPECT_EQ(PackedGroupPairs(cfg, operands), 8);
+
+  // One 256-bit unit of three pairs at the domains' edges: ONE decryption,
+  // and the plaintext rule's labels.
+  SmcConfig small = FastConfig();
+  small.pack_pairs = 8;
+  SecureRecordComparator cmp(small, rule);
+  ASSERT_EQ(cmp.unit_pairs(), 3);
+  ASSERT_TRUE(cmp.Init().ok());
+  const Record lo = SectionSixRec(16, 0, 0, 0, 0);
+  const Record hi = SectionSixRec(111.999, 15, 13, 6, 6);
+  const Record near_hi = SectionSixRec(107.2, 15, 13, 6, 6);
+  const std::vector<RowPairRequest> unit = {
+      {0, 1, &lo, &hi}, {2, 3, &hi, &near_hi}, {4, 5, &lo, &lo}};
+  auto labels = cmp.CompareUnit(unit);
+  ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+  for (size_t i = 0; i < unit.size(); ++i) {
+    EXPECT_EQ((*labels)[i], RecordsMatch(*unit[i].a, *unit[i].b, rule))
+        << "pair " << i;
+  }
+  EXPECT_EQ(*labels, (std::vector<bool>{false, true, true}));
+  EXPECT_EQ(cmp.costs().decryptions, 1);
+  EXPECT_EQ(cmp.costs().packed_pairs, 3);
+  EXPECT_EQ(cmp.costs().encryptions, 3 * 5 + 1 + 1);
+}
+
+// Property: for random rules mixing numeric domains (most with negative
+// lows) and categorical ones, every squared distance between encodings at
+// the domain edges fits its attribute's slot, and a plaintext filled to its
+// exact capacity with them packs and unpacks exactly.
+TEST(ProtocolTest, SlotWidthsHoldEveryDistanceAtTheDomainEdges) {
+  crypto::SecureRandom rng(606);
+  auto below = [&](int64_t n) {
+    return static_cast<int64_t>(mpz_get_si(rng.NextBelow(BigInt(n)).raw()));
+  };
+  for (int trial = 0; trial < 100; ++trial) {
+    MatchRule rule;
+    const int k = static_cast<int>(1 + below(5));
+    std::vector<Record> edges(2, Record(static_cast<size_t>(k)));
+    for (int i = 0; i < k; ++i) {
+      AttrRule attr;
+      attr.attr_index = i;
+      attr.theta = 0.05;
+      if (below(3) != 0) {
+        attr.type = AttrType::kNumeric;
+        attr.norm = 10;
+        attr.domain_lo = static_cast<double>(below(2000) - 1500);
+        attr.domain_hi = attr.domain_lo + static_cast<double>(1 + below(3000));
+        edges[0][i] = Value::Numeric(attr.domain_lo);
+        edges[1][i] = Value::Numeric(attr.domain_hi - 0.001);
+      } else {
+        attr.type = AttrType::kCategorical;
+        attr.domain_hi = static_cast<double>(1 + below(300));
+        edges[0][i] = Value::Category(0);
+        edges[1][i] = Value::Category(static_cast<int32_t>(attr.domain_hi) - 1);
+      }
+      rule.attrs.push_back(attr);
+    }
+    const RuleOperands operands(rule, 1000);
+    const std::vector<int>& widths = operands.slot_widths();
+    ASSERT_EQ(widths.size(), static_cast<size_t>(k));
+    int pair_bits = 0;
+    for (int w : widths) pair_bits += w;
+    const int groups = static_cast<int>(1 + below(4));
+    auto layout =
+        crypto::PackingLayout::Plan(groups * pair_bits + 2, widths);
+    ASSERT_TRUE(layout.ok()) << layout.status().ToString();
+    ASSERT_EQ(layout->groups(), groups);
+    // Group g compares edge (g & 1) with edge ((g >> 1) & 1) ^ 1, so the
+    // groups cover lo–hi, hi–hi, lo–lo and hi–lo.
+    std::vector<BigInt> distances;
+    for (int g = 0; g < groups; ++g) {
+      const Record& a = edges[static_cast<size_t>(g & 1)];
+      const Record& b = edges[static_cast<size_t>(((g >> 1) & 1) ^ 1)];
+      for (int i = 0; i < k; ++i) {
+        auto x = operands.Encode(static_cast<size_t>(i), a);
+        auto y = operands.Encode(static_cast<size_t>(i), b);
+        ASSERT_TRUE(x.ok() && y.ok()) << "trial " << trial;
+        distances.push_back((*x - *y) * (*x - *y));
+      }
+    }
+    std::vector<const BigInt*> in;
+    for (const BigInt& d : distances) in.push_back(&d);
+    BigInt scratch, packed, rest;
+    ASSERT_TRUE(crypto::PackSlotsInto(in, *layout, &scratch, &packed).ok())
+        << "trial " << trial;
+    std::vector<BigInt> back(distances.size());
+    std::vector<BigInt*> out;
+    for (BigInt& d : back) out.push_back(&d);
+    ASSERT_TRUE(
+        crypto::UnpackSlotsInto(packed, back.size(), *layout, &rest, out).ok());
+    EXPECT_EQ(back, distances) << "trial " << trial;
+  }
 }
 
 // A declared domain bounds what a holder may encode: a value one encoding
