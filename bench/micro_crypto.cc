@@ -5,7 +5,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <vector>
 
+#include "crypto/arena.h"
 #include "crypto/fixed_base.h"
 #include "crypto/paillier.h"
 
@@ -59,6 +61,20 @@ void BM_PaillierDecrypt(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PaillierDecrypt)->Arg(1024)->Arg(2048)->Unit(benchmark::kMillisecond);
+
+// A narrow plaintext (one 6-pair §VI unit: 6 × 73 = 438 bits) through
+// DecryptBelow's single CRT half, next to BM_PaillierDecryptCrt's two.
+void BM_PaillierDecryptNarrow(benchmark::State& state) {
+  KeyFixture& f = Fixture(static_cast<int>(state.range(0)));
+  constexpr size_t kBits = 6 * 73;
+  auto c = f.kp.pub.Encrypt(f.rng.NextBits(kBits), f.rng);
+  if (!c.ok()) std::abort();
+  for (auto _ : state) {
+    auto m = f.kp.priv.DecryptBelow(*c, kBits);
+    benchmark::DoNotOptimize(m);
+  }
+}
+BENCHMARK(BM_PaillierDecryptNarrow)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 // The CRT fast path vs the reference lambda/mu path on the same key and
 // ciphertext — the before/after pair behind docs/PERFORMANCE.md.
@@ -205,6 +221,80 @@ void BM_PaillierScalarMulNegative41FullWidth(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PaillierScalarMulNegative41FullWidth)
+    ->Unit(benchmark::kMicrosecond);
+
+// Bob's fold of one §VI unit of range(0) pairs (8 in BENCH_hotpath.json)
+// at 1024 bits: 5 cross-term ciphertexts per pair raised to his operands —
+// age in [16000, 112000) (17 bits at fp_scale 1000) and categories below
+// 16, 14, 7 and 7 leaves — and added into the packed x² + y² ciphertext.
+// Product is the production fold, one simultaneous exponentiation;
+// Chained, the reference, is the per-slot ScalarMulInto + AddInto loop it
+// replaced.
+struct FoldFixture {
+  std::vector<BigInt> bases;
+  std::vector<const BigInt*> base_ptrs;
+  std::vector<BigInt> exponents;
+  BigInt start;
+
+  explicit FoldFixture(int64_t pairs) {
+    KeyFixture& f = Fixture(1024);
+    SecureRandom rng(8);
+    const int64_t domains[] = {96000, 16, 14, 7, 7};
+    for (int64_t pair = 0; pair < pairs; ++pair) {
+      for (int64_t domain : domains) {
+        BigInt y = rng.NextBelow(BigInt(domain));
+        if (domain == 96000) y = y + BigInt(16000);
+        exponents.push_back(std::move(y));
+      }
+    }
+    for (size_t i = 0; i < exponents.size() + 1; ++i) {
+      auto c = f.kp.pub.Encrypt(rng.NextBits(1000), f.rng);
+      if (!c.ok()) std::abort();
+      bases.push_back(std::move(c).value());
+    }
+    start = bases.back();
+    bases.pop_back();
+    for (const BigInt& b : bases) base_ptrs.push_back(&b);
+  }
+};
+
+void BM_PackedFoldChained(benchmark::State& state) {
+  const PaillierPublicKey& pub = Fixture(1024).kp.pub;
+  FoldFixture fold(state.range(0));
+  BigInt acc, scratch, term;
+  for (auto _ : state) {
+    acc = fold.start;
+    for (size_t i = 0; i < fold.bases.size(); ++i) {
+      pub.ScalarMulInto(fold.bases[i], fold.exponents[i], &scratch, &term);
+      pub.AddInto(&acc, term);
+    }
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_PackedFoldChained)
+    ->Arg(1)
+    ->Arg(3)
+    ->Arg(6)
+    ->Arg(8)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_PackedFoldProduct(benchmark::State& state) {
+  const PaillierPublicKey& pub = Fixture(1024).kp.pub;
+  FoldFixture fold(state.range(0));
+  BigIntArena arena(4 * 1024 + 128);
+  BigInt acc;
+  for (auto _ : state) {
+    arena.Reset();
+    acc = fold.start;
+    pub.ProductOfPowersInto(fold.base_ptrs, fold.exponents, &arena, &acc);
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_PackedFoldProduct)
+    ->Arg(1)
+    ->Arg(3)
+    ->Arg(6)
+    ->Arg(8)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_PrimeGeneration(benchmark::State& state) {

@@ -2,7 +2,10 @@
 # Hot-path benchmark smoke run. Builds the release tree, runs the hot-path
 # benches at smoke sizes and writes the before/after ratios to
 # BENCH_hotpath.json at the repo root:
-#   - Paillier decryption: CRT fast path vs reference lambda/mu path
+#   - Paillier decryption: CRT fast path vs reference lambda/mu path, plus
+#     the one-CRT-half time of a narrow (6-pair §VI) packed plaintext
+#   - packed fold: Bob's fold of one 8-pair §VI unit as one simultaneous
+#     exponentiation vs the per-slot ScalarMulInto + AddInto chain
 #   - randomizer: fixed-base windowed table vs square-and-multiply PowMod
 #   - SMC stage: batched engine (threads + randomizer pool) vs the
 #     serial reference engine (1 worker, no pool), on the timing-table
@@ -54,12 +57,13 @@ cmake --build "$BUILD" -j --target micro_crypto micro_blocking timing_table \
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
-echo "== micro_crypto x5: CRT decrypt + fixed-base randomizer (1024 bit) =="
-# One run's ratio swings across its floor on a shared host; the decrypt and
-# randomizer speedups, like every timed ratio below, use the median of five.
+echo "== micro_crypto x5: CRT + narrow decrypt, fixed-base randomizer, packed fold (1024 bit) =="
+# One run's ratio swings across its floor on a shared host; the decrypt,
+# randomizer and fold speedups, like every timed ratio below, use the median
+# of five.
 for rep in 1 2 3 4 5; do
   "./$BUILD/bench/micro_crypto" \
-    --benchmark_filter='(BM_PaillierDecrypt(Crt|Reference)|BM_Randomizer(FixedBasePow|ReferencePowMod))/1024' \
+    --benchmark_filter='(BM_PaillierDecrypt(Crt|Reference|Narrow)|BM_Randomizer(FixedBasePow|ReferencePowMod))/1024|BM_PackedFold(Chained|Product)/8' \
     --benchmark_format=json --benchmark_out="$TMP/crypto_$rep.json" \
     --benchmark_out_format=json >/dev/null
 done
@@ -137,8 +141,11 @@ def crypto_series(name):
 
 crt_reps = crypto_series("BM_PaillierDecryptCrt/1024")
 ref_reps = crypto_series("BM_PaillierDecryptReference/1024")
+narrow_reps = crypto_series("BM_PaillierDecryptNarrow/1024")
 fb_reps = crypto_series("BM_RandomizerFixedBasePow/1024")
 powmod_reps = crypto_series("BM_RandomizerReferencePowMod/1024")
+chained_reps = crypto_series("BM_PackedFoldChained/8")
+product_reps = crypto_series("BM_PackedFoldProduct/8")
 
 def series(path):
     with open(os.path.join(tmp, path)) as f:
@@ -185,6 +192,17 @@ report = {
         "reference_ms": median(ref_reps),
         "crt_ms": median(crt_reps),
         "speedup": median([r / c for r, c in zip(ref_reps, crt_reps)]),
+        # One CRT half: a 6-pair §VI plaintext (438 bits) through
+        # DecryptBelow, as the querying party decrypts a narrow unit.
+        "narrow_ms": median(narrow_reps),
+    },
+    # Bob's fold of one 8-pair §VI unit (40 slots): one simultaneous
+    # exponentiation (ProductOfPowersInto) vs the per-slot ScalarMulInto +
+    # AddInto chain. A fold back on per-slot exponentiations reads ~1.0.
+    "packed_fold_1024": {
+        "chained_us": median(chained_reps),
+        "product_us": median(product_reps),
+        "speedup": median([c / p for c, p in zip(chained_reps, product_reps)]),
     },
     # Randomizer hot path: h_n^s through the fixed-base windowed table vs the
     # reference square-and-multiply r^n mod n². This is the per-randomizer

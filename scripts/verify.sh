@@ -198,12 +198,14 @@ echo "== bench check: hot-path speedups vs committed BENCH_hotpath.json =="
 # 80% of its committed value (scripts/bench_smoke.sh --check).
 scripts/bench_smoke.sh --check
 
-echo "== ASan: fault injection + batch SMC engine + membership/scheduler + TCP + durable files + crypto + CSV ingest + anonymizers + streaming service =="
+echo "== ASan: fault injection + SMC unit steps + batch SMC engine + membership/scheduler + TCP + durable files + crypto + CSV ingest + anonymizers + streaming service =="
 cmake -B build-asan -S . -DHPRL_SANITIZE=address >/dev/null
 cmake --build build-asan -j --target fault_test membership_test net_test \
   material_test journal_test durable_file_test framing_test arena_test \
-  crypto_test data_test misc_test cli_test parallel_smc_test anon_test \
-  text_linkage_test serve_test
+  crypto_test data_test misc_test cli_test smc_test parallel_smc_test \
+  anon_test text_linkage_test serve_test
+# The per-role unit steps (PartyTest, the packed §VI ProtocolTest cases).
+./build-asan/tests/smc_test
 ./build-asan/tests/parallel_smc_test
 ./build-asan/tests/crypto_test
 ./build-asan/tests/data_test
@@ -238,12 +240,13 @@ cmake --build build-tsan -j --target obs_test blocking_test session_test \
 ./build-tsan/tests/material_test
 ./build-tsan/tests/journal_test
 
-echo "== UBSan: wire/durable-file codecs + batch SMC engine + membership + fault schedules + crypto + CSV ingest + anonymizers + streaming service =="
+echo "== UBSan: wire/durable-file codecs + SMC unit steps + batch SMC engine + membership + fault schedules + crypto + CSV ingest + anonymizers + streaming service =="
 cmake -B build-ubsan -S . -DHPRL_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j --target fault_test membership_test \
   journal_test durable_file_test net_test framing_test crypto_test \
-  data_test misc_test cli_test parallel_smc_test anon_test text_linkage_test \
-  serve_test
+  data_test misc_test cli_test smc_test parallel_smc_test anon_test \
+  text_linkage_test serve_test
+./build-ubsan/tests/smc_test
 ./build-ubsan/tests/parallel_smc_test
 ./build-ubsan/tests/crypto_test
 ./build-ubsan/tests/data_test

@@ -135,6 +135,74 @@ void PaillierPublicKey::ScalarMulInto(const BigInt& c, const BigInt& k,
   mpz_powm(out->raw(), c.raw(), scratch->raw(), n2_.raw());
 }
 
+void PaillierPublicKey::ProductOfPowersInto(
+    std::span<const BigInt* const> bases, std::span<const BigInt> exponents,
+    BigIntArena* arena, BigInt* acc) const {
+  HPRL_CHECK(bases.size() == exponents.size());
+  if (bases.empty()) return;
+  const auto count = static_cast<int64_t>(bases.size());
+  if (scalar_muls_ != nullptr) scalar_muls_->Increment(count);
+  if (adds_ != nullptr) adds_->Increment(count);
+  BigInt& product = arena->Next();
+  BigInt& wide = arena->Next();  // each double-width product before reducing
+  auto mul_mod = [&](BigInt* x, mpz_srcptr y) {
+    mpz_mul(wide.raw(), x->raw(), y);
+    mpz_mod(x->raw(), wide.raw(), n2_.raw());
+  };
+  // Bases go through the chain in stack-sized runs; each run's product
+  // joins *acc, which is exact mod n² however the bases are split.
+  constexpr size_t kRun = 128;
+  for (size_t begin = 0; begin < bases.size(); begin += kRun) {
+    const size_t run = std::min(kRun, bases.size() - begin);
+    // What ScalarMulInto raises to what: base b[i] and exponent e[i] >= 0,
+    // whose bits are read straight from its limbs.
+    mpz_srcptr b[kRun] = {};
+    const mp_limb_t* limbs[kRun] = {};
+    size_t limb_count[kRun] = {};
+    size_t width = 0;
+    for (size_t i = 0; i < run; ++i) {
+      const BigInt& c = *bases[begin + i];
+      const BigInt& k = exponents[begin + i];
+      b[i] = c.raw();
+      mpz_srcptr e = k.raw();  // |k|: mpz keeps sign and magnitude apart
+      if (k.Sign() < 0 || k >= n_) {
+        BigInt& slot = arena->Next();
+        if (k.Sign() < 0 &&
+            mpz_invert(slot.raw(), c.raw(), n2_.raw()) != 0) {
+          b[i] = slot.raw();
+        } else {
+          mpz_mod(slot.raw(), k.raw(), n_.raw());
+          e = slot.raw();
+        }
+      }
+      limbs[i] = mpz_limbs_read(e);
+      limb_count[i] = mpz_size(e);
+      if (limb_count[i] > 0) width = std::max(width, mpz_sizeinbase(e, 2));
+    }
+    bool started = false;  // product still holds the empty product 1
+    for (size_t bit = width; bit-- > 0;) {
+      if (started) mul_mod(&product, product.raw());
+      const size_t limb = bit / GMP_NUMB_BITS;
+      const mp_limb_t mask = mp_limb_t{1} << (bit % GMP_NUMB_BITS);
+      for (size_t i = 0; i < run; ++i) {
+        if (limb >= limb_count[i] || (limbs[i][limb] & mask) == 0) continue;
+        if (started) {
+          mul_mod(&product, b[i]);
+        } else {
+          mpz_mod(product.raw(), b[i], n2_.raw());
+          started = true;
+        }
+      }
+    }
+    // Every term of an all-zero run is 1; the chain still reduces *acc.
+    if (started) {
+      mul_mod(acc, product.raw());
+    } else {
+      mpz_mod(acc->raw(), acc->raw(), n2_.raw());
+    }
+  }
+}
+
 void PaillierPublicKey::AttachMetrics(obs::MetricsRegistry* registry) {
   encryptions_ = registry ? registry->counter("paillier.encryptions") : nullptr;
   adds_ = registry ? registry->counter("paillier.homomorphic_adds") : nullptr;
@@ -159,6 +227,17 @@ namespace {
 BigInt LFunction(const BigInt& x, const BigInt& p) {
   return (x - BigInt(1)) / p;
 }
+
+// One CRT half of a decryption: m mod p = L_p(c^{p-1} mod p²) · h_p mod p.
+BigInt CrtHalf(const BigInt& c, const BigInt& p, const BigInt& p2,
+               const BigInt& h) {
+  return (LFunction(BigInt::PowMod(c, p - BigInt(1), p2), p) * h) % p;
+}
+
+// Bits between a narrow plaintext's width and |p| - 1 that DecryptBelow
+// requires: a damaged ciphertext's residue mod p lands below 2^bits with
+// probability at most 2^-64.
+constexpr size_t kNarrowMarginBits = 64;
 }  // namespace
 
 Result<PaillierPrivateKey> PaillierPrivateKey::FromPrimes(const BigInt& p,
@@ -223,17 +302,28 @@ Result<BigInt> PaillierPrivateKey::DecryptCrt(const BigInt& c) const {
   if (decryptions_ != nullptr) decryptions_->Increment();
   // Two half-width exponentiations (exponents p-1 / q-1, moduli p² / q²)
   // instead of one full-width c^lambda mod n², then Garner recombination:
-  //   m_p = L_p(c^{p-1} mod p²) · hp mod p
-  //   m_q = L_q(c^{q-1} mod q²) · hq mod q
-  //   m   = m_p + p · ((m_q - m_p) · p⁻¹ mod q)
-  BigInt mp = (LFunction(BigInt::PowMod(c, p_ - BigInt(1), p2_), p_) * hp_) % p_;
-  BigInt mq = (LFunction(BigInt::PowMod(c, q_ - BigInt(1), q2_), q_) * hq_) % q_;
+  //   m = m_p + p · ((m_q - m_p) · p⁻¹ mod q)
+  BigInt mp = CrtHalf(c, p_, p2_, hp_);
+  BigInt mq = CrtHalf(c, q_, q2_, hq_);
   BigInt t = ((mq - mp) * p_inv_q_) % q_;  // Euclidean % keeps t in [0, q)
   return mp + p_ * t;
 }
 
+Result<BigInt> PaillierPrivateKey::DecryptBelow(const BigInt& c,
+                                                size_t bits) const {
+  if (!has_crt_ || bits + kNarrowMarginBits + 1 > p_.BitLength()) {
+    return Decrypt(c);
+  }
+  HPRL_RETURN_IF_ERROR(CheckCiphertext(c));
+  if (decryptions_ != nullptr) decryptions_->Increment();
+  if (narrow_decryptions_ != nullptr) narrow_decryptions_->Increment();
+  return CrtHalf(c, p_, p2_, hp_);  // m mod p = m, as m < 2^bits < p
+}
+
 void PaillierPrivateKey::AttachMetrics(obs::MetricsRegistry* registry) {
   decryptions_ = registry ? registry->counter("paillier.decryptions") : nullptr;
+  narrow_decryptions_ =
+      registry ? registry->counter("paillier.narrow_decryptions") : nullptr;
 }
 
 BigInt PaillierPrivateKey::DecodeSignedValue(BigInt m) const {

@@ -5,9 +5,11 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 
 #include "common/result.h"
+#include "crypto/arena.h"
 #include "crypto/bigint.h"
 #include "crypto/secure_random.h"
 #include "obs/metrics.h"
@@ -78,6 +80,21 @@ class PaillierPublicKey {
   void ScalarMulInto(const BigInt& c, const BigInt& k, BigInt* scratch,
                      BigInt* out) const;
 
+  /// *acc = *acc +h Σ_i (bases[i] ×h exponents[i]): the integer the chain
+  /// `ScalarMulInto(bases[i], exponents[i]); AddInto(acc, ·)` leaves, in
+  /// one simultaneous (Straus) square-and-multiply of Π c_i^{k_i} mod n² —
+  /// one squaring per bit of the widest |k_i|, shared by every base, plus
+  /// one multiply per set bit — where the chain pays a full exponentiation
+  /// per base. Each base is raised exactly as ScalarMulInto raises it (a
+  /// negative k exponentiates c's inverse by |k|; a non-unit c, or a k of n
+  /// or more, takes the exponent k mod n) and counts as one scalar mul and
+  /// one add. Inverses, reduced exponents and the running product live in
+  /// `arena` slots (at most one per base, plus two), so no GMP value is
+  /// allocated. The spans have equal lengths.
+  void ProductOfPowersInto(std::span<const BigInt* const> bases,
+                           std::span<const BigInt> exponents,
+                           BigIntArena* arena, BigInt* acc) const;
+
   /// Fresh randomness on an existing ciphertext (same plaintext). Draws from
   /// the attached randomizer pool when one is present.
   Result<BigInt> Rerandomize(const BigInt& c, SecureRandom& rng) const;
@@ -135,6 +152,18 @@ class PaillierPrivateKey {
   /// Decrypts to [0, n); uses CRT when available.
   Result<BigInt> Decrypt(const BigInt& c) const;
 
+  /// Decrypts a ciphertext whose plaintext the caller knows lies below
+  /// 2^bits (a packed unit's slots). When bits + 64 <= |p| - 1 this is one
+  /// CRT half, m_p = L_p(c^{p-1} mod p²)·h_p mod p, which is m itself for
+  /// every m < 2^bits < p: one half-width exponentiation where Decrypt
+  /// takes two. Otherwise, and for a key without CRT data, it is Decrypt.
+  /// The 64-bit margin keeps damage visible: a damaged ciphertext decrypts
+  /// to a near-uniform residue mod p, which lies below 2^bits (and so
+  /// passes an exact-width check such as UnpackSlotsInto's) with
+  /// probability at most 2^-64. The half path also counts
+  /// paillier.narrow_decryptions.
+  Result<BigInt> DecryptBelow(const BigInt& c, size_t bits) const;
+
   /// Decrypts through the reference lambda/mu path regardless of CRT data
   /// (parity testing and before/after benchmarking).
   Result<BigInt> DecryptReference(const BigInt& c) const;
@@ -147,7 +176,8 @@ class PaillierPrivateKey {
 
   const BigInt& n() const { return n_; }
 
-  /// Streams paillier.decryptions into `registry`; nullptr detaches.
+  /// Streams paillier.decryptions and paillier.narrow_decryptions into
+  /// `registry`; nullptr detaches.
   void AttachMetrics(obs::MetricsRegistry* registry);
 
  private:
@@ -165,7 +195,8 @@ class PaillierPrivateKey {
   BigInt p2_, q2_;
   BigInt hp_, hq_;      // L_p((n+1)^{p-1} mod p²)^{-1} mod p, resp. mod q
   BigInt p_inv_q_;      // p^{-1} mod q, for the Garner recombination
-  obs::Counter* decryptions_ = nullptr;  // not owned
+  obs::Counter* decryptions_ = nullptr;         // not owned
+  obs::Counter* narrow_decryptions_ = nullptr;  // not owned
 };
 
 struct PaillierKeyPair {

@@ -52,7 +52,7 @@ void QueryingParty::AttachMetrics(obs::MetricsRegistry* registry) {
 
 Result<BigInt> QueryingParty::ReceiveDecrypted(MessageBus* bus,
                                                const char* tag,
-                                               bool is_signed,
+                                               size_t packed_bits,
                                                SmcCosts* costs) {
   auto msg = bus->Expect(kQp, tag);
   if (!msg.ok()) return msg.status();
@@ -60,14 +60,15 @@ Result<BigInt> QueryingParty::ReceiveDecrypted(MessageBus* bus,
   auto c = ConsumeBigInt(msg->payload, &off);
   if (!c.ok()) return c.status();
   HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, *c, tag));
-  auto plain = is_signed ? priv_.DecryptSigned(*c) : priv_.Decrypt(*c);
+  auto plain = packed_bits == 0 ? priv_.DecryptSigned(*c)
+                                : priv_.DecryptBelow(*c, packed_bits);
   if (!plain.ok()) return plain.status();
   costs->decryptions += 1;
   return plain;
 }
 
 Result<BigInt> QueryingParty::ReceivePlain(MessageBus* bus, SmcCosts* costs) {
-  return ReceiveDecrypted(bus, "bob_ct", /*is_signed=*/true, costs);
+  return ReceiveDecrypted(bus, "bob_ct", /*packed_bits=*/0, costs);
 }
 
 Result<std::vector<uint8_t>> QueryingParty::DecideUnit(
@@ -85,8 +86,13 @@ Result<std::vector<uint8_t>> QueryingParty::DecideUnit(
     // ONE decryption covers every slot. The packed plaintext is Σ d_i·W_i
     // with d_i = (x_i - y_i)² >= 0, so the unsigned decode is exact even
     // though the homomorphic fold passed through negative slot
-    // contributions mod n.
-    auto plain = ReceiveDecrypted(bus, "bob_pk", /*is_signed=*/false, costs);
+    // contributions mod n. It lies below 2^(the unit's last slot end), so
+    // a narrow unit decrypts with one CRT half (DecryptBelow); the unpack
+    // below still rejects a damaged plaintext.
+    const size_t last = slots - 1;
+    const size_t plain_bits =
+        shape.layout.SlotOffset(last) + shape.layout.SlotWidth(last);
+    auto plain = ReceiveDecrypted(bus, "bob_pk", plain_bits, costs);
     if (!plain.ok()) return plain.status();
     std::vector<BigInt*> distances;
     distances.reserve(slots);
@@ -107,7 +113,7 @@ Result<std::vector<uint8_t>> QueryingParty::DecideUnit(
     costs->packed_pairs += static_cast<int64_t>(pairs);
   } else {
     for (size_t i = 0; i < slots; ++i) {
-      auto plain = ReceiveDecrypted(bus, "bob_ct", /*is_signed=*/true, costs);
+      auto plain = ReceiveDecrypted(bus, "bob_ct", /*packed_bits=*/0, costs);
       if (!plain.ok()) return plain.status();
       // Blinded, the plaintext's sign is the outcome: d <= T <=> >= 0.
       within.push_back(params_.reveal_distances
@@ -257,17 +263,14 @@ Status DataHolder::FoldUnit(MessageBus* bus, const std::vector<BigInt>& ys,
   HPRL_RETURN_IF_ERROR(pub_.EncryptInto(packed_y2, *rng_, &scratch, &c_py2));
   costs->encryptions += 1;
   // Σ_i Enc(d_i · W_i): the x² terms arrive pre-packed and the cross terms
-  // pre-weighted, so Enc(-2x_i·W_i) ×h y_i lands in slot i.
+  // pre-weighted, so Enc(-2x_i·W_i) ×h y_i lands in slot i. Every cross
+  // term joins in one simultaneous exponentiation, whose squarings all
+  // slots share.
   BigInt& acc = arena->Next();
   mpz_set(acc.raw(), c_px2.raw());
   pub_.AddInto(&acc, c_py2);
-  costs->homomorphic_adds += 1;
-  BigInt& term = arena->Next();
-  for (size_t i = 0; i < ys.size(); ++i) {
-    pub_.ScalarMulInto(*c_m2xw[i], ys[i], &scratch, &term);
-    pub_.AddInto(&acc, term);
-  }
-  costs->homomorphic_adds += static_cast<int64_t>(ys.size());
+  pub_.ProductOfPowersInto(c_m2xw, ys, arena, &acc);
+  costs->homomorphic_adds += 1 + static_cast<int64_t>(ys.size());
   costs->scalar_muls += static_cast<int64_t>(ys.size());
   std::vector<uint8_t> payload;
   AppendBigInt(acc, &payload);

@@ -65,10 +65,12 @@ class QueryingParty {
   /// attribute of every pair against `thresholds` (one per attribute, the
   /// scaled integer bound on (x-y)²) and returns each pair's conjunction,
   /// 1 = match. A packed unit is one "bob_pk" ciphertext carrying every
-  /// slot distance: ONE decryption, then an exact unpack (a nonzero residue
-  /// past the last slot is reported as an IOError, so the retry layer
-  /// treats it like any other damaged payload); packing requires revealed
-  /// distances (the packed plaintext is the distances). A scalar unit is
+  /// slot distance: ONE decryption (one CRT half when the unit's plaintext
+  /// is narrow enough, PaillierPrivateKey::DecryptBelow), then an exact
+  /// unpack (a nonzero residue past the last slot is reported as an
+  /// IOError, so the retry layer treats it like any other damaged payload);
+  /// packing requires revealed distances (the packed plaintext is the
+  /// distances). A scalar unit is
   /// one "bob_ct" per attribute, each decrypted (or, blinded, sign-tested).
   /// Counts the unit's attribute comparisons and, packed, its exchange and
   /// pairs. Scratch values live in `arena`, as in every unit step.
@@ -87,9 +89,10 @@ class QueryingParty {
 
  private:
   /// Consumes one `tag` message holding one ciphertext, validates and
-  /// decrypts it (signed: into (-n/2, n/2]).
+  /// decrypts it: signed, into (-n/2, n/2], when `packed_bits` is 0, else
+  /// as a packed plaintext below 2^packed_bits (DecryptBelow).
   Result<crypto::BigInt> ReceiveDecrypted(MessageBus* bus, const char* tag,
-                                          bool is_signed, SmcCosts* costs);
+                                          size_t packed_bits, SmcCosts* costs);
 
   ProtocolParams params_;
   std::unique_ptr<crypto::SecureRandom> rng_;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "crypto/arena.h"
 #include "crypto/bigint.h"
 #include "crypto/fixed_base.h"
 #include "crypto/fixed_point.h"
@@ -14,6 +15,7 @@
 #include "crypto/packing.h"
 #include "crypto/paillier.h"
 #include "crypto/secure_random.h"
+#include "obs/metrics.h"
 
 namespace hprl::crypto {
 namespace {
@@ -760,6 +762,192 @@ TEST_P(PreWeightedFoldTest, MatchesSlotWeightedExponentAndSquaredDistances) {
 
 INSTANTIATE_TEST_SUITE_P(KeyBits, PreWeightedFoldTest,
                          ::testing::Values(512, 1024));
+
+// ProductOfPowersInto is Bob's whole packed fold in one simultaneous
+// exponentiation. Property: it leaves exactly the integer the chain
+// `ScalarMulInto; AddInto` leaves, for random unit bases and for exponents
+// 0, ±1, the §VI operand widths (17/5/4/3/3 bits), negatives, values wider
+// than 64 bits and values of n or more; for one base; for no base; for a
+// non-unit base under negative and positive exponents; and for more bases
+// than one stack run holds. Each base counts one scalar mul and one add.
+class ProductOfPowersTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ProductOfPowersTest, EqualsTheChainedFoldBitForBit) {
+  const int key_bits = GetParam();
+  SecureRandom key_rng(static_cast<uint64_t>(key_bits) + 5);
+  auto kp = GeneratePaillierKeyPair(key_bits, key_rng);
+  ASSERT_TRUE(kp.ok()) << kp.status().ToString();
+  PaillierPublicKey pub = kp->pub;
+  obs::MetricsRegistry registry;
+  pub.AttachMetrics(&registry);
+  const BigInt& n = pub.n();
+  SecureRandom rng(static_cast<uint64_t>(key_bits));
+  BigIntArena arena(static_cast<size_t>(key_bits) * 4 + 128);
+
+  auto unit = [&] {
+    auto c = pub.Encrypt(rng.NextBelow(n), rng);
+    EXPECT_TRUE(c.ok());
+    return std::move(c).value();
+  };
+  auto signed_bits = [&](int bits) {
+    BigInt k = rng.NextBits(bits);
+    return rng.NextBits(1).IsZero() ? k : -k;
+  };
+  // The fixed exponents, then random ones of every kind.
+  std::vector<BigInt> pool = {BigInt(0),     BigInt(1),     BigInt(-1),
+                              n,             -n,            n + BigInt(5),
+                              -(n + BigInt(5)), n - BigInt(1)};
+  for (int bits : {17, 5, 4, 3, 3, 17, 41, 64, 65, 100, 200}) {
+    pool.push_back(rng.NextBits(bits));
+    pool.push_back(-rng.NextBits(bits));
+  }
+  for (int i = 0; i < 20; ++i) pool.push_back(signed_bits(1 + i * 7));
+
+  struct Case {
+    std::vector<BigInt> bases;
+    std::vector<BigInt> exponents;
+  };
+  std::vector<Case> cases;
+  cases.push_back({});                                  // no base
+  cases.push_back({{unit()}, {BigInt(123457)}});        // one base
+  cases.push_back({{unit()}, {BigInt(-77)}});           // one, negative
+  cases.push_back({{n, unit(), n}, {BigInt(-3), BigInt(9), BigInt(4)}});
+  Case every;  // every exponent of the pool, each on its own unit base
+  for (const BigInt& k : pool) {
+    every.bases.push_back(unit());
+    every.exponents.push_back(k);
+  }
+  cases.push_back(every);
+  Case section_six;  // one 8-pair §VI unit of Bob's operands
+  for (int pair = 0; pair < 8; ++pair) {
+    for (int64_t domain : {96000, 16, 14, 7, 7}) {
+      section_six.bases.push_back(unit());
+      section_six.exponents.push_back(
+          domain == 96000 ? rng.NextBelow(BigInt(domain)) + BigInt(16000)
+                          : rng.NextBelow(BigInt(domain)));
+    }
+  }
+  cases.push_back(section_six);
+  Case runs;  // past one 128-base run, with zero exponents mixed in
+  for (int i = 0; i < 131; ++i) {
+    runs.bases.push_back(unit());
+    runs.exponents.push_back(i % 9 == 0 ? BigInt(0) : signed_bits(1 + i % 23));
+  }
+  cases.push_back(runs);
+  Case zeros;  // every term 1
+  for (int i = 0; i < 3; ++i) {
+    zeros.bases.push_back(unit());
+    zeros.exponents.push_back(BigInt(0));
+  }
+  cases.push_back(zeros);
+
+  obs::Counter* muls = registry.counter("paillier.scalar_muls");
+  obs::Counter* adds = registry.counter("paillier.homomorphic_adds");
+  for (size_t c = 0; c < cases.size(); ++c) {
+    const Case& fold = cases[c];
+    const BigInt start = c == 0 ? BigInt(1) : unit();
+    BigInt chained = start, scratch, term;
+    for (size_t i = 0; i < fold.bases.size(); ++i) {
+      pub.ScalarMulInto(fold.bases[i], fold.exponents[i], &scratch, &term);
+      pub.AddInto(&chained, term);
+    }
+    std::vector<const BigInt*> bases;
+    for (const BigInt& b : fold.bases) bases.push_back(&b);
+    const int64_t muls_before = muls->value();
+    const int64_t adds_before = adds->value();
+    arena.Reset();
+    BigInt product = start;
+    pub.ProductOfPowersInto(bases, fold.exponents, &arena, &product);
+    EXPECT_EQ(product, chained) << "case " << c;
+    const auto count = static_cast<int64_t>(fold.bases.size());
+    EXPECT_EQ(muls->value() - muls_before, count) << "case " << c;
+    EXPECT_EQ(adds->value() - adds_before, count) << "case " << c;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(KeyBits, ProductOfPowersTest,
+                         ::testing::Values(512, 1024));
+
+// DecryptBelow decrypts with the p half of the CRT alone when the plaintext
+// width leaves 64 bits of margin below |p| - 1, and with the full CRT
+// otherwise; both equal Decrypt on every plaintext below 2^bits.
+TEST(DecryptBelowTest, HalfPathAtPMinus65FullPathAtPMinus64) {
+  SecureRandom rng(8080);
+  const BigInt p = rng.NextPrime(128);
+  BigInt q = rng.NextPrime(128);
+  while (q == p) q = rng.NextPrime(128);
+  auto priv = PaillierPrivateKey::FromPrimes(p, q);
+  ASSERT_TRUE(priv.ok());
+  PaillierPublicKey pub(priv->n());
+  obs::MetricsRegistry registry;
+  priv->AttachMetrics(&registry);
+  obs::Counter* decryptions = registry.counter("paillier.decryptions");
+  obs::Counter* narrow = registry.counter("paillier.narrow_decryptions");
+  const size_t p_bits = p.BitLength();
+  for (size_t bits : {p_bits - 65, p_bits - 64}) {
+    const bool half = bits == p_bits - 65;
+    std::vector<BigInt> plaintexts = {BigInt(0), Pow2(bits) - BigInt(1)};
+    for (int i = 0; i < 8; ++i) plaintexts.push_back(rng.NextBits(bits));
+    for (const BigInt& m : plaintexts) {
+      auto c = pub.Encrypt(m, rng);
+      ASSERT_TRUE(c.ok());
+      const int64_t decrypted = decryptions->value();
+      const int64_t narrowed = narrow->value();
+      auto below = priv->DecryptBelow(*c, bits);
+      ASSERT_TRUE(below.ok());
+      EXPECT_EQ(decryptions->value() - decrypted, 1);
+      EXPECT_EQ(narrow->value() - narrowed, half ? 1 : 0) << bits;
+      EXPECT_EQ(*below, m) << bits;
+      EXPECT_EQ(*below, *priv->Decrypt(*c)) << bits;
+    }
+  }
+  EXPECT_FALSE(priv->DecryptBelow(BigInt(0), p_bits - 65).ok());
+  EXPECT_FALSE(priv->DecryptBelow(pub.n_squared(), p_bits - 65).ok());
+
+  // A key without CRT data has no p half: the full reference path.
+  const BigInt lambda = BigInt::Lcm(p - BigInt(1), q - BigInt(1));
+  auto mu = BigInt::ModInverse(lambda, priv->n());
+  ASSERT_TRUE(mu.ok());
+  PaillierPrivateKey reference(priv->n(), lambda, *mu);
+  reference.AttachMetrics(&registry);
+  const int64_t narrowed = narrow->value();
+  const BigInt m = rng.NextBits(p_bits - 65);
+  auto c = pub.Encrypt(m, rng);
+  ASSERT_TRUE(c.ok());
+  EXPECT_EQ(*reference.DecryptBelow(*c, p_bits - 65), m);
+  EXPECT_EQ(narrow->value(), narrowed);
+}
+
+// The margin is what keeps a damaged packed ciphertext visible: any value
+// that is not an encryption of a plaintext below 2^bits decrypts on the
+// half path to a residue mod p that the unpack rejects. 200 random
+// ciphertexts through a 6-pair §VI unit (438 bits of a 1024-bit key's
+// 512-bit p) must all fail UnpackSlotsInto.
+TEST(DecryptBelowTest, RandomCiphertextsOfASixPairUnitFailTheUnpack) {
+  SecureRandom key_rng(1024 + 77);
+  auto kp = GeneratePaillierKeyPair(1024, key_rng);
+  ASSERT_TRUE(kp.ok());
+  obs::MetricsRegistry registry;
+  kp->priv.AttachMetrics(&registry);
+  auto layout = PackingLayout::Plan(kp->pub.modulus_bits(), kSectionSixWidths);
+  ASSERT_TRUE(layout.ok());
+  const size_t slots = 6 * kSectionSixWidths.size();
+  const size_t bits =
+      layout->SlotOffset(slots - 1) + layout->SlotWidth(slots - 1);
+  ASSERT_EQ(bits, 438u);
+  SecureRandom rng(5150);
+  const int kTrials = 200;
+  for (int i = 0; i < kTrials; ++i) {
+    BigInt c;
+    do {
+      c = rng.NextBelow(kp->pub.n_squared());
+    } while (c.IsZero());
+    auto plain = kp->priv.DecryptBelow(c, bits);
+    ASSERT_TRUE(plain.ok());
+    EXPECT_FALSE(UnpackSlots(*plain, slots, *layout).ok()) << "trial " << i;
+  }
+  EXPECT_EQ(registry.counter("paillier.narrow_decryptions")->value(), kTrials);
+}
 
 TEST_F(RandomizerPoolTest, FixedBaseRandomizersAreValidUnits) {
   RandomizerPool pool(pub_, 4, 21);

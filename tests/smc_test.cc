@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "crypto/secure_random.h"
+#include "obs/metrics.h"
 #include "smc/channel.h"
 #include "smc/parties.h"
 #include "smc/protocol.h"
@@ -258,6 +261,49 @@ TEST(ProtocolTest, SectionSixRulePacksEightPairsAt1024BitsAndThreeAt256) {
   EXPECT_EQ(cmp.costs().decryptions, 1);
   EXPECT_EQ(cmp.costs().packed_pairs, 3);
   EXPECT_EQ(cmp.costs().encryptions, 3 * 5 + 1 + 1);
+}
+
+// A unit's plaintext is as wide as its slots: a 6-pair §VI unit needs 438
+// bits, which leaves the 64-bit margin below a 1024-bit key's 512-bit p, so
+// the querying party decrypts it with one CRT half; a 7-pair unit (511
+// bits) takes the full CRT. Either way: one decryption per unit and the
+// plaintext rule's labels.
+TEST(ProtocolTest, SectionSixUnitsOfSixPairsDecryptNarrowAndSevenFull) {
+  const MatchRule rule = SectionSixRule();
+  crypto::SecureRandom key_rng(1066);
+  auto kp = crypto::GeneratePaillierKeyPair(1024, key_rng);
+  ASSERT_TRUE(kp.ok());
+  // Pairs near and across the age threshold (4.8 years at θ = 0.05), at
+  // the domains' edges and with differing categories.
+  std::vector<Record> as, bs;
+  for (int i = 0; i < 7; ++i) {
+    const double age = 16 + 13.5 * i;
+    as.push_back(SectionSixRec(age, 15 - i, i, i % 7, 6 - i % 7));
+    bs.push_back(SectionSixRec(std::min(111.999, age + (i % 2 ? 4.5 : 5.5)),
+                               15 - i, i, i % 7, i == 5 ? 0 : 6 - i % 7));
+  }
+  for (int pairs : {6, 7}) {
+    SmcConfig cfg = FastConfig();
+    cfg.key_bits = 1024;
+    cfg.pack_pairs = pairs;
+    SecureRecordComparator cmp(cfg, rule);
+    ASSERT_EQ(cmp.unit_pairs(), pairs);
+    ASSERT_TRUE(cmp.InitWithKeyPair(*kp).ok());
+    obs::MetricsRegistry registry;
+    cmp.AttachMetrics(&registry);
+    std::vector<RowPairRequest> unit;
+    for (int i = 0; i < pairs; ++i) unit.push_back({i, i, &as[i], &bs[i]});
+    auto labels = cmp.CompareUnit(unit);
+    ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+    for (int i = 0; i < pairs; ++i) {
+      EXPECT_EQ((*labels)[i], RecordsMatch(as[i], bs[i], rule))
+          << pairs << " pairs, pair " << i;
+    }
+    EXPECT_EQ(cmp.costs().decryptions, 1) << pairs;
+    EXPECT_EQ(registry.counter("paillier.decryptions")->value(), 1) << pairs;
+    EXPECT_EQ(registry.counter("paillier.narrow_decryptions")->value(),
+              pairs == 6 ? 1 : 0);
+  }
 }
 
 // Property: for random rules mixing numeric domains (most with negative
