@@ -21,9 +21,9 @@
 #   - blocking: memoized SlackTable sweep vs the seed's direct sweep
 #   - tcp transport: wire bytes of a real three-daemon loopback run vs the
 #     bytes the in-process bus accounts for the same traffic
-#   - pipelined rpc: exact ctl round-trip counts of the same loopback run at
-#     rpc_batch 1 (one per SMC pair) and rpc_batch 32 (one per 32-pair
-#     frame), with zero retries in both
+#   - pipelined rpc: exact ctl round-trip and pairb row counts of the same
+#     loopback run at rpc_batch 1 (one round trip and two rows per SMC pair)
+#     and rpc_batch 32 (one per 32-pair frame), with zero retries in both
 #   - async datapath: SocketBus bulk throughput vs raw loopback TCP moving
 #     the identical checksummed wire frames (overhead budget: 2x)
 #   - arena alloc: GMP allocations per packed-SMC pair (ceiling: 9)
@@ -95,7 +95,7 @@ for rep in 1 2 3; do
     --metrics_out "$TMP/tcp_$rep.json" >/dev/null
 done
 
-echo "== pipelined rpc: ctl round trips at rpc_batch 1 and 32 =="
+echo "== pipelined rpc: ctl round trips and rows sent at rpc_batch 1 and 32 =="
 # Variant specs: the base spec plus appended directives, which replace its
 # values (a later directive wins).
 { cat "$TMP/tcpdata/linkage.spec"; echo "rpc_batch 1"; } \
@@ -279,27 +279,36 @@ report["tcp_transport"] = {
 # (one pair per pairb frame) and rpc_batch 32 (4 frames in flight). These
 # are exact counts, not timings: rpc_batch 1 pays one ctl round trip per SMC
 # pair, rpc_batch 32 one per 32-pair frame, and a healthy loopback mesh
-# never retries. Gated below by exact equality, not the 80% floor.
+# never retries. Every pairb frame carries its own rows, so rows_sent is
+# 2 x smc_pairs at rpc_batch 1 (an R and an S row per one-pair frame) and
+# the frames' distinct rows at rpc_batch 32. Gated below by exact equality,
+# not the 80% floor.
 def rpc_run(path):
     with open(os.path.join(tmp, path)) as f:
         run = json.load(f)
     return (run["counters"]["net.ctl_round_trips"],
             run["metrics"]["smc_processed"],
-            run["counters"].get("smc.retries", 0))
+            run["counters"].get("smc.retries", 0),
+            run["counters"].get("net.rows_sent", 0))
 
-trips1, pairs1, retries1 = rpc_run("tcp_batch1.json")
-trips32, pairs32, retries32 = rpc_run("tcp_batch32.json")
+trips1, pairs1, retries1, rows1 = rpc_run("tcp_batch1.json")
+trips32, pairs32, retries32, rows32 = rpc_run("tcp_batch32.json")
 report["pipelined_rpc"] = {
     "smc_pairs": pairs1,
     "ctl_round_trips_rpc_batch1": trips1,
     "ctl_round_trips_rpc_batch32": trips32,
     "smc_retries_rpc_batch1": retries1,
     "smc_retries_rpc_batch32": retries32,
+    "rows_sent_rpc_batch1": rows1,
+    "rows_sent_rpc_batch32": rows32,
 }
 rpc_failures = []
 if trips1 != pairs1:
     rpc_failures.append(f"pipelined_rpc: rpc_batch 1 made {trips1} ctl round "
                         f"trips for {pairs1} SMC pairs")
+if rows1 != 2 * pairs1:
+    rpc_failures.append(f"pipelined_rpc: rpc_batch 1 sent {rows1} rows for "
+                        f"{pairs1} SMC pairs, want {2 * pairs1}")
 if pairs32 != pairs1:
     rpc_failures.append(f"pipelined_rpc: rpc_batch 32 ran {pairs32} SMC pairs, "
                         f"rpc_batch 1 ran {pairs1}")
@@ -363,7 +372,8 @@ if check:
               f"{ratio:.2f} (budget 2.0)")
     # Exact count gates: the same seeded run must make exactly the committed
     # number of ctl round trips (400 SMC pairs -> 400 at rpc_batch 1, 14 at
-    # rpc_batch 32: frames are cut at whole 3-pair units, 30 pairs each).
+    # rpc_batch 32: frames are cut at whole 3-pair units, 30 pairs each) and
+    # send exactly the committed number of rows in its pairb frames.
     for key, measured in report["pipelined_rpc"].items():
         want = committed.get("pipelined_rpc", {}).get(key)
         if measured != want:

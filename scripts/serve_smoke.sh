@@ -10,8 +10,9 @@
 #     exact same links with zero lost or duplicated verdicts — replayed +
 #     live SMC spend must equal the uninterrupted run's spend;
 #   - transport independence: the same stream over a real hprl_party TCP
-#     fleet (wire v8: rows stay resident on the daemons and ride the pairb
-#     frames that first need them) produces the same links again.
+#     fleet (wire v12: every pairb frame carries the rows its pairs name,
+#     and the daemons keep none between frames) produces the same links
+#     again.
 #
 # Throughput and latency of the service are measured by perfbench's
 # serve-churn workload, not here; this script writes no file.

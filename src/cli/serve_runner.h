@@ -33,8 +33,8 @@ struct ServeRunnerOptions {
   /// resumed run must reproduce the pre-crash state exactly. 0 = off.
   int64_t crash_after = 0;
 
-  /// Where the SMC step runs, as for the batch runner: rows stay resident
-  /// on the daemons of a tcp fleet (requires keybits > 0 in the spec).
+  /// Where the SMC step runs, as for the batch runner: a tcp fleet stays up
+  /// for the whole stream (requires keybits > 0 in the spec).
   DeploymentOptions deployment;
 
   /// Optional external registry (not owned; may be null). When null and

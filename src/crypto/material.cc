@@ -10,9 +10,10 @@ namespace hprl::crypto {
 
 namespace {
 
-// Version 1 must stay: the durable-file envelope is exactly this format's
-// layout, so material stores already on disk keep loading warm.
-constexpr DurableFormat kMaterial{"material", "HPRLMAT1", 1};
+// The body carries no slot layout: the material depends on the modulus
+// alone. A file of any other version is stale: a counted miss, then
+// regenerated.
+constexpr DurableFormat kMaterial{"material", "HPRLMAT1", 2};
 // Structural caps: far above anything the engine generates, low enough that
 // a corrupted length field cannot drive allocation into gigabytes.
 constexpr uint32_t kMaxTableBlob = 1u << 28;
@@ -26,17 +27,15 @@ uint64_t KeyFingerprint(const BigInt& n) {
 }
 
 std::string MaterialStore::PathFor(uint64_t fingerprint,
-                                   uint32_t modulus_bits,
-                                   uint32_t slot_bits) const {
-  return StrFormat("%s/material-%016llx-%u-%u.bin", dir_.c_str(),
+                                   uint32_t modulus_bits) const {
+  return StrFormat("%s/material-%016llx-%u.bin", dir_.c_str(),
                    static_cast<unsigned long long>(fingerprint),
-                   unsigned{modulus_bits}, unsigned{slot_bits});
+                   unsigned{modulus_bits});
 }
 
 Result<CryptoMaterial> MaterialStore::Load(uint64_t fingerprint,
-                                           uint32_t modulus_bits,
-                                           uint32_t slot_bits) {
-  const std::string path = PathFor(fingerprint, modulus_bits, slot_bits);
+                                           uint32_t modulus_bits) {
+  const std::string path = PathFor(fingerprint, modulus_bits);
   CryptoMaterial m;
   // One randomizer lives in Z_{n^2}: at most 2 * modulus_bits bits.
   const uint32_t entry_cap = modulus_bits / 4 + 16;
@@ -48,9 +47,6 @@ Result<CryptoMaterial> MaterialStore::Load(uint64_t fingerprint,
     }
     if (!in.U32(&m.modulus_bits) || m.modulus_bits != modulus_bits) {
       return "modulus bits mismatch";
-    }
-    if (!in.U32(&m.slot_bits) || m.slot_bits != slot_bits) {
-      return "slot layout mismatch";
     }
     if (!in.U32(&m.short_exp_bits) || m.short_exp_bits == 0) {
       return "bad exponent width";
@@ -92,12 +88,10 @@ Status MaterialStore::Save(const CryptoMaterial& m) {
     return Status::IOError("cannot create material dir " + dir_ + ": " +
                            ec.message());
   }
-  const std::string path = PathFor(m.fingerprint, m.modulus_bits,
-                                   m.slot_bits);
+  const std::string path = PathFor(m.fingerprint, m.modulus_bits);
   auto written = WriteDurableFile(path, kMaterial, [&](ByteWriter& w) {
     w.U64(m.fingerprint);
     w.U32(m.modulus_bits);
-    w.U32(m.slot_bits);
     w.U32(m.short_exp_bits);
     w.Blob(m.table_blob.data(), m.table_blob.size());
     w.U32(static_cast<uint32_t>(m.randomizers.size()));

@@ -26,7 +26,6 @@ uint64_t KeyFingerprint(const BigInt& n);
 struct CryptoMaterial {
   uint64_t fingerprint = 0;    ///< KeyFingerprint of the public modulus
   uint32_t modulus_bits = 0;   ///< Paillier key size the material targets
-  uint32_t slot_bits = 0;      ///< packed-plaintext slot layout (0 = scalar)
   uint32_t short_exp_bits = 0; ///< exponent width the table was built for
   std::vector<uint8_t> table_blob;  ///< FixedBaseTable::Serialize output
   std::vector<BigInt> randomizers;  ///< h_n^s mod n^2 (= Enc(0) ciphertexts)
@@ -36,7 +35,7 @@ struct CryptoMaterial {
 /// the TCP PartyStats sweep. hits = files loaded and verified; misses =
 /// lookups that found no usable material (absent or rejected); rejected =
 /// files that existed but failed validation (truncated, bit-flipped, stale
-/// fingerprint, wrong layout); bytes = material traffic in both directions.
+/// fingerprint or version); bytes = material traffic in both directions.
 struct MaterialStats {
   int64_t hits = 0;
   int64_t misses = 0;
@@ -45,7 +44,8 @@ struct MaterialStats {
 };
 
 /// Persistent store of offline crypto material, one versioned + checksummed
-/// file per (fingerprint, modulus bits, slot layout) key — see
+/// file per (fingerprint, modulus bits) key — randomizers and the fixed-base
+/// table depend on the modulus alone — see
 /// docs/FORMATS.md for the byte layout. Corrupt, truncated or mismatched
 /// files are NEVER trusted and NEVER fatal: Load reports NotFound (counting
 /// the rejection) and the caller regenerates, exactly as on a cold run.
@@ -61,14 +61,12 @@ class MaterialStore {
   const std::string& dir() const { return dir_; }
 
   /// The cache file path for one material key.
-  std::string PathFor(uint64_t fingerprint, uint32_t modulus_bits,
-                      uint32_t slot_bits) const;
+  std::string PathFor(uint64_t fingerprint, uint32_t modulus_bits) const;
 
   /// Loads and fully validates one material file. Absent file: NotFound
   /// (miss). Present but invalid in ANY way: NotFound (miss + rejected).
   /// Valid: the parsed material (hit).
-  Result<CryptoMaterial> Load(uint64_t fingerprint, uint32_t modulus_bits,
-                              uint32_t slot_bits);
+  Result<CryptoMaterial> Load(uint64_t fingerprint, uint32_t modulus_bits);
 
   /// Serializes `m` under its key, creating the store directory if needed.
   /// The write is atomic (temp file + rename) so a torn write can never be

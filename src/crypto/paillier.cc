@@ -522,11 +522,10 @@ Status RandomizerPool::AdoptMaterial(const CryptoMaterial& m) {
   return Status::OK();
 }
 
-CryptoMaterial RandomizerPool::ExportMaterial(uint32_t slot_bits) const {
+CryptoMaterial RandomizerPool::ExportMaterial() const {
   CryptoMaterial m;
   m.fingerprint = KeyFingerprint(n_);
   m.modulus_bits = static_cast<uint32_t>(n_.BitLength());
-  m.slot_bits = slot_bits;
   m.short_exp_bits = static_cast<uint32_t>(short_exp_bits_);
   m.table_blob = fixed_base_->Serialize();
   std::lock_guard<std::mutex> lk(mu_);

@@ -279,9 +279,8 @@ class RandomizerPool {
   Status AdoptMaterial(const CryptoMaterial& m);
 
   /// Snapshot of the pool as persistable material: the serialized fixed-base
-  /// table plus every currently ready randomizer. `slot_bits` is the
-  /// packed-plaintext layout key the material is filed under.
-  CryptoMaterial ExportMaterial(uint32_t slot_bits) const;
+  /// table plus every currently ready randomizer.
+  CryptoMaterial ExportMaterial() const;
 
   /// Pops one precomputed r^n mod n², or computes one inline when empty.
   BigInt Take();

@@ -61,8 +61,9 @@ class MatchOracle {
   /// evaluation order — parallel oracles (smc::SmcMatchOracle with
   /// smc_threads > 1) produce the same vector as a serial one. `a_id`/`b_id`
   /// are stable row identities, which the SMC oracles carry into their
-  /// exchanges (fault schedules, resident rows). On error the whole batch
-  /// fails; partial work is discarded but still accounted in invocations().
+  /// exchanges (fault schedules, the rows of a TCP frame). On error the
+  /// whole batch fails; partial work is discarded but still accounted in
+  /// invocations().
   virtual Result<std::vector<uint8_t>> CompareBatch(
       const std::vector<RowPairRequest>& batch) = 0;
 
@@ -103,12 +104,11 @@ class MatchOracle {
   }
 
   // -------------------------------------------------------------------------
-  // Resident rows (streaming service). Distributed oracles keep the rows
-  // CompareBatch hands them resident at the comparator parties and reference
-  // pairs by (side, row_id) alone (docs/SERVICE.md); a caller only reports
-  // erased rows so those tables stay bounded. side 0 is R, 1 is S. No oracle
-  // needs announcements or a drain any more: PushResidentRow and
-  // DrainResidentRows are no-ops everywhere.
+  // Resident rows. No oracle keeps rows between CompareBatch calls: the TCP
+  // oracle ships each call's rows inside its own frames (docs/PROTOCOL.md),
+  // so these three hooks are no-ops for every oracle under src/ and nothing
+  // there calls them. They stay only for benchmark wrappers that forward
+  // them. side 0 is R, 1 is S.
 
   /// Announces (or replaces) a resident row.
   virtual Status PushResidentRow(int side, int64_t row_id,

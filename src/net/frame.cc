@@ -1,5 +1,7 @@
 #include "net/frame.h"
 
+#include <unordered_set>
+
 #include "common/string_util.h"
 #include "crypto/packing.h"
 
@@ -263,9 +265,19 @@ Result<crypto::BigInt> ConsumeSignedBigInt(const std::vector<uint8_t>& buf,
                                            size_t* off) {
   auto neg = ConsumeU8(buf, off);
   if (!neg.ok()) return neg.status();
+  if (*neg > 1) return Status::IOError("signed BigInt: sign byte not 0 or 1");
+  // A leading zero byte would decode to the same value as the shorter
+  // encoding AppendSignedBigInt writes: refused, so a value has one form.
+  size_t first = *off;
+  auto len = ConsumeU32(buf, &first);
+  if (len.ok() && *len > 0 && first < buf.size() && buf[first] == 0) {
+    return Status::IOError("signed BigInt: leading zero byte");
+  }
   auto mag = smc::ConsumeBigInt(buf, off);
   if (!mag.ok()) return mag.status();
-  return *neg != 0 ? -*mag : *mag;
+  if (*neg == 0) return mag;
+  if (mag->IsZero()) return Status::IOError("signed BigInt: negative zero");
+  return -*mag;
 }
 
 const char* CtlVerbTag(CtlVerb verb) {
@@ -369,8 +381,9 @@ namespace {
 /// The fewest bytes an entry can take: what a declared count is checked
 /// against before anything is allocated.
 constexpr size_t kMinSignedBigInt = 1 + 4;  // sign byte + zero-length magnitude
-constexpr size_t kMinRowEntry = 1 + 8 + 1;  // side, row_id, op (a forget)
+constexpr size_t kMinRowEntry = 8 + 4;  // row_id, value count
 constexpr size_t kPairEntryBytes = 8 + 8 + 8;
+constexpr uint32_t kMaxKeyBits = 1u << 16;
 
 Status CheckCount(uint32_t count, size_t min_entry, size_t off, size_t size,
                   const char* body, const char* what) {
@@ -403,6 +416,12 @@ Result<ConfigBody> ParseConfigBody(const std::vector<uint8_t>& payload) {
   ConfigBody body;
   size_t off = 0;
   HPRL_ASSIGN_OR_RETURN(body.key_bits, ConsumeU32(payload, &off));
+  // Far past any usable Paillier key, and small enough that every width and
+  // arena size derived from it stays in int range.
+  if (body.key_bits > kMaxKeyBits) {
+    return Status::InvalidArgument("cfg: key wider than " +
+                                   std::to_string(kMaxKeyBits) + " bits");
+  }
   HPRL_ASSIGN_OR_RETURN(body.fp_scale, ConsumeI64(payload, &off));
   HPRL_ASSIGN_OR_RETURN(body.blind_bits, ConsumeU32(payload, &off));
   HPRL_ASSIGN_OR_RETURN(body.flags, ConsumeU8(payload, &off));
@@ -468,10 +487,7 @@ void AppendPairBatchBody(const PairBatchBody& body, std::vector<uint8_t>* out) {
   AppendU64(body.batch_id, out);
   AppendU32(static_cast<uint32_t>(body.rows.size()), out);
   for (const RowEntry& row : body.rows) {
-    AppendU8(row.side, out);
     AppendI64(row.row_id, out);
-    AppendU8(static_cast<uint8_t>(row.op), out);
-    if (row.op != RowOp::kUpsert) continue;
     AppendU32(static_cast<uint32_t>(row.values.size()), out);
     for (const crypto::BigInt& v : row.values) AppendSignedBigInt(v, out);
   }
@@ -492,19 +508,13 @@ Result<PairBatchBody> ParsePairBatchBody(const std::vector<uint8_t>& payload) {
   HPRL_RETURN_IF_ERROR(
       CheckCount(nrows, kMinRowEntry, off, payload.size(), "pairb", "rows"));
   body.rows.resize(nrows);
+  std::unordered_set<int64_t> ids;
+  ids.reserve(nrows);
   for (RowEntry& row : body.rows) {
-    HPRL_ASSIGN_OR_RETURN(row.side, ConsumeU8(payload, &off));
-    if (row.side > 1) return Status::IOError("pairb row side must be 0 or 1");
     HPRL_ASSIGN_OR_RETURN(row.row_id, ConsumeI64(payload, &off));
-    uint8_t op = 0;
-    HPRL_ASSIGN_OR_RETURN(op, ConsumeU8(payload, &off));
-    if (op != static_cast<uint8_t>(RowOp::kUpsert) &&
-        op != static_cast<uint8_t>(RowOp::kForget)) {
-      return Status::IOError("pairb row carries unknown op " +
-                             std::to_string(int{op}));
+    if (!ids.insert(row.row_id).second) {
+      return Status::IOError("pairb repeats row " + std::to_string(row.row_id));
     }
-    row.op = static_cast<RowOp>(op);
-    if (row.op != RowOp::kUpsert) continue;
     uint32_t nvalues = 0;
     HPRL_ASSIGN_OR_RETURN(nvalues, ConsumeU32(payload, &off));
     HPRL_RETURN_IF_ERROR(CheckCount(nvalues, kMinSignedBigInt, off,

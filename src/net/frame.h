@@ -32,13 +32,12 @@ namespace hprl::net {
 /// in-process transport.
 
 inline constexpr uint32_t kWireMagic = 0x4850524C;  // "HPRL"
-/// Version 11: the "cfg" body carries the unit size, each compared
-/// attribute's packed slot width and the rule's thresholds, "pairb" rows
-/// carry only the receiving holder's own encodings, and qp gets id-only
-/// frames. Mixed-version meshes are rejected at the frame layer;
-/// docs/PROTOCOL.md ("Wire format") records what every earlier version
-/// changed.
-inline constexpr uint16_t kWireVersion = 11;
+/// Version 12: every "pairb" frame is self-contained — a holder's frame
+/// carries each distinct row of its own side that its pairs name, once, and
+/// rows carry no side or op byte. Mixed-version meshes are rejected at the
+/// frame layer; docs/PROTOCOL.md ("Wire format") records what every earlier
+/// version changed.
+inline constexpr uint16_t kWireVersion = 12;
 
 /// Frames larger than this are rejected before any allocation — an oversized
 /// length prefix means a corrupted or hostile stream, not a big message
@@ -118,6 +117,8 @@ Result<uint64_t> ConsumeU64(const std::vector<uint8_t>& buf, size_t* off);
 Result<int64_t> ConsumeI64(const std::vector<uint8_t>& buf, size_t* off);
 Result<std::string> ConsumeString(const std::vector<uint8_t>& buf,
                                   size_t* off);
+/// Accepts only AppendSignedBigInt's own encoding: a sign byte of 0 or 1,
+/// a magnitude without leading zero bytes, and no negative zero.
 Result<crypto::BigInt> ConsumeSignedBigInt(const std::vector<uint8_t>& buf,
                                            size_t* off);
 
@@ -202,8 +203,8 @@ void AppendCtlResponse(const CtlResponse& r, std::vector<uint8_t>* out);
 Result<CtlResponse> ParseCtlResponse(const std::vector<uint8_t>& payload);
 
 // ---------------------------------------------------------------------------
-// kConfigure body (wire v11): the protocol parameters, the daemon's knobs,
-// and the public plan every daemon needs to run its role's unit step
+// kConfigure body (wire v11 and v12): the protocol parameters, the daemon's
+// knobs, and the public plan every daemon needs to run its role's unit step
 // without seeing a row it does not hold.
 //
 //   u32  key_bits
@@ -238,35 +239,28 @@ struct ConfigBody {
 
 void AppendConfigBody(const ConfigBody& body, std::vector<uint8_t>* out);
 /// Parses an exact body: a truncated field or a byte past the last one
-/// fails, and so does a unit that could not be laid out — pack_pairs > 0
+/// fails, and so do a key wider than 2^16 bits, a non-canonical threshold,
+/// and a unit that could not be laid out — pack_pairs > 0
 /// with distances hidden, no attribute, a slot width missing or zero, or
 /// pack_pairs·Σwidths > key_bits − 2; or a scalar plan (pack_pairs 0) that
 /// carries widths.
 Result<ConfigBody> ParseConfigBody(const std::vector<uint8_t>& payload);
 
 // ---------------------------------------------------------------------------
-// kPairBatch body (wire v11): a row rides the first batch that needs it on
-// a holder daemon, and pair entries reference rows by id alone.
+// kPairBatch body (wire v12): self-contained. A holder's frame carries
+// every distinct row of its own side that its pairs name, once (alice the R
+// rows, bob the S rows); qp's frame carries none. A daemon resolves the
+// frame's pairs from the frame alone and keeps no row after it.
 //
 //   u64  batch_id
-//   u32  row count, then per row:
-//          u8 side (0 = R, 1 = S), i64 row_id, u8 op (RowOp),
-//          upsert only: u32 value count, then the receiving holder's own
-//          encoding per compared attribute (signed BigInts)
+//   u32  row count, then per row: i64 row_id, u32 value count, then the
+//        receiving holder's own encoding per compared attribute (signed
+//        BigInts)
 //   u32  pair count, then per pair: u64 pair_index, i64 a_id, i64 b_id
-//
-// Side-0 rows go to alice, side-1 rows to bob; qp's frames carry no rows.
-
-enum class RowOp : uint8_t {
-  kUpsert = 1,  ///< (re)place the row's encodings
-  kForget = 2,  ///< drop the row (absent is not an error)
-};
 
 struct RowEntry {
-  uint8_t side = 0;
   int64_t row_id = -1;
-  RowOp op = RowOp::kUpsert;
-  std::vector<crypto::BigInt> values;  ///< upsert only
+  std::vector<crypto::BigInt> values;
 };
 
 struct PairEntry {
@@ -277,14 +271,15 @@ struct PairEntry {
 
 struct PairBatchBody {
   uint64_t batch_id = 0;
-  std::vector<RowEntry> rows;  ///< applied in order, before any pair runs
+  std::vector<RowEntry> rows;  ///< distinct row ids
   std::vector<PairEntry> pairs;
 };
 
 void AppendPairBatchBody(const PairBatchBody& body, std::vector<uint8_t>* out);
 /// Parses a body. Declared counts are checked against the bytes left
-/// before anything is allocated; truncation, an unknown op or side, and
-/// trailing bytes are errors.
+/// before anything is allocated; truncation, a repeated row id, a
+/// non-canonical BigInt and trailing bytes are errors, so every body it
+/// accepts re-encodes to exactly its own bytes.
 Result<PairBatchBody> ParsePairBatchBody(const std::vector<uint8_t>& payload);
 
 }  // namespace hprl::net

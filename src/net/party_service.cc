@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 
 namespace hprl::net {
@@ -216,9 +217,7 @@ bool PartyService::EpochFenced(CtlVerb verb, uint64_t epoch) const {
       // Work verbs execute only under the exact configured epoch: a frame
       // the crashed coordinator left in flight (lower epoch) must never run
       // a pair, and a future-epoch frame reached a daemon that missed the
-      // reconfiguration and has no matching protocol state. A fenced
-      // "pairb" applies none of its rows either: a stale frame must not
-      // resurrect a row the new session never sent.
+      // reconfiguration and has no matching protocol state.
       return epoch != epoch_;
   }
   return true;  // unreachable: the switch above is exhaustive
@@ -239,10 +238,6 @@ Status PartyService::Serve() {
       // a wire-version mismatch, which the frame layer already rejects;
       // anything reaching this point is noise and is dropped.
       continue;
-    }
-    if (*verb == CtlVerb::kPairBatch && drop_pair_batches_.load() > 0) {
-      drop_pair_batches_.fetch_sub(1);
-      continue;  // DropPairBatches: lost on the wire
     }
     // Every ctl request leads with the coordinator's session epoch; strip
     // it here so the verb handlers see only their verb-specific body.
@@ -284,13 +279,7 @@ Status PartyService::Dispatch(CtlVerb verb, uint64_t epoch,
   switch (verb) {
     case CtlVerb::kConfigure: {
       Status st = HandleConfigure(msg.payload);
-      if (st.ok()) {
-        epoch_ = epoch;  // a successful cfg adopts the epoch
-        // A new session's resident table starts empty; the coordinator
-        // forgets what this daemon held and re-sends rows as batches need
-        // them.
-        resident_.clear();
-      }
+      if (st.ok()) epoch_ = epoch;  // a successful cfg adopts the epoch
       std::vector<uint8_t> extra;
       AppendU64(incarnation_, &extra);
       Reply(CtlVerb::kConfigure, 0, st, std::move(extra));
@@ -504,15 +493,14 @@ Status PartyService::HandleRecvKey() {
       // only means a cold start: the pool regenerates and the fresh
       // material is persisted by kWarmup or the shutdown drain.
       // Role-scoped subdirectory: alice and bob persist under the SAME
-      // (fingerprint, bits, slot) key, and sharing one randomizer bank
+      // (fingerprint, bits) key, and sharing one randomizer bank
       // across parties would let the querying party divide ciphertexts
       // and learn plaintext differences. Each daemon gets its own store.
       material_store_ = std::make_unique<crypto::MaterialStore>(
           material_dir_ + "/" + opts_.role);
       const BigInt& n = holder_->public_key().n();
       auto loaded = material_store_->Load(
-          crypto::KeyFingerprint(n),
-          static_cast<uint32_t>(n.BitLength()), /*slot_bits=*/0);
+          crypto::KeyFingerprint(n), static_cast<uint32_t>(n.BitLength()));
       if (loaded.ok() && pool_->AdoptMaterial(*loaded).ok()) {
         material_dirty_ = false;
       } else {
@@ -546,14 +534,15 @@ void PartyService::PersistMaterial() {
   if (material_store_ == nullptr || pool_ == nullptr || !material_dirty_) {
     return;
   }
-  if (material_store_->Save(pool_->ExportMaterial(/*slot_bits=*/0)).ok()) {
+  if (material_store_->Save(pool_->ExportMaterial()).ok()) {
     material_dirty_ = false;
   }
 }
 
-Status PartyService::RunUnit(const std::vector<PairEntry>& pairs,
-                             size_t begin, size_t end,
-                             std::vector<PairSlot>* slots) {
+Status PartyService::RunUnit(
+    size_t begin, size_t end,
+    const std::vector<const std::vector<BigInt>*>& rows,
+    std::vector<PairSlot>* slots) {
   const size_t n = end - begin;
   costs_.invocations += static_cast<int64_t>(n);
   if (emulated_latency_micros_ > 0) {
@@ -572,23 +561,12 @@ Status PartyService::RunUnit(const std::vector<PairEntry>& pairs,
     for (size_t i = 0; i < n; ++i) (*slots)[begin + i].label = (*labels)[i];
     return Status::OK();
   }
-  // A holder resolves its own side of each pair: alice the R row, bob the
-  // S row. A row it does not hold fails the unit with NotFound, a
-  // transient code: the coordinator's retry re-sends the row.
-  const bool alice = opts_.role == opts_.endpoints.alice.name;
   std::vector<BigInt> values;
   values.reserve(n * thresholds_.size());
   for (size_t i = begin; i < end; ++i) {
-    auto row = resident_.find(alice ? pairs[i].a_id : pairs[i].b_id);
-    if (row == resident_.end()) {
-      return Status::NotFound("pair row is not resident");
-    }
-    if (row->second.size() != thresholds_.size()) {
-      return Status::InvalidArgument("resident row width is not the rule's");
-    }
-    values.insert(values.end(), row->second.begin(), row->second.end());
+    values.insert(values.end(), rows[i]->begin(), rows[i]->end());
   }
-  if (alice) {
+  if (opts_.role == opts_.endpoints.alice.name) {
     HPRL_RETURN_IF_ERROR(holder_->SendUnit(bus_.get(),
                                            opts_.endpoints.bob.name, values,
                                            shape_, arena_.get(), &costs_));
@@ -604,16 +582,28 @@ Status PartyService::HandlePairBatch(const PairBatchBody& batch,
   if (!configured_) {
     return Status::FailedPrecondition("pair batch before cfg");
   }
-  // A holder keeps the rows of its own side; qp's frames carry none.
+  // A holder resolves its own side of each pair from this frame alone:
+  // alice the R row, bob the S row. qp's frames carry no rows.
+  std::vector<const std::vector<BigInt>*> rows;
   if (holder_ != nullptr) {
-    const uint8_t side = opts_.role == opts_.endpoints.alice.name ? 0 : 1;
-    for (const RowEntry& row : batch.rows) {
-      if (row.side != side) continue;
-      if (row.op == RowOp::kUpsert) {
-        resident_[row.row_id] = row.values;
-      } else {
-        resident_.erase(row.row_id);
+    const bool alice = opts_.role == opts_.endpoints.alice.name;
+    std::unordered_map<int64_t, const std::vector<BigInt>*> by_id;
+    for (const RowEntry& row : batch.rows) by_id[row.row_id] = &row.values;
+    rows.reserve(batch.pairs.size());
+    for (const PairEntry& pair : batch.pairs) {
+      const int64_t id = alice ? pair.a_id : pair.b_id;
+      auto row = by_id.find(id);
+      if (row == by_id.end()) {
+        return Status::InvalidArgument("pair " +
+                                       std::to_string(pair.pair_index) +
+                                       " names row " + std::to_string(id) +
+                                       ", which its frame does not carry");
       }
+      if (row->second->size() != thresholds_.size()) {
+        return Status::InvalidArgument("row " + std::to_string(id) +
+                                       " is not as wide as the rule");
+      }
+      rows.push_back(row->second);
     }
   }
   slots->resize(batch.pairs.size());
@@ -647,7 +637,7 @@ Status PartyService::HandlePairBatch(const PairBatchBody& batch,
       fail(StatusCode::kIOError);  // injected unit fault (test hook)
       continue;
     }
-    Status st = RunUnit(batch.pairs, begin, end, slots);
+    Status st = RunUnit(begin, end, rows, slots);
     if (st.code() == StatusCode::kUnavailable) return st;  // bus is gone
     if (!st.ok()) fail(st.code());
   }

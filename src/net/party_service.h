@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -115,12 +114,13 @@ struct PartyServiceOptions {
 ///
 /// kConfigure carries the public plan: the thresholds and the unit size
 /// (smc::PackedGroupPairs, computed by the coordinator). A kPairBatch frame
-/// first applies its rows section to a holder's resident table, then names
-/// each pair by row ids alone. Every daemon splits the frame's pairs into
-/// the same units and runs its role's unit step on each — the very step
-/// the in-process comparator runs — without waiting on the coordinator:
-/// alice sends each unit, bob folds it, qp decides it (one decryption per
-/// packed unit) and announces its labels. A transient fault anywhere
+/// is self-contained: a holder's frame carries every row of its own side
+/// that its pairs name, and the daemon keeps none of them after the frame.
+/// Every daemon splits the frame's pairs into the same units and runs its
+/// role's unit step on each — the very step the in-process comparator
+/// runs — without waiting on the coordinator: alice sends each unit, bob
+/// folds it, qp decides it (one decryption per packed unit) and announces
+/// its labels. A transient fault anywhere
 /// surfaces as failed slots in the batch reply; the coordinator purges the
 /// mesh with a kPurge barrier and re-batches the failed pairs, mirroring
 /// the in-process RetryExchange.
@@ -156,13 +156,6 @@ class PartyService {
   uint64_t incarnation() const { return incarnation_; }
   uint64_t epoch() const { return epoch_; }
   int64_t fenced_requests() const { return fenced_requests_; }
-  /// Rows in this daemon's resident table (always 0 on qp).
-  size_t resident_rows() const { return resident_.size(); }
-
-  /// Test hook: the next `count` kPairBatch frames are discarded unread and
-  /// unanswered, as if lost on the wire to this live daemon. Safe to call
-  /// while Serve() runs on another thread.
-  void DropPairBatches(int count) { drop_pair_batches_.store(count); }
 
  private:
   Status Dispatch(CtlVerb verb, uint64_t epoch, const smc::Message& msg);
@@ -179,19 +172,23 @@ class PartyService {
   /// qp, whose offline work is keygen itself.
   Status HandleWarmup(uint32_t randomizers, int64_t* generated);
   /// Runs this role's step (smc/parties.h) on the unit of pairs
-  /// [begin, end); fills the unit's labels on qp. Only HandlePairBatch
-  /// calls it, after the cfg check.
-  Status RunUnit(const std::vector<PairEntry>& pairs, size_t begin,
-                 size_t end, std::vector<PairSlot>* slots);
-  /// Applies the batch's rows section, then splits its pairs positionally
-  /// into units of the configured size and runs them in order, one slot per
-  /// pair. A failed unit fails all of its slots, and the rest of the batch
-  /// is skipped — the three daemons run their batch sides positionally, so
-  /// pressing on after a desynchronizing fault would misalign every later
-  /// unit. A unit with a pair whose row this daemon does not hold fails
-  /// with NotFound, a transient fault: the coordinator re-sends the row
-  /// with the retry. Returns Unavailable only when the transport itself
-  /// died.
+  /// [begin, end); fills the unit's labels on qp. A holder reads its side
+  /// of each pair from `rows` (the frame's own rows, one per pair, in pair
+  /// order; empty on qp). Only HandlePairBatch calls it, after the cfg
+  /// check.
+  Status RunUnit(size_t begin, size_t end,
+                 const std::vector<const std::vector<crypto::BigInt>*>& rows,
+                 std::vector<PairSlot>* slots);
+  /// Resolves a holder's side of every pair from the frame's own rows,
+  /// then splits the pairs positionally into units of the configured size
+  /// and runs them in order, one slot per pair. A pair naming a row absent
+  /// from the frame, or a row not as wide as the rule, fails the whole
+  /// batch with InvalidArgument before any unit runs: the frame itself is
+  /// malformed, and no retry of it can heal. A failed unit fails all of its
+  /// slots, and the rest of the batch is skipped — the three daemons run
+  /// their batch sides positionally, so pressing on after a desynchronizing
+  /// fault would misalign every later unit. Returns Unavailable only when
+  /// the transport itself died.
   Status HandlePairBatch(const PairBatchBody& batch,
                          std::vector<PairSlot>* slots);
   /// Answers every queued probe on "<role>:hb" without blocking.
@@ -202,7 +199,6 @@ class PartyService {
   PartyServiceOptions opts_;
   std::unique_ptr<SocketBus> bus_;
   std::atomic<bool> stop_requested_{false};
-  std::atomic<int> drop_pair_batches_{0};  // DropPairBatches
 
   smc::ProtocolParams params_;
   bool configured_ = false;
@@ -249,11 +245,6 @@ class PartyService {
   smc::SmcCosts costs_;
   uint32_t fail_next_pairs_ = 0;  // kInjectFail: units left to fail
   bool crash_on_fault_ = false;   // kInjectFail crash flag: die, don't fail
-
-  /// A holder's resident rows from kPairBatch rows sections, by row id of
-  /// its own side (alice R, bob S), holding its own encoding per compared
-  /// attribute. qp holds none. Cleared by kConfigure (new session).
-  std::map<int64_t, std::vector<crypto::BigInt>> resident_;
 };
 
 }  // namespace hprl::net

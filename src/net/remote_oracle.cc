@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <set>
 #include <utility>
 
 namespace hprl::net {
@@ -16,20 +17,15 @@ Status ReplyStatus(const CtlResponse& r) {
   return Status(r.code, r.role + ": " + r.detail);
 }
 
-std::vector<MeshEndpoints> ResolveShards(const RemoteOracleOptions& opts) {
-  if (!opts.shard_endpoints.empty()) return opts.shard_endpoints;
-  return {opts.endpoints};
-}
-
 }  // namespace
 
 RemoteSmcOracle::RemoteSmcOracle(RemoteOracleOptions opts)
     : opts_(std::move(opts)),
       operands_(opts_.rule, opts_.config.fp_scale),
       group_pairs_(smc::PackedGroupPairs(opts_.config, operands_)),
-      shards_(ResolveShards(opts_)),
+      shards_(opts_.shard_endpoints),
       membership_(opts_.membership),
-      sched_(static_cast<int>(ResolveShards(opts_).size())) {
+      sched_(static_cast<int>(shards_.size())) {
   buses_.reserve(shards_.size());
   for (const MeshEndpoints& mesh : shards_) {
     buses_.push_back(std::make_unique<SocketBus>(
@@ -38,9 +34,6 @@ RemoteSmcOracle::RemoteSmcOracle(RemoteOracleOptions opts)
   }
   shard_batches_done_.assign(shards_.size(), 0);
   shard_pairs_done_.assign(shards_.size(), 0);
-  held_.resize(shards_.size());
-  landed_.resize(shards_.size());
-  forgets_.resize(shards_.size());
 }
 
 std::vector<ShardDisposition> RemoteSmcOracle::ShardDispositions() const {
@@ -123,9 +116,8 @@ void RemoteSmcOracle::HandleRejoinAck(int shard, const CtlResponse& r) {
   // The restarted daemon adopted the epoch but lost all protocol state, so
   // the whole shard replays the setup handshake (deterministic seed-derived
   // keys make this safe mid-run; the daemon re-warms from its role-scoped
-  // material store during recvkey). Its resident tables restart empty and
-  // so does what the coordinator believes it holds: the batches it takes
-  // next carry their rows, so it is schedulable as soon as setup is done.
+  // material store during recvkey). Every frame carries its own rows, so
+  // it is schedulable as soon as setup is done.
   if (!SetupShards({shard}).ok()) {
     // Died again under the handshake: back to dead, a later rejoin retries.
     for (const std::string& role : ShardRoles(shard)) {
@@ -205,11 +197,6 @@ std::vector<uint8_t> RemoteSmcOracle::BuildConfigPayload() const {
 
 Status RemoteSmcOracle::SetupShards(const std::vector<int>& shard_ids) {
   const std::vector<uint8_t> cfg = BuildConfigPayload();
-  for (int s : shard_ids) {
-    held_[s].clear();
-    landed_[s].clear();
-    forgets_[s].clear();
-  }
 
   // Fan each phase out to every shard before collecting any acks, so the
   // shards run their setup (keygen above all) concurrently.
@@ -351,35 +338,19 @@ Result<std::vector<crypto::BigInt>> RemoteSmcOracle::EncodeRow(
 
 Status RemoteSmcOracle::StageRow(int side, int64_t row_id,
                                  const Record& record,
-                                 std::map<RowKey, const Record*>* staged) {
-  const RowKey key{side, row_id};
-  auto [seen, first] = staged->try_emplace(key, &record);
-  if (!first && seen->second == &record) return Status::OK();
+                                 StagedRows* rows) const {
+  auto [staged, first] = rows->try_emplace(RowKey{side, row_id});
+  if (!first && staged->second.record == &record) return Status::OK();
   auto enc = EncodeRow(record);
   if (!enc.ok()) return enc.status();
-  auto [cached, inserted] = rows_.try_emplace(key);
-  if (!inserted && cached->second == *enc) return Status::OK();
-  if (!first) {
-    return Status::InvalidArgument(
-        "two different records under row (side " + std::to_string(side) +
-        ", id " + std::to_string(row_id) + ") in one batch");
+  if (first) {
+    staged->second = {&record, std::move(enc).value()};
+    return Status::OK();
   }
-  // New, or new values under a reused id (a serve update; Compare() always
-  // uses id -1): no shard holds this encoding yet, though the old one may
-  // still sit where it landed.
-  cached->second = std::move(enc).value();
-  for (std::set<RowKey>& held : held_) held.erase(key);
-  return Status::OK();
-}
-
-Status RemoteSmcOracle::EraseResidentRow(int side, int64_t row_id) {
-  const RowKey key{side, row_id};
-  rows_.erase(key);
-  for (size_t s = 0; s < held_.size(); ++s) {
-    held_[s].erase(key);
-    if (landed_[s].erase(key) > 0) forgets_[s].push_back(key);
-  }
-  return Status::OK();
+  if (staged->second.values == *enc) return Status::OK();
+  return Status::InvalidArgument(
+      "two different records under row (side " + std::to_string(side) +
+      ", id " + std::to_string(row_id) + ") in one batch");
 }
 
 Status RemoteSmcOracle::PurgeUsableShards() {
@@ -460,18 +431,18 @@ Result<std::vector<uint8_t>> RemoteSmcOracle::CompareBatch(
   }
   std::vector<uint8_t> labels(batch.size(), kPairNonMatch);
 
-  // Pipelined batch RPC: stage every row up front, then stream the pairs
-  // across the usable shards in kPairBatch frames with up to rpc_window
-  // batches in flight per shard. Each round re-batches only the transiently
-  // failed pairs.
-  std::map<RowKey, const Record*> staged;
+  // Pipelined batch RPC: encode every distinct row once up front, then
+  // stream the pairs across the usable shards in kPairBatch frames with up
+  // to rpc_window batches in flight per shard. Each round re-batches only
+  // the transiently failed pairs.
+  StagedRows rows;
   std::vector<BatchPair> pending;
   pending.reserve(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     invocations_ += 1;
     // Semantic: an unencodable value aborts the batch.
-    HPRL_RETURN_IF_ERROR(StageRow(0, batch[i].a_id, *batch[i].a, &staged));
-    HPRL_RETURN_IF_ERROR(StageRow(1, batch[i].b_id, *batch[i].b, &staged));
+    HPRL_RETURN_IF_ERROR(StageRow(0, batch[i].a_id, *batch[i].a, &rows));
+    HPRL_RETURN_IF_ERROR(StageRow(1, batch[i].b_id, *batch[i].b, &rows));
     BatchPair p;
     p.batch_pos = i;
     p.a_id = batch[i].a_id;
@@ -480,8 +451,15 @@ Result<std::vector<uint8_t>> RemoteSmcOracle::CompareBatch(
   }
 
   while (!pending.empty()) {
-    HPRL_RETURN_IF_ERROR(RunBatchRound(&pending, &labels));
-    if (pending.empty()) break;
+    const int64_t quarantined = pairs_quarantined_;
+    HPRL_RETURN_IF_ERROR(RunBatchRound(rows, &pending, &labels));
+    if (pending.empty()) {
+      // A pair quarantined after its last failed attempt may have left
+      // protocol messages on its shard's mesh, which the next batch would
+      // read as its own: flush them as a retry would.
+      if (pairs_quarantined_ > quarantined) (void)PurgeUsableShards();
+      break;
+    }
     // Transient leftovers: heal the shards and re-batch them, mirroring the
     // in-process RetryExchange (purge barrier, replay).
     retries_ += static_cast<int64_t>(pending.size());
@@ -503,7 +481,8 @@ Result<std::vector<uint8_t>> RemoteSmcOracle::CompareBatch(
   return labels;
 }
 
-Status RemoteSmcOracle::RunBatchRound(std::vector<BatchPair>* pending,
+Status RemoteSmcOracle::RunBatchRound(const StagedRows& rows,
+                                      std::vector<BatchPair>* pending,
                                       std::vector<uint8_t>* labels) {
   // Frames hold whole units wherever rpc_batch_pairs holds one, so only the
   // frame that empties the work queue ends in a partial packed unit. A
@@ -518,7 +497,6 @@ Status RemoteSmcOracle::RunBatchRound(std::vector<BatchPair>* pending,
     uint64_t batch_id = 0;
     int shard = 0;
     std::vector<BatchPair> pairs;  ///< owned: survives any work-queue churn
-    std::vector<RowKey> forgets;   ///< re-queued unless the batch settles
     std::chrono::steady_clock::time_point deadline;
     std::map<std::string, CtlResponse> replies;
   };
@@ -547,15 +525,6 @@ Status RemoteSmcOracle::RunBatchRound(std::vector<BatchPair>* pending,
     work.push_back(std::move(p));
   };
 
-  // A frame that did not settle cleanly may never have been applied, so its
-  // forgets go back on the shard's queue; a forget is idempotent on the
-  // daemon, so sending one twice costs bytes, never state.
-  auto requeue_forgets = [&](Outstanding& o) {
-    forgets_[o.shard].insert(forgets_[o.shard].end(), o.forgets.begin(),
-                             o.forgets.end());
-    o.forgets.clear();
-  };
-
   // Retires a shard from this round: stops scheduling onto it, pulls its
   // in-flight batches back, and rebalances their pairs (or quarantines
   // them when this was the last usable shard).
@@ -568,7 +537,6 @@ Status RemoteSmcOracle::RunBatchRound(std::vector<BatchPair>* pending,
       for (size_t i = 0; i < inflight.size(); ++i) {
         if (inflight[i].batch_id != batch_id) continue;
         drained_pairs += static_cast<int64_t>(inflight[i].pairs.size());
-        requeue_forgets(inflight[i]);
         for (BatchPair& p : inflight[i].pairs) {
           if (somewhere_else) {
             rebalance(std::move(p));
@@ -630,23 +598,15 @@ Status RemoteSmcOracle::RunBatchRound(std::vector<BatchPair>* pending,
       o.pairs.push_back(std::move(work.front()));
       work.pop_front();
     }
-    // Rows section: the shard's queued forgets, then every row of this
-    // batch it does not hold yet. [0] goes to alice (R rows), [1] to bob
-    // (S rows), [2] to qp (no rows); all carry the same id-only pairs.
+    // Self-contained frames: [0] goes to alice with each distinct R row
+    // its pairs name, [1] to bob with each distinct S row, [2] to qp with
+    // none; all carry the same pairs.
     PairBatchBody bodies[3];
-    for (const RowKey& key : forgets_[shard]) {
-      bodies[key.first].rows.push_back(
-          {static_cast<uint8_t>(key.first), key.second, RowOp::kForget, {}});
-    }
-    o.forgets = std::move(forgets_[shard]);
-    forgets_[shard].clear();
+    std::set<RowKey> carried;
     for (const BatchPair& p : o.pairs) {
       for (const RowKey& key : {RowKey{0, p.a_id}, RowKey{1, p.b_id}}) {
-        if (!held_[shard].insert(key).second) continue;
-        landed_[shard].insert(key);
-        bodies[key.first].rows.push_back({static_cast<uint8_t>(key.first),
-                                          key.second, RowOp::kUpsert,
-                                          rows_.at(key)});
+        if (!carried.insert(key).second) continue;
+        bodies[key.first].rows.push_back({key.second, rows.at(key).values});
       }
       bodies[0].pairs.push_back({p.pair_index, p.a_id, p.b_id});
     }
@@ -661,7 +621,11 @@ Status RemoteSmcOracle::RunBatchRound(std::vector<BatchPair>* pending,
       SendCtl(shard, roles[r], CtlVerb::kPairBatch, std::move(payload));
     }
     ctl_round_trips_ += 1;
-    if (metrics_ != nullptr) obs::Add(metrics_, "net.ctl_round_trips");
+    if (metrics_ != nullptr) {
+      obs::Add(metrics_, "net.ctl_round_trips");
+      obs::Add(metrics_, "net.rows_sent",
+               static_cast<int64_t>(carried.size()));
+    }
     // One daemon-side timeout per expected message plus per-pair crypto and
     // emulated-latency time; a faulting daemon skips its remaining pairs,
     // so at most one timeout cascades into the deadline.
@@ -686,7 +650,6 @@ Status RemoteSmcOracle::RunBatchRound(std::vector<BatchPair>* pending,
     std::map<std::string, std::vector<PairSlot>> slots;
     std::map<std::string, Status> role_status;
     bool shard_down = false;
-    bool clean = true;  // every reply and every slot OK
     for (const std::string& role : ShardRoles(o.shard)) {
       auto it = o.replies.find(role);
       if (it == o.replies.end()) {
@@ -750,7 +713,6 @@ Status RemoteSmcOracle::RunBatchRound(std::vector<BatchPair>* pending,
         shard_pairs_done_[o.shard] += 1;
         continue;
       }
-      clean = false;
       if (pair_status.code() == StatusCode::kUnavailable) {
         // The shard died under this pair; whether it can move depends on
         // whether any other shard is still standing. retire_shard() below
@@ -779,15 +741,6 @@ Status RemoteSmcOracle::RunBatchRound(std::vector<BatchPair>* pending,
       }
     }
 
-    // A missing reply or a failure may mean the shard lacks rows the
-    // coordinator believes it holds (a frame that never landed, a daemon
-    // that restarted): forget them all, and the next frame re-sends.
-    // Upserts are idempotent, so this costs bytes, never labels. landed_
-    // keeps them: they may be there, so an erase still forgets them.
-    if (!clean) {
-      held_[o.shard].clear();
-      requeue_forgets(o);
-    }
     if (shard_down) {
       for (const std::string& role : ShardRoles(o.shard)) {
         const std::string label = ReplicaLabel(o.shard, role);

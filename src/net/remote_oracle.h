@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,10 +24,8 @@ struct RemoteOracleOptions {
 
   /// The comparator shards, one complete alice/bob/qp mesh each
   /// (docs/CLUSTER.md). The coordinator runs one bus per shard and
-  /// schedules batches across them. When empty, `endpoints` supplies the
-  /// single shard (the pre-fleet configuration).
+  /// schedules batches across them; a single mesh is one shard.
   std::vector<MeshEndpoints> shard_endpoints;
-  MeshEndpoints endpoints;  ///< single-shard shorthand
 
   int connect_timeout_ms = 10000;
   int receive_timeout_ms = 4000;
@@ -105,17 +102,12 @@ struct MeshStats {
 /// packed units when the rule's declared domains fit the slot cap, scalar
 /// units of one pair otherwise. Labels never depend on the units.
 ///
-/// Operands: every pair operand is a row resident on its holder daemon
-/// (alice R, bob S; qp holds none). A frame to shard s carries, ahead of
-/// its id-only pairs, the rows of the batch s does not hold yet plus the
-/// forgets EraseResidentRow queued, so a row crosses the wire once per
-/// shard — again only when its values change or s may have lost it. A
-/// batch that does not settle cleanly, and the setup handshake (init and
-/// rejoin), clear what s is believed to hold, and the next frame re-sends;
-/// upserts are idempotent, so a rejoined shard takes work without any
-/// replay. An erased row is forgotten on every shard it may have landed on
-/// since the last setup, held or not, and the forgets of a frame that did
-/// not settle cleanly are queued again.
+/// Operands (wire v12): every frame is self-contained. Alice's frame
+/// carries each distinct R row its pairs name, once; bob's each distinct S
+/// row; qp's none. CompareBatch encodes each distinct row once per call,
+/// and a daemon keeps no row past the frame, so a retry, a rebalance onto
+/// another shard, a rejoined shard and a serve update all need no row
+/// bookkeeping: the next frame carries what it needs.
 ///
 /// Scheduling: CompareBatch feeds a work queue; batches go to the
 /// least-loaded usable shard, up to rpc_window in flight per shard. A shard
@@ -166,13 +158,10 @@ class RemoteSmcOracle : public MatchOracle {
   /// kShutdown to every replica. Safe to call more than once.
   Status Shutdown(bool stop_daemons);
 
+  /// Refuses two different records under one (side, row id) in one call
+  /// with InvalidArgument.
   Result<std::vector<uint8_t>> CompareBatch(
       const std::vector<RowPairRequest>& batch) override;
-
-  /// Drops the row from the coordinator's cache and queues a forget for
-  /// every shard it may have landed on, sent with that shard's next batch: a
-  /// long serve session's daemon tables stay bounded by its live rows.
-  Status EraseResidentRow(int side, int64_t row_id) override;
   int64_t invocations() const override { return invocations_; }
   /// Settled work per shard (session-journal bookkeeping): batches settled
   /// and pairs definitively labeled on each comparator shard so far.
@@ -213,6 +202,13 @@ class RemoteSmcOracle : public MatchOracle {
  private:
   /// (side, row id): side 0 is R, 1 is S.
   using RowKey = std::pair<int, int64_t>;
+  /// One CompareBatch call's rows by key: the record first staged under
+  /// the key and its encoding.
+  struct StagedRow {
+    const Record* record = nullptr;
+    std::vector<crypto::BigInt> values;
+  };
+  using StagedRows = std::map<RowKey, StagedRow>;
   /// One pair of the pipelined batch path, carried across retry rounds.
   struct BatchPair {
     size_t batch_pos = 0;       ///< index into CompareBatch's input/labels
@@ -222,23 +218,23 @@ class RemoteSmcOracle : public MatchOracle {
     int attempts = 0;           ///< failed transient rounds so far
   };
 
-  /// Encodes a row over the compared attributes: the encodings its side's
-  /// holder daemon (alice for R, bob for S) keeps resident.
+  /// Encodes a row over the compared attributes: what its side's holder
+  /// daemon (alice for R, bob for S) receives in a frame.
   Result<std::vector<crypto::BigInt>> EncodeRow(const Record& record) const;
-  /// Brings the cached encoding of one batch row up to date: a new or
-  /// changed encoding replaces the cached one and leaves every shard's
-  /// held set. `staged` maps the rows this batch already saw to their
-  /// records; a second, different record under one key is InvalidArgument.
+  /// Encodes one batch row into `rows` the first time its key is seen; a
+  /// second, different record under one key is InvalidArgument.
   Status StageRow(int side, int64_t row_id, const Record& record,
-                  std::map<RowKey, const Record*>* staged);
+                  StagedRows* rows) const;
 
   /// One pipelined dispatch round over `pending`: schedules the pairs across
-  /// the usable shards in kPairBatch frames, pumps heartbeats and
-  /// membership, rebalances off failing shards, applies the per-slot accept
-  /// rule, fills `labels`, and rewrites `pending` to the transiently failed
-  /// pairs that should be re-batched. Quarantines pairs only when no usable
-  /// shard remains. Returns a semantic error verbatim.
-  Status RunBatchRound(std::vector<BatchPair>* pending,
+  /// the usable shards in kPairBatch frames (each carrying its pairs' rows
+  /// from `rows`), pumps heartbeats and membership, rebalances off failing
+  /// shards, applies the per-slot accept rule, fills `labels`, and rewrites
+  /// `pending` to the transiently failed pairs that should be re-batched.
+  /// Quarantines pairs only when no usable shard remains. Returns a
+  /// semantic error verbatim.
+  Status RunBatchRound(const StagedRows& rows,
+                       std::vector<BatchPair>* pending,
                        std::vector<uint8_t>* labels);
 
   std::vector<std::string> ShardRoles(int shard) const;
@@ -254,8 +250,7 @@ class RemoteSmcOracle : public MatchOracle {
   /// phase so the shards work concurrently: cfg to every replica, keygen on
   /// the qps, recvkey on the holders, then the offline warmup when material
   /// is configured. Init() runs it over every shard; the rejoin path replays
-  /// it on a single recovered shard. cfg empties a daemon's resident table,
-  /// so the shards' held and forget sets start empty too.
+  /// it on a single recovered shard.
   Status SetupShards(const std::vector<int>& shard_ids);
   /// Records a heartbeat ack in the membership table.
   void HandleHbAck(int shard, const CtlResponse& r);
@@ -317,15 +312,6 @@ class RemoteSmcOracle : public MatchOracle {
   uint64_t next_pair_index_ = 0;
   uint64_t next_batch_id_ = 0;
   uint64_t next_barrier_id_ = 0;
-  /// Row encodings by (side, row id), as last shipped to any shard.
-  std::map<RowKey, std::vector<crypto::BigInt>> rows_;
-  /// Per shard: the rows it holds at their cached encoding as far as the
-  /// coordinator knows; the rows any frame since its last setup carried,
-  /// which it may hold at some encoding (a superset of held_); and the
-  /// forgets to send with its next batch.
-  std::vector<std::set<RowKey>> held_;
-  std::vector<std::set<RowKey>> landed_;
-  std::vector<std::vector<RowKey>> forgets_;
   MeshStats mesh_stats_;
 };
 

@@ -225,8 +225,6 @@ Result<ApplyResult> LinkageService::CommitErase(Tenant& t,
   out.links_removed += DropLinksTouching(t, delta.side, delta.row_id);
   t.blocker.Erase(delta.side, delta.row_id);
   t.records.erase({static_cast<int>(delta.side), delta.row_id});
-  HPRL_RETURN_IF_ERROR(oracle_->EraseResidentRow(
-      static_cast<int>(delta.side), GlobalId(t.index, delta.row_id)));
   obs::Add(metrics_, "serve.links_removed", out.links_removed);
   return out;
 }

@@ -42,8 +42,6 @@ Status SmcMatchOracle::Init() {
     // keypair, then prewarm whatever offline_pairs record pairs draw beyond
     // it (RandomizerDraws; both holders share this pool) and save the
     // result for the next run. The filler then holds that level.
-    const uint32_t slot = static_cast<uint32_t>(
-        config_.pack_pairs > 0 ? config_.pack_slot_bits : 0);
     if (!config_.material_dir.empty()) {
       material_store_ =
           std::make_unique<crypto::MaterialStore>(config_.material_dir);
@@ -51,7 +49,7 @@ Status SmcMatchOracle::Init() {
       // n = p·q can come up one bit short of config key_bits.
       auto loaded = material_store_->Load(
           crypto::KeyFingerprint(keypair_.pub.n()),
-          static_cast<uint32_t>(keypair_.pub.n().BitLength()), slot);
+          static_cast<uint32_t>(keypair_.pub.n().BitLength()));
       material_warm_ = loaded.ok() && pool_->AdoptMaterial(*loaded).ok();
     }
     if (config_.offline_pairs > 0) {
@@ -67,7 +65,7 @@ Status SmcMatchOracle::Init() {
         (!material_warm_ || offline_generated_ > 0)) {
       // Best-effort: a read-only store degrades to always-cold, never to a
       // failed run.
-      (void)material_store_->Save(pool_->ExportMaterial(slot));
+      (void)material_store_->Save(pool_->ExportMaterial());
     }
     pool_->Start();
   }

@@ -983,7 +983,7 @@ TEST_F(RandomizerPoolTest, PrewarmIsThreadCountInvariant) {
     auto generated = pool.Prewarm(kCount, threads);
     ASSERT_TRUE(generated.ok()) << generated.status().ToString();
     EXPECT_EQ(*generated, kCount);
-    const CryptoMaterial m = pool.ExportMaterial(/*slot_bits=*/0);
+    const CryptoMaterial m = pool.ExportMaterial();
     ASSERT_EQ(m.randomizers.size(), static_cast<size_t>(kCount));
     EXPECT_EQ(HashRandomizers(m.randomizers), kPrewarmGolden);
     for (int i = 0; i < kCount; ++i) {
@@ -1005,7 +1005,7 @@ TEST_F(RandomizerPoolTest, FillerRestoresTheOfflineLevelAndNeverPassesIt) {
   constexpr int kDraws = 25;
   RandomizerPool source(pub_, kDepth, 41);
   ASSERT_TRUE(source.Prewarm(kLevel).ok());
-  const CryptoMaterial material = source.ExportMaterial(/*slot_bits=*/0);
+  const CryptoMaterial material = source.ExportMaterial();
   for (const bool adopt : {false, true}) {
     SCOPED_TRACE(adopt ? "adopted material" : "prewarmed");
     RandomizerPool pool(pub_, kDepth, 43);

@@ -166,7 +166,6 @@ crypto::CryptoMaterial SampleMaterial() {
   crypto::CryptoMaterial m;
   m.fingerprint = 0x0123456789ABCDEFull;
   m.modulus_bits = 256;
-  m.slot_bits = 64;
   m.short_exp_bits = 160;
   for (int i = 0; i < 37; ++i) {
     m.table_blob.push_back(static_cast<uint8_t>(i * 7 + 3));
@@ -181,14 +180,15 @@ crypto::CryptoMaterial SampleMaterial() {
 bool SameMaterial(const crypto::CryptoMaterial& a,
                   const crypto::CryptoMaterial& b) {
   return a.fingerprint == b.fingerprint && a.modulus_bits == b.modulus_bits &&
-         a.slot_bits == b.slot_bits && a.short_exp_bits == b.short_exp_bits &&
+         a.short_exp_bits == b.short_exp_bits &&
          a.table_blob == b.table_blob && a.randomizers == b.randomizers;
 }
 
 TEST(MaterialFormatTest, SavedBytesAreUnchanged) {
   // Pins the on-disk bytes of one fixed material: files written by earlier
-  // builds must keep loading, and a warm store must stay warm across
-  // upgrades. The expected hash was taken from the original HPRLMAT1 codec.
+  // builds of this version must keep loading, and a warm store must stay
+  // warm across upgrades. The expected hash was taken from the version-2
+  // HPRLMAT1 codec, which dropped version 1's 4-byte slot-layout field.
   const crypto::CryptoMaterial m = SampleMaterial();
   const std::string dir =
       ::testing::TempDir() + "/durable_golden_" + std::to_string(::getpid());
@@ -197,10 +197,10 @@ TEST(MaterialFormatTest, SavedBytesAreUnchanged) {
   crypto::MaterialStore store(dir);
   ASSERT_TRUE(store.Save(m).ok());
   const std::vector<uint8_t> bytes =
-      ReadBytes(store.PathFor(m.fingerprint, m.modulus_bits, m.slot_bits));
-  EXPECT_EQ(bytes.size(), 120u);
-  EXPECT_EQ(Fnv1a64(bytes.data(), bytes.size()), 0x42880154e4a10e85ull);
-  EXPECT_EQ(store.stats().bytes, 120);
+      ReadBytes(store.PathFor(m.fingerprint, m.modulus_bits));
+  EXPECT_EQ(bytes.size(), 116u);
+  EXPECT_EQ(Fnv1a64(bytes.data(), bytes.size()), 0x54cbd0ac4644799eull);
+  EXPECT_EQ(store.stats().bytes, 116);
   std::filesystem::remove_all(dir);
 }
 
@@ -223,8 +223,7 @@ std::vector<Format> AllFormats() {
   };
   const auto material_path = [](const std::string& dir) {
     const crypto::CryptoMaterial m = SampleMaterial();
-    return crypto::MaterialStore(dir).PathFor(m.fingerprint, m.modulus_bits,
-                                              m.slot_bits);
+    return crypto::MaterialStore(dir).PathFor(m.fingerprint, m.modulus_bits);
   };
   return {
       {"SessionJournal", "session journal", 2,
@@ -251,15 +250,14 @@ std::vector<Format> AllFormats() {
                     ? Status::OK()
                     : Status::Internal("resumed with different values");
        }},
-      {"Material", "material", 1, StatusCode::kNotFound, material_path,
+      {"Material", "material", 2, StatusCode::kNotFound, material_path,
        [](const std::string& dir) {
          return crypto::MaterialStore(dir).Save(SampleMaterial());
        },
        [](const std::string& dir) -> Status {
          const crypto::CryptoMaterial want = SampleMaterial();
          crypto::MaterialStore store(dir);
-         auto m = store.Load(want.fingerprint, want.modulus_bits,
-                             want.slot_bits);
+         auto m = store.Load(want.fingerprint, want.modulus_bits);
          if (m.ok()) {
            return SameMaterial(*m, want)
                       ? Status::OK()

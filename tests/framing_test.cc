@@ -4,8 +4,9 @@
 // every prefix length, the scatter-gather header must reproduce EncodeFrame's
 // bytes exactly, and pooled read buffers must recycle instead of reallocate.
 // Also the "pairb" and "cfg" body codecs: round trips, truncation at every
-// length, trailing bytes, hostile counts refused before allocation, and a
-// unit size its layout cannot hold.
+// length, trailing bytes, hostile counts refused before allocation, a
+// repeated row id, a unit size its layout cannot hold, and a seeded
+// mutation sweep: every body a parser accepts re-encodes to its own bytes.
 
 #include <gtest/gtest.h>
 
@@ -31,8 +32,6 @@ using net::EncodeFrameHeader;
 using net::FrameSize;
 using net::ConfigBody;
 using net::PairBatchBody;
-using net::RowEntry;
-using net::RowOp;
 using smc::Message;
 
 // ------------------------------------------------------------- FrameView
@@ -151,15 +150,16 @@ TEST(FrameViewTest, HeaderPlusPayloadEqualsEncodeFrame) {
 
 crypto::BigInt Big(int64_t v) { return crypto::BigInt(v); }
 
-/// Upserts (negative, zero and multi-limb encodings), forgets and pairs.
+/// Rows with negative, zero and multi-limb encodings (and one empty row),
+/// and pairs naming them.
 PairBatchBody SampleBody() {
   PairBatchBody body;
   body.batch_id = 0x0102030405060708ull;
-  body.rows.push_back({0, 17, RowOp::kUpsert, {Big(-42000), Big(0)}});
-  body.rows.push_back({1, -1, RowOp::kForget, {}});
-  body.rows.push_back({1, int64_t{1} << 40, RowOp::kUpsert,
+  body.rows.push_back({17, {Big(-42000), Big(0)}});
+  body.rows.push_back({int64_t{1} << 40,
                        {Big(-7), Big(int64_t{1} << 62) * Big(99)}});
-  body.rows.push_back({0, 5, RowOp::kUpsert, {}});
+  body.rows.push_back({-1, {Big(255), Big(256)}});
+  body.rows.push_back({5, {}});
   body.pairs.push_back({0, 17, int64_t{1} << 40});
   body.pairs.push_back({~uint64_t{0}, -1, 0});
   return body;
@@ -169,9 +169,7 @@ void ExpectSameBody(const PairBatchBody& got, const PairBatchBody& sent) {
   EXPECT_EQ(got.batch_id, sent.batch_id);
   ASSERT_EQ(got.rows.size(), sent.rows.size());
   for (size_t i = 0; i < sent.rows.size(); ++i) {
-    EXPECT_EQ(got.rows[i].side, sent.rows[i].side) << "row " << i;
     EXPECT_EQ(got.rows[i].row_id, sent.rows[i].row_id) << "row " << i;
-    EXPECT_EQ(got.rows[i].op, sent.rows[i].op) << "row " << i;
     EXPECT_EQ(got.rows[i].values, sent.rows[i].values) << "row " << i;
   }
   ASSERT_EQ(got.pairs.size(), sent.pairs.size());
@@ -183,7 +181,7 @@ void ExpectSameBody(const PairBatchBody& got, const PairBatchBody& sent) {
 }
 
 TEST(PairBatchBodyTest, RoundTrips) {
-  PairBatchBody empty;  // zero rows: every row already held, or qp's frame
+  PairBatchBody empty;  // zero rows: qp's frame
   empty.batch_id = 9;
   empty.pairs.push_back({3, 4, 5});
   for (const PairBatchBody& sent : {SampleBody(), empty}) {
@@ -227,9 +225,7 @@ TEST(PairBatchBodyTest, RejectsCountsLargerThanTheBodyBeforeAllocating) {
   std::vector<uint8_t> values;
   net::AppendU64(1, &values);
   net::AppendU32(1, &values);
-  net::AppendU8(1, &values);  // side
   net::AppendI64(3, &values);
-  net::AppendU8(static_cast<uint8_t>(RowOp::kUpsert), &values);
   net::AppendU32(0xFFFFFFFFu, &values);  // value count
   values.resize(values.size() + 64, 0);
   expect_refused(values);
@@ -242,21 +238,40 @@ TEST(PairBatchBodyTest, RejectsCountsLargerThanTheBodyBeforeAllocating) {
   expect_refused(pairs);
 }
 
-TEST(PairBatchBodyTest, RejectsUnknownSideAndOp) {
-  for (const auto& [side, op] : {std::pair<uint8_t, uint8_t>{2, 1},
-                                 std::pair<uint8_t, uint8_t>{0, 0},
-                                 std::pair<uint8_t, uint8_t>{0, 3}}) {
+// Row ids are keys: a frame naming one row twice is refused, not resolved
+// by whichever copy comes last.
+TEST(PairBatchBodyTest, RejectsARepeatedRowId) {
+  PairBatchBody body = SampleBody();
+  body.rows.push_back({17, {Big(1), Big(2)}});
+  std::vector<uint8_t> wire;
+  net::AppendPairBatchBody(body, &wire);
+  auto got = net::ParsePairBatchBody(wire);
+  ASSERT_FALSE(got.ok());
+  EXPECT_NE(got.status().message().find("repeats row 17"), std::string::npos)
+      << got.status().ToString();
+}
+
+// A value has exactly one encoding: a sign byte other than 0 or 1, a
+// magnitude with a leading zero byte, and a negative zero are refused.
+TEST(PairBatchBodyTest, RejectsNonCanonicalValues) {
+  auto one_value = [](uint8_t sign, std::vector<uint8_t> magnitude) {
     std::vector<uint8_t> wire;
     net::AppendU64(1, &wire);
-    net::AppendU32(1, &wire);
-    net::AppendU8(side, &wire);
+    net::AppendU32(1, &wire);  // one row
     net::AppendI64(3, &wire);
-    net::AppendU8(op, &wire);
-    net::AppendU32(0, &wire);  // would be the value or pair count
-    net::AppendU32(0, &wire);
-    EXPECT_FALSE(net::ParsePairBatchBody(wire).ok())
-        << "side " << int{side} << " op " << int{op};
-  }
+    net::AppendU32(1, &wire);  // one value
+    net::AppendU8(sign, &wire);
+    net::AppendU32(static_cast<uint32_t>(magnitude.size()), &wire);
+    wire.insert(wire.end(), magnitude.begin(), magnitude.end());
+    net::AppendU32(0, &wire);  // no pairs
+    return net::ParsePairBatchBody(wire).ok();
+  };
+  EXPECT_TRUE(one_value(0, {}));
+  EXPECT_TRUE(one_value(1, {7}));
+  EXPECT_FALSE(one_value(2, {7}));
+  EXPECT_FALSE(one_value(0, {0, 7}));
+  EXPECT_FALSE(one_value(1, {}));
+  EXPECT_FALSE(one_value(0, {0}));
 }
 
 // --------------------------------------------------------- cfg body codec
@@ -357,6 +372,71 @@ TEST(ConfigBodyTest, RejectsAUnitLargerThanTheLayoutHolds) {
   body = SampleConfig();
   body.thresholds.clear();
   EXPECT_TRUE(refused(body));
+}
+
+// ------------------------------------------------------- mutation sweep
+
+/// Feeds `parse` every single-byte substitution of `valid` (all 255 other
+/// values at every offset) and `random_mutants` seeded mutants that set two
+/// to eight random bytes. A mutant must be refused or re-encode, through
+/// `encode`, to exactly its own bytes: a body the parser accepts has one
+/// meaning, so no two byte strings carry the same batch or configuration.
+/// Returns how many mutants were accepted.
+template <typename Body>
+int SweepMutants(const std::vector<uint8_t>& valid,
+                 Result<Body> (*parse)(const std::vector<uint8_t>&),
+                 void (*encode)(const Body&, std::vector<uint8_t>*),
+                 int random_mutants, uint32_t seed) {
+  int accepted = 0;
+  auto check = [&](const std::vector<uint8_t>& mutant, const char* kind,
+                   size_t at) {
+    auto got = parse(mutant);
+    if (!got.ok()) return;
+    ++accepted;
+    std::vector<uint8_t> again;
+    encode(*got, &again);
+    EXPECT_EQ(again, mutant) << kind << " mutant at " << at
+                             << " was accepted but re-encodes differently";
+  };
+  for (size_t at = 0; at < valid.size(); ++at) {
+    std::vector<uint8_t> mutant = valid;
+    for (int delta = 1; delta < 256; ++delta) {
+      mutant[at] = static_cast<uint8_t>(valid[at] + delta);
+      check(mutant, "single-byte", at);
+    }
+  }
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<size_t> pos(0, valid.size() - 1);
+  std::uniform_int_distribution<int> count(2, 8);
+  std::uniform_int_distribution<int> byte(0, 255);
+  for (int i = 0; i < random_mutants; ++i) {
+    std::vector<uint8_t> mutant = valid;
+    for (int k = count(rng); k > 0; --k) {
+      mutant[pos(rng)] = static_cast<uint8_t>(byte(rng));
+    }
+    check(mutant, "multi-byte", static_cast<size_t>(i));
+  }
+  return accepted;
+}
+
+TEST(MutationSweepTest, PairBatchBodyIsRefusedOrReencodesExactly) {
+  std::vector<uint8_t> wire;
+  net::AppendPairBatchBody(SampleBody(), &wire);
+  const int accepted =
+      SweepMutants<PairBatchBody>(wire, &net::ParsePairBatchBody,
+                                  &net::AppendPairBatchBody, 10000, 20261019);
+  // Ids, indices and magnitudes are free bytes: plenty of mutants are
+  // well-formed batches, and each of them was checked above.
+  EXPECT_GT(accepted, 1000);
+}
+
+TEST(MutationSweepTest, ConfigBodyIsRefusedOrReencodesExactly) {
+  std::vector<uint8_t> wire;
+  net::AppendConfigBody(SampleConfig(), &wire);
+  const int accepted =
+      SweepMutants<ConfigBody>(wire, &net::ParseConfigBody,
+                               &net::AppendConfigBody, 10000, 20261020);
+  EXPECT_GT(accepted, 1000);
 }
 
 // ------------------------------------------------------------ BufferPool

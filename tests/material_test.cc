@@ -1,6 +1,7 @@
 // Robustness of the persistent offline-material cache (crypto/material.h):
 // a valid file round-trips bit-exactly; a file filed under the wrong
-// keypair or layout is rejected (never trusted, never fatal) and the caller
+// keypair, or written by the version-1 codec, is rejected (never trusted,
+// never fatal) and the caller
 // regenerates, producing labels identical to a cold run. Truncation and
 // bit-flip damage, and the pinned on-disk bytes, are covered with the
 // journals by tests/durable_file_test.cc.
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "core/experiment.h"
 #include "crypto/material.h"
 #include "crypto/paillier.h"
@@ -67,7 +69,7 @@ Fixture MakeFixture(uint64_t seed, int randomizers) {
   RandomizerPool pool(f.kp.pub, /*target_depth=*/randomizers, seed);
   auto generated = pool.Prewarm(randomizers);
   EXPECT_TRUE(generated.ok() && *generated == randomizers);
-  f.material = pool.ExportMaterial(/*slot_bits=*/0);
+  f.material = pool.ExportMaterial();
   EXPECT_EQ(f.material.randomizers.size(),
             static_cast<size_t>(randomizers));
   EXPECT_FALSE(f.material.table_blob.empty());
@@ -90,12 +92,10 @@ TEST(MaterialStoreTest, SaveLoadRoundTripIsExact) {
   ASSERT_TRUE(store.Save(f.material).ok());
 
   MaterialStore reader(dir);  // fresh stats
-  auto loaded = reader.Load(f.material.fingerprint, f.material.modulus_bits,
-                            f.material.slot_bits);
+  auto loaded = reader.Load(f.material.fingerprint, f.material.modulus_bits);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->fingerprint, f.material.fingerprint);
   EXPECT_EQ(loaded->modulus_bits, f.material.modulus_bits);
-  EXPECT_EQ(loaded->slot_bits, f.material.slot_bits);
   EXPECT_EQ(loaded->short_exp_bits, f.material.short_exp_bits);
   EXPECT_EQ(loaded->table_blob, f.material.table_blob);
   ASSERT_EQ(loaded->randomizers.size(), f.material.randomizers.size());
@@ -110,7 +110,7 @@ TEST(MaterialStoreTest, SaveLoadRoundTripIsExact) {
 
 TEST(MaterialStoreTest, AbsentFileIsAMissNotARejection) {
   MaterialStore store(MakeTempDir());
-  auto loaded = store.Load(0xDEAD, kTestKeyBits, 0);
+  auto loaded = store.Load(0xDEAD, kTestKeyBits);
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
   EXPECT_EQ(store.stats().misses, 1);
   EXPECT_EQ(store.stats().rejected, 0);
@@ -127,23 +127,47 @@ TEST(MaterialStoreTest, StaleFingerprintIsRejected) {
   // with the requested key, so the load MUST reject it: randomizers from
   // another keypair would silently corrupt every ciphertext.
   const uint64_t other_fp = f.material.fingerprint + 1;
-  const std::vector<uint8_t> bytes = ReadFileBytes(store.PathFor(
-      f.material.fingerprint, f.material.modulus_bits, f.material.slot_bits));
-  WriteFileBytes(
-      store.PathFor(other_fp, f.material.modulus_bits, f.material.slot_bits),
-      bytes);
-  auto loaded =
-      store.Load(other_fp, f.material.modulus_bits, f.material.slot_bits);
+  const std::vector<uint8_t> bytes = ReadFileBytes(
+      store.PathFor(f.material.fingerprint, f.material.modulus_bits));
+  WriteFileBytes(store.PathFor(other_fp, f.material.modulus_bits), bytes);
+  auto loaded = store.Load(other_fp, f.material.modulus_bits);
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
   EXPECT_EQ(store.stats().rejected, 1);
+}
 
-  // Same story for a slot-layout mismatch.
-  WriteFileBytes(
-      store.PathFor(f.material.fingerprint, f.material.modulus_bits, 64),
-      bytes);
-  EXPECT_FALSE(
-      store.Load(f.material.fingerprint, f.material.modulus_bits, 64).ok());
-  EXPECT_EQ(store.stats().rejected, 2);
+// Version 1 filed the same material with a slot-layout field after the
+// modulus bits. Such a file, well formed and checksummed, is stale: a
+// counted miss and rejection, never trusted, and the next save replaces it.
+TEST(MaterialStoreTest, VersionOneFileIsARejectedMiss) {
+  const std::string dir = MakeTempDir();
+  Fixture f = MakeFixture(46, 3);
+  MaterialStore store(dir);
+  ASSERT_TRUE(store.Save(f.material).ok());
+  const std::string path =
+      store.PathFor(f.material.fingerprint, f.material.modulus_bits);
+  const std::vector<uint8_t> v2 = ReadFileBytes(path);
+  ASSERT_EQ(v2[8], 2);  // little-endian u32 version after the 8-byte magic
+
+  // magic | version | fingerprint u64 | modulus bits u32 | ...: version 1
+  // carried a u32 slot layout here, then the same fields; FNV-1a-64 last.
+  std::vector<uint8_t> v1(v2.begin(), v2.end() - 8);
+  v1[8] = 1;
+  const size_t slot_at = 8 + 4 + 8 + 4;
+  v1.insert(v1.begin() + slot_at, {64, 0, 0, 0});
+  const uint64_t sum = Fnv1a64(v1.data(), v1.size());
+  for (int i = 0; i < 8; ++i) v1.push_back(static_cast<uint8_t>(sum >> (8 * i)));
+  WriteFileBytes(path, v1);
+
+  MaterialStore reader(dir);
+  auto loaded = reader.Load(f.material.fingerprint, f.material.modulus_bits);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(reader.stats().misses, 1);
+  EXPECT_EQ(reader.stats().rejected, 1);
+
+  ASSERT_TRUE(reader.Save(f.material).ok());
+  EXPECT_EQ(ReadFileBytes(path), v2);
+  EXPECT_TRUE(
+      reader.Load(f.material.fingerprint, f.material.modulus_bits).ok());
 }
 
 TEST(RandomizerPoolTest, AdoptionIsConsumeOnlyAndPreStartOnly) {
@@ -263,10 +287,9 @@ TEST(MaterialEngineTest, WarmAndRepairedRunsMatchColdBitForBit) {
   // same labels. Silent acceptance of the flipped bit would surface here
   // as either an Init failure or a label diff.
   crypto::MaterialStore probe(dir);
-  const auto exported =
-      warm.randomizer_pool()->ExportMaterial(/*slot_bits=*/0);
-  const std::string path = probe.PathFor(exported.fingerprint,
-                                         exported.modulus_bits, 0);
+  const auto exported = warm.randomizer_pool()->ExportMaterial();
+  const std::string path =
+      probe.PathFor(exported.fingerprint, exported.modulus_bits);
   std::vector<uint8_t> bytes = ReadFileBytes(path);
   ASSERT_FALSE(bytes.empty());
   bytes[bytes.size() / 2] ^= 0x04;
@@ -297,10 +320,9 @@ TEST(MaterialEngineTest, ColdMaterialBytesDoNotDependOnThreadCount) {
     smc::SmcMatchOracle engine(MaterialSmcConfig(dir), w.rule, threads);
     ASSERT_TRUE(engine.Init().ok());
     EXPECT_FALSE(engine.material_warm());
-    const auto exported =
-        engine.randomizer_pool()->ExportMaterial(/*slot_bits=*/0);
-    files.push_back(ReadFileBytes(MaterialStore(dir).PathFor(
-        exported.fingerprint, exported.modulus_bits, /*slot_bits=*/0)));
+    const auto exported = engine.randomizer_pool()->ExportMaterial();
+    files.push_back(ReadFileBytes(
+        MaterialStore(dir).PathFor(exported.fingerprint, exported.modulus_bits)));
     ASSERT_FALSE(files.back().empty());
   }
   EXPECT_EQ(files[0], files[1]);

@@ -24,8 +24,10 @@
 #include "net/remote_oracle.h"
 #include "net/socket.h"
 #include "net/socket_bus.h"
+#include "obs/metrics.h"
 #include "serve/service.h"
 #include "smc/channel.h"
+#include "smc/fault.h"
 #include "smc/protocol.h"
 #include "smc/smc_oracle.h"
 
@@ -132,15 +134,15 @@ TEST(FrameTest, RejectsVersionMismatch) {
   EXPECT_NE(back.status().ToString().find("version"), std::string::npos);
 }
 
-// A wire v10 peer (a "cfg" body with one slot width for every attribute
-// instead of a width per attribute) is refused at the frame layer, never
-// half-parsed.
-TEST(FrameTest, RejectsWireVersionTen) {
-  ASSERT_EQ(net::kWireVersion, 11);
+// A wire v11 peer (its "pairb" rows carry a side and an op byte, and name
+// rows a daemon kept from earlier frames) is refused at the frame layer,
+// never half-parsed.
+TEST(FrameTest, RejectsWireVersionEleven) {
+  ASSERT_EQ(net::kWireVersion, 12);
   Message msg = MakeMessage();
   std::vector<uint8_t> wire = EncodeFrame(msg);
   wire[4 + 4] = 0x00;
-  wire[4 + 5] = 0x0A;
+  wire[4 + 5] = 0x0B;
   auto back = DecodeFrame(wire.data() + 4, wire.size() - 4);
   ASSERT_FALSE(back.ok());
   EXPECT_EQ(back.status().code(), StatusCode::kIOError);
@@ -738,7 +740,7 @@ class MeshTest : public ::testing::Test {
     RemoteOracleOptions opts;
     opts.config = FixtureConfig();
     opts.rule = std::move(rule);
-    opts.endpoints = endpoints_;
+    opts.shard_endpoints = {endpoints_};
     opts.connect_timeout_ms = 10000;
     opts.receive_timeout_ms = receive_timeout_ms;
     if (rpc_batch > 0) opts.rpc_batch_pairs = rpc_batch;
@@ -918,7 +920,7 @@ TEST_F(MeshTest, EndToEndLabelsMatchInProcessProtocol) {
   opts.config = FixtureConfig();
   opts.config.pack_pairs = 0;
   opts.rule = MixedRule();
-  opts.endpoints = endpoints_;
+  opts.shard_endpoints = {endpoints_};
   opts.receive_timeout_ms = 2000;
   auto oracle = std::make_unique<RemoteSmcOracle>(opts);
   ASSERT_TRUE(oracle->Init().ok());
@@ -995,7 +997,7 @@ TEST_F(MeshTest, HoldersPrewarmTheirOwnRolesDrawsAndNeverMiss) {
   opts.config.offline_pairs = static_cast<int>(pairs.size());
   opts.config.material_dir = dir;
   opts.rule = MixedRule();
-  opts.endpoints = endpoints_;
+  opts.shard_endpoints = {endpoints_};
   opts.receive_timeout_ms = 2000;
   const smc::RoleDraws draws = smc::RandomizerDraws(
       opts.config, smc::RuleOperands(opts.rule, opts.config.fp_scale),
@@ -1018,7 +1020,7 @@ TEST_F(MeshTest, HoldersPrewarmTheirOwnRolesDrawsAndNeverMiss) {
   for (const auto& [role, want] : roles) {
     crypto::MaterialStore store(dir + "/" + role);
     auto bank = store.Load(crypto::KeyFingerprint(n),
-                           static_cast<uint32_t>(n.BitLength()), 0);
+                           static_cast<uint32_t>(n.BitLength()));
     ASSERT_TRUE(bank.ok()) << role << ": " << bank.status().ToString();
     EXPECT_EQ(static_cast<int64_t>(bank->randomizers.size()), want) << role;
   }
@@ -1079,7 +1081,7 @@ TEST_F(MeshTest, DaemonWaitingOutAFaultKeepsAnsweringProbes) {
   RemoteOracleOptions opts;
   opts.config = FixtureConfig();
   opts.rule = MixedRule();
-  opts.endpoints = endpoints_;
+  opts.shard_endpoints = {endpoints_};
   opts.receive_timeout_ms = 1000;
   opts.hb_interval_ms = 50;
   RemoteSmcOracle oracle(opts);
@@ -1134,7 +1136,9 @@ TEST_F(MeshTest, DeadPartyQuarantinesPair) {
 // mesh), which is the count scripts/bench_smoke.sh gates on.
 TEST_F(MeshTest, BatchSizeOneDegeneratesToPerPairRoundTrips) {
   StartMesh(/*receive_timeout_ms=*/2000);
+  obs::MetricsRegistry registry;  // outlives the oracle's buses
   auto oracle = MakeOracle(2000, /*rpc_batch=*/1);
+  oracle->AttachMetrics(&registry);
   ASSERT_TRUE(oracle->Init().ok());
 
   const auto pairs = SixPairs();
@@ -1148,6 +1152,9 @@ TEST_F(MeshTest, BatchSizeOneDegeneratesToPerPairRoundTrips) {
   }
   EXPECT_EQ(*labels, want);
   EXPECT_EQ(oracle->ctl_round_trips(), static_cast<int64_t>(pairs.size()));
+  // Every one-pair frame carries its R row to alice and its S row to bob.
+  EXPECT_EQ(registry.counter("net.rows_sent")->value(),
+            2 * static_cast<int64_t>(pairs.size()));
   EXPECT_EQ(oracle->retries(), 0);
   EXPECT_EQ(oracle->pairs_quarantined(), 0);
   EXPECT_TRUE(oracle->Shutdown(/*stop_daemons=*/true).ok());
@@ -1185,15 +1192,24 @@ TEST_F(MeshTest, CompareRowsLabelsOnePairAndReportsDeadParty) {
 
 TEST_F(MeshTest, BatchedModeCollapsesCtlRoundTrips) {
   StartMesh(/*receive_timeout_ms=*/2000);
+  obs::MetricsRegistry registry;  // outlives the oracle's buses
   auto oracle = MakeOracle(2000, /*rpc_batch=*/32, /*rpc_window=*/4);
+  oracle->AttachMetrics(&registry);
   ASSERT_TRUE(oracle->Init().ok());
 
   const auto pairs = SixPairs();
-  const auto batch = PairBatch(pairs);
+  auto batch = PairBatch(pairs);
+  batch.push_back({0, 101, &pairs[0].first, &pairs[1].second});  // R0 x S101
   auto labels = oracle->CompareBatch(batch);
   ASSERT_TRUE(labels.ok()) << labels.status().ToString();
-  // ... while the batched mode ships all six pairs in ONE frame.
+  EXPECT_EQ(labels->back(),
+            RecordsMatch(pairs[0].first, pairs[1].second, MixedRule())
+                ? kPairMatch
+                : kPairNonMatch);
+  // ... while the batched mode ships all seven pairs in ONE frame, which
+  // carries each of its six R and six S rows once.
   EXPECT_EQ(oracle->ctl_round_trips(), 1) << "retries=" << oracle->retries();
+  EXPECT_EQ(registry.counter("net.rows_sent")->value(), 12);
   EXPECT_EQ(oracle->pairs_quarantined(), 0);
   EXPECT_TRUE(oracle->Shutdown(/*stop_daemons=*/true).ok());
 }
@@ -1288,37 +1304,52 @@ TEST_F(MeshTest, ServeStreamLinksMatchPlaintextService) {
   EXPECT_TRUE(oracle->Shutdown(/*stop_daemons=*/true).ok());
 }
 
-// Erased rows leave the daemons' tables, so a long serve session's tables
-// stay bounded by its live rows: after the stream erases every live row,
-// the forgets riding the next batch leave each holder daemon holding only
-// that batch's row (qp holds none).
-TEST_F(MeshTest, ErasedServeRowsLeaveTheDaemonTables) {
-  StartMesh(/*receive_timeout_ms=*/2000);
-  auto stream = MakeServeStream(/*steps=*/60, /*seed=*/7);
-  auto oracle = MakeOracle(2000, 0, 0, stream->opts.rule);
+// Frames are self-contained, so erasing and updating rows mid-stream needs
+// no bookkeeping on the coordinator or the daemons: a stream runs, every
+// live row is erased, and a second stream reuses the same row ids with new
+// values while a holder's fault forces frames to be sent again. Links match
+// the in-the-clear service delta by delta, and nothing is quarantined.
+TEST_F(MeshTest, ServeRowsErasedAndReusedMidStreamMatchPlaintext) {
+  StartMesh(/*receive_timeout_ms=*/500);
+  auto first = MakeServeStream(/*steps=*/40, /*seed=*/11);
+  auto second = MakeServeStream(/*steps=*/60, /*seed=*/12);
+  ASSERT_GT(second->updates, 0);
+  ASSERT_GT(second->erases, 0);
+  auto oracle = MakeOracle(500, 0, 0, first->opts.rule);
   ASSERT_TRUE(oracle->Init().ok());
-  serve::LinkageService svc(stream->opts, oracle.get());
-  for (const auto* deltas : {&stream->deltas, &stream->erase_all}) {
-    for (const serve::RecordDelta& d : *deltas) {
-      ASSERT_TRUE(svc.Apply(d).ok());
-    }
+
+  CountingPlaintextOracle plain(first->opts.rule);
+  serve::LinkageService svc(first->opts, oracle.get());
+  serve::LinkageService ref(first->opts, &plain);
+  int64_t quarantined = 0;
+  int64_t smc_pairs =
+      ApplyBoth(*first, 0, first->deltas.size(), &svc, &ref, &quarantined);
+  for (const serve::RecordDelta& d : first->erase_all) {
+    ASSERT_TRUE(svc.Apply(d).ok());
+    ASSERT_TRUE(ref.Apply(d).ok());
   }
-  const Record& a = stream->source.row(0);
-  const Record& b = stream->source.row(1);
-  auto probe = oracle->CompareBatch({{7, 107, &a, &b}});
-  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
-  for (size_t i = 0; i < services_.size(); ++i) {
-    EXPECT_EQ(services_[i]->resident_rows(), i < 2 ? 1u : 0u) << i;
-  }
+  ASSERT_TRUE(svc.Snapshot()[0].links.empty());
+  const size_t half = second->deltas.size() / 2;
+  smc_pairs += ApplyBoth(*second, 0, half, &svc, &ref, &quarantined);
+  ASSERT_TRUE(oracle->InjectFailures("alice", 2).ok());
+  smc_pairs += ApplyBoth(*second, half, second->deltas.size(), &svc, &ref,
+                         &quarantined);
+  EXPECT_GT(smc_pairs, 0);
+  EXPECT_EQ(quarantined, 0);
+  EXPECT_EQ(oracle->pairs_quarantined(), 0);
+  EXPECT_GE(oracle->retries(), 1);
+  EXPECT_EQ(oracle->invocations(), plain.invocations());
+  ExpectSameLinks(svc, ref);
   EXPECT_TRUE(oracle->Shutdown(/*stop_daemons=*/true).ok());
 }
 
-// A batch that does not settle cleanly leaves the coordinator unsure which
-// rows its shard holds, but its rows did land there. Erasing them must still
-// forget them on the daemons: here bob faults on every attempt until the
-// batch is quarantined, and after its rows are erased each holder daemon
-// holds only the next batch's row.
-TEST_F(MeshTest, ErasedRowsOfAQuarantinedBatchLeaveTheDaemonTables) {
+// A quarantined batch leaves nothing behind: bob faults on every attempt
+// until the batch is quarantined, and the next batch, under the same row
+// ids with the records swapped, labels by its own records alone. That takes
+// no row state on any daemon, and a flush after the quarantine: alice's
+// unit from the last failed attempt still waits in bob's inbox, and bob
+// would fold it into the next batch's first unit.
+TEST_F(MeshTest, QuarantinedBatchLeavesNothingBehind) {
   StartMesh(/*receive_timeout_ms=*/300);
   auto oracle = MakeOracle(300);
   ASSERT_TRUE(oracle->Init().ok());
@@ -1329,45 +1360,20 @@ TEST_F(MeshTest, ErasedRowsOfAQuarantinedBatchLeaveTheDaemonTables) {
   auto labels = oracle->CompareBatch(PairBatch(pairs));
   ASSERT_TRUE(labels.ok()) << labels.status().ToString();
   ASSERT_EQ(oracle->pairs_quarantined(), static_cast<int64_t>(pairs.size()));
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    const auto id = static_cast<int64_t>(i);
-    ASSERT_TRUE(oracle->EraseResidentRow(0, id).ok());
-    ASSERT_TRUE(oracle->EraseResidentRow(1, 100 + id).ok());
-  }
-  const Record a = Rec(3, 50), b = Rec(3, 55);
-  auto probe = oracle->CompareBatch({{7, 107, &a, &b}});
-  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
-  EXPECT_EQ(probe->front(), kPairMatch);
-  for (size_t i = 0; i < services_.size(); ++i) {
-    EXPECT_EQ(services_[i]->resident_rows(), i < 2 ? 1u : 0u) << i;
-  }
-  EXPECT_TRUE(oracle->Shutdown(/*stop_daemons=*/true).ok());
-}
 
-// A frame that does not settle cleanly keeps its forgets queued: here the
-// frame carrying the forgets of R0 and S100 is lost on its way to alice
-// (bob applies his), the coordinator re-sends both with the retry, and
-// afterwards neither holder's table holds an erased row.
-TEST_F(MeshTest, ForgetsOfALostFrameAreSentAgain) {
-  StartMesh(/*receive_timeout_ms=*/300);
-  auto oracle = MakeOracle(300);
-  ASSERT_TRUE(oracle->Init().ok());
-  const auto pairs = SixPairs();
-  auto first = oracle->CompareBatch(PairBatch(pairs));
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  ASSERT_TRUE(oracle->EraseResidentRow(0, 0).ok());
-  ASSERT_TRUE(oracle->EraseResidentRow(1, 100).ok());
-  services_[0]->DropPairBatches(1);
-
-  const Record a = Rec(3, 50), b = Rec(3, 55);
-  auto healed = oracle->CompareBatch({{7, 107, &a, &b}});
-  ASSERT_TRUE(healed.ok()) << healed.status().ToString();
-  EXPECT_EQ(healed->front(), kPairMatch);
-  EXPECT_GE(oracle->retries(), 1);
-  EXPECT_EQ(services_[0]->resident_rows(), 6u);  // R1..R5, R7
-  EXPECT_EQ(services_[1]->resident_rows(), 6u);  // S101..S105, S107
-  EXPECT_EQ(services_[2]->resident_rows(), 0u);
-  EXPECT_EQ(oracle->pairs_quarantined(), 0);
+  std::vector<std::pair<Record, Record>> swapped;
+  for (const auto& [a, b] : pairs) swapped.push_back({b, a});
+  std::swap(swapped[0].second, swapped[2].second);
+  auto relabeled = oracle->CompareBatch(PairBatch(swapped));
+  ASSERT_TRUE(relabeled.ok()) << relabeled.status().ToString();
+  for (size_t i = 0; i < swapped.size(); ++i) {
+    EXPECT_EQ((*relabeled)[i],
+              RecordsMatch(swapped[i].first, swapped[i].second, MixedRule())
+                  ? kPairMatch
+                  : kPairNonMatch)
+        << "pair " << i;
+  }
+  EXPECT_EQ(oracle->pairs_quarantined(), static_cast<int64_t>(pairs.size()));
   EXPECT_TRUE(oracle->Shutdown(/*stop_daemons=*/true).ok());
 }
 
@@ -1398,17 +1404,20 @@ TEST_F(MeshTest, OneBatchRejectsTwoRecordsUnderOneRowId) {
   EXPECT_TRUE(oracle->Shutdown(/*stop_daemons=*/true).ok());
 }
 
-// A daemon asked to run a pair whose row it does not hold fails that slot
-// with NotFound, a transient code the coordinator's retry heals by
-// re-sending the row, instead of aborting the session.
-TEST_F(MeshTest, PairOnUnknownRowFailsItsSlotTransiently) {
-  StartMesh(/*receive_timeout_ms=*/2000);
-  auto oracle = MakeOracle(2000);
+// A frame is self-contained: a pair naming a row its own frame does not
+// carry makes the frame malformed, and the holder fails the whole batch
+// with InvalidArgument before running a unit — not a transient code, since
+// no retry of that frame could heal it. The coordinator turns it into a
+// failed compare.
+TEST_F(MeshTest, PairOnRowMissingFromItsFrameFailsTheBatch) {
+  StartMesh(/*receive_timeout_ms=*/500);
+  auto oracle = MakeOracle(500);
   ASSERT_TRUE(oracle->Init().ok());
   ASSERT_TRUE(oracle->Shutdown(/*stop_daemons=*/false).ok());
   oracle.reset();
 
-  // A raw coordinator bus at the adopted epoch sends a batch with no rows.
+  // A raw coordinator bus at the adopted epoch: bob's frame carries S2,
+  // alice's frame lacks R1.
   SocketBusOptions bopts;
   bopts.local_name = "coord";
   bopts.dial = {endpoints_.alice, endpoints_.bob, endpoints_.qp};
@@ -1420,14 +1429,16 @@ TEST_F(MeshTest, PairOnUnknownRowFailsItsSlotTransiently) {
   body.batch_id = 77;
   body.pairs.push_back({5, 1, 2});
   for (const char* role : {"alice", "bob", "qp"}) {
+    net::PairBatchBody frame = body;
+    if (std::string(role) == "bob") {
+      frame.rows.push_back({2, {crypto::BigInt(3), crypto::BigInt(55000)}});
+    }
     net::CtlRequest req;
     req.verb = net::CtlVerb::kPairBatch;
     req.epoch = 1;
-    net::AppendPairBatchBody(body, &req.body);
+    net::AppendPairBatchBody(frame, &req.body);
     raw.Send(net::EncodeCtlRequest("coord", role, req));
   }
-  // The holders fail at once; qp holds no rows, so its unit fails when its
-  // receive times out waiting for bob's ciphertext — NotFound as well.
   std::map<std::string, net::CtlResponse> replies;
   while (replies.size() < 3) {
     auto msg = raw.ReceiveTimeout("coord", 5000);
@@ -1438,15 +1449,24 @@ TEST_F(MeshTest, PairOnUnknownRowFailsItsSlotTransiently) {
     if (r->verb != net::CtlVerb::kPairBatch) continue;  // e.g. a late stats
     replies[r->role] = *r;
   }
-  for (const auto& [role, r] : replies) {
-    EXPECT_EQ(r.id, 77u) << role;
+  const net::CtlResponse& alice = replies.at("alice");
+  EXPECT_EQ(alice.id, 77u);
+  EXPECT_EQ(alice.code, StatusCode::kInvalidArgument) << alice.detail;
+  EXPECT_NE(alice.detail.find("row 1"), std::string::npos) << alice.detail;
+  EXPECT_FALSE(smc::IsTransientFault(Status(alice.code, alice.detail)));
+  // Bob and qp had their rows and ran the unit; alice never sent, so their
+  // receives timed out: transient slots, which the coordinator outranks
+  // with alice's semantic batch failure.
+  for (const char* role : {"bob", "qp"}) {
+    const net::CtlResponse& r = replies.at(role);
     EXPECT_EQ(r.code, StatusCode::kOk) << role << ": " << r.detail;
     size_t off = 0;
     auto slots = net::ParsePairSlots(r.extra, &off);
     ASSERT_TRUE(slots.ok()) << slots.status().ToString();
     ASSERT_EQ(slots->size(), 1u) << role;
     EXPECT_EQ(slots->front().pair_index, 5u) << role;
-    EXPECT_EQ(slots->front().code, StatusCode::kNotFound) << role;
+    EXPECT_TRUE(smc::IsTransientFault(Status(slots->front().code, "")))
+        << role;
   }
   raw.Stop();
 }
@@ -1474,7 +1494,7 @@ TEST_F(MeshTest, RelaunchedCoordinatorFencesPredecessorsFrames) {
   RemoteOracleOptions opts;
   opts.config = FixtureConfig();
   opts.rule = MixedRule();
-  opts.endpoints = endpoints_;
+  opts.shard_endpoints = {endpoints_};
   opts.connect_timeout_ms = 10000;
   opts.receive_timeout_ms = 2000;
   opts.session_epoch = 2;
@@ -1537,7 +1557,7 @@ TEST_F(MeshTest, RelaunchedCoordinatorFencesPredecessorsFrames) {
   zombie.Stop();
 }
 
-// Wire v11 "cfg" and "inject_fail" bodies are exact: a field missing or a
+// The "cfg" and "inject_fail" bodies are exact: a field missing or a
 // byte past the last one fails the verb instead of falling back to a
 // default, and a failed cfg leaves the daemon unconfigured.
 TEST_F(MeshTest, ConfigureAndInjectRejectInexactBodies) {
