@@ -8,8 +8,8 @@
 //
 // A manually prewarmed, never-Start()ed RandomizerPool feeds the run so
 // randomizer generation (an offline-phase cost) cannot pollute the per-pair
-// counts. After the counted window every pair is compared again through the
-// scalar exchange; the bench aborts if any label differs.
+// counts. After the counted window every pair's label is checked against
+// the plaintext rule (RecordsMatch); the bench aborts if any label differs.
 // BENCH_hotpath.json's arena_alloc block records `allocs_per_pair_arena`;
 // bench_smoke.sh --check fails above 9.
 
@@ -55,8 +55,7 @@ namespace {
 // domain takes a 36-bit slot at fp_scale=1000, so a 1024-bit plaintext
 // would hold 14 pairs (PackingLayout::Plan reserves 2 sign-safety bits); the
 // cap holds the group at 7. The slot cap must admit 36 bits: under a
-// narrower one the rule would run scalar units, which the arena does not
-// touch.
+// narrower one the plan refuses the rule.
 constexpr int kPairsPerGroup = 7;
 
 MatchRule TwoNumericRule() {
@@ -77,7 +76,7 @@ MatchRule TwoNumericRule() {
 /// Runs `groups` packed group comparisons (after one uncounted warmup group
 /// that grows the arena and any lazy pool state) and returns the mean GMP
 /// allocations per compared pair. Exits when a packed label differs from
-/// the scalar exchange's on the same pair.
+/// the plaintext rule's (RecordsMatch) on the same pair.
 int64_t Measure(int groups) {
   SmcConfig cfg;
   cfg.key_bits = 1024;
@@ -93,8 +92,7 @@ int64_t Measure(int groups) {
   // encryption of the run, and never Start() the background filler, so no
   // randomizer is generated (or raced over) inside the measured window.
   // Per group: 1 packed alice ciphertext + 2*pairs per-slot ciphertexts +
-  // 1 packed bob ciphertext. The scalar cross-check after the counted
-  // window may run the pool dry; its misses compute inline, uncounted.
+  // 1 packed bob ciphertext.
   const int takes_per_group = 2 + 2 * kPairsPerGroup;
   crypto::RandomizerPool pool(cmp.public_key(), /*target_depth=*/8,
                               /*test_seed=*/99);
@@ -132,19 +130,14 @@ int64_t Measure(int groups) {
       g_allocs / (static_cast<int64_t>(groups) * kPairsPerGroup);
 
   // The arena is a pure allocation optimization over the packed exchange,
-  // which must label exactly like scalar units: a divergence means the
-  // datapath changed semantics, which voids the measurement.
-  SmcConfig scalar_cfg = cfg;
-  scalar_cfg.pack_pairs = 0;
-  SecureRecordComparator scalar(scalar_cfg, rule);
-  if (!scalar.Init().ok()) std::abort();
+  // which must label exactly like the plaintext rule: a divergence means
+  // the datapath changed semantics, which voids the measurement.
   for (int g = 0; g < groups; ++g) {
     fill(g);
     for (int i = 0; i < kPairsPerGroup; ++i) {
-      auto m = scalar.Compare(as[i], bs[i]);
-      if (!m.ok()) std::abort();
-      if (*m != packed[g][i]) {
-        std::fprintf(stderr, "micro_arena: packed and scalar labels diverge\n");
+      if (RecordsMatch(as[i], bs[i], rule) != packed[g][i]) {
+        std::fprintf(stderr,
+                     "micro_arena: packed and plaintext labels diverge\n");
         std::exit(1);
       }
     }

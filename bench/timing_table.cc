@@ -63,10 +63,14 @@ int main(int argc, char** argv) {
   }
   double smc_per_value;
   {
+    // One continuous value per pair: a one-pair unit of the one-attribute
+    // rule, the whole exchange from encryption to announcement.
+    const Record b = {Value::Numeric(36.0)};
     WallTimer t;
     for (int64_t i = 0; i < *reps; ++i) {
-      auto d = cmp.SecureSquaredDistance(35.0 + static_cast<double>(i), 36.0);
-      if (!d.ok()) bench::Die(d.status());
+      const Record a = {Value::Numeric(35.0 + static_cast<double>(i % 64))};
+      auto m = cmp.Compare(a, b);
+      if (!m.ok()) bench::Die(m.status());
     }
     smc_per_value = t.ElapsedSeconds() / static_cast<double>(*reps);
     std::printf("%-52s %10.4f s   (paper: 0.43 s)\n",
@@ -74,10 +78,10 @@ int main(int argc, char** argv) {
   }
 
   // --- batched SMC stage: reference serial engine vs fast engine ---
+  // The same packed units (SmcConfig's default unit size) both ways.
   // Reference: one worker, inline randomizers. Fast: a prefilled randomizer
-  // pool and --smc-threads workers sharing the published key. Both decrypt
-  // through CRT. Same labels, ~the hotpath speedup recorded in
-  // BENCH_hotpath.json.
+  // pool and --smc-threads workers sharing the published key. Same labels,
+  // which must be the plaintext rule's.
   double smc_serial_seconds = 0, smc_fast_seconds = 0, smc_packed_seconds = 0;
   double smc_setup_serial_seconds = 0, smc_setup_fast_seconds = 0;
   double material_cold_total = 0, material_warm_offline = 0,
@@ -100,7 +104,7 @@ int main(int argc, char** argv) {
 
     // Engine stages are timed best-of-3: at smoke sizes the fast and packed
     // stages run in single-digit milliseconds, where one scheduler hiccup
-    // would swing the recorded ratio (and trip bench_smoke.sh --check).
+    // would swing the recorded time (and trip bench_smoke.sh --check).
     auto time_stage = [&](smc::SmcMatchOracle& engine, int pool_depth,
                           double* best_seconds, StageCounts* counts) {
       const smc::SmcCosts before = engine.costs();
@@ -152,6 +156,13 @@ int main(int argc, char** argv) {
                 smc_setup_serial_seconds);
     auto ref_labels =
         time_stage(ref_engine, 0, &smc_serial_seconds, &serial_counts);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if ((ref_labels[i] == kPairMatch) !=
+          RecordsMatch(*batch[i].a, *batch[i].b, one_attr)) {
+        bench::Die(Status::Internal("SMC labels diverge from the plaintext "
+                                    "rule"));
+      }
+    }
     std::printf("%-52s %10.3f s\n", "SMC stage, serial reference engine",
                 smc_serial_seconds);
 
@@ -177,10 +188,9 @@ int main(int argc, char** argv) {
         static_cast<long long>(*smc_threads), 18, "", smc_fast_seconds,
         smc_serial_seconds / smc_fast_seconds);
 
-    // Packed variant on top of the fast engine: several pairs share one
-    // ciphertext through the plaintext packing layout, so the expensive
-    // decrypt amortizes across the group. Labels must still match the
-    // reference bit for bit (packing is exact, never approximate).
+    // The fast engine at --smc-pack pairs per unit: the larger the unit, the
+    // more pairs one decryption serves. Labels must still match the
+    // reference bit for bit (a unit's size never changes a label).
     if (*smc_pack > 0) {
       smc::SmcConfig packed_cfg = fast_cfg;
       packed_cfg.pack_pairs = static_cast<int>(*smc_pack);

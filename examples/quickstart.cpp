@@ -78,6 +78,9 @@ int main() {
     a2.theta = 0.2;
     a2.norm = hrs->RootRange();
     a2.name = "workhrs";
+    // Public domains from the VGHs size the SMC step's packing slots.
+    DeclareDomain(*edu, &a1);
+    DeclareDomain(*hrs, &a2);
     rule.attrs = {a1, a2};
   }
   std::printf("matching rule: education equal (θ=0.5, Hamming), "

@@ -1,9 +1,8 @@
 // SMC substrate demo: the §V-A cryptographic machinery on its own.
 //
 // Walks through (1) Paillier key generation and the homomorphic identities,
-// (2) the three-party secure squared-distance protocol with byte-level
-// traffic accounting, and (3) the blinded threshold comparison that hides
-// even the distance value from the querying party.
+// (2) the three-party secure comparison of one record pair with byte-level
+// traffic accounting, and (3) private schema matching.
 //
 // Build & run:  ./build/examples/smc_demo
 
@@ -41,7 +40,9 @@ int main() {
   std::printf("  Dec(Enc(1200) ×h 5)        = %s\n\n",
               scaled->ToString().c_str());
 
-  // --- 2. three-party secure distance with traffic accounting ---
+  // --- 2. three-party secure comparison with traffic accounting ---
+  // The querying party decrypts the squared distance (52 - 49)² = 9 and
+  // compares it with the threshold (paper §V-A).
   MatchRule rule;
   {
     AttrRule age;
@@ -50,17 +51,14 @@ int main() {
     age.theta = 0.05;
     age.norm = 96;  // |Δage| <= 4.8 matches
     age.name = "age";
+    age.domain_lo = 16;  // public domain [16, 112): sizes the packing slot
+    age.domain_hi = 112;
     rule.attrs = {age};
   }
   smc::SmcConfig cfg;
   cfg.key_bits = 1024;
   smc::SecureRecordComparator cmp(cfg, rule);
   if (auto st = cmp.Init(); !st.ok()) Die(st);
-
-  auto d = cmp.SecureSquaredDistance(52, 49);
-  if (!d.ok()) Die(d.status());
-  std::printf("secure squared distance of ages 52 and 49: %.1f (expect 9)\n",
-              *d);
 
   Record alice_rec = {Value::Numeric(52)};
   Record bob_rec = {Value::Numeric(49)};
@@ -78,19 +76,7 @@ int main() {
   }
   std::printf("crypto ops: %s\n\n", cmp.costs().ToString().c_str());
 
-  // --- 3. blinded comparison: the querying party learns only the sign ---
-  smc::SmcConfig blind_cfg = cfg;
-  blind_cfg.reveal_distances = false;
-  smc::SecureRecordComparator blind(blind_cfg, rule);
-  if (auto st = blind.Init(); !st.ok()) Die(st);
-  auto m1 = blind.Compare({Value::Numeric(52)}, {Value::Numeric(49)});
-  auto m2 = blind.Compare({Value::Numeric(52)}, {Value::Numeric(70)});
-  if (!m1.ok() || !m2.ok()) Die(m1.ok() ? m2.status() : m1.status());
-  std::printf("blinded comparison (distance never decrypted):\n");
-  std::printf("  (52, 49) -> %s, (52, 70) -> %s\n\n", *m1 ? "match" : "non-match",
-              *m2 ? "match" : "non-match");
-
-  // --- 4. private schema matching: the §II preprocessing step ---
+  // --- 3. private schema matching: the §II preprocessing step ---
   auto schema_a = std::make_shared<Schema>();
   schema_a->AddNumeric("age");
   schema_a->AddText("marital-status");

@@ -8,14 +8,13 @@
 #     exponentiation vs the per-slot ScalarMulInto + AddInto chain
 #   - randomizer: fixed-base windowed table vs square-and-multiply PowMod
 #   - SMC stage: batched engine (threads + randomizer pool) vs the
-#     serial reference engine (1 worker, no pool), on the timing-table
-#     workload, plus the exact crypto operation counts of one batch in the
-#     serial, fast and packed stages, and the pooled stages' exact
-#     randomizer draws (pool hits + misses)
-#   (each timed speedup, these three, packed SMC and blocking, is the median
-#   of five runs' ratios)
-#   - packed SMC: several pairs per ciphertext vs the same fast engine
-#     running the scalar exchange
+#     serial reference engine (1 worker, no pool), both on the same packed
+#     units of the timing-table workload, plus the exact crypto operation
+#     counts of one batch in the serial, fast and packed stages, and the
+#     pooled stages' exact randomizer draws (pool hits + misses)
+#   (each timed speedup, these three and blocking, is the median of five
+#   runs' ratios; every stage time is the median of five)
+#   - packed SMC: the fast engine at 8 pairs per unit
 #   - offline/online: warm persisted-material online stage vs the cold
 #     end-to-end stage (keygen + prewarm + compare) on the same workload
 #   - blocking: memoized SlackTable sweep vs the seed's direct sweep
@@ -33,9 +32,10 @@
 #       committed BENCH_hotpath.json and fail if any recorded speedup drops
 #       below 80% of its committed value, if the async-datapath overhead
 #       ratio exceeds 2x, if a packed pair costs more than 9 GMP
-#       allocations, or if a pipelined-rpc count or an SMC stage's crypto
-#       operation or randomizer draw count differs from its committed
-#       value; the committed file is not rewritten
+#       allocations, if the fast or packed SMC stage takes more than 10 ms,
+#       or if a pipelined-rpc count or an SMC stage's crypto operation or
+#       randomizer draw count differs from its committed value; the
+#       committed file is not rewritten
 #
 # Both modes fail when an rpc_batch 1 run's ctl round trips differ from its
 # SMC pair count, either rpc_batch run retried a pair, or the five
@@ -69,7 +69,7 @@ for rep in 1 2 3 4 5; do
 done
 
 echo "== timing_table x5: batched + packed SMC + cold/warm material stages =="
-# The SMC stages take tens of milliseconds, so one run's ratio swings by a
+# The pooled SMC stages take about a millisecond, so one run swings by a
 # third on a shared host; smc_stage and packed_smc use the median of five.
 for rep in 1 2 3 4 5; do
   "./$BUILD/bench/timing_table" --rows 400 --smc-reps 3 --smc-threads 4 \
@@ -120,6 +120,10 @@ import json, sys, os
 
 tmp = sys.argv[1]
 check = os.environ.get("CHECK") == "1"
+# The pooled SMC stages' 32-pair batch: about a millisecond on a 4-vCPU
+# host, several times that without a working pool or with a slot weight in
+# Bob's exponents.
+SMC_STAGE_CEILING_SECONDS = 0.01
 
 def median(xs):
     xs = sorted(xs)
@@ -212,25 +216,27 @@ report = {
         "fixed_base_ms": median(fb_reps),
         "speedup": median([p / f for p, f in zip(powmod_reps, fb_reps)]),
     },
-    # Median over the five runs of each run's ratio.
+    # The same packed units on one worker without a pool and on the fast
+    # engine. The ratio (median over the five runs of each run's ratio) is
+    # reported, not gated: it swings several-fold with how busy the host
+    # was just before. The exact counts gate the work and the 10 ms ceiling
+    # below the fast stage's time.
     "smc_stage": {
         "serial_reference_seconds": smc_serial,
         "fast_seconds": smc_fast,
-        "speedup": median([s / f for s, f in zip(serial_reps, fast_reps)]),
+        "serial_over_fast": median([s / f
+                                    for s, f in zip(serial_reps, fast_reps)]),
         "serial_counts": stage_counts("smc_stage_serial_reference"),
         "fast_counts": stage_counts("smc_stage_fast"),
     },
-    # Packed plaintext path (8 pairs per ciphertext) vs the same fast
-    # engine on the scalar exchange, so the speedup is what packing itself
-    # adds. Bob's fold exponentiates by the bare y_i (Alice pre-weights the
-    # cross terms into their slots); a slot weight back in his exponent
-    # would cost this ratio most of its value and fail --check.
+    # The fast engine at 8 pairs per unit. Gated by its exact counts and a
+    # 10 ms ceiling on its time: Bob's fold exponentiates by the bare y_i
+    # (Alice pre-weights the cross terms into their slots), and a slot
+    # weight back in his exponent, or a pool that stopped serving
+    # randomizers, would cost several times that.
     "packed_smc": {
-        "serial_reference_seconds": smc_serial,
-        "fast_seconds": smc_fast,
         "packed_seconds": smc_packed,
         "pack_pairs": 8,
-        "speedup": median([f / p for f, p in zip(fast_reps, packed_reps)]),
         "packed_counts": stage_counts("smc_stage_packed"),
     },
     "blocking_sweep": {
@@ -331,7 +337,7 @@ report["async_datapath"] = {
 }
 
 # Arena allocation audit: GMP heap allocations per packed-SMC pair, with
-# packed labels checked against the scalar exchange by the bench itself.
+# packed labels checked against the plaintext rule by the bench itself.
 # Guarded below by its own ceiling (<= 9), not the generic loop.
 with open(os.path.join(tmp, "arena.json")) as f:
     arena = json.load(f)
@@ -360,8 +366,9 @@ if check:
                 print(f"check OK {block}.{key}: {measured:.2f} "
                       f"(committed {committed_value:.2f})")
     # Absolute-threshold guards (not relative to the committed value):
-    # the async datapath must stay within its 2x overhead budget and a
-    # packed pair must cost at most 9 GMP allocations.
+    # the async datapath must stay within its 2x overhead budget, a packed
+    # pair must cost at most 9 GMP allocations, and the pooled SMC stages
+    # must finish their 32-pair batch within 10 ms.
     ratio = report["async_datapath"]["raw_over_bus_ratio"]
     if ratio > 2.0:
         failures.append(
@@ -381,10 +388,19 @@ if check:
                             f"committed {want}")
         else:
             print(f"check OK pipelined_rpc.{key}: {measured} (exact)")
+    for block, key in (("smc_stage", "fast_seconds"),
+                       ("packed_smc", "packed_seconds")):
+        seconds = report[block][key]
+        if seconds > SMC_STAGE_CEILING_SECONDS:
+            failures.append(f"{block}.{key}: measured {seconds:.4f} s > "
+                            f"{SMC_STAGE_CEILING_SECONDS} s ceiling")
+        else:
+            print(f"check OK {block}.{key}: {seconds:.4f} s "
+                  f"(ceiling {SMC_STAGE_CEILING_SECONDS} s)")
     # Exact crypto work per SMC stage batch, randomizer draws included (the
-    # offline phase's sizing, smc::RandomizerDraws, is this count). The
-    # timed smc_stage and packed_smc ratios above stay; these counts see a
-    # change in the work itself, which a ratio's run-to-run noise can hide.
+    # offline phase's sizing, smc::RandomizerDraws, is this count). These
+    # counts see a change in the work itself, which a timing's run-to-run
+    # noise can hide.
     for block, key in (("smc_stage", "serial_counts"),
                        ("smc_stage", "fast_counts"),
                        ("packed_smc", "packed_counts")):

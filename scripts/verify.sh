@@ -240,12 +240,12 @@ cmake --build build-tsan -j --target obs_test blocking_test session_test \
 ./build-tsan/tests/material_test
 ./build-tsan/tests/journal_test
 
-echo "== UBSan: wire/durable-file codecs + SMC unit steps + batch SMC engine + membership + fault schedules + crypto + CSV ingest + anonymizers + streaming service =="
+echo "== UBSan: wire/durable-file codecs + SMC unit steps + batch SMC engine + arena + material store + membership + fault schedules + crypto + CSV ingest + anonymizers + streaming service =="
 cmake -B build-ubsan -S . -DHPRL_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j --target fault_test membership_test \
   journal_test durable_file_test net_test framing_test crypto_test \
   data_test misc_test cli_test smc_test parallel_smc_test anon_test \
-  text_linkage_test serve_test
+  text_linkage_test serve_test arena_test material_test
 ./build-ubsan/tests/smc_test
 ./build-ubsan/tests/parallel_smc_test
 ./build-ubsan/tests/crypto_test
@@ -261,5 +261,7 @@ cmake --build build-ubsan -j --target fault_test membership_test \
 ./build-ubsan/tests/anon_test
 ./build-ubsan/tests/text_linkage_test
 ./build-ubsan/tests/serve_test
+./build-ubsan/tests/arena_test
+./build-ubsan/tests/material_test
 
 echo "== verify OK =="

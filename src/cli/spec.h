@@ -41,9 +41,9 @@ struct AttrSpec {
 ///   anonymizer MaxEntropy
 ///   keybits 0            # 0 = exact plaintext oracle; >0 = Paillier bits
 ///   smc_retries 3        # transient-fault retries per protocol exchange
-///   smc_pack 8 64        # most pairs per packed SMC unit, then the widest
-///                        # slot one attribute may take (the default;
-///                        # smc_pack 0 selects scalar units)
+///   smc_pack 8 64        # most pairs per packed SMC unit (>= 1), then
+///                        # the widest slot one attribute may take (the
+///                        # default)
 ///   smc_seed 4242        # pinned keypair seed (0 = OS entropy, the default)
 ///   material_dir cache/  # persistent offline crypto material store
 ///   offline_pairs 500    # offline phase sizing, in expected record pairs
@@ -95,9 +95,9 @@ struct LinkageSpec {
   int smc_retries = 3;
 
   /// Plaintext packing: the most pairs a packed SMC unit carries
-  /// (smc::SmcConfig::pack_pairs); 0 selects scalar units. Packing is on by
-  /// default: a rule whose declared domains fit the slot cap packs, any
-  /// other runs scalar units (smc::PackedGroupPairs), with identical labels.
+  /// (smc::SmcConfig::pack_pairs). Every unit is packed: 0, or a rule whose
+  /// declared domains exceed the slot cap, is refused when the backend is
+  /// planned (smc::PackedGroupPairs).
   int smc_pack = 8;
   /// The widest slot one attribute may take, in bits
   /// (smc::SmcConfig::pack_slot_bits); each slot is as wide as its

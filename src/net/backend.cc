@@ -222,6 +222,12 @@ Result<std::unique_ptr<SmcBackend>> SmcBackend::Create(BackendOptions opts) {
   if (opts.shards < 1) {
     return Status::InvalidArgument("shards must be >= 1");
   }
+  if (opts.config.key_bits > 0) {
+    // The SMC plan, checked before any daemon spawns or key is generated.
+    auto unit = smc::PackedGroupPairs(
+        opts.config, smc::RuleOperands(opts.rule, opts.config.fp_scale));
+    if (!unit.ok()) return unit.status();
+  }
   if (opts.shards > 1 && !use_tcp) {
     return Status::InvalidArgument(
         "shards > 1 is a property of the TCP comparator fleet; it "

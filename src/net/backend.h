@@ -85,7 +85,8 @@ Result<std::vector<MeshEndpoints>> ParseShardEndpoints(
 class SmcBackend {
  public:
   /// Validates `opts` (transport name, key_bits/transport/fault/shard
-  /// compatibility, endpoint syntax) and builds the backend unstarted.
+  /// compatibility, endpoint syntax, and with keys the SMC plan:
+  /// smc::PackedGroupPairs) and builds the backend unstarted.
   static Result<std::unique_ptr<SmcBackend>> Create(BackendOptions opts);
 
   ~SmcBackend();

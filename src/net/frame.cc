@@ -398,9 +398,6 @@ Status CheckCount(uint32_t count, size_t min_entry, size_t off, size_t size,
 
 void AppendConfigBody(const ConfigBody& body, std::vector<uint8_t>* out) {
   AppendU32(body.key_bits, out);
-  AppendI64(body.fp_scale, out);
-  AppendU32(body.blind_bits, out);
-  AppendU8(body.flags, out);
   AppendU64(body.test_seed, out);
   AppendU32(body.pool_depth, out);
   AppendU32(body.emulated_latency_micros, out);
@@ -422,9 +419,6 @@ Result<ConfigBody> ParseConfigBody(const std::vector<uint8_t>& payload) {
     return Status::InvalidArgument("cfg: key wider than " +
                                    std::to_string(kMaxKeyBits) + " bits");
   }
-  HPRL_ASSIGN_OR_RETURN(body.fp_scale, ConsumeI64(payload, &off));
-  HPRL_ASSIGN_OR_RETURN(body.blind_bits, ConsumeU32(payload, &off));
-  HPRL_ASSIGN_OR_RETURN(body.flags, ConsumeU8(payload, &off));
   HPRL_ASSIGN_OR_RETURN(body.test_seed, ConsumeU64(payload, &off));
   HPRL_ASSIGN_OR_RETURN(body.pool_depth, ConsumeU32(payload, &off));
   HPRL_ASSIGN_OR_RETURN(body.emulated_latency_micros,
@@ -456,18 +450,11 @@ Result<ConfigBody> ParseConfigBody(const std::vector<uint8_t>& payload) {
   if (off != payload.size()) {
     return Status::InvalidArgument("cfg: trailing bytes after thresholds");
   }
-  if (body.pack_pairs == 0) {
-    if (widths != 0) {
-      return Status::InvalidArgument("cfg: scalar units carry no slot widths");
-    }
-    return body;
-  }
-  if ((body.flags & kCfgFlagRevealDistances) == 0 || attrs == 0 ||
-      widths != attrs) {
+  if (body.pack_pairs == 0 || attrs == 0 || widths != attrs) {
     return Status::InvalidArgument(StrFormat(
-        "cfg: packed units need revealed distances and one slot width per "
-        "attribute (%u widths, %u attributes)",
-        unsigned{widths}, unsigned{attrs}));
+        "cfg: a unit needs at least one pair and one slot width per "
+        "attribute (%u pairs, %u widths, %u attributes)",
+        unsigned{body.pack_pairs}, unsigned{widths}, unsigned{attrs}));
   }
   auto layout = crypto::PackingLayout::Plan(static_cast<int>(body.key_bits),
                                             body.slot_widths);

@@ -32,12 +32,12 @@ namespace hprl::net {
 /// in-process transport.
 
 inline constexpr uint32_t kWireMagic = 0x4850524C;  // "HPRL"
-/// Version 12: every "pairb" frame is self-contained — a holder's frame
-/// carries each distinct row of its own side that its pairs name, once, and
-/// rows carry no side or op byte. Mixed-version meshes are rejected at the
-/// frame layer; docs/PROTOCOL.md ("Wire format") records what every earlier
-/// version changed.
-inline constexpr uint16_t kWireVersion = 12;
+/// Version 13: every unit is packed, so the "cfg" body drops the blinding
+/// width, the flags byte and the unread fixed-point scale, and always
+/// carries one slot width per compared attribute. Mixed-version meshes are
+/// rejected at the frame layer; docs/PROTOCOL.md ("Wire format") records
+/// what every earlier version changed.
+inline constexpr uint16_t kWireVersion = 13;
 
 /// Frames larger than this are rejected before any allocation — an oversized
 /// length prefix means a corrupted or hostile stream, not a big message
@@ -151,10 +151,6 @@ enum class CtlVerb : uint8_t {
 /// Number of verbs; ParseCtlResponse rejects verb bytes at or above this.
 inline constexpr uint8_t kCtlVerbCount = 11;
 
-/// kConfigure body flags byte. Bit 0 is the only defined flag; bits 1-2 are
-/// reserved (written as 0, ignored on receipt), bits 3-7 unused.
-inline constexpr uint8_t kCfgFlagRevealDistances = 1u << 0;
-
 /// The verb's wire tag. Exhaustive switch: a new enum value that is not
 /// given a tag here fails to compile.
 const char* CtlVerbTag(CtlVerb verb);
@@ -203,31 +199,23 @@ void AppendCtlResponse(const CtlResponse& r, std::vector<uint8_t>* out);
 Result<CtlResponse> ParseCtlResponse(const std::vector<uint8_t>& payload);
 
 // ---------------------------------------------------------------------------
-// kConfigure body (wire v11 and v12): the protocol parameters, the daemon's
-// knobs, and the public plan every daemon needs to run its role's unit step
-// without seeing a row it does not hold.
+// kConfigure body (wire v13): the key size, the daemon's knobs, and the
+// public plan every daemon needs to run its role's unit step without seeing
+// a row it does not hold.
 //
 //   u32  key_bits
-//   i64  fp_scale
-//   u32  blind_bits
-//   u8   flags (kCfgFlagRevealDistances)
 //   u64  test_seed
 //   u32  randomizer pool depth (0 disables the pool)
 //   u32  emulated per-pair latency, microseconds
 //   str  material_dir ("" disables the material store)
-//   u32  pack_pairs: pairs per unit, 0 = scalar units of one pair
-//        (smc::PackedGroupPairs)
-//   u32  slot-width count: one per compared attribute when pack_pairs > 0,
-//        else 0; then per attribute the bits of its packed slot
-//        (smc::RuleOperands::slot_widths)
+//   u32  pack_pairs: pairs per unit, at least 1 (smc::PackedGroupPairs)
+//   u32  slot-width count, then per compared attribute the bits of its
+//        packed slot (smc::RuleOperands::slot_widths)
 //   u32  compared-attribute count, then per attribute its scaled threshold
 //        (signed BigInt)
 
 struct ConfigBody {
   uint32_t key_bits = 0;
-  int64_t fp_scale = 0;
-  uint32_t blind_bits = 0;
-  uint8_t flags = 0;
   uint64_t test_seed = 0;
   uint32_t pool_depth = 0;
   uint32_t emulated_latency_micros = 0;
@@ -240,10 +228,8 @@ struct ConfigBody {
 void AppendConfigBody(const ConfigBody& body, std::vector<uint8_t>* out);
 /// Parses an exact body: a truncated field or a byte past the last one
 /// fails, and so do a key wider than 2^16 bits, a non-canonical threshold,
-/// and a unit that could not be laid out — pack_pairs > 0
-/// with distances hidden, no attribute, a slot width missing or zero, or
-/// pack_pairs·Σwidths > key_bits − 2; or a scalar plan (pack_pairs 0) that
-/// carries widths.
+/// and a unit that could not be laid out — pack_pairs 0, no attribute, a
+/// slot width missing or zero, or pack_pairs·Σwidths > key_bits − 2.
 Result<ConfigBody> ParseConfigBody(const std::vector<uint8_t>& payload);
 
 // ---------------------------------------------------------------------------

@@ -317,8 +317,17 @@ Status PartyService::Dispatch(CtlVerb verb, uint64_t epoch,
     case CtlVerb::kPairBatch: {
       auto batch = ParsePairBatchBody(msg.payload);
       if (!batch.ok()) {
-        Reply(CtlVerb::kPairBatch, 0, batch.status(), {});
-        return batch.status();
+        // The frame checksum already vouched for these bytes, so a body
+        // that does not parse is the sender's bug, not transit damage: a
+        // non-transient refusal, echoing the batch id when it can be read
+        // so the coordinator fails that batch at once instead of waiting
+        // out its deadline and re-sending it.
+        size_t off = 0;
+        auto batch_id = ConsumeU64(msg.payload, &off);
+        Status refused = Status::InvalidArgument(
+            "pairb body refused: " + batch.status().message());
+        Reply(CtlVerb::kPairBatch, batch_id.ok() ? *batch_id : 0, refused, {});
+        return refused;
       }
       std::vector<PairSlot> slots;
       Status st = HandlePairBatch(*batch, &slots);
@@ -423,38 +432,29 @@ Status PartyService::HandleConfigure(const std::vector<uint8_t>& payload) {
 
   emulated_latency_micros_ = cfg->emulated_latency_micros;
   material_dir_ = cfg->material_dir;
-  params_.key_bits = static_cast<int>(cfg->key_bits);
-  params_.fp_scale = cfg->fp_scale;
-  params_.blind_bits = static_cast<int>(cfg->blind_bits);
-  params_.reveal_distances = (cfg->flags & kCfgFlagRevealDistances) != 0;
+  key_bits_ = static_cast<int>(cfg->key_bits);
   test_seed_ = cfg->test_seed;
   pool_depth_ = cfg->pool_depth;
   thresholds_ = std::move(cfg->thresholds);
-  unit_pairs_ = std::max<uint32_t>(1, cfg->pack_pairs);
-  shape_ = smc::UnitShape{};
-  if (cfg->pack_pairs > 0) {
-    shape_.packed = true;
-    // ParseConfigBody already planned this layout successfully.
-    shape_.layout =
-        crypto::PackingLayout::Plan(params_.key_bits, cfg->slot_widths)
-            .value();
-  }
+  unit_pairs_ = cfg->pack_pairs;
+  // ParseConfigBody already planned this layout successfully.
+  layout_ = crypto::PackingLayout::Plan(key_bits_, cfg->slot_widths).value();
   // Sized like the in-process comparator's: the widest mod-n² intermediate.
   arena_ = std::make_unique<crypto::BigIntArena>(
-      static_cast<size_t>(params_.key_bits) * 4 + 128);
+      static_cast<size_t>(key_bits_) * 4 + 128);
   pool_.reset();  // a new configuration means a new key is coming
   material_store_.reset();
   material_dirty_ = false;
   incarnation_ += 1;
 
   if (opts_.role == opts_.endpoints.qp.name) {
-    qp_ = std::make_unique<smc::QueryingParty>(params_,
+    qp_ = std::make_unique<smc::QueryingParty>(key_bits_,
                                                Seed(test_seed_, kQpSalt));
   } else {
     uint64_t salt =
         opts_.role == opts_.endpoints.alice.name ? kAliceSalt : kBobSalt;
-    holder_ = std::make_unique<smc::DataHolder>(opts_.role, params_,
-                                                Seed(test_seed_, salt));
+    holder_ =
+        std::make_unique<smc::DataHolder>(opts_.role, Seed(test_seed_, salt));
   }
   configured_ = true;
   costs_.Clear();
@@ -551,10 +551,10 @@ Status PartyService::RunUnit(
   }
   arena_->Reset();
   if (qp_ != nullptr) {
-    // qp holds no rows: the unit's shape and the thresholds are all it
+    // qp holds no rows: the unit's layout and the thresholds are all it
     // needs to decide, and it decides every attribute of every pair.
     auto labels =
-        qp_->DecideUnit(bus_.get(), thresholds_, n, shape_, arena_.get(),
+        qp_->DecideUnit(bus_.get(), thresholds_, n, layout_, arena_.get(),
                         &costs_);
     if (!labels.ok()) return labels.status();
     HPRL_RETURN_IF_ERROR(qp_->AnnounceResults(bus_.get(), *labels));
@@ -569,10 +569,10 @@ Status PartyService::RunUnit(
   if (opts_.role == opts_.endpoints.alice.name) {
     HPRL_RETURN_IF_ERROR(holder_->SendUnit(bus_.get(),
                                            opts_.endpoints.bob.name, values,
-                                           shape_, arena_.get(), &costs_));
+                                           layout_, arena_.get(), &costs_));
   } else {
-    HPRL_RETURN_IF_ERROR(holder_->FoldUnit(bus_.get(), values, thresholds_,
-                                           shape_, arena_.get(), &costs_));
+    HPRL_RETURN_IF_ERROR(holder_->FoldUnit(bus_.get(), values, layout_,
+                                           arena_.get(), &costs_));
   }
   return holder_->ReceiveResults(bus_.get(), n).status();
 }

@@ -26,7 +26,7 @@ namespace hprl::net {
 // heartbeat probes on "<role>:hb" (kept separate — and flush-exempt — so a
 // purge barrier can never swallow a membership probe). Each command is
 // acknowledged with a CtlResponse under the kCtlReply tag to "coord". The
-// protocol proper (pubkey / alice_ct / bob_ct / result) flows directly
+// protocol proper (pubkey / alice_pk / bob_pk / results) flows directly
 // between the party daemons, never through the coordinator.
 //
 // In a sharded deployment (docs/CLUSTER.md) every comparator shard is one
@@ -200,7 +200,7 @@ class PartyService {
   std::unique_ptr<SocketBus> bus_;
   std::atomic<bool> stop_requested_{false};
 
-  smc::ProtocolParams params_;
+  int key_bits_ = 0;  // kConfigure
   bool configured_ = false;
   uint64_t test_seed_ = 0;
   uint32_t pool_depth_ = 0;  // kConfigure; 0 disables the pool
@@ -235,10 +235,10 @@ class PartyService {
   bool material_dirty_ = false;
 
   /// From kConfigure: the rule's scaled thresholds (one per compared
-  /// attribute), the pairs per unit and the unit's shape.
+  /// attribute), the pairs per unit and the unit's slot layout.
   std::vector<crypto::BigInt> thresholds_;
   size_t unit_pairs_ = 1;
-  smc::UnitShape shape_;
+  crypto::PackingLayout layout_;
   /// Scratch for the role steps, sized at kConfigure to the key.
   std::unique_ptr<crypto::BigIntArena> arena_;
 

@@ -22,7 +22,6 @@ Status ReplyStatus(const CtlResponse& r) {
 RemoteSmcOracle::RemoteSmcOracle(RemoteOracleOptions opts)
     : opts_(std::move(opts)),
       operands_(opts_.rule, opts_.config.fp_scale),
-      group_pairs_(smc::PackedGroupPairs(opts_.config, operands_)),
       shards_(opts_.shard_endpoints),
       membership_(opts_.membership),
       sched_(static_cast<int>(shards_.size())) {
@@ -173,9 +172,6 @@ Status RemoteSmcOracle::CollectReplies(
 std::vector<uint8_t> RemoteSmcOracle::BuildConfigPayload() const {
   ConfigBody body;
   body.key_bits = static_cast<uint32_t>(opts_.config.key_bits);
-  body.fp_scale = opts_.config.fp_scale;
-  body.blind_bits = static_cast<uint32_t>(opts_.config.blind_bits);
-  if (opts_.config.reveal_distances) body.flags |= kCfgFlagRevealDistances;
   body.test_seed = opts_.config.test_seed;
   // Holder daemons build their randomizer pools when the key arrives and
   // start the filler once kWarmup's offline phase is done.
@@ -188,7 +184,7 @@ std::vector<uint8_t> RemoteSmcOracle::BuildConfigPayload() const {
   // The public plan: the same units and thresholds the in-process oracle
   // derives, so every daemon splits a frame exactly like its peers.
   body.pack_pairs = static_cast<uint32_t>(group_pairs_);
-  if (group_pairs_ > 0) body.slot_widths = operands_.slot_widths();
+  body.slot_widths = operands_.slot_widths();
   body.thresholds = operands_.thresholds();
   std::vector<uint8_t> cfg;
   AppendConfigBody(body, &cfg);
@@ -256,8 +252,9 @@ Status RemoteSmcOracle::SetupShards(const std::vector<int>& shard_ids) {
   // then starts its pool's filler. With offline_pairs 0 the verb only
   // starts the filler. Generation scales with offline_pairs, so the
   // deadline is as generous as keygen's.
-  const smc::RoleDraws draws = smc::RandomizerDraws(
-      opts_.config, operands_, opts_.config.offline_pairs);
+  HPRL_ASSIGN_OR_RETURN(const smc::RoleDraws draws,
+                        smc::RandomizerDraws(opts_.config, operands_,
+                                             opts_.config.offline_pairs));
   std::vector<uint8_t> warm_alice, warm_bob;
   AppendU32(static_cast<uint32_t>(draws.alice), &warm_alice);
   AppendU32(static_cast<uint32_t>(draws.bob), &warm_bob);
@@ -278,6 +275,10 @@ Status RemoteSmcOracle::SetupShards(const std::vector<int>& shard_ids) {
 }
 
 Status RemoteSmcOracle::Init() {
+  // The plan check comes first: a rule that cannot form a unit never
+  // reaches a daemon.
+  HPRL_ASSIGN_OR_RETURN(group_pairs_,
+                        smc::PackedGroupPairs(opts_.config, operands_));
   if (metrics_ != nullptr) {
     for (auto& bus : buses_) bus->AttachMetrics(metrics_);
   }
@@ -485,9 +486,9 @@ Status RemoteSmcOracle::RunBatchRound(const StagedRows& rows,
                                       std::vector<BatchPair>* pending,
                                       std::vector<uint8_t>* labels) {
   // Frames hold whole units wherever rpc_batch_pairs holds one, so only the
-  // frame that empties the work queue ends in a partial packed unit. A
-  // batch size below one unit keeps its meaning: that many pairs a frame.
-  const int unit = std::max(1, group_pairs_);
+  // frame that empties the work queue ends in a partial unit. A batch size
+  // below one unit keeps its meaning: that many pairs a frame.
+  const int unit = group_pairs_;
   const int rpc = std::max(1, opts_.rpc_batch_pairs);
   const auto batch_pairs =
       static_cast<size_t>(rpc >= unit ? rpc / unit * unit : rpc);
@@ -851,6 +852,17 @@ Status RemoteSmcOracle::RunBatchRound(const StagedRows& rows,
                           ReplicaLabel(from_shard, reply.role)));
     for (size_t i = 0; i < inflight.size(); ++i) {
       if (inflight[i].batch_id != reply.id) continue;
+      const Status refused = ReplyStatus(reply);
+      if (!refused.ok() && !smc::IsFaultClass(refused)) {
+        // A daemon refused the whole batch (a body it cannot parse, a pair
+        // on a row its frame lacks): no retry heals a sender bug, so the
+        // compare fails now instead of waiting for the other roles, whose
+        // receives would only time out.
+        if (semantic.ok()) semantic = refused;
+        sched_.Complete(inflight[i].batch_id);
+        inflight.erase(inflight.begin() + static_cast<long>(i));
+        break;
+      }
       inflight[i].replies[reply.role] = std::move(reply);
       if (inflight[i].replies.size() == ShardRoles(inflight[i].shard).size()) {
         Outstanding o = std::move(inflight[i]);

@@ -95,12 +95,11 @@ struct MeshStats {
 /// CompareRows are MatchOracle's one-pair batches. Rows are encoded
 /// through smc::RuleOperands, as the in-process comparator encodes them.
 ///
-/// One exchange step (wire v11): kConfigure hands every daemon the public
+/// One exchange step (wire v13): kConfigure hands every daemon the public
 /// plan — smc::PackedGroupPairs' unit size, each attribute's slot width and
 /// the rule's thresholds — so each daemon splits a frame's pairs into the
-/// units the in-process oracle would form and lays them out the same way:
-/// packed units when the rule's declared domains fit the slot cap, scalar
-/// units of one pair otherwise. Labels never depend on the units.
+/// packed units the in-process oracle would form and lays them out the same
+/// way. Labels never depend on the units.
 ///
 /// Operands (wire v12): every frame is self-contained. Alice's frame
 /// carries each distinct R row its pairs name, once; bob's each distinct S
@@ -277,8 +276,8 @@ class RemoteSmcOracle : public MatchOracle {
 
   RemoteOracleOptions opts_;
   smc::RuleOperands operands_;
-  /// smc::PackedGroupPairs(config, operands_): the pairs of a packed unit,
-  /// 0 when the rule runs scalar units. Sent in cfg; frames hold whole units.
+  /// smc::PackedGroupPairs(config, operands_), planned at Init: the pairs
+  /// of a unit. Sent in cfg; frames hold whole units.
   int group_pairs_ = 0;
   std::vector<MeshEndpoints> shards_;
   std::vector<std::unique_ptr<SocketBus>> buses_;  ///< one per shard

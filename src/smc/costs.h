@@ -22,10 +22,9 @@ struct SmcCosts {
   /// healthy one by the sharded coordinator (net/remote_oracle.cc). Distinct
   /// from retries: a rebalanced pair never failed, its shard did.
   int64_t rebalanced_pairs = 0;
-  /// Packed-plaintext fast path: packed exchange runs, and how many record
-  /// pairs they carried. Amortized per-pair crypto is the enc/dec/hadd/smul
-  /// totals divided by packed_pairs; the scalar counters above keep counting
-  /// raw operations either way, so packed and unpacked runs stay comparable.
+  /// Packed exchange runs (one per unit), and how many record pairs they
+  /// carried. Amortized per-pair crypto is the enc/dec/hadd/smul totals
+  /// divided by packed_pairs.
   int64_t packed_exchanges = 0;
   int64_t packed_pairs = 0;
   /// Offline/online attribution: encryptions whose r^n factor was consumed

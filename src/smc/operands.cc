@@ -9,13 +9,11 @@ namespace hprl::smc {
 
 RuleOperands::RuleOperands(const MatchRule& rule, int64_t fp_scale)
     : codec_(fp_scale) {
-  bool every_domain = true;
   for (const AttrRule& attr : rule.attrs) {
     if (attr.type == AttrType::kCategorical && attr.theta >= 1.0) continue;
     attrs_.push_back(attr);
-    every_domain = every_domain && attr.has_domain();
-    if (!every_domain) {
-      slot_widths_.clear();
+    if (!attr.has_domain()) {
+      slot_widths_.push_back(0);
     } else {
       // Encodings lie in [Enc(lo), Enc(hi)], so no |x| exceeds the larger
       // end's magnitude M and no |x - y| exceeds 2·M.
@@ -38,13 +36,6 @@ RuleOperands::RuleOperands(const MatchRule& rule, int64_t fp_scale)
     const double t = attr.theta * attr.norm * static_cast<double>(fp_scale);
     thresholds_.emplace_back(static_cast<int64_t>(std::floor(t * t + 1e-9)));
   }
-}
-
-bool RuleOperands::has_text() const {
-  for (const AttrRule& attr : attrs_) {
-    if (attr.type == AttrType::kText) return true;
-  }
-  return false;
 }
 
 Result<crypto::BigInt> RuleOperands::Encode(size_t i,

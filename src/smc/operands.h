@@ -32,9 +32,8 @@ class RuleOperands {
   /// Number of compared attributes.
   size_t size() const { return attrs_.size(); }
 
-  /// True when a compared attribute is text, which the cryptographic step
-  /// does not support: Encode fails on it.
-  bool has_text() const;
+  /// The compared attributes, in order.
+  const std::vector<AttrRule>& attrs() const { return attrs_; }
 
   /// The scaled threshold of every compared attribute, in order: attribute
   /// i is within iff (x - y)² <= thresholds()[i].
@@ -43,9 +42,9 @@ class RuleOperands {
   /// Per compared attribute, the bits of its packing slot:
   /// BitLength((2·M_i)²), M_i the largest encoded magnitude attribute i's
   /// declared domain allows, so every squared distance fits its slot and
-  /// distances share a plaintext without a carry crossing slots. Empty when
-  /// some compared attribute declares no domain. Public: the widths come
-  /// from the spec's VGHs, never from the values compared.
+  /// distances share a plaintext without a carry crossing slots; 0 for an
+  /// attribute that declares no domain. Public: the widths come from the
+  /// spec's VGHs, never from the values compared.
   const std::vector<int>& slot_widths() const { return slot_widths_; }
 
   /// One side's operand for compared attribute `i` of `record`.

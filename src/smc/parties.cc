@@ -25,11 +25,11 @@ Status ValidateReceived(const crypto::PaillierPublicKey& pub,
 }
 }  // namespace
 
-QueryingParty::QueryingParty(const ProtocolParams& params, uint64_t test_seed)
-    : params_(params), rng_(MakeRng(test_seed)) {}
+QueryingParty::QueryingParty(int key_bits, uint64_t test_seed)
+    : key_bits_(key_bits), rng_(MakeRng(test_seed)) {}
 
 Status QueryingParty::PublishKey(MessageBus* bus, SmcCosts* costs) {
-  auto kp = crypto::GeneratePaillierKeyPair(params_.key_bits, *rng_);
+  auto kp = crypto::GeneratePaillierKeyPair(key_bits_, *rng_);
   if (!kp.ok()) return kp.status();
   return PublishKeyPair(*kp, bus, costs);
 }
@@ -50,88 +50,53 @@ void QueryingParty::AttachMetrics(obs::MetricsRegistry* registry) {
   priv_.AttachMetrics(registry);
 }
 
-Result<BigInt> QueryingParty::ReceiveDecrypted(MessageBus* bus,
-                                               const char* tag,
-                                               size_t packed_bits,
-                                               SmcCosts* costs) {
-  auto msg = bus->Expect(kQp, tag);
+Result<std::vector<uint8_t>> QueryingParty::DecideUnit(
+    MessageBus* bus, const std::vector<BigInt>& thresholds, size_t pairs,
+    const crypto::PackingLayout& layout, crypto::BigIntArena* arena,
+    SmcCosts* costs) {
+  const size_t attrs = thresholds.size();
+  const size_t slots = pairs * attrs;
+  auto msg = bus->Expect(kQp, "bob_pk");
   if (!msg.ok()) return msg.status();
   size_t off = 0;
   auto c = ConsumeBigInt(msg->payload, &off);
   if (!c.ok()) return c.status();
-  HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, *c, tag));
-  auto plain = packed_bits == 0 ? priv_.DecryptSigned(*c)
-                                : priv_.DecryptBelow(*c, packed_bits);
+  HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, *c, "bob_pk"));
+  // ONE decryption covers every slot. The packed plaintext is Σ d_i·W_i
+  // with d_i = (x_i - y_i)² >= 0, so the unsigned decode is exact even
+  // though the homomorphic fold passed through negative slot contributions
+  // mod n. It lies below 2^(the unit's last slot end), so a narrow unit
+  // decrypts with one CRT half (DecryptBelow); the unpack below still
+  // rejects a damaged plaintext.
+  const size_t last = slots - 1;
+  auto plain =
+      priv_.DecryptBelow(*c, layout.SlotOffset(last) + layout.SlotWidth(last));
   if (!plain.ok()) return plain.status();
   costs->decryptions += 1;
-  return plain;
-}
-
-Result<BigInt> QueryingParty::ReceivePlain(MessageBus* bus, SmcCosts* costs) {
-  return ReceiveDecrypted(bus, "bob_ct", /*packed_bits=*/0, costs);
-}
-
-Result<std::vector<uint8_t>> QueryingParty::DecideUnit(
-    MessageBus* bus, const std::vector<BigInt>& thresholds, size_t pairs,
-    const UnitShape& shape, crypto::BigIntArena* arena, SmcCosts* costs) {
-  const size_t attrs = thresholds.size();
-  const size_t slots = pairs * attrs;
-  std::vector<bool> within;
-  within.reserve(slots);
-  if (shape.packed) {
-    if (!params_.reveal_distances) {
-      return Status::FailedPrecondition(
-          "packed exchange requires reveal_distances");
-    }
-    // ONE decryption covers every slot. The packed plaintext is Σ d_i·W_i
-    // with d_i = (x_i - y_i)² >= 0, so the unsigned decode is exact even
-    // though the homomorphic fold passed through negative slot
-    // contributions mod n. It lies below 2^(the unit's last slot end), so
-    // a narrow unit decrypts with one CRT half (DecryptBelow); the unpack
-    // below still rejects a damaged plaintext.
-    const size_t last = slots - 1;
-    const size_t plain_bits =
-        shape.layout.SlotOffset(last) + shape.layout.SlotWidth(last);
-    auto plain = ReceiveDecrypted(bus, "bob_pk", plain_bits, costs);
-    if (!plain.ok()) return plain.status();
-    std::vector<BigInt*> distances;
-    distances.reserve(slots);
-    for (size_t i = 0; i < slots; ++i) distances.push_back(&arena->Next());
-    BigInt& rest = arena->Next();
-    Status st =
-        crypto::UnpackSlotsInto(*plain, slots, shape.layout, &rest, distances);
-    if (!st.ok()) {
-      // A residue past the last slot means the plaintext was damaged (or a
-      // slot overflowed); hand it to the retry layer as transit damage.
-      return Status::IOError(std::string("packed plaintext failed unpack: ") +
-                             st.message());
-    }
-    for (size_t i = 0; i < slots; ++i) {
-      within.push_back(*distances[i] <= thresholds[i % attrs]);
-    }
-    costs->packed_exchanges += 1;
-    costs->packed_pairs += static_cast<int64_t>(pairs);
-  } else {
-    for (size_t i = 0; i < slots; ++i) {
-      auto plain = ReceiveDecrypted(bus, "bob_ct", /*packed_bits=*/0, costs);
-      if (!plain.ok()) return plain.status();
-      // Blinded, the plaintext's sign is the outcome: d <= T <=> >= 0.
-      within.push_back(params_.reveal_distances
-                           ? *plain <= thresholds[i % attrs]
-                           : plain->Sign() >= 0);
-    }
+  std::vector<BigInt*> distances;
+  distances.reserve(slots);
+  for (size_t i = 0; i < slots; ++i) distances.push_back(&arena->Next());
+  BigInt& rest = arena->Next();
+  Status st = crypto::UnpackSlotsInto(*plain, slots, layout, &rest, distances);
+  if (!st.ok()) {
+    // A residue past the last slot means the plaintext was damaged (or a
+    // slot overflowed); hand it to the retry layer as transit damage.
+    return Status::IOError(std::string("packed plaintext failed unpack: ") +
+                           st.message());
   }
+  costs->packed_exchanges += 1;
+  costs->packed_pairs += static_cast<int64_t>(pairs);
   costs->attr_comparisons += static_cast<int64_t>(slots);
   // Exact distances, so each pair's conjunction is the plaintext rule's.
   std::vector<uint8_t> labels(pairs, 1);
   for (size_t i = 0; i < slots; ++i) {
-    if (!within[i]) labels[i / attrs] = 0;
+    if (*distances[i] > thresholds[i % attrs]) labels[i / attrs] = 0;
   }
   return labels;
 }
 
 // Results travel on a dedicated ":res" sub-inbox so a pipelined next unit's
-// "alice_ct" (addressed to the main inbox) can never interleave with a
+// "alice_pk" (addressed to the main inbox) can never interleave with a
 // still-in-flight result announcement: the batched RPC path overlaps units,
 // so the split is load-bearing.
 Status QueryingParty::AnnounceResults(MessageBus* bus,
@@ -142,9 +107,8 @@ Status QueryingParty::AnnounceResults(MessageBus* bus,
   return Status::OK();
 }
 
-DataHolder::DataHolder(std::string name, const ProtocolParams& params,
-                       uint64_t test_seed)
-    : name_(std::move(name)), params_(params), rng_(MakeRng(test_seed)) {}
+DataHolder::DataHolder(std::string name, uint64_t test_seed)
+    : name_(std::move(name)), rng_(MakeRng(test_seed)) {}
 
 Status DataHolder::ReceiveKey(MessageBus* bus) {
   auto msg = bus->Expect(name_, "pubkey");
@@ -170,23 +134,9 @@ void DataHolder::AttachRandomizerPool(crypto::RandomizerPool* pool) {
 
 Status DataHolder::SendUnit(MessageBus* bus, const std::string& peer,
                             const std::vector<BigInt>& xs,
-                            const UnitShape& shape, crypto::BigIntArena* arena,
-                            SmcCosts* costs) {
+                            const crypto::PackingLayout& layout,
+                            crypto::BigIntArena* arena, SmcCosts* costs) {
   if (!have_key_) return Status::FailedPrecondition("no public key yet");
-  if (!shape.packed) {
-    for (const BigInt& x : xs) {
-      auto c1 = pub_.EncryptSigned(x * x, *rng_);
-      if (!c1.ok()) return c1.status();
-      auto c2 = pub_.EncryptSigned(BigInt(-2) * x, *rng_);
-      if (!c2.ok()) return c2.status();
-      costs->encryptions += 2;
-      std::vector<uint8_t> payload;
-      AppendBigInt(*c1, &payload);
-      AppendBigInt(*c2, &payload);
-      bus->Send({name_, peer, "alice_ct", std::move(payload)});
-    }
-    return Status::OK();
-  }
   // Every BigInt below lives in preallocated arena storage.
   std::vector<const BigInt*> x2;
   x2.reserve(xs.size());
@@ -198,7 +148,7 @@ Status DataHolder::SendUnit(MessageBus* bus, const std::string& peer,
   BigInt& scratch = arena->Next();
   BigInt& packed = arena->Next();
   HPRL_RETURN_IF_ERROR(
-      crypto::PackSlotsInto(x2, shape.layout, &scratch, &packed));
+      crypto::PackSlotsInto(x2, layout, &scratch, &packed));
   BigInt& c_px2 = arena->Next();
   HPRL_RETURN_IF_ERROR(pub_.EncryptInto(packed, *rng_, &scratch, &c_px2));
   costs->encryptions += 1;
@@ -211,7 +161,7 @@ Status DataHolder::SendUnit(MessageBus* bus, const std::string& peer,
   BigInt& ct = arena->Next();
   for (size_t i = 0; i < xs.size(); ++i) {
     mpz_mul_si(m2xw.raw(), xs[i].raw(), -2);
-    mpz_mul_2exp(m2xw.raw(), m2xw.raw(), shape.layout.SlotOffset(i));
+    mpz_mul_2exp(m2xw.raw(), m2xw.raw(), layout.SlotOffset(i));
     HPRL_RETURN_IF_ERROR(pub_.EncryptSignedInto(m2xw, *rng_, &scratch, &ct));
     costs->encryptions += 1;
     AppendBigInt(ct, &payload);
@@ -221,17 +171,9 @@ Status DataHolder::SendUnit(MessageBus* bus, const std::string& peer,
 }
 
 Status DataHolder::FoldUnit(MessageBus* bus, const std::vector<BigInt>& ys,
-                            const std::vector<BigInt>& thresholds,
-                            const UnitShape& shape, crypto::BigIntArena* arena,
-                            SmcCosts* costs) {
+                            const crypto::PackingLayout& layout,
+                            crypto::BigIntArena* arena, SmcCosts* costs) {
   if (!have_key_) return Status::FailedPrecondition("no public key yet");
-  if (!shape.packed) {
-    for (size_t i = 0; i < ys.size(); ++i) {
-      HPRL_RETURN_IF_ERROR(
-          FoldOne(bus, ys[i], thresholds[i % thresholds.size()], costs));
-    }
-    return Status::OK();
-  }
   auto msg = bus->Expect(name_, "alice_pk");
   if (!msg.ok()) return msg.status();
   // Ciphertexts deserialize straight into arena slots and the fold runs
@@ -258,7 +200,7 @@ Status DataHolder::FoldUnit(MessageBus* bus, const std::vector<BigInt>& ys,
   BigInt& scratch = arena->Next();
   BigInt& packed_y2 = arena->Next();
   HPRL_RETURN_IF_ERROR(
-      crypto::PackSlotsInto(y2, shape.layout, &scratch, &packed_y2));
+      crypto::PackSlotsInto(y2, layout, &scratch, &packed_y2));
   BigInt& c_py2 = arena->Next();
   HPRL_RETURN_IF_ERROR(pub_.EncryptInto(packed_y2, *rng_, &scratch, &c_py2));
   costs->encryptions += 1;
@@ -275,48 +217,6 @@ Status DataHolder::FoldUnit(MessageBus* bus, const std::vector<BigInt>& ys,
   std::vector<uint8_t> payload;
   AppendBigInt(acc, &payload);
   bus->Send({name_, kQp, "bob_pk", std::move(payload)});
-  return Status::OK();
-}
-
-Status DataHolder::FoldOne(MessageBus* bus, const BigInt& y,
-                           const BigInt& threshold, SmcCosts* costs) {
-  auto msg = bus->Expect(name_, "alice_ct");
-  if (!msg.ok()) return msg.status();
-  size_t off = 0;
-  auto c_x2 = ConsumeBigInt(msg->payload, &off);
-  if (!c_x2.ok()) return c_x2.status();
-  auto c_m2x = ConsumeBigInt(msg->payload, &off);
-  if (!c_m2x.ok()) return c_m2x.status();
-  HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, *c_x2, "alice_ct[0]"));
-  HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, *c_m2x, "alice_ct[1]"));
-
-  // Enc(d) = Enc(x²) +h (Enc(-2x) ×h y) +h Enc(y²), d = (x-y)².
-  auto c_y2 = pub_.EncryptSigned(y * y, *rng_);
-  if (!c_y2.ok()) return c_y2.status();
-  costs->encryptions += 1;
-  BigInt c_d = pub_.Add(pub_.Add(*c_x2, pub_.ScalarMul(*c_m2x, y)), *c_y2);
-  costs->homomorphic_adds += 2;
-  costs->scalar_muls += 1;
-
-  BigInt out;
-  if (params_.reveal_distances) {
-    out = c_d;
-  } else {
-    // Blind the comparison: Enc(rho * (T - d) + sigma), rho >= 1 random,
-    // sigma in [0, rho). The plaintext's sign is the outcome:
-    // d <= T <=> plaintext >= 0.
-    BigInt rho = rng_->NextBits(params_.blind_bits) + BigInt(1);
-    BigInt sigma = rng_->NextBelow(rho);
-    auto c_blind = pub_.EncryptSigned(rho * threshold + sigma, *rng_);
-    if (!c_blind.ok()) return c_blind.status();
-    out = pub_.Add(*c_blind, pub_.ScalarMul(c_d, -rho));
-    costs->encryptions += 1;
-    costs->homomorphic_adds += 1;
-    costs->scalar_muls += 1;
-  }
-  std::vector<uint8_t> payload;
-  AppendBigInt(out, &payload);
-  bus->Send({name_, kQp, "bob_ct", std::move(payload)});
   return Status::OK();
 }
 

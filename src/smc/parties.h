@@ -15,36 +15,20 @@
 
 namespace hprl::smc {
 
-/// Protocol-level parameters shared by the parties (mirrors the fields of
-/// SmcConfig that cross trust boundaries: everyone knows the key size, the
-/// fixed-point scale, the blinding width and the protocol variant).
-struct ProtocolParams {
-  int key_bits = 1024;
-  int64_t fp_scale = 1000;
-  int blind_bits = 40;
-  bool reveal_distances = true;
-};
-
-/// One unit of the §V-A exchange: a packed group of pairs whose distances
-/// share one plaintext laid out by `layout`, or, when the rule cannot pack,
-/// one pair with a ciphertext per compared attribute. Each role runs its
-/// side of a unit through one step — DataHolder::SendUnit (alice),
+/// One unit of the §V-A exchange is a packed group of pairs whose distances
+/// share one plaintext, laid out by a crypto::PackingLayout. Each role runs
+/// its side of a unit through one step — DataHolder::SendUnit (alice),
 /// DataHolder::FoldUnit (bob), QueryingParty::DecideUnit then
 /// AnnounceResults (qp), DataHolder::ReceiveResults (both holders) — over
 /// whatever bus carries it: the in-process channel or a daemon's SocketBus.
 /// Operand and threshold vectors are pair-major, attribute-minor.
-struct UnitShape {
-  bool packed = false;
-  crypto::PackingLayout layout;  ///< packed units only
-};
 
 /// The querying party of §V-A: the only holder of the Paillier private key.
-/// It publishes the public key, and per unit receives Bob's ciphertexts and
-/// decides whether each (possibly blinded) distance is within its
-/// threshold.
+/// It publishes the public key, and per unit receives Bob's ciphertext and
+/// decides whether each distance is within its threshold.
 class QueryingParty {
  public:
-  QueryingParty(const ProtocolParams& params, uint64_t test_seed);
+  QueryingParty(int key_bits, uint64_t test_seed);
 
   /// Generates the key pair and broadcasts the public key on the bus.
   Status PublishKey(MessageBus* bus, SmcCosts* costs);
@@ -57,27 +41,20 @@ class QueryingParty {
 
   const crypto::PaillierPublicKey& public_key() const { return pub_; }
 
-  /// Consumes one "bob_ct" message and returns the decrypted signed
-  /// plaintext (distance-revealing variant only; test/benchmark hook).
-  Result<crypto::BigInt> ReceivePlain(MessageBus* bus, SmcCosts* costs);
-
   /// qp's step of one unit of `pairs` pairs: decides every compared
   /// attribute of every pair against `thresholds` (one per attribute, the
   /// scaled integer bound on (x-y)²) and returns each pair's conjunction,
-  /// 1 = match. A packed unit is one "bob_pk" ciphertext carrying every
-  /// slot distance: ONE decryption (one CRT half when the unit's plaintext
-  /// is narrow enough, PaillierPrivateKey::DecryptBelow), then an exact
-  /// unpack (a nonzero residue past the last slot is reported as an
-  /// IOError, so the retry layer treats it like any other damaged payload);
-  /// packing requires revealed distances (the packed plaintext is the
-  /// distances). A scalar unit is
-  /// one "bob_ct" per attribute, each decrypted (or, blinded, sign-tested).
-  /// Counts the unit's attribute comparisons and, packed, its exchange and
-  /// pairs. Scratch values live in `arena`, as in every unit step.
+  /// 1 = match. The unit is one "bob_pk" ciphertext carrying every slot
+  /// distance: ONE decryption (one CRT half when the unit's plaintext is
+  /// narrow enough, PaillierPrivateKey::DecryptBelow), then an exact unpack
+  /// (a nonzero residue past the last slot is reported as an IOError, so
+  /// the retry layer treats it like any other damaged payload). Counts the
+  /// unit's attribute comparisons, its exchange and its pairs. Scratch
+  /// values live in `arena`, as in every unit step.
   Result<std::vector<uint8_t>> DecideUnit(
       MessageBus* bus, const std::vector<crypto::BigInt>& thresholds,
-      size_t pairs, const UnitShape& shape, crypto::BigIntArena* arena,
-      SmcCosts* costs);
+      size_t pairs, const crypto::PackingLayout& layout,
+      crypto::BigIntArena* arena, SmcCosts* costs);
 
   /// Announces a unit's labels to both holders in one "results" message.
   Status AnnounceResults(MessageBus* bus, const std::vector<uint8_t>& labels);
@@ -88,13 +65,7 @@ class QueryingParty {
   void AttachMetrics(obs::MetricsRegistry* registry);
 
  private:
-  /// Consumes one `tag` message holding one ciphertext, validates and
-  /// decrypts it: signed, into (-n/2, n/2], when `packed_bits` is 0, else
-  /// as a packed plaintext below 2^packed_bits (DecryptBelow).
-  Result<crypto::BigInt> ReceiveDecrypted(MessageBus* bus, const char* tag,
-                                          size_t packed_bits, SmcCosts* costs);
-
-  ProtocolParams params_;
+  int key_bits_;
   std::unique_ptr<crypto::SecureRandom> rng_;
   crypto::PaillierPublicKey pub_;
   crypto::PaillierPrivateKey priv_;
@@ -105,8 +76,7 @@ class QueryingParty {
 /// per call by its owner, never stored.
 class DataHolder {
  public:
-  DataHolder(std::string name, const ProtocolParams& params,
-             uint64_t test_seed);
+  DataHolder(std::string name, uint64_t test_seed);
 
   const std::string& name() const { return name_; }
 
@@ -118,32 +88,27 @@ class DataHolder {
   Status ReceiveKey(MessageBus* bus);
 
   /// Alice's step of one unit: ships her operands `xs` (pair-major) to
-  /// `peer`. Scalar: one "alice_ct" per attribute, Enc(x²) and Enc(-2x).
-  /// Packed: one "alice_pk" message carrying Enc(Σ x_i²·W_i) — every
+  /// `peer` as one "alice_pk" message carrying Enc(Σ x_i²·W_i) — every
   /// slot's x² packed into ONE plaintext — plus per-slot cross terms
-  /// Enc(-2·x_i·W_i), already weighted into slot i (W_i =
-  /// 2^offset(i), PackingLayout::SlotOffset): k + 1 encryptions where k
-  /// scalar rounds take 2k. The plan already checked carry safety: every
-  /// squared distance an attribute's declared domain allows fits its slot
-  /// (smc::PackedGroupPairs).
+  /// Enc(-2·x_i·W_i), already weighted into slot i (W_i = 2^offset(i),
+  /// PackingLayout::SlotOffset): k + 1 encryptions for k slots. The plan
+  /// already checked carry safety: every squared distance an attribute's
+  /// declared domain allows fits its slot (smc::PackedGroupPairs).
   Status SendUnit(MessageBus* bus, const std::string& peer,
-                  const std::vector<crypto::BigInt>& xs, const UnitShape& shape,
+                  const std::vector<crypto::BigInt>& xs,
+                  const crypto::PackingLayout& layout,
                   crypto::BigIntArena* arena, SmcCosts* costs);
 
   /// Bob's step of one unit: folds his operands `ys` (pair-major) into
-  /// Alice's ciphertexts and forwards the result to the querying party.
-  /// Scalar, per attribute: Enc(d) = Enc(x²) +h (Enc(-2x) ×h y) +h Enc(y²),
-  /// d = (x-y)², optionally blinded against its threshold (one of
-  /// `thresholds`, one per attribute), as one "bob_ct". Packed:
+  /// Alice's ciphertexts, d_i = (x_i - y_i)²,
   ///   Enc(Σ d_i·W_i) = Enc(Σx_i²W_i) +h Σ_i (Enc(-2x_i·W_i) ×h y_i)
   ///                    +h Enc(Σ y_i²W_i)
-  /// as ONE "bob_pk" ciphertext. The exponent is the bare y_i, |y_i| bits
-  /// wide (not offset(i) + |y_i|). Bob sees only ciphertexts and the
-  /// querying party the same distances either way.
+  /// and forwards it to the querying party as ONE "bob_pk" ciphertext. The
+  /// exponent is the bare y_i, |y_i| bits wide (not offset(i) + |y_i|). Bob
+  /// sees only ciphertexts.
   Status FoldUnit(MessageBus* bus, const std::vector<crypto::BigInt>& ys,
-                  const std::vector<crypto::BigInt>& thresholds,
-                  const UnitShape& shape, crypto::BigIntArena* arena,
-                  SmcCosts* costs);
+                  const crypto::PackingLayout& layout,
+                  crypto::BigIntArena* arena, SmcCosts* costs);
 
   /// Consumes the announcement of a unit's `count` labels.
   Result<std::vector<uint8_t>> ReceiveResults(MessageBus* bus, size_t count);
@@ -158,13 +123,7 @@ class DataHolder {
   void AttachRandomizerPool(crypto::RandomizerPool* pool);
 
  private:
-  /// FoldUnit's scalar round: consumes one "alice_ct" and forwards one
-  /// "bob_ct".
-  Status FoldOne(MessageBus* bus, const crypto::BigInt& y,
-                 const crypto::BigInt& threshold, SmcCosts* costs);
-
   std::string name_;
-  ProtocolParams params_;
   std::unique_ptr<crypto::SecureRandom> rng_;
   crypto::PaillierPublicKey pub_;
   bool have_key_ = false;

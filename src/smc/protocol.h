@@ -9,7 +9,6 @@
 
 #include "common/result.h"
 #include "crypto/arena.h"
-#include "crypto/fixed_point.h"
 #include "crypto/packing.h"
 #include "crypto/paillier.h"
 #include "linkage/match_rule.h"
@@ -31,17 +30,6 @@ struct SmcConfig {
   /// and rounded before entering the plaintext space).
   int64_t fp_scale = 1000;
 
-  /// Bits of the multiplicative blinding factor used when
-  /// reveal_distances == false.
-  int blind_bits = 40;
-
-  /// true: the querying party decrypts each squared distance and compares it
-  /// with the threshold itself (paper §V-A's base protocol).
-  /// false: the data holder blinds (T - d) multiplicatively so the querying
-  /// party learns only the comparison outcome (the secure-comparison
-  /// combination the paper mentions).
-  bool reveal_distances = true;
-
   /// Non-zero: deterministic randomness for reproducible tests/benches.
   uint64_t test_seed = 0;
 
@@ -57,26 +45,23 @@ struct SmcConfig {
   /// zero-fault path is byte-identical to a build without the fault layer.
   FaultPlan fault_plan;
 
-  /// How many times one per-attribute exchange (or the result announcement)
-  /// is retried after a transient transport fault — a dropped message,
+  /// How many times a unit's exchange (or its result announcement) is
+  /// retried after a transient transport fault — a dropped message,
   /// a corrupted payload, or a desync — before the pair is given up
   /// (and, under SmcMatchOracle, quarantined). Retries run at once. 0
   /// disables retries.
   int max_retries = 3;
 
-  /// Plaintext packing (the packed SMC fast path): > 0 lets one unit of the
-  /// exchange carry up to this many pairs — all the pairs' per-attribute
-  /// distances land in disjoint bit-slots of a single Paillier plaintext,
-  /// so one Encrypt/Add/Decrypt replaces k of them. Whether a rule packs,
-  /// and each attribute's slot width, are decided once, from its declared
-  /// domains (PackedGroupPairs). 0 (the default) keeps scalar units
-  /// everywhere. Labels are bit-identical either way — both compute the
-  /// exact (x-y)² per attribute.
-  int pack_pairs = 0;
+  /// The most pairs one unit of the exchange carries: all the pairs'
+  /// per-attribute distances land in disjoint bit-slots of a single
+  /// Paillier plaintext, so one Encrypt/Add/Decrypt serves them all. Each
+  /// attribute's slot width comes from its declared domain
+  /// (PackedGroupPairs). Must be >= 1; the default matches the spec's.
+  int pack_pairs = 8;
 
   /// The widest slot one attribute may take, in bits. Each attribute's slot
   /// is as wide as its declared domain needs (RuleOperands::slot_widths);
-  /// a rule with a wider attribute runs scalar units.
+  /// a rule with a wider attribute is refused at plan time.
   int pack_slot_bits = 64;
 
   /// Non-empty: persistent offline-material store directory
@@ -98,16 +83,17 @@ struct SmcConfig {
   int offline_pairs = 0;
 };
 
-/// Pairs one packed unit of the exchange carries under `config` and the
-/// rule behind `operands`: min(pack_pairs, ⌊(key_bits − 2) / Σw_i⌋), w_i
-/// attribute i's slot width (RuleOperands::slot_widths). 0 — scalar units,
-/// one pair each — unless packing is on, distances are revealed (the
-/// packed plaintext is the distances), no compared attribute is text, and
-/// every compared attribute declares a domain whose slot is at most
-/// pack_slot_bits wide. A function of public plan-time values only, so the
-/// in-process oracle, the TCP coordinator and every daemon derive the same
-/// units.
-int PackedGroupPairs(const SmcConfig& config, const RuleOperands& operands);
+/// Pairs one unit of the exchange carries under `config` and the rule
+/// behind `operands`: min(pack_pairs, ⌊(key_bits − 2) / Σw_i⌋), w_i
+/// attribute i's slot width (RuleOperands::slot_widths). The one plan-time
+/// check of a run's SMC step: InvalidArgument, with what to change, when
+/// pack_pairs < 1, the rule compares no attribute, a compared attribute is
+/// text or declares no domain, a slot is wider than pack_slot_bits, or one
+/// pair does not fit the key. A function of public plan-time values only,
+/// so the in-process oracle, the TCP coordinator and every daemon derive
+/// the same units.
+Result<int> PackedGroupPairs(const SmcConfig& config,
+                             const RuleOperands& operands);
 
 /// Randomizers each data holder draws from its pool, one per Paillier
 /// encryption.
@@ -119,17 +105,12 @@ struct RoleDraws {
 
 /// The exact draws of `pairs` record pairs cut into whole units under
 /// `config` and the rule behind `operands`. With g = PackedGroupPairs and k
-/// = operands.size():
-///   - packed units: alice pairs·k + ⌈pairs/g⌉ (one cross term per slot
-///     plus Enc(Σx²W) per unit), bob ⌈pairs/g⌉ (Enc(Σy²W) per unit);
-///   - scalar units revealing distances: alice 2k per pair (Enc(x²),
-///     Enc(-2x)), bob k (Enc(y²));
-///   - blinded units: alice 2k per pair, bob 2k (Enc(y²) and the blinding
-///     ciphertext).
-/// A batch of n pairs is ⌈n/g⌉ units, so this is exact per batch; the
-/// offline phase prewarms it for SmcConfig::offline_pairs.
-RoleDraws RandomizerDraws(const SmcConfig& config,
-                          const RuleOperands& operands, int64_t pairs);
+/// = operands.size(): alice pairs·k + ⌈pairs/g⌉ (one cross term per slot
+/// plus Enc(Σx²W) per unit), bob ⌈pairs/g⌉ (Enc(Σy²W) per unit). A batch
+/// of n pairs is ⌈n/g⌉ units, so this is exact per batch; the offline phase
+/// prewarms it for SmcConfig::offline_pairs. Fails as PackedGroupPairs.
+Result<RoleDraws> RandomizerDraws(const SmcConfig& config,
+                                  const RuleOperands& operands, int64_t pairs);
 
 /// Drives the paper's §V-A secure record comparison among the three party
 /// objects (smc/parties.h: data holders "alice" and "bob", querying party
@@ -139,22 +120,22 @@ RoleDraws RandomizerDraws(const SmcConfig& config,
 /// Per attribute i the protocol computes d = (x - y)^2 homomorphically:
 ///   alice -> bob : Enc(x^2), Enc(-2x)
 ///   bob   -> qp  : Enc(x^2) +h (Enc(-2x) ×h y) +h Enc(y^2)   [= Enc(d)]
-/// and the querying party decrypts (or, blinded, sign-tests) d against the
-/// scaled threshold. A pair matches when every attribute is within its
-/// threshold. The comparator runs the exchange one unit at a time
-/// (smc/parties.h UnitShape): a packed group, or one pair when the rule
-/// cannot pack; every compared attribute is evaluated, exactly as the TCP
-/// daemons run the same role steps.
+/// and the querying party decrypts d and compares it with the scaled
+/// threshold. A pair matches when every attribute is within its threshold.
+/// The comparator runs the exchange one packed unit at a time
+/// (smc/parties.h): every compared attribute of every pair is evaluated,
+/// exactly as the TCP daemons run the same role steps.
 ///
 /// Leakage note (documented, matching the paper's relaxed model): the
-/// querying party learns every compared attribute's outcome, and with
-/// reveal_distances also its squared distance; the final result is sent
-/// back to both data holders.
+/// querying party learns every compared attribute's squared distance; the
+/// final result is sent back to both data holders.
 class SecureRecordComparator {
  public:
   SecureRecordComparator(SmcConfig config, const MatchRule& rule);
 
   /// Generates the querying party's key pair and publishes the public key.
+  /// Fails first with PackedGroupPairs' plan error when the config and rule
+  /// cannot form a unit.
   Status Init();
 
   /// Init with an externally generated key pair: the querying party installs
@@ -169,33 +150,25 @@ class SecureRecordComparator {
   /// outlive the comparator's use of it.
   void AttachRandomizerPool(crypto::RandomizerPool* pool);
 
-  /// Runs the full protocol on one record pair (a one-pair unit). Text
-  /// attributes are not supported by the cryptographic step (paper future
-  /// work).
+  /// Runs the full protocol on one record pair (a one-pair unit).
   Result<bool> Compare(const Record& a, const Record& b);
 
-  /// Pairs one unit carries: PackedGroupPairs(config, rule) when the rule
-  /// packs, else 1. Depends only on the config and rule, so every worker of
-  /// an SmcMatchOracle plans identical units regardless of thread count.
+  /// Pairs one unit carries: PackedGroupPairs(config, rule), or 1 when the
+  /// plan failed (Init reports why). Depends only on the config and rule, so
+  /// every worker of an SmcMatchOracle plans identical units regardless of
+  /// thread count.
   int unit_pairs() const { return std::max(1, group_pairs_); }
 
   /// Runs one unit of the §V-A exchange on up to unit_pairs() pairs: each
-  /// role's step (smc/parties.h) in turn over this comparator's bus — when
-  /// packed, one "alice_pk" message (packed Enc(Σx²·W) plus per-slot
-  /// Enc(-2x_i·W_i), pre-weighted into slot i), one "bob_pk" ciphertext
-  /// folded with the bare y_i as exponents and ONE decryption; scalar, one
-  /// ciphertext round per attribute — then one result announcement.
-  /// Returns per-pair match flags in input order. The first pair's row ids
-  /// seed the fault schedule (FaultPlan), and transient transport faults
-  /// heal by replaying the faulted exchange (a scalar unit's attribute
-  /// round, or a packed unit's one exchange) or the announcement.
+  /// role's step (smc/parties.h) in turn over this comparator's bus — one
+  /// "alice_pk" message (packed Enc(Σx²·W) plus per-slot Enc(-2x_i·W_i),
+  /// pre-weighted into slot i), one "bob_pk" ciphertext folded with the
+  /// bare y_i as exponents and ONE decryption — then one result
+  /// announcement. Returns per-pair match flags in input order. The first
+  /// pair's row ids seed the fault schedule (FaultPlan), and transient
+  /// transport faults heal by replaying the exchange or the announcement.
   Result<std::vector<bool>> CompareUnit(
       const std::vector<RowPairRequest>& pairs);
-
-  /// Secure squared distance on raw scalars (test/benchmark entry point):
-  /// returns the exact (x - y)^2 as seen by the querying party. Requires
-  /// reveal_distances.
-  Result<double> SecureSquaredDistance(double x, double y);
 
   const SmcCosts& costs() const { return costs_; }
   const MessageBus& bus() const { return *bus_; }
@@ -223,14 +196,9 @@ class SecureRecordComparator {
 
   SmcConfig config_;
   RuleOperands operands_;
-  int group_pairs_ = 0;  // PackedGroupPairs(config_, operands_)
-  /// The thresholds of each exchange of a unit: a packed unit is one
-  /// exchange over every attribute; a scalar unit (one pair) is one per
-  /// attribute, each its own retry scope, so a fault replays that
-  /// attribute's three messages rather than the whole pair's.
-  std::vector<std::vector<crypto::BigInt>> round_thresholds_;
-  UnitShape shape_;
-  crypto::FixedPointCodec codec_;
+  Status plan_;          // PackedGroupPairs' verdict; Init returns it
+  int group_pairs_ = 0;  // PackedGroupPairs(config_, operands_) when planned
+  crypto::PackingLayout layout_;
   std::unique_ptr<MessageBus> bus_;  // FaultyBus when fault_plan is enabled
   SmcCosts costs_;
   bool initialized_ = false;

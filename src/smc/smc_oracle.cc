@@ -11,8 +11,8 @@ namespace hprl::smc {
 
 namespace {
 uint64_t WorkerSeed(uint64_t base, int worker) {
-  // 0 stays 0 (OS entropy); otherwise decorrelate the workers' blinding and
-  // encryption randomness without touching the shared key.
+  // 0 stays 0 (OS entropy); otherwise decorrelate the workers' encryption
+  // randomness without touching the shared key.
   return base == 0 ? 0 : base ^ (0x51Dull * static_cast<uint64_t>(worker + 1));
 }
 
@@ -24,6 +24,12 @@ SmcMatchOracle::SmcMatchOracle(SmcConfig config, MatchRule rule, int threads)
 SmcMatchOracle::~SmcMatchOracle() = default;
 
 Status SmcMatchOracle::Init() {
+  // The plan check runs before key generation, so a rule that cannot form a
+  // unit fails at once.
+  const RuleOperands operands(rule_, config_.fp_scale);
+  HPRL_ASSIGN_OR_RETURN(const RoleDraws draws,
+                        RandomizerDraws(config_, operands,
+                                        config_.offline_pairs));
   auto rng = config_.test_seed != 0
                  ? std::make_unique<crypto::SecureRandom>(config_.test_seed ^
                                                           0x9999)
@@ -53,9 +59,6 @@ Status SmcMatchOracle::Init() {
       material_warm_ = loaded.ok() && pool_->AdoptMaterial(*loaded).ok();
     }
     if (config_.offline_pairs > 0) {
-      const RoleDraws draws =
-          RandomizerDraws(config_, RuleOperands(rule_, config_.fp_scale),
-                          config_.offline_pairs);
       auto generated =
           pool_->Prewarm(static_cast<int>(draws.total()), threads_);
       if (!generated.ok()) return generated.status();
@@ -135,11 +138,10 @@ Result<std::vector<uint8_t>> SmcMatchOracle::CompareBatch(
     if (metrics_ != nullptr) obs::Add(metrics_, "smc.pairs_quarantined");
   };
 
-  // Work units are fixed position ranges of unit_pairs() pairs: one packed
-  // group when the rule packs, one pair otherwise. Units depend only on
-  // config + rule, so every thread count produces the same units — and
-  // every unit computes exact distances, so the labels never depend on the
-  // unit size either.
+  // Work units are fixed position ranges of unit_pairs() pairs, one packed
+  // group each. Units depend only on config + rule, so every thread count
+  // produces the same units — and every unit computes exact distances, so
+  // the labels never depend on the unit size either.
   const auto unit_pairs = static_cast<size_t>(workers_.front()->unit_pairs());
   const size_t num_units = (batch.size() + unit_pairs - 1) / unit_pairs;
   const size_t active =

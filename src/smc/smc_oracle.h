@@ -22,14 +22,13 @@ namespace hprl::smc {
 /// CompareBatch is the only entry point (Compare and CompareRows are the
 /// MatchOracle one-pair batches). It distributes a batch of row pairs over
 /// the workers with one work-stealing loop (an atomic cursor over fixed
-/// position ranges, one unit of the exchange each: a packed group when the
-/// rule packs, one pair otherwise; one active worker drains inline), and
-/// each worker
-/// writes the label of pair i into slot i of the shared result vector.
-/// Because results are position-addressed, the merged output is
-/// bit-identical for every thread count — determinism by construction, with
-/// no ordering pass. Budget accounting matches too: the aggregated costs()
-/// are sums over workers, independent of which worker ran which pair.
+/// position ranges, one packed unit of the exchange each; one active worker
+/// drains inline), and each worker writes the label of pair i into slot i
+/// of the shared result vector. Because results are position-addressed, the
+/// merged output is bit-identical for every thread count — determinism by
+/// construction, with no ordering pass. Budget accounting matches too: the
+/// aggregated costs() are sums over workers, independent of which worker
+/// ran which pair.
 ///
 /// Security note: sharing the key pair changes nothing in the trust model —
 /// the workers are in-process replicas of the same three parties, exactly
@@ -43,8 +42,10 @@ class SmcMatchOracle : public MatchOracle {
   SmcMatchOracle(const SmcMatchOracle&) = delete;
   SmcMatchOracle& operator=(const SmcMatchOracle&) = delete;
 
-  /// Generates the shared key pair, spins up the randomizer pool (when
-  /// SmcConfig::randomizer_pool_depth > 0) and initializes the workers.
+  /// Checks the plan (PackedGroupPairs; its InvalidArgument comes back
+  /// before any key is generated), generates the shared key pair, spins up
+  /// the randomizer pool (when SmcConfig::randomizer_pool_depth > 0) and
+  /// initializes the workers.
   ///
   /// With a pool this also runs the offline phase. With
   /// SmcConfig::material_dir set, persisted material for the keypair's

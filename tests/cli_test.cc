@@ -293,6 +293,49 @@ TEST_F(RunnerTest, RealPaillierOracleThroughTheCli) {
   EXPECT_LE(report->result.smc_processed, report->result.allowance_pairs);
 }
 
+// Every SMC unit is packed: `smc_pack 0` and a slot cap below what an
+// attribute's declared domain needs, which used to fall back to scalar
+// units, are configuration errors (hprl_link exit 2) whose message says
+// what to change.
+TEST_F(RunnerTest, UnpackableSmcPlanIsAConfigErrorWithMigrationText) {
+  auto spec = LoadLinkageSpec((dir_ / "linkage.spec").string());
+  ASSERT_TRUE(spec.ok());
+  spec->key_bits = 256;
+  spec->allowance = 0.002;
+  auto run = [&](const LinkageSpec& variant) {
+    return RunLinkageFromFiles(variant, (dir_ / "r.csv").string(),
+                               (dir_ / "s.csv").string(), RunnerOptions());
+  };
+  ASSERT_TRUE(run(*spec).ok());
+
+  LinkageSpec unpacked = *spec;
+  unpacked.smc_pack = 0;
+  auto refused = run(unpacked);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(ExitCodeForStatus(refused.status()), kExitConfig);
+  EXPECT_NE(refused.status().message().find(
+                "scalar SMC units were removed and every unit is packed; set "
+                "smc_pack <pairs> [slot_bits] with pairs >= 1"),
+            std::string::npos)
+      << refused.status().ToString();
+
+  LinkageSpec narrow = *spec;
+  narrow.smc_pack_slot_bits = 16;  // age's slot needs 36 bits
+  refused = run(narrow);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(ExitCodeForStatus(refused.status()), kExitConfig);
+  EXPECT_NE(refused.status().message().find(
+                "attribute 'age' needs a 36-bit slot, wider than smc_pack's "
+                "slot_bits 16; scalar SMC units were removed, so raise "
+                "slot_bits to at least 36"),
+            std::string::npos)
+      << refused.status().ToString();
+
+  // The plaintext oracle runs no SMC unit, so it plans none.
+  unpacked.key_bits = 0;
+  EXPECT_TRUE(run(unpacked).ok());
+}
+
 TEST_F(RunnerTest, ThreadsOverrideMatchesSequentialRun) {
   auto spec = LoadLinkageSpec((dir_ / "linkage.spec").string());
   ASSERT_TRUE(spec.ok());

@@ -282,9 +282,6 @@ TEST(PairBatchBodyTest, RejectsNonCanonicalValues) {
 ConfigBody SampleConfig() {
   ConfigBody body;
   body.key_bits = 256;
-  body.fp_scale = 1000;
-  body.blind_bits = 40;
-  body.flags = net::kCfgFlagRevealDistances;
   body.test_seed = 0x0A0B0C0D0E0F1011ull;
   body.pool_depth = 64;
   body.emulated_latency_micros = 7;
@@ -297,9 +294,6 @@ ConfigBody SampleConfig() {
 
 void ExpectSameConfig(const ConfigBody& got, const ConfigBody& sent) {
   EXPECT_EQ(got.key_bits, sent.key_bits);
-  EXPECT_EQ(got.fp_scale, sent.fp_scale);
-  EXPECT_EQ(got.blind_bits, sent.blind_bits);
-  EXPECT_EQ(got.flags, sent.flags);
   EXPECT_EQ(got.test_seed, sent.test_seed);
   EXPECT_EQ(got.pool_depth, sent.pool_depth);
   EXPECT_EQ(got.emulated_latency_micros, sent.emulated_latency_micros);
@@ -310,12 +304,11 @@ void ExpectSameConfig(const ConfigBody& got, const ConfigBody& sent) {
 }
 
 TEST(ConfigBodyTest, RoundTrips) {
-  ConfigBody scalar = SampleConfig();  // scalar units carry no widths
-  scalar.pack_pairs = 0;
-  scalar.slot_widths.clear();
-  scalar.flags = 0;
-  scalar.thresholds.push_back(Big(3));
-  for (const ConfigBody& sent : {SampleConfig(), scalar}) {
+  ConfigBody one_pair = SampleConfig();  // one-pair units of three slots
+  one_pair.pack_pairs = 1;
+  one_pair.slot_widths.push_back(100);
+  one_pair.thresholds.push_back(Big(3));
+  for (const ConfigBody& sent : {SampleConfig(), one_pair}) {
     std::vector<uint8_t> wire;
     net::AppendConfigBody(sent, &wire);
     auto got = net::ParseConfigBody(wire);
@@ -338,8 +331,8 @@ TEST(ConfigBodyTest, RejectsTruncationAtEveryLengthAndTrailingBytes) {
 
 // Every daemon splits a frame into units of the cfg's size and lays each
 // out by its slot widths, so a plan the key cannot hold — pairs·Σwidths
-// past key_bits − 2, a zero or missing width, widths on a scalar plan, or a
-// packed unit with distances hidden — is refused.
+// past key_bits − 2, a zero or missing width, or a unit of no pair — is
+// refused.
 TEST(ConfigBodyTest, RejectsAUnitLargerThanTheLayoutHolds) {
   auto refused = [](const ConfigBody& body) {
     std::vector<uint8_t> wire;
@@ -363,15 +356,53 @@ TEST(ConfigBodyTest, RejectsAUnitLargerThanTheLayoutHolds) {
   EXPECT_TRUE(refused(body));
   body.slot_widths = {40};  // a width missing
   EXPECT_TRUE(refused(body));
-  body = SampleConfig();
-  body.pack_pairs = 0;  // scalar units: widths would be dead weight
+  body.slot_widths.clear();  // the body carries no widths at all
   EXPECT_TRUE(refused(body));
   body = SampleConfig();
-  body.flags = 0;  // blinded: the packed plaintext would be the distances
+  body.pack_pairs = 0;  // a unit of no pair
   EXPECT_TRUE(refused(body));
   body = SampleConfig();
   body.thresholds.clear();
   EXPECT_TRUE(refused(body));
+}
+
+// The v13 layout field by field: key_bits, test_seed, pool depth, latency,
+// material_dir, pack_pairs, the widths, then the thresholds — no blinding
+// width, flags byte or fixed-point scale. A body missing its widths (a
+// v12-style scalar plan, width count 0) is refused.
+TEST(ConfigBodyTest, V13LayoutIsExactAndNeedsItsWidths) {
+  std::vector<uint8_t> want;
+  net::AppendU32(256, &want);
+  net::AppendU64(0x0A0B0C0D0E0F1011ull, &want);
+  net::AppendU32(64, &want);
+  net::AppendU32(7, &want);
+  net::AppendString("cache/material", &want);
+  net::AppendU32(3, &want);
+  net::AppendU32(2, &want);
+  net::AppendU32(40, &want);
+  net::AppendU32(44, &want);
+  const ConfigBody sample = SampleConfig();
+  net::AppendU32(2, &want);
+  for (const crypto::BigInt& t : sample.thresholds) {
+    net::AppendSignedBigInt(t, &want);
+  }
+  std::vector<uint8_t> wire;
+  net::AppendConfigBody(sample, &wire);
+  EXPECT_EQ(wire, want);
+
+  std::vector<uint8_t> no_widths;
+  net::AppendU32(256, &no_widths);
+  net::AppendU64(1, &no_widths);
+  net::AppendU32(64, &no_widths);
+  net::AppendU32(0, &no_widths);
+  net::AppendString("", &no_widths);
+  net::AppendU32(3, &no_widths);
+  net::AppendU32(0, &no_widths);  // no widths
+  net::AppendU32(1, &no_widths);
+  net::AppendSignedBigInt(Big(9), &no_widths);
+  auto got = net::ParseConfigBody(no_widths);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ------------------------------------------------------- mutation sweep

@@ -266,7 +266,7 @@ TEST(MaterialEngineTest, WarmAndRepairedRunsMatchColdBitForBit) {
   EXPECT_EQ(cold_reg.counter("crypto.material.generated")->value(),
             smc::RandomizerDraws(cfg, smc::RuleOperands(w.rule, cfg.fp_scale),
                                  cfg.offline_pairs)
-                .total());
+                ->total());
   auto cold_labels = cold.CompareBatch(batch);
   ASSERT_TRUE(cold_labels.ok());
 

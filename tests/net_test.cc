@@ -134,21 +134,23 @@ TEST(FrameTest, RejectsVersionMismatch) {
   EXPECT_NE(back.status().ToString().find("version"), std::string::npos);
 }
 
-// A wire v11 peer (its "pairb" rows carry a side and an op byte, and name
-// rows a daemon kept from earlier frames) is refused at the frame layer,
-// never half-parsed.
-TEST(FrameTest, RejectsWireVersionEleven) {
-  ASSERT_EQ(net::kWireVersion, 12);
-  Message msg = MakeMessage();
-  std::vector<uint8_t> wire = EncodeFrame(msg);
-  wire[4 + 4] = 0x00;
-  wire[4 + 5] = 0x0B;
-  auto back = DecodeFrame(wire.data() + 4, wire.size() - 4);
-  ASSERT_FALSE(back.ok());
-  EXPECT_EQ(back.status().code(), StatusCode::kIOError);
-  EXPECT_NE(back.status().ToString().find("version"), std::string::npos);
-  auto view = net::DecodeFrameView(wire.data() + 4, wire.size() - 4);
-  EXPECT_FALSE(view.ok());
+// Wire v11 and v12 peers are refused at the frame layer, never half-parsed:
+// a v11 "pairb" row carries a side and an op byte, and a v12 "cfg" body a
+// blinding width and a flags byte that v13 dropped.
+TEST(FrameTest, RejectsWireVersionsElevenAndTwelve) {
+  ASSERT_EQ(net::kWireVersion, 13);
+  for (uint8_t version : {0x0B, 0x0C}) {
+    Message msg = MakeMessage();
+    std::vector<uint8_t> wire = EncodeFrame(msg);
+    wire[4 + 4] = 0x00;
+    wire[4 + 5] = version;
+    auto back = DecodeFrame(wire.data() + 4, wire.size() - 4);
+    ASSERT_FALSE(back.ok());
+    EXPECT_EQ(back.status().code(), StatusCode::kIOError);
+    EXPECT_NE(back.status().ToString().find("version"), std::string::npos);
+    auto view = net::DecodeFrameView(wire.data() + 4, wire.size() - 4);
+    EXPECT_FALSE(view.ok());
+  }
 }
 
 TEST(FrameTest, RejectsTruncationAtEveryLength) {
@@ -665,10 +667,10 @@ MatchRule MixedRule() {
   return rule;
 }
 
-/// The mesh and fleet fixtures' config: a small key for fast tests, and
-/// packing, so the daemons run packed units (MixedRule's pair takes 9 + 36
-/// bits, so five pairs fill a 256-bit key; a rule that cannot pack, like
-/// the serve streams' five-attribute rule, runs one pair per unit).
+/// The mesh and fleet fixtures' config: a small key for fast tests, with
+/// units of up to eight pairs (MixedRule's pair takes 9 + 36 bits, so five
+/// pairs fill a 256-bit key; the serve streams' five-attribute §VI rule
+/// takes 73 bits, so three).
 smc::SmcConfig FixtureConfig() {
   smc::SmcConfig cfg;
   cfg.key_bits = 256;
@@ -911,57 +913,34 @@ void ExpectSameLinks(const serve::LinkageService& svc,
   }
 }
 
-// Scalar units here, as in the in-process reference: six scalar pairs move
-// enough bytes that the link handshake's few hundred unaccounted bytes stay
-// inside the 5 % accounting bound, which two packed units would not.
+// The link handshake's few hundred bytes are the wire's only unaccounted
+// traffic, so the run moves enough packed units to keep the drift inside
+// the 5 % accounting bound: SixPairs eight times over, 48 pairs in units of
+// five.
 TEST_F(MeshTest, EndToEndLabelsMatchInProcessProtocol) {
   StartMesh(/*receive_timeout_ms=*/2000);
-  RemoteOracleOptions opts;
-  opts.config = FixtureConfig();
-  opts.config.pack_pairs = 0;
-  opts.rule = MixedRule();
-  opts.shard_endpoints = {endpoints_};
-  opts.receive_timeout_ms = 2000;
-  auto oracle = std::make_unique<RemoteSmcOracle>(opts);
+  auto oracle = MakeOracle(2000);
   ASSERT_TRUE(oracle->Init().ok());
 
-  // Reference: the in-process comparator with the same config.
-  smc::SmcConfig cfg;
-  cfg.key_bits = 256;
-  cfg.test_seed = 4242;
-  smc::SecureRecordComparator reference(cfg, MixedRule());
+  // Reference: the in-process oracle with the same config.
+  smc::SmcMatchOracle reference(FixtureConfig(), MixedRule());
   ASSERT_TRUE(reference.Init().ok());
 
-  const std::vector<std::pair<Record, Record>> pairs = {
-      {Rec(3, 50), Rec(3, 55)},   // match: same cat, |Δ|=5 <= 10
-      {Rec(3, 50), Rec(4, 55)},   // cat differs
-      {Rec(1, 10), Rec(1, 90)},   // numeric too far
-      {Rec(2, 70), Rec(2, 70)},   // exact
-      {Rec(5, 30), Rec(5, 41)},   // just over the threshold
-      {Rec(5, 30), Rec(5, 40)},   // exactly at the threshold
-  };
-  std::vector<RowPairRequest> batch;
-  batch.reserve(pairs.size());
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    RowPairRequest req;
-    req.a_id = static_cast<int64_t>(i);
-    req.b_id = static_cast<int64_t>(100 + i);
-    req.a = &pairs[i].first;
-    req.b = &pairs[i].second;
-    batch.push_back(req);
+  std::vector<std::pair<Record, Record>> pairs;
+  for (int rep = 0; rep < 8; ++rep) {
+    for (const auto& p : SixPairs()) pairs.push_back(p);
   }
+  const std::vector<RowPairRequest> batch = PairBatch(pairs);
 
   auto labels = oracle->CompareBatch(batch);
   ASSERT_TRUE(labels.ok()) << labels.status().ToString();
-  ASSERT_EQ(labels->size(), pairs.size());
+  auto expected = reference.CompareBatch(batch);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EXPECT_EQ(*labels, *expected);
   for (size_t i = 0; i < pairs.size(); ++i) {
-    auto expected = reference.Compare(pairs[i].first, pairs[i].second);
-    ASSERT_TRUE(expected.ok());
-    EXPECT_EQ((*labels)[i], *expected ? kPairMatch : kPairNonMatch)
-        << "pair " << i;
     // And both agree with the plaintext rule: SMC is exact.
-    EXPECT_EQ(*expected, RecordsMatch(pairs[i].first, pairs[i].second,
-                                      MixedRule()))
+    EXPECT_EQ((*expected)[i] == kPairMatch,
+              RecordsMatch(pairs[i].first, pairs[i].second, MixedRule()))
         << "pair " << i;
   }
   EXPECT_EQ(oracle->invocations(), static_cast<int64_t>(pairs.size()));
@@ -999,7 +978,7 @@ TEST_F(MeshTest, HoldersPrewarmTheirOwnRolesDrawsAndNeverMiss) {
   opts.rule = MixedRule();
   opts.shard_endpoints = {endpoints_};
   opts.receive_timeout_ms = 2000;
-  const smc::RoleDraws draws = smc::RandomizerDraws(
+  const smc::RoleDraws draws = *smc::RandomizerDraws(
       opts.config, smc::RuleOperands(opts.rule, opts.config.fp_scale),
       opts.config.offline_pairs);
   ASSERT_EQ(draws.alice, 12 * 2 + 3);
@@ -1471,6 +1450,82 @@ TEST_F(MeshTest, PairOnRowMissingFromItsFrameFailsTheBatch) {
   raw.Stop();
 }
 
+// A pairb body the daemon cannot parse passed the frame checksum, so its
+// damage is the sender's bug, not transit: the daemon refuses it at once
+// with InvalidArgument under the body's own batch id — a non-transient
+// code, so the coordinator fails that batch instead of waiting out its
+// deadline and re-sending it until the pairs are quarantined. Here a
+// coordinator-side body names row 1 twice; a body too short to carry its
+// batch id is refused under id 0.
+TEST_F(MeshTest, MalformedPairBatchBodyIsRefusedAtOnceUnderItsBatchId) {
+  constexpr int kReceiveTimeoutMs = 2000;
+  StartMesh(kReceiveTimeoutMs);
+  auto oracle = MakeOracle(kReceiveTimeoutMs);
+  ASSERT_TRUE(oracle->Init().ok());
+  ASSERT_TRUE(oracle->Shutdown(/*stop_daemons=*/false).ok());
+  oracle.reset();
+
+  SocketBusOptions bopts;
+  bopts.local_name = "coord";
+  bopts.dial = {endpoints_.alice, endpoints_.bob, endpoints_.qp};
+  bopts.connect_timeout_ms = 5000;
+  bopts.receive_timeout_ms = kReceiveTimeoutMs;
+  SocketBus raw(bopts);
+  ASSERT_TRUE(raw.Start().ok());
+  // Sends `body` to alice as a pairb request and returns her reply and how
+  // long it took.
+  auto ask_alice = [&](const std::vector<uint8_t>& body, double* millis) {
+    net::CtlRequest req;
+    req.verb = net::CtlVerb::kPairBatch;
+    req.epoch = 1;
+    req.body = body;
+    const auto start = std::chrono::steady_clock::now();
+    raw.Send(net::EncodeCtlRequest("coord", "alice", req));
+    net::CtlResponse reply;
+    while (true) {
+      auto msg = raw.ReceiveTimeout("coord", 5000);
+      EXPECT_TRUE(msg.ok()) << msg.status().ToString();
+      if (!msg.ok()) break;
+      if (msg->tag != net::kCtlReply) continue;
+      auto r = net::ParseCtlResponse(msg->payload);
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      if (!r.ok() || r->verb != net::CtlVerb::kPairBatch) continue;
+      reply = *r;
+      break;
+    }
+    *millis = std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - start)
+                  .count();
+    return reply;
+  };
+
+  net::PairBatchBody body;
+  body.batch_id = 91;
+  const net::RowEntry row = {1, {crypto::BigInt(3), crypto::BigInt(50000)}};
+  body.rows = {row, row};  // one row id, twice
+  body.pairs.push_back({5, 1, 2});
+  std::vector<uint8_t> repeated;
+  net::AppendPairBatchBody(body, &repeated);
+  ASSERT_FALSE(net::ParsePairBatchBody(repeated).ok());
+
+  double millis = 0;
+  const net::CtlResponse refused = ask_alice(repeated, &millis);
+  EXPECT_EQ(refused.id, 91u);
+  EXPECT_EQ(refused.code, StatusCode::kInvalidArgument) << refused.detail;
+  EXPECT_FALSE(smc::IsFaultClass(Status(refused.code, refused.detail)));
+  EXPECT_NE(refused.detail.find("pairb body refused"), std::string::npos)
+      << refused.detail;
+  EXPECT_LT(millis, kReceiveTimeoutMs / 4.0)
+      << "a refusal must not wait out a receive";
+
+  const std::vector<uint8_t> stub(repeated.begin(), repeated.begin() + 5);
+  const net::CtlResponse no_id = ask_alice(stub, &millis);
+  EXPECT_EQ(no_id.id, 0u);
+  EXPECT_EQ(no_id.code, StatusCode::kInvalidArgument) << no_id.detail;
+  EXPECT_LT(millis, kReceiveTimeoutMs / 4.0);
+  raw.Stop();
+}
+
 // A relaunched coordinator resumes at a strictly higher session epoch: the
 // daemons adopt it on the resume configure, the resumed session's own work
 // runs untouched, and a work frame the crashed predecessor left in flight —
@@ -1602,12 +1657,8 @@ TEST_F(MeshTest, ConfigureAndInjectRejectInexactBodies) {
     return true;
   };
 
-  smc::SmcConfig defaults;
   net::ConfigBody body;
   body.key_bits = 256;
-  body.fp_scale = defaults.fp_scale;
-  body.blind_bits = static_cast<uint32_t>(defaults.blind_bits);
-  body.flags = net::kCfgFlagRevealDistances;
   body.test_seed = 4242;
   body.pack_pairs = 3;  // 3 pairs of 80 bits in a 256-bit key
   body.slot_widths = {40, 40};
@@ -2041,30 +2092,28 @@ ConformanceWorld RandomWorld(uint64_t seed, int num_pairs) {
   return w;
 }
 
-/// The packed configuration of the conformance worlds: every drawn
-/// domain's slot fits the 40-bit cap, and a 256-bit key holds at least two
-/// pairs of them, so a unit carries two to eight pairs.
-smc::SmcConfig ConformanceConfig(bool packed) {
+/// The configuration of the conformance worlds: every drawn domain's slot
+/// fits the 40-bit cap, and a 256-bit key holds at least two pairs of them,
+/// so a unit carries two to eight pairs.
+smc::SmcConfig ConformanceConfig() {
   smc::SmcConfig cfg;
   cfg.key_bits = 256;
   cfg.test_seed = 4242;
-  if (packed) {
-    cfg.pack_pairs = 8;
-    cfg.pack_slot_bits = 40;
-  }
+  cfg.pack_pairs = 8;
+  cfg.pack_slot_bits = 40;
   return cfg;
 }
 
 /// Labels the same random worlds through the plaintext oracle, the
-/// in-process scalar and packed oracles at 1 and 4 threads, a one-shard TCP
-/// mesh and the 2-shard fleet: every label must agree. Over TCP the daemons
-/// run the packed units too: qp decrypts once per unit its frames split
-/// into, and every compared pair rides a packed unit. A value one encoding
-/// step outside its domain is refused on both transports.
+/// in-process oracle at 1 and 4 threads, a one-shard TCP mesh and the
+/// 2-shard fleet: every label must agree. Over TCP the daemons run the same
+/// packed units: qp decrypts once per unit its frames split into, and every
+/// compared pair rides a unit. A value one encoding step outside its domain
+/// is refused on both transports.
 TEST_F(FleetTest, LabelsAgreeAcrossBackendsAndTransports) {
   StartFleet(/*receive_timeout_ms=*/2000);
   constexpr int kPairs = 23;
-  constexpr int kRpcBatch = 7;  // scalar frames of 7, 7, 7 and 2 pairs
+  constexpr int kRpcBatch = 7;  // frames cut at whole units below 7 pairs
   uint64_t epoch = 0;
   for (uint64_t seed : {11u, 12u, 13u}) {
     SCOPED_TRACE(testing::Message() << "world " << seed);
@@ -2092,70 +2141,59 @@ TEST_F(FleetTest, LabelsAgreeAcrossBackendsAndTransports) {
     const std::vector<RowPairRequest> bad = {
         {0, 900, &w.pairs[0].first, &outside}};
 
-    for (bool packed : {false, true}) {
-      SCOPED_TRACE(packed ? "packed" : "scalar");
-      const smc::SmcConfig cfg = ConformanceConfig(packed);
-      const int unit =
-          smc::PackedGroupPairs(cfg, smc::RuleOperands(w.rule, cfg.fp_scale));
-      if (packed) {
-        EXPECT_GE(unit, 2) << "the packed configuration must pack";
-      } else {
-        EXPECT_EQ(unit, 0);
+    const smc::SmcConfig cfg = ConformanceConfig();
+    const int unit =
+        *smc::PackedGroupPairs(cfg, smc::RuleOperands(w.rule, cfg.fp_scale));
+    EXPECT_GE(unit, 2) << "a unit must carry more than one pair";
+    for (int threads : {1, 4}) {
+      smc::SmcMatchOracle inproc(cfg, w.rule, threads);
+      ASSERT_TRUE(inproc.Init().ok());
+      auto labels = inproc.CompareBatch(batch);
+      ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+      EXPECT_EQ(*labels, want) << threads << " threads";
+      EXPECT_EQ(inproc.costs().packed_pairs, kPairs);
+      auto refused = inproc.CompareBatch(bad);
+      EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+          << refused.status().ToString();
+    }
+    for (int shards : {1, 2}) {
+      RemoteOracleOptions opts;
+      opts.config = cfg;
+      opts.rule = w.rule;
+      opts.shard_endpoints.assign(shard_endpoints_.begin(),
+                                  shard_endpoints_.begin() + shards);
+      opts.receive_timeout_ms = 2000;
+      opts.rpc_batch_pairs = kRpcBatch;
+      opts.session_epoch = ++epoch;
+      RemoteSmcOracle remote(opts);
+      ASSERT_TRUE(remote.Init().ok());
+      auto labels = remote.CompareBatch(batch);
+      ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+      EXPECT_EQ(*labels, want) << shards << " shards";
+      EXPECT_EQ(remote.pairs_quarantined(), 0);
+      EXPECT_EQ(remote.retries(), 0);
+      auto refused = remote.CompareBatch(bad);
+      EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+          << refused.status().ToString();
+      auto mesh = remote.CollectStats();
+      ASSERT_TRUE(mesh.ok()) << mesh.status().ToString();
+      // Frames hold whole units, so only the last can end in a partial one.
+      const int frame_pairs =
+          unit <= kRpcBatch ? kRpcBatch / unit * unit : kRpcBatch;
+      int64_t units = 0;
+      for (int left = kPairs; left > 0; left -= frame_pairs) {
+        const int frame = std::min(left, frame_pairs);
+        units += (frame + unit - 1) / unit;
       }
-      for (int threads : {1, 4}) {
-        smc::SmcMatchOracle inproc(cfg, w.rule, threads);
-        ASSERT_TRUE(inproc.Init().ok());
-        auto labels = inproc.CompareBatch(batch);
-        ASSERT_TRUE(labels.ok()) << labels.status().ToString();
-        EXPECT_EQ(*labels, want) << threads << " threads";
-        EXPECT_EQ(inproc.costs().packed_pairs, packed ? kPairs : 0);
-        auto refused = inproc.CompareBatch(bad);
-        EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
-            << refused.status().ToString();
-      }
-      for (int shards : {1, 2}) {
-        RemoteOracleOptions opts;
-        opts.config = cfg;
-        opts.rule = w.rule;
-        opts.shard_endpoints.assign(shard_endpoints_.begin(),
-                                    shard_endpoints_.begin() + shards);
-        opts.receive_timeout_ms = 2000;
-        opts.rpc_batch_pairs = kRpcBatch;
-        opts.session_epoch = ++epoch;
-        RemoteSmcOracle remote(opts);
-        ASSERT_TRUE(remote.Init().ok());
-        auto labels = remote.CompareBatch(batch);
-        ASSERT_TRUE(labels.ok()) << labels.status().ToString();
-        EXPECT_EQ(*labels, want) << shards << " shards";
-        EXPECT_EQ(remote.pairs_quarantined(), 0);
-        EXPECT_EQ(remote.retries(), 0);
-        auto refused = remote.CompareBatch(bad);
-        EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
-            << refused.status().ToString();
-        auto mesh = remote.CollectStats();
-        ASSERT_TRUE(mesh.ok()) << mesh.status().ToString();
-        // Frames hold whole units, so only the last can end in a partial
-        // one; scalar units decrypt once per compared attribute instead.
-        const int frame_pairs =
-            packed && unit <= kRpcBatch ? kRpcBatch / unit * unit : kRpcBatch;
-        int64_t units = 0;
-        for (int left = kPairs; left > 0; left -= frame_pairs) {
-          const int frame = std::min(left, frame_pairs);
-          units += packed ? (frame + unit - 1) / unit : frame;
+      int64_t qp_decryptions = 0;
+      for (const auto& [label, stats] : mesh->per_party) {
+        if (label.rfind("qp", 0) == 0) {
+          qp_decryptions += stats.costs.decryptions;
         }
-        const int64_t per_unit =
-            packed ? 1 : static_cast<int64_t>(w.rule.attrs.size());
-        int64_t qp_decryptions = 0;
-        for (const auto& [label, stats] : mesh->per_party) {
-          if (label.rfind("qp", 0) == 0) {
-            qp_decryptions += stats.costs.decryptions;
-          }
-        }
-        EXPECT_EQ(qp_decryptions, units * per_unit) << shards << " shards";
-        EXPECT_EQ(mesh->costs.packed_pairs, packed ? kPairs : 0)
-            << shards << " shards";
-        ASSERT_TRUE(remote.Shutdown(/*stop_daemons=*/false).ok());
       }
+      EXPECT_EQ(qp_decryptions, units) << shards << " shards";
+      EXPECT_EQ(mesh->costs.packed_pairs, kPairs) << shards << " shards";
+      ASSERT_TRUE(remote.Shutdown(/*stop_daemons=*/false).ok());
     }
     EXPECT_GT(matches, 0u) << "vacuous world: no pair matches";
   }

@@ -202,25 +202,25 @@ smc::SmcConfig PackedSmcConfig(int pack_pairs, int slot_bits = 64) {
   return cfg;
 }
 
-// The packed fast path must be a pure optimization: bit-identical labels to
-// the scalar exchange, at every thread count, while actually exercising the
-// packed exchange (the cost counters prove it ran).
-TEST(PackedSmcTest, PackedLabelsBitIdenticalToScalar) {
+// Packing is exact: the plaintext rule's labels (RecordsMatch), at every
+// thread count, with more than one pair per exchange (the cost counters
+// prove it).
+TEST(PackedSmcTest, PackedLabelsMatchPlaintextAtEveryThreadCount) {
   const Workload& w = SmallWorkload();
   const auto batch = MakeBatch(w, 40);
-
-  smc::SmcMatchOracle scalar(TestSmcConfig(), w.rule, 2);
-  ASSERT_TRUE(scalar.Init().ok());
-  auto scalar_labels = scalar.CompareBatch(batch);
-  ASSERT_TRUE(scalar_labels.ok());
-  EXPECT_EQ(scalar.costs().packed_exchanges, 0);
+  std::vector<uint8_t> truth;
+  for (const RowPairRequest& p : batch) {
+    truth.push_back(RecordsMatch(*p.a, *p.b, w.rule) ? kPairMatch
+                                                     : kPairNonMatch);
+  }
+  ASSERT_NE(std::count(truth.begin(), truth.end(), kPairMatch), 0);
 
   for (int threads : {1, 4}) {
     smc::SmcMatchOracle packed(PackedSmcConfig(4), w.rule, threads);
     ASSERT_TRUE(packed.Init().ok());
     auto labels = packed.CompareBatch(batch);
     ASSERT_TRUE(labels.ok()) << labels.status().ToString();
-    EXPECT_EQ(*labels, *scalar_labels) << "threads=" << threads;
+    EXPECT_EQ(*labels, truth) << "threads=" << threads;
     EXPECT_GT(packed.costs().packed_exchanges, 0) << "threads=" << threads;
     EXPECT_GT(packed.costs().packed_pairs,
               packed.costs().packed_exchanges)  // > 1 pair per exchange
@@ -231,8 +231,8 @@ TEST(PackedSmcTest, PackedLabelsBitIdenticalToScalar) {
 // Full packed groups whose slots carry negative numeric encodings and
 // category 0 on either side: with the cross terms pre-weighted by Alice,
 // Bob exponentiates by these raw (zero, negative) y_i, and every label must
-// still equal the scalar exchange and the plaintext rule at 1 and 4 threads.
-TEST(PackedSmcTest, NegativeAndZeroValuesMatchScalarAndPlaintext) {
+// still equal the plaintext rule at 1 and 4 threads.
+TEST(PackedSmcTest, NegativeAndZeroValuesMatchPlaintext) {
   MatchRule rule;
   AttrRule cat;
   cat.attr_index = 0;
@@ -250,7 +250,7 @@ TEST(PackedSmcTest, NegativeAndZeroValuesMatchScalarAndPlaintext) {
 
   const smc::SmcConfig cfg = PackedSmcConfig(4);
   const int group =
-      smc::PackedGroupPairs(cfg, smc::RuleOperands(rule, cfg.fp_scale));
+      *smc::PackedGroupPairs(cfg, smc::RuleOperands(rule, cfg.fp_scale));
   ASSERT_EQ(group, 4);  // the cap: 5 + 31 bits a pair, 14 pairs would fit
 
   const std::vector<double> nums = {-12.5, -3.0, 0.0, -0.25, 2.75, -7.0};
@@ -274,21 +274,12 @@ TEST(PackedSmcTest, NegativeAndZeroValuesMatchScalarAndPlaintext) {
   ASSERT_NE(std::count(oracle.begin(), oracle.end(), 1), 0);
   ASSERT_NE(std::count(oracle.begin(), oracle.end(), 0), 0);
 
-  smc::SmcConfig scalar_cfg = cfg;
-  scalar_cfg.pack_pairs = 0;
-  smc::SmcMatchOracle scalar(scalar_cfg, rule, 2);
-  ASSERT_TRUE(scalar.Init().ok());
-  auto scalar_labels = scalar.CompareBatch(batch);
-  ASSERT_TRUE(scalar_labels.ok()) << scalar_labels.status().ToString();
-  EXPECT_EQ(*scalar_labels, oracle);
-
   for (int threads : {1, 4}) {
     smc::SmcMatchOracle packed(cfg, rule, threads);
     ASSERT_TRUE(packed.Init().ok());
     auto labels = packed.CompareBatch(batch);
     ASSERT_TRUE(labels.ok()) << labels.status().ToString();
     EXPECT_EQ(*labels, oracle) << "threads=" << threads;
-    EXPECT_EQ(*labels, *scalar_labels) << "threads=" << threads;
     // Every pair rode a packed unit.
     EXPECT_EQ(packed.costs().packed_pairs, static_cast<int64_t>(batch.size()))
         << "threads=" << threads;
@@ -307,7 +298,7 @@ TEST(PackedSmcTest, PackedDeterministicUnderFaults) {
   cfg.fault_plan.corrupt_rate = 0.10;
   cfg.fault_plan.crash_rate = 0.05;
   const size_t group = static_cast<size_t>(
-      smc::PackedGroupPairs(cfg, smc::RuleOperands(w.rule, cfg.fp_scale)));
+      *smc::PackedGroupPairs(cfg, smc::RuleOperands(w.rule, cfg.fp_scale)));
   ASSERT_GT(group, 1u);
 
   std::vector<std::vector<uint8_t>> by_threads;
@@ -338,8 +329,8 @@ TEST(PackedSmcTest, PackedDeterministicUnderFaults) {
 
 // A semantic error in the middle of a batch — here two values outside
 // their attribute's declared domain, at pairs 21 and 30 — fails the batch
-// with the same status at every thread count, for scalar and packed units
-// alike: the holder refuses to encode the value before any exchange runs.
+// with the same status at every thread count and unit size: the holder
+// refuses to encode the value before any exchange runs.
 TEST(SmcMatchOracleTest, MidBatchSemanticErrorIsThreadCountInvariant) {
   MatchRule rule;
   AttrRule cat;
@@ -384,108 +375,28 @@ TEST(SmcMatchOracleTest, MidBatchSemanticErrorIsThreadCountInvariant) {
     }
     EXPECT_EQ(by_threads[0], by_threads[1]) << "pack_pairs=" << cfg.pack_pairs;
   }
-  EXPECT_GT(smc::PackedGroupPairs(PackedSmcConfig(4),
-                                  smc::RuleOperands(rule, 1000)),
+  EXPECT_GT(*smc::PackedGroupPairs(PackedSmcConfig(4),
+                                   smc::RuleOperands(rule, 1000)),
             1);
 }
 
 // A slot cap narrower than an attribute's declared domain needs: the rule
-// cannot pack, so the packed configuration runs scalar units, with the
-// exact labels.
-TEST(PackedSmcTest, NarrowSlotsRunScalarUnits) {
+// cannot form a unit, and the engine refuses it at Init, before generating
+// a key.
+TEST(PackedSmcTest, NarrowSlotsAreRefusedAtInit) {
   const Workload& w = SmallWorkload();
-  const auto batch = MakeBatch(w, 20);
-
-  smc::SmcMatchOracle scalar(TestSmcConfig(), w.rule, 2);
-  ASSERT_TRUE(scalar.Init().ok());
-  auto scalar_labels = scalar.CompareBatch(batch);
-  ASSERT_TRUE(scalar_labels.ok());
-
   // fp_scale = 1000 puts the age domain's encodings near 10⁵ in magnitude,
   // so its squared distances need far more than the 8-bit cap.
   const smc::SmcConfig narrow_cfg = PackedSmcConfig(4, /*slot_bits=*/8);
-  EXPECT_EQ(smc::PackedGroupPairs(narrow_cfg,
-                                  smc::RuleOperands(w.rule, 1000)),
-            0);
+  EXPECT_EQ(smc::PackedGroupPairs(narrow_cfg, smc::RuleOperands(w.rule, 1000))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
   smc::SmcMatchOracle narrow(narrow_cfg, w.rule, 2);
-  ASSERT_TRUE(narrow.Init().ok());
-  auto labels = narrow.CompareBatch(batch);
-  ASSERT_TRUE(labels.ok()) << labels.status().ToString();
-  EXPECT_EQ(*labels, *scalar_labels);
-  EXPECT_EQ(narrow.costs().packed_pairs, 0);
-  EXPECT_EQ(narrow.costs().decryptions, scalar.costs().decryptions);
-}
-
-// Packing requires revealed distances (the packed plaintext IS the distance
-// vector): a blinded config must ignore pack_pairs entirely.
-TEST(PackedSmcTest, BlindedConfigDisablesPacking) {
-  const Workload& w = SmallWorkload();
-  smc::SmcConfig cfg = PackedSmcConfig(4);
-  cfg.reveal_distances = false;
-  EXPECT_EQ(smc::PackedGroupPairs(cfg, smc::RuleOperands(w.rule, 1000)), 0);
-
-  const auto batch = MakeBatch(w, 12);
-  smc::SmcMatchOracle engine(cfg, w.rule, 2);
-  ASSERT_TRUE(engine.Init().ok());
-  auto labels = engine.CompareBatch(batch);
-  ASSERT_TRUE(labels.ok());
-  EXPECT_EQ(engine.costs().packed_exchanges, 0);
-
-  smc::SmcConfig blinded_scalar = TestSmcConfig();
-  blinded_scalar.reveal_distances = false;
-  smc::SmcMatchOracle reference(blinded_scalar, w.rule, 2);
-  ASSERT_TRUE(reference.Init().ok());
-  auto ref_labels = reference.CompareBatch(batch);
-  ASSERT_TRUE(ref_labels.ok());
-  EXPECT_EQ(*labels, *ref_labels);
-}
-
-// Blinded comparisons fold Enc(d) ×h (-rho): a negative scalar on every
-// pair, and a negative y wherever a numeric is negative. Labels must equal
-// the plaintext rule at 1 and 4 threads, on the Adult workload and on
-// signed numerics.
-TEST(BlindedSmcTest, BlindedLabelsMatchPlaintextAtOneAndFourThreads) {
-  MatchRule signed_rule;
-  AttrRule num;
-  num.attr_index = 0;
-  num.type = AttrType::kNumeric;
-  num.theta = 0.1;
-  num.norm = 40;  // |x - y| <= 4 matches
-  signed_rule.attrs = {num};
-  const std::vector<double> nums = {-12.5, -3.0, 0.0, -0.25, 2.75, -7.0};
-  std::vector<Record> as, bs;
-  for (size_t i = 0; i < 12; ++i) {
-    as.push_back({Value::Numeric(nums[i % nums.size()])});
-    bs.push_back({Value::Numeric(nums[(i + i / 2) % nums.size()] - 1.5)});
-  }
-  std::vector<RowPairRequest> signed_batch;
-  int matches = 0;
-  for (size_t i = 0; i < as.size(); ++i) {
-    signed_batch.push_back({static_cast<int64_t>(i), static_cast<int64_t>(i),
-                            &as[i], &bs[i]});
-    matches += RecordsMatch(as[i], bs[i], signed_rule) ? 1 : 0;
-  }
-  ASSERT_GT(matches, 0);  // both outcomes occur
-  ASSERT_LT(matches, static_cast<int>(as.size()));
-
-  const Workload& w = SmallWorkload();
-  const std::vector<std::pair<const MatchRule*, std::vector<RowPairRequest>>>
-      cases = {{&w.rule, MakeBatch(w, 40)}, {&signed_rule, signed_batch}};
-  smc::SmcConfig cfg = TestSmcConfig();
-  cfg.reveal_distances = false;
-  for (const auto& [rule, batch] : cases) {
-    std::vector<uint8_t> oracle;
-    for (const RowPairRequest& p : batch) {
-      oracle.push_back(RecordsMatch(*p.a, *p.b, *rule) ? 1 : 0);
-    }
-    for (int threads : {1, 4}) {
-      smc::SmcMatchOracle engine(cfg, *rule, threads);
-      ASSERT_TRUE(engine.Init().ok());
-      auto labels = engine.CompareBatch(batch);
-      ASSERT_TRUE(labels.ok()) << labels.status().ToString();
-      EXPECT_EQ(*labels, oracle) << "threads=" << threads;
-    }
-  }
+  const Status st = narrow.Init();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("slot_bits 8"), std::string::npos)
+      << st.ToString();
 }
 
 // --------------------------------------------- one oracle contract
@@ -566,7 +477,7 @@ class OracleEntryPointTest : public ::testing::TestWithParam<uint64_t> {};
 
 // Compare, CompareRows and CompareBatch are one contract: on random worlds
 // each gives the plaintext rule's labels, on the plaintext oracle and on
-// the SMC oracle, scalar and packed, at 1 and 4 threads. Every entry point
+// the SMC oracle at two unit sizes, at 1 and 4 threads. Every entry point
 // counts one invocation per pair.
 TEST_P(OracleEntryPointTest, EveryEntryPointLabelsLikeThePlaintextRule) {
   const EntryWorld w = MakeEntryWorld(GetParam());
@@ -615,7 +526,7 @@ TEST(OfflineBudgetTest, PrewarmsWithoutAMaterialStore) {
   smc::SmcConfig cfg = PackedSmcConfig(4);
   cfg.offline_pairs = 100;
   ASSERT_TRUE(cfg.material_dir.empty());
-  const smc::RoleDraws draws = smc::RandomizerDraws(
+  const smc::RoleDraws draws = *smc::RandomizerDraws(
       cfg, smc::RuleOperands(w.rule, cfg.fp_scale), cfg.offline_pairs);
   ASSERT_GT(draws.total(), cfg.randomizer_pool_depth);
   smc::SmcMatchOracle oracle(cfg, w.rule, 2);
@@ -624,42 +535,33 @@ TEST(OfflineBudgetTest, PrewarmsWithoutAMaterialStore) {
   EXPECT_EQ(oracle.randomizer_pool()->hits(), 0);
 }
 
-// The three exchange modes' per-role counts, spelled out once by hand:
-// three compared attributes, four pairs per packed unit.
+// The per-role counts, spelled out once by hand: three compared
+// attributes, four pairs per unit; a plan error comes back instead.
 TEST(OfflineBudgetTest, PerRoleCountsFollowTheExchange) {
   const Workload& w = SmallWorkload();
   const smc::RuleOperands operands(w.rule, 1000);
   ASSERT_EQ(operands.size(), 3u);
   smc::SmcConfig packed = PackedSmcConfig(4);
-  ASSERT_EQ(smc::PackedGroupPairs(packed, operands), 4);
-  smc::SmcConfig scalar = TestSmcConfig();
-  smc::SmcConfig blinded = TestSmcConfig();
-  blinded.reveal_distances = false;
-  const smc::RoleDraws p = smc::RandomizerDraws(packed, operands, 7);
+  ASSERT_EQ(*smc::PackedGroupPairs(packed, operands), 4);
+  const smc::RoleDraws p = *smc::RandomizerDraws(packed, operands, 7);
   EXPECT_EQ(p.alice, 7 * 3 + 2);  // a cross term per slot + Σx² per unit
   EXPECT_EQ(p.bob, 2);            // Σy² per unit
-  const smc::RoleDraws s = smc::RandomizerDraws(scalar, operands, 7);
-  EXPECT_EQ(s.alice, 7 * 6);  // x² and -2x per attribute
-  EXPECT_EQ(s.bob, 7 * 3);    // y² per attribute
-  const smc::RoleDraws b = smc::RandomizerDraws(blinded, operands, 7);
-  EXPECT_EQ(b.alice, 7 * 6);
-  EXPECT_EQ(b.bob, 7 * 6);  // y² and the blinding ciphertext
+  packed.pack_pairs = 0;
+  EXPECT_EQ(smc::RandomizerDraws(packed, operands, 7).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 class ExactDrawsTest : public ::testing::TestWithParam<uint64_t> {};
 
 // Property: fault-free, a batch of any size draws exactly RandomizerDraws
-// from the pool in every exchange mode and at every thread count, so a pool
-// prewarmed with exactly that count never misses.
+// from the pool at every unit size and thread count, so a pool prewarmed
+// with exactly that count never misses.
 TEST_P(ExactDrawsTest, PoolDrawsEqualTheExactCount) {
   const Workload& w = SmallWorkload();
   Rng rng(GetParam());
-  smc::SmcConfig blinded = TestSmcConfig();
-  blinded.reveal_distances = false;
   const std::pair<const char*, smc::SmcConfig> modes[] = {
-      {"packed", PackedSmcConfig(4)},
-      {"scalar", TestSmcConfig()},
-      {"blinded", blinded}};
+      {"4 pairs at 512 bits", PackedSmcConfig(4)},
+      {"default units at 256 bits", TestSmcConfig()}};
   for (const auto& [mode, base] : modes) {
     const auto pairs = rng.NextInt(1, 300);
     const auto batch = MakeBatch(w, static_cast<size_t>(pairs));
@@ -669,7 +571,7 @@ TEST_P(ExactDrawsTest, PoolDrawsEqualTheExactCount) {
     const int64_t want =
         smc::RandomizerDraws(cfg, smc::RuleOperands(w.rule, cfg.fp_scale),
                              pairs)
-            .total();
+            ->total();
     for (int threads : {1, 4}) {
       SCOPED_TRACE(std::string(mode) + " pairs=" + std::to_string(pairs) +
                    " threads=" + std::to_string(threads));

@@ -78,26 +78,31 @@ TEST(SerializationTest, TruncationDetected) {
 
 // ---------------------------------------------------------------- protocol
 
+/// One categorical and one numeric attribute, both declaring the domains
+/// that size their packing slots: categories [0, 8) and values [0, 100).
 MatchRule MixedRule() {
   MatchRule rule;
   AttrRule cat;
   cat.attr_index = 0;
   cat.type = AttrType::kCategorical;
   cat.theta = 0.5;
+  cat.name = "cat";
+  cat.domain_hi = 8;
   AttrRule num;
   num.attr_index = 1;
   num.type = AttrType::kNumeric;
   num.theta = 0.1;
   num.norm = 100;  // |x-y| <= 10 matches
+  num.name = "num";
+  num.domain_hi = 100;
   rule.attrs = {cat, num};
   return rule;
 }
 
-SmcConfig FastConfig(bool reveal = true) {
+SmcConfig FastConfig() {
   SmcConfig cfg;
   cfg.key_bits = 256;  // small key: fast tests; 1024 covered separately
   cfg.test_seed = 4242;
-  cfg.reveal_distances = reveal;
   return cfg;
 }
 
@@ -105,11 +110,9 @@ Record Rec(int32_t cat, double num) {
   return {Value::Category(cat), Value::Numeric(num)};
 }
 
-class ProtocolTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(ProtocolTest, AgreesWithPlaintextRule) {
+TEST(ProtocolTest, AgreesWithPlaintextRule) {
   MatchRule rule = MixedRule();
-  SecureRecordComparator cmp(FastConfig(GetParam()), rule);
+  SecureRecordComparator cmp(FastConfig(), rule);
   ASSERT_TRUE(cmp.Init().ok());
 
   struct Case {
@@ -128,17 +131,9 @@ TEST_P(ProtocolTest, AgreesWithPlaintextRule) {
     ASSERT_TRUE(secure.ok()) << secure.status().ToString();
     EXPECT_EQ(*secure, RecordsMatch(c.a, c.b, rule))
         << c.a[0].category() << "," << c.a[1].num() << " vs "
-        << c.b[0].category() << "," << c.b[1].num()
-        << " reveal=" << GetParam();
+        << c.b[0].category() << "," << c.b[1].num();
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(RevealAndBlinded, ProtocolTest,
-                         ::testing::Values(true, false),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "RevealDistances"
-                                             : "BlindedComparison";
-                         });
 
 TEST(ProtocolCostTest, CountsOperationsAndBytes) {
   MatchRule rule = MixedRule();
@@ -146,21 +141,25 @@ TEST(ProtocolCostTest, CountsOperationsAndBytes) {
   ASSERT_TRUE(cmp.Init().ok());
   int64_t bytes_after_init = cmp.bus().total_bytes();
 
+  // A one-pair unit: alice encrypts the packed x² and one cross term per
+  // attribute, bob the packed y², and qp decrypts once.
   ASSERT_TRUE(cmp.Compare(Rec(1, 50), Rec(1, 55)).ok());
   const SmcCosts& costs = cmp.costs();
   EXPECT_EQ(costs.invocations, 1);
-  EXPECT_EQ(costs.attr_comparisons, 2);       // both attrs evaluated (match)
-  EXPECT_EQ(costs.encryptions, 2 * 3);        // 3 per attribute
-  EXPECT_EQ(costs.decryptions, 2);
+  EXPECT_EQ(costs.attr_comparisons, 2);  // both attrs evaluated (match)
+  EXPECT_EQ(costs.encryptions, 2 + 1 + 1);
+  EXPECT_EQ(costs.decryptions, 1);
+  EXPECT_EQ(costs.packed_exchanges, 1);
+  EXPECT_EQ(costs.packed_pairs, 1);
   EXPECT_GT(cmp.bus().total_bytes(), bytes_after_init);
 
   // No early exit: a categorical mismatch still evaluates every compared
-  // attribute, as the daemons and packed units always have.
+  // attribute.
   ASSERT_TRUE(cmp.Compare(Rec(1, 50), Rec(2, 50)).ok());
   EXPECT_EQ(cmp.costs().invocations, 2);
   EXPECT_EQ(cmp.costs().attr_comparisons, 4);
-  EXPECT_EQ(cmp.costs().encryptions, 4 * 3);
-  EXPECT_EQ(cmp.costs().decryptions, 4);
+  EXPECT_EQ(cmp.costs().encryptions, 2 * 4);
+  EXPECT_EQ(cmp.costs().decryptions, 2);
 }
 
 // Packability and each attribute's slot width are plan-time properties of
@@ -169,25 +168,74 @@ TEST(ProtocolTest, PackedGroupPairsComesFromDeclaredDomains) {
   SmcConfig cfg = FastConfig();
   cfg.pack_pairs = 8;
   MatchRule rule = MixedRule();
-  EXPECT_EQ(PackedGroupPairs(cfg, RuleOperands(rule, cfg.fp_scale)), 0)
-      << "a rule without declared domains never packs";
-  EXPECT_TRUE(RuleOperands(rule, cfg.fp_scale).slot_widths().empty());
   rule.attrs[0].domain_hi = 16;  // categories [0, 16): (2·16)² needs 11 bits
   rule.attrs[1].domain_lo = -50;  // [-50, 150): (2·150000)² needs 37 bits
   rule.attrs[1].domain_hi = 150;
   EXPECT_EQ(RuleOperands(rule, cfg.fp_scale).slot_widths(),
             (std::vector<int>{11, 37}));
   // 256-bit key: ⌊254 / 48⌋ pairs.
-  EXPECT_EQ(PackedGroupPairs(cfg, RuleOperands(rule, cfg.fp_scale)), 5);
+  EXPECT_EQ(*PackedGroupPairs(cfg, RuleOperands(rule, cfg.fp_scale)), 5);
   cfg.pack_pairs = 2;
-  EXPECT_EQ(PackedGroupPairs(cfg, RuleOperands(rule, cfg.fp_scale)), 2);
+  EXPECT_EQ(*PackedGroupPairs(cfg, RuleOperands(rule, cfg.fp_scale)), 2);
   cfg.pack_pairs = 8;
-  cfg.pack_slot_bits = 36;  // the numeric slot is wider than the cap
-  EXPECT_EQ(PackedGroupPairs(cfg, RuleOperands(rule, cfg.fp_scale)), 0);
-  cfg.pack_slot_bits = 37;
-  EXPECT_EQ(PackedGroupPairs(cfg, RuleOperands(rule, cfg.fp_scale)), 5);
-  cfg.reveal_distances = false;
-  EXPECT_EQ(PackedGroupPairs(cfg, RuleOperands(rule, cfg.fp_scale)), 0);
+  cfg.pack_slot_bits = 37;  // the numeric slot exactly at the cap
+  EXPECT_EQ(*PackedGroupPairs(cfg, RuleOperands(rule, cfg.fp_scale)), 5);
+}
+
+/// Status of planning `rule` under `cfg`: PackedGroupPairs', and what the
+/// comparator's and the oracle's Init report for it.
+Status PlanStatus(const SmcConfig& cfg, const MatchRule& rule) {
+  Status planned =
+      PackedGroupPairs(cfg, RuleOperands(rule, cfg.fp_scale)).status();
+  SecureRecordComparator cmp(cfg, rule);
+  EXPECT_EQ(cmp.Init().code(), planned.code()) << planned.ToString();
+  SmcMatchOracle oracle(cfg, rule);
+  EXPECT_EQ(oracle.Init().code(), planned.code()) << planned.ToString();
+  return planned;
+}
+
+// Every unit is packed, so what used to fall back to scalar units is
+// refused when the plan is made — by PackedGroupPairs, which the
+// comparator's and the oracle's Init both report before generating a key —
+// with a message naming the attribute and what to change.
+TEST(ProtocolTest, PlanRefusesRulesThatCannotFormAUnit) {
+  auto refused = [](const SmcConfig& cfg, const MatchRule& rule,
+                    const std::string& needle) {
+    Status st = PlanStatus(cfg, rule);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_NE(st.message().find(needle), std::string::npos) << st.ToString();
+  };
+  EXPECT_TRUE(PlanStatus(FastConfig(), MixedRule()).ok());
+
+  MatchRule no_domain = MixedRule();
+  no_domain.attrs[1].domain_hi = 0;
+  refused(FastConfig(), no_domain, "'num' declares no domain");
+
+  MatchRule text = MixedRule();
+  text.attrs[0].type = AttrType::kText;
+  text.attrs[0].theta = 1;
+  refused(FastConfig(), text, "text attribute 'cat'");
+
+  SmcConfig unpacked = FastConfig();
+  unpacked.pack_pairs = 0;
+  refused(unpacked, MixedRule(), "smc_pack 0");
+
+  SmcConfig narrow = FastConfig();
+  narrow.pack_slot_bits = 35;  // num's [0, 100) takes 36 bits
+  refused(narrow, MixedRule(), "raise slot_bits to at least 36");
+
+  MatchRule wide;  // seven 36-bit slots: 252 of 254 bits fit
+  wide.attrs.assign(7, MixedRule().attrs[1]);
+  EXPECT_EQ(*PackedGroupPairs(FastConfig(),
+                              RuleOperands(wide, FastConfig().fp_scale)),
+            1);
+  wide.attrs.push_back(MixedRule().attrs[0]);  // plus 9 bits: past the key
+  refused(FastConfig(), wide, "do not fit a 256-bit key");
+
+  MatchRule vacuous = MixedRule();
+  vacuous.attrs.resize(1);
+  vacuous.attrs[0].theta = 1.0;  // Hamming <= 1 always: nothing to compare
+  refused(FastConfig(), vacuous, "compares no attribute");
 }
 
 /// The paper's §VI rule shape: age on its VGH root range [16, 112) and four
@@ -221,23 +269,24 @@ Record SectionSixRec(double age, int32_t a, int32_t b, int32_t c, int32_t d) {
 
 // A §VI pair takes 36 + 11 + 10 + 8 + 8 = 73 bits: 14 fit a Paillier-1024
 // plaintext, so the default cap of 8 pairs binds, and 3 fit at 256 bits.
-// A slot cap below age's 36 bits runs scalar units.
+// A slot cap below age's 36 bits is refused.
 TEST(ProtocolTest, SectionSixRulePacksEightPairsAt1024BitsAndThreeAt256) {
   const MatchRule rule = SectionSixRule();
   SmcConfig cfg = FastConfig();
   cfg.pack_pairs = 8;
   const RuleOperands operands(rule, cfg.fp_scale);
   EXPECT_EQ(operands.slot_widths(), (std::vector<int>{36, 11, 10, 8, 8}));
-  EXPECT_EQ(PackedGroupPairs(cfg, operands), 3);
+  EXPECT_EQ(*PackedGroupPairs(cfg, operands), 3);
   cfg.key_bits = 1024;
-  EXPECT_EQ(PackedGroupPairs(cfg, operands), 8);
+  EXPECT_EQ(*PackedGroupPairs(cfg, operands), 8);
   cfg.pack_pairs = 64;
-  EXPECT_EQ(PackedGroupPairs(cfg, operands), 14);
+  EXPECT_EQ(*PackedGroupPairs(cfg, operands), 14);
   cfg.pack_pairs = 8;
   cfg.pack_slot_bits = 35;
-  EXPECT_EQ(PackedGroupPairs(cfg, operands), 0);
+  EXPECT_EQ(PackedGroupPairs(cfg, operands).status().code(),
+            StatusCode::kInvalidArgument);
   cfg.pack_slot_bits = 36;
-  EXPECT_EQ(PackedGroupPairs(cfg, operands), 8);
+  EXPECT_EQ(*PackedGroupPairs(cfg, operands), 8);
 
   // One 256-bit unit of three pairs at the domains' edges: ONE decryption,
   // and the plaintext rule's labels.
@@ -407,36 +456,9 @@ TEST(ProtocolTest, VacuousCategoricalThresholdSkipsCrypto) {
   EXPECT_EQ(cmp.costs().attr_comparisons, 1);  // only the numeric attribute
 }
 
-TEST(ProtocolTest, SecureSquaredDistanceIsExact) {
-  SecureRecordComparator cmp(FastConfig(), MixedRule());
-  ASSERT_TRUE(cmp.Init().ok());
-  auto d = cmp.SecureSquaredDistance(35.0, 36.5);
-  ASSERT_TRUE(d.ok());
-  EXPECT_NEAR(*d, 2.25, 1e-9);
-  auto zero = cmp.SecureSquaredDistance(12.5, 12.5);
-  ASSERT_TRUE(zero.ok());
-  EXPECT_DOUBLE_EQ(*zero, 0.0);
-}
-
 TEST(ProtocolTest, RequiresInit) {
   SecureRecordComparator cmp(FastConfig(), MixedRule());
   EXPECT_FALSE(cmp.Compare(Rec(1, 1), Rec(1, 1)).ok());
-}
-
-TEST(ProtocolTest, TextAttributesUnimplemented) {
-  MatchRule rule;
-  AttrRule t;
-  t.attr_index = 0;
-  t.type = AttrType::kText;
-  t.theta = 1;
-  rule.attrs = {t};
-  SecureRecordComparator cmp(FastConfig(), rule);
-  ASSERT_TRUE(cmp.Init().ok());
-  Record a = {Value::Text("x")};
-  Record b = {Value::Text("y")};
-  auto r = cmp.Compare(a, b);
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kUnimplemented);
 }
 
 TEST(SmcOracleTest, BehavesLikePlaintextOracleWithCosts) {
@@ -455,29 +477,28 @@ TEST(SmcOracleTest, BehavesLikePlaintextOracleWithCosts) {
 
 // ---------------------------------------------------------------- parties
 
+/// One 16-bit slot per pair in a 256-bit plaintext.
+crypto::PackingLayout SixteenBitSlots() {
+  return crypto::PackingLayout::Plan(256, {16}).value();
+}
+
 TEST(PartyTest, HolderRefusesToActWithoutKey) {
-  ProtocolParams params;
-  params.key_bits = 256;
-  DataHolder alice("alice", params, 5);
+  DataHolder alice("alice", 5);
   MessageBus bus;
   SmcCosts costs;
   crypto::BigIntArena arena(1152);
-  const UnitShape scalar;
+  const crypto::PackingLayout layout = SixteenBitSlots();
   EXPECT_EQ(
-      alice.SendUnit(&bus, "bob", {BigInt(7)}, scalar, &arena, &costs).code(),
+      alice.SendUnit(&bus, "bob", {BigInt(7)}, layout, &arena, &costs).code(),
       StatusCode::kFailedPrecondition);
-  EXPECT_EQ(alice.FoldUnit(&bus, {BigInt(7)}, {BigInt(0)}, scalar, &arena,
-                           &costs)
-                .code(),
+  EXPECT_EQ(alice.FoldUnit(&bus, {BigInt(7)}, layout, &arena, &costs).code(),
             StatusCode::kFailedPrecondition);
 }
 
-TEST(PartyTest, ThreePartyHandshakeAndOneScalarUnit) {
-  ProtocolParams params;
-  params.key_bits = 256;
-  QueryingParty qp(params, 41);
-  DataHolder alice("alice", params, 42);
-  DataHolder bob("bob", params, 43);
+TEST(PartyTest, ThreePartyHandshakeAndOneOnePairUnit) {
+  QueryingParty qp(256, 41);
+  DataHolder alice("alice", 42);
+  DataHolder bob("bob", 43);
   MessageBus bus;
   SmcCosts costs;
   ASSERT_TRUE(qp.PublishKey(&bus, &costs).ok());
@@ -485,17 +506,16 @@ TEST(PartyTest, ThreePartyHandshakeAndOneScalarUnit) {
   ASSERT_TRUE(bob.ReceiveKey(&bus).ok());
 
   // alice x = 10, bob y = 13: (x-y)^2 = 9 is within threshold 9 but
-  // outside threshold 8 (boundary semantics are <=). One scalar unit of
-  // one pair over one attribute per threshold.
+  // outside threshold 8 (boundary semantics are <=). One unit of one pair
+  // over one attribute per threshold.
   crypto::BigIntArena arena(1152);
-  const UnitShape scalar;
+  const crypto::PackingLayout layout = SixteenBitSlots();
   for (int64_t threshold : {9, 8}) {
     const std::vector<BigInt> t = {BigInt(threshold)};
     ASSERT_TRUE(
-        alice.SendUnit(&bus, "bob", {BigInt(10)}, scalar, &arena, &costs).ok());
-    ASSERT_TRUE(
-        bob.FoldUnit(&bus, {BigInt(13)}, t, scalar, &arena, &costs).ok());
-    auto labels = qp.DecideUnit(&bus, t, 1, scalar, &arena, &costs);
+        alice.SendUnit(&bus, "bob", {BigInt(10)}, layout, &arena, &costs).ok());
+    ASSERT_TRUE(bob.FoldUnit(&bus, {BigInt(13)}, layout, &arena, &costs).ok());
+    auto labels = qp.DecideUnit(&bus, t, 1, layout, &arena, &costs);
     ASSERT_TRUE(labels.ok()) << labels.status().ToString();
     const uint8_t want = threshold == 9 ? 1 : 0;
     EXPECT_EQ(*labels, std::vector<uint8_t>{want});
@@ -503,11 +523,9 @@ TEST(PartyTest, ThreePartyHandshakeAndOneScalarUnit) {
 }
 
 TEST(PartyTest, ResultAnnouncementRoundTrip) {
-  ProtocolParams params;
-  params.key_bits = 256;
-  QueryingParty qp(params, 44);
-  DataHolder alice("alice", params, 45);
-  DataHolder bob("bob", params, 46);
+  QueryingParty qp(256, 44);
+  DataHolder alice("alice", 45);
+  DataHolder bob("bob", 46);
   MessageBus bus;
   SmcCosts costs;
   ASSERT_TRUE(qp.PublishKey(&bus, &costs).ok());
