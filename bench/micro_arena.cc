@@ -51,12 +51,14 @@ void CountingFree(void* p, size_t n) { g_base_free(p, n); }
 namespace hprl::smc {
 namespace {
 
-// 7 two-attribute pairs per packed group. Each age attribute's declared
+// 6 two-attribute pairs per packed group. Each age attribute's declared
 // domain takes a 36-bit slot at fp_scale=1000, so a 1024-bit plaintext
-// would hold 14 pairs (PackingLayout::Plan reserves 2 sign-safety bits); the
-// cap holds the group at 7. The slot cap must admit 36 bits: under a
-// narrower one the plan refuses the rule.
-constexpr int kPairsPerGroup = 7;
+// would hold 14 pairs (PackingLayout::Plan reserves 2 sign-safety bits), and
+// 6 (432 bits) is the widest unit one CRT half decrypts; the cap holds the
+// group at 6. Every pair compares its own R row, so the unit carries a
+// column per slot: the most ciphertexts a 6-pair unit moves. The slot cap
+// must admit 36 bits: under a narrower one the plan refuses the rule.
+constexpr int kPairsPerGroup = 6;
 
 MatchRule TwoNumericRule() {
   MatchRule rule;
@@ -91,8 +93,8 @@ int64_t Measure(int groups) {
   // Offline-phase stand-in: prewarm enough r^n mod n² values for every
   // encryption of the run, and never Start() the background filler, so no
   // randomizer is generated (or raced over) inside the measured window.
-  // Per group: 1 packed alice ciphertext + 2*pairs per-slot ciphertexts +
-  // 1 packed bob ciphertext.
+  // Per group: bob's packed y² ciphertext and a column per slot, and
+  // alice's packed x² ciphertext.
   const int takes_per_group = 2 + 2 * kPairsPerGroup;
   crypto::RandomizerPool pool(cmp.public_key(), /*target_depth=*/8,
                               /*test_seed=*/99);

@@ -223,10 +223,11 @@ void BM_PaillierScalarMulNegative41FullWidth(benchmark::State& state) {
 BENCHMARK(BM_PaillierScalarMulNegative41FullWidth)
     ->Unit(benchmark::kMicrosecond);
 
-// Bob's fold of one §VI unit of range(0) pairs (8 in BENCH_hotpath.json)
-// at 1024 bits: 5 cross-term ciphertexts per pair raised to his operands —
-// age in [16000, 112000) (17 bits at fp_scale 1000) and categories below
-// 16, 14, 7 and 7 leaves — and added into the packed x² + y² ciphertext.
+// Alice's fold of one §VI unit of range(0) pairs (8 in BENCH_hotpath.json)
+// at 1024 bits whose pairs all compare different R rows: 5 column
+// ciphertexts per pair raised to her operands — age in [16000, 112000) (17
+// bits at fp_scale 1000) and categories below 16, 14, 7 and 7 leaves — and
+// added into the packed x² + y² ciphertext.
 // Product is the production fold, one simultaneous exponentiation;
 // Chained, the reference, is the per-slot ScalarMulInto + AddInto loop it
 // replaced.
@@ -234,6 +235,7 @@ struct FoldFixture {
   std::vector<BigInt> bases;
   std::vector<const BigInt*> base_ptrs;
   std::vector<BigInt> exponents;
+  std::vector<const BigInt*> exponent_ptrs;
   BigInt start;
 
   explicit FoldFixture(int64_t pairs) {
@@ -255,6 +257,7 @@ struct FoldFixture {
     start = bases.back();
     bases.pop_back();
     for (const BigInt& b : bases) base_ptrs.push_back(&b);
+    for (const BigInt& k : exponents) exponent_ptrs.push_back(&k);
   }
 };
 
@@ -286,7 +289,7 @@ void BM_PackedFoldProduct(benchmark::State& state) {
   for (auto _ : state) {
     arena.Reset();
     acc = fold.start;
-    pub.ProductOfPowersInto(fold.base_ptrs, fold.exponents, &arena, &acc);
+    pub.ProductOfPowersInto(fold.base_ptrs, fold.exponent_ptrs, &arena, &acc);
     benchmark::DoNotOptimize(acc);
   }
 }

@@ -90,17 +90,40 @@ int main(int argc, char** argv) {
   // timings: bench_smoke.sh gates them by equality, so a change in the work
   // itself shows even where a timed ratio's noise would hide it.
   using StageCounts = std::vector<std::pair<std::string, int64_t>>;
-  StageCounts serial_counts, fast_counts, packed_counts;
+  StageCounts serial_counts, fast_counts, packed_counts, warm_counts;
   {
+    // R-row-major, as a session drains its schedule: each R row meets
+    // kRowPairs S rows, so a unit's cross terms fold by R row.
+    constexpr int64_t kRowPairs = 4;
     std::vector<Record> recs_a, recs_s;
     for (int64_t i = 0; i < *smc_batch; ++i) {
-      recs_a.push_back({Value::Numeric(35.0 + static_cast<double>(i % 9))});
+      recs_a.push_back(
+          {Value::Numeric(35.0 + static_cast<double>(i / kRowPairs % 9))});
       recs_s.push_back({Value::Numeric(36.0 + static_cast<double>(i % 7))});
     }
     std::vector<RowPairRequest> batch;
     for (int64_t i = 0; i < *smc_batch; ++i) {
-      batch.push_back({i, i, &recs_a[i], &recs_s[i]});
+      batch.push_back(
+          {i / kRowPairs, i, &recs_a[i / kRowPairs], &recs_s[i]});
     }
+
+    // Crypto work an engine did since `before`, plus its pool's randomizer
+    // draws (hits + misses) since `draws_before` when it has a pool.
+    auto work_since = [](smc::SmcMatchOracle& engine,
+                         const smc::SmcCosts& before, int64_t draws_before) {
+      const smc::SmcCosts& after = engine.costs();
+      StageCounts counts = {
+          {"encryptions", after.encryptions - before.encryptions},
+          {"decryptions", after.decryptions - before.decryptions},
+          {"homomorphic_adds",
+           after.homomorphic_adds - before.homomorphic_adds},
+          {"scalar_muls", after.scalar_muls - before.scalar_muls}};
+      if (const crypto::RandomizerPool* pool = engine.randomizer_pool()) {
+        counts.push_back(
+            {"randomizer_draws", pool->hits() + pool->misses() - draws_before});
+      }
+      return counts;
+    };
 
     // Engine stages are timed best-of-3: at smoke sizes the fast and packed
     // stages run in single-digit milliseconds, where one scheduler hiccup
@@ -108,12 +131,12 @@ int main(int argc, char** argv) {
     auto time_stage = [&](smc::SmcMatchOracle& engine, int pool_depth,
                           double* best_seconds, StageCounts* counts) {
       const smc::SmcCosts before = engine.costs();
-      // Randomizer draws (pool hits + misses): exactly the stage's
-      // smc::RandomizerDraws, so a change in the offline sizing's arithmetic
-      // shows here too. Only the pooled stages draw.
+      // Randomizer draws (pool hits + misses): d·k + 2 per unit over d
+      // distinct R rows, so a change in the exchange's arithmetic shows here
+      // too. Only the pooled stages draw.
       const crypto::RandomizerPool* pool = engine.randomizer_pool();
-      auto draws = [pool] { return pool->hits() + pool->misses(); };
-      const int64_t draws_before = pool != nullptr ? draws() : 0;
+      const int64_t draws_before =
+          pool != nullptr ? pool->hits() + pool->misses() : 0;
       auto run_once = [&] {
         // The pool fill models idle-time precomputation: excluded from the
         // measured stage, like key generation.
@@ -128,15 +151,7 @@ int main(int argc, char** argv) {
         return std::move(labels).value();
       };
       auto labels = run_once();
-      const smc::SmcCosts& after = engine.costs();
-      *counts = {{"encryptions", after.encryptions - before.encryptions},
-                 {"decryptions", after.decryptions - before.decryptions},
-                 {"homomorphic_adds",
-                  after.homomorphic_adds - before.homomorphic_adds},
-                 {"scalar_muls", after.scalar_muls - before.scalar_muls}};
-      if (pool != nullptr) {
-        counts->push_back({"randomizer_draws", draws() - draws_before});
-      }
+      *counts = work_since(engine, before, draws_before);
       for (int rep = 1; rep < 5; ++rep) run_once();
       return labels;
     };
@@ -249,10 +264,12 @@ int main(int argc, char** argv) {
               "warm engine missed the material store (cold run saved "
               "nothing, or the store key mismatched)"));
         }
+        const smc::SmcCosts before = warm_engine.costs();
         WallTimer online;
         auto labels = warm_engine.CompareBatch(batch);
         if (!labels.ok()) bench::Die(labels.status());
         material_warm_online = online.ElapsedSeconds();
+        warm_counts = work_since(warm_engine, before, 0);
         if (*labels != ref_labels) {
           bench::Die(Status::Internal("warm material-run labels diverge"));
         }
@@ -350,7 +367,7 @@ int main(int argc, char** argv) {
       stage.smc_seconds = material_warm_offline;
       series.Add("material_warm_offline", stage);
       stage.smc_seconds = material_warm_online;
-      series.Add("material_warm_online", stage);
+      series.Add("material_warm_online", stage, warm_counts);
     }
   }
   series.WriteIfRequested(*common.metrics_out);

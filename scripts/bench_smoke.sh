@@ -4,19 +4,23 @@
 # BENCH_hotpath.json at the repo root:
 #   - Paillier decryption: CRT fast path vs reference lambda/mu path, plus
 #     the one-CRT-half time of a narrow (6-pair §VI) packed plaintext
-#   - packed fold: Bob's fold of one 8-pair §VI unit as one simultaneous
-#     exponentiation vs the per-slot ScalarMulInto + AddInto chain
+#   - packed fold: Alice's fold of one 8-pair §VI unit over 8 distinct R
+#     rows (40 columns) as one simultaneous exponentiation vs the per-base
+#     ScalarMulInto + AddInto chain
 #   - randomizer: fixed-base windowed table vs square-and-multiply PowMod
 #   - SMC stage: batched engine (threads + randomizer pool) vs the
 #     serial reference engine (1 worker, no pool), both on the same packed
-#     units of the timing-table workload, plus the exact crypto operation
-#     counts of one batch in the serial, fast and packed stages, and the
-#     pooled stages' exact randomizer draws (pool hits + misses)
+#     units of the timing-table workload (R-row-major, 4 S rows per R row,
+#     so each unit folds its cross terms by R row), plus the exact crypto
+#     operation counts of one batch in the serial, fast and packed stages,
+#     and the pooled stages' exact randomizer draws (pool hits + misses)
 #   (each timed speedup, these three and blocking, is the median of five
 #   runs' ratios; every stage time is the median of five)
 #   - packed SMC: the fast engine at 8 pairs per unit
-#   - offline/online: warm persisted-material online stage vs the cold
-#     end-to-end stage (keygen + prewarm + compare) on the same workload
+#   - offline/online: the warm persisted-material online stage (median of
+#     five) with its exact crypto operation and randomizer draw counts,
+#     next to the cold end-to-end stage (keygen + prewarm + compare) on the
+#     same workload
 #   - blocking: memoized SlackTable sweep vs the seed's direct sweep
 #   - tcp transport: wire bytes of a real three-daemon loopback run vs the
 #     bytes the in-process bus accounts for the same traffic
@@ -32,10 +36,10 @@
 #       committed BENCH_hotpath.json and fail if any recorded speedup drops
 #       below 80% of its committed value, if the async-datapath overhead
 #       ratio exceeds 2x, if a packed pair costs more than 9 GMP
-#       allocations, if the fast or packed SMC stage takes more than 10 ms,
-#       or if a pipelined-rpc count or an SMC stage's crypto operation or
-#       randomizer draw count differs from its committed value; the
-#       committed file is not rewritten
+#       allocations, if the fast, packed or warm-material SMC stage takes
+#       more than 10 ms, or if a pipelined-rpc count or an SMC stage's
+#       crypto operation or randomizer draw count differs from its committed
+#       value; the committed file is not rewritten
 #
 # Both modes fail when an rpc_batch 1 run's ctl round trips differ from its
 # SMC pair count, either rpc_batch run retried a pair, or the five
@@ -122,7 +126,7 @@ tmp = sys.argv[1]
 check = os.environ.get("CHECK") == "1"
 # The pooled SMC stages' 32-pair batch: about a millisecond on a 4-vCPU
 # host, several times that without a working pool or with a slot weight in
-# Bob's exponents.
+# Alice's exponents.
 SMC_STAGE_CEILING_SECONDS = 0.01
 
 def median(xs):
@@ -164,6 +168,7 @@ def stage_seconds(label):
 serial_reps = stage_seconds("smc_stage_serial_reference")
 fast_reps = stage_seconds("smc_stage_fast")
 packed_reps = stage_seconds("smc_stage_packed")
+warm_online_reps = stage_seconds("material_warm_online")
 # Crypto work of one CompareBatch per stage (encryptions, decryptions,
 # homomorphic adds, scalar muls, and for the pooled stages randomizer draws):
 # exact counts, identical in every run.
@@ -200,9 +205,10 @@ report = {
         # DecryptBelow, as the querying party decrypts a narrow unit.
         "narrow_ms": median(narrow_reps),
     },
-    # Bob's fold of one 8-pair §VI unit (40 slots): one simultaneous
-    # exponentiation (ProductOfPowersInto) vs the per-slot ScalarMulInto +
-    # AddInto chain. A fold back on per-slot exponentiations reads ~1.0.
+    # Alice's fold of one 8-pair §VI unit over 8 distinct R rows (40
+    # columns): one simultaneous exponentiation (ProductOfPowersInto) vs
+    # the per-base ScalarMulInto + AddInto chain. A fold back on per-base
+    # exponentiations reads ~1.0.
     "packed_fold_1024": {
         "chained_us": median(chained_reps),
         "product_us": median(product_reps),
@@ -230,10 +236,10 @@ report = {
         "fast_counts": stage_counts("smc_stage_fast"),
     },
     # The fast engine at 8 pairs per unit. Gated by its exact counts and a
-    # 10 ms ceiling on its time: Bob's fold exponentiates by the bare y_i
-    # (Alice pre-weights the cross terms into their slots), and a slot
-    # weight back in his exponent, or a pool that stopped serving
-    # randomizers, would cost several times that.
+    # 10 ms ceiling on its time: Alice's fold exponentiates by the bare x_i
+    # (Bob pre-weights his columns into their slots), and a slot weight back
+    # in her exponent, or a pool that stopped serving randomizers, would
+    # cost several times that.
     "packed_smc": {
         "packed_seconds": smc_packed,
         "pack_pairs": 8,
@@ -249,16 +255,18 @@ report = {
 }
 
 # Offline/online phase split: cold end-to-end SMC stage (keygen + material
-# prewarm + compare, empty store) vs the warm online stage alone (persisted
-# material adopted; the offline phase shrinks to a file load, reported next
-# to it). Same labels both ways, asserted inside timing_table. The warm
-# speedup is the acceptance criterion (>= 3x).
+# prewarm + compare, empty store) and the warm online stage alone
+# (persisted material adopted, which timing_table asserts; the offline
+# phase shrinks to a file load, reported next to it). Same labels both
+# ways, asserted inside timing_table. The warm online stage is gated by
+# the 10 ms ceiling below and by its exact crypto operation and randomizer
+# draw counts: a ratio to the cold stage, whose keygen time swings with
+# the key, could not see it slow down many-fold.
 report["offline_online"] = {
     "cold_total_seconds": timing["material_cold_total"]["smc_seconds"],
     "warm_offline_seconds": timing["material_warm_offline"]["smc_seconds"],
-    "warm_online_seconds": timing["material_warm_online"]["smc_seconds"],
-    "speedup": (timing["material_cold_total"]["smc_seconds"]
-                / timing["material_warm_online"]["smc_seconds"]),
+    "warm_online_seconds": median(warm_online_reps),
+    "warm_online_counts": stage_counts("material_warm_online"),
 }
 
 # Real three-daemon loopback run. The wire/accounted ratio is the acceptance
@@ -368,7 +376,8 @@ if check:
     # Absolute-threshold guards (not relative to the committed value):
     # the async datapath must stay within its 2x overhead budget, a packed
     # pair must cost at most 9 GMP allocations, and the pooled SMC stages
-    # must finish their 32-pair batch within 10 ms.
+    # (fast, packed and warm-material) must finish their 32-pair batch
+    # within 10 ms.
     ratio = report["async_datapath"]["raw_over_bus_ratio"]
     if ratio > 2.0:
         failures.append(
@@ -389,7 +398,8 @@ if check:
         else:
             print(f"check OK pipelined_rpc.{key}: {measured} (exact)")
     for block, key in (("smc_stage", "fast_seconds"),
-                       ("packed_smc", "packed_seconds")):
+                       ("packed_smc", "packed_seconds"),
+                       ("offline_online", "warm_online_seconds")):
         seconds = report[block][key]
         if seconds > SMC_STAGE_CEILING_SECONDS:
             failures.append(f"{block}.{key}: measured {seconds:.4f} s > "
@@ -397,13 +407,14 @@ if check:
         else:
             print(f"check OK {block}.{key}: {seconds:.4f} s "
                   f"(ceiling {SMC_STAGE_CEILING_SECONDS} s)")
-    # Exact crypto work per SMC stage batch, randomizer draws included (the
-    # offline phase's sizing, smc::RandomizerDraws, is this count). These
-    # counts see a change in the work itself, which a timing's run-to-run
-    # noise can hide.
+    # Exact crypto work per SMC stage batch, randomizer draws included
+    # (d·k + 2 per unit over d distinct R rows; smc::RandomizerDraws, the
+    # offline phase's sizing, bounds it). These counts see a change in the
+    # work itself, which a timing's run-to-run noise can hide.
     for block, key in (("smc_stage", "serial_counts"),
                        ("smc_stage", "fast_counts"),
-                       ("packed_smc", "packed_counts")):
+                       ("packed_smc", "packed_counts"),
+                       ("offline_online", "warm_online_counts")):
         measured = report[block][key]
         want = committed.get(block, {}).get(key)
         if measured != want:

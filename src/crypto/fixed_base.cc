@@ -1,13 +1,16 @@
 #include "crypto/fixed_base.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <thread>
 
 #include "common/durable_file.h"
 
 namespace hprl::crypto {
 
 FixedBaseTable::FixedBaseTable(const BigInt& base, const BigInt& modulus,
-                               int max_exp_bits, int window_bits)
+                               int max_exp_bits, int window_bits, int threads)
     : modulus_(modulus) {
   if (modulus.Sign() <= 0 || max_exp_bits <= 0 || window_bits <= 0 ||
       window_bits > 16) {
@@ -17,20 +20,30 @@ FixedBaseTable::FixedBaseTable(const BigInt& base, const BigInt& modulus,
   max_exp_bits_ = max_exp_bits;
   const int digits = 1 << window_bits;
   const int num_windows = (max_exp_bits + window_bits - 1) / window_bits;
-  windows_.reserve(num_windows);
-  // step = base^{2^{w·i}} for the current window; advance by w squarings.
+  // 1. Window i's step base^{2^{w·i}}, serially: w squarings apiece.
+  windows_.assign(static_cast<size_t>(num_windows), {});
   BigInt step = base % modulus_;
-  for (int i = 0; i < num_windows; ++i) {
-    std::vector<BigInt> row;
-    row.reserve(digits - 1);
-    BigInt acc = step;
-    for (int j = 1; j < digits; ++j) {
-      row.push_back(acc);
-      acc = (acc * step) % modulus_;
-    }
-    windows_.push_back(std::move(row));
-    step = std::move(acc);  // acc == step^{2^w} == base^{2^{w·(i+1)}}
+  for (auto& row : windows_) {
+    row.reserve(static_cast<size_t>(digits - 1));
+    row.push_back(step);
+    for (int b = 0; b < window_bits; ++b) step = (step * step) % modulus_;
   }
+  // 2. Each row's powers step^j, j in [2, 2^w), on the workers: rows are
+  //    independent, and each worker writes only the rows it claims.
+  std::atomic<size_t> cursor{0};
+  auto fill = [&] {
+    for (size_t i = cursor++; i < windows_.size(); i = cursor++) {
+      std::vector<BigInt>& row = windows_[i];
+      for (int j = 2; j < digits; ++j) {
+        row.push_back((row.back() * row.front()) % modulus_);
+      }
+    }
+  };
+  std::vector<std::jthread> spawned;  // joined as the scope exits
+  const int workers = std::clamp(threads, 1, num_windows);
+  spawned.reserve(static_cast<size_t>(workers - 1));
+  for (int w = 1; w < workers; ++w) spawned.emplace_back(fill);
+  fill();
 }
 
 size_t FixedBaseTable::table_entries() const {

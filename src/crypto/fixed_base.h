@@ -29,8 +29,12 @@ class FixedBaseTable {
   /// Precomputes the table for exponents of up to `max_exp_bits` bits.
   /// Construction costs ⌈max_exp_bits/w⌉ · (2^w - 1) modular multiplies
   /// (~5k at 512 exponent bits, w = 6) — amortized after a few dozen Pows.
+  /// Each window's step base^{2^{w·i}} is computed serially (w squarings
+  /// apiece), then the windows' rows fill on up to `threads` workers (the
+  /// calling thread is one); every entry is a canonical residue, so the
+  /// table and its serialized bytes do not depend on `threads`.
   FixedBaseTable(const BigInt& base, const BigInt& modulus, int max_exp_bits,
-                 int window_bits = 6);
+                 int window_bits = 6, int threads = 1);
 
   bool ready() const { return !windows_.empty(); }
   int max_exp_bits() const { return max_exp_bits_; }

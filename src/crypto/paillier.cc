@@ -136,7 +136,8 @@ void PaillierPublicKey::ScalarMulInto(const BigInt& c, const BigInt& k,
 }
 
 void PaillierPublicKey::ProductOfPowersInto(
-    std::span<const BigInt* const> bases, std::span<const BigInt> exponents,
+    std::span<const BigInt* const> bases,
+    std::span<const BigInt* const> exponents,
     BigIntArena* arena, BigInt* acc) const {
   HPRL_CHECK(bases.size() == exponents.size());
   if (bases.empty()) return;
@@ -162,7 +163,7 @@ void PaillierPublicKey::ProductOfPowersInto(
     size_t width = 0;
     for (size_t i = 0; i < run; ++i) {
       const BigInt& c = *bases[begin + i];
-      const BigInt& k = exponents[begin + i];
+      const BigInt& k = *exponents[begin + i];
       b[i] = c.raw();
       mpz_srcptr e = k.raw();  // |k|: mpz keeps sign and magnitude apart
       if (k.Sign() < 0 || k >= n_) {
@@ -365,8 +366,12 @@ Result<PaillierKeyPair> GeneratePaillierKeyPair(int modulus_bits,
   return Status::Internal("Paillier key generation failed repeatedly");
 }
 
+int NarrowPlaintextBits(int modulus_bits) {
+  return modulus_bits / 2 - 1 - static_cast<int>(kNarrowMarginBits);
+}
+
 RandomizerPool::RandomizerPool(const PaillierPublicKey& pub, int target_depth,
-                               uint64_t test_seed)
+                               uint64_t test_seed, int threads)
     : n_(pub.n()),
       n2_(pub.n_squared()),
       target_(std::max(1, target_depth)),
@@ -383,7 +388,8 @@ RandomizerPool::RandomizerPool(const PaillierPublicKey& pub, int target_depth,
   } while (h.IsZero() || BigInt::Gcd(h, n_) != BigInt(1));
   BigInt hn = BigInt::PowMod((h * h) % n_, n_, n2_);
   short_exp_bits_ = std::max(128, static_cast<int>(n_.BitLength()) / 2);
-  fixed_base_ = std::make_unique<FixedBaseTable>(hn, n2_, short_exp_bits_);
+  fixed_base_ = std::make_unique<FixedBaseTable>(
+      hn, n2_, short_exp_bits_, /*window_bits=*/6, threads);
 }
 
 RandomizerPool::~RandomizerPool() { Stop(); }

@@ -90,9 +90,9 @@ class PaillierPublicKey {
   /// or more, takes the exponent k mod n) and counts as one scalar mul and
   /// one add. Inverses, reduced exponents and the running product live in
   /// `arena` slots (at most one per base, plus two), so no GMP value is
-  /// allocated. The spans have equal lengths.
+  /// allocated. The spans have equal lengths; exponents are read in place.
   void ProductOfPowersInto(std::span<const BigInt* const> bases,
-                           std::span<const BigInt> exponents,
+                           std::span<const BigInt* const> exponents,
                            BigIntArena* arena, BigInt* acc) const;
 
   /// Fresh randomness on an existing ciphertext (same plaintext). Draws from
@@ -211,6 +211,13 @@ struct PaillierKeyPair {
 Result<PaillierKeyPair> GeneratePaillierKeyPair(int modulus_bits,
                                                 SecureRandom& rng);
 
+/// The widest plaintext, in bits, that PaillierPrivateKey::DecryptBelow
+/// decrypts with one CRT half under a key from
+/// GeneratePaillierKeyPair(modulus_bits), whose p has modulus_bits/2 bits:
+/// |p| - 1 - 64. A function of the key size alone, so a plan can size its
+/// units by it before any key exists (smc::PackedGroupPairs).
+int NarrowPlaintextBits(int modulus_bits);
+
 /// Pool of precomputed Paillier randomizers r^n mod n² — the expensive
 /// full-width exponentiation of every encryption. A background filler thread
 /// keeps the pool at its fill target so Encrypt / Rerandomize only pay a
@@ -237,9 +244,11 @@ class RandomizerPool {
  public:
   /// `pub` must be an initialized key; it is only read during construction
   /// (modulus copied out). `test_seed` != 0 makes the pool deterministic for
-  /// tests/benches.
+  /// tests/benches. The fixed-base table is built on up to `threads`
+  /// workers, as Prewarm's exponentiations run; the table does not depend
+  /// on `threads`.
   RandomizerPool(const PaillierPublicKey& pub, int target_depth,
-                 uint64_t test_seed = 0);
+                 uint64_t test_seed = 0, int threads = 1);
   ~RandomizerPool();
 
   RandomizerPool(const RandomizerPool&) = delete;

@@ -32,12 +32,12 @@ namespace hprl::net {
 /// in-process transport.
 
 inline constexpr uint32_t kWireMagic = 0x4850524C;  // "HPRL"
-/// Version 13: every unit is packed, so the "cfg" body drops the blinding
-/// width, the flags byte and the unread fixed-point scale, and always
-/// carries one slot width per compared attribute. Mixed-version meshes are
-/// rejected at the frame layer; docs/PROTOCOL.md ("Wire format") records
-/// what every earlier version changed.
-inline constexpr uint16_t kWireVersion = 13;
+/// Version 14: a unit's cross terms are factored by R row, so bob sends
+/// alice one "bob_pk" of Enc(Σy²W) plus a column per (R row, attribute),
+/// and alice folds it and sends qp the unit's one "alice_pk". Mixed-version
+/// meshes are rejected at the frame layer; docs/PROTOCOL.md ("Wire
+/// format") records what every earlier version changed.
+inline constexpr uint16_t kWireVersion = 14;
 
 /// Frames larger than this are rejected before any allocation — an oversized
 /// length prefix means a corrupted or hostile stream, not a big message

@@ -486,7 +486,8 @@ Status PartyService::HandleRecvKey() {
         opts_.role == opts_.endpoints.alice.name ? kAliceSalt : kBobSalt;
     pool_ = std::make_unique<crypto::RandomizerPool>(
         holder_->public_key(), static_cast<int>(pool_depth_),
-        Seed(test_seed_, salt ^ 0xF1100u));
+        Seed(test_seed_, salt ^ 0xF1100u),
+        static_cast<int>(std::thread::hardware_concurrency()));
     if (!material_dir_.empty()) {
       // Material must be adopted before the filler thread starts. A load
       // failure of any kind — absent, truncated, corrupted, wrong key —
@@ -540,7 +541,7 @@ void PartyService::PersistMaterial() {
 }
 
 Status PartyService::RunUnit(
-    size_t begin, size_t end,
+    size_t begin, size_t end, const std::vector<PairEntry>& pairs,
     const std::vector<const std::vector<BigInt>*>& rows,
     std::vector<PairSlot>* slots) {
   const size_t n = end - begin;
@@ -563,16 +564,19 @@ Status PartyService::RunUnit(
   }
   std::vector<BigInt> values;
   values.reserve(n * thresholds_.size());
+  std::vector<int64_t> a_ids;
+  a_ids.reserve(n);
   for (size_t i = begin; i < end; ++i) {
     values.insert(values.end(), rows[i]->begin(), rows[i]->end());
+    a_ids.push_back(pairs[i].a_id);
   }
   if (opts_.role == opts_.endpoints.alice.name) {
-    HPRL_RETURN_IF_ERROR(holder_->SendUnit(bus_.get(),
-                                           opts_.endpoints.bob.name, values,
-                                           layout_, arena_.get(), &costs_));
+    HPRL_RETURN_IF_ERROR(holder_->FoldColumns(bus_.get(), values, a_ids,
+                                              layout_, arena_.get(), &costs_));
   } else {
-    HPRL_RETURN_IF_ERROR(holder_->FoldUnit(bus_.get(), values, layout_,
-                                           arena_.get(), &costs_));
+    HPRL_RETURN_IF_ERROR(holder_->SendColumns(
+        bus_.get(), opts_.endpoints.alice.name, values, a_ids, layout_,
+        arena_.get(), &costs_));
   }
   return holder_->ReceiveResults(bus_.get(), n).status();
 }
@@ -637,7 +641,7 @@ Status PartyService::HandlePairBatch(const PairBatchBody& batch,
       fail(StatusCode::kIOError);  // injected unit fault (test hook)
       continue;
     }
-    Status st = RunUnit(begin, end, rows, slots);
+    Status st = RunUnit(begin, end, batch.pairs, rows, slots);
     if (st.code() == StatusCode::kUnavailable) return st;  // bus is gone
     if (!st.ok()) fail(st.code());
   }

@@ -26,7 +26,7 @@ namespace hprl::net {
 // heartbeat probes on "<role>:hb" (kept separate — and flush-exempt — so a
 // purge barrier can never swallow a membership probe). Each command is
 // acknowledged with a CtlResponse under the kCtlReply tag to "coord". The
-// protocol proper (pubkey / alice_pk / bob_pk / results) flows directly
+// protocol proper (pubkey / bob_pk / alice_pk / results) flows directly
 // between the party daemons, never through the coordinator.
 //
 // In a sharded deployment (docs/CLUSTER.md) every comparator shard is one
@@ -118,9 +118,10 @@ struct PartyServiceOptions {
 /// that its pairs name, and the daemon keeps none of them after the frame.
 /// Every daemon splits the frame's pairs into the same units and runs its
 /// role's unit step on each — the very step the in-process comparator
-/// runs — without waiting on the coordinator: alice sends each unit, bob
-/// folds it, qp decides it (one decryption per packed unit) and announces
-/// its labels. A transient fault anywhere
+/// runs — without waiting on the coordinator: bob sends each unit's
+/// columns, grouped by the pairs' R-row ids, alice folds them, qp decides
+/// the unit (one decryption per packed unit) and announces its labels. A
+/// transient fault anywhere
 /// surfaces as failed slots in the batch reply; the coordinator purges the
 /// mesh with a kPurge barrier and re-batches the failed pairs, mirroring
 /// the in-process RetryExchange.
@@ -172,11 +173,13 @@ class PartyService {
   /// qp, whose offline work is keygen itself.
   Status HandleWarmup(uint32_t randomizers, int64_t* generated);
   /// Runs this role's step (smc/parties.h) on the unit of pairs
-  /// [begin, end); fills the unit's labels on qp. A holder reads its side
-  /// of each pair from `rows` (the frame's own rows, one per pair, in pair
-  /// order; empty on qp). Only HandlePairBatch calls it, after the cfg
-  /// check.
+  /// [begin, end) of `pairs`; fills the unit's labels on qp. A holder reads
+  /// its side of each pair from `rows` (the frame's own rows, one per pair,
+  /// in pair order; empty on qp) and groups the unit's cross terms by the
+  /// pairs' a_ids (smc::UnitRows). Only HandlePairBatch calls it, after the
+  /// cfg check.
   Status RunUnit(size_t begin, size_t end,
+                 const std::vector<PairEntry>& pairs,
                  const std::vector<const std::vector<crypto::BigInt>*>& rows,
                  std::vector<PairSlot>* slots);
   /// Resolves a holder's side of every pair from the frame's own rows,

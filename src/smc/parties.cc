@@ -1,5 +1,7 @@
 #include "smc/parties.h"
 
+#include <algorithm>
+
 namespace hprl::smc {
 
 using crypto::BigInt;
@@ -23,7 +25,65 @@ Status ValidateReceived(const crypto::PaillierPublicKey& pub,
   return Status::IOError(std::string("received ") + what +
                          " failed validation: " + st.message());
 }
+
+/// Row groups of a unit whose `values` operands are pair-major, one pair
+/// per entry of `a_ids` (UnitRows); *groups gets their count and *attrs
+/// the operands per pair. Both holders' steps group through this one rule.
+Result<std::vector<uint32_t>> RowGroups(const std::vector<int64_t>& a_ids,
+                                        size_t values, size_t* groups,
+                                        size_t* attrs) {
+  if (a_ids.empty() || values == 0 || values % a_ids.size() != 0) {
+    return Status::InvalidArgument(
+        "a unit needs a row id per pair and the same operand count for "
+        "every pair");
+  }
+  std::vector<uint32_t> rows = UnitRows(a_ids);
+  *groups = 1 + *std::max_element(rows.begin(), rows.end());
+  *attrs = values / a_ids.size();
+  return rows;
+}
+
+/// A holder's Enc(Σ v²·W): every slot's square packed into one plaintext
+/// and encrypted into an arena slot, which it returns.
+Result<BigInt*> EncryptPackedSquares(const crypto::PaillierPublicKey& pub,
+                                     crypto::SecureRandom& rng,
+                                     const std::vector<BigInt>& values,
+                                     const crypto::PackingLayout& layout,
+                                     crypto::BigIntArena* arena,
+                                     SmcCosts* costs) {
+  std::vector<const BigInt*> squares;
+  squares.reserve(values.size());
+  for (const BigInt& v : values) {
+    BigInt& sq = arena->Next();
+    mpz_mul(sq.raw(), v.raw(), v.raw());
+    squares.push_back(&sq);
+  }
+  BigInt& scratch = arena->Next();
+  BigInt& packed = arena->Next();
+  HPRL_RETURN_IF_ERROR(
+      crypto::PackSlotsInto(squares, layout, &scratch, &packed));
+  BigInt& c = arena->Next();
+  HPRL_RETURN_IF_ERROR(pub.EncryptInto(packed, rng, &scratch, &c));
+  costs->encryptions += 1;
+  return &c;
+}
 }  // namespace
+
+std::vector<uint32_t> UnitRows(const std::vector<int64_t>& a_ids) {
+  std::vector<uint32_t> rows(a_ids.size());
+  uint32_t groups = 0;
+  for (size_t j = 0; j < a_ids.size(); ++j) {
+    rows[j] = groups;
+    for (size_t i = 0; a_ids[j] >= 0 && i < j; ++i) {
+      if (a_ids[i] == a_ids[j]) {
+        rows[j] = rows[i];
+        break;
+      }
+    }
+    if (rows[j] == groups) ++groups;
+  }
+  return rows;
+}
 
 QueryingParty::QueryingParty(int key_bits, uint64_t test_seed)
     : key_bits_(key_bits), rng_(MakeRng(test_seed)) {}
@@ -56,12 +116,12 @@ Result<std::vector<uint8_t>> QueryingParty::DecideUnit(
     SmcCosts* costs) {
   const size_t attrs = thresholds.size();
   const size_t slots = pairs * attrs;
-  auto msg = bus->Expect(kQp, "bob_pk");
+  auto msg = bus->Expect(kQp, "alice_pk");
   if (!msg.ok()) return msg.status();
   size_t off = 0;
   auto c = ConsumeBigInt(msg->payload, &off);
   if (!c.ok()) return c.status();
-  HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, *c, "bob_pk"));
+  HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, *c, "alice_pk"));
   // ONE decryption covers every slot. The packed plaintext is Σ d_i·W_i
   // with d_i = (x_i - y_i)² >= 0, so the unsigned decode is exact even
   // though the homomorphic fold passed through negative slot contributions
@@ -96,7 +156,7 @@ Result<std::vector<uint8_t>> QueryingParty::DecideUnit(
 }
 
 // Results travel on a dedicated ":res" sub-inbox so a pipelined next unit's
-// "alice_pk" (addressed to the main inbox) can never interleave with a
+// "bob_pk" (addressed to the main inbox) can never interleave with a
 // still-in-flight result announcement: the batched RPC path overlaps units,
 // so the split is load-bearing.
 Status QueryingParty::AnnounceResults(MessageBus* bus,
@@ -132,91 +192,97 @@ void DataHolder::AttachRandomizerPool(crypto::RandomizerPool* pool) {
   pub_.AttachRandomizerPool(pool);
 }
 
-Status DataHolder::SendUnit(MessageBus* bus, const std::string& peer,
-                            const std::vector<BigInt>& xs,
-                            const crypto::PackingLayout& layout,
-                            crypto::BigIntArena* arena, SmcCosts* costs) {
+Status DataHolder::SendColumns(MessageBus* bus, const std::string& peer,
+                               const std::vector<BigInt>& ys,
+                               const std::vector<int64_t>& a_ids,
+                               const crypto::PackingLayout& layout,
+                               crypto::BigIntArena* arena, SmcCosts* costs) {
   if (!have_key_) return Status::FailedPrecondition("no public key yet");
+  size_t groups = 0, attrs = 0;
+  HPRL_ASSIGN_OR_RETURN(const std::vector<uint32_t> rows,
+                        RowGroups(a_ids, ys.size(), &groups, &attrs));
   // Every BigInt below lives in preallocated arena storage.
-  std::vector<const BigInt*> x2;
-  x2.reserve(xs.size());
-  for (const BigInt& x : xs) {
-    BigInt& sq = arena->Next();
-    mpz_mul(sq.raw(), x.raw(), x.raw());
-    x2.push_back(&sq);
-  }
-  BigInt& scratch = arena->Next();
-  BigInt& packed = arena->Next();
-  HPRL_RETURN_IF_ERROR(
-      crypto::PackSlotsInto(x2, layout, &scratch, &packed));
-  BigInt& c_px2 = arena->Next();
-  HPRL_RETURN_IF_ERROR(pub_.EncryptInto(packed, *rng_, &scratch, &c_px2));
-  costs->encryptions += 1;
+  HPRL_ASSIGN_OR_RETURN(
+      const BigInt* c_py2,
+      EncryptPackedSquares(pub_, *rng_, ys, layout, arena, costs));
   std::vector<uint8_t> payload;
-  AppendBigInt(c_px2, &payload);
-  // Cross terms leave pre-weighted: Enc(-2·x_i·W_i), W_i = 2^offset(i), so
-  // Bob's fold exponentiates by the bare y_i (|y_i| bits) instead of y_i·W_i
-  // (offset(i) + |y_i| bits). Same plaintext mod n either way.
-  BigInt& m2xw = arena->Next();
+  AppendBigInt(*c_py2, &payload);
+  // Column (r, i) sums y·W over the slots of row group r's attribute i, so
+  // Alice's exponent is her bare x_{r,i} (|x| bits), shared by the group.
+  std::vector<BigInt*> columns(groups * attrs);
+  for (BigInt*& column : columns) {
+    column = &arena->Next();
+    mpz_set_ui(column->raw(), 0);
+  }
+  BigInt& weighted = arena->Next();
+  BigInt& scratch = arena->Next();
+  for (size_t s = 0; s < ys.size(); ++s) {
+    mpz_mul_2exp(weighted.raw(), ys[s].raw(), layout.SlotOffset(s));
+    BigInt* column = columns[rows[s / attrs] * attrs + s % attrs];
+    mpz_add(column->raw(), column->raw(), weighted.raw());
+  }
   BigInt& ct = arena->Next();
-  for (size_t i = 0; i < xs.size(); ++i) {
-    mpz_mul_si(m2xw.raw(), xs[i].raw(), -2);
-    mpz_mul_2exp(m2xw.raw(), m2xw.raw(), layout.SlotOffset(i));
-    HPRL_RETURN_IF_ERROR(pub_.EncryptSignedInto(m2xw, *rng_, &scratch, &ct));
+  for (BigInt* column : columns) {
+    mpz_mul_si(column->raw(), column->raw(), -2);
+    HPRL_RETURN_IF_ERROR(pub_.EncryptSignedInto(*column, *rng_, &scratch, &ct));
     costs->encryptions += 1;
     AppendBigInt(ct, &payload);
   }
-  bus->Send({name_, peer, "alice_pk", std::move(payload)});
+  bus->Send({name_, peer, "bob_pk", std::move(payload)});
   return Status::OK();
 }
 
-Status DataHolder::FoldUnit(MessageBus* bus, const std::vector<BigInt>& ys,
-                            const crypto::PackingLayout& layout,
-                            crypto::BigIntArena* arena, SmcCosts* costs) {
+Status DataHolder::FoldColumns(MessageBus* bus, const std::vector<BigInt>& xs,
+                               const std::vector<int64_t>& a_ids,
+                               const crypto::PackingLayout& layout,
+                               crypto::BigIntArena* arena, SmcCosts* costs) {
   if (!have_key_) return Status::FailedPrecondition("no public key yet");
-  auto msg = bus->Expect(name_, "alice_pk");
+  size_t groups = 0, attrs = 0;
+  HPRL_ASSIGN_OR_RETURN(const std::vector<uint32_t> rows,
+                        RowGroups(a_ids, xs.size(), &groups, &attrs));
+  // Her own packed x² needs nothing from Bob: encrypt it before waiting.
+  HPRL_ASSIGN_OR_RETURN(
+      const BigInt* c_px2,
+      EncryptPackedSquares(pub_, *rng_, xs, layout, arena, costs));
+  auto msg = bus->Expect(name_, "bob_pk");
   if (!msg.ok()) return msg.status();
+  // Column (r, i)'s exponent is row group r's operand i, which every pair
+  // of the group must carry. Checked once Bob's message is consumed, so a
+  // refused unit leaves nothing on the bus.
+  std::vector<const BigInt*> exponents(groups * attrs, nullptr);
+  for (size_t s = 0; s < xs.size(); ++s) {
+    const BigInt*& x = exponents[rows[s / attrs] * attrs + s % attrs];
+    if (x == nullptr) {
+      x = &xs[s];
+    } else if (mpz_cmp(x->raw(), xs[s].raw()) != 0) {
+      return Status::InvalidArgument(
+          "pairs of one R row carry different operands");
+    }
+  }
   // Ciphertexts deserialize straight into arena slots and the fold runs
   // through the in-place homomorphic ops.
   size_t off = 0;
-  BigInt& c_px2 = arena->Next();
-  HPRL_RETURN_IF_ERROR(ConsumeBigIntInto(msg->payload, &off, &c_px2));
-  HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, c_px2, "alice_pk[0]"));
-  std::vector<const BigInt*> c_m2xw;
-  c_m2xw.reserve(ys.size());
-  for (size_t i = 0; i < ys.size(); ++i) {
+  BigInt& acc = arena->Next();
+  HPRL_RETURN_IF_ERROR(ConsumeBigIntInto(msg->payload, &off, &acc));
+  HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, acc, "bob_pk[0]"));
+  std::vector<const BigInt*> columns;
+  columns.reserve(exponents.size());
+  for (size_t i = 0; i < exponents.size(); ++i) {
     BigInt& c = arena->Next();
     HPRL_RETURN_IF_ERROR(ConsumeBigIntInto(msg->payload, &off, &c));
-    HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, c, "alice_pk[i]"));
-    c_m2xw.push_back(&c);
+    HPRL_RETURN_IF_ERROR(ValidateReceived(pub_, c, "bob_pk[i]"));
+    columns.push_back(&c);
   }
-  std::vector<const BigInt*> y2;
-  y2.reserve(ys.size());
-  for (const BigInt& y : ys) {
-    BigInt& sq = arena->Next();
-    mpz_mul(sq.raw(), y.raw(), y.raw());
-    y2.push_back(&sq);
-  }
-  BigInt& scratch = arena->Next();
-  BigInt& packed_y2 = arena->Next();
-  HPRL_RETURN_IF_ERROR(
-      crypto::PackSlotsInto(y2, layout, &scratch, &packed_y2));
-  BigInt& c_py2 = arena->Next();
-  HPRL_RETURN_IF_ERROR(pub_.EncryptInto(packed_y2, *rng_, &scratch, &c_py2));
-  costs->encryptions += 1;
-  // Σ_i Enc(d_i · W_i): the x² terms arrive pre-packed and the cross terms
-  // pre-weighted, so Enc(-2x_i·W_i) ×h y_i lands in slot i. Every cross
-  // term joins in one simultaneous exponentiation, whose squarings all
-  // slots share.
-  BigInt& acc = arena->Next();
-  mpz_set(acc.raw(), c_px2.raw());
-  pub_.AddInto(&acc, c_py2);
-  pub_.ProductOfPowersInto(c_m2xw, ys, arena, &acc);
-  costs->homomorphic_adds += 1 + static_cast<int64_t>(ys.size());
-  costs->scalar_muls += static_cast<int64_t>(ys.size());
+  // Every column joins in one simultaneous exponentiation, whose squarings
+  // all columns share.
+  pub_.AddInto(&acc, *c_px2);
+  pub_.ProductOfPowersInto(columns, exponents, arena, &acc);
+  const auto bases = static_cast<int64_t>(columns.size());
+  costs->homomorphic_adds += 1 + bases;
+  costs->scalar_muls += bases;
   std::vector<uint8_t> payload;
   AppendBigInt(acc, &payload);
-  bus->Send({name_, kQp, "bob_pk", std::move(payload)});
+  bus->Send({name_, kQp, "alice_pk", std::move(payload)});
   return Status::OK();
 }
 

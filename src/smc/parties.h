@@ -17,14 +17,25 @@ namespace hprl::smc {
 
 /// One unit of the §V-A exchange is a packed group of pairs whose distances
 /// share one plaintext, laid out by a crypto::PackingLayout. Each role runs
-/// its side of a unit through one step — DataHolder::SendUnit (alice),
-/// DataHolder::FoldUnit (bob), QueryingParty::DecideUnit then
+/// its side of a unit through one step — DataHolder::SendColumns (bob),
+/// DataHolder::FoldColumns (alice), QueryingParty::DecideUnit then
 /// AnnounceResults (qp), DataHolder::ReceiveResults (both holders) — over
 /// whatever bus carries it: the in-process channel or a daemon's SocketBus.
 /// Operand and threshold vectors are pair-major, attribute-minor.
+///
+/// The holders' steps factor the cross terms by R row. Pairs of one unit
+/// that compare the same R row share Alice's operands, so their cross terms
+/// sum to one term per attribute: Σ_j 2·x_i·y_{j,i}·W_{j,i} = 2·x_i·Y_{r,i}
+/// with Y_{r,i} = Σ_j y_{j,i}·W_{j,i} over the row's pairs j. Both holders
+/// group a unit's pairs by their public a_ids (UnitRows).
+
+/// Row groups of a unit's pairs, from their R-row ids in pair order:
+/// element j is pair j's group, numbered 0, 1, ... by first appearance. A
+/// pair without a row id (a_id < 0) forms a group of its own.
+std::vector<uint32_t> UnitRows(const std::vector<int64_t>& a_ids);
 
 /// The querying party of §V-A: the only holder of the Paillier private key.
-/// It publishes the public key, and per unit receives Bob's ciphertext and
+/// It publishes the public key, and per unit receives Alice's ciphertext and
 /// decides whether each distance is within its threshold.
 class QueryingParty {
  public:
@@ -44,7 +55,7 @@ class QueryingParty {
   /// qp's step of one unit of `pairs` pairs: decides every compared
   /// attribute of every pair against `thresholds` (one per attribute, the
   /// scaled integer bound on (x-y)²) and returns each pair's conjunction,
-  /// 1 = match. The unit is one "bob_pk" ciphertext carrying every slot
+  /// 1 = match. The unit is one "alice_pk" ciphertext carrying every slot
   /// distance: ONE decryption (one CRT half when the unit's plaintext is
   /// narrow enough, PaillierPrivateKey::DecryptBelow), then an exact unpack
   /// (a nonzero residue past the last slot is reported as an IOError, so
@@ -87,28 +98,34 @@ class DataHolder {
   /// Consumes the published public key from the bus.
   Status ReceiveKey(MessageBus* bus);
 
-  /// Alice's step of one unit: ships her operands `xs` (pair-major) to
-  /// `peer` as one "alice_pk" message carrying Enc(Σ x_i²·W_i) — every
-  /// slot's x² packed into ONE plaintext — plus per-slot cross terms
-  /// Enc(-2·x_i·W_i), already weighted into slot i (W_i = 2^offset(i),
-  /// PackingLayout::SlotOffset): k + 1 encryptions for k slots. The plan
-  /// already checked carry safety: every squared distance an attribute's
-  /// declared domain allows fits its slot (smc::PackedGroupPairs).
-  Status SendUnit(MessageBus* bus, const std::string& peer,
-                  const std::vector<crypto::BigInt>& xs,
-                  const crypto::PackingLayout& layout,
-                  crypto::BigIntArena* arena, SmcCosts* costs);
+  /// Bob's step of one unit: ships his operands `ys` (pair-major) folded by
+  /// R row to `peer` as one "bob_pk" message carrying Enc(Σ y_i²·W_i) —
+  /// every slot's y² packed into ONE plaintext — plus, per row group r of
+  /// the pairs' R-row ids `a_ids` (UnitRows) and attribute i, the column
+  /// Enc(-2·Y_{r,i}),
+  /// Y_{r,i} = Σ y_{j,i}·W_{j,i} over the group's pairs j, already weighted
+  /// into their slots (W = 2^offset, PackingLayout::SlotOffset): d·k + 1
+  /// encryptions for d groups of k attributes. The plan already checked
+  /// carry safety: every squared distance an attribute's declared domain
+  /// allows fits its slot (smc::PackedGroupPairs).
+  Status SendColumns(MessageBus* bus, const std::string& peer,
+                     const std::vector<crypto::BigInt>& ys,
+                     const std::vector<int64_t>& a_ids,
+                     const crypto::PackingLayout& layout,
+                     crypto::BigIntArena* arena, SmcCosts* costs);
 
-  /// Bob's step of one unit: folds his operands `ys` (pair-major) into
-  /// Alice's ciphertexts, d_i = (x_i - y_i)²,
-  ///   Enc(Σ d_i·W_i) = Enc(Σx_i²W_i) +h Σ_i (Enc(-2x_i·W_i) ×h y_i)
-  ///                    +h Enc(Σ y_i²W_i)
-  /// and forwards it to the querying party as ONE "bob_pk" ciphertext. The
-  /// exponent is the bare y_i, |y_i| bits wide (not offset(i) + |y_i|). Bob
-  /// sees only ciphertexts.
-  Status FoldUnit(MessageBus* bus, const std::vector<crypto::BigInt>& ys,
-                  const crypto::PackingLayout& layout,
-                  crypto::BigIntArena* arena, SmcCosts* costs);
+  /// Alice's step of one unit: folds her operands `xs` (pair-major) into
+  /// Bob's columns, grouped by the same `a_ids`, d_{j,i} = (x_{j,i} - y_{j,i})²,
+  ///   Enc(Σ d·W) = Enc(Σy²W) +h Enc(Σx²W) +h Σ_{r,i} (Enc(-2·Y_{r,i}) ×h x_{r,i})
+  /// and forwards it to the querying party as ONE "alice_pk" ciphertext.
+  /// Her fresh Enc(Σx²W) re-randomizes the product. The exponents are her
+  /// bare x_{r,i}, one per row group and attribute, read in place from
+  /// `xs`. InvalidArgument when two pairs of one row group carry different
+  /// operands. Alice sees only ciphertexts.
+  Status FoldColumns(MessageBus* bus, const std::vector<crypto::BigInt>& xs,
+                     const std::vector<int64_t>& a_ids,
+                     const crypto::PackingLayout& layout,
+                     crypto::BigIntArena* arena, SmcCosts* costs);
 
   /// Consumes the announcement of a unit's `count` labels.
   Result<std::vector<uint8_t>> ReceiveResults(MessageBus* bus, size_t count);

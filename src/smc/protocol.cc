@@ -1,6 +1,7 @@
 #include "smc/protocol.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/string_util.h"
 #include "common/timer.h"
@@ -68,7 +69,15 @@ Result<int> PackedGroupPairs(const SmcConfig& config,
                   "keybits",
                   config.key_bits, layout.status().message().c_str()));
   }
-  return std::min(config.pack_pairs, layout->groups());
+  // A unit whose plaintext fits one CRT half decrypts at about half the
+  // cost (PaillierPrivateKey::DecryptBelow), so the widest such unit wins
+  // when it keeps more than half the widest unit's pairs.
+  const int widest = std::min(config.pack_pairs, layout->groups());
+  const std::vector<int>& widths = operands.slot_widths();
+  const int pair_bits = std::accumulate(widths.begin(), widths.end(), 0);
+  const int narrow = std::min(
+      widest, crypto::NarrowPlaintextBits(config.key_bits) / pair_bits);
+  return 2 * narrow > widest ? narrow : widest;
 }
 
 Result<RoleDraws> RandomizerDraws(const SmcConfig& config,
@@ -78,7 +87,7 @@ Result<RoleDraws> RandomizerDraws(const SmcConfig& config,
                         PackedGroupPairs(config, operands));
   const auto k = static_cast<int64_t>(operands.size());
   const int64_t units = (pairs + group - 1) / group;
-  return RoleDraws{pairs * k + units, units};
+  return RoleDraws{units, pairs * k + units};
 }
 
 SecureRecordComparator::SecureRecordComparator(SmcConfig config,
@@ -181,11 +190,15 @@ Result<std::vector<bool>> SecureRecordComparator::CompareUnit(
   if (pairs.empty()) return std::vector<bool>{};
   WallTimer compare_timer;
   // Each holder encodes its own side, pair-major and attribute-minor: the
-  // order the querying party unpacks.
+  // order the querying party unpacks. The pairs' R-row ids group the cross
+  // terms.
   std::vector<BigInt> xs, ys;
   xs.reserve(pairs.size() * operands_.size());
   ys.reserve(pairs.size() * operands_.size());
+  std::vector<int64_t> a_ids;
+  a_ids.reserve(pairs.size());
   for (const RowPairRequest& pair : pairs) {
+    a_ids.push_back(pair.a_id);
     for (size_t i = 0; i < operands_.size(); ++i) {
       auto x = operands_.Encode(i, *pair.a);
       if (!x.ok()) return x.status();
@@ -205,10 +218,11 @@ Result<std::vector<bool>> SecureRecordComparator::CompareUnit(
         // Rewind the scratch arena per attempt: nothing allocated during a
         // previous (possibly faulted) attempt outlives the exchange.
         arena_.Reset();
-        HPRL_RETURN_IF_ERROR(alice_.SendUnit(bus_.get(), bob_.name(), xs,
-                                             layout_, &arena_, &costs_));
-        HPRL_RETURN_IF_ERROR(
-            bob_.FoldUnit(bus_.get(), ys, layout_, &arena_, &costs_));
+        HPRL_RETURN_IF_ERROR(bob_.SendColumns(bus_.get(), alice_.name(), ys,
+                                              a_ids, layout_, &arena_,
+                                              &costs_));
+        HPRL_RETURN_IF_ERROR(alice_.FoldColumns(bus_.get(), xs, a_ids,
+                                                layout_, &arena_, &costs_));
         return qp_.DecideUnit(bus_.get(), operands_.thresholds(),
                               pairs.size(), layout_, &arena_, &costs_);
       });

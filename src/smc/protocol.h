@@ -84,8 +84,13 @@ struct SmcConfig {
 };
 
 /// Pairs one unit of the exchange carries under `config` and the rule
-/// behind `operands`: min(pack_pairs, ⌊(key_bits − 2) / Σw_i⌋), w_i
-/// attribute i's slot width (RuleOperands::slot_widths). The one plan-time
+/// behind `operands`. The widest unit is G = min(pack_pairs,
+/// ⌊(key_bits − 2) / Σw_i⌋), w_i attribute i's slot width
+/// (RuleOperands::slot_widths). The widest unit whose plaintext the
+/// querying party decrypts with one CRT half, N = min(G,
+/// ⌊crypto::NarrowPlaintextBits(key_bits) / Σw_i⌋), is taken instead when
+/// 2·N > G: it costs about half a full decryption. At Paillier-1024 a §VI
+/// pair takes 73 bits, so smc_pack 8 gives 6-pair units. The one plan-time
 /// check of a run's SMC step: InvalidArgument, with what to change, when
 /// pack_pairs < 1, the rule compares no attribute, a compared attribute is
 /// text or declares no domain, a slot is wider than pack_slot_bits, or one
@@ -103,12 +108,14 @@ struct RoleDraws {
   int64_t total() const { return alice + bob; }
 };
 
-/// The exact draws of `pairs` record pairs cut into whole units under
+/// The most draws `pairs` record pairs cut into whole units take under
 /// `config` and the rule behind `operands`. With g = PackedGroupPairs and k
-/// = operands.size(): alice pairs·k + ⌈pairs/g⌉ (one cross term per slot
-/// plus Enc(Σx²W) per unit), bob ⌈pairs/g⌉ (Enc(Σy²W) per unit). A batch
-/// of n pairs is ⌈n/g⌉ units, so this is exact per batch; the offline phase
-/// prewarms it for SmcConfig::offline_pairs. Fails as PackedGroupPairs.
+/// = operands.size(): alice ⌈pairs/g⌉ (Enc(Σx²W) per unit), bob pairs·k +
+/// ⌈pairs/g⌉ (a column per R row and attribute, plus Enc(Σy²W) per unit).
+/// A unit of pairs over d distinct R rows draws d·k + 2, so this is exact
+/// when no unit repeats an R row and an upper bound otherwise; the offline
+/// phase prewarms it for SmcConfig::offline_pairs. Fails as
+/// PackedGroupPairs.
 Result<RoleDraws> RandomizerDraws(const SmcConfig& config,
                                   const RuleOperands& operands, int64_t pairs);
 
@@ -118,8 +125,8 @@ Result<RoleDraws> RandomizerDraws(const SmcConfig& config,
 /// scheduler; the secrets live in the parties.
 ///
 /// Per attribute i the protocol computes d = (x - y)^2 homomorphically:
-///   alice -> bob : Enc(x^2), Enc(-2x)
-///   bob   -> qp  : Enc(x^2) +h (Enc(-2x) ×h y) +h Enc(y^2)   [= Enc(d)]
+///   bob   -> alice : Enc(y^2), Enc(-2y)
+///   alice -> qp    : Enc(y^2) +h Enc(x^2) +h (Enc(-2y) ×h x)   [= Enc(d)]
 /// and the querying party decrypts d and compares it with the scaled
 /// threshold. A pair matches when every attribute is within its threshold.
 /// The comparator runs the exchange one packed unit at a time
@@ -161,10 +168,13 @@ class SecureRecordComparator {
 
   /// Runs one unit of the §V-A exchange on up to unit_pairs() pairs: each
   /// role's step (smc/parties.h) in turn over this comparator's bus — one
-  /// "alice_pk" message (packed Enc(Σx²·W) plus per-slot Enc(-2x_i·W_i),
-  /// pre-weighted into slot i), one "bob_pk" ciphertext folded with the
-  /// bare y_i as exponents and ONE decryption — then one result
-  /// announcement. Returns per-pair match flags in input order. The first
+  /// "bob_pk" message (packed Enc(Σy²·W) plus one column Enc(-2·Y_{r,i})
+  /// per R row r of the pairs' a_ids and attribute i, pre-weighted into
+  /// the row's slots), one "alice_pk" ciphertext folded with the bare x_i
+  /// as exponents and ONE decryption — then one result announcement.
+  /// Pairs that name one R row must carry the same record for it
+  /// (InvalidArgument otherwise). Returns per-pair match flags in input
+  /// order. The first
   /// pair's row ids seed the fault schedule (FaultPlan), and transient
   /// transport faults heal by replaying the exchange or the announcement.
   Result<std::vector<bool>> CompareUnit(

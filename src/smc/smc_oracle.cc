@@ -41,7 +41,7 @@ Status SmcMatchOracle::Init() {
   if (config_.randomizer_pool_depth > 0) {
     pool_ = std::make_unique<crypto::RandomizerPool>(
         keypair_.pub, config_.randomizer_pool_depth,
-        WorkerSeed(config_.test_seed, 0xF11));
+        WorkerSeed(config_.test_seed, 0xF11), threads_);
     // Offline phase, before Start so the background filler never races it
     // and before any worker exists so no online op can interleave: adopt
     // persisted material when the store holds a verified file for this

@@ -685,8 +685,9 @@ TEST_F(PaillierTest, PackedFoldMatchesScalarSquaredDistances) {
   }
 }
 
-// Alice pre-weights each cross term into its slot, Enc(-2x_i·W_i) with W_i =
-// 2^offset(i), so Bob folds with the bare y_i as exponent. The packed
+// The holder that encrypts a cross term pre-weights it into its slot,
+// Enc(-2x_i·W_i) with W_i = 2^offset(i), so the folding holder exponentiates
+// by its bare operand y_i. The packed
 // plaintext must equal both Σ(x_i - y_i)²·W_i and the slot-weighted-exponent
 // form Enc(-2x_i) ×h (y_i·W_i), kept here as the reference — over the §VI
 // per-attribute widths filled to the key's capacity, for random signed
@@ -763,7 +764,7 @@ TEST_P(PreWeightedFoldTest, MatchesSlotWeightedExponentAndSquaredDistances) {
 INSTANTIATE_TEST_SUITE_P(KeyBits, PreWeightedFoldTest,
                          ::testing::Values(512, 1024));
 
-// ProductOfPowersInto is Bob's whole packed fold in one simultaneous
+// ProductOfPowersInto is Alice's whole packed fold in one simultaneous
 // exponentiation. Property: it leaves exactly the integer the chain
 // `ScalarMulInto; AddInto` leaves, for random unit bases and for exponents
 // 0, ±1, the §VI operand widths (17/5/4/3/3 bits), negatives, values wider
@@ -818,7 +819,7 @@ TEST_P(ProductOfPowersTest, EqualsTheChainedFoldBitForBit) {
     every.exponents.push_back(k);
   }
   cases.push_back(every);
-  Case section_six;  // one 8-pair §VI unit of Bob's operands
+  Case section_six;  // one 8-pair §VI unit of one holder's operands
   for (int pair = 0; pair < 8; ++pair) {
     for (int64_t domain : {96000, 16, 14, 7, 7}) {
       section_six.bases.push_back(unit());
@@ -851,13 +852,14 @@ TEST_P(ProductOfPowersTest, EqualsTheChainedFoldBitForBit) {
       pub.ScalarMulInto(fold.bases[i], fold.exponents[i], &scratch, &term);
       pub.AddInto(&chained, term);
     }
-    std::vector<const BigInt*> bases;
+    std::vector<const BigInt*> bases, exponents;
     for (const BigInt& b : fold.bases) bases.push_back(&b);
+    for (const BigInt& k : fold.exponents) exponents.push_back(&k);
     const int64_t muls_before = muls->value();
     const int64_t adds_before = adds->value();
     arena.Reset();
     BigInt product = start;
-    pub.ProductOfPowersInto(bases, fold.exponents, &arena, &product);
+    pub.ProductOfPowersInto(bases, exponents, &arena, &product);
     EXPECT_EQ(product, chained) << "case " << c;
     const auto count = static_cast<int64_t>(fold.bases.size());
     EXPECT_EQ(muls->value() - muls_before, count) << "case " << c;

@@ -17,6 +17,7 @@
 
 #include "common/hash.h"
 #include "core/experiment.h"
+#include "crypto/fixed_base.h"
 #include "crypto/material.h"
 #include "crypto/paillier.h"
 #include "crypto/secure_random.h"
@@ -307,6 +308,38 @@ TEST(MaterialEngineTest, WarmAndRepairedRunsMatchColdBitForBit) {
   smc::SmcMatchOracle healed(MaterialSmcConfig(dir), w.rule, 2);
   ASSERT_TRUE(healed.Init().ok());
   EXPECT_TRUE(healed.material_warm());
+}
+
+// The fixed-base table's window steps are computed serially and its rows
+// filled on worker threads: the table serializes to the same bytes at any
+// thread count, at the §VI key size, and raises the base like PowMod.
+TEST(FixedBaseTableTest, ThreadedBuildSerializesIdentically) {
+  SecureRandom rng(1066);
+  auto kp = GeneratePaillierKeyPair(1024, rng);
+  ASSERT_TRUE(kp.ok()) << kp.status().ToString();
+  const BigInt& n2 = kp->pub.n_squared();
+  const BigInt base = rng.NextBelow(n2);
+  const FixedBaseTable serial(base, n2, 512, 6, 1);
+  ASSERT_TRUE(serial.ready());
+  EXPECT_EQ(serial.table_entries(), 86u * 63u);
+  const std::vector<uint8_t> bytes = serial.Serialize();
+  for (int threads : {2, 4}) {
+    const FixedBaseTable threaded(base, n2, 512, 6, threads);
+    EXPECT_EQ(threaded.Serialize(), bytes) << threads << " threads";
+  }
+  // More threads than windows: the extra workers are never started.
+  EXPECT_EQ(FixedBaseTable(base, n2, 24, 6, 8).Serialize(),
+            FixedBaseTable(base, n2, 24, 6, 1).Serialize());
+  for (int i = 0; i < 4; ++i) {
+    const BigInt e = rng.NextBits(512);
+    auto got = serial.Pow(e);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, BigInt::PowMod(base, e, n2));
+  }
+  // A pool builds its table on the threads it is given: same material.
+  RandomizerPool one(kp->pub, 4, 77, 1);
+  RandomizerPool four(kp->pub, 4, 77, 4);
+  EXPECT_EQ(one.ExportMaterial().table_blob, four.ExportMaterial().table_blob);
 }
 
 TEST(MaterialEngineTest, ColdMaterialBytesDoNotDependOnThreadCount) {

@@ -134,12 +134,13 @@ TEST(FrameTest, RejectsVersionMismatch) {
   EXPECT_NE(back.status().ToString().find("version"), std::string::npos);
 }
 
-// Wire v11 and v12 peers are refused at the frame layer, never half-parsed:
-// a v11 "pairb" row carries a side and an op byte, and a v12 "cfg" body a
-// blinding width and a flags byte that v13 dropped.
-TEST(FrameTest, RejectsWireVersionsElevenAndTwelve) {
-  ASSERT_EQ(net::kWireVersion, 13);
-  for (uint8_t version : {0x0B, 0x0C}) {
+// Wire v12 and v13 peers are refused at the frame layer, never half-parsed:
+// a v12 "cfg" body carries a blinding width and a flags byte that v13
+// dropped, and a v13 alice sends bob her per-slot cross terms, where a v14
+// bob sends alice his columns.
+TEST(FrameTest, RejectsWireVersionsTwelveAndThirteen) {
+  ASSERT_EQ(net::kWireVersion, 14);
+  for (uint8_t version : {0x0C, 0x0D}) {
     Message msg = MakeMessage();
     std::vector<uint8_t> wire = EncodeFrame(msg);
     wire[4 + 4] = 0x00;
@@ -981,8 +982,8 @@ TEST_F(MeshTest, HoldersPrewarmTheirOwnRolesDrawsAndNeverMiss) {
   const smc::RoleDraws draws = *smc::RandomizerDraws(
       opts.config, smc::RuleOperands(opts.rule, opts.config.fp_scale),
       opts.config.offline_pairs);
-  ASSERT_EQ(draws.alice, 12 * 2 + 3);
-  ASSERT_EQ(draws.bob, 3);
+  ASSERT_EQ(draws.alice, 3);
+  ASSERT_EQ(draws.bob, 12 * 2 + 3);
   auto oracle = std::make_unique<RemoteSmcOracle>(opts);
   ASSERT_TRUE(oracle->Init().ok());
 
@@ -1023,6 +1024,57 @@ TEST_F(MeshTest, HoldersPrewarmTheirOwnRolesDrawsAndNeverMiss) {
   }
   EXPECT_TRUE(oracle->Shutdown(/*stop_daemons=*/true).ok());
   std::filesystem::remove_all(dir);
+}
+
+// Pairs that share an R row share alice's operands, so the daemons fold
+// each unit's cross terms by row (smc::UnitRows over the frame's a_ids):
+// labels equal the in-process oracle's and the plaintext rule's, and each
+// unit of pairs over d distinct R rows costs bob d·k + 1 encryptions and
+// alice one, as in process.
+TEST_F(MeshTest, RepeatedRowIdsFoldByRowLikeInProcess) {
+  StartMesh(/*receive_timeout_ms=*/2000);
+  auto oracle = MakeOracle(2000);
+  ASSERT_TRUE(oracle->Init().ok());
+  smc::SmcMatchOracle reference(FixtureConfig(), MixedRule());
+  ASSERT_TRUE(reference.Init().ok());
+  const int unit = *smc::PackedGroupPairs(
+      FixtureConfig(), smc::RuleOperands(MixedRule(), FixtureConfig().fp_scale));
+  ASSERT_EQ(unit, 5);
+
+  const std::vector<Record> r = {Rec(3, 50), Rec(5, 30), Rec(2, 70)};
+  const std::vector<Record> s = {Rec(3, 55), Rec(3, 61), Rec(5, 38),
+                                 Rec(4, 50), Rec(5, 41), Rec(2, 70),
+                                 Rec(2, 79), Rec(1, 70), Rec(5, 20),
+                                 Rec(3, 45)};
+  // Units [0 0 1 0 1] and [2 2 2 1 0]: two and three distinct R rows.
+  const int64_t a_ids[] = {0, 0, 1, 0, 1, 2, 2, 2, 1, 0};
+  std::vector<RowPairRequest> batch;
+  for (int i = 0; i < 10; ++i) {
+    batch.push_back({a_ids[i], 100 + i, &r[static_cast<size_t>(a_ids[i])],
+                     &s[static_cast<size_t>(i)]});
+  }
+  auto labels = oracle->CompareBatch(batch);
+  ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+  auto expected = reference.CompareBatch(batch);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EXPECT_EQ(*labels, *expected);
+  size_t matches = 0;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const bool m = RecordsMatch(*batch[i].a, *batch[i].b, MixedRule());
+    matches += m ? 1 : 0;
+    EXPECT_EQ((*labels)[i], m ? kPairMatch : kPairNonMatch) << "pair " << i;
+  }
+  EXPECT_GT(matches, 0u);
+  EXPECT_LT(matches, batch.size());
+  const int64_t k = 2;
+  EXPECT_EQ(reference.costs().encryptions, (2 * k + 2) + (3 * k + 2));
+  auto mesh = oracle->CollectStats();
+  ASSERT_TRUE(mesh.ok()) << mesh.status().ToString();
+  EXPECT_EQ(mesh->per_party.at("alice").costs.encryptions, 2);
+  EXPECT_EQ(mesh->per_party.at("bob").costs.encryptions,
+            (2 * k + 1) + (3 * k + 1));
+  EXPECT_EQ(mesh->per_party.at("qp").costs.decryptions, 2);
+  EXPECT_TRUE(oracle->Shutdown(/*stop_daemons=*/true).ok());
 }
 
 TEST_F(MeshTest, InjectedFaultIsRetriedAndHeals) {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -536,16 +537,17 @@ TEST(OfflineBudgetTest, PrewarmsWithoutAMaterialStore) {
 }
 
 // The per-role counts, spelled out once by hand: three compared
-// attributes, four pairs per unit; a plan error comes back instead.
+// attributes, three pairs per unit (a cap of four, but three pairs decrypt
+// with one CRT half at 512 bits); a plan error comes back instead.
 TEST(OfflineBudgetTest, PerRoleCountsFollowTheExchange) {
   const Workload& w = SmallWorkload();
   const smc::RuleOperands operands(w.rule, 1000);
   ASSERT_EQ(operands.size(), 3u);
   smc::SmcConfig packed = PackedSmcConfig(4);
-  ASSERT_EQ(*smc::PackedGroupPairs(packed, operands), 4);
+  ASSERT_EQ(*smc::PackedGroupPairs(packed, operands), 3);
   const smc::RoleDraws p = *smc::RandomizerDraws(packed, operands, 7);
-  EXPECT_EQ(p.alice, 7 * 3 + 2);  // a cross term per slot + Σx² per unit
-  EXPECT_EQ(p.bob, 2);            // Σy² per unit
+  EXPECT_EQ(p.alice, 3);          // Σx² per unit
+  EXPECT_EQ(p.bob, 7 * 3 + 3);    // at most a column per slot + Σy² per unit
   packed.pack_pairs = 0;
   EXPECT_EQ(smc::RandomizerDraws(packed, operands, 7).status().code(),
             StatusCode::kInvalidArgument);
@@ -553,9 +555,11 @@ TEST(OfflineBudgetTest, PerRoleCountsFollowTheExchange) {
 
 class ExactDrawsTest : public ::testing::TestWithParam<uint64_t> {};
 
-// Property: fault-free, a batch of any size draws exactly RandomizerDraws
-// from the pool at every unit size and thread count, so a pool prewarmed
-// with exactly that count never misses.
+// Property: fault-free, a batch of any size draws exactly Σ(d·k + 2) from
+// the pool at every unit size and thread count, d the distinct R rows of
+// each unit and k the compared attributes. RandomizerDraws bounds it, so a
+// pool prewarmed with that count never misses. MakeBatch drains R-row-major,
+// as a session does, so most units repeat an R row.
 TEST_P(ExactDrawsTest, PoolDrawsEqualTheExactCount) {
   const Workload& w = SmallWorkload();
   Rng rng(GetParam());
@@ -568,10 +572,18 @@ TEST_P(ExactDrawsTest, PoolDrawsEqualTheExactCount) {
     ASSERT_EQ(batch.size(), static_cast<size_t>(pairs));
     smc::SmcConfig cfg = base;
     cfg.offline_pairs = static_cast<int>(pairs);
-    const int64_t want =
-        smc::RandomizerDraws(cfg, smc::RuleOperands(w.rule, cfg.fp_scale),
-                             pairs)
-            ->total();
+    const smc::RuleOperands operands(w.rule, cfg.fp_scale);
+    const auto k = static_cast<int64_t>(operands.size());
+    const auto g = static_cast<size_t>(*smc::PackedGroupPairs(cfg, operands));
+    int64_t want = 0;
+    for (size_t begin = 0; begin < batch.size(); begin += g) {
+      std::set<int64_t> rows;
+      for (size_t i = begin; i < std::min(begin + g, batch.size()); ++i) {
+        rows.insert(batch[i].a_id);
+      }
+      want += static_cast<int64_t>(rows.size()) * k + 2;
+    }
+    EXPECT_LE(want, smc::RandomizerDraws(cfg, operands, pairs)->total());
     for (int threads : {1, 4}) {
       SCOPED_TRACE(std::string(mode) + " pairs=" + std::to_string(pairs) +
                    " threads=" + std::to_string(threads));

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
 
 #include "crypto/secure_random.h"
 #include "obs/metrics.h"
@@ -268,9 +270,12 @@ Record SectionSixRec(double age, int32_t a, int32_t b, int32_t c, int32_t d) {
 }
 
 // A §VI pair takes 36 + 11 + 10 + 8 + 8 = 73 bits: 14 fit a Paillier-1024
-// plaintext, so the default cap of 8 pairs binds, and 3 fit at 256 bits.
-// A slot cap below age's 36 bits is refused.
-TEST(ProtocolTest, SectionSixRulePacksEightPairsAt1024BitsAndThreeAt256) {
+// plaintext and 3 fit at 256 bits. Six pairs (438 bits) are the most one
+// CRT half decrypts at 1024 bits, so a cap of 7 to 11 pairs gives 6-pair
+// units, while from 12 pairs on the wider unit keeps more than twice the
+// pairs and wins. No 256-bit unit decrypts with one half. A slot cap below
+// age's 36 bits is refused.
+TEST(ProtocolTest, SectionSixRulePacksSixPairsAt1024BitsAndThreeAt256) {
   const MatchRule rule = SectionSixRule();
   SmcConfig cfg = FastConfig();
   cfg.pack_pairs = 8;
@@ -278,15 +283,20 @@ TEST(ProtocolTest, SectionSixRulePacksEightPairsAt1024BitsAndThreeAt256) {
   EXPECT_EQ(operands.slot_widths(), (std::vector<int>{36, 11, 10, 8, 8}));
   EXPECT_EQ(*PackedGroupPairs(cfg, operands), 3);
   cfg.key_bits = 1024;
-  EXPECT_EQ(*PackedGroupPairs(cfg, operands), 8);
-  cfg.pack_pairs = 64;
-  EXPECT_EQ(*PackedGroupPairs(cfg, operands), 14);
+  EXPECT_EQ(crypto::NarrowPlaintextBits(1024), 447);
+  const std::pair<int, int> units[] = {{1, 1},   {5, 5},   {6, 6},  {7, 6},
+                                       {8, 6},   {11, 6},  {12, 12},
+                                       {14, 14}, {64, 14}};
+  for (const auto& [cap, want] : units) {
+    cfg.pack_pairs = cap;
+    EXPECT_EQ(*PackedGroupPairs(cfg, operands), want) << "smc_pack " << cap;
+  }
   cfg.pack_pairs = 8;
   cfg.pack_slot_bits = 35;
   EXPECT_EQ(PackedGroupPairs(cfg, operands).status().code(),
             StatusCode::kInvalidArgument);
   cfg.pack_slot_bits = 36;
-  EXPECT_EQ(*PackedGroupPairs(cfg, operands), 8);
+  EXPECT_EQ(*PackedGroupPairs(cfg, operands), 6);
 
   // One 256-bit unit of three pairs at the domains' edges: ONE decryption,
   // and the plaintext rule's labels.
@@ -315,8 +325,8 @@ TEST(ProtocolTest, SectionSixRulePacksEightPairsAt1024BitsAndThreeAt256) {
 // A unit's plaintext is as wide as its slots: a 6-pair §VI unit needs 438
 // bits, which leaves the 64-bit margin below a 1024-bit key's 512-bit p, so
 // the querying party decrypts it with one CRT half; a 7-pair unit (511
-// bits) takes the full CRT. Either way: one decryption per unit and the
-// plaintext rule's labels.
+// bits, in a plan of 14-pair units) takes the full CRT. Either way: one
+// decryption per unit and the plaintext rule's labels.
 TEST(ProtocolTest, SectionSixUnitsOfSixPairsDecryptNarrowAndSevenFull) {
   const MatchRule rule = SectionSixRule();
   crypto::SecureRandom key_rng(1066);
@@ -334,9 +344,9 @@ TEST(ProtocolTest, SectionSixUnitsOfSixPairsDecryptNarrowAndSevenFull) {
   for (int pairs : {6, 7}) {
     SmcConfig cfg = FastConfig();
     cfg.key_bits = 1024;
-    cfg.pack_pairs = pairs;
+    cfg.pack_pairs = pairs == 6 ? 6 : 14;
     SecureRecordComparator cmp(cfg, rule);
-    ASSERT_EQ(cmp.unit_pairs(), pairs);
+    ASSERT_EQ(cmp.unit_pairs(), cfg.pack_pairs);
     ASSERT_TRUE(cmp.InitWithKeyPair(*kp).ok());
     obs::MetricsRegistry registry;
     cmp.AttachMetrics(&registry);
@@ -353,6 +363,119 @@ TEST(ProtocolTest, SectionSixUnitsOfSixPairsDecryptNarrowAndSevenFull) {
     EXPECT_EQ(registry.counter("paillier.narrow_decryptions")->value(),
               pairs == 6 ? 1 : 0);
   }
+}
+
+/// A categorical attribute on [0, 8) and a numeric one on [-50, 50), so
+/// half the numeric operands are negative.
+MatchRule SignedRule() {
+  MatchRule rule = MixedRule();
+  rule.attrs[1].domain_lo = -50;
+  rule.attrs[1].domain_hi = 50;
+  return rule;
+}
+
+// Property: a unit folds its cross terms by R row, whatever the rows'
+// layout in the unit — every pair on one R row, every pair on its own, two
+// rows alternating, or a unit that straddles the end of one row and the
+// start of the next — and labels every pair like the plaintext rule, with
+// negative operands, at 256, 512 and 1024 bits. A unit of pairs over d
+// distinct R rows draws exactly d·k + 2 randomizers (one encryption each),
+// never more than RandomizerDraws' bound for the unit, and decrypts once.
+class RowFactoredUnitTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(RowFactoredUnitTest, LabelsMatchThePlaintextRuleInEveryRowLayout) {
+  const MatchRule rule = SignedRule();
+  SmcConfig cfg = FastConfig();
+  cfg.key_bits = GetParam();
+  const RuleOperands operands(rule, cfg.fp_scale);
+  const auto k = static_cast<int64_t>(operands.size());
+  ASSERT_EQ(k, 2);
+  SecureRecordComparator cmp(cfg, rule);
+  ASSERT_TRUE(cmp.Init().ok());
+  const int g = cmp.unit_pairs();
+  ASSERT_GE(g, 4);
+  const int64_t bound = RandomizerDraws(cfg, operands, g)->total();
+  crypto::SecureRandom rng(static_cast<uint64_t>(GetParam()) + 3);
+  auto below = [&](int64_t n) {
+    return static_cast<int64_t>(mpz_get_si(rng.NextBelow(BigInt(n)).raw()));
+  };
+  // An S record near (or, one time in three, far from) its R record, so
+  // both labels occur.
+  auto near = [&](const Record& a) {
+    const double drift = below(3) == 0 ? below(60) - 30.0 : below(21) - 10.0;
+    const double num = std::clamp(a[1].num() + drift, -50.0, 49.999);
+    const int32_t cat = below(4) == 0 ? static_cast<int32_t>(below(8))
+                                      : a[0].category();
+    return Rec(cat, num);
+  };
+  const int trials = GetParam() == 1024 ? 1 : 4;
+  int matches = 0, pairs_seen = 0;
+  for (int trial = 0; trial < trials; ++trial) {
+    const int cut = static_cast<int>(1 + below(g - 1));  // straddle point
+    const std::vector<std::pair<const char*, std::function<int64_t(int)>>>
+        layouts = {
+            {"one row", [](int) { return 7; }},
+            {"distinct", [](int j) { return 10 + j; }},
+            {"alternating", [](int j) { return j % 2; }},
+            {"straddling", [cut](int j) { return j < cut ? 3 : 4; }}};
+    for (const auto& [name, row_of] : layouts) {
+      SCOPED_TRACE(std::string(name) + " trial " + std::to_string(trial));
+      std::map<int64_t, Record> r;
+      std::vector<Record> s(static_cast<size_t>(g));
+      std::vector<RowPairRequest> unit;
+      for (int j = 0; j < g; ++j) {
+        const int64_t id = row_of(j);
+        if (!r.count(id)) {
+          r[id] = Rec(static_cast<int32_t>(below(8)),
+                      static_cast<double>(below(100000) - 50000) / 1000);
+        }
+        s[static_cast<size_t>(j)] = near(r[id]);
+      }
+      for (int j = 0; j < g; ++j) {
+        unit.push_back({row_of(j), 100 + j, &r[row_of(j)],
+                        &s[static_cast<size_t>(j)]});
+      }
+      const SmcCosts before = cmp.costs();
+      auto labels = cmp.CompareUnit(unit);
+      ASSERT_TRUE(labels.ok()) << labels.status().ToString();
+      for (int j = 0; j < g; ++j) {
+        const bool want = RecordsMatch(*unit[static_cast<size_t>(j)].a,
+                                       *unit[static_cast<size_t>(j)].b, rule);
+        EXPECT_EQ((*labels)[static_cast<size_t>(j)], want) << "pair " << j;
+        matches += want ? 1 : 0;
+      }
+      pairs_seen += g;
+      const auto d = static_cast<int64_t>(r.size());
+      const int64_t draws = cmp.costs().encryptions - before.encryptions;
+      EXPECT_EQ(draws, d * k + 2);
+      EXPECT_LE(draws, bound);
+      EXPECT_EQ(cmp.costs().decryptions - before.decryptions, 1);
+      EXPECT_EQ(cmp.costs().scalar_muls - before.scalar_muls, d * k);
+    }
+  }
+  EXPECT_GT(matches, 0);
+  EXPECT_LT(matches, pairs_seen);
+}
+
+INSTANTIATE_TEST_SUITE_P(KeyBits, RowFactoredUnitTest,
+                         ::testing::Values(256, 512, 1024));
+
+// Pairs that name one R row must carry one record for it: the comparator
+// refuses the unit rather than fold one row's operands into another's.
+TEST(ProtocolTest, RefusesAUnitWhosePairsGiveOneRowTwoRecords) {
+  SecureRecordComparator cmp(FastConfig(), MixedRule());
+  ASSERT_TRUE(cmp.Init().ok());
+  const Record a = Rec(1, 50), a_moved = Rec(1, 51), b = Rec(1, 55);
+  auto same = cmp.CompareUnit({{4, 0, &a, &b}, {4, 1, &a, &b}});
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  EXPECT_EQ(*same, (std::vector<bool>{true, true}));
+  auto refused = cmp.CompareUnit({{4, 0, &a, &b}, {4, 1, &a_moved, &b}});
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+      << refused.status().ToString();
+  // Pairs without a row id never share a group.
+  auto anonymous = cmp.CompareUnit({{-1, 0, &a, &b}, {-1, 1, &a_moved, &b}});
+  ASSERT_TRUE(anonymous.ok()) << anonymous.status().ToString();
+  EXPECT_EQ(*anonymous, (std::vector<bool>{true, true}));
 }
 
 // Property: for random rules mixing numeric domains (most with negative
@@ -488,11 +611,57 @@ TEST(PartyTest, HolderRefusesToActWithoutKey) {
   SmcCosts costs;
   crypto::BigIntArena arena(1152);
   const crypto::PackingLayout layout = SixteenBitSlots();
-  EXPECT_EQ(
-      alice.SendUnit(&bus, "bob", {BigInt(7)}, layout, &arena, &costs).code(),
-      StatusCode::kFailedPrecondition);
-  EXPECT_EQ(alice.FoldUnit(&bus, {BigInt(7)}, layout, &arena, &costs).code(),
+  EXPECT_EQ(alice
+                .SendColumns(&bus, "bob", {BigInt(7)}, {0}, layout, &arena,
+                             &costs)
+                .code(),
             StatusCode::kFailedPrecondition);
+  EXPECT_EQ(
+      alice.FoldColumns(&bus, {BigInt(7)}, {0}, layout, &arena, &costs).code(),
+      StatusCode::kFailedPrecondition);
+}
+
+TEST(PartyTest, UnitRowsNumberRowsByFirstAppearance) {
+  EXPECT_EQ(UnitRows({5, 5, -1, -1, 7, 5, 7}),
+            (std::vector<uint32_t>{0, 0, 1, 2, 3, 0, 3}));
+  EXPECT_EQ(UnitRows({9}), (std::vector<uint32_t>{0}));
+  EXPECT_TRUE(UnitRows({}).empty());
+}
+
+// Alice folds a row group's columns with the operands its pairs share:
+// pairs of one group that carry different operands are refused once she has
+// consumed Bob's message, so nothing of the refused unit stays on the bus.
+// A unit whose operands do not split evenly over its pairs is refused by
+// both holders.
+TEST(PartyTest, AliceRefusesARowGroupWithDifferentOperands) {
+  QueryingParty qp(256, 47);
+  DataHolder alice("alice", 48);
+  DataHolder bob("bob", 49);
+  MessageBus bus;
+  SmcCosts costs;
+  ASSERT_TRUE(qp.PublishKey(&bus, &costs).ok());
+  ASSERT_TRUE(alice.ReceiveKey(&bus).ok());
+  ASSERT_TRUE(bob.ReceiveKey(&bus).ok());
+  crypto::BigIntArena arena(1152);
+  const crypto::PackingLayout layout = SixteenBitSlots();
+  ASSERT_TRUE(bob.SendColumns(&bus, "alice", {BigInt(3), BigInt(4)}, {5, 5},
+                              layout, &arena, &costs)
+                  .ok());
+  EXPECT_EQ(alice
+                .FoldColumns(&bus, {BigInt(10), BigInt(11)}, {5, 5}, layout,
+                             &arena, &costs)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(bus.Receive("alice").ok());
+  EXPECT_FALSE(bus.Receive("qp").ok());
+  const std::vector<BigInt> three = {BigInt(1), BigInt(2), BigInt(3)};
+  EXPECT_EQ(bob.SendColumns(&bus, "alice", three, {5, 6}, layout, &arena,
+                            &costs)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      alice.FoldColumns(&bus, three, {5, 6}, layout, &arena, &costs).code(),
+      StatusCode::kInvalidArgument);
 }
 
 TEST(PartyTest, ThreePartyHandshakeAndOneOnePairUnit) {
@@ -512,9 +681,12 @@ TEST(PartyTest, ThreePartyHandshakeAndOneOnePairUnit) {
   const crypto::PackingLayout layout = SixteenBitSlots();
   for (int64_t threshold : {9, 8}) {
     const std::vector<BigInt> t = {BigInt(threshold)};
+    ASSERT_TRUE(bob.SendColumns(&bus, "alice", {BigInt(13)}, {0}, layout,
+                                &arena, &costs)
+                    .ok());
     ASSERT_TRUE(
-        alice.SendUnit(&bus, "bob", {BigInt(10)}, layout, &arena, &costs).ok());
-    ASSERT_TRUE(bob.FoldUnit(&bus, {BigInt(13)}, layout, &arena, &costs).ok());
+        alice.FoldColumns(&bus, {BigInt(10)}, {0}, layout, &arena, &costs)
+            .ok());
     auto labels = qp.DecideUnit(&bus, t, 1, layout, &arena, &costs);
     ASSERT_TRUE(labels.ok()) << labels.status().ToString();
     const uint8_t want = threshold == 9 ? 1 : 0;
