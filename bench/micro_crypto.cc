@@ -109,7 +109,7 @@ BENCHMARK(BM_PaillierDecryptReference)
 
 // Encryption with the r^n mod n² factor served by a prefilled randomizer
 // pool: the latency left on the critical path once precomputation is moved
-// to idle time. The per-iteration Prefill runs outside the timed region.
+// to idle time. The per-iteration Prewarm runs outside the timed region.
 void BM_PaillierEncryptPooled(benchmark::State& state) {
   KeyFixture& f = Fixture(static_cast<int>(state.range(0)));
   PaillierPublicKey pub = f.kp.pub;  // local copy: attachment stays local
@@ -118,7 +118,7 @@ void BM_PaillierEncryptPooled(benchmark::State& state) {
   BigInt m(123456789);
   for (auto _ : state) {
     state.PauseTiming();
-    pool.Prefill(1);
+    (void)pool.Prewarm(1);
     state.ResumeTiming();
     auto c = pub.Encrypt(m, f.rng);
     benchmark::DoNotOptimize(c);

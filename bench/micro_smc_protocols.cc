@@ -109,7 +109,7 @@ void BM_SectionSixUnit(benchmark::State& state) {
   if (!cmp.Init().ok() || cmp.unit_pairs() < pairs) std::abort();
   const int draws = (distinct ? pairs : 1) * 5 + 2;
   crypto::RandomizerPool pool(cmp.public_key(), draws, 4322);
-  pool.Prefill(draws);
+  if (!pool.Prewarm(draws).ok()) std::abort();
   cmp.AttachRandomizerPool(&pool);
   std::vector<Record> as(static_cast<size_t>(pairs), MatchingRecord());
   std::vector<Record> bs(static_cast<size_t>(pairs), MatchingRecord());
@@ -130,7 +130,7 @@ void BM_SectionSixUnit(benchmark::State& state) {
     benchmark::DoNotOptimize(labels);
     ++units;
     state.PauseTiming();
-    pool.Prefill(draws);
+    if (!pool.Prewarm(draws).ok()) std::abort();
     state.ResumeTiming();
   }
   const double n = static_cast<double>(std::max<int64_t>(1, units));

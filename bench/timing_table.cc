@@ -6,8 +6,10 @@
 // ≈ 13 values; absolute numbers differ on modern hardware, the conclusion
 // — crypto dominates — must not).
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/timer.h"
@@ -107,21 +109,23 @@ int main(int argc, char** argv) {
           {i / kRowPairs, i, &recs_a[i / kRowPairs], &recs_s[i]});
     }
 
-    // Crypto work an engine did since `before`, plus its pool's randomizer
-    // draws (hits + misses) since `draws_before` when it has a pool.
-    auto work_since = [](smc::SmcMatchOracle& engine,
-                         const smc::SmcCosts& before, int64_t draws_before) {
-      const smc::SmcCosts& after = engine.costs();
-      StageCounts counts = {
-          {"encryptions", after.encryptions - before.encryptions},
-          {"decryptions", after.decryptions - before.decryptions},
-          {"homomorphic_adds",
-           after.homomorphic_adds - before.homomorphic_adds},
-          {"scalar_muls", after.scalar_muls - before.scalar_muls}};
-      if (const crypto::RandomizerPool* pool = engine.randomizer_pool()) {
-        counts.push_back(
-            {"randomizer_draws", pool->hits() + pool->misses() - draws_before});
-      }
+    // Crypto work done between two cost snapshots.
+    auto crypto_work = [](const smc::SmcCosts& after,
+                          const smc::SmcCosts& before) -> StageCounts {
+      return {{"encryptions", after.encryptions - before.encryptions},
+              {"decryptions", after.decryptions - before.decryptions},
+              {"homomorphic_adds",
+               after.homomorphic_adds - before.homomorphic_adds},
+              {"scalar_muls", after.scalar_muls - before.scalar_muls}};
+    };
+    // An engine's crypto work since `before`, plus its pool's randomizer
+    // draws (hits + misses) since `draws_before`.
+    auto work_since = [&](smc::SmcMatchOracle& engine,
+                          const smc::SmcCosts& before, int64_t draws_before) {
+      StageCounts counts = crypto_work(engine.costs(), before);
+      const crypto::RandomizerPool* pool = engine.randomizer_pool();
+      counts.push_back(
+          {"randomizer_draws", pool->hits() + pool->misses() - draws_before});
       return counts;
     };
 
@@ -133,14 +137,15 @@ int main(int argc, char** argv) {
       const smc::SmcCosts before = engine.costs();
       // Randomizer draws (pool hits + misses): d·k + 2 per unit over d
       // distinct R rows, so a change in the exchange's arithmetic shows here
-      // too. Only the pooled stages draw.
+      // too.
       const crypto::RandomizerPool* pool = engine.randomizer_pool();
-      const int64_t draws_before =
-          pool != nullptr ? pool->hits() + pool->misses() : 0;
+      const int64_t draws_before = pool->hits() + pool->misses();
       auto run_once = [&] {
         // The pool fill models idle-time precomputation: excluded from the
         // measured stage, like key generation.
-        if (pool_depth > 0) engine.randomizer_pool()->Prefill(pool_depth);
+        if (!engine.randomizer_pool()->Prewarm(pool_depth).ok()) {
+          bench::Die(Status::Internal("randomizer prewarm failed"));
+        }
         WallTimer t;
         auto labels = engine.CompareBatch(batch);
         if (!labels.ok()) bench::Die(labels.status());
@@ -159,18 +164,42 @@ int main(int argc, char** argv) {
     // Setup (key generation, pool construction and any material prewarm)
     // is the offline phase: reported on its own line and series entry, never
     // folded into the per-stage online numbers below.
-    smc::SmcConfig ref_cfg = smc_cfg;
-    ref_cfg.randomizer_pool_depth = 0;
-    smc::SmcMatchOracle ref_engine(ref_cfg, one_attr, 1);
+    // The reference is a standalone comparator: one unit at a time on this
+    // thread, every randomizer computed inline.
+    smc::SecureRecordComparator ref(smc_cfg, one_attr);
     {
       WallTimer t;
-      if (auto s = ref_engine.Init(); !s.ok()) bench::Die(s);
+      if (auto s = ref.Init(); !s.ok()) bench::Die(s);
       smc_setup_serial_seconds = t.ElapsedSeconds();
     }
     std::printf("%-52s %10.3f s\n", "SMC setup (keygen), serial engine",
                 smc_setup_serial_seconds);
-    auto ref_labels =
-        time_stage(ref_engine, 0, &smc_serial_seconds, &serial_counts);
+    auto compare_serially = [&] {
+      std::vector<uint8_t> labels;
+      const auto unit = static_cast<size_t>(ref.unit_pairs());
+      for (size_t begin = 0; begin < batch.size(); begin += unit) {
+        const size_t end = std::min(begin + unit, batch.size());
+        auto matches = ref.CompareUnit(
+            {batch.begin() + static_cast<long>(begin),
+             batch.begin() + static_cast<long>(end)});
+        if (!matches.ok()) bench::Die(matches.status());
+        for (bool m : *matches) {
+          labels.push_back(m ? kPairMatch : kPairNonMatch);
+        }
+      }
+      return labels;
+    };
+    std::vector<uint8_t> ref_labels;
+    for (int rep = 0; rep < 5; ++rep) {
+      const smc::SmcCosts before = ref.costs();
+      WallTimer t;
+      ref_labels = compare_serially();
+      const double seconds = t.ElapsedSeconds();
+      if (rep == 0) serial_counts = crypto_work(ref.costs(), before);
+      if (rep == 0 || seconds < smc_serial_seconds) {
+        smc_serial_seconds = seconds;
+      }
+    }
     for (size_t i = 0; i < batch.size(); ++i) {
       if ((ref_labels[i] == kPairMatch) !=
           RecordsMatch(*batch[i].a, *batch[i].b, one_attr)) {
@@ -181,9 +210,8 @@ int main(int argc, char** argv) {
     std::printf("%-52s %10.3f s\n", "SMC stage, serial reference engine",
                 smc_serial_seconds);
 
-    smc::SmcConfig fast_cfg = smc_cfg;
-    fast_cfg.randomizer_pool_depth = static_cast<int>(3 * *smc_batch + 8);
-    smc::SmcMatchOracle fast_engine(fast_cfg, one_attr,
+    const int fast_prewarm = static_cast<int>(3 * *smc_batch + 8);
+    smc::SmcMatchOracle fast_engine(smc_cfg, one_attr,
                                     static_cast<int>(*smc_threads));
     {
       WallTimer t;
@@ -193,8 +221,7 @@ int main(int argc, char** argv) {
     std::printf("%-52s %10.3f s\n", "SMC setup (keygen + pool), fast engine",
                 smc_setup_fast_seconds);
     auto fast_labels =
-        time_stage(fast_engine, fast_cfg.randomizer_pool_depth,
-                   &smc_fast_seconds, &fast_counts);
+        time_stage(fast_engine, fast_prewarm, &smc_fast_seconds, &fast_counts);
     if (fast_labels != ref_labels) {
       bench::Die(Status::Internal("fast SMC engine labels diverge"));
     }
@@ -207,14 +234,13 @@ int main(int argc, char** argv) {
     // more pairs one decryption serves. Labels must still match the
     // reference bit for bit (a unit's size never changes a label).
     if (*smc_pack > 0) {
-      smc::SmcConfig packed_cfg = fast_cfg;
+      smc::SmcConfig packed_cfg = smc_cfg;
       packed_cfg.pack_pairs = static_cast<int>(*smc_pack);
       smc::SmcMatchOracle packed_engine(packed_cfg, one_attr,
                                         static_cast<int>(*smc_threads));
       if (auto s = packed_engine.Init(); !s.ok()) bench::Die(s);
-      auto packed_labels =
-          time_stage(packed_engine, packed_cfg.randomizer_pool_depth,
-                     &smc_packed_seconds, &packed_counts);
+      auto packed_labels = time_stage(packed_engine, fast_prewarm,
+                                      &smc_packed_seconds, &packed_counts);
       if (packed_labels != ref_labels) {
         bench::Die(Status::Internal("packed SMC engine labels diverge"));
       }
@@ -238,7 +264,7 @@ int main(int argc, char** argv) {
     // on disk. Labels must match the reference bit for bit in both runs —
     // material changes where the work happens, never the answer.
     if (!material_dir->empty()) {
-      smc::SmcConfig mat_cfg = fast_cfg;
+      smc::SmcConfig mat_cfg = smc_cfg;
       mat_cfg.material_dir = *material_dir;
       mat_cfg.offline_pairs = static_cast<int>(*smc_batch);
       smc::SmcMatchOracle cold_engine(mat_cfg, one_attr,

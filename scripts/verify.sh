@@ -63,9 +63,12 @@ echo "== offline/online smoke: cold-then-warm material, bit-identical links =="
 # First run is cold (empty store: generate + persist), second is warm
 # (adopt persisted material). Warm links must be bit-identical and the
 # warm offline phase must generate no randomizers (the cold one generates
-# them all: the crypto.material.generated counter); the same
-# warm store must also reproduce the links over TCP and a 2-shard fleet
-# (the daemons keep their own stores, so their first run is their cold).
+# them all: the crypto.material.generated counter). A third run at a larger
+# offline_pairs adopts that bank and generates exactly the draws it lacks:
+# the difference between two cold runs' counts. Warm runs must also
+# reproduce the links over TCP and a 2-shard fleet, each holder daemon
+# adopting its own store's bank (the daemons keep their own stores, so
+# their first run is their cold).
 # Variant specs are the base spec plus appended directives, which replace
 # its values (a later directive wins).
 MAT_DIR="$TCP_TMP/material"
@@ -98,20 +101,50 @@ assert wg == 0, f"warm offline phase generated {wg} randomizers"
 print(f"material OK: warm adopted ({hits} hit), offline randomizers "
       f"generated {cg} -> {wg}")
 EOF
+material_spec "$MAT_DIR" "offline_pairs 128" > "$TCP_TMP/grown.spec"
+material_spec "$TCP_TMP/material128" "offline_pairs 128" \
+  > "$TCP_TMP/cold128.spec"
+for phase in grown cold128; do
+  ./build/tools/hprl_link --spec "$TCP_TMP/$phase.spec" \
+    --r "$TCP_TMP/r.csv" --s "$TCP_TMP/s.csv" \
+    --links "$TCP_TMP/links_${phase}.csv" \
+    --metrics_out "$TCP_TMP/run_${phase}.json" >/dev/null
+  diff "$TCP_TMP/links_cold.csv" "$TCP_TMP/links_${phase}.csv" \
+    || { echo "FAIL: $phase material links differ from cold links"; exit 1; }
+done
+python3 - "$TCP_TMP/run_cold.json" "$TCP_TMP/run_cold128.json" \
+  "$TCP_TMP/run_grown.json" <<'EOF'
+import json, sys
+cold, cold128, grown = (json.load(open(p))["counters"] for p in sys.argv[1:])
+assert grown.get("crypto.material.hits", 0) == 1, "grown run did not adopt"
+want = (cold128.get("crypto.material.generated", 0)
+        - cold.get("crypto.material.generated", 0))
+got = grown.get("crypto.material.generated", 0)
+assert want > 0 and got == want, f"grown run generated {got}, lacked {want}"
+print(f"material OK: offline_pairs 64 -> 128 generated exactly {got}")
+EOF
 for variant in tcp2 fleet2; do
   extra=""
-  [[ "$variant" == fleet2 ]] && extra="shards 2"
+  holders=2
+  if [[ "$variant" == fleet2 ]]; then extra="shards 2"; holders=4; fi
   material_spec "$MAT_DIR/$variant" "$extra" > "$TCP_TMP/$variant.spec"
-  ./build/tools/hprl_link --spec "$TCP_TMP/$variant.spec" \
-    --r "$TCP_TMP/r.csv" --s "$TCP_TMP/s.csv" --transport tcp \
-    --links "$TCP_TMP/links_mat_$variant.csv" >/dev/null
-  ./build/tools/hprl_link --spec "$TCP_TMP/$variant.spec" \
-    --r "$TCP_TMP/r.csv" --s "$TCP_TMP/s.csv" --transport tcp \
-    --links "$TCP_TMP/links_mat_${variant}_warm.csv" >/dev/null
+  for phase in cold warm; do
+    ./build/tools/hprl_link --spec "$TCP_TMP/$variant.spec" \
+      --r "$TCP_TMP/r.csv" --s "$TCP_TMP/s.csv" --transport tcp \
+      --links "$TCP_TMP/links_mat_${variant}_${phase}.csv" \
+      --metrics_out "$TCP_TMP/run_mat_${variant}_${phase}.json" >/dev/null
+  done
   diff "$TCP_TMP/links_cold.csv" "$TCP_TMP/links_mat_${variant}_warm.csv" \
     || { echo "FAIL: warm $variant links differ from cold inproc"; exit 1; }
+  python3 - "$TCP_TMP/run_mat_${variant}_warm.json" "$holders" <<'EOF'
+import json, sys
+counters = json.load(open(sys.argv[1]))["counters"]
+hits, holders = counters.get("crypto.material.hits", 0), int(sys.argv[2])
+assert hits == holders, f"{hits} store hits for {holders} holder daemons"
+EOF
 done
-echo "material OK: warm tcp + warm 2-shard fleet links bit-identical"
+echo "material OK: warm tcp + warm 2-shard fleet links bit-identical," \
+  "one store hit per holder daemon"
 
 echo "== comparator fleet smoke: 2 shards (7 processes), bit-identical links =="
 # Sharding is a throughput measure only: a 2-shard fleet run must reproduce

@@ -238,7 +238,8 @@ Result<RunnerReport> RunLinkageFromFiles(const LinkageSpec& spec,
 
   if (options.offline_only) {
     // Generate-and-exit: the material is on disk, nothing record-dependent
-    // ran. The TCP daemons persist their material on the shutdown drain.
+    // ran. The TCP daemons saved theirs at the end of recvkey's offline
+    // phase.
     report.offline_only = true;
     report.result.offline_seconds = offline_seconds;
     if (use_tcp) HPRL_RETURN_IF_ERROR(be.Shutdown(/*stop_daemons=*/true));

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <thread>
 
-#include "common/durable_file.h"
 
 namespace hprl::crypto {
 
@@ -76,73 +74,6 @@ Result<BigInt> FixedBaseTable::Pow(const BigInt& exp) const {
     }
   }
   return result;
-}
-
-std::vector<uint8_t> FixedBaseTable::Serialize() const {
-  ByteWriter out;
-  out.U32(static_cast<uint32_t>(window_bits_));
-  out.U32(static_cast<uint32_t>(max_exp_bits_));
-  out.U32(static_cast<uint32_t>(windows_.size()));
-  for (const auto& row : windows_) {
-    out.U32(static_cast<uint32_t>(row.size()));
-    for (const BigInt& entry : row) {
-      std::vector<uint8_t> bytes = entry.ToBytes();
-      out.Blob(bytes.data(), bytes.size());
-    }
-  }
-  return std::move(out).Take();
-}
-
-Result<FixedBaseTable> FixedBaseTable::Deserialize(
-    const std::vector<uint8_t>& blob, const BigInt& modulus) {
-  auto bad = [](const char* what) {
-    return Status::InvalidArgument(std::string("fixed-base table blob: ") +
-                                   what);
-  };
-  if (modulus.Sign() <= 0) return bad("modulus must be positive");
-  ByteReader in(blob);
-  uint32_t window_bits = 0, max_exp_bits = 0, num_windows = 0;
-  if (!in.U32(&window_bits) || !in.U32(&max_exp_bits) ||
-      !in.U32(&num_windows)) {
-    return bad("truncated header");
-  }
-  if (window_bits == 0 || window_bits > 16 || max_exp_bits == 0 ||
-      max_exp_bits > 1u << 20) {
-    return bad("window parameters out of range");
-  }
-  const uint32_t expect_windows =
-      (max_exp_bits + window_bits - 1) / window_bits;
-  const uint32_t expect_row = (1u << window_bits) - 1;
-  if (num_windows != expect_windows) {
-    return bad("window count disagrees with exponent width");
-  }
-  const uint32_t entry_cap =
-      static_cast<uint32_t>(modulus.ToBytes().size() + 8);
-  FixedBaseTable table;
-  table.modulus_ = modulus;
-  table.window_bits_ = static_cast<int>(window_bits);
-  table.max_exp_bits_ = static_cast<int>(max_exp_bits);
-  table.windows_.reserve(num_windows);
-  for (uint32_t i = 0; i < num_windows; ++i) {
-    uint32_t row_len = 0;
-    if (!in.U32(&row_len) || row_len != expect_row) {
-      return bad("bad row length");
-    }
-    std::vector<BigInt> row;
-    row.reserve(row_len);
-    std::vector<uint8_t> bytes;
-    for (uint32_t j = 0; j < row_len; ++j) {
-      if (!in.Blob(entry_cap, &bytes)) return bad("truncated entry");
-      BigInt entry = BigInt::FromBytes(bytes);
-      if (entry.Sign() <= 0 || !(entry < modulus)) {
-        return bad("entry outside [1, modulus)");
-      }
-      row.push_back(std::move(entry));
-    }
-    table.windows_.push_back(std::move(row));
-  }
-  if (!in.done()) return bad("trailing bytes");
-  return table;
 }
 
 }  // namespace hprl::crypto

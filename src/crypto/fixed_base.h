@@ -32,7 +32,7 @@ class FixedBaseTable {
   /// Each window's step base^{2^{w·i}} is computed serially (w squarings
   /// apiece), then the windows' rows fill on up to `threads` workers (the
   /// calling thread is one); every entry is a canonical residue, so the
-  /// table and its serialized bytes do not depend on `threads`.
+  /// table does not depend on `threads`.
   FixedBaseTable(const BigInt& base, const BigInt& modulus, int max_exp_bits,
                  int window_bits = 6, int threads = 1);
 
@@ -44,20 +44,6 @@ class FixedBaseTable {
   /// base^exp mod modulus. Fails when exp is negative or wider than the
   /// precomputed max_exp_bits, or when the table is empty.
   Result<BigInt> Pow(const BigInt& exp) const;
-
-  /// Serializes the precomputed table (window parameters plus every entry)
-  /// so a later run against the same base and modulus can skip the
-  /// construction cost. The modulus is not stored: the caller re-binds it at
-  /// Deserialize, and the material store's fingerprint + checksum guard
-  /// against cross-keypair mixups (src/crypto/material.h).
-  std::vector<uint8_t> Serialize() const;
-
-  /// Rebuilds a table from Serialize() output. Any structural problem —
-  /// truncation, out-of-range window parameters, entries outside
-  /// [1, modulus) — returns InvalidArgument; callers treat that as a cache
-  /// miss and rebuild from scratch.
-  static Result<FixedBaseTable> Deserialize(const std::vector<uint8_t>& blob,
-                                            const BigInt& modulus);
 
  private:
   BigInt modulus_;

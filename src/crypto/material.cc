@@ -5,18 +5,19 @@
 #include "common/durable_file.h"
 #include "common/hash.h"
 #include "common/string_util.h"
+#include "crypto/paillier.h"
 
 namespace hprl::crypto {
 
 namespace {
 
-// The body carries no slot layout: the material depends on the modulus
-// alone. A file of any other version is stale: a counted miss, then
-// regenerated.
-constexpr DurableFormat kMaterial{"material", "HPRLMAT1", 2};
-// Structural caps: far above anything the engine generates, low enough that
-// a corrupted length field cannot drive allocation into gigabytes.
-constexpr uint32_t kMaxTableBlob = 1u << 28;
+// The body is the randomizer bank alone: no slot layout (dropped in
+// version 2) and no fixed-base table (dropped in version 3; every pool
+// builds its own). A file of any other version is stale: a counted miss,
+// then regenerated.
+constexpr DurableFormat kMaterial{"material", "HPRLMAT1", 3};
+// Structural cap: far above anything the engine generates, low enough that
+// a corrupted count cannot drive allocation into gigabytes.
 constexpr uint32_t kMaxRandomizers = 1u << 22;
 
 }  // namespace
@@ -48,10 +49,6 @@ Result<CryptoMaterial> MaterialStore::Load(uint64_t fingerprint,
     if (!in.U32(&m.modulus_bits) || m.modulus_bits != modulus_bits) {
       return "modulus bits mismatch";
     }
-    if (!in.U32(&m.short_exp_bits) || m.short_exp_bits == 0) {
-      return "bad exponent width";
-    }
-    if (!in.Blob(kMaxTableBlob, &m.table_blob)) return "truncated table blob";
     uint32_t count = 0;
     if (!in.Count(kMaxRandomizers, &count)) return "bad randomizer count";
     m.randomizers.reserve(count);
@@ -66,7 +63,7 @@ Result<CryptoMaterial> MaterialStore::Load(uint64_t fingerprint,
   });
   // Every failure but an absent file is a REJECTION: the file exists but
   // cannot be trusted. The caller regenerates; nothing downstream ever sees
-  // a partially validated table or randomizer.
+  // a partially validated randomizer.
   if (!read.ok()) {
     ++stats_.misses;
     if (read.status().code() != StatusCode::kNotFound) {
@@ -92,8 +89,6 @@ Status MaterialStore::Save(const CryptoMaterial& m) {
   auto written = WriteDurableFile(path, kMaterial, [&](ByteWriter& w) {
     w.U64(m.fingerprint);
     w.U32(m.modulus_bits);
-    w.U32(m.short_exp_bits);
-    w.Blob(m.table_blob.data(), m.table_blob.size());
     w.U32(static_cast<uint32_t>(m.randomizers.size()));
     for (const BigInt& r : m.randomizers) {
       std::vector<uint8_t> bytes = r.ToBytes();
@@ -103,6 +98,27 @@ Status MaterialStore::Save(const CryptoMaterial& m) {
   if (!written.ok()) return written.status();
   stats_.bytes += static_cast<int64_t>(*written);
   return Status::OK();
+}
+
+Result<OfflinePhase> RunOfflinePhase(RandomizerPool& pool, MaterialStore* store,
+                                     int64_t randomizers, int threads) {
+  OfflinePhase phase;
+  if (store != nullptr) {
+    // Keyed by the ACTUAL modulus bit length, as ExportMaterial files it:
+    // n = p·q can come up one bit short of the configured key size.
+    auto loaded = store->Load(KeyFingerprint(pool.n()),
+                              static_cast<uint32_t>(pool.n().BitLength()));
+    phase.warm = loaded.ok() && pool.AdoptMaterial(*loaded).ok();
+  }
+  HPRL_ASSIGN_OR_RETURN(phase.generated,
+                        pool.Prewarm(static_cast<int>(randomizers), threads));
+  if (store != nullptr && phase.generated > 0) {
+    // Best-effort: a read-only store degrades to always-cold, never to a
+    // failed run.
+    (void)store->Save(pool.ExportMaterial());
+  }
+  pool.Start();
+  return phase;
 }
 
 }  // namespace hprl::crypto

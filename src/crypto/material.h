@@ -16,18 +16,17 @@ namespace hprl::crypto {
 /// carries this fingerprint and loads reject a mismatch.
 uint64_t KeyFingerprint(const BigInt& n);
 
-/// One keypair's precomputed offline material: the fixed-base window table
-/// for h_n = (h^2 mod n)^n mod n^2, and a bank of pre-built randomizers
-/// h_n^s mod n^2. Under g = n + 1 each randomizer IS an encryption of zero
-/// (Enc(0; r) = r^n), and Enc(1) is one modular multiply away
-/// ((1 + n) * r^n), so this bank doubles as the pre-encrypted zero/one
-/// ciphertext pool: the warm online cost of an encryption is a single
-/// modmul against a stored randomizer.
+/// One keypair's precomputed offline material: a bank of randomizers
+/// h_n^s mod n^2 (crypto/paillier.h, RandomizerPool). Under g = n + 1 each
+/// randomizer IS an encryption of zero (Enc(0; r) = r^n), and Enc(1) is one
+/// modular multiply away ((1 + n) * r^n), so this bank doubles as the
+/// pre-encrypted zero/one ciphertext pool: the warm online cost of an
+/// encryption is a single modmul against a stored randomizer. The
+/// fixed-base table that generates them is not stored: every pool builds
+/// it from the key in its constructor.
 struct CryptoMaterial {
   uint64_t fingerprint = 0;    ///< KeyFingerprint of the public modulus
   uint32_t modulus_bits = 0;   ///< Paillier key size the material targets
-  uint32_t short_exp_bits = 0; ///< exponent width the table was built for
-  std::vector<uint8_t> table_blob;  ///< FixedBaseTable::Serialize output
   std::vector<BigInt> randomizers;  ///< h_n^s mod n^2 (= Enc(0) ciphertexts)
 };
 
@@ -44,16 +43,20 @@ struct MaterialStats {
 };
 
 /// Persistent store of offline crypto material, one versioned + checksummed
-/// file per (fingerprint, modulus bits) key — randomizers and the fixed-base
-/// table depend on the modulus alone — see
-/// docs/FORMATS.md for the byte layout. Corrupt, truncated or mismatched
-/// files are NEVER trusted and NEVER fatal: Load reports NotFound (counting
-/// the rejection) and the caller regenerates, exactly as on a cold run.
+/// file per (fingerprint, modulus bits) key — the randomizers depend on the
+/// modulus alone — see docs/FORMATS.md for the byte layout. Corrupt,
+/// truncated or mismatched files are NEVER trusted and NEVER fatal: Load
+/// reports NotFound (counting the rejection) and the caller regenerates,
+/// exactly as on a cold run.
 ///
 /// Security note: material only ever hits when the same keypair comes back,
 /// which requires a pinned test_seed — production keys are drawn from OS
 /// entropy, never repeat, and therefore never reuse stored randomizers
-/// across protocol transcripts.
+/// across protocol transcripts. At a pinned seed a stored randomizer may
+/// recur across runs (the run that saved the bank used it too), but never
+/// within one run: the adopting pool hands each adopted value out once and
+/// generates everything after it past the stream positions the bank came
+/// from (RandomizerPool::AdoptMaterial).
 class MaterialStore {
  public:
   explicit MaterialStore(std::string dir) : dir_(std::move(dir)) {}
@@ -79,6 +82,27 @@ class MaterialStore {
   std::string dir_;
   MaterialStats stats_;
 };
+
+class RandomizerPool;
+
+/// What one offline phase did.
+struct OfflinePhase {
+  bool warm = false;      ///< a verified bank was adopted from the store
+  int64_t generated = 0;  ///< randomizers prewarmed beyond the adopted bank
+};
+
+/// The offline phase, run once per key before the first unit by both
+/// transports: SmcMatchOracle::Init in process, and each TCP holder daemon
+/// when its public key arrives. With a store it loads the bank filed under
+/// `pool`'s keypair and adopts it (a warm start; an absent or rejected file
+/// is a cold one). It then prewarms the pool to `randomizers` on `threads`
+/// workers, saves the bank when that generated anything, and starts the
+/// pool's filler, which holds the resulting level. The bank is saved only
+/// here, before any take, so it is always the first values the pool's
+/// stream yields. A failed save leaves the next run cold, never this one
+/// failed. `store` may be null (no persistence).
+Result<OfflinePhase> RunOfflinePhase(RandomizerPool& pool, MaterialStore* store,
+                                     int64_t randomizers, int threads);
 
 }  // namespace hprl::crypto
 

@@ -210,13 +210,6 @@ void PaillierPublicKey::AttachMetrics(obs::MetricsRegistry* registry) {
   scalar_muls_ = registry ? registry->counter("paillier.scalar_muls") : nullptr;
 }
 
-Result<BigInt> PaillierPublicKey::Rerandomize(const BigInt& c,
-                                              SecureRandom& rng) const {
-  auto zero = Encrypt(BigInt(0), rng);
-  if (!zero.ok()) return zero.status();
-  return Add(c, *zero);
-}
-
 PaillierPrivateKey::PaillierPrivateKey(BigInt n, BigInt lambda, BigInt mu)
     : n_(std::move(n)),
       n2_(n_ * n_),
@@ -431,18 +424,6 @@ BigInt RandomizerPool::ComputeOne() {
   return std::move(rn).value();
 }
 
-void RandomizerPool::Prefill(int count) {
-  for (int i = 0; i < count; ++i) {
-    BigInt rn = ComputeOne();
-    std::lock_guard<std::mutex> lk(mu_);
-    if (static_cast<int>(ready_.size()) >= target_) return;
-    ready_.push_back(std::move(rn));
-    if (depth_gauge_ != nullptr) {
-      depth_gauge_->Set(static_cast<double>(ready_.size()));
-    }
-  }
-}
-
 Result<int> RandomizerPool::Prewarm(int count, int threads) {
   int need = 0;
   {
@@ -498,12 +479,6 @@ Result<int> RandomizerPool::Prewarm(int count, int threads) {
 }
 
 Status RandomizerPool::AdoptMaterial(const CryptoMaterial& m) {
-  std::unique_ptr<FixedBaseTable> table;
-  if (!m.table_blob.empty()) {
-    auto parsed = FixedBaseTable::Deserialize(m.table_blob, n2_);
-    if (!parsed.ok()) return parsed.status();
-    table = std::make_unique<FixedBaseTable>(std::move(parsed).value());
-  }
   // Validate every randomizer before touching pool state so a bad entry
   // can never leave a half-adopted pool behind.
   for (const BigInt& r : m.randomizers) {
@@ -511,15 +486,14 @@ Status RandomizerPool::AdoptMaterial(const CryptoMaterial& m) {
       return Status::InvalidArgument("material randomizer out of (0, n^2)");
     }
   }
-  std::lock_guard<std::mutex> lk(mu_);
+  std::scoped_lock lk(mu_, rng_mu_);
   if (filler_.joinable()) {
     return Status::FailedPrecondition("AdoptMaterial must run before Start");
   }
-  if (table != nullptr) {
-    fixed_base_ = std::move(table);
-    short_exp_bits_ = static_cast<int>(m.short_exp_bits);
-  }
   for (const BigInt& r : m.randomizers) ready_.push_back(r);
+  // The bank came from this stream's first positions: skip them, so every
+  // value generated from here on is one the bank does not hold.
+  for (size_t i = 0; i < m.randomizers.size(); ++i) DrawExponent();
   adopted_ += static_cast<int64_t>(m.randomizers.size());
   target_ = std::max(target_, static_cast<int>(ready_.size()));
   if (depth_gauge_ != nullptr) {
@@ -532,8 +506,6 @@ CryptoMaterial RandomizerPool::ExportMaterial() const {
   CryptoMaterial m;
   m.fingerprint = KeyFingerprint(n_);
   m.modulus_bits = static_cast<uint32_t>(n_.BitLength());
-  m.short_exp_bits = static_cast<uint32_t>(short_exp_bits_);
-  m.table_blob = fixed_base_->Serialize();
   std::lock_guard<std::mutex> lk(mu_);
   m.randomizers.assign(ready_.begin(), ready_.end());
   return m;

@@ -95,10 +95,6 @@ class PaillierPublicKey {
                            std::span<const BigInt* const> exponents,
                            BigIntArena* arena, BigInt* acc) const;
 
-  /// Fresh randomness on an existing ciphertext (same plaintext). Draws from
-  /// the attached randomizer pool when one is present.
-  Result<BigInt> Rerandomize(const BigInt& c, SecureRandom& rng) const;
-
   /// Attaches a pool of precomputed r^n mod n² values (nullptr detaches).
   /// The pool must be built for this modulus and must outlive every copy of
   /// the key that carries the attachment (copies share the pointer) — in the
@@ -220,8 +216,8 @@ int NarrowPlaintextBits(int modulus_bits);
 
 /// Pool of precomputed Paillier randomizers r^n mod n² — the expensive
 /// full-width exponentiation of every encryption. A background filler thread
-/// keeps the pool at its fill target so Encrypt / Rerandomize only pay a
-/// queue pop on the latency path; when the pool runs dry the caller computes
+/// keeps the pool at its fill target so Encrypt only pays a queue pop on
+/// the latency path; when the pool runs dry the caller computes
 /// inline (correctness never depends on the filler keeping up). The target
 /// starts at `target_depth` and rises to the level the offline phase leaves
 /// (Prewarm, AdoptMaterial). The filler runs at SCHED_IDLE priority, so it
@@ -260,11 +256,6 @@ class RandomizerPool {
   /// Stops and joins the filler (idempotent; also run by the destructor).
   void Stop();
 
-  /// Synchronously computes up to `count` values (clamped to the fill
-  /// target) — benches use this to take the fill off the measured path the
-  /// way a deployment's idle periods would.
-  void Prefill(int count);
-
   /// The dedicated offline phase: synchronously fills the pool to at least
   /// `count` ready values and raises the fill target to `count`, so the
   /// filler later restores that level, and never goes past it. Returns how
@@ -279,16 +270,20 @@ class RandomizerPool {
   /// in-range exponents never cause, returns Internal and adds nothing.
   Result<int> Prewarm(int count, int threads = 1);
 
-  /// Installs persisted offline material (crypto/material.h): deserializes
-  /// the fixed-base table against this pool's modulus and enqueues every
-  /// stored randomizer. Must run before Start. The fill target rises to the
-  /// resulting depth, so the filler restores the adopted level.
-  /// Structural problems return InvalidArgument and leave the pool exactly
-  /// as constructed — the caller treats that as a cache miss.
+  /// Installs persisted offline material (crypto/material.h): enqueues every
+  /// stored randomizer, then skips the pool's stream past as many draws. A
+  /// bank is saved once, by the offline phase before any take
+  /// (RunOfflinePhase), so it holds the first values this pool's stream
+  /// yields at the same seed; without the skip a top-up Prewarm, the filler
+  /// and inline misses would hand those values out a second time. Must run
+  /// before Start. The fill target rises to the resulting depth, so the
+  /// filler restores the adopted level. A randomizer outside (0, n²)
+  /// returns InvalidArgument and leaves the pool exactly as constructed —
+  /// the caller treats that as a cache miss.
   Status AdoptMaterial(const CryptoMaterial& m);
 
-  /// Snapshot of the pool as persistable material: the serialized fixed-base
-  /// table plus every currently ready randomizer.
+  /// Snapshot of the pool as persistable material: every currently ready
+  /// randomizer.
   CryptoMaterial ExportMaterial() const;
 
   /// Pops one precomputed r^n mod n², or computes one inline when empty.
@@ -298,7 +293,7 @@ class RandomizerPool {
   int64_t hits() const;    ///< Takes served from the pool
   int64_t misses() const;  ///< Takes computed inline
   int64_t adopted() const; ///< randomizers installed from the material store
-  int short_exp_bits() const { return short_exp_bits_; }
+  const BigInt& n() const { return n_; }  ///< the key's modulus
 
   /// Streams paillier.randomizer_pool_hits / _misses counters plus the
   /// paillier.randomizer_pool_depth and crypto.pool_hit_rate gauges into
@@ -329,8 +324,7 @@ class RandomizerPool {
   std::unique_ptr<SecureRandom> rng_;
 
   // Fixed-base randomizer generation (see class comment). Built in the
-  // constructor or replaced by AdoptMaterial before Start, const afterwards;
-  // short_exp_bits_ is the width of s.
+  // constructor, const afterwards; short_exp_bits_ is the width of s.
   std::unique_ptr<FixedBaseTable> fixed_base_;
   int short_exp_bits_ = 0;
 

@@ -300,8 +300,6 @@ const char* CtlVerbTag(CtlVerb verb) {
       return "inject_fail";
     case CtlVerb::kHeartbeat:
       return "hb";
-    case CtlVerb::kWarmup:
-      return "warmup";
     case CtlVerb::kRejoin:
       return "rejoin";
   }
@@ -374,7 +372,7 @@ Result<CtlResponse> ParseCtlResponse(const std::vector<uint8_t>& payload) {
   return r;
 }
 
-// ------------------------------------------------------ cfg and pairb bodies
+// --------------------------------------------- cfg, recvkey and pairb bodies
 
 namespace {
 
@@ -399,7 +397,6 @@ Status CheckCount(uint32_t count, size_t min_entry, size_t off, size_t size,
 void AppendConfigBody(const ConfigBody& body, std::vector<uint8_t>* out) {
   AppendU32(body.key_bits, out);
   AppendU64(body.test_seed, out);
-  AppendU32(body.pool_depth, out);
   AppendU32(body.emulated_latency_micros, out);
   AppendString(body.material_dir, out);
   AppendU32(body.pack_pairs, out);
@@ -420,7 +417,6 @@ Result<ConfigBody> ParseConfigBody(const std::vector<uint8_t>& payload) {
                                    std::to_string(kMaxKeyBits) + " bits");
   }
   HPRL_ASSIGN_OR_RETURN(body.test_seed, ConsumeU64(payload, &off));
-  HPRL_ASSIGN_OR_RETURN(body.pool_depth, ConsumeU32(payload, &off));
   HPRL_ASSIGN_OR_RETURN(body.emulated_latency_micros,
                         ConsumeU32(payload, &off));
   HPRL_ASSIGN_OR_RETURN(body.material_dir, ConsumeString(payload, &off));
@@ -468,6 +464,20 @@ Result<ConfigBody> ParseConfigBody(const std::vector<uint8_t>& payload) {
         unsigned{body.key_bits}));
   }
   return body;
+}
+
+void AppendRecvKeyBody(uint32_t randomizers, std::vector<uint8_t>* out) {
+  AppendU32(randomizers, out);
+}
+
+Result<uint32_t> ParseRecvKeyBody(const std::vector<uint8_t>& payload) {
+  size_t off = 0;
+  uint32_t randomizers = 0;
+  HPRL_ASSIGN_OR_RETURN(randomizers, ConsumeU32(payload, &off));
+  if (off != payload.size()) {
+    return Status::InvalidArgument("recvkey: trailing bytes after the count");
+  }
+  return randomizers;
 }
 
 void AppendPairBatchBody(const PairBatchBody& body, std::vector<uint8_t>* out) {

@@ -32,12 +32,12 @@ namespace hprl::net {
 /// in-process transport.
 
 inline constexpr uint32_t kWireMagic = 0x4850524C;  // "HPRL"
-/// Version 14: a unit's cross terms are factored by R row, so bob sends
-/// alice one "bob_pk" of Enc(Σy²W) plus a column per (R row, attribute),
-/// and alice folds it and sends qp the unit's one "alice_pk". Mixed-version
+/// Version 15: the offline phase runs inside "recvkey", whose body carries
+/// the holder's randomizer count; the "warmup" verb and the cfg body's pool
+/// depth are gone, and the verbs are renumbered densely. Mixed-version
 /// meshes are rejected at the frame layer; docs/PROTOCOL.md ("Wire
 /// format") records what every earlier version changed.
-inline constexpr uint16_t kWireVersion = 14;
+inline constexpr uint16_t kWireVersion = 15;
 
 /// Frames larger than this are rejected before any allocation — an oversized
 /// length prefix means a corrupted or hostile stream, not a big message
@@ -134,22 +134,22 @@ Result<crypto::BigInt> ConsumeSignedBigInt(const std::vector<uint8_t>& buf,
 enum class CtlVerb : uint8_t {
   kConfigure = 0,   ///< protocol parameters ("cfg")
   kKeygen = 1,      ///< qp only: generate + publish key ("keygen")
-  kRecvKey = 2,     ///< holders: consume the public key ("recvkey")
+  kRecvKey = 2,     ///< holders: consume the public key, then run the
+                    ///  offline phase ("recvkey")
   kPairBatch = 3,   ///< run a batch of pairs ("pairb")
   kPurge = 4,       ///< inter-attempt flush barrier ("purge")
   kStats = 5,       ///< report cost/traffic counters ("stats")
   kShutdown = 6,    ///< leave the serve loop ("shutdown")
   kInjectFail = 7,  ///< test hook: fail/crash upcoming pairs ("inject_fail")
   kHeartbeat = 8,   ///< membership probe on the ":hb" sub-inbox ("hb")
-  kWarmup = 9,      ///< run the offline phase now: prewarm + persist
-                    ///  randomizer material ("warmup")
-  kRejoin = 10,     ///< re-admit a restarted daemon: adopt the coordinator's
+  kRejoin = 9,      ///< re-admit a restarted daemon: adopt the coordinator's
                     ///  session epoch and bump past its last-seen
                     ///  incarnation ("rejoin")
 };
 
-/// Number of verbs; ParseCtlResponse rejects verb bytes at or above this.
-inline constexpr uint8_t kCtlVerbCount = 11;
+/// Number of verbs: every byte below it is a verb, and ParseCtlResponse
+/// rejects verb bytes at or above it.
+inline constexpr uint8_t kCtlVerbCount = 10;
 
 /// The verb's wire tag. Exhaustive switch: a new enum value that is not
 /// given a tag here fails to compile.
@@ -199,13 +199,12 @@ void AppendCtlResponse(const CtlResponse& r, std::vector<uint8_t>* out);
 Result<CtlResponse> ParseCtlResponse(const std::vector<uint8_t>& payload);
 
 // ---------------------------------------------------------------------------
-// kConfigure body (wire v13): the key size, the daemon's knobs, and the
+// kConfigure body (wire v15): the key size, the daemon's knobs, and the
 // public plan every daemon needs to run its role's unit step without seeing
 // a row it does not hold.
 //
 //   u32  key_bits
 //   u64  test_seed
-//   u32  randomizer pool depth (0 disables the pool)
 //   u32  emulated per-pair latency, microseconds
 //   str  material_dir ("" disables the material store)
 //   u32  pack_pairs: pairs per unit, at least 1 (smc::PackedGroupPairs)
@@ -217,7 +216,6 @@ Result<CtlResponse> ParseCtlResponse(const std::vector<uint8_t>& payload);
 struct ConfigBody {
   uint32_t key_bits = 0;
   uint64_t test_seed = 0;
-  uint32_t pool_depth = 0;
   uint32_t emulated_latency_micros = 0;
   std::string material_dir;
   uint32_t pack_pairs = 0;
@@ -231,6 +229,16 @@ void AppendConfigBody(const ConfigBody& body, std::vector<uint8_t>* out);
 /// and a unit that could not be laid out — pack_pairs 0, no attribute, a
 /// slot width missing or zero, or pack_pairs·Σwidths > key_bits − 2.
 Result<ConfigBody> ParseConfigBody(const std::vector<uint8_t>& payload);
+
+// ---------------------------------------------------------------------------
+// kRecvKey body (wire v15): the randomizers the receiving holder's offline
+// phase prewarms, its own role's smc::RandomizerDraws count.
+//
+//   u32  randomizers
+
+void AppendRecvKeyBody(uint32_t randomizers, std::vector<uint8_t>* out);
+/// Parses an exact body: a short body or a byte past the count fails.
+Result<uint32_t> ParseRecvKeyBody(const std::vector<uint8_t>& payload);
 
 // ---------------------------------------------------------------------------
 // kPairBatch body (wire v12): self-contained. A holder's frame carries

@@ -6,6 +6,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "smc/protocol.h"
+
 namespace hprl::net {
 
 using crypto::BigInt;
@@ -213,7 +215,6 @@ bool PartyService::EpochFenced(CtlVerb verb, uint64_t epoch) const {
     case CtlVerb::kRecvKey:
     case CtlVerb::kPairBatch:
     case CtlVerb::kPurge:
-    case CtlVerb::kWarmup:
       // Work verbs execute only under the exact configured epoch: a frame
       // the crashed coordinator left in flight (lower epoch) must never run
       // a pair, and a future-epoch frame reached a daemon that missed the
@@ -310,7 +311,9 @@ Status PartyService::Dispatch(CtlVerb verb, uint64_t epoch,
       return st;
     }
     case CtlVerb::kRecvKey: {
-      Status st = HandleRecvKey();
+      auto randomizers = ParseRecvKeyBody(msg.payload);
+      Status st = randomizers.ok() ? HandleRecvKey(*randomizers)
+                                   : randomizers.status();
       Reply(CtlVerb::kRecvKey, 0, st, {});
       return st;
     }
@@ -352,20 +355,6 @@ Status PartyService::Dispatch(CtlVerb verb, uint64_t epoch,
                                         opts_.endpoints.qp.name};
       Status st = bus_->Flush(peers, *barrier_id);
       Reply(CtlVerb::kPurge, *barrier_id, st, {});
-      return st;
-    }
-    case CtlVerb::kWarmup: {
-      size_t off = 0;
-      auto count = ConsumeU32(msg.payload, &off);
-      if (!count.ok()) {
-        Reply(CtlVerb::kWarmup, 0, count.status(), {});
-        return count.status();
-      }
-      int64_t generated = 0;
-      Status st = HandleWarmup(*count, &generated);
-      std::vector<uint8_t> extra;
-      AppendI64(generated, &extra);
-      Reply(CtlVerb::kWarmup, 0, st, std::move(extra));
       return st;
     }
     case CtlVerb::kStats: {
@@ -434,7 +423,6 @@ Status PartyService::HandleConfigure(const std::vector<uint8_t>& payload) {
   material_dir_ = cfg->material_dir;
   key_bits_ = static_cast<int>(cfg->key_bits);
   test_seed_ = cfg->test_seed;
-  pool_depth_ = cfg->pool_depth;
   thresholds_ = std::move(cfg->thresholds);
   unit_pairs_ = cfg->pack_pairs;
   // ParseConfigBody already planned this layout successfully.
@@ -444,7 +432,6 @@ Status PartyService::HandleConfigure(const std::vector<uint8_t>& payload) {
       static_cast<size_t>(key_bits_) * 4 + 128);
   pool_.reset();  // a new configuration means a new key is coming
   material_store_.reset();
-  material_dirty_ = false;
   incarnation_ += 1;
 
   if (opts_.role == opts_.endpoints.qp.name) {
@@ -471,73 +458,33 @@ Status PartyService::HandleKeygen() {
   return Status::OK();
 }
 
-Status PartyService::HandleRecvKey() {
+Status PartyService::HandleRecvKey(uint32_t randomizers) {
   if (!configured_ || holder_ == nullptr) {
     return Status::FailedPrecondition(
         "recvkey requires a configured data holder");
   }
   HPRL_RETURN_IF_ERROR(holder_->ReceiveKey(bus_.get()));
   if (opts_.metrics != nullptr) holder_->AttachMetrics(opts_.metrics);
-  if (pool_depth_ > 0) {
-    // The pool's filler starts after kWarmup's offline phase, as in
-    // SmcMatchOracle::Init, so the prewarmed randomizers — and the material
-    // persisted from them — never depend on how far the filler got first.
-    uint64_t salt =
-        opts_.role == opts_.endpoints.alice.name ? kAliceSalt : kBobSalt;
-    pool_ = std::make_unique<crypto::RandomizerPool>(
-        holder_->public_key(), static_cast<int>(pool_depth_),
-        Seed(test_seed_, salt ^ 0xF1100u),
-        static_cast<int>(std::thread::hardware_concurrency()));
-    if (!material_dir_.empty()) {
-      // Material must be adopted before the filler thread starts. A load
-      // failure of any kind — absent, truncated, corrupted, wrong key —
-      // only means a cold start: the pool regenerates and the fresh
-      // material is persisted by kWarmup or the shutdown drain.
-      // Role-scoped subdirectory: alice and bob persist under the SAME
-      // (fingerprint, bits) key, and sharing one randomizer bank
-      // across parties would let the querying party divide ciphertexts
-      // and learn plaintext differences. Each daemon gets its own store.
-      material_store_ = std::make_unique<crypto::MaterialStore>(
-          material_dir_ + "/" + opts_.role);
-      const BigInt& n = holder_->public_key().n();
-      auto loaded = material_store_->Load(
-          crypto::KeyFingerprint(n), static_cast<uint32_t>(n.BitLength()));
-      if (loaded.ok() && pool_->AdoptMaterial(*loaded).ok()) {
-        material_dirty_ = false;
-      } else {
-        material_dirty_ = true;
-      }
-    }
-    if (opts_.metrics != nullptr) pool_->AttachMetrics(opts_.metrics);
-    holder_->AttachRandomizerPool(pool_.get());
+  const int cores = static_cast<int>(std::thread::hardware_concurrency());
+  const uint64_t salt =
+      opts_.role == opts_.endpoints.alice.name ? kAliceSalt : kBobSalt;
+  pool_ = std::make_unique<crypto::RandomizerPool>(
+      holder_->public_key(), smc::kRandomizerPoolFloor,
+      Seed(test_seed_, salt ^ 0xF1100u), cores);
+  if (opts_.metrics != nullptr) pool_->AttachMetrics(opts_.metrics);
+  if (!material_dir_.empty()) {
+    // Role-scoped subdirectory: alice and bob persist under the SAME
+    // (fingerprint, bits) key, and sharing one randomizer bank across
+    // parties would let the querying party divide ciphertexts and learn
+    // plaintext differences. Each daemon gets its own store.
+    material_store_ = std::make_unique<crypto::MaterialStore>(
+        material_dir_ + "/" + opts_.role);
   }
+  HPRL_RETURN_IF_ERROR(crypto::RunOfflinePhase(*pool_, material_store_.get(),
+                                               randomizers, cores)
+                           .status());
+  holder_->AttachRandomizerPool(pool_.get());
   return Status::OK();
-}
-
-Status PartyService::HandleWarmup(uint32_t randomizers, int64_t* generated) {
-  *generated = 0;
-  if (!configured_) {
-    return Status::FailedPrecondition("warmup before cfg");
-  }
-  if (pool_ == nullptr) return Status::OK();  // qp, or pool disabled
-  auto prewarmed =
-      pool_->Prewarm(static_cast<int>(randomizers),
-                     static_cast<int>(std::thread::hardware_concurrency()));
-  if (!prewarmed.ok()) return prewarmed.status();
-  *generated = *prewarmed;
-  if (*generated > 0) material_dirty_ = true;
-  PersistMaterial();
-  pool_->Start();
-  return Status::OK();
-}
-
-void PartyService::PersistMaterial() {
-  if (material_store_ == nullptr || pool_ == nullptr || !material_dirty_) {
-    return;
-  }
-  if (material_store_->Save(pool_->ExportMaterial()).ok()) {
-    material_dirty_ = false;
-  }
 }
 
 Status PartyService::RunUnit(

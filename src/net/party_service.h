@@ -146,12 +146,6 @@ class PartyService {
   /// Asks a Serve() running on another thread to exit at its next poll.
   void RequestStop() { stop_requested_.store(true); }
 
-  /// Writes any freshly generated randomizer material back to the material
-  /// store (no-op when no store is configured or nothing new was generated).
-  /// Called after a kWarmup offline phase and again on the SIGTERM drain
-  /// path, so work done during daemon idle time survives the process.
-  void PersistMaterial();
-
   SocketBus& bus() { return *bus_; }
   const smc::SmcCosts& costs() const { return costs_; }
   uint64_t incarnation() const { return incarnation_; }
@@ -166,12 +160,12 @@ class PartyService {
   bool EpochFenced(CtlVerb verb, uint64_t epoch) const;
   Status HandleConfigure(const std::vector<uint8_t>& payload);
   Status HandleKeygen();
-  Status HandleRecvKey();
-  /// Dedicated offline phase: top the randomizer pool up to `randomizers`
-  /// entries (this role's smc::RandomizerDraws) on every core, persist the
-  /// result, then start the pool's filler, which holds that level. No-op on
-  /// qp, whose offline work is keygen itself.
-  Status HandleWarmup(uint32_t randomizers, int64_t* generated);
+  /// Consumes qp's public key, then runs the offline phase on a fresh
+  /// randomizer pool: crypto::RunOfflinePhase, the one SmcMatchOracle::Init
+  /// runs, over this role's store on every core. It prewarms `randomizers`
+  /// (this role's smc::RandomizerDraws), saves a bank it grew and starts the
+  /// pool's filler. Holders only; qp's offline work is keygen itself.
+  Status HandleRecvKey(uint32_t randomizers);
   /// Runs this role's step (smc/parties.h) on the unit of pairs
   /// [begin, end) of `pairs`; fills the unit's labels on qp. A holder reads
   /// its side of each pair from `rows` (the frame's own rows, one per pair,
@@ -206,7 +200,6 @@ class PartyService {
   int key_bits_ = 0;  // kConfigure
   bool configured_ = false;
   uint64_t test_seed_ = 0;
-  uint32_t pool_depth_ = 0;  // kConfigure; 0 disables the pool
   /// Bumped on every kConfigure and jumped past the coordinator's last-seen
   /// value by kRejoin; echoed in cfg/rejoin/heartbeat acks so the
   /// coordinator's membership table can drop acks from a superseded
@@ -227,15 +220,11 @@ class PartyService {
   // Exactly one of these is live, by role.
   std::unique_ptr<smc::QueryingParty> qp_;
   std::unique_ptr<smc::DataHolder> holder_;
-  // Holder-side randomizer pool, started the moment the public key arrives
-  // (HandleRecvKey) so it pre-warms during the coordinator's remaining setup
-  // instead of competing with the first batch.
+  // Holder-side randomizer pool, built and prewarmed when the public key
+  // arrives (HandleRecvKey), before the first batch.
   std::unique_ptr<crypto::RandomizerPool> pool_;
-  // Holder-side material store (material_dir_ non-empty). dirty tracks
-  // whether the pool holds randomizers the store has not seen yet, so
-  // PersistMaterial never rewrites an unchanged file.
+  // Holder-side material store (material_dir_ non-empty).
   std::unique_ptr<crypto::MaterialStore> material_store_;
-  bool material_dirty_ = false;
 
   /// From kConfigure: the rule's scaled thresholds (one per compared
   /// attribute), the pairs per unit and the unit's slot layout.

@@ -113,10 +113,11 @@ void RemoteSmcOracle::HandleRejoinAck(int shard, const CtlResponse& r) {
   probes_[label].answered = true;
   if (!ShardAllAlive(shard)) return;  // siblings still down: wait for them
   // The restarted daemon adopted the epoch but lost all protocol state, so
-  // the whole shard replays the setup handshake (deterministic seed-derived
-  // keys make this safe mid-run; the daemon re-warms from its role-scoped
-  // material store during recvkey). Every frame carries its own rows, so
-  // it is schedulable as soon as setup is done.
+  // the whole shard replays the setup handshake, cfg/keygen/recvkey
+  // (deterministic seed-derived keys make this safe mid-run; each holder
+  // re-runs its offline phase from its role-scoped material store during
+  // recvkey). Every frame carries its own rows, so it is schedulable as
+  // soon as setup is done.
   if (!SetupShards({shard}).ok()) {
     // Died again under the handshake: back to dead, a later rejoin retries.
     for (const std::string& role : ShardRoles(shard)) {
@@ -173,13 +174,9 @@ std::vector<uint8_t> RemoteSmcOracle::BuildConfigPayload() const {
   ConfigBody body;
   body.key_bits = static_cast<uint32_t>(opts_.config.key_bits);
   body.test_seed = opts_.config.test_seed;
-  // Holder daemons build their randomizer pools when the key arrives and
-  // start the filler once kWarmup's offline phase is done.
-  body.pool_depth =
-      static_cast<uint32_t>(std::max(0, opts_.config.randomizer_pool_depth));
   body.emulated_latency_micros = opts_.emulated_latency_micros;
   // The daemons load persisted randomizer material keyed by their
-  // (identically derived) keypair; kWarmup below sizes their offline phase.
+  // (identically derived) keypair; recvkey sizes their offline phase.
   body.material_dir = opts_.config.material_dir;
   // The public plan: the same units and thresholds the in-process oracle
   // derives, so every daemon splits a frame exactly like its peers.
@@ -193,6 +190,14 @@ std::vector<uint8_t> RemoteSmcOracle::BuildConfigPayload() const {
 
 Status RemoteSmcOracle::SetupShards(const std::vector<int>& shard_ids) {
   const std::vector<uint8_t> cfg = BuildConfigPayload();
+  // Each holder's offline phase prewarms exactly the randomizers its role
+  // draws for offline_pairs pairs (smc::RandomizerDraws).
+  HPRL_ASSIGN_OR_RETURN(const smc::RoleDraws draws,
+                        smc::RandomizerDraws(opts_.config, operands_,
+                                             opts_.config.offline_pairs));
+  std::vector<uint8_t> recvkey_alice, recvkey_bob;
+  AppendRecvKeyBody(static_cast<uint32_t>(draws.alice), &recvkey_alice);
+  AppendRecvKeyBody(static_cast<uint32_t>(draws.bob), &recvkey_bob);
 
   // Fan each phase out to every shard before collecting any acks, so the
   // shards run their setup (keygen above all) concurrently.
@@ -230,42 +235,19 @@ Status RemoteSmcOracle::SetupShards(const std::vector<int>& shard_ids) {
     HPRL_RETURN_IF_ERROR(ReplyStatus(acks.begin()->second));
   }
 
+  // The holders consume the key, then run the offline phase before the
+  // first pair and off the online critical path: adopt what their
+  // role-scoped material store holds, prewarm the rest, save the bank and
+  // only then start their pools' fillers. Generation scales with
+  // offline_pairs, so the deadline is as generous as keygen's.
   for (int s : shard_ids) {
-    SendCtl(s, shards_[s].alice.name, CtlVerb::kRecvKey, {});
-    SendCtl(s, shards_[s].bob.name, CtlVerb::kRecvKey, {});
+    SendCtl(s, shards_[s].alice.name, CtlVerb::kRecvKey, recvkey_alice);
+    SendCtl(s, shards_[s].bob.name, CtlVerb::kRecvKey, recvkey_bob);
   }
   for (int s : shard_ids) {
     std::map<std::string, CtlResponse> acks;
     HPRL_RETURN_IF_ERROR(CollectReplies(
-        s, CtlVerb::kRecvKey, 0,
-        {shards_[s].alice.name, shards_[s].bob.name},
-        opts_.receive_timeout_ms * 2, &acks));
-    for (const auto& [role, reply] : acks) {
-      HPRL_RETURN_IF_ERROR(ReplyStatus(reply));
-    }
-  }
-
-  // Dedicated offline phase, before the first pair and off the online
-  // critical path: each holder prewarms exactly the randomizers its role
-  // draws for offline_pairs pairs (smc::RandomizerDraws), less what it
-  // adopted from its material store during recvkey, persists them, and only
-  // then starts its pool's filler. With offline_pairs 0 the verb only
-  // starts the filler. Generation scales with offline_pairs, so the
-  // deadline is as generous as keygen's.
-  HPRL_ASSIGN_OR_RETURN(const smc::RoleDraws draws,
-                        smc::RandomizerDraws(opts_.config, operands_,
-                                             opts_.config.offline_pairs));
-  std::vector<uint8_t> warm_alice, warm_bob;
-  AppendU32(static_cast<uint32_t>(draws.alice), &warm_alice);
-  AppendU32(static_cast<uint32_t>(draws.bob), &warm_bob);
-  for (int s : shard_ids) {
-    SendCtl(s, shards_[s].alice.name, CtlVerb::kWarmup, warm_alice);
-    SendCtl(s, shards_[s].bob.name, CtlVerb::kWarmup, warm_bob);
-  }
-  for (int s : shard_ids) {
-    std::map<std::string, CtlResponse> acks;
-    HPRL_RETURN_IF_ERROR(CollectReplies(
-        s, CtlVerb::kWarmup, 0, {shards_[s].alice.name, shards_[s].bob.name},
+        s, CtlVerb::kRecvKey, 0, {shards_[s].alice.name, shards_[s].bob.name},
         120000, &acks));
     for (const auto& [role, reply] : acks) {
       HPRL_RETURN_IF_ERROR(ReplyStatus(reply));

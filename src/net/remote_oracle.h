@@ -124,8 +124,9 @@ struct MeshStats {
 /// the bus re-dials on send). A valid rejoin ack carries a strictly-higher
 /// incarnation, takes the membership table's only dead -> alive edge, and —
 /// once every replica of the shard is back — the coordinator replays the
-/// full setup handshake (cfg/keygen/recvkey/warmup; safe mid-run because
-/// the keys are seed-derived) and re-admits the shard to the scheduler.
+/// full setup handshake (cfg/keygen/recvkey, the holders' offline phase
+/// included; safe mid-run because the keys are seed-derived) and re-admits
+/// the shard to the scheduler.
 ///
 /// Fault handling within a shard mirrors the in-process stack (protocol.cc
 /// RetryExchange + smc_oracle.cc supervision, one fault taxonomy in
@@ -247,9 +248,10 @@ class RemoteSmcOracle : public MatchOracle {
   std::vector<uint8_t> BuildConfigPayload() const;
   /// Runs the full setup handshake on `shard_ids`, fanned out phase by
   /// phase so the shards work concurrently: cfg to every replica, keygen on
-  /// the qps, recvkey on the holders, then the offline warmup when material
-  /// is configured. Init() runs it over every shard; the rejoin path replays
-  /// it on a single recovered shard.
+  /// the qps, then recvkey on the holders, each carrying its role's
+  /// randomizer count for the offline phase it runs there. Init() runs it
+  /// over every shard; the rejoin path replays it on a single recovered
+  /// shard.
   Status SetupShards(const std::vector<int>& shard_ids);
   /// Records a heartbeat ack in the membership table.
   void HandleHbAck(int shard, const CtlResponse& r);

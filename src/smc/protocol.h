@@ -33,12 +33,6 @@ struct SmcConfig {
   /// Non-zero: deterministic randomness for reproducible tests/benches.
   uint64_t test_seed = 0;
 
-  /// Target depth of the precomputed-randomizer pool SmcMatchOracle shares
-  /// across its workers; 0 disables the pool. Standalone comparators never
-  /// pool (their encryptions stay inline), so this knob only matters when
-  /// comparing through SmcMatchOracle.
-  int randomizer_pool_depth = 64;
-
   /// Deterministic fault-injection schedule for the transport (smc/fault.h).
   /// When enabled, each worker's bus is decorated as a FaultyBus; disabled
   /// (the default), the comparator runs on the plain MessageBus and the
@@ -65,12 +59,12 @@ struct SmcConfig {
   int pack_slot_bits = 64;
 
   /// Non-empty: persistent offline-material store directory
-  /// (crypto/material.h). SmcMatchOracle (and, over TCP, every daemon)
-  /// loads fixed-base tables + pre-encrypted randomizers keyed by keypair
-  /// fingerprint from here at Init and saves freshly generated material
-  /// back, so warm runs skip the offline phase entirely. Corrupt or
-  /// mismatched files are silently regenerated. Material only ever hits at
-  /// a pinned test_seed (production keys never repeat).
+  /// (crypto/material.h). The offline phase (crypto::RunOfflinePhase) of
+  /// SmcMatchOracle and, over TCP, of every holder daemon loads the
+  /// randomizer bank filed under the keypair's fingerprint and saves a
+  /// bank it grew, so a warm run generates only what the bank lacks.
+  /// Corrupt or mismatched files are silently regenerated. Material only
+  /// ever hits at a pinned test_seed (production keys never repeat).
   std::string material_dir;
 
   /// Record pairs the dedicated offline phase provisions randomizers for:
@@ -82,6 +76,12 @@ struct SmcConfig {
   /// producer.
   int offline_pairs = 0;
 };
+
+/// The fill level every randomizer pool starts at (SmcMatchOracle's shared
+/// pool, each TCP holder daemon's); the offline phase raises it to what it
+/// prewarms. Standalone comparators keep no pool: their encryptions
+/// compute inline.
+inline constexpr int kRandomizerPoolFloor = 64;
 
 /// Pairs one unit of the exchange carries under `config` and the rule
 /// behind `operands`. The widest unit is G = min(pack_pairs,

@@ -38,40 +38,19 @@ Status SmcMatchOracle::Init() {
   if (!kp.ok()) return kp.status();
   keypair_ = std::move(kp).value();
 
-  if (config_.randomizer_pool_depth > 0) {
-    pool_ = std::make_unique<crypto::RandomizerPool>(
-        keypair_.pub, config_.randomizer_pool_depth,
-        WorkerSeed(config_.test_seed, 0xF11), threads_);
-    // Offline phase, before Start so the background filler never races it
-    // and before any worker exists so no online op can interleave: adopt
-    // persisted material when the store holds a verified file for this
-    // keypair, then prewarm whatever offline_pairs record pairs draw beyond
-    // it (RandomizerDraws; both holders share this pool) and save the
-    // result for the next run. The filler then holds that level.
-    if (!config_.material_dir.empty()) {
-      material_store_ =
-          std::make_unique<crypto::MaterialStore>(config_.material_dir);
-      // Keyed by the ACTUAL modulus bit length, matching ExportMaterial —
-      // n = p·q can come up one bit short of config key_bits.
-      auto loaded = material_store_->Load(
-          crypto::KeyFingerprint(keypair_.pub.n()),
-          static_cast<uint32_t>(keypair_.pub.n().BitLength()));
-      material_warm_ = loaded.ok() && pool_->AdoptMaterial(*loaded).ok();
-    }
-    if (config_.offline_pairs > 0) {
-      auto generated =
-          pool_->Prewarm(static_cast<int>(draws.total()), threads_);
-      if (!generated.ok()) return generated.status();
-      offline_generated_ = *generated;
-    }
-    if (material_store_ != nullptr &&
-        (!material_warm_ || offline_generated_ > 0)) {
-      // Best-effort: a read-only store degrades to always-cold, never to a
-      // failed run.
-      (void)material_store_->Save(pool_->ExportMaterial());
-    }
-    pool_->Start();
+  pool_ = std::make_unique<crypto::RandomizerPool>(
+      keypair_.pub, kRandomizerPoolFloor, WorkerSeed(config_.test_seed, 0xF11),
+      threads_);
+  // The offline phase, before any worker exists so no online op can
+  // interleave. Both holders share this pool, so it prewarms both roles'
+  // draws for offline_pairs pairs.
+  if (!config_.material_dir.empty()) {
+    material_store_ =
+        std::make_unique<crypto::MaterialStore>(config_.material_dir);
   }
+  HPRL_ASSIGN_OR_RETURN(offline_,
+                        crypto::RunOfflinePhase(*pool_, material_store_.get(),
+                                                draws.total(), threads_));
 
   workers_.clear();
   workers_.reserve(static_cast<size_t>(threads_));
@@ -81,7 +60,7 @@ Status SmcMatchOracle::Init() {
     auto worker =
         std::make_unique<SecureRecordComparator>(worker_cfg, rule_);
     HPRL_RETURN_IF_ERROR(worker->InitWithKeyPair(keypair_));
-    if (pool_ != nullptr) worker->AttachRandomizerPool(pool_.get());
+    worker->AttachRandomizerPool(pool_.get());
     workers_.push_back(std::move(worker));
   }
   initialized_ = true;
@@ -103,7 +82,7 @@ void SmcMatchOracle::PublishMaterialMetrics() {
   obs::Add(metrics_, "crypto.material.misses", ms.misses);
   obs::Add(metrics_, "crypto.material.rejected", ms.rejected);
   obs::Add(metrics_, "crypto.material.bytes", ms.bytes);
-  obs::Add(metrics_, "crypto.material.generated", offline_generated_);
+  obs::Add(metrics_, "crypto.material.generated", offline_.generated);
   material_metrics_published_ = true;
 }
 
@@ -116,7 +95,7 @@ Status SmcMatchOracle::RestartWorker(size_t w) {
   worker_cfg.test_seed = WorkerSeed(config_.test_seed, static_cast<int>(w));
   auto fresh = std::make_unique<SecureRecordComparator>(worker_cfg, rule_);
   HPRL_RETURN_IF_ERROR(fresh->InitWithKeyPair(keypair_));
-  if (pool_ != nullptr) fresh->AttachRandomizerPool(pool_.get());
+  fresh->AttachRandomizerPool(pool_.get());
   if (metrics_ != nullptr) fresh->AttachMetrics(metrics_);
   workers_[w] = std::move(fresh);
   worker_restarts_.fetch_add(1, std::memory_order_relaxed);
@@ -221,7 +200,7 @@ const SmcCosts& SmcMatchOracle::costs() const {
     aggregated_ = retired_;  // work done by since-restarted stacks
   }
   for (const auto& worker : workers_) aggregated_ += worker->costs();
-  if (pool_ != nullptr) {
+  if (pool_ != nullptr) {  // null only before Init
     // Offline attribution: every pool hit consumed a randomizer whose
     // exponentiation was paid for ahead of the online path; the first
     // adopted() of those came off disk rather than being generated this run.

@@ -43,18 +43,17 @@ class SmcMatchOracle : public MatchOracle {
   SmcMatchOracle& operator=(const SmcMatchOracle&) = delete;
 
   /// Checks the plan (PackedGroupPairs; its InvalidArgument comes back
-  /// before any key is generated), generates the shared key pair, spins up
-  /// the randomizer pool (when SmcConfig::randomizer_pool_depth > 0) and
-  /// initializes the workers.
+  /// before any key is generated), generates the shared key pair, runs the
+  /// offline phase on the shared randomizer pool and initializes the
+  /// workers.
   ///
-  /// With a pool this also runs the offline phase. With
-  /// SmcConfig::material_dir set, persisted material for the keypair's
-  /// fingerprint is loaded into the pool first (a warm run). With
-  /// offline_pairs > 0, the randomizers that many pairs draw
-  /// (RandomizerDraws) and the pool does not hold yet are prewarmed on the
-  /// oracle's worker count; a store then saves any new material so the NEXT
-  /// run is warm. The pool's filler holds the resulting level. Everything
-  /// Init does is input-independent.
+  /// The offline phase is crypto::RunOfflinePhase, the one a TCP holder
+  /// daemon runs too: with SmcConfig::material_dir set it adopts the bank
+  /// persisted for the keypair's fingerprint (a warm run), prewarms the
+  /// randomizers offline_pairs pairs draw (RandomizerDraws) on the oracle's
+  /// worker count, saves a bank it grew so the NEXT run is warm, and starts
+  /// the pool's filler, which holds the resulting level. Everything Init
+  /// does is input-independent.
   Status Init();
 
   /// Labels batch[i] into slot i of the result (kPairMatch / kPairNonMatch /
@@ -96,8 +95,8 @@ class SmcMatchOracle : public MatchOracle {
   /// Worker 0's message bus (per-worker traffic; tests and demos).
   const MessageBus& bus() const { return workers_.front()->bus(); }
 
-  /// The shared randomizer pool; nullptr when disabled. Benches use this to
-  /// Prefill before timing.
+  /// The shared randomizer pool (nullptr before Init). Benches use this to
+  /// Prewarm before timing.
   crypto::RandomizerPool* randomizer_pool() { return pool_.get(); }
 
   /// Material-store accounting for this oracle's Init (all zeros when no
@@ -108,7 +107,7 @@ class SmcMatchOracle : public MatchOracle {
   }
 
   /// True when Init adopted persisted material (warm start).
-  bool material_warm() const { return material_warm_; }
+  bool material_warm() const { return offline_.warm; }
 
  private:
   /// Rebuilds worker `w`'s comparator stack (same shared key, same derived
@@ -129,8 +128,7 @@ class SmcMatchOracle : public MatchOracle {
   crypto::PaillierKeyPair keypair_;
   std::unique_ptr<crypto::RandomizerPool> pool_;
   std::unique_ptr<crypto::MaterialStore> material_store_;
-  bool material_warm_ = false;
-  int64_t offline_generated_ = 0;  // randomizers Init's offline phase made
+  crypto::OfflinePhase offline_;  // what Init's offline phase did
   bool material_metrics_published_ = false;
   std::vector<std::unique_ptr<SecureRecordComparator>> workers_;
   mutable SmcCosts aggregated_;  // scratch for costs(); see .cc

@@ -254,13 +254,16 @@ TEST_F(PaillierTest, PaperSquaredDistanceIdentity) {
   EXPECT_EQ(*d, BigInt((x - y) * (x - y)));
 }
 
-TEST_F(PaillierTest, RerandomizePreservesPlaintext) {
+// Fresh randomness on an existing ciphertext: adding an encryption of zero
+// changes the ciphertext, never the plaintext.
+TEST_F(PaillierTest, AddingAnEncryptedZeroPreservesPlaintext) {
   auto c = pub_.Encrypt(BigInt(31337), rng_);
   ASSERT_TRUE(c.ok());
-  auto c2 = pub_.Rerandomize(*c, rng_);
-  ASSERT_TRUE(c2.ok());
-  EXPECT_NE(*c, *c2);
-  EXPECT_EQ(*priv_.Decrypt(*c2), BigInt(31337));
+  auto zero = pub_.Encrypt(BigInt(0), rng_);
+  ASSERT_TRUE(zero.ok());
+  const BigInt c2 = pub_.Add(*c, *zero);
+  EXPECT_NE(*c, c2);
+  EXPECT_EQ(*priv_.Decrypt(c2), BigInt(31337));
 }
 
 TEST_F(PaillierTest, CrtDecryptMatchesReferenceOnEdgePlaintexts) {
@@ -361,7 +364,7 @@ class RandomizerPoolTest : public ::testing::Test {
 
 TEST_F(RandomizerPoolTest, PooledEncryptionRoundTrips) {
   RandomizerPool pool(pub_, /*target_depth=*/8, /*test_seed=*/99);
-  pool.Prefill(8);
+  ASSERT_TRUE(pool.Prewarm(8).ok());
   EXPECT_EQ(pool.depth(), 8);
   pub_.AttachRandomizerPool(&pool);
   for (int64_t m : {0LL, 1LL, 123456LL}) {
@@ -376,21 +379,9 @@ TEST_F(RandomizerPoolTest, PooledEncryptionRoundTrips) {
   EXPECT_EQ(pool.misses(), 0);
 }
 
-TEST_F(RandomizerPoolTest, PooledRerandomizePreservesPlaintext) {
-  RandomizerPool pool(pub_, 4, 5);
-  pool.Prefill(4);
-  pub_.AttachRandomizerPool(&pool);
-  auto c = pub_.Encrypt(BigInt(31337), rng_);
-  ASSERT_TRUE(c.ok());
-  auto c2 = pub_.Rerandomize(*c, rng_);
-  ASSERT_TRUE(c2.ok());
-  EXPECT_NE(*c, *c2);
-  EXPECT_EQ(*priv_.Decrypt(*c2), BigInt(31337));
-}
-
 TEST_F(RandomizerPoolTest, DrainedPoolFallsBackInline) {
   RandomizerPool pool(pub_, 2, 11);
-  pool.Prefill(2);
+  ASSERT_TRUE(pool.Prewarm(2).ok());
   pub_.AttachRandomizerPool(&pool);
   for (int i = 0; i < 5; ++i) {
     auto c = pub_.Encrypt(BigInt(i), rng_);
@@ -419,7 +410,7 @@ TEST_F(RandomizerPoolTest, MetricsStreamHitsMissesDepth) {
   obs::MetricsRegistry registry;
   RandomizerPool pool(pub_, 3, 17);
   pool.AttachMetrics(&registry);
-  pool.Prefill(3);
+  ASSERT_TRUE(pool.Prewarm(3).ok());
   pub_.AttachRandomizerPool(&pool);
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(pub_.Encrypt(BigInt(i), rng_).ok());
@@ -953,7 +944,7 @@ TEST(DecryptBelowTest, RandomCiphertextsOfASixPairUnitFailTheUnpack) {
 
 TEST_F(RandomizerPoolTest, FixedBaseRandomizersAreValidUnits) {
   RandomizerPool pool(pub_, 4, 21);
-  pool.Prefill(4);
+  ASSERT_TRUE(pool.Prewarm(4).ok());
   for (int i = 0; i < 5; ++i) {
     // A valid randomizer is a unit r^n mod n²: it decrypts (as a ciphertext)
     // to 0, whether prefilled or (the fifth) computed inline.
@@ -1039,7 +1030,7 @@ TEST_F(RandomizerPoolTest, HitRateGaugeTracksServedFraction) {
   obs::MetricsRegistry registry;
   RandomizerPool pool(pub_, 3, 23);
   pool.AttachMetrics(&registry);
-  pool.Prefill(3);
+  ASSERT_TRUE(pool.Prewarm(3).ok());
   pub_.AttachRandomizerPool(&pool);
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(pub_.Encrypt(BigInt(i), rng_).ok());

@@ -160,16 +160,12 @@ bool SameServeJournal(const ServeJournal& a, const ServeJournal& b) {
   return true;
 }
 
-/// Hand-built (not key-generated) material: the codec never interprets the
-/// table blob, so a short fixed one keeps every-bit-flip runs small.
+/// Hand-built (not key-generated) material: a short fixed bank keeps
+/// every-bit-flip runs small.
 crypto::CryptoMaterial SampleMaterial() {
   crypto::CryptoMaterial m;
   m.fingerprint = 0x0123456789ABCDEFull;
   m.modulus_bits = 256;
-  m.short_exp_bits = 160;
-  for (int i = 0; i < 37; ++i) {
-    m.table_blob.push_back(static_cast<uint8_t>(i * 7 + 3));
-  }
   m.randomizers.emplace_back(1);
   m.randomizers.emplace_back(0x7FFFFFFFFFFFll);
   m.randomizers.push_back(
@@ -180,15 +176,15 @@ crypto::CryptoMaterial SampleMaterial() {
 bool SameMaterial(const crypto::CryptoMaterial& a,
                   const crypto::CryptoMaterial& b) {
   return a.fingerprint == b.fingerprint && a.modulus_bits == b.modulus_bits &&
-         a.short_exp_bits == b.short_exp_bits &&
-         a.table_blob == b.table_blob && a.randomizers == b.randomizers;
+         a.randomizers == b.randomizers;
 }
 
 TEST(MaterialFormatTest, SavedBytesAreUnchanged) {
   // Pins the on-disk bytes of one fixed material: files written by earlier
   // builds of this version must keep loading, and a warm store must stay
-  // warm across upgrades. The expected hash was taken from the version-2
-  // HPRLMAT1 codec, which dropped version 1's 4-byte slot-layout field.
+  // warm across upgrades. The expected hash was taken from the version-3
+  // HPRLMAT1 codec, whose body is the randomizer bank alone: version 2's
+  // exponent width and fixed-base table are gone.
   const crypto::CryptoMaterial m = SampleMaterial();
   const std::string dir =
       ::testing::TempDir() + "/durable_golden_" + std::to_string(::getpid());
@@ -198,9 +194,9 @@ TEST(MaterialFormatTest, SavedBytesAreUnchanged) {
   ASSERT_TRUE(store.Save(m).ok());
   const std::vector<uint8_t> bytes =
       ReadBytes(store.PathFor(m.fingerprint, m.modulus_bits));
-  EXPECT_EQ(bytes.size(), 116u);
-  EXPECT_EQ(Fnv1a64(bytes.data(), bytes.size()), 0x54cbd0ac4644799eull);
-  EXPECT_EQ(store.stats().bytes, 116);
+  EXPECT_EQ(bytes.size(), 71u);
+  EXPECT_EQ(Fnv1a64(bytes.data(), bytes.size()), 0x470f25dd706976f3ull);
+  EXPECT_EQ(store.stats().bytes, 71);
   std::filesystem::remove_all(dir);
 }
 
@@ -250,7 +246,7 @@ std::vector<Format> AllFormats() {
                     ? Status::OK()
                     : Status::Internal("resumed with different values");
        }},
-      {"Material", "material", 2, StatusCode::kNotFound, material_path,
+      {"Material", "material", 3, StatusCode::kNotFound, material_path,
        [](const std::string& dir) {
          return crypto::MaterialStore(dir).Save(SampleMaterial());
        },

@@ -3,10 +3,11 @@
 // the owning DecodeFrame on every randomized message and on truncation at
 // every prefix length, the scatter-gather header must reproduce EncodeFrame's
 // bytes exactly, and pooled read buffers must recycle instead of reallocate.
-// Also the "pairb" and "cfg" body codecs: round trips, truncation at every
-// length, trailing bytes, hostile counts refused before allocation, a
-// repeated row id, a unit size its layout cannot hold, and a seeded
-// mutation sweep: every body a parser accepts re-encodes to its own bytes.
+// Also the "pairb", "cfg" and "recvkey" body codecs: round trips,
+// truncation at every length, trailing bytes, hostile counts refused before
+// allocation, a repeated row id, a unit size its layout cannot hold, and a
+// seeded mutation sweep: every body a parser accepts re-encodes to its own
+// bytes.
 
 #include <gtest/gtest.h>
 
@@ -283,7 +284,6 @@ ConfigBody SampleConfig() {
   ConfigBody body;
   body.key_bits = 256;
   body.test_seed = 0x0A0B0C0D0E0F1011ull;
-  body.pool_depth = 64;
   body.emulated_latency_micros = 7;
   body.material_dir = "cache/material";
   body.pack_pairs = 3;
@@ -295,7 +295,6 @@ ConfigBody SampleConfig() {
 void ExpectSameConfig(const ConfigBody& got, const ConfigBody& sent) {
   EXPECT_EQ(got.key_bits, sent.key_bits);
   EXPECT_EQ(got.test_seed, sent.test_seed);
-  EXPECT_EQ(got.pool_depth, sent.pool_depth);
   EXPECT_EQ(got.emulated_latency_micros, sent.emulated_latency_micros);
   EXPECT_EQ(got.material_dir, sent.material_dir);
   EXPECT_EQ(got.pack_pairs, sent.pack_pairs);
@@ -366,15 +365,14 @@ TEST(ConfigBodyTest, RejectsAUnitLargerThanTheLayoutHolds) {
   EXPECT_TRUE(refused(body));
 }
 
-// The v13 layout field by field: key_bits, test_seed, pool depth, latency,
-// material_dir, pack_pairs, the widths, then the thresholds — no blinding
-// width, flags byte or fixed-point scale. A body missing its widths (a
-// v12-style scalar plan, width count 0) is refused.
-TEST(ConfigBodyTest, V13LayoutIsExactAndNeedsItsWidths) {
+// The v15 layout field by field: key_bits, test_seed, latency,
+// material_dir, pack_pairs, the widths, then the thresholds — no pool
+// depth, blinding width, flags byte or fixed-point scale. A body missing its
+// widths (a v12-style scalar plan, width count 0) is refused.
+TEST(ConfigBodyTest, V15LayoutIsExactAndNeedsItsWidths) {
   std::vector<uint8_t> want;
   net::AppendU32(256, &want);
   net::AppendU64(0x0A0B0C0D0E0F1011ull, &want);
-  net::AppendU32(64, &want);
   net::AppendU32(7, &want);
   net::AppendString("cache/material", &want);
   net::AppendU32(3, &want);
@@ -393,7 +391,6 @@ TEST(ConfigBodyTest, V13LayoutIsExactAndNeedsItsWidths) {
   std::vector<uint8_t> no_widths;
   net::AppendU32(256, &no_widths);
   net::AppendU64(1, &no_widths);
-  net::AppendU32(64, &no_widths);
   net::AppendU32(0, &no_widths);
   net::AppendString("", &no_widths);
   net::AppendU32(3, &no_widths);
@@ -403,6 +400,29 @@ TEST(ConfigBodyTest, V13LayoutIsExactAndNeedsItsWidths) {
   auto got = net::ParseConfigBody(no_widths);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ----------------------------------------------------- recvkey body codec
+
+// The holder's randomizer count, a big-endian u32 and nothing else: a short
+// body and a trailing byte are refused.
+TEST(RecvKeyBodyTest, CarriesExactlyTheRandomizerCount) {
+  for (uint32_t count : {0u, 27u, 0xFFFFFFFFu}) {
+    std::vector<uint8_t> wire;
+    net::AppendRecvKeyBody(count, &wire);
+    std::vector<uint8_t> want;
+    net::AppendU32(count, &want);
+    EXPECT_EQ(wire, want);
+    auto got = net::ParseRecvKeyBody(wire);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, count);
+    for (size_t n = 0; n < wire.size(); ++n) {
+      std::vector<uint8_t> cut(wire.begin(), wire.begin() + n);
+      EXPECT_FALSE(net::ParseRecvKeyBody(cut).ok()) << "n=" << n;
+    }
+    wire.push_back(0);
+    EXPECT_FALSE(net::ParseRecvKeyBody(wire).ok()) << "trailing byte accepted";
+  }
 }
 
 // ------------------------------------------------------- mutation sweep

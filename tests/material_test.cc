@@ -1,18 +1,22 @@
 // Robustness of the persistent offline-material cache (crypto/material.h):
 // a valid file round-trips bit-exactly; a file filed under the wrong
-// keypair, or written by the version-1 codec, is rejected (never trusted,
-// never fatal) and the caller
-// regenerates, producing labels identical to a cold run. Truncation and
-// bit-flip damage, and the pinned on-disk bytes, are covered with the
-// journals by tests/durable_file_test.cc.
+// keypair, or written by the version-1 or version-2 codec, is rejected
+// (never trusted, never fatal) and the caller regenerates, producing labels
+// identical to a cold run. The offline phase (RunOfflinePhase) generates
+// only what an adopted bank lacks, and a warm pool never hands out a
+// randomizer twice. Truncation and bit-flip damage, and the pinned on-disk
+// bytes, are covered with the journals by tests/durable_file_test.cc.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <chrono>
 #include <fstream>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/hash.h"
@@ -73,7 +77,6 @@ Fixture MakeFixture(uint64_t seed, int randomizers) {
   f.material = pool.ExportMaterial();
   EXPECT_EQ(f.material.randomizers.size(),
             static_cast<size_t>(randomizers));
-  EXPECT_FALSE(f.material.table_blob.empty());
   return f;
 }
 
@@ -97,8 +100,6 @@ TEST(MaterialStoreTest, SaveLoadRoundTripIsExact) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->fingerprint, f.material.fingerprint);
   EXPECT_EQ(loaded->modulus_bits, f.material.modulus_bits);
-  EXPECT_EQ(loaded->short_exp_bits, f.material.short_exp_bits);
-  EXPECT_EQ(loaded->table_blob, f.material.table_blob);
   ASSERT_EQ(loaded->randomizers.size(), f.material.randomizers.size());
   for (size_t i = 0; i < loaded->randomizers.size(); ++i) {
     EXPECT_EQ(loaded->randomizers[i], f.material.randomizers[i]) << i;
@@ -136,39 +137,49 @@ TEST(MaterialStoreTest, StaleFingerprintIsRejected) {
   EXPECT_EQ(store.stats().rejected, 1);
 }
 
-// Version 1 filed the same material with a slot-layout field after the
-// modulus bits. Such a file, well formed and checksummed, is stale: a
-// counted miss and rejection, never trusted, and the next save replaces it.
-TEST(MaterialStoreTest, VersionOneFileIsARejectedMiss) {
+// Version 2 filed the same bank after a u32 exponent width and a
+// length-prefixed fixed-base table; version 1 also carried a u32 slot
+// layout before them. Such files, well formed and checksummed, are stale:
+// a counted miss and rejection, never trusted, and the next save replaces
+// them.
+TEST(MaterialStoreTest, OlderVersionFilesAreRejectedMisses) {
   const std::string dir = MakeTempDir();
   Fixture f = MakeFixture(46, 3);
   MaterialStore store(dir);
   ASSERT_TRUE(store.Save(f.material).ok());
   const std::string path =
       store.PathFor(f.material.fingerprint, f.material.modulus_bits);
-  const std::vector<uint8_t> v2 = ReadFileBytes(path);
-  ASSERT_EQ(v2[8], 2);  // little-endian u32 version after the 8-byte magic
+  const std::vector<uint8_t> v3 = ReadFileBytes(path);
+  ASSERT_EQ(v3[8], 3);  // little-endian u32 version after the 8-byte magic
 
-  // magic | version | fingerprint u64 | modulus bits u32 | ...: version 1
-  // carried a u32 slot layout here, then the same fields; FNV-1a-64 last.
-  std::vector<uint8_t> v1(v2.begin(), v2.end() - 8);
-  v1[8] = 1;
-  const size_t slot_at = 8 + 4 + 8 + 4;
-  v1.insert(v1.begin() + slot_at, {64, 0, 0, 0});
-  const uint64_t sum = Fnv1a64(v1.data(), v1.size());
-  for (int i = 0; i < 8; ++i) v1.push_back(static_cast<uint8_t>(sum >> (8 * i)));
-  WriteFileBytes(path, v1);
+  // magic | version | fingerprint u64 | modulus bits u32 | ... | FNV-1a-64.
+  const size_t after_bits = 8 + 4 + 8 + 4;
+  auto older = [&](uint8_t version) {
+    std::vector<uint8_t> old(v3.begin(), v3.end() - 8);
+    old[8] = version;
+    // Exponent width 128, then a 3-byte table blob.
+    std::vector<uint8_t> table = {128, 0, 0, 0, 3, 0, 0, 0, 9, 8, 7};
+    if (version == 1) table.insert(table.begin(), {64, 0, 0, 0});
+    old.insert(old.begin() + after_bits, table.begin(), table.end());
+    const uint64_t sum = Fnv1a64(old.data(), old.size());
+    for (int i = 0; i < 8; ++i) {
+      old.push_back(static_cast<uint8_t>(sum >> (8 * i)));
+    }
+    return old;
+  };
+  for (uint8_t version : {1, 2}) {
+    WriteFileBytes(path, older(version));
+    MaterialStore reader(dir);
+    auto loaded = reader.Load(f.material.fingerprint, f.material.modulus_bits);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound) << int{version};
+    EXPECT_EQ(reader.stats().misses, 1) << int{version};
+    EXPECT_EQ(reader.stats().rejected, 1) << int{version};
 
-  MaterialStore reader(dir);
-  auto loaded = reader.Load(f.material.fingerprint, f.material.modulus_bits);
-  EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(reader.stats().misses, 1);
-  EXPECT_EQ(reader.stats().rejected, 1);
-
-  ASSERT_TRUE(reader.Save(f.material).ok());
-  EXPECT_EQ(ReadFileBytes(path), v2);
-  EXPECT_TRUE(
-      reader.Load(f.material.fingerprint, f.material.modulus_bits).ok());
+    ASSERT_TRUE(reader.Save(f.material).ok());
+    EXPECT_EQ(ReadFileBytes(path), v3);
+    EXPECT_TRUE(
+        reader.Load(f.material.fingerprint, f.material.modulus_bits).ok());
+  }
 }
 
 TEST(RandomizerPoolTest, AdoptionIsConsumeOnlyAndPreStartOnly) {
@@ -200,6 +211,98 @@ TEST(RandomizerPoolTest, AdoptionIsConsumeOnlyAndPreStartOnly) {
   EXPECT_EQ(fresh.AdoptMaterial(bad).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(fresh.adopted(), 0);
   EXPECT_EQ(fresh.depth(), 0);
+}
+
+// A warm pool is built at the seed the bank was saved under, so its stream
+// starts with the bank's values. Every randomizer it hands out must still
+// be distinct — the adopted ones, a top-up, filler refills and inline
+// misses — or two ciphertexts under one key share r^n and their quotient
+// reveals the plaintext difference to anyone holding the public key.
+TEST(RandomizerPoolTest, WarmPoolNeverHandsOutARandomizerTwice) {
+  Fixture f = MakeFixture(47, 40);  // the bank: a cold pool at seed 47
+  RandomizerPool pool(f.kp.pub, /*target_depth=*/8, /*test_seed=*/47);
+  ASSERT_TRUE(pool.AdoptMaterial(f.material).ok());
+  auto topped = pool.Prewarm(50);
+  ASSERT_TRUE(topped.ok());
+  EXPECT_EQ(*topped, 10);
+
+  std::set<std::string> seen;
+  int64_t takes = 0;
+  auto take = [&](int n) {
+    for (int i = 0; i < n; ++i, ++takes) {
+      EXPECT_TRUE(seen.insert(pool.Take().ToString(16)).second)
+          << "take " << takes << " repeats an earlier randomizer";
+    }
+  };
+  take(50);  // the adopted bank, then the top-up
+  pool.Start();
+  for (int round = 0; round < 2; ++round) {
+    // Let the filler restore the level, then drain it again.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (pool.depth() < 50 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    ASSERT_EQ(pool.depth(), 50) << "the filler never restored the level";
+    take(50);
+  }
+  pool.Stop();
+  take(pool.depth() + 10);  // whatever the filler left, then inline misses
+  EXPECT_EQ(pool.misses(), 10);
+  EXPECT_EQ(static_cast<int64_t>(seen.size()), takes);
+}
+
+// The offline phase adopts a bank, generates only what it lacks and saves
+// the grown bank, whose new values follow the adopted ones without
+// repeating them; a bank that already covers the count is not rewritten.
+TEST(OfflinePhaseTest, WarmPhaseGeneratesOnlyWhatTheBankLacks) {
+  const std::string dir = MakeTempDir();
+  SecureRandom rng(48);
+  auto kp = GeneratePaillierKeyPair(kTestKeyBits, rng);
+  ASSERT_TRUE(kp.ok());
+  const uint64_t fp = KeyFingerprint(kp->pub.n());
+  const auto bits = static_cast<uint32_t>(kp->pub.n().BitLength());
+  MaterialStore store(dir);
+
+  RandomizerPool cold(kp->pub, 4, 48);
+  auto phase = RunOfflinePhase(cold, &store, 12, 2);
+  ASSERT_TRUE(phase.ok()) << phase.status().ToString();
+  EXPECT_FALSE(phase->warm);
+  EXPECT_EQ(phase->generated, 12);
+  cold.Stop();
+  auto bank = store.Load(fp, bits);
+  ASSERT_TRUE(bank.ok());
+  ASSERT_EQ(bank->randomizers.size(), 12u);
+
+  RandomizerPool grown(kp->pub, 4, 48);
+  phase = RunOfflinePhase(grown, &store, 20, 2);
+  ASSERT_TRUE(phase.ok());
+  EXPECT_TRUE(phase->warm);
+  EXPECT_EQ(phase->generated, 8);
+  grown.Stop();
+  auto bigger = store.Load(fp, bits);
+  ASSERT_TRUE(bigger.ok());
+  ASSERT_EQ(bigger->randomizers.size(), 20u);
+  std::set<std::string> distinct;
+  for (size_t i = 0; i < 20; ++i) {
+    if (i < 12) {
+      EXPECT_EQ(bigger->randomizers[i], bank->randomizers[i]) << i;
+    }
+    distinct.insert(bigger->randomizers[i].ToString(16));
+  }
+  EXPECT_EQ(distinct.size(), 20u);
+
+  const int64_t bytes_before = store.stats().bytes;
+  RandomizerPool covered(kp->pub, 4, 48);
+  phase = RunOfflinePhase(covered, &store, 20, 2);
+  ASSERT_TRUE(phase.ok());
+  EXPECT_TRUE(phase->warm);
+  EXPECT_EQ(phase->generated, 0);
+  covered.Stop();
+  // One load, no save.
+  MaterialStore reader(dir);
+  ASSERT_TRUE(reader.Load(fp, bits).ok());
+  EXPECT_EQ(store.stats().bytes - bytes_before, reader.stats().bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -310,10 +413,31 @@ TEST(MaterialEngineTest, WarmAndRepairedRunsMatchColdBitForBit) {
   EXPECT_TRUE(healed.material_warm());
 }
 
+// Every entry of a table Pow can reach: base^{j·2^{w·i}} for every window i
+// and digit j ∈ [1, 2^w) whose exponent fits max_exp_bits (a last, partial
+// window reaches only its low digits), each exponent a single digit.
+std::vector<BigInt> EveryEntry(const FixedBaseTable& table) {
+  const int w = table.window_bits();
+  const int windows = (table.max_exp_bits() + w - 1) / w;
+  std::vector<BigInt> entries;
+  BigInt place(1);  // 2^{w·i}
+  for (int i = 0; i < windows; ++i) {
+    for (int j = 1; j < (1 << w); ++j) {
+      const BigInt exp = BigInt(j) * place;
+      if (static_cast<int>(exp.BitLength()) > table.max_exp_bits()) break;
+      auto entry = table.Pow(exp);
+      EXPECT_TRUE(entry.ok()) << "window " << i << " digit " << j;
+      entries.push_back(entry.ok() ? *entry : BigInt(0));
+    }
+    place = place * BigInt(1 << w);
+  }
+  return entries;
+}
+
 // The fixed-base table's window steps are computed serially and its rows
-// filled on worker threads: the table serializes to the same bytes at any
-// thread count, at the §VI key size, and raises the base like PowMod.
-TEST(FixedBaseTableTest, ThreadedBuildSerializesIdentically) {
+// filled on worker threads: every entry is the same at any thread count,
+// at the §VI key size, and the table raises the base like PowMod.
+TEST(FixedBaseTableTest, ThreadedBuildHasTheSameEntriesAtEveryThreadCount) {
   SecureRandom rng(1066);
   auto kp = GeneratePaillierKeyPair(1024, rng);
   ASSERT_TRUE(kp.ok()) << kp.status().ToString();
@@ -322,24 +446,29 @@ TEST(FixedBaseTableTest, ThreadedBuildSerializesIdentically) {
   const FixedBaseTable serial(base, n2, 512, 6, 1);
   ASSERT_TRUE(serial.ready());
   EXPECT_EQ(serial.table_entries(), 86u * 63u);
-  const std::vector<uint8_t> bytes = serial.Serialize();
-  for (int threads : {2, 4}) {
+  const std::vector<BigInt> entries = EveryEntry(serial);
+  ASSERT_EQ(entries.size(), 85u * 63u + 3u);  // bits 510 and 511 end it
+  EXPECT_EQ(entries[0], base % n2);
+  for (int threads : {2, 4, 8}) {
     const FixedBaseTable threaded(base, n2, 512, 6, threads);
-    EXPECT_EQ(threaded.Serialize(), bytes) << threads << " threads";
+    EXPECT_EQ(EveryEntry(threaded), entries) << threads << " threads";
   }
   // More threads than windows: the extra workers are never started.
-  EXPECT_EQ(FixedBaseTable(base, n2, 24, 6, 8).Serialize(),
-            FixedBaseTable(base, n2, 24, 6, 1).Serialize());
+  EXPECT_EQ(EveryEntry(FixedBaseTable(base, n2, 24, 6, 8)),
+            EveryEntry(FixedBaseTable(base, n2, 24, 6, 1)));
   for (int i = 0; i < 4; ++i) {
     const BigInt e = rng.NextBits(512);
     auto got = serial.Pow(e);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(*got, BigInt::PowMod(base, e, n2));
   }
-  // A pool builds its table on the threads it is given: same material.
+  // A pool builds its table on the threads it is given: same randomizers.
   RandomizerPool one(kp->pub, 4, 77, 1);
   RandomizerPool four(kp->pub, 4, 77, 4);
-  EXPECT_EQ(one.ExportMaterial().table_blob, four.ExportMaterial().table_blob);
+  ASSERT_TRUE(one.Prewarm(4, 1).ok());
+  ASSERT_TRUE(four.Prewarm(4, 4).ok());
+  EXPECT_EQ(one.ExportMaterial().randomizers,
+            four.ExportMaterial().randomizers);
 }
 
 TEST(MaterialEngineTest, ColdMaterialBytesDoNotDependOnThreadCount) {

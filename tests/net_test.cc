@@ -134,13 +134,13 @@ TEST(FrameTest, RejectsVersionMismatch) {
   EXPECT_NE(back.status().ToString().find("version"), std::string::npos);
 }
 
-// Wire v12 and v13 peers are refused at the frame layer, never half-parsed:
-// a v12 "cfg" body carries a blinding width and a flags byte that v13
-// dropped, and a v13 alice sends bob her per-slot cross terms, where a v14
-// bob sends alice his columns.
-TEST(FrameTest, RejectsWireVersionsTwelveAndThirteen) {
-  ASSERT_EQ(net::kWireVersion, 14);
-  for (uint8_t version : {0x0C, 0x0D}) {
+// Wire v13 and v14 peers are refused at the frame layer, never half-parsed:
+// a v13 alice sends bob her per-slot cross terms, where a v14 bob sends
+// alice his columns, and a v14 "cfg" body carries a pool depth and a v14
+// coordinator a "warmup" verb that v15 dropped.
+TEST(FrameTest, RejectsWireVersionsThirteenAndFourteen) {
+  ASSERT_EQ(net::kWireVersion, 15);
+  for (uint8_t version : {0x0D, 0x0E}) {
     Message msg = MakeMessage();
     std::vector<uint8_t> wire = EncodeFrame(msg);
     wire[4 + 4] = 0x00;

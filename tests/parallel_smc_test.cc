@@ -529,7 +529,7 @@ TEST(OfflineBudgetTest, PrewarmsWithoutAMaterialStore) {
   ASSERT_TRUE(cfg.material_dir.empty());
   const smc::RoleDraws draws = *smc::RandomizerDraws(
       cfg, smc::RuleOperands(w.rule, cfg.fp_scale), cfg.offline_pairs);
-  ASSERT_GT(draws.total(), cfg.randomizer_pool_depth);
+  ASSERT_GT(draws.total(), smc::kRandomizerPoolFloor);
   smc::SmcMatchOracle oracle(cfg, w.rule, 2);
   ASSERT_TRUE(oracle.Init().ok());
   EXPECT_EQ(oracle.randomizer_pool()->depth(), draws.total());

@@ -20,10 +20,9 @@
 // (hprl_link's spawned fleets do this).
 //
 // SIGTERM/SIGINT request a graceful drain: the serve loop exits at its next
-// poll, freshly generated offline material is persisted to the material
-// store, and the final metrics report is still written — so `kill <pid>`
-// loses neither the counters nor the randomizers the daemon precomputed
-// during idle time.
+// poll and the final metrics report is still written, so `kill <pid>` loses
+// no counters. Offline material needs no drain: the holder daemons save it
+// once, at the end of recvkey's offline phase.
 //
 // Exit codes (common/exit_codes.h): 0 success, 2 configuration/usage error,
 // 3 transport failure (mesh never came up, socket I/O died), 4 corrupt or
@@ -177,10 +176,6 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, OnTerm);
 
   Status served = service.Serve();
-
-  // Graceful drain: whatever randomizer material the pool generated since
-  // the last save survives the shutdown (no-op when nothing is dirty).
-  service.PersistMaterial();
   std::signal(SIGTERM, SIG_DFL);
   std::signal(SIGINT, SIG_DFL);
   g_service = nullptr;
