@@ -129,29 +129,61 @@ BENCHMARK(BM_PaillierEncryptPooled)
     ->Arg(2048)
     ->Unit(benchmark::kMillisecond);
 
-// The randomizer hot path, both ways: drawing r^n mod n² as h_n^s with a
-// short exponent through the fixed-base windowed table, vs the reference
-// square-and-multiply PowMod(r, n, n²). This pair is the per-randomizer cost
-// behind the RandomizerPool's fast refill.
-void BM_RandomizerFixedBasePow(benchmark::State& state) {
-  KeyFixture& f = Fixture(static_cast<int>(state.range(0)));
-  const BigInt& n = f.kp.pub.n();
-  const BigInt& n2 = f.kp.pub.n_squared();
-  SecureRandom rng(99);
+// The randomizer pool's fixed base h_n = (h² mod n)^n mod n² for a random h
+// coprime to n, and its short exponent width, as RandomizerPool draws them.
+struct RandomizerBase {
+  BigInt hn;
+  int short_bits = 0;
+};
+
+RandomizerBase MakeRandomizerBase(const BigInt& n, const BigInt& n2,
+                                  SecureRandom& rng) {
   BigInt h;
   do {
     h = rng.NextBelow(n);
   } while (h.IsZero() || BigInt::Gcd(h, n) != BigInt(1));
-  BigInt hn = BigInt::PowMod((h * h) % n, n, n2);
-  int short_bits = std::max(128, static_cast<int>(n.BitLength()) / 2);
-  FixedBaseTable table(hn, n2, short_bits);
+  return {BigInt::PowMod((h * h) % n, n, n2),
+          std::max(128, static_cast<int>(n.BitLength()) / 2)};
+}
+
+// The randomizer hot path, both ways: drawing r^n mod n² as h_n^s with a
+// short exponent through the fixed-base comb table, vs the reference
+// square-and-multiply PowMod(r, n, n²). This pair is the per-randomizer cost
+// behind the RandomizerPool's fast refill. The counters are the comb's
+// table entries and the products mod n² one Pow costs at most.
+void BM_RandomizerFixedBasePow(benchmark::State& state) {
+  KeyFixture& f = Fixture(static_cast<int>(state.range(0)));
+  const BigInt& n2 = f.kp.pub.n_squared();
+  SecureRandom rng(99);
+  const RandomizerBase rb = MakeRandomizerBase(f.kp.pub.n(), n2, rng);
+  FixedBaseTable table(rb.hn, n2, rb.short_bits);
   if (!table.ready()) std::abort();
-  BigInt s = rng.NextBits(short_bits);
+  BigInt s = rng.NextBits(rb.short_bits);
   for (auto _ : state) {
     benchmark::DoNotOptimize(table.Pow(s));
   }
+  state.counters["table_entries"] =
+      static_cast<double>(table.table_entries());
+  state.counters["max_products"] = table.shape().max_products();
 }
 BENCHMARK(BM_RandomizerFixedBasePow)
+    ->Arg(1024)
+    ->Arg(2048)
+    ->Unit(benchmark::kMillisecond);
+
+// Building the comb table for the pool's base, serially: the per-key setup
+// every RandomizerPool pays before its first randomizer.
+void BM_FixedBaseTableBuild(benchmark::State& state) {
+  KeyFixture& f = Fixture(static_cast<int>(state.range(0)));
+  const BigInt& n2 = f.kp.pub.n_squared();
+  SecureRandom rng(99);
+  const RandomizerBase rb = MakeRandomizerBase(f.kp.pub.n(), n2, rng);
+  for (auto _ : state) {
+    FixedBaseTable table(rb.hn, n2, rb.short_bits);
+    benchmark::DoNotOptimize(table.ready());
+  }
+}
+BENCHMARK(BM_FixedBaseTableBuild)
     ->Arg(1024)
     ->Arg(2048)
     ->Unit(benchmark::kMillisecond);

@@ -7,7 +7,9 @@
 #   - packed fold: Alice's fold of one 8-pair §VI unit over 8 distinct R
 #     rows (40 columns) as one simultaneous exponentiation vs the per-base
 #     ScalarMulInto + AddInto chain
-#   - randomizer: fixed-base windowed table vs square-and-multiply PowMod
+#   - randomizer: fixed-base comb table vs square-and-multiply PowMod, with
+#     the comb's table entries and products per 512-bit Pow as exact counts
+#     and its serial build time
 #   - SMC stage: batched engine (threads + randomizer pool) vs the
 #     serial reference engine (1 worker, no pool), both on the same packed
 #     units of the timing-table workload (R-row-major, 4 S rows per R row,
@@ -37,9 +39,10 @@
 #       below 80% of its committed value, if the async-datapath overhead
 #       ratio exceeds 2x, if a packed pair costs more than 9 GMP
 #       allocations, if the fast, packed or warm-material SMC stage takes
-#       more than 10 ms, or if a pipelined-rpc count or an SMC stage's
-#       crypto operation or randomizer draw count differs from its committed
-#       value; the committed file is not rewritten
+#       more than 10 ms, or if a pipelined-rpc count, the comb's table
+#       entries or products per Pow, or an SMC stage's crypto operation or
+#       randomizer draw count differs from its committed value; the
+#       committed file is not rewritten
 #
 # Both modes fail when an rpc_batch 1 run's ctl round trips differ from its
 # SMC pair count, either rpc_batch run retried a pair, or the five
@@ -67,7 +70,7 @@ echo "== micro_crypto x5: CRT + narrow decrypt, fixed-base randomizer, packed fo
 # of five.
 for rep in 1 2 3 4 5; do
   "./$BUILD/bench/micro_crypto" \
-    --benchmark_filter='(BM_PaillierDecrypt(Crt|Reference|Narrow)|BM_Randomizer(FixedBasePow|ReferencePowMod))/1024|BM_PackedFold(Chained|Product)/8' \
+    --benchmark_filter='(BM_PaillierDecrypt(Crt|Reference|Narrow)|BM_Randomizer(FixedBasePow|ReferencePowMod)|BM_FixedBaseTableBuild)/1024|BM_PackedFold(Chained|Product)/8' \
     --benchmark_format=json --benchmark_out="$TMP/crypto_$rep.json" \
     --benchmark_out_format=json >/dev/null
 done
@@ -134,11 +137,14 @@ def median(xs):
     mid = len(xs) // 2
     return xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2
 
-def crypto_ms(rep):
+def crypto_runs(rep):
     with open(os.path.join(tmp, "crypto_%d.json" % rep)) as f:
         crypto = json.load(f)
-    return {b["name"]: b["real_time"] for b in crypto["benchmarks"]
+    return {b["name"]: b for b in crypto["benchmarks"]
             if b.get("run_type", "iteration") == "iteration"}
+
+def crypto_ms(rep):
+    return {name: b["real_time"] for name, b in crypto_runs(rep).items()}
 
 # Each timed ratio below is the median over five runs of each run's ratio;
 # the recorded times are the medians of the times.
@@ -152,6 +158,10 @@ ref_reps = crypto_series("BM_PaillierDecryptReference/1024")
 narrow_reps = crypto_series("BM_PaillierDecryptNarrow/1024")
 fb_reps = crypto_series("BM_RandomizerFixedBasePow/1024")
 powmod_reps = crypto_series("BM_RandomizerReferencePowMod/1024")
+build_reps = crypto_series("BM_FixedBaseTableBuild/1024")
+# The comb's shape at the 512-bit short exponent: counters, not timings,
+# identical in every run.
+comb = crypto_runs(1)["BM_RandomizerFixedBasePow/1024"]
 chained_reps = crypto_series("BM_PackedFoldChained/8")
 product_reps = crypto_series("BM_PackedFoldProduct/8")
 
@@ -214,13 +224,19 @@ report = {
         "product_us": median(product_reps),
         "speedup": median([c / p for c, p in zip(chained_reps, product_reps)]),
     },
-    # Randomizer hot path: h_n^s through the fixed-base windowed table vs the
+    # Randomizer hot path: h_n^s through the fixed-base comb table vs the
     # reference square-and-multiply r^n mod n². This is the per-randomizer
-    # cost behind the RandomizerPool's fast refill.
+    # cost behind the RandomizerPool's fast refill. The comb's entries
+    # (4 blocks of 1023) and the products one 512-bit Pow costs at most
+    # (12 squarings + 52 multiplies) are exact gates; the serial table
+    # build, paid once per key, is reported.
     "randomizer_fixed_base_1024": {
         "reference_powmod_ms": median(powmod_reps),
         "fixed_base_ms": median(fb_reps),
         "speedup": median([p / f for p, f in zip(powmod_reps, fb_reps)]),
+        "table_entries": int(comb["table_entries"]),
+        "max_products": int(comb["max_products"]),
+        "table_build_ms": median(build_reps),
     },
     # The same packed units on one worker without a pool and on the fast
     # engine. The ratio (median over the five runs of each run's ratio) is
@@ -397,6 +413,15 @@ if check:
                             f"committed {want}")
         else:
             print(f"check OK pipelined_rpc.{key}: {measured} (exact)")
+    for key in ("table_entries", "max_products"):
+        measured = report["randomizer_fixed_base_1024"][key]
+        want = committed.get("randomizer_fixed_base_1024", {}).get(key)
+        if measured != want:
+            failures.append(f"randomizer_fixed_base_1024.{key}: measured "
+                            f"{measured}, committed {want}")
+        else:
+            print(f"check OK randomizer_fixed_base_1024.{key}: {measured} "
+                  f"(exact)")
     for block, key in (("smc_stage", "fast_seconds"),
                        ("packed_smc", "packed_seconds"),
                        ("offline_online", "warm_online_seconds")):

@@ -65,10 +65,11 @@ echo "== offline/online smoke: cold-then-warm material, bit-identical links =="
 # warm offline phase must generate no randomizers (the cold one generates
 # them all: the crypto.material.generated counter). A third run at a larger
 # offline_pairs adopts that bank and generates exactly the draws it lacks:
-# the difference between two cold runs' counts. Warm runs must also
-# reproduce the links over TCP and a 2-shard fleet, each holder daemon
-# adopting its own store's bank (the daemons keep their own stores, so
-# their first run is their cold).
+# the difference between two cold runs' counts. Cold, warm and grown runs
+# must also reproduce the links over TCP and a 2-shard fleet, with the same
+# generated counts summed over the holder daemons, each daemon adopting its
+# own store's bank (the daemons keep their own stores, so their first run
+# is their cold).
 # Variant specs are the base spec plus appended directives, which replace
 # its values (a later directive wins).
 MAT_DIR="$TCP_TMP/material"
@@ -125,26 +126,60 @@ print(f"material OK: offline_pairs 64 -> 128 generated exactly {got}")
 EOF
 for variant in tcp2 fleet2; do
   extra=""
-  holders=2
-  if [[ "$variant" == fleet2 ]]; then extra="shards 2"; holders=4; fi
+  shards=1
+  if [[ "$variant" == fleet2 ]]; then extra="shards 2"; shards=2; fi
   material_spec "$MAT_DIR/$variant" "$extra" > "$TCP_TMP/$variant.spec"
-  for phase in cold warm; do
-    ./build/tools/hprl_link --spec "$TCP_TMP/$variant.spec" \
+  { cat "$TCP_TMP/$variant.spec"; echo "offline_pairs 128"; } \
+    > "$TCP_TMP/${variant}_grown.spec"
+  for phase in cold warm grown; do
+    spec="$TCP_TMP/$variant.spec"
+    [[ "$phase" != grown ]] || spec="$TCP_TMP/${variant}_grown.spec"
+    ./build/tools/hprl_link --spec "$spec" \
       --r "$TCP_TMP/r.csv" --s "$TCP_TMP/s.csv" --transport tcp \
       --links "$TCP_TMP/links_mat_${variant}_${phase}.csv" \
       --metrics_out "$TCP_TMP/run_mat_${variant}_${phase}.json" >/dev/null
+    diff "$TCP_TMP/links_cold.csv" \
+      "$TCP_TMP/links_mat_${variant}_${phase}.csv" \
+      || { echo "FAIL: $phase $variant links differ from cold inproc"; exit 1; }
   done
-  diff "$TCP_TMP/links_cold.csv" "$TCP_TMP/links_mat_${variant}_warm.csv" \
-    || { echo "FAIL: warm $variant links differ from cold inproc"; exit 1; }
-  python3 - "$TCP_TMP/run_mat_${variant}_warm.json" "$holders" <<'EOF'
+  # Every shard's holders prewarm the full offline_pairs draws, alice's and
+  # bob's together the in-process pool's: the daemons' generated counts sum
+  # to shards times the in-process one, and to shards times the draw
+  # difference when a grown run adopts the smaller bank. The same role's
+  # daemons in different shards share one store directory, so in a fleet's
+  # cold and grown runs a daemon may adopt the bank its sibling has just
+  # saved: there the sum lies between one shard's count and shards times it.
+  python3 - "$TCP_TMP" "$variant" "$shards" <<'EOF'
 import json, sys
-counters = json.load(open(sys.argv[1]))["counters"]
-hits, holders = counters.get("crypto.material.hits", 0), int(sys.argv[2])
-assert hits == holders, f"{hits} store hits for {holders} holder daemons"
+tmp, variant, shards = sys.argv[1], sys.argv[2], int(sys.argv[3])
+def counters(name):
+    return json.load(open(f"{tmp}/{name}.json"))["counters"]
+def generated(name):
+    return counters(name).get("crypto.material.generated", 0)
+cold, cold128 = generated("run_cold"), generated("run_cold128")
+holders = 2 * shards
+for phase, racy, want_hits, want in (
+        ("cold", shards > 1, 0, cold),
+        ("warm", False, holders, 0),
+        ("grown", shards > 1, holders, cold128 - cold)):
+    c = counters(f"run_mat_{variant}_{phase}")
+    hits = c.get("crypto.material.hits", 0)
+    got = c.get("crypto.material.generated", 0)
+    if racy:
+        assert want <= got <= shards * want, \
+            f"{variant} {phase}: generated {got}, want {want}..{shards * want}"
+        continue
+    assert hits == want_hits, \
+        f"{variant} {phase}: {hits} store hits, want {want_hits}"
+    assert got == shards * want, \
+        f"{variant} {phase}: generated {got}, want {shards * want}"
+print(f"material OK: {variant} generated "
+      + ", ".join(f"{generated(f'run_mat_{variant}_{phase}')} {phase}"
+                  for phase in ("cold", "warm", "grown")))
 EOF
 done
-echo "material OK: warm tcp + warm 2-shard fleet links bit-identical," \
-  "one store hit per holder daemon"
+echo "material OK: cold, warm and grown tcp + 2-shard fleet links" \
+  "bit-identical, one store hit per holder daemon when warm"
 
 echo "== comparator fleet smoke: 2 shards (7 processes), bit-identical links =="
 # Sharding is a throughput measure only: a 2-shard fleet run must reproduce

@@ -374,15 +374,15 @@ RandomizerPool::RandomizerPool(const PaillierPublicKey& pub, int target_depth,
   // Fix h_n = (h² mod n)^n mod n² once (h random coprime to n; the squaring
   // lands h² in the quadratic residues, the standard subgroup choice for
   // short-exponent randomizers) and later draw r^n = h_n^s with s of
-  // modulus_bits/2 bits through the windowed table.
+  // modulus_bits/2 bits through the fixed-base comb.
   BigInt h;
   do {
     h = rng_->NextBelow(n_);
   } while (h.IsZero() || BigInt::Gcd(h, n_) != BigInt(1));
   BigInt hn = BigInt::PowMod((h * h) % n_, n_, n2_);
   short_exp_bits_ = std::max(128, static_cast<int>(n_.BitLength()) / 2);
-  fixed_base_ = std::make_unique<FixedBaseTable>(
-      hn, n2_, short_exp_bits_, /*window_bits=*/6, threads);
+  fixed_base_ =
+      std::make_unique<FixedBaseTable>(hn, n2_, short_exp_bits_, threads);
 }
 
 RandomizerPool::~RandomizerPool() { Stop(); }

@@ -225,11 +225,12 @@ int NarrowPlaintextBits(int modulus_bits);
 /// takes rather than during it (once the pool has gone a millisecond
 /// without one), so it never competes with the encryptors.
 ///
-/// The pool generates randomizers through a fixed-base windowed table
-/// (built once per keypair, shared by every comparator worker that encrypts
-/// under this key): it fixes h_n = (h² mod n)^n mod n² for a random
-/// h ∈ Z*_n and draws r^n = h_n^s for a short random exponent s, so each
-/// randomizer costs ~⌈|s|/w⌉ modular multiplies instead of a full-width
+/// The pool generates randomizers through a fixed-base comb table
+/// (crypto/fixed_base.h; built once per keypair, shared by every comparator
+/// worker that encrypts under this key): it fixes h_n = (h² mod n)^n mod n²
+/// for a random h ∈ Z*_n and draws r^n = h_n^s for a short random exponent
+/// s, so each randomizer costs at most 64 modular products at |s| = 512 (12
+/// squarings plus one multiply per comb column) instead of a full-width
 /// PowMod. Randomizers never touch plaintexts, so protocol outputs do not
 /// depend on them.
 ///

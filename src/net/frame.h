@@ -32,12 +32,11 @@ namespace hprl::net {
 /// in-process transport.
 
 inline constexpr uint32_t kWireMagic = 0x4850524C;  // "HPRL"
-/// Version 15: the offline phase runs inside "recvkey", whose body carries
-/// the holder's randomizer count; the "warmup" verb and the cfg body's pool
-/// depth are gone, and the verbs are renumbered densely. Mixed-version
-/// meshes are rejected at the frame layer; docs/PROTOCOL.md ("Wire
-/// format") records what every earlier version changed.
-inline constexpr uint16_t kWireVersion = 15;
+/// Version 16: the "stats" reply carries the randomizers each holder's
+/// offline phase generated. Mixed-version meshes are rejected at the frame
+/// layer; docs/PROTOCOL.md ("Wire format") records what every earlier
+/// version changed.
+inline constexpr uint16_t kWireVersion = 16;
 
 /// Frames larger than this are rejected before any allocation — an oversized
 /// length prefix means a corrupted or hostile stream, not a big message

@@ -57,6 +57,7 @@ void AppendPartyStats(const PartyStats& s, std::vector<uint8_t>* out) {
   AppendI64(s.material.misses, out);
   AppendI64(s.material.rejected, out);
   AppendI64(s.material.bytes, out);
+  AppendI64(s.material_generated, out);
 }
 
 Result<PartyStats> ParsePartyStats(const std::vector<uint8_t>& extra,
@@ -76,6 +77,7 @@ Result<PartyStats> ParsePartyStats(const std::vector<uint8_t>& extra,
       &s.net.stale_dropped,     &s.net.send_errors,
       &s.material.hits,         &s.material.misses,
       &s.material.rejected,     &s.material.bytes,
+      &s.material_generated,
   };
   for (int64_t* field : fields) {
     auto v = ConsumeI64(extra, off);
@@ -371,6 +373,7 @@ Status PartyService::Dispatch(CtlVerb verb, uint64_t epoch,
       if (material_store_ != nullptr) {
         stats.material = material_store_->stats();
       }
+      stats.material_generated = offline_.generated;
       stats.bus_bytes = bus_->total_bytes();
       stats.bus_messages = bus_->total_messages();
       stats.net = bus_->net_stats();
@@ -480,9 +483,9 @@ Status PartyService::HandleRecvKey(uint32_t randomizers) {
     material_store_ = std::make_unique<crypto::MaterialStore>(
         material_dir_ + "/" + opts_.role);
   }
-  HPRL_RETURN_IF_ERROR(crypto::RunOfflinePhase(*pool_, material_store_.get(),
-                                               randomizers, cores)
-                           .status());
+  HPRL_ASSIGN_OR_RETURN(offline_,
+                        crypto::RunOfflinePhase(*pool_, material_store_.get(),
+                                                randomizers, cores));
   holder_->AttachRandomizerPool(pool_.get());
   return Status::OK();
 }

@@ -61,15 +61,18 @@ Result<std::vector<PairSlot>> ParsePairSlots(const std::vector<uint8_t>& extra,
 
 /// One party's cost/traffic counters as reported by kStats. Serialized as
 /// positional i64s — costs in declaration order (offline attribution
-/// included), bus accounting, socket stats, then the material-store sweep —
-/// so AppendPartyStats/ParsePartyStats must change in lockstep (guarded by
-/// the wire version).
+/// included), bus accounting, socket stats, the material-store sweep, then
+/// the offline phase's generated count — so AppendPartyStats/ParsePartyStats
+/// must change in lockstep (guarded by the wire version).
 struct PartyStats {
   smc::SmcCosts costs;
   int64_t bus_bytes = 0;     ///< MessageBus wire-size accounting
   int64_t bus_messages = 0;
   SocketBus::NetStats net;   ///< socket-level truth
   crypto::MaterialStats material;  ///< offline material cache accounting
+  /// Randomizers the holder's offline phase generated beyond the bank it
+  /// adopted (crypto::OfflinePhase::generated; 0 on qp).
+  int64_t material_generated = 0;
 };
 
 void AppendPartyStats(const PartyStats& s, std::vector<uint8_t>* out);
@@ -225,6 +228,8 @@ class PartyService {
   std::unique_ptr<crypto::RandomizerPool> pool_;
   // Holder-side material store (material_dir_ non-empty).
   std::unique_ptr<crypto::MaterialStore> material_store_;
+  // What the holder's offline phase did (HandleRecvKey).
+  crypto::OfflinePhase offline_;
 
   /// From kConfigure: the rule's scaled thresholds (one per compared
   /// attribute), the pairs per unit and the unit's slot layout.

@@ -899,6 +899,7 @@ Result<MeshStats> RemoteSmcOracle::CollectStats() {
       mesh.material.misses += stats->material.misses;
       mesh.material.rejected += stats->material.rejected;
       mesh.material.bytes += stats->material.bytes;
+      mesh.material_generated += stats->material_generated;
       mesh.per_party[ReplicaLabel(s, role)] = std::move(stats).value();
     }
   }
@@ -944,6 +945,7 @@ Result<MeshStats> RemoteSmcOracle::CollectStats() {
     obs::Add(metrics_, "crypto.material.misses", mesh.material.misses);
     obs::Add(metrics_, "crypto.material.rejected", mesh.material.rejected);
     obs::Add(metrics_, "crypto.material.bytes", mesh.material.bytes);
+    obs::Add(metrics_, "crypto.material.generated", mesh.material_generated);
   }
   mesh_stats_ = mesh;
   return mesh;

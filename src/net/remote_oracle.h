@@ -79,9 +79,11 @@ struct MeshStats {
   int64_t reconnects = 0;
   int64_t stale_dropped = 0;
   int64_t send_errors = 0;
-  /// Material-store accounting summed over the holder daemons
-  /// (crypto.material.* in the coordinator's registry).
+  /// Material-store accounting and offline-generated randomizers summed
+  /// over the holder daemons (crypto.material.* in the coordinator's
+  /// registry).
   crypto::MaterialStats material;
+  int64_t material_generated = 0;
   /// Keyed by replica label: bare role names in a single-shard mesh,
   /// "alice#1"-style labels in a fleet.
   std::map<std::string, PartyStats> per_party;

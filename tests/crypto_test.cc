@@ -445,23 +445,41 @@ TEST(FixedPointTest, RoundTripAndSquares) {
   EXPECT_DOUBLE_EQ(codec.DecodeSquared(BigInt(2250000)), 2.25);  // 1.5^2
 }
 
-TEST(FixedBaseTest, MatchesPowModOnRandomExponents) {
+// The comb at every exponent width up to its maximum, for shapes from one
+// row of one bit (max 1) through 9 one-bit rows (max 9), short last blocks
+// (24: 10 rows of 3 bits, 3 blocks of 1; 64: 7-bit rows, 4 blocks of 2),
+// the §VI exponent (512: 10 rows of 52 bits, 4 blocks of 13) and a last row
+// that is 7 bits short (513): a random and an all-ones exponent of each
+// width raise the base like PowMod, and one bit more is refused.
+TEST(FixedBaseTest, MatchesPowModAtEveryExponentWidth) {
   SecureRandom rng(314);
   BigInt modulus = rng.NextPrime(192) * rng.NextPrime(192);
   BigInt base = rng.NextBelow(modulus - BigInt(2)) + BigInt(2);
-  FixedBaseTable table(base, modulus, /*max_exp_bits=*/200);
-  ASSERT_TRUE(table.ready());
-  for (int i = 0; i < 20; ++i) {
-    BigInt exp = rng.NextBits(200);
-    auto got = table.Pow(exp);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(*got, BigInt::PowMod(base, exp, modulus)) << exp.ToString();
+  for (int max_bits : {1, 9, 24, 64, 200, 512, 513}) {
+    FixedBaseTable table(base, modulus, max_bits);
+    ASSERT_TRUE(table.ready()) << max_bits;
+    for (int width = 0; width <= max_bits; ++width) {
+      BigInt random = width == 0 ? BigInt(0) : rng.NextBits(width);
+      if (width > 0) mpz_setbit(random.raw(), width - 1);  // exactly `width`
+      BigInt ones(0);
+      for (int bit = 0; bit < width; ++bit) mpz_setbit(ones.raw(), bit);
+      for (const BigInt& exp : {random, ones}) {
+        auto got = table.Pow(exp);
+        ASSERT_TRUE(got.ok())
+            << max_bits << " bits: " << got.status().ToString();
+        EXPECT_EQ(*got, BigInt::PowMod(base, exp, modulus))
+            << max_bits << " bits, exponent " << exp.ToString(16);
+      }
+    }
+    BigInt wider(0);
+    mpz_setbit(wider.raw(), max_bits);  // max_bits + 1 wide
+    EXPECT_FALSE(table.Pow(wider).ok()) << max_bits;
   }
 }
 
 TEST(FixedBaseTest, EdgeExponents) {
   BigInt base(7), modulus(1000003);
-  FixedBaseTable table(base, modulus, /*max_exp_bits=*/64, /*window_bits=*/4);
+  FixedBaseTable table(base, modulus, /*max_exp_bits=*/64);
   ASSERT_TRUE(table.ready());
   EXPECT_EQ(*table.Pow(BigInt(0)), BigInt(1));
   EXPECT_EQ(*table.Pow(BigInt(1)), base);

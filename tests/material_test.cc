@@ -413,49 +413,60 @@ TEST(MaterialEngineTest, WarmAndRepairedRunsMatchColdBitForBit) {
   EXPECT_TRUE(healed.material_warm());
 }
 
-// Every entry of a table Pow can reach: base^{j·2^{w·i}} for every window i
-// and digit j ∈ [1, 2^w) whose exponent fits max_exp_bits (a last, partial
-// window reaches only its low digits), each exponent a single digit.
+// Every entry of a comb table Pow can reach, block by block: G[j][u] for
+// each block j and index u ∈ [1, 2^h) whose exponent
+// Σ_{i ∈ bits(u)} 2^{i·a + j·b} fits max_exp_bits. That exponent sets only
+// bit 0 of block j, so Pow returns the entry itself, with no product.
 std::vector<BigInt> EveryEntry(const FixedBaseTable& table) {
-  const int w = table.window_bits();
-  const int windows = (table.max_exp_bits() + w - 1) / w;
+  const CombShape& comb = table.shape();
   std::vector<BigInt> entries;
-  BigInt place(1);  // 2^{w·i}
-  for (int i = 0; i < windows; ++i) {
-    for (int j = 1; j < (1 << w); ++j) {
-      const BigInt exp = BigInt(j) * place;
-      if (static_cast<int>(exp.BitLength()) > table.max_exp_bits()) break;
+  for (int j = 0; j < comb.blocks; ++j) {
+    for (int u = 1; u < (1 << comb.rows); ++u) {
+      BigInt exp(0);
+      for (int i = 0; i < comb.rows; ++i) {
+        if ((u >> i) & 1) {
+          mpz_setbit(exp.raw(), i * comb.row_bits + j * comb.block_bits);
+        }
+      }
+      if (static_cast<int>(exp.BitLength()) > table.max_exp_bits()) continue;
       auto entry = table.Pow(exp);
-      EXPECT_TRUE(entry.ok()) << "window " << i << " digit " << j;
+      EXPECT_TRUE(entry.ok()) << "block " << j << " index " << u;
       entries.push_back(entry.ok() ? *entry : BigInt(0));
     }
-    place = place * BigInt(1 << w);
   }
   return entries;
 }
 
-// The fixed-base table's window steps are computed serially and its rows
-// filled on worker threads: every entry is the same at any thread count,
-// at the §VI key size, and the table raises the base like PowMod.
+// The comb's single-bit entries come from one serial squaring chain and its
+// blocks fill on worker threads: every entry is the same at any thread
+// count, at the §VI key size, and the table raises the base like PowMod.
 TEST(FixedBaseTableTest, ThreadedBuildHasTheSameEntriesAtEveryThreadCount) {
   SecureRandom rng(1066);
   auto kp = GeneratePaillierKeyPair(1024, rng);
   ASSERT_TRUE(kp.ok()) << kp.status().ToString();
   const BigInt& n2 = kp->pub.n_squared();
   const BigInt base = rng.NextBelow(n2);
-  const FixedBaseTable serial(base, n2, 512, 6, 1);
+  const FixedBaseTable serial(base, n2, 512, 1);
   ASSERT_TRUE(serial.ready());
-  EXPECT_EQ(serial.table_entries(), 86u * 63u);
+  // 10 rows of 52 bits, 4 blocks of 13: 4 × 1023 entries, at most 12
+  // squarings plus 52 multiplies per Pow.
+  EXPECT_EQ(serial.shape().rows, 10);
+  EXPECT_EQ(serial.shape().row_bits, 52);
+  EXPECT_EQ(serial.shape().blocks, 4);
+  EXPECT_EQ(serial.shape().block_bits, 13);
+  EXPECT_EQ(serial.table_entries(), 4u * 1023u);
+  EXPECT_EQ(serial.shape().max_products(), 64);
   const std::vector<BigInt> entries = EveryEntry(serial);
-  ASSERT_EQ(entries.size(), 85u * 63u + 3u);  // bits 510 and 511 end it
+  ASSERT_EQ(entries.size(), 4u * 1023u);  // bit 507 is the highest reached
   EXPECT_EQ(entries[0], base % n2);
   for (int threads : {2, 4, 8}) {
-    const FixedBaseTable threaded(base, n2, 512, 6, threads);
+    const FixedBaseTable threaded(base, n2, 512, threads);
     EXPECT_EQ(EveryEntry(threaded), entries) << threads << " threads";
   }
-  // More threads than windows: the extra workers are never started.
-  EXPECT_EQ(EveryEntry(FixedBaseTable(base, n2, 24, 6, 8)),
-            EveryEntry(FixedBaseTable(base, n2, 24, 6, 1)));
+  // More threads than blocks (24 bits: 3 blocks): the extra workers are
+  // never started.
+  EXPECT_EQ(EveryEntry(FixedBaseTable(base, n2, 24, 8)),
+            EveryEntry(FixedBaseTable(base, n2, 24, 1)));
   for (int i = 0; i < 4; ++i) {
     const BigInt e = rng.NextBits(512);
     auto got = serial.Pow(e);

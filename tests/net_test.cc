@@ -134,13 +134,14 @@ TEST(FrameTest, RejectsVersionMismatch) {
   EXPECT_NE(back.status().ToString().find("version"), std::string::npos);
 }
 
-// Wire v13 and v14 peers are refused at the frame layer, never half-parsed:
+// Wire v13 to v15 peers are refused at the frame layer, never half-parsed:
 // a v13 alice sends bob her per-slot cross terms, where a v14 bob sends
-// alice his columns, and a v14 "cfg" body carries a pool depth and a v14
-// coordinator a "warmup" verb that v15 dropped.
-TEST(FrameTest, RejectsWireVersionsThirteenAndFourteen) {
-  ASSERT_EQ(net::kWireVersion, 15);
-  for (uint8_t version : {0x0D, 0x0E}) {
+// alice his columns, a v14 "cfg" body carries a pool depth and a v14
+// coordinator a "warmup" verb that v15 dropped, and a v15 "stats" reply
+// lacks the generated count a v16 coordinator reads.
+TEST(FrameTest, RejectsWireVersionsThirteenToFifteen) {
+  ASSERT_EQ(net::kWireVersion, 16);
+  for (uint8_t version : {0x0D, 0x0E, 0x0F}) {
     Message msg = MakeMessage();
     std::vector<uint8_t> wire = EncodeFrame(msg);
     wire[4 + 4] = 0x00;
@@ -963,8 +964,8 @@ TEST_F(MeshTest, EndToEndLabelsMatchInProcessProtocol) {
 }
 
 // The offline phase over TCP: each holder daemon prewarms exactly its own
-// role's draws (smc::RandomizerDraws), persists that bank, and serves the
-// run's pairs from it without a single pool miss.
+// role's draws (smc::RandomizerDraws), persists that bank, reports them as
+// generated, and serves the run's pairs from it without a single pool miss.
 TEST_F(MeshTest, HoldersPrewarmTheirOwnRolesDrawsAndNeverMiss) {
   StartMesh(/*receive_timeout_ms=*/2000);
   std::string tmpl = ::testing::TempDir() + "hprl_mesh_material_XXXXXX";
@@ -1021,7 +1022,11 @@ TEST_F(MeshTest, HoldersPrewarmTheirOwnRolesDrawsAndNeverMiss) {
     EXPECT_EQ(party.costs.encryptions, want) << role;
     // Every draw was a pool hit: no miss paid an exponentiation inline.
     EXPECT_EQ(party.costs.offline_randomizers, want) << role;
+    // The store was empty: the offline phase generated the whole bank.
+    EXPECT_EQ(party.material_generated, want) << role;
   }
+  EXPECT_EQ(mesh->per_party.at("qp").material_generated, 0);
+  EXPECT_EQ(mesh->material_generated, draws.alice + draws.bob);
   EXPECT_TRUE(oracle->Shutdown(/*stop_daemons=*/true).ok());
   std::filesystem::remove_all(dir);
 }
